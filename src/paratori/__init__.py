@@ -2,9 +2,10 @@
 parabolic invariant tori, with numerical validation helpers."""
 
 from paratori.errors import (BoundViolated, CNotInvertible, ConfigError,
-                             DimensionMismatch, Diverged, EnergyBelowThreshold,
-                             FlowLeftSector, HypothesisViolated,
-                             NonPositiveLeadingCoefficient, NonZeroAverage,
+                             ContractViolated, DimensionMismatch, Diverged,
+                             EnergyBelowThreshold, FlowLeftSector,
+                             HypothesisViolated, NonPositiveLeadingCoefficient,
+                             NonZeroAverage,
                              ParatoriError, SingularSystem,
                              SmallDivisorUnderflow, StructureViolation,
                              TailNotConverged, TruncationTooLow,
@@ -18,8 +19,8 @@ from paratori.pairs import (ManifoldPair, ResidualReport, compare_pairs,
                             residual_report)
 from paratori.map_solver import (default_trunc, init_order2,
                                  invert_reduced_map, solve_to_order)
-from paratori.flow_solver import (init_order2_flow, solve_flow_to_order,
-                                  solve_helicoure, validate_shear_field)
+from paratori.flow_solver import (solve_flow_to_order, solve_helicoure,
+                                  validate_shear_field)
 from paratori.operators import (Sector, contraction_probe, drift_derivative,
                                 flow_inverse, flow_inverse_norm_limit,
                                 flow_orbit_integral, map_inverse_norm_limit,
@@ -32,8 +33,9 @@ from paratori.applications import (HeCuParams, OscillatorParams,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundViolated", "CNotInvertible", "ConfigError", "DimensionMismatch",
-    "Diverged", "EnergyBelowThreshold", "FlowLeftSector", "HypothesisViolated",
+    "BoundViolated", "CNotInvertible", "ConfigError", "ContractViolated",
+    "DimensionMismatch", "Diverged", "EnergyBelowThreshold", "FlowLeftSector",
+    "HypothesisViolated",
     "NonPositiveLeadingCoefficient", "NonZeroAverage", "ParatoriError",
     "SingularSystem", "SmallDivisorUnderflow", "StructureViolation",
     "TailNotConverged", "TruncationTooLow", "ZeroLeadingCoefficient",
@@ -44,8 +46,7 @@ __all__ = [
     "reduce_general_field", "reduce_general_map",
     "ManifoldPair", "ResidualReport", "compare_pairs", "residual_report",
     "default_trunc", "init_order2", "invert_reduced_map", "solve_to_order",
-    "init_order2_flow", "solve_flow_to_order", "solve_helicoure",
-    "validate_shear_field",
+    "solve_flow_to_order", "solve_helicoure", "validate_shear_field",
     "Sector", "contraction_probe", "drift_derivative", "flow_inverse",
     "flow_inverse_norm_limit", "flow_orbit_integral", "map_inverse_norm_limit",
     "orbit_sum_inverse", "sector_iterate_check", "transfer_difference",

@@ -25,8 +25,8 @@ from . import operators
 from .applications import (HeCuParams, OscillatorParams,
                            build_oscillator_field, hecu_manifolds)
 from .errors import (BoundViolated, CNotInvertible, ConfigError,
-                     DimensionMismatch, Diverged, EnergyBelowThreshold,
-                     FlowLeftSector, HypothesisViolated,
+                     ContractViolated, DimensionMismatch, Diverged,
+                     EnergyBelowThreshold, FlowLeftSector, HypothesisViolated,
                      NonPositiveLeadingCoefficient, NonZeroAverage,
                      ParatoriError, SingularSystem, SmallDivisorUnderflow,
                      StructureViolation, TailNotConverged, TruncationTooLow,
@@ -60,6 +60,9 @@ def _error_payload(err):
     if isinstance(err, SmallDivisorUnderflow):
         detail = {"mode": list(err.mode), "magnitude": err.magnitude,
                   "floor": err.floor}
+    elif isinstance(err, ContractViolated):
+        detail = {"order": err.order, "component": err.component,
+                  "defect": err.defect, "tol": err.tol}
     elif isinstance(err, BoundViolated) and hasattr(err, "witness"):
         u, j = err.witness
         detail = {"witness_point": complex(u), "witness_iterate": int(j)}
@@ -176,19 +179,6 @@ class RunConfig:
         self.sweep = raw.get("sweep")
         if self.sweep is not None and not isinstance(self.sweep, list):
             raise ConfigError("sweep must be a list of override objects")
-
-    def check_sector(self, k):
-        sec = self.raw.get("sector")
-        if sec is None:
-            return None
-        beta, rho = float(sec["beta"]), float(sec["rho"])
-        if not 0 < beta < math.pi / (k - 1):
-            raise ConfigError(
-                "sector opening %.6g outside (0, pi/(k-1)) for k = %d"
-                % (beta, k))
-        if rho <= 0:
-            raise ConfigError("sector radius must be positive")
-        return operators.Sector(beta, rho, k)
 
 
 def _load_config(path):
@@ -357,12 +347,18 @@ def _cmd_diagnose(args):
     if cfg.problem != "custom-map":
         raise ConfigError("diagnose-operators runs on a custom-map config")
     data = _map_from_config(raw.get("map") or {}, "map")
+    sec = raw.get("sector")
+    if sec is None:
+        raise ConfigError("diagnose-operators needs a sector block")
+    try:
+        beta, rho = float(sec["beta"]), float(sec["rho"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError("sector block needs numeric beta and rho: %r" % (err,))
+    data.validate_reduced()  # the sector needs a valid leading order k
+    sector = operators.Sector(beta, rho, data.k)
     pair = solve_to_order(data, cfg.n_target, branch=cfg.branch,
                           trunc=cfg.trunc, sd_floor=cfg.sd_floor,
                           assert_tol=cfg.assert_tol)
-    sector = cfg.check_sector(pair.k)
-    if sector is None:
-        raise ConfigError("diagnose-operators needs a sector block")
     diag_block = raw.get("diagnostics") or {}
     mu = float(diag_block.get("mu", 0.5))
     out = {"order": pair.order, "mu": mu,

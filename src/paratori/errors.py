@@ -73,6 +73,27 @@ class BoundViolated(ParatoriError):
     """A certified inequality failed on the verification grid."""
 
 
+class ContractViolated(BoundViolated):
+    """The invariance defect of a pair exceeds its tolerance below the
+    contract orders.
+
+    Attributes: ``order`` (u-order of the defect coefficient),
+    ``component`` ("x", "y" or "theta_<axis>"), ``defect`` (the coefficient
+    norm) and ``tol`` (the bound it exceeds: the solve's ``assert_tol``
+    times the size of the pair).
+    """
+
+    def __init__(self, order, component, defect, tol):
+        self.order = int(order)
+        self.component = str(component)
+        self.defect = float(defect)
+        self.tol = float(tol)
+        super().__init__(
+            "invariance defect %.3e in %s at order %d exceeds %.3e"
+            % (self.defect, self.component, self.order, self.tol)
+        )
+
+
 class TailNotConverged(ParatoriError):
     """An orbit-sum or integral tail did not reach the requested tolerance."""
 

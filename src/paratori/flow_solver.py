@@ -6,16 +6,18 @@ Two structure classes are handled:
   + ...) — the flow analog of the reduced map form.  The order-by-order
   induction is literally the map one with the inner normal form read as a
   velocity  du/dt = r_k u^k (+ r_{2k-1} u^{2k-1})  and the cohomological
-  equations solved against the directional derivative; the shared
-  implementation lives in map_solver and dispatches on the data kind.  At
-  the degenerate step the solvability combination reads the y-defect at
-  order 3k-1, same as for maps.
+  equations solved against the directional derivative: solve_flow_to_order
+  runs map_solver.solve_to_order.  At the degenerate step the solvability
+  combination reads the y-defect at order 3k-1, same as for maps.
 
 * the shear class  (c(theta) y,  b(theta) x y + (y^2-divisible),
   omega + d(theta) y + Q(x, y, theta)) — here the parameterization is a
   graph over u ~ x, the inner velocity is the exact cubic
   Y(u) = Y_2 u^2 + Y_3 u^3, and the branch is dictated by the sign of the
-  mean of b rather than chosen by a square root.
+  mean of b rather than chosen by a square root.  This module holds its
+  structure check, its seed and the branch flip; the order steps are
+  map_solver.extend_order, whose shear-class averaged step sits next to the
+  power-class one.
 
 For the shear class the leading angular coefficient admits two conventions:
 ``theta_leading="cohomological"`` solves the order-u^2 angular equation
@@ -25,34 +27,26 @@ For the shear class the leading angular coefficient admits two conventions:
 the discrepancy per axis is recorded in the diagnostics either way.
 """
 
-import numpy as np
-
 from .errors import (
+    ConfigError,
     NonPositiveLeadingCoefficient,
-    SingularSystem,
     StructureViolation,
-    TruncationTooLow,
     ZeroLeadingCoefficient,
 )
-from .fourier import diophantine_margin, solve_sd_flow
+from .fourier import diophantine_margin
 from .jets import TFJet, UPoly
-from .map_solver import extend_order, init_order2, solve_to_order
-from .pairs import ManifoldPair, residual_jets
-
-
-def init_order2_flow(fd, branch="stable", trunc=None, sd_floor=1e-12, assert_tol=1e-9):
-    assert fd.kind == "field"
-    return init_order2(fd, branch, trunc, sd_floor, assert_tol)
-
-
-def extend_order_flow(fd, pair, sd_floor=1e-12, assert_tol=1e-9):
-    assert fd.kind == "field"
-    return extend_order(fd, pair, sd_floor, assert_tol)
+from .map_solver import close_order, extend_order, solve_to_order
+from .map_solver import init_order2  # noqa: F401  only for the perfbench trace
+from .pairs import ManifoldPair
+from .pairs import residual_jets  # noqa: F401  only for the perfbench trace
 
 
 def solve_flow_to_order(fd, n_target, branch="stable", trunc=None, sd_floor=1e-12,
                         assert_tol=1e-9, snapshots=False):
-    assert fd.kind == "field"
+    """Power-class pair of a vector field, through the map induction."""
+    if fd.kind != "field":
+        raise StructureViolation("solve_flow_to_order takes a vector field, "
+                                 "got kind %r" % (fd.kind,))
     return solve_to_order(fd, n_target, branch, trunc, sd_floor, assert_tol, snapshots)
 
 
@@ -94,23 +88,6 @@ def _shear_leading(fd):
     return cbar, bbar
 
 
-def _assert_shear_contract(fd, pair, tol, skip_theta2_avg):
-    gx, gy, gt = residual_jets(fd, pair)
-    ox, oy, ot = pair.contract_orders()
-    scale = pair.size()
-    checks = [("x", gx, ox), ("y", gy, oy)] + [("theta", g, ot) for g in gt]
-    for name, jet, lead in checks:
-        for n in jet.orders():
-            if n >= lead:
-                continue
-            coeff = jet.coefficient(n)
-            if name == "theta" and n == 2 and skip_theta2_avg:
-                coeff = coeff.oscillatory()
-            defect = coeff.coeff_norm()
-            assert defect <= tol * scale, (
-                "invariance defect %.3e in %s at order %d" % (defect, name, n))
-
-
 def _solve_shear_direct(fd, n_target, theta_leading, trunc, sd_floor, assert_tol):
     validate_shear_field(fd)
     cbar, bbar = _shear_leading(fd)
@@ -135,7 +112,7 @@ def _solve_shear_direct(fd, n_target, theta_leading, trunc, sd_floor, assert_tol
 
     pair = ManifoldPair(
         "field", "shear", "stable" if bbar < 0 else "unstable",
-        cut, trunc, 1, None, None, fd.freqs, d, fd.drive, x, y, tails, inner,
+        cut, trunc, 0, None, None, fd.freqs, d, fd.drive, x, y, tails, inner,
         diagnostics={
             "margin": diophantine_margin(fd.freqs, cut, "flow"),
             "theta_leading_mode": theta_leading,
@@ -143,103 +120,10 @@ def _solve_shear_direct(fd, n_target, theta_leading, trunc, sd_floor, assert_tol
         },
     )
 
-    skip2 = theta_leading == "closed_form"
-    freqs = np.asarray(fd.freqs, dtype=float)
-    sd = lambda h: solve_sd_flow(h, freqs, sd_floor)
-
-    # base oscillatory completion at orders (2, 3, 2)
-    gx, gy, gt = residual_jets(fd, pair)
-    pair.x.add_to_coefficient(2, sd(gx.coefficient(2).oscillatory()))
-    pair.y.add_to_coefficient(3, sd(gy.coefficient(3).oscillatory()))
-    for a in range(d):
-        pair.tails[a].add_to_coefficient(2, sd(gt[a].coefficient(2).oscillatory()))
-    _assert_shear_contract(fd, pair, assert_tol, skip2)
-
+    # oscillatory completion at the order-0 contract orders (2, 3, 2)
+    close_order(fd, pair, sd_floor, assert_tol)
     while pair.order < n_target:
-        _extend_shear(fd, pair, sd_floor, assert_tol, skip2)
-    return pair
-
-
-def _extend_shear(fd, pair, sd_floor, assert_tol, skip_theta2_avg):
-    n = pair.order + 1  # index of the new average x-coefficient
-    if n + 2 > pair.trunc:
-        raise TruncationTooLow(
-            "step %d needs order %d, truncation is %d" % (n, n + 2, pair.trunc))
-    d = pair.d
-    cbar = fd.shear().average()
-    b = fd.coefficient_y((1, 1))
-    bbar = b.average()
-    y2 = pair.inner.coeff(2)
-    beta = (b * pair.y.coefficient(2)).average()
-
-    gx, gy, gt = residual_jets(fd, pair)
-    gxb = gx.coefficient(n + 1).average()
-    gyb = gy.coefficient(n + 2).average()
-    gtb = [gt[a].coefficient(n + 1).average() for a in range(d)]
-
-    y3 = 0.0
-    if n != 2:
-        mat = np.array([
-            [-n * y2, cbar],
-            [beta, bbar - (n + 1) * y2],
-        ])
-        det = float(np.linalg.det(mat))
-        det_scale = float(np.prod(np.linalg.norm(mat, axis=1)))
-        if abs(det) <= 1e-12 * det_scale:
-            raise SingularSystem("shear step %d unexpectedly singular" % n)
-        xi, eta = np.linalg.solve(mat, np.array([-gxb, -gyb]))
-    else:
-        y3 = gxb / 3.0 + 2.0 * cbar * gyb / (3.0 * bbar)
-        xi = 0.0
-        eta = (-gxb + y3) / cbar
-        mat = np.zeros((2 + d, 2 + d))
-        rhs = np.zeros(2 + d)
-        mat[0, :2] = [-2 * y2, cbar]
-        rhs[0] = -gxb + y3
-        mat[1, :2] = [beta, bbar - 3 * y2]
-        rhs[1] = -gyb + 2.0 * pair.y.coefficient(2).average() * y3
-        for a in range(d):
-            dbar = fd.coefficient_theta(a, (0, 1)).average()
-            q20 = fd.coefficient_theta(a, (2, 0)).average()
-            w1 = pair.tails[a].coefficient(1).average()
-            mat[2 + a, 0] = 2 * q20
-            mat[2 + a, 1] = dbar
-            mat[2 + a, 2 + a] = -2 * y2
-            rhs[2 + a] = -gtb[a] + w1 * y3
-        lsq = np.linalg.lstsq(mat, rhs, rcond=None)[0]
-        pair.diagnostics["degenerate_step"] = {
-            "order": n,
-            "det": float(np.linalg.det(mat)),
-            "det_scale": float(np.prod(np.linalg.norm(mat, axis=1))),
-            "lstsq_defect": float(np.linalg.norm(mat @ lsq - rhs))
-            / max(1.0, float(np.linalg.norm(rhs))),
-            "normal_form_coeff": float(y3),
-        }
-        pair.inner = pair.inner + UPoly({3: y3}, pair.inner.trunc)
-
-    ws = []
-    for a in range(d):
-        dbar = fd.coefficient_theta(a, (0, 1)).average()
-        q20 = fd.coefficient_theta(a, (2, 0)).average()
-        w1 = pair.tails[a].coefficient(1).average()
-        ws.append((gtb[a] + dbar * eta + 2.0 * q20 * xi - w1 * y3) / (n * y2))
-
-    if xi != 0.0:
-        pair.x.add_to_coefficient(n, xi)
-    pair.y.add_to_coefficient(n + 1, eta)
-    for a in range(d):
-        pair.tails[a].add_to_coefficient(n, ws[a])
-
-    freqs = np.asarray(fd.freqs, dtype=float)
-    sd = lambda h: solve_sd_flow(h, freqs, sd_floor)
-    gx, gy, gt = residual_jets(fd, pair)
-    pair.x.add_to_coefficient(n + 1, sd(gx.coefficient(n + 1).oscillatory()))
-    pair.y.add_to_coefficient(n + 2, sd(gy.coefficient(n + 2).oscillatory()))
-    for a in range(d):
-        pair.tails[a].add_to_coefficient(n + 1, sd(gt[a].coefficient(n + 1).oscillatory()))
-
-    pair.order = n
-    _assert_shear_contract(fd, pair, assert_tol, skip_theta2_avg)
+        extend_order(fd, pair, sd_floor, assert_tol)
     return pair
 
 
@@ -263,8 +147,11 @@ def solve_helicoure(fd, n_target, branch="stable", theta_leading="closed_form",
     by conjugating with (x, t) -> (-x, -t), solving, and mapping back, which
     flips the sign of the horizontal jet and of the inner velocity.
     """
-    assert theta_leading in ("closed_form", "cohomological")
-    assert branch in ("stable", "unstable")
+    if theta_leading not in ("closed_form", "cohomological"):
+        raise ConfigError("theta_leading must be closed_form or cohomological, "
+                          "got %r" % (theta_leading,))
+    if branch not in ("stable", "unstable"):
+        raise ConfigError("branch must be stable or unstable, got %r" % (branch,))
     validate_shear_field(fd)
     _, bbar = _shear_leading(fd)
     natural = "stable" if bbar < 0 else "unstable"

@@ -127,17 +127,6 @@ class FourierSeries:
     def copy(self):
         return FourierSeries(self.coeffs.copy(), symmetrize=False)
 
-    def with_cut(self, cut):
-        """Pad with zeros or crop to a new mode box."""
-        if self.dim == 0 or cut == self.cut:
-            return self.copy()
-        out = FourierSeries.zero(self.dim, cut)
-        m = min(cut, self.cut)
-        src = tuple(slice(self.cut - m, self.cut + m + 1) for _ in range(self.dim))
-        dst = tuple(slice(cut - m, cut + m + 1) for _ in range(self.dim))
-        out.coeffs[dst] = self.coeffs[src]
-        return out
-
     # ----- basic queries ------------------------------------------------
 
     def average(self):

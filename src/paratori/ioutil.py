@@ -67,19 +67,6 @@ def canonical_json(obj):
 # payloads
 # ---------------------------------------------------------------------------
 
-def series_from_payload(payload):
-    dim, cut = int(payload["dim"]), int(payload["cut"])
-    modes = {}
-    for k, re, im in payload["modes"]:
-        modes[tuple(int(i) for i in k)] = complex(re, im)
-    if dim == 0:
-        s = FourierSeries.zero(0, 0)
-        if () in modes:
-            s = s + modes[()].real
-        return s
-    return FourierSeries.from_modes(modes, dim, cut)
-
-
 def jet_payload(jet):
     return {str(n): jet.coefficient(n).to_payload() for n in jet.orders()}
 
@@ -87,7 +74,7 @@ def jet_payload(jet):
 def jet_from_payload(payload, dim, cut, trunc):
     jet = TFJet(dim, cut, trunc)
     for key, sp in payload.items():
-        jet.set_coefficient(int(key), series_from_payload(sp))
+        jet.set_coefficient(int(key), FourierSeries.from_payload(sp))
     return jet
 
 

@@ -12,8 +12,6 @@ measurements use the exactly-representable tail and a separate check that
 the annihilated lower-order coefficients are numerically zero.
 """
 
-import io
-
 import numpy as np
 
 from .fourier import FourierSeries
@@ -73,18 +71,11 @@ class ManifoldPair:
     def inner_coeff(self, n):
         return self.inner.coeff(n)
 
-    def x_coeff_avg(self, n):
-        return self.x.coefficient(n).average()
-
     def y_coeff_avg(self, n):
         return self.y.coefficient(n).average()
 
     def tail_coeff_avg(self, axis, n):
         return self.tails[axis].coefficient(n).average()
-
-
-def angle_velocity(pair):
-    return np.asarray(pair.freqs, dtype=float)
 
 
 def residual_jets(data, pair):
@@ -179,33 +170,6 @@ class ResidualReport:
             if c["name"] == name:
                 return c
         raise KeyError(name)
-
-    def to_csv(self):
-        buf = io.StringIO()
-        names = [c["name"] for c in self.components]
-        buf.write("u," + ",".join("res_" + n for n in names) + "\n")
-        for i, u in enumerate(self.u_values):
-            row = [format(u, ".17g")]
-            row += [format(c["sups"][i], ".17g") for c in self.components]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
-
-    def to_payload(self):
-        return {
-            "u_values": [float(u) for u in self.u_values],
-            "components": [
-                {
-                    "name": c["name"],
-                    "expected_order": c["expected_order"],
-                    "slope": None if c["slope"] is None else float(c["slope"]),
-                    "annihilated_max": float(c["annihilated_max"]),
-                    "scale": float(c["scale"]),
-                    "exact": bool(c["exact"]),
-                    "sups": [float(v) for v in c["sups"]],
-                }
-                for c in self.components
-            ],
-        }
 
 
 def residual_report(data, pair, u_lo=1e-3, u_hi=1e-2, n_u=9, n_grid=24):

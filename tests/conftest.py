@@ -25,8 +25,8 @@ PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
     paratori.__file__)))
 
 
-def run_cli(args, cwd=None):
-    """Run `python -m paratori.cli args` in a separate process.
+def run_cli(args, cwd=None, python_flags=()):
+    """Run `python [python_flags] -m paratori.cli args` in a separate process.
 
     The child gets PYTHONPATH with PACKAGE_ROOT first, so it runs the same
     package as the tests from any working directory, even when the suite's
@@ -35,7 +35,8 @@ def run_cli(args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "paratori.cli"] + args,
+    return subprocess.run([sys.executable] + list(python_flags)
+                          + ["-m", "paratori.cli"] + args,
                           capture_output=True, text=True,
                           cwd=None if cwd is None else str(cwd), env=env)
 

@@ -167,14 +167,17 @@ def test_diagnose_operators(tmp_path):
 
 
 def test_diagnose_rejects_wide_sector(tmp_path):
-    cfg_data = json.loads(json.dumps(MAP_CONFIG))
-    cfg_data["sector"] = {"beta": 4.0, "rho": 0.02}
-    cfg_data["diagnostics"] = {"mu": 0.5, "iterates": 10, "grid": [4, 4]}
-    cfg = write_config(tmp_path, cfg_data)
-    res = run_cli(["diagnose-operators", "--config", str(cfg), "--out",
-                   str(tmp_path / "d")], tmp_path)
-    assert res.returncode == 2, res.stderr
-    assert json.loads(res.stderr)["error"] == "ConfigError"
+    # a wide opening, a missing radius and a non-numeric opening
+    for i, sector in enumerate([{"beta": 4.0, "rho": 0.02}, {"beta": 1.0},
+                                {"beta": "wide", "rho": 0.02}]):
+        cfg_data = json.loads(json.dumps(MAP_CONFIG))
+        cfg_data["sector"] = sector
+        cfg_data["diagnostics"] = {"mu": 0.5, "iterates": 10, "grid": [4, 4]}
+        cfg = write_config(tmp_path, cfg_data, "sector_%d.json" % i)
+        res = run_cli(["diagnose-operators", "--config", str(cfg), "--out",
+                       str(tmp_path / "d")], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert json.loads(res.stderr)["error"] == "ConfigError"
 
 
 def test_helicoure_run_and_convention(tmp_path):
@@ -231,6 +234,26 @@ def test_hecu_run(tmp_path):
     report = json.loads((out / "hecu_report.json").read_text())
     assert max(report["relative_deviations"].values()) <= 1e-10
     assert report["sign_pattern"]["stable_contracts"]
+
+
+def test_contract_violation_is_typed_under_optimize(tmp_path):
+    # the invariance contract is checked by a typed error, so it still runs
+    # (and names where it failed) when python -O strips assert statements
+    for name, base, command in (("map", MAP_CONFIG, "solve-map"),
+                                ("heli", HELI_CONFIG, "helicoure")):
+        cfg_data = json.loads(json.dumps(base))
+        cfg_data["assert_tol"] = 1e-300
+        cfg = write_config(tmp_path, cfg_data, "%s.json" % name)
+        res = run_cli([command, "--config", str(cfg), "--out",
+                       str(tmp_path / name)], tmp_path, python_flags=["-O"])
+        assert res.returncode == 5, res.stderr
+        err = json.loads(res.stderr)
+        assert err["error"] == "ContractViolated"
+        assert err["exit_code"] == 5
+        detail = err["detail"]
+        assert detail["component"] in ("x", "y", "theta_0")
+        assert isinstance(detail["order"], int)
+        assert detail["defect"] > detail["tol"] > 0
 
 
 def test_missing_config_is_a_usage_error(tmp_path):

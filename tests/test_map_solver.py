@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from paratori.errors import (NonPositiveLeadingCoefficient,
+from paratori.errors import (ConfigError, NonPositiveLeadingCoefficient,
                              SmallDivisorUnderflow, TruncationTooLow)
+from paratori.flow_solver import solve_helicoure
 from paratori.fourier import FourierSeries
-from paratori.map_solver import (default_trunc, init_order2,
+from paratori.map_solver import (default_trunc, extend_order, init_order2,
                                  invert_reduced_map, solve_to_order)
 from paratori.mapdata import TaylorFourierMap
 from paratori.pairs import compare_pairs, residual_jets, residual_report
 
-from conftest import GOLDEN, exact_map, one_mode, reference_map
+from conftest import GOLDEN, exact_map, one_mode, reference_map, shear_example
 
 
 def residual_below_contract(data, pair):
@@ -115,12 +116,28 @@ def test_unstable_branch_against_original_map():
 
 
 def test_truncation_guard():
+    # one guard for both structure classes: a power-class map pair and a
+    # shear-class field pair
+    fd = shear_example()
+    cases = [(exact_map(), solve_to_order(exact_map(), 3, trunc=7)),
+             (fd, solve_helicoure(fd, 2, trunc=6))]
+    for mp, pair in cases:
+        with pytest.raises(TruncationTooLow):
+            while pair.order < 12:
+                extend_order(mp, pair)
+
+
+def test_bad_arguments_are_config_errors():
     mp = exact_map()
-    pair = solve_to_order(mp, 3, trunc=7)
-    with pytest.raises(TruncationTooLow):
-        while pair.order < 12:
-            from paratori.map_solver import extend_order
-            extend_order(mp, pair)
+    with pytest.raises(ConfigError):
+        solve_to_order(mp, 1)
+    with pytest.raises(ConfigError):
+        init_order2(mp, branch="sideways")
+    fd = shear_example()
+    with pytest.raises(ConfigError):
+        solve_helicoure(fd, 3, branch="sideways")
+    with pytest.raises(ConfigError):
+        solve_helicoure(fd, 3, theta_leading="sideways")
 
 
 def test_resonant_frequency_raises():
