@@ -11,8 +11,6 @@ stable/unstable manifolds of (x y)-shear type.
 
 import math
 
-import numpy as np
-
 from .errors import (ConfigError, EnergyBelowThreshold, HypothesisViolated)
 from .fourier import FourierSeries
 from .mapdata import (NormalizationRecord, TaylorFourierMap, XYPoly,
@@ -185,7 +183,7 @@ def build_hecu_field(p, expansion="displayed", deg=6):
         cj = 1.0
         for j in range(1, deg + 1):
             cj *= (2 * j - 3) / (2.0 * j)
-            spow = spow.mul(s_over)
+            spow = spow * s_over
             root = root + spow.scale(cj)
         theta_full = root.scale(omega)
         theta_dev = theta_full + XYPoly(1, cut, deg, {(0, 0): -omega})
@@ -194,7 +192,7 @@ def build_hecu_field(p, expansion="displayed", deg=6):
         # equation and, through the corrugation, the angular one
         stretch = XYPoly(1, cut, deg, {(0, 0): 1.0, (0, 1): gamma * 2.0})
         swirl = XYPoly(1, cut, deg, {(0, 2): g.diff(0)})
-        ydot_new = stretch.mul(ydot) + swirl.mul(theta_full)
+        ydot_new = stretch * ydot + swirl * theta_full
 
         xid = _xy_identity(1, cut, deg, "x")
         pdot_n = pdot.subst(xid, y_inv)

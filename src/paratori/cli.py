@@ -19,8 +19,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import operators
 from .applications import (HeCuParams, OscillatorParams,
                            build_oscillator_field, hecu_manifolds)
@@ -87,24 +85,38 @@ class _Parser(argparse.ArgumentParser):
 # config handling
 # ---------------------------------------------------------------------------
 
+def _number(value, what, cast=float):
+    """A finite config number converted by ``cast``, else a ConfigError."""
+    try:
+        out = cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("%s: expected a number, got %r" % (what, value))
+    if not math.isfinite(out):
+        raise ConfigError("%s: expected a finite number, got %r" % (what, value))
+    return out
+
+
 def _series_spec(spec, dim, cut, what):
     """A coefficient from config: plain number, or {const, modes} where
     modes maps 'k1,k2,...' to [re, im] of the one-sided coefficient."""
     if isinstance(spec, (int, float)):
-        return FourierSeries.constant(float(spec), dim, cut)
-    if not isinstance(spec, dict):
+        return FourierSeries.constant(_number(spec, what), dim, cut)
+    if not isinstance(spec, dict) or not isinstance(spec.get("modes", {}), dict):
         raise ConfigError("%s: expected number or {const, modes}" % what)
-    s = FourierSeries.constant(float(spec.get("const", 0.0)), dim, cut)
+    s = FourierSeries.constant(_number(spec.get("const", 0.0), what), dim, cut)
     modes = {}
     for key, val in spec.get("modes", {}).items():
         try:
             mode = tuple(int(t) for t in str(key).split(","))
-            re, im = float(val[0]), float(val[1])
-        except (ValueError, IndexError, TypeError):
+            re, im = _number(val[0], what), _number(val[1], what)
+        except (ValueError, IndexError, TypeError, ConfigError):
             raise ConfigError("%s: bad mode entry %r" % (what, key))
         if len(mode) != dim:
             raise ConfigError("%s: mode %s has %d axes, expected %d"
                               % (what, key, len(mode), dim))
+        if max(map(abs, mode), default=0) > cut:
+            raise ConfigError("%s: mode %s outside the box |k| <= %d"
+                              % (what, key, cut))
         modes[mode] = complex(re, im)
     if modes:
         s = s + FourierSeries.from_modes(modes, dim, cut)
@@ -112,6 +124,8 @@ def _series_spec(spec, dim, cut, what):
 
 
 def _terms_spec(block, dim, cut, what):
+    if not isinstance(block or {}, dict):
+        raise ConfigError("%s: expected an object of 'l,m' terms" % what)
     out = {}
     for key, spec in (block or {}).items():
         try:
@@ -119,32 +133,42 @@ def _terms_spec(block, dim, cut, what):
         except ValueError:
             raise ConfigError("%s: bad exponent key %r, expected 'l,m'"
                               % (what, key))
+        if l < 0 or m < 0:
+            raise ConfigError("%s: negative exponent in %r" % (what, key))
         out[(l, m)] = _series_spec(spec, dim, cut, "%s[%s]" % (what, key))
     return out
 
 
 def _map_from_config(block, kind):
+    if not isinstance(block, dict):
+        raise ConfigError("problem block must be an object")
     for key in ("cut", "freqs"):
         if key not in block:
             raise ConfigError("problem block misses %r" % key)
-    d = int(block.get("d", len(block["freqs"]) if kind == "map" else 1))
-    drive = int(block.get("drive", 0))
+    if not isinstance(block["freqs"], list):
+        raise ConfigError("freqs must be a list of numbers")
+    d = _number(block.get("d", len(block["freqs"]) if kind == "map" else 1),
+                "d", int)
+    drive = _number(block.get("drive", 0), "drive", int)
     if kind == "map" and drive:
         raise ConfigError("maps take no drive axes; bake forcing into d")
     dim = d + drive
-    cut = int(block["cut"])
-    freqs = [float(v) for v in block["freqs"]]
+    cut = _number(block["cut"], "cut", int)
+    if min(d, drive, cut) < 0:
+        raise ConfigError("d, drive and cut must not be negative")
+    freqs = [_number(v, "freqs", float) for v in block["freqs"]]
+    k, p = (None if block.get(key) is None else _number(block[key], key, int)
+            for key in ("k", "p"))
     theta_blocks = block.get("theta_terms", [])
-    if len(theta_blocks) != d:
-        raise ConfigError("theta_terms lists %d axes, d = %d"
-                          % (len(theta_blocks), d))
+    if not isinstance(theta_blocks, list) or len(theta_blocks) != d:
+        raise ConfigError("theta_terms must list one table per axis, d = %d" % d)
     return TaylorFourierMap(
         kind, d, drive, cut, freqs,
         _terms_spec(block.get("x_terms"), dim, cut, "x_terms"),
         _terms_spec(block.get("y_terms"), dim, cut, "y_terms"),
         [_terms_spec(t, dim, cut, "theta_terms[%d]" % a)
          for a, t in enumerate(theta_blocks)],
-        k=block.get("k"), p=block.get("p"))
+        k=k, p=p)
 
 
 class RunConfig:
@@ -161,8 +185,8 @@ class RunConfig:
         if self.problem not in self._PROBLEMS:
             raise ConfigError("problem must be one of %s, got %r"
                               % (", ".join(self._PROBLEMS), self.problem))
-        self.n_target = int(order if order is not None
-                            else raw.get("n_target", 0))
+        self.n_target = _number(order if order is not None
+                                else raw.get("n_target", 0), "n_target", int)
         if self.n_target < 2:
             raise ConfigError("n_target must be at least 2")
         self.branch = branch or raw.get("branch", "stable")
@@ -170,9 +194,9 @@ class RunConfig:
             raise ConfigError("branch must be stable or unstable")
         self.trunc = raw.get("trunc")
         if self.trunc is not None:
-            self.trunc = int(self.trunc)
-        self.sd_floor = float(raw.get("sd_floor", 1e-12))
-        self.assert_tol = float(raw.get("assert_tol", 1e-9))
+            self.trunc = _number(self.trunc, "trunc", int)
+        self.sd_floor = _number(raw.get("sd_floor", 1e-12), "sd_floor")
+        self.assert_tol = _number(raw.get("assert_tol", 1e-9), "assert_tol")
         if self.sd_floor <= 0 or self.assert_tol <= 0:
             raise ConfigError("tolerances must be positive")
         self.theta_leading = raw.get("theta_leading", "closed_form")

@@ -317,23 +317,20 @@ def _check_zero_average(h, avg_tol):
         )
 
 
-def _guarded_divide(h, divisor, floor):
-    """h.coeffs / divisor with the zero mode forced to 0 and a floor check
-    applied only where the numerator is actually nonzero."""
-    mag = np.abs(divisor)
+def _guarded_divide(h, divisor, mag, floor):
+    """h.coeffs / divisor (dim >= 1) with the zero mode forced to 0 and a
+    floor check on the divisor magnitude ``mag``, applied only where the
+    numerator is actually nonzero."""
     need = np.abs(h.coeffs) > 0.0
-    center = (h.cut,) * h.dim if h.dim else ()
-    need[center] = False
+    need[(h.cut,) * h.dim] = False
     bad = need & (mag < floor)
     if np.any(bad):
-        idx = np.unravel_index(
-            np.argmin(np.where(bad, mag, np.inf)), mag.shape if h.dim else (1,)
-        )
-        mode = tuple(int(i) - h.cut for i in idx) if h.dim else ()
-        raise SmallDivisorUnderflow(mode, float(mag[idx] if h.dim else mag), floor)
+        idx = np.unravel_index(np.argmin(np.where(bad, mag, np.inf)), mag.shape)
+        mode = tuple(int(i) - h.cut for i in idx)
+        raise SmallDivisorUnderflow(mode, float(mag[idx]), floor)
     safe = np.where(mag < floor, 1.0, divisor)
     out = np.where(need, h.coeffs / safe, 0.0)
-    return FourierSeries(np.asarray(out, dtype=complex).reshape(h.coeffs.shape))
+    return FourierSeries(np.asarray(out, dtype=complex))
 
 
 def solve_sd_map(h, omega, floor=1e-12, avg_tol=1e-10):
@@ -350,7 +347,7 @@ def solve_sd_map(h, omega, floor=1e-12, avg_tol=1e-10):
     if h.dim == 0:
         return FourierSeries.zero(0, 0)
     divisor = np.exp(TWO_PI_I * _mode_dot(h.cut, h.dim, omega)) - 1.0
-    return _guarded_divide(h, divisor, floor)
+    return _guarded_divide(h, divisor, np.abs(divisor), floor)
 
 
 def solve_sd_flow(h, freqs, floor=1e-12, avg_tol=1e-10):
@@ -366,17 +363,7 @@ def solve_sd_flow(h, freqs, floor=1e-12, avg_tol=1e-10):
     if h.dim == 0:
         return FourierSeries.zero(0, 0)
     kf = _mode_dot(h.cut, h.dim, freqs)
-    mag = np.abs(kf)
-    need = np.abs(h.coeffs) > 0.0
-    need[(h.cut,) * h.dim] = False
-    bad = need & (mag < floor)
-    if np.any(bad):
-        idx = np.unravel_index(np.argmin(np.where(bad, mag, np.inf)), mag.shape)
-        mode = tuple(int(i) - h.cut for i in idx)
-        raise SmallDivisorUnderflow(mode, float(mag[idx]), floor)
-    safe = np.where(mag < floor, 1.0, TWO_PI_I * kf)
-    out = np.where(need, h.coeffs / safe, 0.0)
-    return FourierSeries(np.asarray(out, dtype=complex))
+    return _guarded_divide(h, TWO_PI_I * kf, np.abs(kf), floor)
 
 
 def diophantine_margin(freqs, k_max, kind="map"):

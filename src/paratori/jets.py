@@ -1,11 +1,21 @@
-"""Polynomial jets in a scalar variable u with Fourier-series coefficients,
-plus plain scalar polynomials in u.
+"""Fourier–Taylor polynomials: the shared coefficient-table core, jets in a
+scalar variable u, and plain scalar polynomials in u.
 
-A ``TFJet`` is a finite sum  sum_n c_n(theta) u^n  with ``FourierSeries``
-coefficients, truncated at a fixed top order ``trunc``.  These represent the
-components of manifold parameterizations and their residuals.  ``UPoly`` is
-the scalar-coefficient special case used for normal forms (the inner
-dynamics), kept separate because composing and reverting it is much cheaper.
+``FTPoly`` is the one implementation of the algebra of polynomials with
+``FourierSeries`` coefficients, truncated at a total degree ``trunc``:
+coefficient table, sums, the truncated product, scaling, the angle
+derivative and the angle shift.  Its two classes differ only in the
+exponent type.  ``TFJet`` (exponent ``n``, defined here) holds the
+components of manifold parameterizations and their residuals;
+``mapdata.XYPoly`` (exponent ``(l, m)``) normalizes the input dynamics.
+``angle_taylor`` (the expansion of s(theta + W) in the displacement W) and
+``substitute`` (a term table evaluated at two polynomials and angle
+displacements) are written once for both; ``eval_xy_terms`` and
+``XYPoly.subst`` are built on them.
+
+``UPoly`` is the scalar-coefficient special case used for normal forms (the
+inner dynamics), kept separate because composing and reverting it is much
+cheaper.
 """
 
 import math
@@ -81,7 +91,8 @@ class UPoly:
 
     def compose(self, inner):
         """self(inner(u)); inner must have zero constant term."""
-        assert inner.coeff(0) == 0.0
+        if inner.coeff(0) != 0.0:
+            raise StructureViolation("inner polynomial needs zero constant term")
         trunc = min(self.trunc, inner.trunc)
         out = UPoly({}, trunc)
         p = UPoly({0: 1.0}, trunc)
@@ -116,8 +127,15 @@ class UPoly:
         return q
 
 
-class TFJet:
-    """Truncated polynomial in u with FourierSeries coefficients."""
+class FTPoly:
+    """Polynomial with FourierSeries coefficients, truncated by total degree.
+
+    ``terms`` maps an exponent to a nonzero series on the box (dim, cut);
+    exponents of total degree above ``trunc`` are dropped.  A subclass fixes
+    the exponent type with ``_ZERO`` (the exponent of the constant term) and
+    three static methods: ``_key`` normalizes an exponent, ``_add`` adds two
+    and ``_degree`` gives the total degree.
+    """
 
     __slots__ = ("dim", "cut", "trunc", "terms")
 
@@ -127,59 +145,155 @@ class TFJet:
         self.trunc = int(trunc)
         self.terms = {}
         if terms:
-            for n, s in terms.items():
-                self.set_coefficient(n, s)
+            for key, s in terms.items():
+                self.set_coefficient(key, s)
 
-    @classmethod
-    def zero(cls, dim, cut, trunc):
-        return cls(dim, cut, trunc)
+    def _empty(self, trunc=None):
+        return type(self)(self.dim, self.cut, self.trunc if trunc is None else trunc)
+
+    def _constant(self, s, trunc):
+        """The polynomial s (series or number) of this class and box."""
+        out = self._empty(trunc)
+        out.set_coefficient(self._ZERO, s)
+        return out
 
     def _coerce(self, s):
         if isinstance(s, FourierSeries):
             if s.dim != self.dim or (s.dim and s.cut != self.cut):
-                raise DimensionMismatch("coefficient box does not match jet box")
+                raise DimensionMismatch("coefficient box does not match the polynomial box")
             return s
         return FourierSeries.constant(float(s), self.dim, self.cut)
 
-    def set_coefficient(self, n, s):
-        n = int(n)
-        assert n >= 0
-        if n > self.trunc:
+    def _store(self, key, s):
+        """Set a normalized exponent to a series of this box."""
+        if self._degree(key) > self.trunc:
             return
-        s = self._coerce(s)
         if s.is_zero():
-            self.terms.pop(n, None)
+            self.terms.pop(key, None)
         else:
-            self.terms[n] = s
+            self.terms[key] = s
 
-    def add_to_coefficient(self, n, s):
-        if n > self.trunc:
-            return
-        cur = self.terms.get(n)
-        self.set_coefficient(n, self._coerce(s) if cur is None else cur + self._coerce(s))
+    def _accumulate(self, key, s):
+        cur = self.terms.get(key)
+        self._store(key, s if cur is None else cur + s)
 
-    def coefficient(self, n):
-        s = self.terms.get(n)
+    def set_coefficient(self, key, s):
+        self._store(self._key(key), self._coerce(s))
+
+    def add_to_coefficient(self, key, s):
+        self._accumulate(self._key(key), self._coerce(s))
+
+    def coefficient(self, key):
+        s = self.terms.get(self._key(key))
         return s.copy() if s is not None else FourierSeries.zero(self.dim, self.cut)
-
-    def orders(self):
-        return sorted(self.terms)
 
     @property
     def min_order(self):
-        return min(self.terms) if self.terms else self.trunc + 1
-
-    @property
-    def max_order(self):
-        return max(self.terms) if self.terms else -1
+        """Smallest total degree present (trunc + 1 when zero)."""
+        return min((self._degree(key) for key in self.terms), default=self.trunc + 1)
 
     def is_zero(self):
         return not self.terms
 
     def copy(self):
-        out = TFJet(self.dim, self.cut, self.trunc)
-        out.terms = {n: s.copy() for n, s in self.terms.items()}
+        out = self._empty()
+        out.terms = {key: s.copy() for key, s in self.terms.items()}
         return out
+
+    # ----- linear ---------------------------------------------------------
+
+    def __add__(self, other):
+        out = self._empty(min(self.trunc, other.trunc))
+        for key, s in self.terms.items():
+            if self._degree(key) <= out.trunc:
+                out.terms[key] = s.copy()
+        for key, s in other.terms.items():
+            out._accumulate(key, s)
+        return out
+
+    def __neg__(self):
+        out = self._empty()
+        out.terms = {key: -s for key, s in self.terms.items()}
+        return out
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = float(c)
+        out = self._empty()
+        if c != 0.0:
+            out.terms = {key: s * c for key, s in self.terms.items()}
+        return out
+
+    def mul_series(self, s):
+        out = self._empty()
+        for key, c in self.terms.items():
+            out._store(key, c * s)
+        return out
+
+    def __mul__(self, other):
+        """Truncated product with a polynomial of the same class, a series
+        or a number."""
+        if isinstance(other, FTPoly):
+            trunc = min(self.trunc, other.trunc)
+            out = self._empty(trunc)
+            degree, add = self._degree, self._add
+            right = [(degree(m), m, b) for m, b in other.terms.items()]
+            for n, a in self.terms.items():
+                dn = degree(n)
+                for dm, m, b in right:
+                    if dn + dm <= trunc:
+                        out._accumulate(add(n, m), a * b)
+            return out
+        if isinstance(other, FourierSeries):
+            return self.mul_series(other)
+        return self.scale(other)
+
+    __rmul__ = __mul__
+
+    # ----- angle calculus -------------------------------------------------
+
+    def diff_theta(self, axis):
+        out = self._empty()
+        for key, s in self.terms.items():
+            out._store(key, s.diff(axis))
+        return out
+
+    def shift(self, delta):
+        out = self._empty()
+        for key, s in self.terms.items():
+            out._store(key, s.shift(delta))
+        return out
+
+
+class TFJet(FTPoly):
+    """Truncated polynomial in u with FourierSeries coefficients."""
+
+    __slots__ = ()
+    _ZERO = 0
+
+    @staticmethod
+    def _key(n):
+        n = int(n)
+        if n < 0:
+            raise StructureViolation("negative jet order %d" % n)
+        return n
+
+    @staticmethod
+    def _add(n, m):
+        return n + m
+
+    @staticmethod
+    def _degree(n):
+        return n
+
+    def orders(self):
+        return sorted(self.terms)
+
+    @property
+    def max_order(self):
+        return max(self.terms) if self.terms else -1
 
     def truncated(self, trunc):
         out = TFJet(self.dim, self.cut, trunc)
@@ -191,57 +305,6 @@ class TFJet:
         out.terms = {n: s.copy() for n, s in self.terms.items() if n >= from_order}
         return out
 
-    # ----- linear ---------------------------------------------------------
-
-    def __add__(self, other):
-        assert isinstance(other, TFJet)
-        out = TFJet(self.dim, self.cut, min(self.trunc, other.trunc))
-        for n, s in self.terms.items():
-            if n <= out.trunc:
-                out.terms[n] = s.copy()
-        for n, s in other.terms.items():
-            if n <= out.trunc:
-                out.set_coefficient(n, out.coefficient(n) + s)
-        return out
-
-    def __neg__(self):
-        out = TFJet(self.dim, self.cut, self.trunc)
-        out.terms = {n: -s for n, s in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = float(c)
-        out = TFJet(self.dim, self.cut, self.trunc)
-        if c != 0.0:
-            out.terms = {n: s * c for n, s in self.terms.items()}
-        return out
-
-    def mul_series(self, s):
-        out = TFJet(self.dim, self.cut, self.trunc)
-        for n, c in self.terms.items():
-            out.set_coefficient(n, c * s)
-        return out
-
-    # ----- products -------------------------------------------------------
-
-    def __mul__(self, other):
-        if isinstance(other, TFJet):
-            trunc = min(self.trunc, other.trunc)
-            out = TFJet(self.dim, self.cut, trunc)
-            for n, a in self.terms.items():
-                for m, b in other.terms.items():
-                    if n + m <= trunc:
-                        out.add_to_coefficient(n + m, a * b)
-            return out
-        if isinstance(other, FourierSeries):
-            return self.mul_series(other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
     def mul_upoly(self, p):
         trunc = min(self.trunc, p.trunc)
         out = TFJet(self.dim, self.cut, trunc)
@@ -249,12 +312,6 @@ class TFJet:
             for m, b in p.terms.items():
                 if n + m <= trunc:
                     out.add_to_coefficient(n + m, a * b)
-        return out
-
-    def power(self, j):
-        out = TFJet(self.dim, self.cut, self.trunc, {0: 1.0})
-        for _ in range(j):
-            out = out * self
         return out
 
     # ----- calculus and composition ----------------------------------------
@@ -266,24 +323,13 @@ class TFJet:
                 out.set_coefficient(n - 1, s * n)
         return out
 
-    def diff_theta(self, axis):
-        out = TFJet(self.dim, self.cut, self.trunc)
-        for n, s in self.terms.items():
-            out.set_coefficient(n, s.diff(axis))
-        return out
-
-    def shift(self, delta):
-        out = TFJet(self.dim, self.cut, self.trunc)
-        for n, s in self.terms.items():
-            out.set_coefficient(n, s.shift(delta))
-        return out
-
     def compose_inner(self, r_poly, delta=None):
         """self(r(u), theta + delta) for a scalar inner polynomial r.
 
         r must have zero constant term; delta defaults to no angle shift.
         """
-        assert r_poly.coeff(0) == 0.0
+        if r_poly.coeff(0) != 0.0:
+            raise StructureViolation("inner polynomial needs zero constant term")
         src = self if delta is None else self.shift(delta)
         trunc = min(self.trunc, r_poly.trunc)
         out = TFJet(self.dim, self.cut, trunc)
@@ -297,96 +343,93 @@ class TFJet:
                 out.add_to_coefficient(m, s * a)
         return out
 
-    # ----- evaluation and size ----------------------------------------------
+    # ----- evaluation -------------------------------------------------------
 
     def eval_grid(self, u_values, theta_points=None):
         """Values on the product of a u-array and a batch of angle points.
 
-        Returns shape (len(u),) + batch_shape.
+        Returns shape (len(u),) + batch_shape; complex u or angles give
+        complex values.
         """
-        u = np.atleast_1d(np.asarray(u_values, dtype=float))
-        if self.dim == 0:
-            batch = ()
+        u = np.atleast_1d(np.asarray(u_values))
+        u = u.astype(np.result_type(u, float), copy=False)
+        if theta_points is None:
+            batch, kind = (), np.result_type(u, float)
         else:
-            theta_points = np.asarray(theta_points, dtype=float)
+            theta_points = np.asarray(theta_points)
             batch = theta_points.shape[:-1]
-        out = np.zeros((u.size,) + batch)
+            kind = np.result_type(u, theta_points, float)
+        out = np.zeros((u.size,) + batch, dtype=kind)
         for n, s in self.terms.items():
-            v = s.eval(theta_points) if self.dim else s.average()
-            out += np.multiply.outer(u**n, np.asarray(v))
+            v = s.eval(theta_points) if self.dim else np.full(batch, s.average())
+            out += np.multiply.outer(u**n, v)
         return out
-
-    def coeff_sup(self, n, grid=None):
-        s = self.terms.get(n)
-        return 0.0 if s is None else s.sup_grid(grid)
-
-    def max_coeff_sup(self, orders=None, grid=None):
-        orders = self.orders() if orders is None else orders
-        vals = [self.coeff_sup(n, grid) for n in orders]
-        return max(vals) if vals else 0.0
 
     def __repr__(self):
         return "TFJet(orders=%s, trunc=%d)" % (self.orders(), self.trunc)
 
 
-# ----- angle-argument Taylor expansion --------------------------------------
+# ----- substitution with its angle-argument Taylor expansion -----------------
 
 
-def angle_taylor(series, tails, trunc):
-    """Expand series(theta + W(u, theta)) as a jet in u.
+def angle_taylor(poly, tails):
+    """Expand poly(theta + W) in powers of the displacement W.
 
-    ``tails`` lists one jet per angle axis (the axis displacement W_a); every
-    nonzero tail must have positive minimum order so the expansion
-    terminates at the truncation order.
+    ``poly`` is an ``FTPoly`` whose coefficients are evaluated at displaced
+    angles; ``tails`` lists one displacement W_a of poly's class per angle
+    axis (None for none).  Every nonzero displacement must have positive
+    minimum order so the expansion terminates at poly's truncation order.
     """
-    dim = series.dim
-    jet = TFJet(dim, series.cut if dim else 0, trunc, {0: series})
+    trunc = poly.trunc
+    one = poly._constant(1.0, trunc)
     for axis, w in enumerate(tails):
         if w is None or w.is_zero():
             continue
-        assert w.min_order >= 1, "angle displacement must vanish at u = 0"
+        if w.min_order < 1:
+            raise StructureViolation("angle displacement must vanish at the origin")
         depth = trunc // w.min_order
-        acc = TFJet(dim, jet.cut, trunc)
-        d_jet = jet
-        w_pow = TFJet(dim, jet.cut, trunc, {0: 1.0})
+        acc = poly._empty(trunc)
+        d_poly = poly
+        w_pow = one
         for j in range(depth + 1):
             if j > 0:
                 w_pow = w_pow * w
-                nxt = TFJet(dim, jet.cut, trunc)
-                for n, s in d_jet.terms.items():
-                    nxt.set_coefficient(n, s.diff(axis))
-                d_jet = nxt
-                if d_jet.is_zero() or w_pow.is_zero():
-                    if w_pow.is_zero():
-                        break
-            term = (d_jet * w_pow).scale(1.0 / math.factorial(j))
-            acc = acc + term
-            if d_jet.is_zero():
+                d_poly = d_poly.diff_theta(axis)
+                if w_pow.is_zero():
+                    break
+            acc = acc + (d_poly * w_pow).scale(1.0 / math.factorial(j))
+            if d_poly.is_zero():
                 break
-        jet = acc
-    return jet
+        poly = acc
+    return poly
 
 
-def eval_xy_terms(terms, jx, jy, tails, trunc):
-    """Evaluate an {(l, m): series-or-float} term table at jets.
+def substitute(terms, px, py, tails, trunc):
+    """Evaluate an {(l, m): series-or-float} term table at polynomials.
 
-    Computes  sum_{l,m} s_{lm}(theta + W) * jx^l * jy^m  truncated in u.
+    Computes  sum_{l,m} s_{lm}(theta + W) * px^l * py^m  truncated at
+    ``trunc``, in the class and box of px; ``tails`` as in angle_taylor.
     """
-    dim, cut = jx.dim, jx.cut
-    out = TFJet(dim, cut, trunc)
+    out = px._empty(trunc)
     if not terms:
         return out
     lmax = max(l for l, _ in terms)
     mmax = max(m for _, m in terms)
-    xp = {0: TFJet(dim, cut, trunc, {0: 1.0})}
+    xp = {0: px._constant(1.0, trunc)}
     for l in range(1, lmax + 1):
-        xp[l] = xp[l - 1] * jx
+        xp[l] = xp[l - 1] * px
     yp = {0: xp[0]}
     for m in range(1, mmax + 1):
-        yp[m] = yp[m - 1] * jy
+        yp[m] = yp[m - 1] * py
     for (l, m), s in sorted(terms.items()):
-        if not isinstance(s, FourierSeries):
-            s = FourierSeries.constant(float(s), dim, cut)
-        coeff_jet = angle_taylor(s, tails, trunc)
-        out = out + coeff_jet * xp[l] * yp[m]
+        coeff = angle_taylor(px._constant(s, trunc), tails)
+        out = out + coeff * xp[l] * yp[m]
     return out
+
+
+def eval_xy_terms(terms, jx, jy, tails, trunc):
+    """Evaluate an {(l, m): series-or-float} term table at u-jets.
+
+    Computes  sum_{l,m} s_{lm}(theta + W) * jx^l * jy^m  truncated in u.
+    """
+    return substitute(terms, jx, jy, tails, trunc)

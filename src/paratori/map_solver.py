@@ -314,6 +314,7 @@ def solve_to_order(mp, n_target, branch="stable", trunc=None, sd_floor=1e-12,
     """
     if n_target < 2:
         raise ConfigError("n_target must be at least 2, got %r" % (n_target,))
+    mp.validate_reduced()  # default_trunc reads k and p
     if trunc is None:
         trunc = default_trunc(n_target, mp.k, mp.p)
     pair = init_order2(mp, branch, trunc, sd_floor, assert_tol)
@@ -356,12 +357,10 @@ def invert_reduced_map(mp, deg):
     x_poly, y_poly = xid.copy(), yid.copy()
     t_polys = [XYPoly(dim, cut, deg) for _ in range(d)]
     for _ in range(deg + 1):
-        tails = {a: t_polys[a] for a in range(d)}
-        t_polys = [-nt.subst(x_poly, y_poly, tails) for nt in nts]
-        tails = {a: t_polys[a] for a in range(d)}
-        y_poly = yid - ny.subst(x_poly, y_poly, tails)
-        c_poly = XYPoly(dim, cut, deg, {(0, 0): c_back}).subst(xid, yid, tails)
-        x_poly = xid - c_poly.mul(y_poly)
+        t_polys = [-nt.subst(x_poly, y_poly, t_polys) for nt in nts]
+        y_poly = yid - ny.subst(x_poly, y_poly, t_polys)
+        c_poly = XYPoly(dim, cut, deg, {(0, 0): c_back}).subst(xid, yid, t_polys)
+        x_poly = xid - c_poly * y_poly
 
     x_terms = dict((x_poly - xid).terms)
     y_terms = dict((y_poly - yid).terms)

@@ -11,196 +11,89 @@ frequencies.
 ``XYPoly`` is the working bivariate algebra used to normalize general input
 so that the first component becomes exactly  x + c(theta) * y  (maps) or
 c(theta) * y  (fields); ``NormalizationRecord`` remembers the change of
-variables so computed manifolds can be pulled back.
+variables so computed manifolds can be pulled back.  Its arithmetic is the
+``jets.FTPoly`` core shared with ``TFJet``, and ``XYPoly.subst`` is
+``jets.substitute``, the same code that evaluates term tables at u-jets;
+only the x- and y-derivatives are its own.  ``eval_terms`` is the one
+pointwise evaluator of a term table.
 """
 
 import numpy as np
 
-from .errors import DimensionMismatch, StructureViolation
+from .errors import ConfigError, DimensionMismatch, StructureViolation
 from .fourier import FourierSeries, reciprocal
-from .jets import TFJet, eval_xy_terms
+from .jets import FTPoly, eval_xy_terms, substitute
 
 
-class XYPoly:
+class XYPoly(FTPoly):
     """Polynomial in (x, y) with FourierSeries coefficients, truncated by
-    total degree."""
+    total degree: the ``FTPoly`` core with exponents (l, m)."""
 
-    __slots__ = ("dim", "cut", "deg", "terms")
+    __slots__ = ()
+    _ZERO = (0, 0)
 
-    def __init__(self, dim, cut, deg, terms=None):
-        self.dim = int(dim)
-        self.cut = int(cut)
-        self.deg = int(deg)
-        self.terms = {}
-        if terms:
-            for lm, s in terms.items():
-                self.set_coefficient(lm, s)
-
-    def _coerce(self, s):
-        if isinstance(s, FourierSeries):
-            if s.dim != self.dim or (s.dim and s.cut != self.cut):
-                raise DimensionMismatch("coefficient box does not match polynomial box")
-            return s
-        return FourierSeries.constant(float(s), self.dim, self.cut)
-
-    def set_coefficient(self, lm, s):
+    @staticmethod
+    def _key(lm):
         l, m = int(lm[0]), int(lm[1])
-        assert l >= 0 and m >= 0
-        if l + m > self.deg:
-            return
-        s = self._coerce(s)
-        if s.is_zero():
-            self.terms.pop((l, m), None)
-        else:
-            self.terms[(l, m)] = s
+        if l < 0 or m < 0:
+            raise StructureViolation("negative exponent (%d, %d)" % (l, m))
+        return (l, m)
 
-    def add_to_coefficient(self, lm, s):
-        cur = self.terms.get(tuple(lm))
-        self.set_coefficient(lm, self._coerce(s) if cur is None else cur + self._coerce(s))
+    @staticmethod
+    def _add(a, b):
+        return (a[0] + b[0], a[1] + b[1])
 
-    def coefficient(self, lm):
-        s = self.terms.get(tuple(lm))
-        return s.copy() if s is not None else FourierSeries.zero(self.dim, self.cut)
-
-    def copy(self):
-        out = XYPoly(self.dim, self.cut, self.deg)
-        out.terms = {lm: s.copy() for lm, s in self.terms.items()}
-        return out
-
-    def min_total_degree(self):
-        return min((l + m for l, m in self.terms), default=self.deg + 1)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = XYPoly(self.dim, self.cut, min(self.deg, other.deg))
-        for lm, s in self.terms.items():
-            if sum(lm) <= out.deg:
-                out.terms[lm] = s.copy()
-        for lm, s in other.terms.items():
-            out.add_to_coefficient(lm, s)
-        return out
-
-    def __neg__(self):
-        out = XYPoly(self.dim, self.cut, self.deg)
-        out.terms = {lm: -s for lm, s in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, a):
-        a = float(a)
-        out = XYPoly(self.dim, self.cut, self.deg)
-        if a != 0.0:
-            out.terms = {lm: s * a for lm, s in self.terms.items()}
-        return out
-
-    def mul_series(self, c):
-        out = XYPoly(self.dim, self.cut, self.deg)
-        for lm, s in self.terms.items():
-            out.set_coefficient(lm, s * c)
-        return out
-
-    def mul(self, other):
-        deg = min(self.deg, other.deg)
-        out = XYPoly(self.dim, self.cut, deg)
-        for (l1, m1), a in self.terms.items():
-            for (l2, m2), b in other.terms.items():
-                if l1 + l2 + m1 + m2 <= deg:
-                    out.add_to_coefficient((l1 + l2, m1 + m2), a * b)
-        return out
-
-    def power(self, j):
-        out = XYPoly(self.dim, self.cut, self.deg, {(0, 0): 1.0})
-        for _ in range(j):
-            out = out.mul(self)
-        return out
+    @staticmethod
+    def _degree(lm):
+        return lm[0] + lm[1]
 
     def diff_x(self):
-        out = XYPoly(self.dim, self.cut, self.deg)
+        out = self._empty()
         for (l, m), s in self.terms.items():
             if l >= 1:
                 out.set_coefficient((l - 1, m), s * l)
         return out
 
     def diff_y(self):
-        out = XYPoly(self.dim, self.cut, self.deg)
+        out = self._empty()
         for (l, m), s in self.terms.items():
             if m >= 1:
                 out.set_coefficient((l, m - 1), s * m)
         return out
 
-    def diff_theta(self, axis):
-        out = XYPoly(self.dim, self.cut, self.deg)
-        for lm, s in self.terms.items():
-            out.set_coefficient(lm, s.diff(axis))
-        return out
-
-    def shift(self, delta):
-        out = XYPoly(self.dim, self.cut, self.deg)
-        for lm, s in self.terms.items():
-            out.set_coefficient(lm, s.shift(delta))
-        return out
-
-    def subst(self, px, py, tails=None):
+    def subst(self, px, py, tails=()):
         """Substitute x -> px, y -> py, theta_a -> theta_a + W_a.
 
-        px, py are XYPoly with zero constant term; tails (optional) maps
-        angle-axis index -> XYPoly displacement of positive minimal total
-        degree.
+        px, py are XYPoly with zero constant term; ``tails`` lists one
+        XYPoly displacement of positive minimal total degree per angle axis
+        (None for none).
         """
-        assert (0, 0) not in px.terms and (0, 0) not in py.terms
-        import math as _math
-
-        deg = self.deg
-        out = XYPoly(self.dim, self.cut, deg)
-        lmax = max((l for l, _ in self.terms), default=0)
-        mmax = max((m for _, m in self.terms), default=0)
-        xp = {0: XYPoly(self.dim, self.cut, deg, {(0, 0): 1.0})}
-        for l in range(1, lmax + 1):
-            xp[l] = xp[l - 1].mul(px)
-        yp = {0: xp[0]}
-        for m in range(1, mmax + 1):
-            yp[m] = yp[m - 1].mul(py)
-        for (l, m), s in sorted(self.terms.items()):
-            coeff = XYPoly(self.dim, self.cut, deg, {(0, 0): s})
-            if tails:
-                for axis, w in tails.items():
-                    if w is None or w.is_zero():
-                        continue
-                    mo = w.min_total_degree()
-                    assert mo >= 1
-                    depth = deg // mo
-                    acc = XYPoly(self.dim, self.cut, deg)
-                    d_poly = coeff
-                    w_pow = xp[0]
-                    for j in range(depth + 1):
-                        if j > 0:
-                            w_pow = w_pow.mul(w)
-                            d_poly = d_poly.diff_theta(axis)
-                            if w_pow.is_zero():
-                                break
-                        acc = acc + d_poly.mul(w_pow).scale(1.0 / _math.factorial(j))
-                        if d_poly.is_zero():
-                            break
-                    coeff = acc
-            out = out + coeff.mul(xp[l]).mul(yp[m])
-        return out
+        if (0, 0) in px.terms or (0, 0) in py.terms:
+            raise StructureViolation("substituted polynomials need zero constant term")
+        return substitute(self.terms, px, py, tails, self.trunc)
 
     def eval(self, x, y, ang=None):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(x, y).shape)
-        for (l, m), s in self.terms.items():
-            sv = s.eval(ang) if self.dim else s.average()
-            out = out + np.asarray(sv) * x**l * y**m
-        return out if out.ndim else float(out)
+        out = eval_terms(self.terms, x, y, ang)
+        return out if out.ndim else out.item()
 
     def to_jet(self, jx, jy, tails, trunc):
         """Evaluate at u-jets (x -> jx, y -> jy, theta_a -> theta_a + W_a)."""
         return eval_xy_terms(self.terms, jx, jy, tails, trunc)
+
+
+def eval_terms(terms, x, y, ang=None):
+    """Pointwise sum_{l,m} s_{lm}(ang) x^l y^m of a term table.
+
+    Real or complex x, y and angles; returns an array of the broadcast
+    shape of x and y.
+    """
+    x = np.asarray(x)
+    y = np.asarray(y)
+    out = np.zeros(np.broadcast(x, y).shape)
+    for (l, m), s in terms.items():
+        sv = s.eval(ang) if s.dim else s.average()
+        out = out + np.asarray(sv) * x**l * y**m
+    return out
 
 
 def _validate_terms(terms, dim, cut):
@@ -229,21 +122,25 @@ class TaylorFourierMap:
 
     def __init__(self, kind, d, drive, cut, freqs, x_terms, y_terms, theta_terms,
                  k=None, p=None):
-        assert kind in ("map", "field")
+        if kind not in ("map", "field"):
+            raise ConfigError("kind must be 'map' or 'field', got %r" % (kind,))
         self.kind = kind
         self.d = int(d)
         self.drive = int(drive)
         self.dim = self.d + self.drive
         self.cut = int(cut)
         self.freqs = tuple(float(w) for w in freqs)
-        if kind == "map":
-            assert self.drive == 0, "driven phases are a flow concept here"
-            assert len(self.freqs) == self.d
-        else:
-            assert len(self.freqs) == self.dim
+        if kind == "map" and self.drive:
+            raise ConfigError("maps take no drive axes; driven phases are a flow concept")
+        axes = self.d if kind == "map" else self.dim
+        if len(self.freqs) != axes:
+            raise DimensionMismatch("%d frequencies for %d rotating angle axes"
+                                    % (len(self.freqs), axes))
         self.x_terms = _validate_terms(x_terms, self.dim, self.cut)
         self.y_terms = _validate_terms(y_terms, self.dim, self.cut)
-        assert len(theta_terms) == self.d
+        if len(theta_terms) != self.d:
+            raise DimensionMismatch("%d angle term tables for d = %d"
+                                    % (len(theta_terms), self.d))
         self.theta_terms = [_validate_terms(t, self.dim, self.cut) for t in theta_terms]
         self.k = None if k is None else int(k)
         self.p = None if p is None else int(p)
@@ -327,13 +224,6 @@ class TaylorFourierMap:
 
     # ----- pointwise evaluation ------------------------------------------
 
-    def _sum_terms(self, terms, x, y, ang):
-        out = np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
-        for (l, m), s in terms.items():
-            sv = s.eval(ang) if self.dim else s.average()
-            out = out + np.asarray(sv) * np.asarray(x) ** l * np.asarray(y) ** m
-        return out
-
     def eval(self, x, y, ang=None):
         """Image (map) or velocity (field) at points.
 
@@ -342,12 +232,12 @@ class TaylorFourierMap:
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        dx = self._sum_terms(self.x_terms, x, y, ang)
-        dy = self._sum_terms(self.y_terms, x, y, ang)
+        dx = eval_terms(self.x_terms, x, y, ang)
+        dy = eval_terms(self.y_terms, x, y, ang)
         batch = np.broadcast(x, y).shape
         ang_out = np.zeros(batch + (self.dim,))
         for a in range(self.d):
-            ang_out[..., a] = self._sum_terms(self.theta_terms[a], x, y, ang)
+            ang_out[..., a] = eval_terms(self.theta_terms[a], x, y, ang)
         if self.kind == "map":
             X = x + dx
             Y = y + dy
@@ -366,8 +256,8 @@ class TaylorFourierMap:
         Angle frequencies pick up the time sign (a time reversal also runs
         every forcing hull backwards).
         """
-        assert self.kind == "field"
-        assert sx in (1, -1) and sy in (1, -1) and time_sign in (1, -1)
+        if self.kind != "field" or {sx, sy, time_sign} - {1, -1}:
+            raise ConfigError("transformed_field takes a field and signs +-1")
 
         def tx(terms, out_sign):
             return {
@@ -408,10 +298,6 @@ class NormalizationRecord:
         return self.inverse.to_jet(jx, jy_new, tails, trunc)
 
 
-def _terms_to_xypoly(terms, dim, cut, deg):
-    return XYPoly(dim, cut, deg, dict(terms))
-
-
 def _xy_identity(dim, cut, deg, which):
     lm = (1, 0) if which == "x" else (0, 1)
     return XYPoly(dim, cut, deg, {lm: 1.0})
@@ -440,6 +326,23 @@ def _drop_dust(terms, tol):
     return {lm: s for lm, s in terms.items() if s.coeff_norm() > tol}
 
 
+def _shear_change(data, kind, deg):
+    """The change of variables that makes the x-part exactly shear * y.
+
+    With x-part f = c(theta) (y + h), the new vertical variable is
+    y + h = f / c.  Returns (c, f, g = f / c, record), the record holding h
+    and the inverse change y = ynew + H(x, ynew, theta).
+    """
+    if data.kind != kind:
+        raise StructureViolation("expected a %s, got kind %r" % (kind, data.kind))
+    data.validate_xy_shear()
+    c = data.shear()
+    f = XYPoly(data.dim, data.cut, deg, data.x_terms)
+    g = f.mul_series(reciprocal(c))
+    h = g - _xy_identity(data.dim, data.cut, deg, "y")
+    return c, f, g, NormalizationRecord(c, h, _inverse_change(h, deg))
+
+
 def reduce_general_map(mp, deg, tol=1e-10):
     """Normalize a map so its x-part becomes exactly  x + c(theta) * y.
 
@@ -450,21 +353,14 @@ def reduce_general_map(mp, deg, tol=1e-10):
     exact only up to the Fourier cut, so forbidden slots collect dust at the
     truncation level.
     """
-    assert mp.kind == "map"
-    mp.validate_xy_shear()
-    dim, cut = mp.dim, mp.cut
-    c = mp.shear()
-    rc = reciprocal(c)
-    f = _terms_to_xypoly(mp.x_terms, dim, cut, deg)
-    g = f.mul_series(rc)  # = y + h
-    h = g - _xy_identity(dim, cut, deg, "y")
-    Y = _inverse_change(h, deg)
+    c, f, g, record = _shear_change(mp, "map", deg)
+    dim, cut, Y = mp.dim, mp.cut, record.inverse
     xid = _xy_identity(dim, cut, deg, "x")
 
     # full images in the original variables
     Fx = xid + f
-    Fy = _xy_identity(dim, cut, deg, "y") + _terms_to_xypoly(mp.y_terms, dim, cut, deg)
-    Bs = [_terms_to_xypoly(t, dim, cut, deg) for t in mp.theta_terms]
+    Fy = _xy_identity(dim, cut, deg, "y") + XYPoly(dim, cut, deg, mp.y_terms)
+    Bs = [XYPoly(dim, cut, deg, t) for t in mp.theta_terms]
 
     # re-express the images in (x, y_new)
     Fx_n = Fx.subst(xid, Y)
@@ -475,8 +371,7 @@ def reduce_general_map(mp, deg, tol=1e-10):
     # with the angle argument theta + omega + B
     omega_full = list(mp.freqs) + [0.0] * mp.drive
     g_shift = g.shift(omega_full) if dim else g
-    tails = {a: Bs_n[a] for a in range(mp.d)}
-    ynew_image = g_shift.subst(Fx_n, Fy_n, tails)
+    ynew_image = g_shift.subst(Fx_n, Fy_n, Bs_n)
 
     scale = max(1.0, c.coeff_norm())
     y_terms = {lm: s for lm, s in ynew_image.terms.items() if lm != (0, 1)}
@@ -495,35 +390,26 @@ def reduce_general_map(mp, deg, tol=1e-10):
         k=mp.k,
         p=mp.p,
     )
-    record = NormalizationRecord(c, h, Y)
     return reduced, record
 
 
 def reduce_general_field(fd, deg, tol=1e-10):
     """Normalize a field so its x-part becomes exactly  c(theta) * y."""
-    assert fd.kind == "field"
-    fd.validate_xy_shear()
-    dim, cut = fd.dim, fd.cut
-    c = fd.shear()
-    rc = reciprocal(c)
-    f = _terms_to_xypoly(fd.x_terms, dim, cut, deg)
-    g = f.mul_series(rc)
-    h = g - _xy_identity(dim, cut, deg, "y")
-    Y = _inverse_change(h, deg)
+    c, Xx, g, record = _shear_change(fd, "field", deg)
+    dim, cut, Y = fd.dim, fd.cut, record.inverse
     xid = _xy_identity(dim, cut, deg, "x")
 
-    Xx = f
-    Xy = _terms_to_xypoly(fd.y_terms, dim, cut, deg)
-    Bs = [_terms_to_xypoly(t, dim, cut, deg) for t in fd.theta_terms]
+    Xy = XYPoly(dim, cut, deg, fd.y_terms)
+    Bs = [XYPoly(dim, cut, deg, t) for t in fd.theta_terms]
 
-    gdot = g.diff_x().mul(Xx) + g.diff_y().mul(Xy)
+    gdot = g.diff_x() * Xx + g.diff_y() * Xy
     for j in range(dim):
         gj = g.diff_theta(j)
         if gj.is_zero():
             continue
         gdot = gdot + gj.scale(fd.freqs[j])
         if j < fd.d and not Bs[j].is_zero():
-            gdot = gdot + gj.mul(Bs[j])
+            gdot = gdot + gj * Bs[j]
 
     ynew_dot = gdot.subst(xid, Y)
     Bs_n = [B.subst(xid, Y) for B in Bs]
@@ -541,5 +427,4 @@ def reduce_general_field(fd, deg, tol=1e-10):
         k=fd.k,
         p=fd.p,
     )
-    record = NormalizationRecord(c, h, Y)
     return reduced, record

@@ -21,7 +21,7 @@ from .errors import (
     StructureViolation,
     TailNotConverged,
 )
-from .jets import UPoly
+from .mapdata import eval_terms
 
 
 class Sector:
@@ -257,22 +257,6 @@ def drift_derivative(phi, velocity, freqs, u, theta=None, step=1e-6):
 # ----- contraction probe ----------------------------------------------------
 
 
-def _series_at(series, pts):
-    """Series values at a (B, dim) batch (dim 0: constant broadcast)."""
-    if series.dim == 0:
-        return np.full(pts.shape[0], series.average(), dtype=complex)
-    return np.asarray(series.eval(pts), dtype=complex)
-
-
-def _jet_at(jet, z, pts):
-    """Jet values at outer product of u-samples (NU,) and angles (NT, dim)."""
-    out = np.zeros((z.size, pts.shape[0]), dtype=complex)
-    for n in jet.orders():
-        out += np.asarray(z, dtype=complex)[:, None] ** n * _series_at(
-            jet.coefficient(n), pts)[None, :]
-    return out
-
-
 class _GridFunction:
     """Interpolated candidate correction on the sector x torus grid.
 
@@ -373,50 +357,38 @@ def contraction_probe(mp, pair, sector, mu, ball_alpha=0.5, samples=(10, 5, 8),
         """theta-component of the parameterization plus candidate, per axis."""
         cols = []
         for a in range(d):
-            w = _jet_at(pair.tails[a], z, pts)
+            w = pair.tails[a].eval_grid(z, pts)
             cols.append(pts[None, :, a] + w + ft[a])
         return cols
 
-    def poly_at(terms, xs, ys, ang_cols, pts):
-        """Sum of coefficient-series times monomials at displaced points."""
-        out = np.zeros(xs.shape, dtype=complex)
-        b = xs.size
-        if d:
-            ang = np.stack([c.ravel() for c in ang_cols], axis=-1)
-        for (l, m), s in terms.items():
-            if s.dim == 0 or not d:
-                sv = np.full(xs.shape, s.average(), dtype=complex)
-            else:
-                sv = _series_at(s, ang.reshape(b, d)).reshape(xs.shape)
-            out += sv * xs ** l * ys ** m
-        return out
+    def poly_at(terms, xs, ys, ang_cols):
+        """A term table at displaced (complex) points."""
+        return eval_terms(terms, xs, ys, np.stack(ang_cols, axis=-1) if d else None)
 
     def remainder(z, pts, f):
         """The three displaced-coefficient remainder components plus the
         current defect, evaluated pointwise."""
-        kx = _jet_at(pair.x, z, pts)
-        ky = _jet_at(pair.y, z, pts)
+        kx = pair.x.eval_grid(z, pts)
+        ky = pair.y.eval_grid(z, pts)
         ft = [f["t%d" % a] for a in range(d)]
         base_cols = angle_image(z, pts, [0.0] * d)
         disp_cols = angle_image(z, pts, ft)
         if d:
-            base_ang = np.stack([c.ravel() for c in base_cols], axis=-1).reshape(-1, d)
-            disp_ang = np.stack([c.ravel() for c in disp_cols], axis=-1).reshape(-1, d)
-            c_base = _series_at(c_series, base_ang).reshape(kx.shape)
-            c_disp = _series_at(c_series, disp_ang).reshape(kx.shape)
+            c_base = c_series.eval(np.stack(base_cols, axis=-1))
+            c_disp = c_series.eval(np.stack(disp_cols, axis=-1))
         else:
             c_base = c_disp = np.full(kx.shape, c_series.average(), dtype=complex)
         out = {}
         out["x"] = (ky * (c_disp - c_base) + f["y"] * c_disp
-                    + _jet_at(gjets["x"], z, pts))
-        out["y"] = (poly_at(mp.y_terms, kx + f["x"], ky + f["y"], disp_cols, pts)
-                    - poly_at(mp.y_terms, kx, ky, base_cols, pts)
-                    + _jet_at(gjets["y"], z, pts))
+                    + gjets["x"].eval_grid(z, pts))
+        out["y"] = (poly_at(mp.y_terms, kx + f["x"], ky + f["y"], disp_cols)
+                    - poly_at(mp.y_terms, kx, ky, base_cols)
+                    + gjets["y"].eval_grid(z, pts))
         for a in range(d):
             out["t%d" % a] = (
-                poly_at(mp.theta_terms[a], kx + f["x"], ky + f["y"], disp_cols, pts)
-                - poly_at(mp.theta_terms[a], kx, ky, base_cols, pts)
-                + _jet_at(gjets["t%d" % a], z, pts))
+                poly_at(mp.theta_terms[a], kx + f["x"], ky + f["y"], disp_cols)
+                - poly_at(mp.theta_terms[a], kx, ky, base_cols)
+                + gjets["t%d" % a].eval_grid(z, pts))
         return out
 
     def interp_all(arrays):

@@ -14,8 +14,7 @@ the annihilated lower-order coefficients are numerically zero.
 
 import numpy as np
 
-from .fourier import FourierSeries
-from .jets import TFJet, UPoly, eval_xy_terms
+from .jets import UPoly, eval_xy_terms
 
 
 class ManifoldPair:

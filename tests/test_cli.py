@@ -1,7 +1,11 @@
 """End-to-end command-line runs: artifacts, determinism, exit codes."""
 
 import json
+import math
 
+import pytest
+
+from paratori.cli import main
 from paratori.ioutil import pair_from_payload
 
 from conftest import run_cli
@@ -260,3 +264,35 @@ def test_missing_config_is_a_usage_error(tmp_path):
     res = run_cli(["solve-map", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "x")], tmp_path)
     assert res.returncode == 2, res.stderr
+
+
+# malformed configs: each one edits a copy of MAP_CONFIG in place
+MALFORMED = [
+    ("sd_floor_nan", lambda c: c.update(sd_floor=math.nan)),
+    ("assert_tol_inf", lambda c: c.update(assert_tol=math.inf)),
+    ("freqs_wrong_length", lambda c: c["map"].update(freqs=[0.6, 0.3])),
+    ("mode_outside_box", lambda c: c["map"]["y_terms"]["2,0"]["modes"]
+     .update({"17": [0.1, 0.0]})),
+    ("cut_negative", lambda c: c["map"].update(cut=-1)),
+    ("n_target_not_a_number", lambda c: c.update(n_target="abc")),
+    ("k_missing", lambda c: c["map"].pop("k")),
+    ("coefficient_nan", lambda c: c["map"]["y_terms"]["2,0"]
+     .update(const=math.nan)),
+]
+
+
+@pytest.mark.parametrize("edit", [e for _, e in MALFORMED],
+                         ids=[name for name, _ in MALFORMED])
+def test_malformed_config_exits_2(tmp_path, capsys, edit):
+    cfg_data = json.loads(json.dumps(MAP_CONFIG))
+    edit(cfg_data)
+    cfg = write_config(tmp_path, cfg_data)
+    code = main(["solve-map", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")])
+    stderr = capsys.readouterr().err
+    assert code == 2, stderr
+    err = json.loads(stderr)
+    assert set(err) == {"error", "exit_code", "message", "detail"}
+    assert err["exit_code"] == 2
+    assert err["error"] in ("ConfigError", "DimensionMismatch",
+                            "StructureViolation")

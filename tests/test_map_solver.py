@@ -6,7 +6,6 @@ import pytest
 from paratori.errors import (ConfigError, NonPositiveLeadingCoefficient,
                              SmallDivisorUnderflow, TruncationTooLow)
 from paratori.flow_solver import solve_helicoure
-from paratori.fourier import FourierSeries
 from paratori.map_solver import (default_trunc, extend_order, init_order2,
                                  invert_reduced_map, solve_to_order)
 from paratori.mapdata import TaylorFourierMap

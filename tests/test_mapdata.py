@@ -6,11 +6,13 @@ import pytest
 
 from paratori.errors import StructureViolation
 from paratori.fourier import FourierSeries
-from paratori.jets import TFJet, UPoly
+from paratori.jets import TFJet
+from paratori.map_solver import solve_to_order
 from paratori.mapdata import (NormalizationRecord, TaylorFourierMap, XYPoly,
-                              _inverse_change, _xy_identity)
+                              _inverse_change, _xy_identity,
+                              reduce_general_field, reduce_general_map)
 
-from conftest import GOLDEN, exact_map, one_mode, reference_map, shear_example
+from conftest import GOLDEN, one_mode, reference_map, shear_example
 
 
 def test_xypoly_eval_and_arithmetic():
@@ -28,7 +30,7 @@ def test_xypoly_mul_numeric():
     cut = 2
     a = XYPoly(1, cut, 6, {(1, 0): 2.0, (0, 1): 1.0})
     b = XYPoly(1, cut, 6, {(1, 1): 1.0, (0, 0): -0.5})
-    prod = a.mul(b)
+    prod = a * b
     x, y = 0.2, 0.4
     assert abs(prod.eval(x, y, np.array([0.0]))
                - a.eval(x, y, np.array([0.0])) * b.eval(x, y, np.array([0.0]))) < 1e-14
@@ -176,3 +178,39 @@ def test_normalization_record_pullback():
     direct = back.eval_grid(np.array([u]), np.array([[0.0]]))[0, 0]
     series = y_new - y_new**2 + 2 * y_new**3
     assert abs(direct - series) < 1e-12
+
+
+def general_dynamics(kind, cut):
+    """Reference dynamics whose x-part also has x^2 and x y terms."""
+    x_terms = {(0, 1): one_mode(1.0, 0.1, 1, cut), (2, 0): 0.3,
+               (1, 1): one_mode(0.2, 0.1, 1, cut)}
+    return TaylorFourierMap(kind, 1, 0, cut, (GOLDEN,), x_terms,
+                            {(2, 0): one_mode(6.0, 1.0, 1, cut)},
+                            [{(1, 0): 1.0}], k=2, p=1)
+
+
+def test_general_map_normalization_conjugates():
+    cut, deg = 8, 6
+    mp = general_dynamics("map", cut)
+    reduced, record = reduce_general_map(mp, deg)
+    reduced.validate_reduced()
+    assert solve_to_order(reduced, 4).order == 4
+    # reduced(x, y + h, theta) is the change y -> y + h applied to mp(x, y, theta)
+    h = record.forward
+    errs = []
+    for s in (1.0, 0.5, 0.25):
+        x, y, th = 0.02 * s, 0.01 * s, np.array([0.3])
+        X, Y, TH = mp.eval(x, y, th)
+        want = np.array([X, Y + h.eval(X, Y, TH), TH[0]])
+        gx, gy, gth = reduced.eval(x, y + h.eval(x, y, th), th)
+        errs.append(np.max(np.abs(np.array([gx, gy, gth[0]]) - want)))
+    # the conjugacy defect decays at the truncation degree of the change
+    rate = np.log2(errs[0] / errs[-1]) / 2
+    assert rate > deg + 0.5
+    assert errs[-1] < 1e-12
+
+
+def test_general_field_normalization_validates():
+    reduced, record = reduce_general_field(general_dynamics("field", 8), 6)
+    reduced.validate_reduced()
+    assert reduced.x_terms.keys() == {(0, 1)}
