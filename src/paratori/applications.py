@@ -11,7 +11,8 @@ stable/unstable manifolds of (x y)-shear type.
 
 import math
 
-from .errors import (ConfigError, EnergyBelowThreshold, HypothesisViolated)
+from .errors import (BoundViolated, ConfigError, EnergyBelowThreshold,
+                     HypothesisViolated)
 from .fourier import FourierSeries
 from .mapdata import (NormalizationRecord, TaylorFourierMap, XYPoly,
                       _inverse_change, _xy_identity)
@@ -243,10 +244,10 @@ def hecu_manifolds(p, n_target, expansion="displayed",
     two branches share the vertical and angular leading-coefficient
     magnitudes and have opposite-sign normal-form leading terms), fits the
     invariance residual slopes, and finally pulls both parameterizations
-    back to wall coordinates.  Returns (stable pair, unstable pair, report
-    dict); with ``return_reports`` the per-branch residual measurement
-    objects (taken in the solve coordinates, before pullback) come back as
-    a fourth value.
+    back to wall coordinates; BoundViolated names every failed check.
+    Returns (stable pair, unstable pair, report dict); with
+    ``return_reports`` the per-branch residual measurement objects (taken
+    in the solve coordinates, before pullback) come back as a fourth value.
     """
     fd, record = build_hecu_field(p, expansion=expansion,
                                   deg=max(6, n_target + 2))
@@ -299,18 +300,21 @@ def hecu_manifolds(p, n_target, expansion="displayed",
         "expansion": expansion,
         "theta_leading": theta_leading,
     }
-    if expansion == "displayed" and theta_leading == "closed_form":
-        worst = max(deviations.values())
-        assert worst <= 1e-10, deviations
-    assert sign_pattern["stable_contracts"] and sign_pattern["unstable_expands"]
-    assert sign_pattern["opposite_normal_form"] <= 1e-12
-    assert sign_pattern["shared_vertical"] <= 1e-12
-    assert sign_pattern["shared_angular"] <= 1e-12
-    for name in slopes:
-        for comp, slope in slopes[name].items():
-            # None marks an identically-zero tail (exact solve)
-            assert slope is None or slope > n_target + 2 - 0.25, \
-                (name, comp, slope)
+    failed = [key for key in ("stable_contracts", "unstable_expands")
+              if not sign_pattern[key]]
+    failed += [key for key in ("opposite_normal_form", "shared_vertical",
+                               "shared_angular")
+               if not sign_pattern[key] <= 1e-12]
+    if (expansion == "displayed" and theta_leading == "closed_form"
+            and not max(deviations.values()) <= 1e-10):
+        failed.append("relative_deviations")
+    # a slope of None marks an identically-zero tail (exact solve)
+    failed += ["residual_slopes.%s.%s" % (name, comp)
+               for name in slopes for comp, slope in slopes[name].items()
+               if not (slope is None or slope > n_target + 2 - 0.25)]
+    if failed:
+        raise BoundViolated("wall-scattering checks failed: %s"
+                            % ", ".join(failed))
 
     out = (_pulled_back(stable, record), _pulled_back(unstable, record),
            report)

@@ -85,15 +85,41 @@ class _Parser(argparse.ArgumentParser):
 # config handling
 # ---------------------------------------------------------------------------
 
-def _number(value, what, cast=float):
-    """A finite config number converted by ``cast``, else a ConfigError."""
+def _number(value, what, cast=float, least=-math.inf):
+    """A finite config number converted by ``cast`` and at least ``least``,
+    else a ConfigError."""
     try:
         out = cast(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError("%s: expected a number, got %r" % (what, value))
     if not math.isfinite(out):
         raise ConfigError("%s: expected a finite number, got %r" % (what, value))
+    if out < least:
+        raise ConfigError("%s: expected at least %s, got %r" % (what, least, value))
     return out
+
+
+def _entry(block, key, what, cast=float, default=None, least=-math.inf):
+    """``block[key]`` (``default`` when missing) through _number."""
+    if key not in block and default is None:
+        raise ConfigError("%s block misses %r" % (what, key))
+    return _number(block.get(key, default), "%s.%s" % (what, key), cast, least)
+
+
+def _numbers(value, what, cast=float, least=None):
+    """A config list of numbers; ``least`` fixes its length and bounds."""
+    if not isinstance(value, list) or (least and len(value) != len(least)):
+        raise ConfigError("%s must be a list of %s numbers"
+                          % (what, len(least) if least else "finite"))
+    return [_number(v, what, cast, lo)
+            for v, lo in zip(value, least or [-math.inf] * len(value))]
+
+
+def _object(block, what):
+    """A config object; a missing one reads as empty."""
+    if block is not None and not isinstance(block, dict):
+        raise ConfigError("%s must be an object" % what)
+    return block or {}
 
 
 def _series_spec(spec, dim, cut, what):
@@ -124,10 +150,8 @@ def _series_spec(spec, dim, cut, what):
 
 
 def _terms_spec(block, dim, cut, what):
-    if not isinstance(block or {}, dict):
-        raise ConfigError("%s: expected an object of 'l,m' terms" % what)
     out = {}
-    for key, spec in (block or {}).items():
+    for key, spec in _object(block, what).items():
         try:
             l, m = (int(t) for t in str(key).split(","))
         except ValueError:
@@ -140,23 +164,17 @@ def _terms_spec(block, dim, cut, what):
 
 
 def _map_from_config(block, kind):
-    if not isinstance(block, dict):
-        raise ConfigError("problem block must be an object")
+    block = _object(block, kind)
     for key in ("cut", "freqs"):
         if key not in block:
             raise ConfigError("problem block misses %r" % key)
-    if not isinstance(block["freqs"], list):
-        raise ConfigError("freqs must be a list of numbers")
-    d = _number(block.get("d", len(block["freqs"]) if kind == "map" else 1),
-                "d", int)
-    drive = _number(block.get("drive", 0), "drive", int)
+    freqs = _numbers(block["freqs"], "freqs")
+    d = _number(block.get("d", len(freqs) if kind == "map" else 1), "d", int, 0)
+    drive = _number(block.get("drive", 0), "drive", int, 0)
     if kind == "map" and drive:
         raise ConfigError("maps take no drive axes; bake forcing into d")
     dim = d + drive
-    cut = _number(block["cut"], "cut", int)
-    if min(d, drive, cut) < 0:
-        raise ConfigError("d, drive and cut must not be negative")
-    freqs = [_number(v, "freqs", float) for v in block["freqs"]]
+    cut = _number(block["cut"], "cut", int, 0)
     k, p = (None if block.get(key) is None else _number(block[key], key, int)
             for key in ("k", "p"))
     theta_blocks = block.get("theta_terms", [])
@@ -186,19 +204,20 @@ class RunConfig:
             raise ConfigError("problem must be one of %s, got %r"
                               % (", ".join(self._PROBLEMS), self.problem))
         self.n_target = _number(order if order is not None
-                                else raw.get("n_target", 0), "n_target", int)
-        if self.n_target < 2:
-            raise ConfigError("n_target must be at least 2")
+                                else raw.get("n_target", 0), "n_target", int, 2)
         self.branch = branch or raw.get("branch", "stable")
         if self.branch not in ("stable", "unstable"):
             raise ConfigError("branch must be stable or unstable")
-        self.trunc = raw.get("trunc")
-        if self.trunc is not None:
-            self.trunc = _number(self.trunc, "trunc", int)
-        self.sd_floor = _number(raw.get("sd_floor", 1e-12), "sd_floor")
-        self.assert_tol = _number(raw.get("assert_tol", 1e-9), "assert_tol")
-        if self.sd_floor <= 0 or self.assert_tol <= 0:
+        trunc = raw.get("trunc")
+        sd_floor = _number(raw.get("sd_floor", 1e-12), "sd_floor")
+        assert_tol = _number(raw.get("assert_tol", 1e-9), "assert_tol")
+        if sd_floor <= 0 or assert_tol <= 0:
             raise ConfigError("tolerances must be positive")
+        # the keywords every order-by-order solve takes
+        self.solve_kw = {"branch": self.branch, "sd_floor": sd_floor,
+                         "trunc": None if trunc is None
+                         else _number(trunc, "trunc", int),
+                         "assert_tol": assert_tol}
         self.theta_leading = raw.get("theta_leading", "closed_form")
         self.sweep = raw.get("sweep")
         if self.sweep is not None and not isinstance(self.sweep, list):
@@ -240,40 +259,30 @@ def _solve_one(cfg):
     problem, raw = cfg.problem, cfg.raw
     extras = {}
     if problem == "custom-map":
-        data = _map_from_config(raw.get("map") or {}, "map")
-        pair = solve_to_order(data, cfg.n_target, branch=cfg.branch,
-                              trunc=cfg.trunc, sd_floor=cfg.sd_floor,
-                              assert_tol=cfg.assert_tol)
-        pairs = {"pair": pair}
+        data = _map_from_config(raw.get("map"), "map")
+        pairs = {"pair": solve_to_order(data, cfg.n_target, **cfg.solve_kw)}
     elif problem == "custom-flow":
-        data = _map_from_config(raw.get("field") or {}, "field")
-        pair = solve_flow_to_order(data, cfg.n_target, branch=cfg.branch,
-                                   trunc=cfg.trunc, sd_floor=cfg.sd_floor,
-                                   assert_tol=cfg.assert_tol)
-        pairs = {"pair": pair}
+        data = _map_from_config(raw.get("field"), "field")
+        pairs = {"pair": solve_flow_to_order(data, cfg.n_target,
+                                             **cfg.solve_kw)}
     elif problem == "helicoure":
-        data = _map_from_config(raw.get("field") or {}, "field")
-        pair = solve_helicoure(data, cfg.n_target, branch=cfg.branch,
-                               theta_leading=cfg.theta_leading,
-                               trunc=cfg.trunc, sd_floor=cfg.sd_floor,
-                               assert_tol=cfg.assert_tol)
-        pairs = {"pair": pair}
+        data = _map_from_config(raw.get("field"), "field")
+        pairs = {"pair": solve_helicoure(data, cfg.n_target,
+                                         theta_leading=cfg.theta_leading,
+                                         **cfg.solve_kw)}
         extras["theta_leading"] = cfg.theta_leading
     elif problem == "oscillator":
-        block = raw.get("oscillator") or {}
-        try:
-            params = OscillatorParams(
-                block["c_pot"], block["n_pot"], block["alpha"],
-                _series_spec(block.get("g", 1.0),
-                             len(block.get("nu", ())),
-                             int(block.get("cut", 16)), "oscillator g"),
-                nu=block.get("nu", ()), cut=int(block.get("cut", 16)))
-        except KeyError as err:
-            raise ConfigError("oscillator block misses %s" % err)
+        block = _object(raw.get("oscillator"), "oscillator")
+        nu = _numbers(block.get("nu", []), "oscillator.nu")
+        cut = _entry(block, "cut", "oscillator", int, 16, 0)
+        params = OscillatorParams(
+            _entry(block, "c_pot", "oscillator"),
+            _entry(block, "n_pot", "oscillator", int),
+            _entry(block, "alpha", "oscillator"),
+            _series_spec(block.get("g", 1.0), len(nu), cut, "oscillator g"),
+            nu=nu, cut=cut)
         data = build_oscillator_field(params)
-        pair = solve_flow_to_order(data, cfg.n_target, branch=cfg.branch,
-                                   trunc=cfg.trunc, sd_floor=cfg.sd_floor,
-                                   assert_tol=cfg.assert_tol)
+        pair = solve_flow_to_order(data, cfg.n_target, **cfg.solve_kw)
         pairs = {"pair": pair}
         abar = params.alpha * params.g.average()
         extras["oracle_deltas"] = {
@@ -282,13 +291,11 @@ def _solve_one(cfg):
                 abs(pair.inner_coeff(2)) - math.sqrt(abar / 6.0)),
         }
     elif problem == "hecu":
-        block = raw.get("hecu") or {}
-        try:
-            params = HeCuParams(block["D"], block["alpha_morse"], block["m"],
-                                block["h"], block.get("g_surface", 0.0),
-                                cut=int(block.get("cut", 16)))
-        except KeyError as err:
-            raise ConfigError("hecu block misses %s" % err)
+        block = _object(raw.get("hecu"), "hecu")
+        params = HeCuParams(
+            *(_entry(block, key, "hecu") for key in ("D", "alpha_morse", "m", "h")),
+            _entry(block, "g_surface", "hecu", default=0.0),
+            cut=_entry(block, "cut", "hecu", int, 16, 0))
         stable, unstable, rep, reports = hecu_manifolds(
             params, cfg.n_target,
             expansion=block.get("expansion", "displayed"),
@@ -370,41 +377,37 @@ def _cmd_diagnose(args):
     cfg = RunConfig(raw, order=args.order, branch=args.branch)
     if cfg.problem != "custom-map":
         raise ConfigError("diagnose-operators runs on a custom-map config")
-    data = _map_from_config(raw.get("map") or {}, "map")
-    sec = raw.get("sector")
-    if sec is None:
-        raise ConfigError("diagnose-operators needs a sector block")
-    try:
-        beta, rho = float(sec["beta"]), float(sec["rho"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError("sector block needs numeric beta and rho: %r" % (err,))
+    data = _map_from_config(raw.get("map"), "map")
+    sec = _object(raw.get("sector"), "sector")
+    beta, rho = (_entry(sec, key, "sector") for key in ("beta", "rho"))
+    diag = _object(raw.get("diagnostics"), "diagnostics")
+    mu = _entry(diag, "mu", "diagnostics", default=0.5)
+    iterates = _entry(diag, "iterates", "diagnostics", int, 1000, 0)
+    grid = _numbers(diag.get("grid", [20, 20]), "diagnostics.grid", int, (1, 1))
+    probe = diag.get("probe")
+    if probe is not None:
+        probe = _object(probe, "diagnostics.probe")
+        probe = {"ball_alpha": _entry(probe, "ball_alpha", "diagnostics.probe",
+                                      default=0.5),
+                 "samples": _numbers(probe.get("samples", [8, 5, 8]),
+                                     "diagnostics.probe.samples", int, (2, 2, 1)),
+                 "n_iter": _entry(probe, "n_iter", "diagnostics.probe", int,
+                                  10, 0)}
     data.validate_reduced()  # the sector needs a valid leading order k
     sector = operators.Sector(beta, rho, data.k)
-    pair = solve_to_order(data, cfg.n_target, branch=cfg.branch,
-                          trunc=cfg.trunc, sd_floor=cfg.sd_floor,
-                          assert_tol=cfg.assert_tol)
-    diag_block = raw.get("diagnostics") or {}
-    mu = float(diag_block.get("mu", 0.5))
+    pair = solve_to_order(data, cfg.n_target, **cfg.solve_kw)
     out = {"order": pair.order, "mu": mu,
            "sector": {"beta": sector.beta, "rho": sector.rho, "k": sector.k}}
 
-    grid = diag_block.get("grid", [20, 20])
     out["sector_iterates"] = operators.sector_iterate_check(
-        pair.inner, sector, mu, int(diag_block.get("iterates", 1000)),
-        grid_shape=(int(grid[0]), int(grid[1])))
+        pair.inner, sector, mu, iterates, grid_shape=grid)
 
     out["inverse_norm_limit"] = operators.map_inverse_norm_limit(
         pair.order, pair.k, mu, sector.rho)
 
-    probe_block = diag_block.get("probe")
-    if probe_block is not None:
-        samples = probe_block.get("samples", [8, 5, 8])
-        rep = operators.contraction_probe(
-            data, pair, sector, mu,
-            ball_alpha=float(probe_block.get("ball_alpha", 0.5)),
-            samples=tuple(int(s) for s in samples),
-            n_iter=int(probe_block.get("n_iter", 10)))
-        out["contraction"] = rep
+    if probe is not None:
+        out["contraction"] = operators.contraction_probe(
+            data, pair, sector, mu, **probe)
     _write(args.out, "operators.json", canonical_json(out))
     return 0
 
@@ -482,11 +485,6 @@ def main(argv=None):
         code, payload = _error_payload(err)
         sys.stderr.write(canonical_json(payload))
         return code
-    except AssertionError as err:
-        sys.stderr.write(canonical_json({
-            "error": "AssertionError", "exit_code": _CODE_BOUND,
-            "message": str(err), "detail": {}}))
-        return _CODE_BOUND
 
 
 if __name__ == "__main__":

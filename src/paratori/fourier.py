@@ -50,8 +50,9 @@ class FourierSeries:
             self.cut = 0
         else:
             n = coeffs.shape[0]
-            assert n % 2 == 1, "coefficient box must have odd side"
-            assert all(s == n for s in coeffs.shape), "coefficient box must be cubic"
+            if n % 2 != 1 or any(s != n for s in coeffs.shape):
+                raise DimensionMismatch("coefficient box %s is not cubic with "
+                                        "an odd side" % (coeffs.shape,))
             self.cut = (n - 1) // 2
         if symmetrize and self.dim > 0:
             coeffs = 0.5 * (coeffs + np.conj(np.flip(coeffs)))
@@ -85,7 +86,8 @@ class FourierSeries:
             k = tuple(int(x) for x in (k if isinstance(k, tuple) else (k,)))
             if len(k) != dim:
                 raise DimensionMismatch("mode %s has wrong length" % (k,))
-            assert all(abs(x) <= cut for x in k), "mode outside the box"
+            if any(abs(x) > cut for x in k):
+                raise DimensionMismatch("mode %s outside |k| <= %d" % (k, cut))
             idx = tuple(x + cut for x in k)
             s.coeffs[idx] += complex(c)
             if add_conjugate and any(x != 0 for x in k):
@@ -109,7 +111,8 @@ class FourierSeries:
         if dim == 0:
             return cls(np.asarray(complex(values.item())), symmetrize=False)
         n = values.shape[0]
-        assert n >= 2 * cut + 1
+        if n < 2 * cut + 1:
+            raise DimensionMismatch("%d points miss |k| <= %d" % (n, cut))
         hat = np.fft.fftn(values) / values.size
         picks = [(_mode_range(cut)) % n for _ in range(dim)]
         return cls(hat[np.ix_(*picks)])
@@ -195,13 +198,15 @@ class FourierSeries:
         if self.dim == 0:
             return self.copy()
         delta = np.asarray(delta, dtype=float)
-        assert delta.shape == (self.dim,)
+        if delta.shape != (self.dim,):
+            raise DimensionMismatch("shift %s on a %d-torus" % (delta, self.dim))
         phase = np.exp(TWO_PI_I * _mode_dot(self.cut, self.dim, delta))
         return FourierSeries(self.coeffs * phase)
 
     def diff(self, axis):
         """Partial derivative along one angular axis."""
-        assert 0 <= axis < self.dim
+        if not 0 <= axis < self.dim:
+            raise DimensionMismatch("axis %d on a %d-torus" % (axis, self.dim))
         vec = np.zeros(self.dim)
         vec[axis] = 1.0
         factor = TWO_PI_I * _mode_dot(self.cut, self.dim, vec)
@@ -245,7 +250,8 @@ class FourierSeries:
         """Real values on the uniform n-per-axis grid (FFT synthesis)."""
         if self.dim == 0:
             return np.full((), float(self.coeffs.real))
-        assert n >= 2 * self.cut + 1
+        if n < 2 * self.cut + 1:
+            raise DimensionMismatch("%d points miss |k| <= %d" % (n, self.cut))
         big = np.zeros((n,) * self.dim, dtype=complex)
         picks = [(_mode_range(self.cut)) % n for _ in range(self.dim)]
         big[np.ix_(*picks)] = self.coeffs

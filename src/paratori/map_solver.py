@@ -35,6 +35,7 @@ from .errors import (
 )
 from .fourier import diophantine_margin, solve_sd_flow, solve_sd_map
 from .jets import TFJet, UPoly
+from .mapdata import TaylorFourierMap, XYPoly
 from .pairs import ManifoldPair, residual_jets
 
 
@@ -336,8 +337,6 @@ def invert_reduced_map(mp, deg):
     the exact shear form).  The result rotates the angles by -omega and is a
     general (not reduced) map.
     """
-    from .mapdata import TaylorFourierMap, XYPoly
-
     if mp.kind != "map":
         raise StructureViolation("invert_reduced_map takes a map, got kind %r"
                                  % (mp.kind,))

@@ -22,6 +22,9 @@ from .errors import (
     TailNotConverged,
 )
 from .mapdata import eval_terms
+from .pairs import residual_jets
+
+_J_MIN, _J_MAX = 16, 60000   # first and last orbit term where a sum may stop
 
 
 class Sector:
@@ -47,11 +50,11 @@ class Sector:
         ok &= np.abs(np.angle(u)) < self.beta / 2 + slack
         return ok if ok.ndim else bool(ok)
 
-    def grid(self, n_r, n_phi, r_min_factor=1e-3, inset=1e-9):
-        """Complex samples: geometric radii x uniform arguments, slightly
-        inset from the boundary."""
-        radii = np.geomspace(self.rho * r_min_factor, self.rho * (1 - inset), n_r)
-        half = self.beta / 2 * (1 - inset)
+    def grid(self, n_r, n_phi, r_min_factor=1e-3):
+        """Complex samples: geometric radii x uniform arguments, inset from
+        the boundary by a relative 1e-9."""
+        radii = np.geomspace(self.rho * r_min_factor, self.rho * (1 - 1e-9), n_r)
+        half = self.beta / 2 * (1 - 1e-9)
         args = np.linspace(-half, half, n_phi) if n_phi > 1 else np.array([0.0])
         return radii[:, None] * np.exp(1j * args[None, :])
 
@@ -77,14 +80,66 @@ def _normal_form_order(inner):
     return k, inner.coeff(k)
 
 
-def sector_iterate_check(inner, sector, mu, n_iter, grid_shape=(20, 20),
-                         slack_tol=1e-13):
+def _decay(inner, eta_order, mu, u):
+    """(q, x) of the sector decay bound: an integrand of u-order
+    ``eta_order`` decays like (1 + s x)^{-q}, q = eta_order / (k - 1),
+    x = mu |u|^{k-1}.  The bound needs a decaying normal form and q > 1."""
+    k, lead = _normal_form_order(inner)
+    if lead >= 0.0:
+        raise HypothesisViolated("orbit sums and trajectory integrals need a "
+                                 "decaying normal form, lead %.3e" % lead)
+    q = eta_order / (k - 1)
+    if q <= 1.0:
+        raise HypothesisViolated("integrand order %s gives no convergent tail "
+                                 "at k = %d" % (eta_order, k))
+    return q, mu * np.abs(u) ** (k - 1)
+
+
+def _tail(term, s, x, q):
+    """Decay-bound estimate of all that follows a term of modulus ``term``
+    at step or time ``s``."""
+    return term * (1.0 + s * x) / ((q - 1.0) * x)
+
+
+def _orbit_sum(term, inner, freqs, z0, pts0, eta_orders, mu, targets):
+    """-sum_j term(R^j(z0), pts0 + j*omega), per component a (rows, angle
+    points) array.  A row stops once j >= _J_MIN and every component's
+    tail after the j-th term is at most half of its per-row target."""
+    rules = {c: _decay(inner, o, mu, z0) for c, o in eta_orders.items()}
+    totals = None
+    active = np.ones(z0.size, dtype=bool)
+    z, shift = z0, np.zeros(pts0.shape[1])
+    j = 0
+    while active.any():
+        if j > _J_MAX:
+            raise TailNotConverged(
+                "%d rows above tail target after %d orbit terms"
+                % (int(active.sum()), _J_MAX))
+        pts = np.mod(pts0 + shift, 1.0) if pts0.shape[1] else pts0
+        terms = term(z[active], pts)
+        if totals is None:  # the first terms fix the dtype: real in, real out
+            totals = {c: np.zeros_like(t) for c, t in terms.items()}
+        done = np.ones(int(active.sum()), dtype=bool)
+        for c, t in terms.items():
+            totals[c][active] += t
+            q, x = rules[c]
+            tail = _tail(np.abs(t).max(axis=1), j, x[active], q)
+            done &= tail <= targets[c][active] / 2
+        if j >= _J_MIN:
+            active[np.flatnonzero(active)[done]] = False
+        z = inner(z)
+        shift = shift + freqs
+        j += 1
+    return {c: -t for c, t in totals.items()}
+
+
+def sector_iterate_check(inner, sector, mu, n_iter, grid_shape=(20, 20)):
     """Iterate sector samples under the map normal form and check the decay
     bound |R^j(u)| <= |u| / (1 + j mu |u|^{k-1})^{1/(k-1)} at every step.
 
     Returns a report with the extreme slacks (bound minus actual modulus);
-    raises BoundViolated with a witness point if the bound fails or an
-    iterate leaves the sector.
+    raises BoundViolated with a witness point if the bound fails (beyond
+    1e-13 of the grid radius) or an iterate leaves the sector.
     """
     if abs(inner.coeff(1) - 1.0) > 1e-14:
         raise StructureViolation("normal form must be tangent to the identity")
@@ -111,7 +166,7 @@ def sector_iterate_check(inner, sector, mu, n_iter, grid_shape=(20, 20),
         bound = r0 / (1.0 + j * mu * r0 ** (k - 1)) ** (1.0 / (k - 1))
         slack = bound - np.abs(z)
         worst = float(slack.min())
-        if worst < -slack_tol * scale:
+        if worst < -1e-13 * scale:
             i = int(np.argmin(slack))
             err = BoundViolated(
                 "decay bound violated at iterate %d of %s by %.3e"
@@ -146,56 +201,36 @@ def transfer_difference(phi, inner, freqs, u, theta=None):
     return phi(inner(u), th) - phi(u, theta)
 
 
-def orbit_sum_inverse(eta, inner, freqs, u, theta=None, eta_order=None, mu=None,
-                      j_max=200000, tail_tol=1e-12, j_min=16):
+def orbit_sum_inverse(eta, inner, freqs, u, theta=None, *, eta_order, mu,
+                      tail_tol=1e-12):
     """Right inverse of the transfer difference by orbit summation.
 
     Returns -sum_{j>=0} eta(R^j(u), theta + j*omega), truncated once the
     analytic tail estimate (from the sector decay bound, using the stated
-    u-order of eta and the decay rate mu) drops below half of ``tail_tol``.
+    u-order of eta and the decay rate mu) drops below half of ``tail_tol``:
+    the contraction probe's orbit sum on one point.
     """
-    assert eta_order is not None and mu is not None
-    k, lead = _normal_form_order(inner)
-    if lead >= 0.0:
-        raise HypothesisViolated("orbit sums need a decaying normal form")
-    q = eta_order / (k - 1)
-    assert q > 1.0, "integrand order too low for a convergent sum"
-    x = mu * abs(u) ** (k - 1)
-    freqs = np.asarray(freqs, dtype=float)
-    th = None if theta is None else np.asarray(theta, dtype=float).copy()
-    z = u
-    total = 0.0
-    for j in range(j_max + 1):
-        t = eta(z, th)
-        total = total + t
-        tail = abs(t) * (1.0 + j * x) / ((q - 1.0) * x)
-        if j >= j_min and tail <= tail_tol / 2:
-            return -total
-        z = inner(z)
-        if th is not None:
-            th = th + freqs
-    raise TailNotConverged(
-        "tail estimate %.3e above %.3e after %d terms" % (tail, tail_tol / 2, j_max))
+    pts0 = np.reshape([] if theta is None else theta, (1, -1)).astype(float)
+    total = _orbit_sum(
+        lambda z, pts: {"eta": np.array([[eta(z[0], None if theta is None
+                                               else pts[0])]])},
+        inner, freqs, np.array([u]), pts0,
+        {"eta": eta_order}, mu, {"eta": np.array([tail_tol])})
+    return total["eta"][0, 0]
 
 
-def flow_orbit_integral(eta, velocity, freqs, u, theta=None, eta_order=None,
-                        mu=None, t_max=1e9, tol=1e-10, sector=None,
-                        rtol=1e-13, atol=1e-16):
+def flow_orbit_integral(eta, velocity, freqs, u, theta=None, *, eta_order, mu,
+                        tol=1e-10, sector=None):
     """Integral of eta along the decaying scalar trajectory, from 0 to
     infinity: the trajectory solves du/ds = velocity(u) with angles advancing
     linearly, and the quadrature is truncated once the analytic decay-bound
-    tail drops below half of ``tol``.
+    tail drops below half of ``tol`` (DOP853 at rtol 1e-13, atol 1e-16, on
+    windows growing fourfold up to time 1e9).
 
     The derivative of the returned quantity (as a function of the starting
     point) along the drift equals minus the integrand.
     """
-    assert eta_order is not None and mu is not None
-    k, lead = _normal_form_order(velocity)
-    if lead >= 0.0:
-        raise HypothesisViolated("trajectory integrals need a decaying drift")
-    q = eta_order / (k - 1)
-    assert q > 1.0
-    x = mu * abs(u) ** (k - 1)
+    q, x = _decay(velocity, eta_order, mu, u)
     freqs = np.asarray(freqs, dtype=float)
     th0 = None if theta is None else np.asarray(theta, dtype=float)
 
@@ -210,15 +245,16 @@ def flow_orbit_integral(eta, velocity, freqs, u, theta=None, eta_order=None,
 
     state = [np.real(u), np.imag(u), 0.0, 0.0]
     t_lo, t_hi = 0.0, 1.0
-    while t_hi <= t_max:
-        sol = solve_ivp(rhs, (t_lo, t_hi), state, rtol=rtol, atol=atol,
+    while t_hi <= 1e9:
+        sol = solve_ivp(rhs, (t_lo, t_hi), state, rtol=1e-13, atol=1e-16,
                         method="DOP853")
-        assert sol.success, sol.message
+        if not sol.success:
+            raise TailNotConverged("trajectory from %s: %s" % (u, sol.message))
         state = [float(v[-1]) for v in sol.y]
         z = state[0] + 1j * state[1]
         if sector is not None and not sector.contains(z, slack=1e-12):
             raise FlowLeftSector("trajectory from %s reached %s" % (u, z))
-        tail = abs(complex(eta(z, angles(t_hi)))) * (1.0 + t_hi * x) / ((q - 1.0) * x)
+        tail = _tail(abs(complex(eta(z, angles(t_hi)))), t_hi, x, q)
         if tail <= tol / 2:
             value = state[2] + 1j * state[3]
             return value if abs(value.imag) > 1e-300 else value.real
@@ -240,11 +276,10 @@ def drift_derivative(phi, velocity, freqs, u, theta=None, step=1e-6):
 
     def advance(h):
         # single RK4 step of the scalar trajectory
-        f = lambda z: velocity(z)
-        k1 = f(u)
-        k2 = f(u + h / 2 * k1)
-        k3 = f(u + h / 2 * k2)
-        k4 = f(u + h * k3)
+        k1 = velocity(u)
+        k2 = velocity(u + h / 2 * k1)
+        k3 = velocity(u + h / 2 * k2)
+        k4 = velocity(u + h * k3)
         z = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         th = None if theta is None else np.asarray(theta, dtype=float) + h * freqs
         return z, th
@@ -295,24 +330,27 @@ def _weighted_sup(values, z, weight):
 
 
 def contraction_probe(mp, pair, sector, mu, ball_alpha=0.5, samples=(10, 5, 8),
-                      n_iter=12, j_max=60000, tail_tol=None, r_min_factor=0.5):
+                      n_iter=12):
     """Iterate the correction fixed point from zero on a sector grid.
 
     The candidate correction (one scalar field per component, weighted by
-    u^n, u^{n+k-1} and u^{n+2p-k-1}) lives on a fixed (radius, argument,
-    angles) grid.  Each sweep evaluates the displaced-coefficient remainder
-    pointwise and applies the orbit-sum inverse along the normal-form
-    dynamics, then reports the weighted norm of the update, the ratio of
-    successive update norms, and the weighted invariance defect of the
+    u^{o-k} at the component's contract order o: u^n, u^{n+k-1} and
+    u^{n+2p-k-1}) lives on a fixed (radius, argument, angles) grid.  Each
+    sweep evaluates the displaced-coefficient remainder pointwise and
+    applies the orbit-sum inverse along the normal-form dynamics, to a
+    weighted tail target of 1e-4 times the last nonzero update norm (at
+    least 1e-14), then reports the weighted norm of the update, the ratio
+    of successive update norms, and the weighted invariance defect of the
     corrected parameterization.  Raises Diverged when the ratio stays at or
     above one for five consecutive sweeps.
 
-    The radial band spans [r_min_factor * rho, rho]: well below the outer
-    radius the weighted quantities sink under double-precision roundoff of
-    the evaluated differences, so a narrow band keeps every row meaningful.
+    The radial band spans [rho / 2, rho]: well below the outer radius the
+    weighted quantities sink under double-precision roundoff of the
+    evaluated differences, so a narrow band keeps every row meaningful.
     """
-    assert mp.kind == "map" and pair.kind == "map"
-    n, k, p, d, dim = pair.order, pair.k, pair.p, pair.d, pair.dim
+    if mp.kind != "map" or pair.kind != "map":
+        raise StructureViolation("the contraction probe runs on maps only")
+    n, k, d, dim = pair.order, pair.k, pair.d, pair.dim
     if sector.k != k:
         raise ConfigError("sector order %d vs problem order %d" % (sector.k, k))
     inner = pair.inner
@@ -321,7 +359,7 @@ def contraction_probe(mp, pair, sector, mu, ball_alpha=0.5, samples=(10, 5, 8),
         raise BoundViolated("normal form does not map the sector into itself")
 
     n_r, n_phi, n_th = samples
-    u2 = sector.grid(n_r, n_phi, r_min_factor=r_min_factor)
+    u2 = sector.grid(n_r, n_phi, r_min_factor=0.5)
     z0 = u2.ravel()
     log_r = np.log(np.abs(u2[:, 0]))
     args = np.angle(u2[0, :])
@@ -333,102 +371,50 @@ def contraction_probe(mp, pair, sector, mu, ball_alpha=0.5, samples=(10, 5, 8),
         pts0 = np.zeros((1, 0))
     nu, nt = z0.size, pts0.shape[0]
 
+    ox, oy, ot = pair.contract_orders()
     comps = ["x", "y"] + ["t%d" % a for a in range(d)]
-    weights = {"x": n, "y": n + k - 1}
-    for a in range(d):
-        weights["t%d" % a] = n + 2 * p - k - 1
-    eta_orders = {c: weights[c] + k - 1 for c in comps}
-
-    from .pairs import residual_jets
+    orders = dict(zip(comps, [ox, oy] + [ot] * d))
+    weights = {c: o - k for c, o in orders.items()}
+    eta_orders = {c: o - 1 for c, o in orders.items()}
 
     # keep only the genuine defect tail; orders below the invariance contract
     # hold solver roundoff certified small, and would otherwise put a noise
     # floor under the weighted orbit-sum targets
     gx, gy, gt = residual_jets(mp, pair)
-    ox, oy, ot = pair.contract_orders()
-    gjets = {"x": gx.tail(ox), "y": gy.tail(oy)}
-    for a in range(d):
-        gjets["t%d" % a] = gt[a].tail(ot)
-
-    freqs = np.asarray(pair.freqs, dtype=float)
+    gjets = dict(zip(comps, [gx.tail(ox), gy.tail(oy)]
+                     + [g.tail(ot) for g in gt]))
     c_series = mp.shear()
 
     def angle_image(z, pts, ft):
-        """theta-component of the parameterization plus candidate, per axis."""
-        cols = []
-        for a in range(d):
-            w = pair.tails[a].eval_grid(z, pts)
-            cols.append(pts[None, :, a] + w + ft[a])
-        return cols
-
-    def poly_at(terms, xs, ys, ang_cols):
-        """A term table at displaced (complex) points."""
-        return eval_terms(terms, xs, ys, np.stack(ang_cols, axis=-1) if d else None)
+        """Stacked angle component of the parameterization plus candidate."""
+        if not d:
+            return None
+        return np.stack([pts[None, :, a] + pair.tails[a].eval_grid(z, pts) + ft[a]
+                         for a in range(d)], axis=-1)
 
     def remainder(z, pts, f):
         """The three displaced-coefficient remainder components plus the
         current defect, evaluated pointwise."""
         kx = pair.x.eval_grid(z, pts)
         ky = pair.y.eval_grid(z, pts)
-        ft = [f["t%d" % a] for a in range(d)]
-        base_cols = angle_image(z, pts, [0.0] * d)
-        disp_cols = angle_image(z, pts, ft)
+        base = angle_image(z, pts, [0.0] * d)
+        disp = angle_image(z, pts, [f["t%d" % a] for a in range(d)])
         if d:
-            c_base = c_series.eval(np.stack(base_cols, axis=-1))
-            c_disp = c_series.eval(np.stack(disp_cols, axis=-1))
+            c_base = c_series.eval(base)
+            c_disp = c_series.eval(disp)
         else:
             c_base = c_disp = np.full(kx.shape, c_series.average(), dtype=complex)
-        out = {}
-        out["x"] = (ky * (c_disp - c_base) + f["y"] * c_disp
-                    + gjets["x"].eval_grid(z, pts))
-        out["y"] = (poly_at(mp.y_terms, kx + f["x"], ky + f["y"], disp_cols)
-                    - poly_at(mp.y_terms, kx, ky, base_cols)
-                    + gjets["y"].eval_grid(z, pts))
+        out = {"x": (ky * (c_disp - c_base) + f["y"] * c_disp
+                     + gjets["x"].eval_grid(z, pts)),
+               "y": (eval_terms(mp.y_terms, kx + f["x"], ky + f["y"], disp)
+                     - eval_terms(mp.y_terms, kx, ky, base)
+                     + gjets["y"].eval_grid(z, pts))}
         for a in range(d):
             out["t%d" % a] = (
-                poly_at(mp.theta_terms[a], kx + f["x"], ky + f["y"], disp_cols)
-                - poly_at(mp.theta_terms[a], kx, ky, base_cols)
+                eval_terms(mp.theta_terms[a], kx + f["x"], ky + f["y"], disp)
+                - eval_terms(mp.theta_terms[a], kx, ky, base)
                 + gjets["t%d" % a].eval_grid(z, pts))
         return out
-
-    def interp_all(arrays):
-        return {c: _GridFunction(log_r, args, theta_axes, z0, arrays[c],
-                                 weights[c])
-                for c in comps}
-
-    def orbit_sum(f_interp, tol_weighted):
-        """Vectorized -sum_j remainder(R^j grid), rows masked as their
-        analytic tail estimate clears the per-row weighted target."""
-        totals = {c: np.zeros((nu, nt), dtype=complex) for c in comps}
-        active = np.ones(nu, dtype=bool)
-        z = z0.copy()
-        shift = np.zeros(dim)
-        x_row = mu * np.abs(z0) ** (k - 1)
-        r0w = {c: np.abs(z0) ** weights[c] for c in comps}
-        j = 0
-        while active.any():
-            if j > j_max:
-                raise TailNotConverged(
-                    "%d rows above tail target after %d orbit terms"
-                    % (int(active.sum()), j_max))
-            za = z[active]
-            pts = np.mod(pts0 + shift, 1.0) if dim else pts0
-            f = {c: f_interp[c](za, pts) for c in comps}
-            rem = remainder(za, pts, f)
-            done = np.ones(int(active.sum()), dtype=bool)
-            for c in comps:
-                totals[c][active] += rem[c]
-                q = eta_orders[c] / (k - 1)
-                tail = (np.abs(rem[c]).max(axis=1) * (1.0 + j * x_row[active])
-                        / ((q - 1.0) * x_row[active]))
-                done &= tail <= tol_weighted * r0w[c][active] / 2
-            if j >= 16:
-                idx = np.flatnonzero(active)
-                active[idx[done]] = False
-            z = inner(z)
-            shift = shift + freqs
-            j += 1
-        return {c: -totals[c] for c in comps}
 
     def defect_gap(rem_new, rem_prev):
         """Weighted sup of the corrected pair's invariance defect.
@@ -464,10 +450,14 @@ def contraction_probe(mp, pair, sector, mu, ball_alpha=0.5, samples=(10, 5, 8),
     tol_scale = report["defect_norms"][0]
     bad_streak = 0
     for m in range(n_iter):
-        tol_weighted = tail_tol
-        if tol_weighted is None:
-            tol_weighted = max(1e-14, 1e-4 * tol_scale)
-        new = orbit_sum(interp_all(arrays), tol_weighted)
+        tol_weighted = max(1e-14, 1e-4 * tol_scale)
+        grid_fns = {c: _GridFunction(log_r, args, theta_axes, z0, arrays[c],
+                                     weights[c]) for c in comps}
+        new = _orbit_sum(
+            lambda z, pts: remainder(z, pts, {c: grid_fns[c](z, pts)
+                                              for c in comps}),
+            inner, pair.freqs, z0, pts0, eta_orders, mu,
+            {c: tol_weighted * np.abs(z0) ** weights[c] for c in comps})
         upd = max(_weighted_sup(new[c] - arrays[c], z0, weights[c]) for c in comps)
         report["update_norms"].append(upd)
         if prev_update is not None and prev_update > 0:

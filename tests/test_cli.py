@@ -296,3 +296,63 @@ def test_malformed_config_exits_2(tmp_path, capsys, edit):
     assert err["exit_code"] == 2
     assert err["error"] in ("ConfigError", "DimensionMismatch",
                             "StructureViolation")
+
+
+# malformed operator, oscillator and hecu blocks: each edit is caught before
+# the solve starts
+DIAG_CONFIG = dict(json.loads(json.dumps(MAP_CONFIG)),
+                   sector={"beta": 1.5707963267948966, "rho": 0.02},
+                   diagnostics={"mu": 0.5, "iterates": 10, "grid": [4, 4],
+                                "probe": {"samples": [5, 4, 4], "n_iter": 2}})
+OSC_CONFIG = {"problem": "oscillator", "n_target": 4,
+              "oscillator": {"c_pot": 1.0, "n_pot": 2, "alpha": 1.0,
+                             "nu": [1.4142135623730951], "cut": 12}}
+HECU_CONFIG = {"problem": "hecu", "n_target": 3,
+               "hecu": {"D": 6.35, "alpha_morse": 1.05, "m": 1.0, "h": 12.7}}
+
+MALFORMED_BLOCKS = [
+    ("mu_not_a_number", "diagnose-operators", DIAG_CONFIG,
+     lambda c: c["diagnostics"].update(mu="abc")),
+    ("iterates_not_a_number", "diagnose-operators", DIAG_CONFIG,
+     lambda c: c["diagnostics"].update(iterates="x")),
+    ("n_iter_not_a_number", "diagnose-operators", DIAG_CONFIG,
+     lambda c: c["diagnostics"]["probe"].update(n_iter="x")),
+    ("grid_one_entry", "diagnose-operators", DIAG_CONFIG,
+     lambda c: c["diagnostics"].update(grid=[20])),
+    ("diagnostics_not_an_object", "diagnose-operators", DIAG_CONFIG,
+     lambda c: c.update(diagnostics=[1])),
+    ("sector_not_an_object", "diagnose-operators", DIAG_CONFIG,
+     lambda c: c.update(sector=[1])),
+    ("oscillator_cut_not_a_number", "oscillator", OSC_CONFIG,
+     lambda c: c["oscillator"].update(cut="x")),
+    ("oscillator_nu_not_a_list", "oscillator", OSC_CONFIG,
+     lambda c: c["oscillator"].update(nu="abc")),
+    ("hecu_D_not_a_number", "hecu", HECU_CONFIG,
+     lambda c: c["hecu"].update(D="abc")),
+    ("hecu_cut_negative", "hecu", HECU_CONFIG,
+     lambda c: c["hecu"].update(cut=-1)),
+]
+
+
+@pytest.mark.parametrize("command,base,edit",
+                         [case[1:] for case in MALFORMED_BLOCKS],
+                         ids=[case[0] for case in MALFORMED_BLOCKS])
+def test_malformed_block_exits_2_before_the_solve(tmp_path, capsys,
+                                                  monkeypatch, command, base,
+                                                  edit):
+    import paratori.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise RuntimeError("the solve started on a malformed config")
+
+    for name in ("solve_to_order", "solve_flow_to_order", "hecu_manifolds"):
+        monkeypatch.setattr(cli, name, no_solve)
+    cfg_data = json.loads(json.dumps(base))
+    edit(cfg_data)
+    cfg = write_config(tmp_path, cfg_data)
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    stderr = capsys.readouterr().err
+    assert code == 2, stderr
+    err = json.loads(stderr)
+    assert set(err) == {"error", "exit_code", "message", "detail"}
+    assert err["error"] == "ConfigError" and err["exit_code"] == 2

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paratori.errors import NonZeroAverage, SmallDivisorUnderflow
+from paratori.errors import (DimensionMismatch, NonZeroAverage,
+                             SmallDivisorUnderflow)
 from paratori.fourier import (FourierSeries, diophantine_margin, reciprocal,
                               solve_sd_flow, solve_sd_map)
 
@@ -83,6 +84,23 @@ def test_shift_translates_argument():
     g = f.shift(np.array([GOLDEN]))
     th = np.array([0.41])
     assert abs(g.eval(th) - f.eval(th + GOLDEN)) < 1e-13
+
+
+def test_box_checks_are_typed():
+    # the mode-box checks raise DimensionMismatch, also under python -O
+    with pytest.raises(DimensionMismatch):
+        FourierSeries.from_modes({(5,): 1.0}, 1, 4)
+    with pytest.raises(DimensionMismatch):
+        FourierSeries(np.zeros((4,)))
+    f = FourierSeries.from_modes({(1,): 0.5}, 1, 4)
+    with pytest.raises(DimensionMismatch):
+        f.shift(np.array([0.1, 0.2]))
+    with pytest.raises(DimensionMismatch):
+        f.diff(1)
+    with pytest.raises(DimensionMismatch):
+        f.values_on_grid(8)
+    with pytest.raises(DimensionMismatch):
+        FourierSeries.from_grid(np.zeros(8), 4)
 
 
 def test_eval_accepts_complex_angles():

@@ -89,6 +89,23 @@ def test_map_inverse_norm_bound_on_samples():
     assert worst <= lim
 
 
+def test_right_inverses_need_a_convergent_tail():
+    # eta_order <= k - 1 gives a divergent sum or integral, and a growing
+    # normal form gives no decay bound; both are typed hypothesis failures
+    Y = UPoly({2: -1.0}, 12)
+    eta = lambda u, th: u
+    with pytest.raises(HypothesisViolated):
+        orbit_sum_inverse(eta, R, (), 0.04, None, eta_order=1, mu=0.5)
+    with pytest.raises(HypothesisViolated):
+        flow_orbit_integral(eta, Y, (), 0.04, None, eta_order=1, mu=0.5)
+    with pytest.raises(HypothesisViolated):
+        orbit_sum_inverse(eta, UPoly({1: 1.0, 2: 1.0}, 12), (), 0.04, None,
+                          eta_order=5, mu=0.5)
+    with pytest.raises(HypothesisViolated):
+        flow_orbit_integral(eta, UPoly({2: 1.0}, 12), (), 0.04, None,
+                            eta_order=3, mu=0.5)
+
+
 def test_flow_integral_oracle():
     # velocity -u^2 integrates u/(1+su); int_0^inf (u/(1+su))^3 ds = u^2/2
     Y = UPoly({2: -1.0}, 12)
