@@ -230,7 +230,8 @@ def _pulled_back(pair, record):
 
 
 def hecu_manifolds(p, n_target, expansion="displayed",
-                   theta_leading="closed_form", return_reports=False):
+                   theta_leading="closed_form", trunc=None, sd_floor=1e-12,
+                   assert_tol=1e-9):
     """Stable and unstable wall-scattering manifolds plus a check report.
 
     Solves both branches of the shear-form field to order ``n_target``,
@@ -245,16 +246,17 @@ def hecu_manifolds(p, n_target, expansion="displayed",
     magnitudes and have opposite-sign normal-form leading terms), fits the
     invariance residual slopes, and finally pulls both parameterizations
     back to wall coordinates; BoundViolated names every failed check.
-    Returns (stable pair, unstable pair, report dict); with
-    ``return_reports`` the per-branch residual measurement objects (taken
-    in the solve coordinates, before pullback) come back as a fourth value.
+    ``trunc``, ``sd_floor`` and ``assert_tol`` go to both solves.  Returns
+    (stable pair, unstable pair, report dict, residual reports), the last
+    the ResidualReport of each branch by name, measured in the solve
+    coordinates before the pullback.
     """
     fd, record = build_hecu_field(p, expansion=expansion,
                                   deg=max(6, n_target + 2))
-    stable = solve_helicoure(fd, n_target, branch="stable",
-                             theta_leading=theta_leading)
-    unstable = solve_helicoure(fd, n_target, branch="unstable",
-                               theta_leading=theta_leading)
+    stable, unstable = (
+        solve_helicoure(fd, n_target, branch, theta_leading, trunc, sd_floor,
+                        assert_tol)
+        for branch in ("stable", "unstable"))
 
     D, alpha, m = p.D, p.alpha_morse, p.m
     A = 2.0 * m * (p.h - D)
@@ -316,8 +318,5 @@ def hecu_manifolds(p, n_target, expansion="displayed",
         raise BoundViolated("wall-scattering checks failed: %s"
                             % ", ".join(failed))
 
-    out = (_pulled_back(stable, record), _pulled_back(unstable, record),
-           report)
-    if return_reports:
-        return out + (reports,)
-    return out
+    return (_pulled_back(stable, record), _pulled_back(unstable, record),
+            report, reports)

@@ -42,6 +42,16 @@ _CODE_HYPOTHESIS = 3
 _CODE_SMALL_DIVISOR = 4
 _CODE_BOUND = 5
 
+# the problem a config must name for each subcommand that reads one
+_PROBLEMS = {
+    "solve-map": "custom-map",
+    "solve-flow": "custom-flow",
+    "helicoure": "helicoure",
+    "oscillator": "oscillator",
+    "hecu": "hecu",
+    "diagnose-operators": "custom-map",
+}
+
 _ERROR_CODES = (
     (SmallDivisorUnderflow, _CODE_SMALL_DIVISOR),
     ((BoundViolated, TailNotConverged, Diverged, FlowLeftSector), _CODE_BOUND),
@@ -86,16 +96,28 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 def _number(value, what, cast=float, least=-math.inf):
-    """A finite config number converted by ``cast`` and at least ``least``,
-    else a ConfigError."""
+    """A finite JSON number, integral when ``cast`` is int, converted by
+    ``cast`` and at least ``least``, else a ConfigError."""
     try:
-        out = cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("%s: expected a number, got %r" % (what, value))
-    if not math.isfinite(out):
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or beyond a float
+        finite = False
+    if not finite:
         raise ConfigError("%s: expected a finite number, got %r" % (what, value))
+    out = cast(value)
+    if cast is int and out != value:
+        raise ConfigError("%s: expected an integer, got %r" % (what, value))
     if out < least:
         raise ConfigError("%s: expected at least %s, got %r" % (what, least, value))
+    return out
+
+
+def _positive(value, what):
+    """A finite positive number (a tolerance or floor), else a ConfigError."""
+    out = _number(value, what)
+    if out <= 0:
+        raise ConfigError("%s: expected a positive number, got %r"
+                          % (what, value))
     return out
 
 
@@ -165,16 +187,13 @@ def _terms_spec(block, dim, cut, what):
 
 def _map_from_config(block, kind):
     block = _object(block, kind)
-    for key in ("cut", "freqs"):
-        if key not in block:
-            raise ConfigError("problem block misses %r" % key)
-    freqs = _numbers(block["freqs"], "freqs")
+    freqs = _numbers(block.get("freqs"), "freqs")
     d = _number(block.get("d", len(freqs) if kind == "map" else 1), "d", int, 0)
     drive = _number(block.get("drive", 0), "drive", int, 0)
     if kind == "map" and drive:
         raise ConfigError("maps take no drive axes; bake forcing into d")
     dim = d + drive
-    cut = _number(block["cut"], "cut", int, 0)
+    cut = _entry(block, "cut", kind, int, least=0)
     k, p = (None if block.get(key) is None else _number(block[key], key, int)
             for key in ("k", "p"))
     theta_blocks = block.get("theta_terms", [])
@@ -190,48 +209,97 @@ def _map_from_config(block, kind):
 
 
 class RunConfig:
-    """Validated run settings shared by the solve subcommands."""
+    """One run of a subcommand, checked in full before any solve starts.
 
-    _PROBLEMS = ("custom-map", "custom-flow", "oscillator", "hecu",
-                 "helicoure")
+    ``command`` fixes the problem the config must name.  Besides the common
+    settings it holds the parsed problem block: ``data`` (the map or field
+    to solve; built from ``params`` for the oscillator), ``params`` and
+    ``expansion`` for hecu, and for diagnose-operators the ``sector``, the
+    iterate check settings and the optional ``probe`` keywords.
+    """
 
-    def __init__(self, raw, order=None, branch=None):
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be an object")
-        self.raw = raw
-        self.problem = raw.get("problem")
-        if self.problem not in self._PROBLEMS:
-            raise ConfigError("problem must be one of %s, got %r"
-                              % (", ".join(self._PROBLEMS), self.problem))
+    def __init__(self, raw, command, order=None, branch=None):
+        self.problem = _PROBLEMS[command]
+        if raw.get("problem") != self.problem:
+            raise ConfigError("config problem is %r but %s expects %r"
+                              % (raw.get("problem"), command, self.problem))
+        if "sweep" in raw:
+            raise ConfigError("only the top level of a solve config takes "
+                              "a sweep")
         self.n_target = _number(order if order is not None
                                 else raw.get("n_target", 0), "n_target", int, 2)
         self.branch = branch or raw.get("branch", "stable")
         if self.branch not in ("stable", "unstable"):
             raise ConfigError("branch must be stable or unstable")
-        trunc = raw.get("trunc")
-        sd_floor = _number(raw.get("sd_floor", 1e-12), "sd_floor")
-        assert_tol = _number(raw.get("assert_tol", 1e-9), "assert_tol")
-        if sd_floor <= 0 or assert_tol <= 0:
-            raise ConfigError("tolerances must be positive")
-        # the keywords every order-by-order solve takes
-        self.solve_kw = {"branch": self.branch, "sd_floor": sd_floor,
-                         "trunc": None if trunc is None
-                         else _number(trunc, "trunc", int),
-                         "assert_tol": assert_tol}
         self.theta_leading = raw.get("theta_leading", "closed_form")
-        self.sweep = raw.get("sweep")
-        if self.sweep is not None and not isinstance(self.sweep, list):
-            raise ConfigError("sweep must be a list of override objects")
+        if self.theta_leading not in ("closed_form", "cohomological"):
+            raise ConfigError("theta_leading must be closed_form or "
+                              "cohomological")
+        trunc = raw.get("trunc")
+        # the keywords every order-by-order solve takes besides the branch
+        self.solve_kw = {
+            "trunc": None if trunc is None else _number(trunc, "trunc", int),
+            "sd_floor": _positive(raw.get("sd_floor", 1e-12), "sd_floor"),
+            "assert_tol": _positive(raw.get("assert_tol", 1e-9), "assert_tol")}
+
+        if self.problem == "hecu":
+            block = _object(raw.get("hecu"), "hecu")
+            self.params = HeCuParams(
+                *(_entry(block, key, "hecu")
+                  for key in ("D", "alpha_morse", "m", "h")),
+                _entry(block, "g_surface", "hecu", default=0.0),
+                cut=_entry(block, "cut", "hecu", int, 16, 0))
+            self.expansion = block.get("expansion", "displayed")
+            if self.expansion not in ("displayed", "expanded"):
+                raise ConfigError("hecu.expansion must be displayed or "
+                                  "expanded")
+        elif self.problem == "oscillator":
+            block = _object(raw.get("oscillator"), "oscillator")
+            nu = _numbers(block.get("nu", []), "oscillator.nu")
+            cut = _entry(block, "cut", "oscillator", int, 16, 0)
+            self.params = OscillatorParams(
+                _entry(block, "c_pot", "oscillator"),
+                _entry(block, "n_pot", "oscillator", int),
+                _entry(block, "alpha", "oscillator"),
+                _series_spec(block.get("g", 1.0), len(nu), cut, "oscillator g"),
+                nu=nu, cut=cut)
+            self.data = build_oscillator_field(self.params)
+        else:
+            kind = "map" if self.problem == "custom-map" else "field"
+            self.data = _map_from_config(raw.get(kind), kind)
+
+        if command == "diagnose-operators":
+            self.data.validate_reduced()  # the sector needs a valid order k
+            sec = _object(raw.get("sector"), "sector")
+            self.sector = operators.Sector(
+                *(_entry(sec, key, "sector") for key in ("beta", "rho")),
+                self.data.k)
+            diag = _object(raw.get("diagnostics"), "diagnostics")
+            self.mu = _entry(diag, "mu", "diagnostics", default=0.5)
+            self.iterates = _entry(diag, "iterates", "diagnostics", int, 1000, 0)
+            self.grid = _numbers(diag.get("grid", [20, 20]), "diagnostics.grid",
+                                 int, (1, 1))
+            self.probe = diag.get("probe")
+            if self.probe is not None:
+                probe = _object(self.probe, "diagnostics.probe")
+                self.probe = {
+                    "ball_alpha": _entry(probe, "ball_alpha",
+                                         "diagnostics.probe", default=0.5),
+                    "samples": _numbers(probe.get("samples", [8, 5, 8]),
+                                        "diagnostics.probe.samples", int,
+                                        (2, 2, 1)),
+                    "n_iter": _entry(probe, "n_iter", "diagnostics.probe",
+                                     int, 10, 0)}
 
 
-def _load_config(path):
+def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as err:
-        raise ConfigError("cannot read config: %s" % err)
+        raise ConfigError("cannot read %s: %s" % (path, err))
     except ValueError as err:
-        raise ConfigError("config is not valid JSON: %s" % err)
+        raise ConfigError("%s is not valid JSON: %s" % (path, err))
 
 
 def _deep_merge(base, override):
@@ -254,118 +322,79 @@ def _write(out_dir, name, text):
 # solve commands
 # ---------------------------------------------------------------------------
 
-def _solve_one(cfg):
-    """Build and solve the configured problem; returns (pairs, summary)."""
-    problem, raw = cfg.problem, cfg.raw
-    extras = {}
-    if problem == "custom-map":
-        data = _map_from_config(raw.get("map"), "map")
-        pairs = {"pair": solve_to_order(data, cfg.n_target, **cfg.solve_kw)}
-    elif problem == "custom-flow":
-        data = _map_from_config(raw.get("field"), "field")
-        pairs = {"pair": solve_flow_to_order(data, cfg.n_target,
-                                             **cfg.solve_kw)}
-    elif problem == "helicoure":
-        data = _map_from_config(raw.get("field"), "field")
-        pairs = {"pair": solve_helicoure(data, cfg.n_target,
-                                         theta_leading=cfg.theta_leading,
-                                         **cfg.solve_kw)}
+def _solve(cfg):
+    """Solve one checked run: (pairs, residual reports, summary extras), the
+    reports keyed like the pairs."""
+    if cfg.problem == "hecu":
+        # residuals are measured in the solve coordinates; the emitted pairs
+        # live in wall coordinates
+        stable, unstable, report, reports = hecu_manifolds(
+            cfg.params, cfg.n_target, cfg.expansion, cfg.theta_leading,
+            **cfg.solve_kw)
+        return ({"stable": stable, "unstable": unstable}, reports,
+                {"hecu_report": report})
+    data, extras = cfg.data, {}
+    if cfg.problem == "custom-map":
+        pair = solve_to_order(data, cfg.n_target, cfg.branch, **cfg.solve_kw)
+    elif cfg.problem == "helicoure":
+        pair = solve_helicoure(data, cfg.n_target, cfg.branch,
+                               cfg.theta_leading, **cfg.solve_kw)
         extras["theta_leading"] = cfg.theta_leading
-    elif problem == "oscillator":
-        block = _object(raw.get("oscillator"), "oscillator")
-        nu = _numbers(block.get("nu", []), "oscillator.nu")
-        cut = _entry(block, "cut", "oscillator", int, 16, 0)
-        params = OscillatorParams(
-            _entry(block, "c_pot", "oscillator"),
-            _entry(block, "n_pot", "oscillator", int),
-            _entry(block, "alpha", "oscillator"),
-            _series_spec(block.get("g", 1.0), len(nu), cut, "oscillator g"),
-            nu=nu, cut=cut)
-        data = build_oscillator_field(params)
-        pair = solve_flow_to_order(data, cfg.n_target, **cfg.solve_kw)
-        pairs = {"pair": pair}
-        abar = params.alpha * params.g.average()
+    else:
+        pair = solve_flow_to_order(data, cfg.n_target, cfg.branch,
+                                   **cfg.solve_kw)
+    if cfg.problem == "oscillator":
+        abar = cfg.params.alpha * cfg.params.g.average()
         extras["oracle_deltas"] = {
             "quadratic_mean": abs(data.coefficient_y((2, 0)).average() - abar),
             "normal_form_lead": abs(
                 abs(pair.inner_coeff(2)) - math.sqrt(abar / 6.0)),
         }
-    elif problem == "hecu":
-        block = _object(raw.get("hecu"), "hecu")
-        params = HeCuParams(
-            *(_entry(block, key, "hecu") for key in ("D", "alpha_morse", "m", "h")),
-            _entry(block, "g_surface", "hecu", default=0.0),
-            cut=_entry(block, "cut", "hecu", int, 16, 0))
-        stable, unstable, rep, reports = hecu_manifolds(
-            params, cfg.n_target,
-            expansion=block.get("expansion", "displayed"),
-            theta_leading=cfg.theta_leading, return_reports=True)
-        pairs = {"stable": stable, "unstable": unstable}
-        extras["hecu_report"] = rep
-        return None, pairs, extras, reports
-    else:  # pragma: no cover - guarded by RunConfig
-        raise ConfigError("unhandled problem %r" % problem)
-    return data, pairs, extras, None
+    return {"pair": pair}, {"pair": residual_report(data, pair)}, extras
 
 
-def _summarize(cfg, data, pairs, extras, out_dir, ready_reports=None):
-    summary = {"problem": cfg.problem, "branch": cfg.branch,
-               "n_target": cfg.n_target}
-    summary.update(extras)
+def _run_solve(cfg, out_dir):
+    """Solve one checked run and write its pairs, residuals and summary."""
+    pairs, reports, extras = _solve(cfg)
+    summary = dict(extras, problem=cfg.problem, branch=cfg.branch,
+                   n_target=cfg.n_target, residuals={}, orders={})
+    one = len(pairs) == 1
     for name, pair in sorted(pairs.items()):
-        fname = "pair.json" if len(pairs) == 1 else "%s.json" % name
-        _write(out_dir, fname, canonical_json(pair_payload(pair)))
-        rep = None
-        if ready_reports is not None:
-            rep = ready_reports.get(name)
-        elif data is not None:
-            rep = residual_report(data, pair)
-        if rep is not None:
-            csv_name = ("residual.csv" if len(pairs) == 1
-                        else "residual_%s.csv" % name)
-            _write(out_dir, csv_name, residual_csv(rep))
-            summary.setdefault("residuals", {})[name] = report_payload(rep)
-        summary.setdefault("orders", {})[name] = {
+        _write(out_dir, "pair.json" if one else "%s.json" % name,
+               canonical_json(pair_payload(pair)))
+        _write(out_dir, "residual.csv" if one else "residual_%s.csv" % name,
+               residual_csv(reports[name]))
+        summary["residuals"][name] = report_payload(reports[name])
+        summary["orders"][name] = {
             "achieved": pair.order,
             "contract": list(pair.contract_orders()),
             "truncation": pair.trunc,
         }
-    _write(out_dir, "summary.json", canonical_json(summary))
-    return summary
-
-
-def _run_solve(cfg, out_dir):
-    data, pairs, extras, ready_reports = _solve_one(cfg)
-    if cfg.problem == "hecu":
-        # residual measurements come from the solve coordinates; the emitted
-        # pairs live in wall coordinates
+    if "hecu_report" in extras:
         _write(out_dir, "hecu_report.json",
                canonical_json(extras["hecu_report"]))
-    _summarize(cfg, data, pairs, extras, out_dir, ready_reports)
-    return 0
+    _write(out_dir, "summary.json", canonical_json(summary))
 
 
-def _cmd_solve(args, expected_problem):
-    raw = _load_config(args.config)
-    cfg = RunConfig(raw, order=args.order, branch=args.branch)
-    if cfg.problem != expected_problem:
-        raise ConfigError("config problem is %r but the subcommand expects %r"
-                          % (cfg.problem, expected_problem))
-    if cfg.sweep:
-        index = []
-        for i, override in enumerate(cfg.sweep):
-            if not isinstance(override, dict):
-                raise ConfigError("sweep entry %d is not an object" % i)
-            merged = _deep_merge(raw, override)
-            merged.pop("sweep", None)
-            sub = RunConfig(merged, order=args.order, branch=args.branch)
-            sub_dir = os.path.join(args.out, "sweep_%03d" % i)
-            _run_solve(sub, sub_dir)
-            index.append({"entry": i, "override": override,
-                          "dir": "sweep_%03d" % i})
-        _write(args.out, "sweep_index.json", canonical_json(index))
+def _cmd_solve(args):
+    raw = _object(_load_json(args.config), "config root")
+    sweep = raw.pop("sweep", None)
+    if sweep is not None and not (isinstance(sweep, list) and all(
+            isinstance(entry, dict) for entry in sweep)):
+        raise ConfigError("sweep must be a list of override objects")
+    if not sweep:
+        _run_solve(RunConfig(raw, args.command, args.order, args.branch),
+                   args.out)
         return 0
-    return _run_solve(cfg, args.out)
+    # every entry is checked before the first one is solved
+    runs = [RunConfig(_deep_merge(raw, entry), args.command, args.order,
+                      args.branch) for entry in sweep]
+    index = []
+    for i, (cfg, entry) in enumerate(zip(runs, sweep)):
+        _run_solve(cfg, os.path.join(args.out, "sweep_%03d" % i))
+        index.append({"entry": i, "override": entry, "dir": "sweep_%03d" % i})
+    _write(args.out, "sweep_index.json", canonical_json(index))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -373,41 +402,22 @@ def _cmd_solve(args, expected_problem):
 # ---------------------------------------------------------------------------
 
 def _cmd_diagnose(args):
-    raw = _load_config(args.config)
-    cfg = RunConfig(raw, order=args.order, branch=args.branch)
-    if cfg.problem != "custom-map":
-        raise ConfigError("diagnose-operators runs on a custom-map config")
-    data = _map_from_config(raw.get("map"), "map")
-    sec = _object(raw.get("sector"), "sector")
-    beta, rho = (_entry(sec, key, "sector") for key in ("beta", "rho"))
-    diag = _object(raw.get("diagnostics"), "diagnostics")
-    mu = _entry(diag, "mu", "diagnostics", default=0.5)
-    iterates = _entry(diag, "iterates", "diagnostics", int, 1000, 0)
-    grid = _numbers(diag.get("grid", [20, 20]), "diagnostics.grid", int, (1, 1))
-    probe = diag.get("probe")
-    if probe is not None:
-        probe = _object(probe, "diagnostics.probe")
-        probe = {"ball_alpha": _entry(probe, "ball_alpha", "diagnostics.probe",
-                                      default=0.5),
-                 "samples": _numbers(probe.get("samples", [8, 5, 8]),
-                                     "diagnostics.probe.samples", int, (2, 2, 1)),
-                 "n_iter": _entry(probe, "n_iter", "diagnostics.probe", int,
-                                  10, 0)}
-    data.validate_reduced()  # the sector needs a valid leading order k
-    sector = operators.Sector(beta, rho, data.k)
-    pair = solve_to_order(data, cfg.n_target, **cfg.solve_kw)
-    out = {"order": pair.order, "mu": mu,
+    cfg = RunConfig(_object(_load_json(args.config), "config root"),
+                    args.command, args.order, args.branch)
+    sector = cfg.sector
+    pair = solve_to_order(cfg.data, cfg.n_target, cfg.branch, **cfg.solve_kw)
+    out = {"order": pair.order, "mu": cfg.mu,
            "sector": {"beta": sector.beta, "rho": sector.rho, "k": sector.k}}
 
     out["sector_iterates"] = operators.sector_iterate_check(
-        pair.inner, sector, mu, iterates, grid_shape=grid)
+        pair.inner, sector, cfg.mu, cfg.iterates, grid_shape=cfg.grid)
 
     out["inverse_norm_limit"] = operators.map_inverse_norm_limit(
-        pair.order, pair.k, mu, sector.rho)
+        pair.order, pair.k, cfg.mu, sector.rho)
 
-    if probe is not None:
+    if cfg.probe is not None:
         out["contraction"] = operators.contraction_probe(
-            data, pair, sector, mu, **probe)
+            cfg.data, pair, sector, cfg.mu, **cfg.probe)
     _write(args.out, "operators.json", canonical_json(out))
     return 0
 
@@ -418,20 +428,20 @@ def _cmd_diagnose(args):
 
 def _cmd_compare(args):
     def load_pair(path):
+        payload = _load_json(path)
         try:
-            with open(path) as fh:
-                return pair_from_payload(json.load(fh))
-        except OSError as err:
-            raise ConfigError("cannot read %s: %s" % (path, err))
-        except (ValueError, KeyError) as err:
-            raise ConfigError("%s is not a manifold payload: %s" % (path, err))
+            return pair_from_payload(payload)
+        except (ValueError, KeyError, TypeError, IndexError, OverflowError,
+                AttributeError) as err:
+            raise ConfigError("%s is not a manifold payload: %r" % (path, err))
 
+    tol = _positive(args.tol, "--tol")
     a, b = load_pair(args.a), load_pair(args.b)
-    diff = compare_pairs(a, b, tol=args.tol)
+    diff = compare_pairs(a, b, tol=tol)
     report = {
         "a": {"path": args.a, "order": a.order, "branch": a.branch},
         "b": {"path": args.b, "order": b.order, "branch": b.branch},
-        "tol": args.tol,
+        "tol": tol,
         "first_differing_order": diff,
         "identical": all(v is None for v in
                          [diff["x"], diff["y"], diff["inner"]] + diff["theta"]),
@@ -453,14 +463,7 @@ def main(argv=None):
                                  "order-by-order solves and diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve_names = {
-        "solve-map": "custom-map",
-        "solve-flow": "custom-flow",
-        "helicoure": "helicoure",
-        "oscillator": "oscillator",
-        "hecu": "hecu",
-    }
-    for name in list(solve_names) + ["diagnose-operators"]:
+    for name in _PROBLEMS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=".")
@@ -480,7 +483,7 @@ def main(argv=None):
             return _cmd_compare(args)
         if args.command == "diagnose-operators":
             return _cmd_diagnose(args)
-        return _cmd_solve(args, solve_names[args.command])
+        return _cmd_solve(args)
     except ParatoriError as err:
         code, payload = _error_payload(err)
         sys.stderr.write(canonical_json(payload))

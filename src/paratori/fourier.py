@@ -75,11 +75,11 @@ class FourierSeries:
         return s
 
     @classmethod
-    def from_modes(cls, modes, dim, cut, add_conjugate=True):
+    def from_modes(cls, modes, dim, cut):
         """Build from a {mode tuple: complex coeff} dict.
 
-        With ``add_conjugate`` the mirror coefficient of every listed
-        positive mode is filled in automatically so the result is real.
+        The mirror coefficient of every listed nonzero mode is filled in
+        automatically so the result is real.
         """
         s = cls.zero(dim, cut)
         for k, c in modes.items():
@@ -90,13 +90,11 @@ class FourierSeries:
                 raise DimensionMismatch("mode %s outside |k| <= %d" % (k, cut))
             idx = tuple(x + cut for x in k)
             s.coeffs[idx] += complex(c)
-            if add_conjugate and any(x != 0 for x in k):
+            if any(x != 0 for x in k):
                 midx = tuple(-x + cut for x in k)
                 s.coeffs[midx] += np.conj(complex(c))
-        if add_conjugate:
-            # the zero mode must already be real; symmetrize cheaply anyway
-            return cls(s.coeffs)
-        return cls(s.coeffs, symmetrize=False)
+        # the zero mode must already be real; symmetrize cheaply anyway
+        return cls(s.coeffs)
 
     @classmethod
     def from_grid(cls, values, cut):
@@ -312,14 +310,13 @@ class FourierSeries:
 # ----- cohomological equations -------------------------------------------
 
 
-def _check_zero_average(h, avg_tol):
-    if avg_tol is None:
-        return
-    scale = max(1.0, h.coeff_norm())
-    if abs(h.average()) > avg_tol * scale:
+def _check_zero_average(h):
+    """NonZeroAverage unless |mean(h)| <= 1e-10 max(1, coefficient norm)."""
+    tol = 1e-10 * max(1.0, h.coeff_norm())
+    if abs(h.average()) > tol:
         raise NonZeroAverage(
             "right-hand side has average %.3e (tolerance %.3e)"
-            % (h.average(), avg_tol * scale)
+            % (h.average(), tol)
         )
 
 
@@ -339,7 +336,7 @@ def _guarded_divide(h, divisor, mag, floor):
     return FourierSeries(np.asarray(out, dtype=complex))
 
 
-def solve_sd_map(h, omega, floor=1e-12, avg_tol=1e-10):
+def solve_sd_map(h, omega, floor=1e-12):
     """Solve phi(theta + omega) - phi(theta) = h(theta) with zero average.
 
     Coefficients: phi_k = h_k / (e^{2 pi i k.omega} - 1) for k != 0 and
@@ -349,14 +346,14 @@ def solve_sd_map(h, omega, floor=1e-12, avg_tol=1e-10):
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if h.dim != omega.size:
         raise DimensionMismatch("omega length %d vs series dim %d" % (omega.size, h.dim))
-    _check_zero_average(h, avg_tol)
+    _check_zero_average(h)
     if h.dim == 0:
         return FourierSeries.zero(0, 0)
     divisor = np.exp(TWO_PI_I * _mode_dot(h.cut, h.dim, omega)) - 1.0
     return _guarded_divide(h, divisor, np.abs(divisor), floor)
 
 
-def solve_sd_flow(h, freqs, floor=1e-12, avg_tol=1e-10):
+def solve_sd_flow(h, freqs, floor=1e-12):
     """Solve the directional derivative equation freqs . grad phi = h.
 
     Coefficients: phi_k = h_k / (2 pi i k.freqs) for k != 0, phi_0 = 0.
@@ -365,7 +362,7 @@ def solve_sd_flow(h, freqs, floor=1e-12, avg_tol=1e-10):
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     if h.dim != freqs.size:
         raise DimensionMismatch("freqs length %d vs series dim %d" % (freqs.size, h.dim))
-    _check_zero_average(h, avg_tol)
+    _check_zero_average(h)
     if h.dim == 0:
         return FourierSeries.zero(0, 0)
     kf = _mode_dot(h.cut, h.dim, freqs)
@@ -394,19 +391,20 @@ def diophantine_margin(freqs, k_max, kind="map"):
     return float(mag[idx]), tuple(int(i) - k_max for i in idx)
 
 
-def reciprocal(f, floor=1e-12, oversample=8):
+def reciprocal(f):
     """Truncated Fourier series of 1/f.
 
-    Samples f on an oversampled grid, inverts pointwise and truncates back;
-    raises CNotInvertible when |f| dips below ``floor`` on the grid.
+    Samples f on a grid eight times finer than its mode box, inverts
+    pointwise and truncates back; raises CNotInvertible when |f| dips below
+    1e-12 on the grid.
     """
+    floor = 1e-12
     if f.dim == 0:
         v = f.average()
         if abs(v) < floor:
             raise CNotInvertible("constant %.3e is numerically zero" % v)
         return FourierSeries.constant(1.0 / v, 0, 0)
-    n = oversample * (2 * f.cut + 1)
-    vals = f.values_on_grid(n)
+    vals = f.values_on_grid(8 * (2 * f.cut + 1))
     if float(np.min(np.abs(vals))) < floor:
         raise CNotInvertible(
             "function reaches %.3e on the grid" % float(np.min(np.abs(vals)))

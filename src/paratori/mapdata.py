@@ -321,9 +321,9 @@ def _inverse_change(h, deg):
     return Y
 
 
-def _drop_dust(terms, tol):
-    """Remove terms whose coefficients are Fourier-truncation dust."""
-    return {lm: s for lm, s in terms.items() if s.coeff_norm() > tol}
+def _drop_dust(terms, scale):
+    """Drop Fourier-truncation dust: terms of norm at most 1e-10 * scale."""
+    return {lm: s for lm, s in terms.items() if s.coeff_norm() > 1e-10 * scale}
 
 
 def _shear_change(data, kind, deg):
@@ -343,13 +343,13 @@ def _shear_change(data, kind, deg):
     return c, f, g, NormalizationRecord(c, h, _inverse_change(h, deg))
 
 
-def reduce_general_map(mp, deg, tol=1e-10):
+def reduce_general_map(mp, deg):
     """Normalize a map so its x-part becomes exactly  x + c(theta) * y.
 
     The input needs an invertible shear coefficient on the  y  term of the
     x-part; everything else in the x-part is absorbed into a new vertical
     variable.  Returns (reduced map, NormalizationRecord).  Coefficients
-    below ``tol`` (times the data size) are discarded: the normalization is
+    below 1e-10 times the data size are discarded: the normalization is
     exact only up to the Fourier cut, so forbidden slots collect dust at the
     truncation level.
     """
@@ -385,15 +385,15 @@ def reduce_general_map(mp, deg, tol=1e-10):
         cut,
         mp.freqs,
         {(0, 1): c},
-        _drop_dust(y_terms, tol * scale),
-        [_drop_dust(dict(B.terms), tol * scale) for B in Bs_n],
+        _drop_dust(y_terms, scale),
+        [_drop_dust(dict(B.terms), scale) for B in Bs_n],
         k=mp.k,
         p=mp.p,
     )
     return reduced, record
 
 
-def reduce_general_field(fd, deg, tol=1e-10):
+def reduce_general_field(fd, deg):
     """Normalize a field so its x-part becomes exactly  c(theta) * y."""
     c, Xx, g, record = _shear_change(fd, "field", deg)
     dim, cut, Y = fd.dim, fd.cut, record.inverse
@@ -422,8 +422,8 @@ def reduce_general_field(fd, deg, tol=1e-10):
         cut,
         fd.freqs,
         {(0, 1): c},
-        _drop_dust(dict(ynew_dot.terms), tol * scale),
-        [_drop_dust(dict(B.terms), tol * scale) for B in Bs_n],
+        _drop_dust(dict(ynew_dot.terms), scale),
+        [_drop_dust(dict(B.terms), scale) for B in Bs_n],
         k=fd.k,
         p=fd.p,
     )

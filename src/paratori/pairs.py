@@ -164,12 +164,6 @@ class ResidualReport:
         #   name, expected_order, sups, slope, annihilated_max, scale, exact
         self.components = components
 
-    def component(self, name):
-        for c in self.components:
-            if c["name"] == name:
-                return c
-        raise KeyError(name)
-
 
 def residual_report(data, pair, u_lo=1e-3, u_hi=1e-2, n_u=9, n_grid=24):
     """Measure the invariance defect order-by-order.

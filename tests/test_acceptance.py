@@ -157,7 +157,7 @@ def test_wall_scattering_constants():
     # 1e-10 relative, plus the branch sign pattern
     from paratori.applications import HeCuParams, hecu_manifolds
     p = HeCuParams(D=6.35, alpha_morse=1.05, m=1.0, h=2 * 6.35)
-    stable, unstable, report = hecu_manifolds(p, 5)
+    stable, unstable, report, _ = hecu_manifolds(p, 5)
     assert max(report["relative_deviations"].values()) <= 1e-10
     sp = report["sign_pattern"]
     assert sp["stable_contracts"] and sp["unstable_expands"]

@@ -139,7 +139,7 @@ def test_wall_energy_threshold():
 
 def test_wall_manifolds_report():
     p = HeCuParams(D=6.35, alpha_morse=1.05, m=1.0, h=2 * 6.35)
-    stable, unstable, report = hecu_manifolds(p, 5)
+    stable, unstable, report, _ = hecu_manifolds(p, 5)
     devs = report["relative_deviations"]
     assert max(devs.values()) <= 1e-10
     sp = report["sign_pattern"]
@@ -156,7 +156,7 @@ def test_wall_pullback_changes_vertical_jet_only():
     p = HeCuParams(D=6.35, alpha_morse=1.05, m=1.0, h=2 * 6.35)
     fd, record = build_hecu_field(p, deg=7)
     normalized = solve_helicoure(fd, 5)
-    stable, _, _ = hecu_manifolds(p, 5)
+    stable, _, _, _ = hecu_manifolds(p, 5)
     for n in normalized.x.orders():
         assert (normalized.x.coefficient(n)
                 - stable.x.coefficient(n)).coeff_norm() < 1e-14

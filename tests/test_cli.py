@@ -244,7 +244,8 @@ def test_contract_violation_is_typed_under_optimize(tmp_path):
     # the invariance contract is checked by a typed error, so it still runs
     # (and names where it failed) when python -O strips assert statements
     for name, base, command in (("map", MAP_CONFIG, "solve-map"),
-                                ("heli", HELI_CONFIG, "helicoure")):
+                                ("heli", HELI_CONFIG, "helicoure"),
+                                ("hecu", HECU_CONFIG, "hecu")):
         cfg_data = json.loads(json.dumps(base))
         cfg_data["assert_tol"] = 1e-300
         cfg = write_config(tmp_path, cfg_data, "%s.json" % name)
@@ -278,6 +279,19 @@ MALFORMED = [
     ("k_missing", lambda c: c["map"].pop("k")),
     ("coefficient_nan", lambda c: c["map"]["y_terms"]["2,0"]
      .update(const=math.nan)),
+    ("n_target_not_integral", lambda c: c.update(n_target=3.9)),
+    ("cut_not_integral", lambda c: c["map"].update(cut=16.5)),
+    ("assert_tol_a_string", lambda c: c.update(assert_tol="1e-9")),
+    ("theta_leading_unknown", lambda c: c.update(theta_leading="x")),
+    # every sweep entry is checked before the first one is solved
+    ("sweep_later_entry_malformed",
+     lambda c: c.update(sweep=[{}, {"map": {"cut": -1}}])),
+    ("sweep_entry_switches_problem",
+     lambda c: c.update(sweep=[{}, {"problem": "hecu",
+                                    "hecu": {"D": 6.35, "alpha_morse": 1.05,
+                                             "m": 1.0, "h": 12.7}}])),
+    ("sweep_entry_holds_a_sweep",
+     lambda c: c.update(sweep=[{}, {"sweep": []}])),
 ]
 
 
@@ -296,6 +310,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, edit):
     assert err["exit_code"] == 2
     assert err["error"] in ("ConfigError", "DimensionMismatch",
                             "StructureViolation")
+    assert not (tmp_path / "o").exists()
 
 
 # malformed operator, oscillator and hecu blocks: each edit is caught before
@@ -331,6 +346,10 @@ MALFORMED_BLOCKS = [
      lambda c: c["hecu"].update(D="abc")),
     ("hecu_cut_negative", "hecu", HECU_CONFIG,
      lambda c: c["hecu"].update(cut=-1)),
+    ("hecu_expansion_unknown", "hecu", HECU_CONFIG,
+     lambda c: c["hecu"].update(expansion="x")),
+    ("diagnose_with_a_sweep", "diagnose-operators", DIAG_CONFIG,
+     lambda c: c.update(sweep=[{}])),
 ]
 
 
@@ -345,7 +364,8 @@ def test_malformed_block_exits_2_before_the_solve(tmp_path, capsys,
     def no_solve(*args, **kwargs):
         raise RuntimeError("the solve started on a malformed config")
 
-    for name in ("solve_to_order", "solve_flow_to_order", "hecu_manifolds"):
+    for name in ("solve_to_order", "solve_flow_to_order", "solve_helicoure",
+                 "hecu_manifolds"):
         monkeypatch.setattr(cli, name, no_solve)
     cfg_data = json.loads(json.dumps(base))
     edit(cfg_data)
@@ -356,3 +376,47 @@ def test_malformed_block_exits_2_before_the_solve(tmp_path, capsys,
     err = json.loads(stderr)
     assert set(err) == {"error", "exit_code", "message", "detail"}
     assert err["error"] == "ConfigError" and err["exit_code"] == 2
+
+
+@pytest.fixture(scope="module")
+def order_3_and_4_pairs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("pairs")
+    cfg = write_config(work, MAP_CONFIG)
+    paths = []
+    for order in ("3", "4"):
+        code = main(["solve-map", "--config", str(cfg), "--out",
+                     str(work / order), "--order", order])
+        assert code == 0
+        paths.append(str(work / order / "pair.json"))
+    return paths
+
+
+# bad compare input: a --tol value, or an edit of the saved order-3 pair
+MALFORMED_COMPARE = [
+    ("tol_nan", "nan", None),
+    ("tol_infinite", "inf", None),
+    ("tol_negative", "-1", None),
+    ("tol_zero", "0", None),
+    ("cut_null", "1e-11", lambda c: c.update(cut=None)),
+    ("order_infinite", "1e-11", lambda c: c.update(order=math.inf)),
+    ("inner_a_list", "1e-11", lambda c: c.update(inner=[])),
+    ("mode_null", "1e-11",
+     lambda c: c["x"]["2"]["modes"][0].__setitem__(0, None)),
+    ("mode_outside_box", "1e-11",
+     lambda c: c["x"]["2"]["modes"][0].__setitem__(0, [99])),
+]
+
+
+@pytest.mark.parametrize("tol,edit", [case[1:] for case in MALFORMED_COMPARE],
+                         ids=[case[0] for case in MALFORMED_COMPARE])
+def test_compare_rejects_bad_input(tmp_path, capsys, order_3_and_4_pairs,
+                                   tol, edit):
+    a, b = order_3_and_4_pairs
+    if edit is not None:
+        payload = json.loads(open(a).read())
+        edit(payload)
+        a = str(write_config(tmp_path, payload, "pair.json"))
+    code = main(["compare", a, b, "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 2, captured.out
+    assert json.loads(captured.err)["error"] == "ConfigError"

@@ -1,0 +1,143 @@
+"""Exit-code contract fuzzer: every subcommand, run in process on a mutated
+small config (compare: a mutated pair payload), exits 0, 2, 3, 4 or 5, and
+a nonzero exit writes exactly the documented JSON object to stderr."""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from paratori.cli import main
+
+GOLDEN = 0.6180339887498949
+
+# small base configs (cut 4, order 3) of the solve subcommands
+MAP = {"problem": "custom-map", "n_target": 3, "branch": "stable",
+       "sd_floor": 1e-12, "assert_tol": 1e-9,
+       "map": {"cut": 4, "freqs": [GOLDEN], "d": 1, "k": 2, "p": 1,
+               "x_terms": {"0,1": {"const": 1.0, "modes": {"1": [0.05, 0.0]}}},
+               "y_terms": {"2,0": {"const": 6.0, "modes": {"1": [0.5, 0.0]}}},
+               "theta_terms": [{"1,0": 1.0}]}}
+BASES = {
+    "solve-map": dict(MAP, sweep=[{"branch": "unstable"}]),
+    "solve-flow": {
+        "problem": "custom-flow", "n_target": 3, "trunc": 12,
+        "field": {"cut": 4, "freqs": [GOLDEN, 1.4142135623730951], "d": 1,
+                  "drive": 1, "k": 2, "p": 1,
+                  "x_terms": {"0,1": 1.0},
+                  "y_terms": {"2,0": {"const": 6.0,
+                                      "modes": {"1,1": [0.2, 0.0]}}},
+                  "theta_terms": [{"1,0": 1.0}]}},
+    "helicoure": {
+        "problem": "helicoure", "n_target": 3,
+        "theta_leading": "cohomological",
+        "field": {"cut": 4, "freqs": [0.41421356237309515], "d": 1,
+                  "x_terms": {"0,1": 2.0},
+                  "y_terms": {"1,1": {"const": -1.0,
+                                      "modes": {"1": [0.2, 0.0]}},
+                              "0,2": 0.1},
+                  "theta_terms": [{"0,1": 3.0, "2,0": 0.25}]}},
+    "oscillator": {
+        "problem": "oscillator", "n_target": 3,
+        "oscillator": {"c_pot": 1.0, "n_pot": 2, "alpha": 1.0,
+                       "nu": [1.4142135623730951],
+                       "g": {"const": 1.0, "modes": {"1": [0.15, 0.0]}},
+                       "cut": 4}},
+    "hecu": {
+        "problem": "hecu", "n_target": 3, "theta_leading": "closed_form",
+        "hecu": {"D": 6.35, "alpha_morse": 1.05, "m": 1.0, "h": 12.7,
+                 "g_surface": 0.0, "cut": 4, "expansion": "displayed"}},
+    "diagnose-operators": dict(
+        MAP, sector={"beta": 1.5707963267948966, "rho": 0.02},
+        diagnostics={"mu": 0.5, "iterates": 10, "grid": [4, 4]}),
+}
+
+# what replaces a leaf
+VALUES = [None, True, "x", [], {}, -1, 0, 0.5, 2.5, math.nan, math.inf,
+          -math.inf]
+
+
+def _paths(node, prefix=()):
+    """(path, is_leaf) of every object member and list item below node."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,), not isinstance(child, (dict, list))
+        yield from _paths(child, prefix + (key,))
+
+
+def mutations(base):
+    """Every deletion of an object key and every leaf replacement."""
+    out = []
+    for path, leaf in _paths(base):
+        if isinstance(path[-1], str):
+            out.append((path, "delete"))
+        if leaf:
+            out += [(path, value) for value in VALUES]
+    return out
+
+
+def mutate(base, mutation):
+    path, value = mutation
+    out = copy.deepcopy(base)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    if value == "delete":
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return out
+
+
+def run(command, payload, work, pair_path):
+    """Write the input into ``work`` and run the subcommand on it in
+    process; compare gets the input as its first pair.  Returns the exit
+    code and stderr."""
+    path = os.path.join(work, "input.json")
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    out = os.path.join(work, "out")
+    argv = ([command, path, pair_path] if command == "compare"
+            else [command, "--config", path]) + ["--out", out]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def saved_pair(tmp_path_factory):
+    """A pair payload of the small map, the base input of compare."""
+    work = tmp_path_factory.mktemp("pair")
+    code, stderr = run("solve-map", MAP, str(work), None)
+    assert code == 0, stderr
+    path = work / "out" / "pair.json"
+    return str(path), json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("command", sorted(BASES) + ["compare"])
+def test_exit_contract_holds_on_mutated_input(command, saved_pair):
+    pair_path, pair = saved_pair
+    base = pair if command == "compare" else BASES[command]
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(st.sampled_from(mutations(base)))
+    def fuzz(mutation):
+        with tempfile.TemporaryDirectory() as work:
+            code, stderr = run(command, mutate(base, mutation), work,
+                               pair_path)
+        assert code in (0, 2, 3, 4, 5), (code, stderr)
+        if code:
+            payload = json.loads(stderr)
+            assert set(payload) == {"error", "exit_code", "message", "detail"}
+            assert payload["exit_code"] == code
+
+    fuzz()
