@@ -37,6 +37,11 @@ from .map_solver import solve_to_order
 from .mapdata import TaylorFourierMap
 from .pairs import compare_pairs, residual_report
 
+# the most coefficients one Fourier series of a config may hold: a mode
+# box of (2 cut + 1)^dim coefficients above it is a ConfigError (the
+# largest supported runs use a few hundred)
+MAX_BOX = 2 ** 16
+
 _CODE_CONFIG = 2
 _CODE_HYPOTHESIS = 3
 _CODE_SMALL_DIVISOR = 4
@@ -128,6 +133,17 @@ def _entry(block, key, what, cast=float, default=None, least=-math.inf):
     return _number(block.get(key, default), "%s.%s" % (what, key), cast, least)
 
 
+def _cut(block, what, dim, default=None):
+    """``block["cut"]``: a non-negative integer whose mode box of
+    (2 cut + 1)^dim coefficients holds at most MAX_BOX."""
+    cut = _entry(block, "cut", what, int, default, 0)
+    # compared in logarithms: the box of a huge cut or dim is never built
+    if dim * math.log(2 * cut + 1) > math.log(MAX_BOX):
+        raise ConfigError("%s.cut: a box of (2*%d+1)^%d modes exceeds %d "
+                          "coefficients" % (what, cut, dim, MAX_BOX))
+    return cut
+
+
 def _numbers(value, what, cast=float, least=None):
     """A config list of numbers; ``least`` fixes its length and bounds."""
     if not isinstance(value, list) or (least and len(value) != len(least)):
@@ -193,7 +209,7 @@ def _map_from_config(block, kind):
     if kind == "map" and drive:
         raise ConfigError("maps take no drive axes; bake forcing into d")
     dim = d + drive
-    cut = _entry(block, "cut", kind, int, least=0)
+    cut = _cut(block, kind, dim)
     k, p = (None if block.get(key) is None else _number(block[key], key, int)
             for key in ("k", "p"))
     theta_blocks = block.get("theta_terms", [])
@@ -248,7 +264,7 @@ class RunConfig:
                 *(_entry(block, key, "hecu")
                   for key in ("D", "alpha_morse", "m", "h")),
                 _entry(block, "g_surface", "hecu", default=0.0),
-                cut=_entry(block, "cut", "hecu", int, 16, 0))
+                cut=_cut(block, "hecu", 1, 16))
             self.expansion = block.get("expansion", "displayed")
             if self.expansion not in ("displayed", "expanded"):
                 raise ConfigError("hecu.expansion must be displayed or "
@@ -256,7 +272,7 @@ class RunConfig:
         elif self.problem == "oscillator":
             block = _object(raw.get("oscillator"), "oscillator")
             nu = _numbers(block.get("nu", []), "oscillator.nu")
-            cut = _entry(block, "cut", "oscillator", int, 16, 0)
+            cut = _cut(block, "oscillator", len(nu), 16)
             self.params = OscillatorParams(
                 _entry(block, "c_pot", "oscillator"),
                 _entry(block, "n_pot", "oscillator", int),

@@ -121,9 +121,9 @@ def _solve_shear_direct(fd, n_target, theta_leading, trunc, sd_floor, assert_tol
     )
 
     # oscillatory completion at the order-0 contract orders (2, 3, 2)
-    close_order(fd, pair, sd_floor, assert_tol)
+    residual = close_order(fd, pair, sd_floor, assert_tol)
     while pair.order < n_target:
-        extend_order(fd, pair, sd_floor, assert_tol)
+        residual = extend_order(fd, pair, residual, sd_floor, assert_tol)
     return pair
 
 

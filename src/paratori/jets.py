@@ -11,7 +11,11 @@ components of manifold parameterizations and their residuals;
 ``angle_taylor`` (the expansion of s(theta + W) in the displacement W) and
 ``substitute`` (a term table evaluated at two polynomials and angle
 displacements) are written once for both; ``eval_xy_terms`` and
-``XYPoly.subst`` are built on them.
+``XYPoly.subst`` are built on them.  They read every power of the
+substituted polynomials and of the displacements from one
+``power_table``, built once per substitution and shared by all the term
+tables substituted at the same point (the 2 + d tables of one residual),
+so no power is multiplied out twice.
 
 ``UPoly`` is the scalar-coefficient special case used for normal forms (the
 inner dynamics), kept separate because composing and reverting it is much
@@ -372,31 +376,59 @@ class TFJet(FTPoly):
 # ----- substitution with its angle-argument Taylor expansion -----------------
 
 
-def angle_taylor(poly, tails):
-    """Expand poly(theta + W) in powers of the displacement W.
+def power_table(px, py, tails, trunc, tables):
+    """Every power that substituting (px, py, theta + W) into the term
+    ``tables`` needs, each built once.
 
-    ``poly`` is an ``FTPoly`` whose coefficients are evaluated at displaced
-    angles; ``tails`` lists one displacement W_a of poly's class per angle
-    axis (None for none).  Every nonzero displacement must have positive
-    minimum order so the expansion terminates at poly's truncation order.
+    Returns (xp, yp, wp): xp[l] = px^l and yp[m] = py^m up to the largest
+    exponents in ``tables``, truncated at ``trunc``, and for every angle axis
+    wp[a] = [1, W_a, W_a^2, ...] up to W_a^(trunc // min_order(W_a)) or the
+    first zero power (None for an absent or zero displacement).  ``tails``
+    lists one displacement W_a of px's class per angle axis (None for none);
+    every nonzero displacement must vanish at the origin so the angle
+    expansion terminates.
     """
-    trunc = poly.trunc
-    one = poly._constant(1.0, trunc)
-    for axis, w in enumerate(tails):
+    one = px._constant(1.0, trunc)
+    exponents = [lm for terms in tables for lm in terms]
+    xp = [one]
+    for _ in range(max((l for l, _ in exponents), default=0)):
+        xp.append(xp[-1] * px)
+    yp = [one]
+    for _ in range(max((m for _, m in exponents), default=0)):
+        yp.append(yp[-1] * py)
+    wp = []
+    for w in tails:
         if w is None or w.is_zero():
+            wp.append(None)
             continue
         if w.min_order < 1:
             raise StructureViolation("angle displacement must vanish at the origin")
-        depth = trunc // w.min_order
+        pows = [one]
+        for _ in range(trunc // w.min_order):
+            w_pow = pows[-1] * w
+            if w_pow.is_zero():
+                break
+            pows.append(w_pow)
+        wp.append(pows)
+    return xp, yp, wp
+
+
+def angle_taylor(poly, wp):
+    """Expand poly(theta + W) in powers of the displacement W.
+
+    ``poly`` is an ``FTPoly`` whose coefficients are evaluated at displaced
+    angles; ``wp`` holds per angle axis the powers [1, W_a, W_a^2, ...] of
+    ``power_table`` (None for no displacement).
+    """
+    trunc = poly.trunc
+    for axis, w_pows in enumerate(wp):
+        if w_pows is None:
+            continue
         acc = poly._empty(trunc)
         d_poly = poly
-        w_pow = one
-        for j in range(depth + 1):
+        for j, w_pow in enumerate(w_pows):
             if j > 0:
-                w_pow = w_pow * w
                 d_poly = d_poly.diff_theta(axis)
-                if w_pow.is_zero():
-                    break
             acc = acc + (d_poly * w_pow).scale(1.0 / math.factorial(j))
             if d_poly.is_zero():
                 break
@@ -404,32 +436,25 @@ def angle_taylor(poly, tails):
     return poly
 
 
-def substitute(terms, px, py, tails, trunc):
+def substitute(terms, powers, trunc):
     """Evaluate an {(l, m): series-or-float} term table at polynomials.
 
     Computes  sum_{l,m} s_{lm}(theta + W) * px^l * py^m  truncated at
-    ``trunc``, in the class and box of px; ``tails`` as in angle_taylor.
+    ``trunc``, in the class and box of px, from the ``power_table`` of
+    (px, py, W) built for this table (and possibly others).
     """
-    out = px._empty(trunc)
-    if not terms:
-        return out
-    lmax = max(l for l, _ in terms)
-    mmax = max(m for _, m in terms)
-    xp = {0: px._constant(1.0, trunc)}
-    for l in range(1, lmax + 1):
-        xp[l] = xp[l - 1] * px
-    yp = {0: xp[0]}
-    for m in range(1, mmax + 1):
-        yp[m] = yp[m - 1] * py
+    xp, yp, wp = powers
+    out = xp[0]._empty(trunc)
     for (l, m), s in sorted(terms.items()):
-        coeff = angle_taylor(px._constant(s, trunc), tails)
+        coeff = angle_taylor(xp[0]._constant(s, trunc), wp)
         out = out + coeff * xp[l] * yp[m]
     return out
 
 
-def eval_xy_terms(terms, jx, jy, tails, trunc):
+def eval_xy_terms(terms, powers, trunc):
     """Evaluate an {(l, m): series-or-float} term table at u-jets.
 
-    Computes  sum_{l,m} s_{lm}(theta + W) * jx^l * jy^m  truncated in u.
+    Computes  sum_{l,m} s_{lm}(theta + W) * jx^l * jy^m  truncated in u,
+    from the ``power_table`` of (jx, jy, W).
     """
-    return substitute(terms, jx, jy, tails, trunc)
+    return substitute(terms, powers, trunc)

@@ -20,6 +20,13 @@ and checks the invariance contract.  Only the averaged system is
 class-specific.  In the power class it is singular exactly once, at step
 n = k, where the normal-form correction r_{2k-1} restores solvability and
 the new average x-coefficient is fixed to zero by convention.
+
+Each step evaluates the invariance defect twice: once after the averaged
+step, for the cohomological right-hand sides, and once for the contract
+check.  The checked residual is exact for the pair as it leaves the step,
+so ``close_order`` (and through it ``init_order2`` and ``extend_order``)
+returns it, and the next ``extend_order`` reads its averages from it
+instead of evaluating the defect again.
 """
 
 import numpy as np
@@ -72,7 +79,8 @@ def default_trunc(n_target, k, p):
 
 
 def init_order2(mp, branch="stable", trunc=None, sd_floor=1e-12, assert_tol=1e-9):
-    """Seed pair satisfying the invariance contract at order 2.
+    """Seed pair satisfying the invariance contract at order 2, and its
+    checked residual (the opening residual of the first ``extend_order``).
 
     The averages come from closed forms (the square-root balance between the
     shear and the leading coefficient); the oscillatory parts solve one
@@ -111,13 +119,13 @@ def init_order2(mp, branch="stable", trunc=None, sd_floor=1e-12, assert_tol=1e-9
         },
     )
     # oscillatory completion at the order-1 contract orders (k+1, 2k, 2p)
-    close_order(mp, pair, sd_floor, assert_tol)
-    return pair
+    return pair, close_order(mp, pair, sd_floor, assert_tol)
 
 
 def _check_contract(data, pair, tol):
     """Raise ContractViolated unless every defect coefficient below the
-    contract orders is within ``tol`` times the size of the pair.
+    contract orders is within ``tol`` times the size of the pair; return
+    the residual jets it checked.
 
     In the shear class's closed-form convention the order-2 angle average
     is a documented defect (``theta_leading_defect``), so only its
@@ -139,11 +147,13 @@ def _check_contract(data, pair, tol):
             defect = coeff.coeff_norm()
             if not defect <= bound:
                 raise ContractViolated(n, name, defect, bound)
+    return gx, gy, gt
 
 
 def close_order(data, pair, sd_floor, assert_tol):
     """End of every order step and seed: solve the oscillatory parts at the
-    contract orders of the current order, raise the order, check it."""
+    contract orders of the current order, raise the order, check it.
+    Returns the checked residual, which opens the next order step."""
     if pair.dim:
         sd = _sd_solver(data, sd_floor)
         ox, oy, ot = pair.contract_orders()
@@ -154,7 +164,7 @@ def close_order(data, pair, sd_floor, assert_tol):
             pair.tails[a].add_to_coefficient(
                 ot, sd(gt[a].coefficient(ot).oscillatory()))
     pair.order += 1
-    _check_contract(data, pair, assert_tol)
+    return _check_contract(data, pair, assert_tol)
 
 
 def _solve_average(pair, n, mat, rhs):
@@ -273,13 +283,16 @@ def _shear_average_step(fd, pair, gxb, gyb, gtb):
     return (n, xi), (n + 1, eta), (n, ws), (3, y3)
 
 
-def extend_order(data, pair, sd_floor=1e-12, assert_tol=1e-9):
+def extend_order(data, pair, opening, sd_floor=1e-12, assert_tol=1e-9):
     """One induction step: raise the invariance order of the pair by one.
 
     The one order step for maps and fields and for both structure classes:
     the averaged defect at the contract orders fixes the new averages
     through the class's linear step, then ``close_order`` completes the
-    oscillatory parts and checks the contract.
+    oscillatory parts and checks the contract.  ``opening`` is the residual
+    ``residual_jets(data, pair)`` of the pair as it stands, as the previous
+    step (or the seed) returned it; the closing residual is returned for
+    the next step.
     """
     orders = pair.contract_orders()
     top = max(o for o in orders if o is not None)
@@ -287,7 +300,7 @@ def extend_order(data, pair, sd_floor=1e-12, assert_tol=1e-9):
         raise TruncationTooLow(
             "step %d needs order %d, truncation is %d" % (pair.order, top, pair.trunc))
     ox, oy, ot = orders
-    gx, gy, gt = residual_jets(data, pair)
+    gx, gy, gt = opening
     average_step = (_shear_average_step if pair.family == "shear"
                     else _power_average_step)
     (nx, xi), (ny, eta), (nw, ws), (nr, rho) = average_step(
@@ -302,8 +315,7 @@ def extend_order(data, pair, sd_floor=1e-12, assert_tol=1e-9):
     if rho != 0.0:
         pair.inner = pair.inner + UPoly({nr: rho}, pair.inner.trunc)
 
-    close_order(data, pair, sd_floor, assert_tol)
-    return pair
+    return close_order(data, pair, sd_floor, assert_tol)
 
 
 def solve_to_order(mp, n_target, branch="stable", trunc=None, sd_floor=1e-12,
@@ -318,10 +330,10 @@ def solve_to_order(mp, n_target, branch="stable", trunc=None, sd_floor=1e-12,
     mp.validate_reduced()  # default_trunc reads k and p
     if trunc is None:
         trunc = default_trunc(n_target, mp.k, mp.p)
-    pair = init_order2(mp, branch, trunc, sd_floor, assert_tol)
+    pair, residual = init_order2(mp, branch, trunc, sd_floor, assert_tol)
     history = [pair.copy()] if snapshots else None
     while pair.order < n_target:
-        extend_order(mp, pair, sd_floor, assert_tol)
+        residual = extend_order(mp, pair, residual, sd_floor, assert_tol)
         if snapshots:
             history.append(pair.copy())
     if snapshots:

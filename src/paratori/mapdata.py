@@ -13,8 +13,9 @@ so that the first component becomes exactly  x + c(theta) * y  (maps) or
 c(theta) * y  (fields); ``NormalizationRecord`` remembers the change of
 variables so computed manifolds can be pulled back.  Its arithmetic is the
 ``jets.FTPoly`` core shared with ``TFJet``, and ``XYPoly.subst`` is
-``jets.substitute``, the same code that evaluates term tables at u-jets;
-only the x- and y-derivatives are its own.  ``eval_terms`` is the one
+``jets.substitute``, the same code that evaluates term tables at u-jets,
+on a ``jets.power_table`` it builds once per call; only the x- and
+y-derivatives are its own.  ``eval_terms`` is the one
 pointwise evaluator of a term table.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, StructureViolation
 from .fourier import FourierSeries, reciprocal
-from .jets import FTPoly, eval_xy_terms, substitute
+from .jets import FTPoly, eval_xy_terms, power_table, substitute
 
 
 class XYPoly(FTPoly):
@@ -70,7 +71,8 @@ class XYPoly(FTPoly):
         """
         if (0, 0) in px.terms or (0, 0) in py.terms:
             raise StructureViolation("substituted polynomials need zero constant term")
-        return substitute(self.terms, px, py, tails, self.trunc)
+        powers = power_table(px, py, tails, self.trunc, [self.terms])
+        return substitute(self.terms, powers, self.trunc)
 
     def eval(self, x, y, ang=None):
         out = eval_terms(self.terms, x, y, ang)
@@ -78,7 +80,8 @@ class XYPoly(FTPoly):
 
     def to_jet(self, jx, jy, tails, trunc):
         """Evaluate at u-jets (x -> jx, y -> jy, theta_a -> theta_a + W_a)."""
-        return eval_xy_terms(self.terms, jx, jy, tails, trunc)
+        powers = power_table(jx, jy, tails, trunc, [self.terms])
+        return eval_xy_terms(self.terms, powers, trunc)
 
 
 def eval_terms(terms, x, y, ang=None):

@@ -14,7 +14,7 @@ the annihilated lower-order coefficients are numerically zero.
 
 import numpy as np
 
-from .jets import UPoly, eval_xy_terms
+from .jets import UPoly, eval_xy_terms, power_table
 
 
 class ManifoldPair:
@@ -83,21 +83,20 @@ def residual_jets(data, pair):
     Maps:    F(K(u, theta)) - K(r(u), theta + omega)
     Fields:  X(K(u, theta)) - DK(u, theta) . (Y(u), freqs)
     The angle components are expressed through the tails, so the trivial
-    rotation part cancels identically.
+    rotation part cancels identically.  One ``power_table`` of the
+    substitution (x-jet, y-jet, theta + tails) serves all 2 + d term tables.
     """
     tails = pair.tails
     trunc = pair.x.trunc
+    tables = [data.x_terms, data.y_terms] + list(data.theta_terms)
+    powers = power_table(pair.x, pair.y, tails, trunc, tables)
+    fx, fy, *ft = (eval_xy_terms(terms, powers, trunc) for terms in tables)
     if data.kind == "map":
         om = np.asarray(data.freqs, dtype=float)
-        gx = pair.x + eval_xy_terms(data.x_terms, pair.x, pair.y, tails, trunc) \
-            - pair.x.compose_inner(pair.inner, om)
-        gy = pair.y + eval_xy_terms(data.y_terms, pair.x, pair.y, tails, trunc) \
-            - pair.y.compose_inner(pair.inner, om)
-        gt = [
-            tails[a] + eval_xy_terms(data.theta_terms[a], pair.x, pair.y, tails, trunc)
-            - tails[a].compose_inner(pair.inner, om)
-            for a in range(pair.d)
-        ]
+        gx = pair.x + fx - pair.x.compose_inner(pair.inner, om)
+        gy = pair.y + fy - pair.y.compose_inner(pair.inner, om)
+        gt = [tails[a] + ft[a] - tails[a].compose_inner(pair.inner, om)
+              for a in range(pair.d)]
         return gx, gy, gt
 
     freqs = np.asarray(data.freqs, dtype=float)
@@ -109,13 +108,9 @@ def residual_jets(data, pair):
                 out = out + jet.diff_theta(j).scale(freqs[j])
         return out
 
-    gx = eval_xy_terms(data.x_terms, pair.x, pair.y, tails, trunc) - transport(pair.x)
-    gy = eval_xy_terms(data.y_terms, pair.x, pair.y, tails, trunc) - transport(pair.y)
-    gt = [
-        eval_xy_terms(data.theta_terms[a], pair.x, pair.y, tails, trunc)
-        - transport(tails[a])
-        for a in range(pair.d)
-    ]
+    gx = fx - transport(pair.x)
+    gy = fy - transport(pair.y)
+    gt = [ft[a] - transport(tails[a]) for a in range(pair.d)]
     return gx, gy, gt
 
 
@@ -124,13 +119,14 @@ def compare_pairs(a, b, tol=1e-11):
 
     Returns {"x": n_or_None, "y": ..., "theta": [per axis], "inner": ...};
     None means no difference above tol anywhere in the shared order range.
+    A NaN difference counts as a difference.
     """
     top = min(a.trunc, b.trunc)
 
     def first_diff_jet(ja, jb):
         for n in range(0, top + 1):
             d = ja.coefficient(n) - jb.coefficient(n)
-            if d.coeff_norm() > tol:
+            if not d.coeff_norm() <= tol:
                 return n
         return None
 
@@ -141,7 +137,7 @@ def compare_pairs(a, b, tol=1e-11):
     }
     inner_diff = None
     for n in range(0, top + 1):
-        if abs(a.inner.coeff(n) - b.inner.coeff(n)) > tol:
+        if not abs(a.inner.coeff(n) - b.inner.coeff(n)) <= tol:
             inner_diff = n
             break
     out["inner"] = inner_diff

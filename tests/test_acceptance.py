@@ -45,7 +45,7 @@ def test_closed_form_seeds_on_random_problems():
             {(0, 1): one_mode(cbar, 0.05, 1, 4)},
             {(k, 0): one_mode(abar, 0.1, 1, 4)},
             [{(p, 0): one_mode(dbar, 0.02, 1, 4)}], k=k, p=p)
-        pair = init_order2(mp)
+        pair, _ = init_order2(mp)
         r_k = -np.sqrt(cbar * abar / (2 * (k + 1)))
         eta = 2 * r_k / cbar
         lead_w = 2 * p - k + 1

@@ -281,6 +281,9 @@ MALFORMED = [
      .update(const=math.nan)),
     ("n_target_not_integral", lambda c: c.update(n_target=3.9)),
     ("cut_not_integral", lambda c: c["map"].update(cut=16.5)),
+    # a mode box beyond cli.MAX_BOX coefficients, before numpy is asked for it
+    ("cut_box_too_large", lambda c: c["map"].update(cut=1e300)),
+    ("cut_box_just_too_large", lambda c: c["map"].update(cut=2 ** 15)),
     ("assert_tol_a_string", lambda c: c.update(assert_tol="1e-9")),
     ("theta_leading_unknown", lambda c: c.update(theta_leading="x")),
     # every sweep entry is checked before the first one is solved
@@ -346,6 +349,10 @@ MALFORMED_BLOCKS = [
      lambda c: c["hecu"].update(D="abc")),
     ("hecu_cut_negative", "hecu", HECU_CONFIG,
      lambda c: c["hecu"].update(cut=-1)),
+    ("hecu_cut_box_too_large", "hecu", HECU_CONFIG,
+     lambda c: c["hecu"].update(cut=1e300)),
+    ("oscillator_cut_box_too_large", "oscillator", OSC_CONFIG,
+     lambda c: c["oscillator"].update(cut=1e300)),
     ("hecu_expansion_unknown", "hecu", HECU_CONFIG,
      lambda c: c["hecu"].update(expansion="x")),
     ("diagnose_with_a_sweep", "diagnose-operators", DIAG_CONFIG,
@@ -404,6 +411,11 @@ MALFORMED_COMPARE = [
      lambda c: c["x"]["2"]["modes"][0].__setitem__(0, None)),
     ("mode_outside_box", "1e-11",
      lambda c: c["x"]["2"]["modes"][0].__setitem__(0, [99])),
+    # a NaN passes every `> tol` test, so it must not get as far
+    ("coefficient_nan", "1e-11",
+     lambda c: c["y"][max(c["y"], key=int)]["modes"][-1]
+     .__setitem__(1, math.nan)),
+    ("inner_nan", "1e-11", lambda c: c["inner"].update({"3": math.nan})),
 ]
 
 

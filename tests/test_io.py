@@ -69,3 +69,14 @@ def test_report_payload_and_csv():
     assert len(lines) == 6
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == rep.u_values[0]
+
+
+def test_compare_pairs_counts_nan_as_a_difference():
+    pair = solve_to_order(exact_map(), 3)
+    bad = pair.copy()
+    top = bad.y.orders()[-1]
+    bad.y.set_coefficient(top, bad.y.coefficient(top) * float("nan"))
+    bad.inner = bad.inner + type(bad.inner)({3: float("nan")}, bad.inner.trunc)
+    diff = compare_pairs(pair, bad)
+    assert diff["y"] == top and diff["inner"] == 3
+    assert diff["x"] is None

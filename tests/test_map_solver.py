@@ -5,13 +5,16 @@ import pytest
 
 from paratori.errors import (ConfigError, NonPositiveLeadingCoefficient,
                              SmallDivisorUnderflow, TruncationTooLow)
-from paratori.flow_solver import solve_helicoure
+import paratori.flow_solver as flow_solver
+import paratori.map_solver as map_solver
+from paratori.flow_solver import solve_flow_to_order, solve_helicoure
 from paratori.map_solver import (default_trunc, extend_order, init_order2,
                                  invert_reduced_map, solve_to_order)
 from paratori.mapdata import TaylorFourierMap
 from paratori.pairs import compare_pairs, residual_jets, residual_report
 
-from conftest import GOLDEN, exact_map, one_mode, reference_map, shear_example
+from conftest import (GOLDEN, exact_map, one_mode, reference_flow,
+                      reference_map, shear_example)
 
 
 def residual_below_contract(data, pair):
@@ -69,7 +72,7 @@ def test_closed_form_seeds():
             {(0, 1): one_mode(cbar, 0.05, 1, 4)},
             {(k, 0): one_mode(abar, 0.1, 1, 4)},
             [{(p, 0): one_mode(dbar, 0.02, 1, 4)}], k=k, p=p)
-        pair = init_order2(mp)
+        pair, _ = init_order2(mp)
         r_k = -np.sqrt(cbar * abar / (2 * (k + 1)))
         assert abs(pair.inner.coeff(k) - r_k) < 1e-12 * abs(r_k)
         eta = 2 * r_k / cbar
@@ -121,9 +124,60 @@ def test_truncation_guard():
     cases = [(exact_map(), solve_to_order(exact_map(), 3, trunc=7)),
              (fd, solve_helicoure(fd, 2, trunc=6))]
     for mp, pair in cases:
+        opening = residual_jets(mp, pair)
         with pytest.raises(TruncationTooLow):
             while pair.order < 12:
-                extend_order(mp, pair)
+                opening = extend_order(mp, pair, opening)
+
+
+def assert_same_residual(got, fresh):
+    """Two residuals (gx, gy, gt) agree in every bit of every coefficient."""
+    (gx, gy, gt), (fx, fy, ft) = got, fresh
+    assert len(gt) == len(ft)
+    for a, b in zip([gx, gy] + list(gt), [fx, fy] + list(ft)):
+        assert a.orders() == b.orders()
+        for n in a.orders():
+            assert np.array_equal(a.coefficient(n).coeffs,
+                                  b.coefficient(n).coeffs)
+
+
+def test_reused_residual_is_exact(monkeypatch):
+    # the residual a step opens with (from the seed or the previous step) and
+    # the one it returns are exactly a fresh evaluation, for the power class
+    # (map and flow) and both branches of the shear class
+    steps = []
+    step = map_solver.extend_order
+
+    def checked_step(data, pair, opening, *args):
+        assert_same_residual(opening, residual_jets(data, pair))
+        closing = step(data, pair, opening, *args)
+        assert_same_residual(closing, residual_jets(data, pair))
+        steps.append(pair.family)
+        return closing
+
+    monkeypatch.setattr(map_solver, "extend_order", checked_step)
+    monkeypatch.setattr(flow_solver, "extend_order", checked_step)
+    solve_to_order(reference_map(cut=8), 5)
+    solve_flow_to_order(reference_flow(cut=4), 4)
+    for branch in ("stable", "unstable"):
+        solve_helicoure(shear_example(), 4, branch=branch)
+    assert steps == ["power"] * 5 + ["shear"] * 6
+
+
+def test_order_step_evaluates_the_residual_twice(monkeypatch):
+    calls = []
+
+    def counted(data, pair):
+        calls.append(pair.order)
+        return residual_jets(data, pair)
+
+    monkeypatch.setattr(map_solver, "residual_jets", counted)
+    mp = reference_map(cut=8)
+    init_order2(mp)
+    seed = len(calls)
+    del calls[:]
+    solve_to_order(mp, 8)
+    assert len(calls) <= seed + 2 * (8 - 2)
 
 
 def test_bad_arguments_are_config_errors():

@@ -214,3 +214,32 @@ def test_general_field_normalization_validates():
     reduced, record = reduce_general_field(general_dynamics("field", 8), 6)
     reduced.validate_reduced()
     assert reduced.x_terms.keys() == {(0, 1)}
+
+
+def test_displacement_guard_and_absent_displacements():
+    # a displacement must vanish at the origin, for polynomial and jet
+    # substitution alike; None and a zero displacement mean none
+    cut, deg = 4, 6
+    p = XYPoly(1, cut, deg, {(2, 0): one_mode(1.0, 0.4, 1, cut), (0, 1): 2.0})
+    px, py = _xy_identity(1, cut, deg, "x"), _xy_identity(1, cut, deg, "y")
+    with pytest.raises(StructureViolation):
+        p.subst(px, py, [XYPoly(1, cut, deg, {(0, 0): 0.1, (1, 0): 1.0})])
+    jx = TFJet(1, cut, deg, {2: 1.0})
+    jy = TFJet(1, cut, deg, {3: -2.0})
+    with pytest.raises(StructureViolation):
+        p.to_jet(jx, jy, [TFJet(1, cut, deg, {0: 0.1, 1: -1.0})], deg)
+
+    def same(a, b):
+        return set(a.terms) == set(b.terms) and all(
+            np.array_equal(a.terms[key].coeffs, b.terms[key].coeffs)
+            for key in a.terms)
+
+    plain = p.subst(px, py)
+    for tails in ([None], [XYPoly(1, cut, deg)]):
+        assert same(p.subst(px, py, tails), plain)
+    assert set(plain.terms) == set(p.terms)
+    for key, s in p.terms.items():
+        assert (plain.terms[key] - s).coeff_norm() < 1e-13
+    jet = p.to_jet(jx, jy, [], deg)
+    for tails in ([None], [TFJet(1, cut, deg)]):
+        assert same(p.to_jet(jx, jy, tails, deg), jet)
