@@ -33,7 +33,7 @@ from .flow_solver import solve_flow_to_order, solve_helicoure
 from .fourier import FourierSeries
 from .ioutil import (canonical_json, pair_from_payload, pair_payload,
                      report_payload, residual_csv)
-from .map_solver import solve_to_order
+from .map_solver import default_trunc, solve_to_order
 from .mapdata import TaylorFourierMap
 from .pairs import compare_pairs, residual_report
 
@@ -41,6 +41,11 @@ from .pairs import compare_pairs, residual_report
 # box of (2 cut + 1)^dim coefficients above it is a ConfigError (the
 # largest supported runs use a few hundred)
 MAX_BOX = 2 ** 16
+# the most angle axes: numpy 1.x arrays hold at most 32 dimensions
+MAX_AXES = 32
+# the highest truncation order: the angle expansion divides by j! for
+# j <= trunc, and 171! is beyond the largest float
+MAX_TRUNC = 170
 
 _CODE_CONFIG = 2
 _CODE_HYPOTHESIS = 3
@@ -135,7 +140,10 @@ def _entry(block, key, what, cast=float, default=None, least=-math.inf):
 
 def _cut(block, what, dim, default=None):
     """``block["cut"]``: a non-negative integer whose mode box of
-    (2 cut + 1)^dim coefficients holds at most MAX_BOX."""
+    (2 cut + 1)^dim coefficients holds at most MAX_BOX, on at most MAX_AXES
+    angle axes."""
+    if dim > MAX_AXES:
+        raise ConfigError("%s: %d angle axes exceed %d" % (what, dim, MAX_AXES))
     cut = _entry(block, "cut", what, int, default, 0)
     # compared in logarithms: the box of a huge cut or dim is never built
     if dim * math.log(2 * cut + 1) > math.log(MAX_BOX):
@@ -283,6 +291,7 @@ class RunConfig:
         else:
             kind = "map" if self.problem == "custom-map" else "field"
             self.data = _map_from_config(raw.get(kind), kind)
+        self._check_truncation()
 
         if command == "diagnose-operators":
             self.data.validate_reduced()  # the sector needs a valid order k
@@ -306,6 +315,22 @@ class RunConfig:
                                         (2, 2, 1)),
                     "n_iter": _entry(probe, "n_iter", "diagnostics.probe",
                                      int, 10, 0)}
+
+    def _check_truncation(self):
+        """ConfigError unless every truncation order the run builds at, the
+        solve's default included (and for hecu the degree of the field
+        build), is at most MAX_TRUNC."""
+        n, trunc = self.n_target, self.solve_kw["trunc"]
+        if trunc is None and self.problem in ("hecu", "helicoure"):
+            trunc = n + 4  # the shear-class solve's default
+        elif trunc is None and self.data.k is not None:
+            trunc = default_trunc(n, self.data.k, self.data.p)
+        # hecu builds its field to degree max(6, n + 2)
+        top = max(trunc or 0, n + 2 if self.problem == "hecu" else 0)
+        if top > MAX_TRUNC:
+            raise ConfigError("truncation order %d is above %d (n_target %d, "
+                              "trunc %s)" % (top, MAX_TRUNC, n,
+                                             self.solve_kw["trunc"]))
 
 
 def _load_json(path):

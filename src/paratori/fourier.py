@@ -6,9 +6,13 @@ index ``k + cut`` along each axis.  All series represent real-valued
 functions, so coefficients satisfy ``c[-k] == conj(c[k])``; arithmetic
 re-imposes this symmetry to stop round-off drift.
 
-``dim == 0`` is allowed and means "a constant": the coefficient array is a
-zero-dimensional complex scalar.  This keeps autonomous problems (no angular
-variables at all) on the same code path as quasiperiodic ones.
+``dim == 0`` is allowed and means "a constant": the box ``(2*cut+1,)**0``
+is the empty shape, so the coefficient array is a zero-dimensional complex
+array holding mode ``()``, and every method below treats it as the box it
+is.  This keeps autonomous problems (no angular variables at all) on the
+same code path as quasiperiodic ones; only ``eval`` (whose angle batch
+carries no axis to read) and ``diophantine_margin`` (whose punctured box is
+empty) single it out.
 """
 
 import numpy as np
@@ -26,6 +30,15 @@ TWO_PI_I = 2j * np.pi
 
 def _mode_range(cut):
     return np.arange(-cut, cut + 1)
+
+
+def angle_grid(dim, samples):
+    """The product grid of the 1-D angle ``samples`` on every axis: shape
+    (n,)*dim + (dim,), the angle vector last.  At dim 0 it is the one empty
+    point, shape (0,)."""
+    samples = np.asarray(samples, dtype=float)
+    grid = samples[np.indices((samples.size,) * dim)]
+    return np.ascontiguousarray(np.moveaxis(grid, 0, -1))
 
 
 def _mode_dot(cut, dim, vec):
@@ -46,32 +59,26 @@ class FourierSeries:
     def __init__(self, coeffs, symmetrize=True):
         coeffs = np.asarray(coeffs, dtype=complex)
         self.dim = coeffs.ndim
-        if self.dim == 0:
-            self.cut = 0
-        else:
-            n = coeffs.shape[0]
-            if n % 2 != 1 or any(s != n for s in coeffs.shape):
-                raise DimensionMismatch("coefficient box %s is not cubic with "
-                                        "an odd side" % (coeffs.shape,))
-            self.cut = (n - 1) // 2
-        if symmetrize and self.dim > 0:
-            coeffs = 0.5 * (coeffs + np.conj(np.flip(coeffs)))
-        elif symmetrize:
-            coeffs = np.asarray(complex(coeffs.real.item(), 0.0))
+        n = max(coeffs.shape, default=1)
+        if n % 2 != 1 or coeffs.shape != (n,) * self.dim:
+            raise DimensionMismatch("coefficient box %s is not cubic with "
+                                    "an odd side" % (coeffs.shape,))
+        self.cut = n // 2
+        if symmetrize:
+            # ufuncs turn a 0-d array into a scalar; keep an array
+            coeffs = np.asarray(0.5 * (coeffs + np.conj(np.flip(coeffs))))
         self.coeffs = coeffs
 
     # ----- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, dim, cut):
-        if dim == 0:
-            return cls(np.zeros((), dtype=complex), symmetrize=False)
         return cls(np.zeros((2 * cut + 1,) * dim, dtype=complex), symmetrize=False)
 
     @classmethod
     def constant(cls, value, dim, cut):
         s = cls.zero(dim, cut)
-        s.coeffs[(s.cut,) * dim if dim else ()] = float(value)
+        s.coeffs[(s.cut,) * dim] = float(value)
         return s
 
     @classmethod
@@ -105,24 +112,17 @@ class FourierSeries:
         data is not already band-limited.
         """
         values = np.asarray(values, dtype=float)
-        dim = values.ndim
-        if dim == 0:
-            return cls(np.asarray(complex(values.item())), symmetrize=False)
-        n = values.shape[0]
-        if n < 2 * cut + 1:
-            raise DimensionMismatch("%d points miss |k| <= %d" % (n, cut))
+        if any(n < 2 * cut + 1 for n in values.shape):
+            raise DimensionMismatch("grid %s misses |k| <= %d" % (values.shape, cut))
         hat = np.fft.fftn(values) / values.size
-        picks = [(_mode_range(cut)) % n for _ in range(dim)]
+        picks = [_mode_range(cut) % n for n in values.shape]
         return cls(hat[np.ix_(*picks)])
 
     @classmethod
     def from_function(cls, f, dim, cut, oversample=8):
         """Sample a callable on an oversampled grid and truncate."""
-        if dim == 0:
-            return cls(np.asarray(complex(f(np.zeros(0)))), symmetrize=False)
         n = oversample * (2 * cut + 1)
-        axes = [np.arange(n) / n for _ in range(dim)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        mesh = angle_grid(dim, np.arange(n) / n)
         return cls.from_grid(np.asarray(f(mesh), dtype=float), cut)
 
     def copy(self):
@@ -131,23 +131,21 @@ class FourierSeries:
     # ----- basic queries ------------------------------------------------
 
     def average(self):
-        c0 = self.coeffs[(self.cut,) * self.dim if self.dim else ()]
+        c0 = self.coeffs[(self.cut,) * self.dim]
         return float(np.real(c0))
 
     def oscillatory(self):
         out = self.copy()
-        out.coeffs[(self.cut,) * self.dim if self.dim else ()] = 0.0
+        out.coeffs[(self.cut,) * self.dim] = 0.0
         return out
 
     def coeff_norm(self):
         return float(np.sum(np.abs(self.coeffs)))
 
     def is_zero(self, tol=0.0):
-        return float(np.max(np.abs(self.coeffs))) <= tol if self.coeffs.size else True
+        return float(np.max(np.abs(self.coeffs))) <= tol
 
     def symmetry_defect(self):
-        if self.dim == 0:
-            return abs(float(self.coeffs.imag))
         return float(np.max(np.abs(self.coeffs - np.conj(np.flip(self.coeffs)))))
 
     # ----- arithmetic ---------------------------------------------------
@@ -164,7 +162,7 @@ class FourierSeries:
             self._check_compatible(other)
             return FourierSeries(self.coeffs + other.coeffs, symmetrize=False)
         out = self.copy()
-        out.coeffs[(self.cut,) * self.dim if self.dim else ()] += float(other)
+        out.coeffs[(self.cut,) * self.dim] += float(other)
         return out
 
     __radd__ = __add__
@@ -182,8 +180,6 @@ class FourierSeries:
         if not isinstance(other, FourierSeries):
             return FourierSeries(self.coeffs * float(other), symmetrize=False)
         self._check_compatible(other)
-        if self.dim == 0:
-            return FourierSeries(self.coeffs * other.coeffs, symmetrize=False)
         full = signal.fftconvolve(self.coeffs, other.coeffs)
         m = self.cut
         center = tuple(slice(m, 3 * m + 1) for _ in range(self.dim))
@@ -193,8 +189,6 @@ class FourierSeries:
 
     def shift(self, delta):
         """Compose with the rigid rotation theta -> theta + delta."""
-        if self.dim == 0:
-            return self.copy()
         delta = np.asarray(delta, dtype=float)
         if delta.shape != (self.dim,):
             raise DimensionMismatch("shift %s on a %d-torus" % (delta, self.dim))
@@ -246,18 +240,14 @@ class FourierSeries:
 
     def values_on_grid(self, n):
         """Real values on the uniform n-per-axis grid (FFT synthesis)."""
-        if self.dim == 0:
-            return np.full((), float(self.coeffs.real))
         if n < 2 * self.cut + 1:
             raise DimensionMismatch("%d points miss |k| <= %d" % (n, self.cut))
         big = np.zeros((n,) * self.dim, dtype=complex)
-        picks = [(_mode_range(self.cut)) % n for _ in range(self.dim)]
+        picks = [_mode_range(self.cut) % n for _ in range(self.dim)]
         big[np.ix_(*picks)] = self.coeffs
-        return np.real(np.fft.ifftn(big) * big.size)
+        return np.asarray(np.real(np.fft.ifftn(big) * big.size))
 
     def sup_grid(self, n=None):
-        if self.dim == 0:
-            return abs(float(self.coeffs.real))
         if n is None:
             n = max(64, 4 * self.cut + 1)
         return float(np.max(np.abs(self.values_on_grid(n))))
@@ -268,13 +258,7 @@ class FourierSeries:
         """Sparse half-spectrum payload: mode 0 plus lexicographically
         positive modes; the mirror half is implied by realness."""
         entries = []
-        if self.dim == 0:
-            v = complex(self.coeffs)
-            if abs(v) > drop_below:
-                entries.append([[], v.real, v.imag])
-            return {"dim": 0, "cut": 0, "modes": entries}
-        it = np.ndindex(*self.coeffs.shape)
-        for idx in it:
+        for idx in np.ndindex(*self.coeffs.shape):
             k = tuple(i - self.cut for i in idx)
             first = next((x for x in k if x != 0), 0)
             if first < 0:
@@ -293,9 +277,8 @@ class FourierSeries:
         s = cls.zero(dim, cut)
         for k, re, im in payload["modes"]:
             k = tuple(int(x) for x in k)
-            idx = tuple(x + cut for x in k) if dim else ()
-            s.coeffs[idx] = complex(re, im)
-            if dim and any(x != 0 for x in k):
+            s.coeffs[tuple(x + cut for x in k)] = complex(re, im)
+            if any(x != 0 for x in k):
                 s.coeffs[tuple(-x + cut for x in k)] = complex(re, -im)
         return cls(s.coeffs)
 
@@ -305,6 +288,17 @@ class FourierSeries:
             self.cut,
             self.coeff_norm(),
         )
+
+
+def on_box(s, dim, cut, what="coefficient"):
+    """``s`` on the mode box |k|_inf <= cut of T^dim: a number becomes that
+    constant series, a series must already have the box's shape."""
+    if not isinstance(s, FourierSeries):
+        return FourierSeries.constant(float(s), dim, cut)
+    if s.coeffs.shape != (2 * cut + 1,) * dim:
+        raise DimensionMismatch("%s box %s does not match dim %d cut %d"
+                                % (what, s.coeffs.shape, dim, cut))
+    return s
 
 
 # ----- cohomological equations -------------------------------------------
@@ -321,10 +315,10 @@ def _check_zero_average(h):
 
 
 def _guarded_divide(h, divisor, mag, floor):
-    """h.coeffs / divisor (dim >= 1) with the zero mode forced to 0 and a
-    floor check on the divisor magnitude ``mag``, applied only where the
-    numerator is actually nonzero."""
-    need = np.abs(h.coeffs) > 0.0
+    """h.coeffs / divisor with the zero mode forced to 0 and a floor check
+    on the divisor magnitude ``mag``, applied only where the numerator is
+    actually nonzero."""
+    need = np.asarray(np.abs(h.coeffs) > 0.0)
     need[(h.cut,) * h.dim] = False
     bad = need & (mag < floor)
     if np.any(bad):
@@ -347,8 +341,6 @@ def solve_sd_map(h, omega, floor=1e-12):
     if h.dim != omega.size:
         raise DimensionMismatch("omega length %d vs series dim %d" % (omega.size, h.dim))
     _check_zero_average(h)
-    if h.dim == 0:
-        return FourierSeries.zero(0, 0)
     divisor = np.exp(TWO_PI_I * _mode_dot(h.cut, h.dim, omega)) - 1.0
     return _guarded_divide(h, divisor, np.abs(divisor), floor)
 
@@ -363,8 +355,6 @@ def solve_sd_flow(h, freqs, floor=1e-12):
     if h.dim != freqs.size:
         raise DimensionMismatch("freqs length %d vs series dim %d" % (freqs.size, h.dim))
     _check_zero_average(h)
-    if h.dim == 0:
-        return FourierSeries.zero(0, 0)
     kf = _mode_dot(h.cut, h.dim, freqs)
     return _guarded_divide(h, TWO_PI_I * kf, np.abs(kf), floor)
 
@@ -399,11 +389,6 @@ def reciprocal(f):
     1e-12 on the grid.
     """
     floor = 1e-12
-    if f.dim == 0:
-        v = f.average()
-        if abs(v) < floor:
-            raise CNotInvertible("constant %.3e is numerically zero" % v)
-        return FourierSeries.constant(1.0 / v, 0, 0)
     vals = f.values_on_grid(8 * (2 * f.cut + 1))
     if float(np.min(np.abs(vals))) < floor:
         raise CNotInvertible(

@@ -105,11 +105,17 @@ def pair_payload(pair):
 
 def pair_from_payload(payload):
     """The pair of a payload; a NaN or infinite coefficient, frequency or
-    normal-form value is a ConfigError."""
+    normal-form value is a ConfigError, raised before any series is built."""
+    numbers = list(payload["freqs"]) + list(payload["inner"].values())
+    for jet in [payload["x"], payload["y"]] + list(payload["tails"]):
+        numbers += [v for sp in jet.values() for _, re, im in sp["modes"]
+                    for v in (re, im)]
+    if not np.all(np.isfinite(np.asarray(numbers, dtype=float))):
+        raise ConfigError("manifold payload holds a non-finite number")
     cut, trunc = int(payload["cut"]), int(payload["trunc"])
     dim = int(payload["d"]) + int(payload["drive"])
     inner = UPoly({int(n): v for n, v in payload["inner"].items()}, trunc)
-    pair = ManifoldPair(
+    return ManifoldPair(
         payload["kind"], payload["family"], payload["branch"], cut, trunc,
         int(payload["order"]),
         payload.get("k"), payload.get("p"),
@@ -118,12 +124,6 @@ def pair_from_payload(payload):
         jet_from_payload(payload["y"], dim, cut, trunc),
         [jet_from_payload(w, dim, cut, trunc) for w in payload["tails"]],
         inner, payload.get("diagnostics", {}))
-    coeffs = [s.coeffs for jet in [pair.x, pair.y] + pair.tails
-              for s in jet.terms.values()]
-    if not (np.all(np.isfinite(list(pair.freqs) + list(inner.terms.values())))
-            and all(np.all(np.isfinite(c)) for c in coeffs)):
-        raise ConfigError("manifold payload holds a non-finite number")
-    return pair
 
 
 def report_payload(report):

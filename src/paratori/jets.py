@@ -26,8 +26,8 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, StructureViolation
-from .fourier import FourierSeries
+from .errors import StructureViolation
+from .fourier import FourierSeries, on_box
 
 
 class UPoly:
@@ -161,13 +161,6 @@ class FTPoly:
         out.set_coefficient(self._ZERO, s)
         return out
 
-    def _coerce(self, s):
-        if isinstance(s, FourierSeries):
-            if s.dim != self.dim or (s.dim and s.cut != self.cut):
-                raise DimensionMismatch("coefficient box does not match the polynomial box")
-            return s
-        return FourierSeries.constant(float(s), self.dim, self.cut)
-
     def _store(self, key, s):
         """Set a normalized exponent to a series of this box."""
         if self._degree(key) > self.trunc:
@@ -182,10 +175,10 @@ class FTPoly:
         self._store(key, s if cur is None else cur + s)
 
     def set_coefficient(self, key, s):
-        self._store(self._key(key), self._coerce(s))
+        self._store(self._key(key), on_box(s, self.dim, self.cut))
 
     def add_to_coefficient(self, key, s):
-        self._accumulate(self._key(key), self._coerce(s))
+        self._accumulate(self._key(key), on_box(s, self.dim, self.cut))
 
     def coefficient(self, key):
         s = self.terms.get(self._key(key))
@@ -365,8 +358,7 @@ class TFJet(FTPoly):
             kind = np.result_type(u, theta_points, float)
         out = np.zeros((u.size,) + batch, dtype=kind)
         for n, s in self.terms.items():
-            v = s.eval(theta_points) if self.dim else np.full(batch, s.average())
-            out += np.multiply.outer(u**n, v)
+            out += np.multiply.outer(u**n, s.eval(theta_points))
         return out
 
     def __repr__(self):

@@ -114,8 +114,7 @@ def init_order2(mp, branch="stable", trunc=None, sd_floor=1e-12, assert_tol=1e-9
         mp.kind, "power", branch, cut, trunc, 1, k, p, mp.freqs, d, mp.drive,
         x, y, tails, inner,
         diagnostics={
-            "margin": diophantine_margin(mp.freqs, cut, mp.kind if mp.kind == "map" else "flow")
-            if dim else (float("inf"), ()),
+            "margin": diophantine_margin(mp.freqs, cut, mp.kind if mp.kind == "map" else "flow"),
         },
     )
     # oscillatory completion at the order-1 contract orders (k+1, 2k, 2p)
@@ -354,11 +353,10 @@ def invert_reduced_map(mp, deg):
                                  % (mp.kind,))
     dim, cut, d = mp.dim, mp.cut, mp.d
     om = np.asarray(mp.freqs, dtype=float)
-    c_back = mp.shear().shift(-om) if dim else mp.shear()
+    c_back = mp.shear().shift(-om)
 
     def shifted_poly(terms):
-        poly = XYPoly(dim, cut, deg, dict(terms))
-        return poly.shift(-om) if dim else poly
+        return XYPoly(dim, cut, deg, dict(terms)).shift(-om)
 
     ny = shifted_poly(mp.y_terms)
     nts = [shifted_poly(t) for t in mp.theta_terms]

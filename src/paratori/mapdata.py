@@ -22,7 +22,7 @@ pointwise evaluator of a term table.
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, StructureViolation
-from .fourier import FourierSeries, reciprocal
+from .fourier import FourierSeries, on_box, reciprocal
 from .jets import FTPoly, eval_xy_terms, power_table, substitute
 
 
@@ -94,8 +94,7 @@ def eval_terms(terms, x, y, ang=None):
     y = np.asarray(y)
     out = np.zeros(np.broadcast(x, y).shape)
     for (l, m), s in terms.items():
-        sv = s.eval(ang) if s.dim else s.average()
-        out = out + np.asarray(sv) * x**l * y**m
+        out = out + np.asarray(s.eval(ang)) * x**l * y**m
     return out
 
 
@@ -103,10 +102,7 @@ def _validate_terms(terms, dim, cut):
     out = {}
     for lm, s in terms.items():
         l, m = int(lm[0]), int(lm[1])
-        if not isinstance(s, FourierSeries):
-            s = FourierSeries.constant(float(s), dim, cut)
-        if s.dim != dim or (dim and s.cut != cut):
-            raise DimensionMismatch("term (%d, %d) has a mismatched box" % (l, m))
+        s = on_box(s, dim, cut, "term (%d, %d)" % (l, m))
         if not s.is_zero():
             out[(l, m)] = s
     return out
@@ -245,7 +241,7 @@ class TaylorFourierMap:
             X = x + dx
             Y = y + dy
             for a in range(self.d):
-                ang_out[..., a] += (np.asarray(ang)[..., a] if self.dim else 0.0) + self.freqs[a]
+                ang_out[..., a] += np.asarray(ang)[..., a] + self.freqs[a]
             return X, Y, ang_out
         for j in range(self.dim):
             ang_out[..., j] += self.freqs[j]
@@ -373,8 +369,7 @@ def reduce_general_map(mp, deg):
     # the new vertical coordinate after one step: g evaluated on the image,
     # with the angle argument theta + omega + B
     omega_full = list(mp.freqs) + [0.0] * mp.drive
-    g_shift = g.shift(omega_full) if dim else g
-    ynew_image = g_shift.subst(Fx_n, Fy_n, Bs_n)
+    ynew_image = g.shift(omega_full).subst(Fx_n, Fy_n, Bs_n)
 
     scale = max(1.0, c.coeff_norm())
     y_terms = {lm: s for lm, s in ynew_image.terms.items() if lm != (0, 1)}

@@ -21,6 +21,7 @@ from .errors import (
     StructureViolation,
     TailNotConverged,
 )
+from .fourier import angle_grid
 from .mapdata import eval_terms
 from .pairs import residual_jets
 
@@ -115,8 +116,7 @@ def _orbit_sum(term, inner, freqs, z0, pts0, eta_orders, mu, targets):
             raise TailNotConverged(
                 "%d rows above tail target after %d orbit terms"
                 % (int(active.sum()), _J_MAX))
-        pts = np.mod(pts0 + shift, 1.0) if pts0.shape[1] else pts0
-        terms = term(z[active], pts)
+        terms = term(z[active], np.mod(pts0 + shift, 1.0))
         if totals is None:  # the first terms fix the dtype: real in, real out
             totals = {c: np.zeros_like(t) for c, t in terms.items()}
         done = np.ones(int(active.sum()), dtype=bool)
@@ -363,12 +363,9 @@ def contraction_probe(mp, pair, sector, mu, ball_alpha=0.5, samples=(10, 5, 8),
     z0 = u2.ravel()
     log_r = np.log(np.abs(u2[:, 0]))
     args = np.angle(u2[0, :])
-    theta_axes = [np.linspace(0.0, 1.0, n_th, endpoint=False) for _ in range(dim)]
-    if dim:
-        mesh = np.meshgrid(*theta_axes, indexing="ij")
-        pts0 = np.stack([m.ravel() for m in mesh], axis=-1)
-    else:
-        pts0 = np.zeros((1, 0))
+    theta_axis = np.linspace(0.0, 1.0, n_th, endpoint=False)
+    theta_axes = [theta_axis] * dim
+    pts0 = angle_grid(dim, theta_axis).reshape(n_th ** dim, dim)
     nu, nt = z0.size, pts0.shape[0]
 
     ox, oy, ot = pair.contract_orders()

@@ -14,6 +14,7 @@ the annihilated lower-order coefficients are numerically zero.
 
 import numpy as np
 
+from .fourier import angle_grid
 from .jets import UPoly, eval_xy_terms, power_table
 
 
@@ -144,13 +145,6 @@ def compare_pairs(a, b, tol=1e-11):
     return out
 
 
-def _angle_mesh(dim, n_grid):
-    if dim == 0:
-        return None
-    axes = [np.arange(n_grid) / n_grid for _ in range(dim)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-
 class ResidualReport:
     """Tail-jet measurement of the invariance defect of a pair."""
 
@@ -173,7 +167,7 @@ def residual_report(data, pair, u_lo=1e-3, u_hi=1e-2, n_u=9, n_grid=24):
     gx, gy, gt = residual_jets(data, pair)
     expected = pair.contract_orders()
     u = np.geomspace(u_lo, u_hi, n_u)
-    mesh = _angle_mesh(pair.dim, n_grid)
+    mesh = angle_grid(pair.dim, np.arange(n_grid) / n_grid)
     scale = pair.size()
 
     comps = []

@@ -286,6 +286,13 @@ MALFORMED = [
     ("cut_box_just_too_large", lambda c: c["map"].update(cut=2 ** 15)),
     ("assert_tol_a_string", lambda c: c.update(assert_tol="1e-9")),
     ("theta_leading_unknown", lambda c: c.update(theta_leading="x")),
+    # more angle axes than a numpy 1.x array holds, on a box of one mode
+    ("axes_too_many", lambda c: c["map"].update(
+        d=70, cut=0, freqs=[0.6180339887498949] * 70,
+        theta_terms=[{"1,0": 1.0}] * 70)),
+    # truncation orders whose angle expansion needs 171!, beyond a float
+    ("trunc_too_large", lambda c: c.update(trunc=171)),
+    ("n_target_truncation_too_large", lambda c: c.update(n_target=167)),
     # every sweep entry is checked before the first one is solved
     ("sweep_later_entry_malformed",
      lambda c: c.update(sweep=[{}, {"map": {"cut": -1}}])),
@@ -357,6 +364,17 @@ MALFORMED_BLOCKS = [
      lambda c: c["hecu"].update(expansion="x")),
     ("diagnose_with_a_sweep", "diagnose-operators", DIAG_CONFIG,
      lambda c: c.update(sweep=[{}])),
+    ("field_axes_too_many", "solve-flow", HELI_CONFIG,
+     lambda c: c.update(problem="custom-flow",
+                        field=dict(c["field"], drive=69, cut=0))),
+    ("oscillator_axes_too_many", "oscillator", OSC_CONFIG,
+     lambda c: c["oscillator"].update(nu=[1.4142135623730951] * 70, cut=0)),
+    ("helicoure_n_target_truncation_too_large", "helicoure", HELI_CONFIG,
+     lambda c: c.update(n_target=167)),
+    ("hecu_trunc_too_large", "hecu", HECU_CONFIG,
+     lambda c: c.update(trunc=171)),
+    ("hecu_n_target_truncation_too_large", "hecu", HECU_CONFIG,
+     lambda c: c.update(n_target=167)),
 ]
 
 
@@ -432,3 +450,41 @@ def test_compare_rejects_bad_input(tmp_path, capsys, order_3_and_4_pairs,
     captured = capsys.readouterr()
     assert code == 2, captured.out
     assert json.loads(captured.err)["error"] == "ConfigError"
+
+
+# autonomous runs: with no angle axes every series is the one-coefficient box
+AUTONOMOUS = [
+    ("oscillator", {"problem": "oscillator", "n_target": 6,
+                    "oscillator": {"c_pot": 1.0, "n_pot": 2, "alpha": 6.0,
+                                   "nu": [], "g": 1.0, "cut": 4}}),
+    ("solve-map", {"problem": "custom-map", "n_target": 6,
+                   "map": {"cut": 4, "freqs": [], "d": 0, "k": 2,
+                           "x_terms": {"0,1": 1.0},
+                           "y_terms": {"2,0": 6.0, "3,0": 0.5, "1,1": 0.25},
+                           "theta_terms": []}}),
+]
+
+
+@pytest.mark.parametrize("command,config", AUTONOMOUS,
+                         ids=[command for command, _ in AUTONOMOUS])
+def test_autonomous_run_on_both_branches(tmp_path, command, config):
+    branches = ["stable", "unstable"]
+    cfg = write_config(tmp_path, dict(config, sweep=[{"branch": b}
+                                                     for b in branches]))
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    for i, branch in enumerate(branches):
+        entry = "sweep_%03d" % i
+        summary = json.loads((runs[0] / entry / "summary.json").read_text())
+        assert summary["branch"] == branch
+        pair = json.loads((runs[0] / entry / "pair.json").read_text())
+        assert pair["d"] == pair["drive"] == 0
+        assert all(s["dim"] == 0 for s in pair["y"].values())
+        for comp in summary["residuals"]["pair"]["components"]:
+            assert comp["exact"] or (comp["slope"]
+                                     > comp["expected_order"] - 0.25), comp
+            assert comp["annihilated_max"] <= 1e-9 * comp["scale"], comp
+        for name in ("pair.json", "residual.csv", "summary.json"):
+            assert ((runs[0] / entry / name).read_bytes()
+                    == (runs[1] / entry / name).read_bytes())

@@ -58,8 +58,8 @@ BASES = {
         diagnostics={"mu": 0.5, "iterates": 10, "grid": [4, 4]}),
 }
 
-# what replaces a leaf
-VALUES = [None, True, "x", [], {}, -1, 0, 0.5, 2.5, math.nan, math.inf,
+# what replaces a leaf; 1000 stands for any large size (cut, axes, order)
+VALUES = [None, True, "x", [], {}, -1, 0, 0.5, 2.5, 1000, math.nan, math.inf,
           -math.inf]
 
 

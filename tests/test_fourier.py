@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from paratori.errors import (DimensionMismatch, NonZeroAverage,
                              SmallDivisorUnderflow)
-from paratori.fourier import (FourierSeries, diophantine_margin, reciprocal,
-                              solve_sd_flow, solve_sd_map)
+from paratori.fourier import (FourierSeries, angle_grid, diophantine_margin,
+                              on_box, reciprocal, solve_sd_flow, solve_sd_map)
 
 from conftest import GOLDEN
 
@@ -101,6 +101,24 @@ def test_box_checks_are_typed():
         f.values_on_grid(8)
     with pytest.raises(DimensionMismatch):
         FourierSeries.from_grid(np.zeros(8), 4)
+
+
+def test_dim_zero_series_is_the_one_coefficient_box():
+    # a constant on T^0 runs the same box code as any other series
+    c = FourierSeries.constant(2.5, 0, 7)
+    assert c.coeffs.shape == () and c.cut == 0
+    assert (c * c).average() == 6.25 and c.shift(()).average() == 2.5
+    assert reciprocal(c).average() == 0.4 and c.sup_grid() == 2.5
+    assert FourierSeries.from_payload(c.to_payload()).average() == 2.5
+    assert solve_sd_map(c - 2.5, ()).is_zero()
+    assert on_box(c, 0, 16) is c and on_box(1.5, 0, 16).average() == 1.5
+    f = FourierSeries.from_modes({(1,): 0.5}, 1, 4)
+    for dim, cut in ((0, 0), (1, 8), (2, 4)):
+        with pytest.raises(DimensionMismatch):
+            on_box(f, dim, cut)
+    assert angle_grid(0, [0.0, 0.5]).shape == (0,)
+    grid = angle_grid(2, [0.0, 0.5])
+    assert grid.shape == (2, 2, 2) and grid[1, 0].tolist() == [0.5, 0.0]
 
 
 def test_eval_accepts_complex_angles():
