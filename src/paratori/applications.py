@@ -13,20 +13,11 @@ import math
 
 from .errors import (BoundViolated, ConfigError, EnergyBelowThreshold,
                      HypothesisViolated)
-from .fourier import FourierSeries
+from .fourier import FourierSeries, on_box
 from .mapdata import (NormalizationRecord, TaylorFourierMap, XYPoly,
                       _inverse_change, _xy_identity)
 from .flow_solver import solve_helicoure, validate_shear_field
 from .pairs import residual_report
-
-
-def _coerce_series(g, dim, cut, what):
-    if isinstance(g, FourierSeries):
-        if g.dim != dim:
-            raise ConfigError(
-                "%s has %d angle axes, expected %d" % (what, g.dim, dim))
-        return g.copy()
-    return FourierSeries.constant(float(g), dim, cut)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +34,8 @@ class OscillatorParams:
     a well  V = c_pot x^(2 n_pot)  plus a parametric forcing of shape g and
     amplitude alpha.  g may be a FourierSeries over as many angles as there
     are forcing frequencies, or a plain number (autonomous forcing);
-    ``cut`` sets the mode box only when g is given as a number.
+    a series on one or more angles keeps its own mode box, otherwise
+    ``cut`` sets it.
     """
 
     def __init__(self, c_pot, n_pot, alpha, g, nu=(), cut=16):
@@ -57,8 +49,10 @@ class OscillatorParams:
             raise ConfigError(
                 "need a degenerate well (n_pot >= 2); n_pot = 1 gives a "
                 "linear restoring force and no parabolic point")
-        self.g = _coerce_series(g, len(self.nu), cut, "forcing shape")
-        self.cut = self.g.cut if self.g.dim else int(cut)
+        if isinstance(g, FourierSeries) and g.dim:
+            cut = g.cut  # a given series keeps its own mode box
+        self.cut = int(cut)
+        self.g = on_box(g, len(self.nu), self.cut, "forcing shape")
 
 
 def build_oscillator_field(p):
@@ -121,8 +115,10 @@ class HeCuParams:
         self.h = float(h)
         if self.D <= 0 or self.alpha_morse <= 0 or self.m <= 0:
             raise ConfigError("D, alpha_morse and m must all be positive")
-        self.g_surface = _coerce_series(g_surface, 1, cut, "corrugation")
-        self.cut = self.g_surface.cut
+        if isinstance(g_surface, FourierSeries):
+            cut = g_surface.cut  # a given series keeps its own mode box
+        self.cut = int(cut)
+        self.g_surface = on_box(g_surface, 1, self.cut, "corrugation")
 
 
 def build_hecu_field(p, expansion="displayed", deg=6):
@@ -229,6 +225,10 @@ def _pulled_back(pair, record):
     return out
 
 
+def hecu_field_degree(n_target):
+    return max(6, n_target + 2)
+
+
 def hecu_manifolds(p, n_target, expansion="displayed",
                    theta_leading="closed_form", trunc=None, sd_floor=1e-12,
                    assert_tol=1e-9):
@@ -252,7 +252,7 @@ def hecu_manifolds(p, n_target, expansion="displayed",
     coordinates before the pullback.
     """
     fd, record = build_hecu_field(p, expansion=expansion,
-                                  deg=max(6, n_target + 2))
+                                  deg=hecu_field_degree(n_target))
     stable, unstable = (
         solve_helicoure(fd, n_target, branch, theta_leading, trunc, sd_floor,
                         assert_tol)

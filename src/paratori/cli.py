@@ -2,15 +2,11 @@
 
 Subcommands run one problem each from a JSON config file and write
 deterministic artifacts (manifold payload, residual CSV, summary) into the
-output directory.  Every failure exits through the documented code map:
-
-    0  success
-    2  configuration problem (bad file, bad schema, bad structure)
-    3  violated solvability hypothesis (signs, energy threshold, ...)
-    4  small-divisor underflow (resonant or near-resonant frequency)
-    5  diagnostic bound violation (sector/orbit/contraction checks)
-
-with a machine-readable JSON description of the error on stderr.
+output directory.  Success exits 0.  Every failure is a ParatoriError,
+and the error hierarchy is the exit-code contract (see errors.py): the run
+exits with the error's ``exit_code`` (2 configuration, 3 hypothesis, 4 small
+divisor, 5 bound) and writes its ``payload()``, one JSON object, to stderr.
+A command line that argparse rejects is a ConfigError like any other.
 """
 
 import argparse
@@ -19,17 +15,15 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import operators
 from .applications import (HeCuParams, OscillatorParams,
-                           build_oscillator_field, hecu_manifolds)
-from .errors import (BoundViolated, CNotInvertible, ConfigError,
-                     ContractViolated, DimensionMismatch, Diverged,
-                     EnergyBelowThreshold, FlowLeftSector, HypothesisViolated,
-                     NonPositiveLeadingCoefficient, NonZeroAverage,
-                     ParatoriError, SingularSystem, SmallDivisorUnderflow,
-                     StructureViolation, TailNotConverged, TruncationTooLow,
-                     ZeroLeadingCoefficient)
-from .flow_solver import solve_flow_to_order, solve_helicoure
+                           build_oscillator_field, hecu_field_degree,
+                           hecu_manifolds)
+from .errors import ConfigError, ParatoriError
+from .flow_solver import (shear_default_trunc, solve_flow_to_order,
+                          solve_helicoure)
 from .fourier import FourierSeries
 from .ioutil import (canonical_json, pair_from_payload, pair_payload,
                      report_payload, residual_csv)
@@ -47,11 +41,6 @@ MAX_AXES = 32
 # j <= trunc, and 171! is beyond the largest float
 MAX_TRUNC = 170
 
-_CODE_CONFIG = 2
-_CODE_HYPOTHESIS = 3
-_CODE_SMALL_DIVISOR = 4
-_CODE_BOUND = 5
-
 # the problem a config must name for each subcommand that reads one
 _PROBLEMS = {
     "solve-map": "custom-map",
@@ -62,43 +51,10 @@ _PROBLEMS = {
     "diagnose-operators": "custom-map",
 }
 
-_ERROR_CODES = (
-    (SmallDivisorUnderflow, _CODE_SMALL_DIVISOR),
-    ((BoundViolated, TailNotConverged, Diverged, FlowLeftSector), _CODE_BOUND),
-    ((HypothesisViolated, NonPositiveLeadingCoefficient,
-      ZeroLeadingCoefficient, CNotInvertible, EnergyBelowThreshold),
-     _CODE_HYPOTHESIS),
-    ((ConfigError, DimensionMismatch, StructureViolation, NonZeroAverage,
-      SingularSystem, TruncationTooLow), _CODE_CONFIG),
-)
-
-
-def _error_payload(err):
-    detail = {}
-    if isinstance(err, SmallDivisorUnderflow):
-        detail = {"mode": list(err.mode), "magnitude": err.magnitude,
-                  "floor": err.floor}
-    elif isinstance(err, ContractViolated):
-        detail = {"order": err.order, "component": err.component,
-                  "defect": err.defect, "tol": err.tol}
-    elif isinstance(err, BoundViolated) and hasattr(err, "witness"):
-        u, j = err.witness
-        detail = {"witness_point": complex(u), "witness_iterate": int(j)}
-    for cls, code in _ERROR_CODES:
-        if isinstance(err, cls):
-            return code, {"error": type(err).__name__, "exit_code": code,
-                          "message": str(err), "detail": detail}
-    return _CODE_CONFIG, {"error": type(err).__name__,
-                          "exit_code": _CODE_CONFIG,
-                          "message": str(err), "detail": detail}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        sys.stderr.write(canonical_json({
-            "error": "ConfigError", "exit_code": _CODE_CONFIG,
-            "message": message, "detail": {}}))
-        raise SystemExit(_CODE_CONFIG)
+        raise ConfigError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +147,13 @@ def _series_spec(spec, dim, cut, what):
                               % (what, key, cut))
         modes[mode] = complex(re, im)
     if modes:
-        s = s + FourierSeries.from_modes(modes, dim, cut)
+        # symmetrizing adds each coefficient to its mirror, which overflows
+        # above about 9e307: such a series is refused here, not solved to NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = s + FourierSeries.from_modes(modes, dim, cut)
+        if not np.isfinite(s.coeffs).all():
+            raise ConfigError("%s: a coefficient is beyond the float range "
+                              "once its series is built" % what)
     return s
 
 
@@ -322,11 +284,11 @@ class RunConfig:
         build), is at most MAX_TRUNC."""
         n, trunc = self.n_target, self.solve_kw["trunc"]
         if trunc is None and self.problem in ("hecu", "helicoure"):
-            trunc = n + 4  # the shear-class solve's default
+            trunc = shear_default_trunc(n)
         elif trunc is None and self.data.k is not None:
             trunc = default_trunc(n, self.data.k, self.data.p)
-        # hecu builds its field to degree max(6, n + 2)
-        top = max(trunc or 0, n + 2 if self.problem == "hecu" else 0)
+        top = max(trunc or 0,
+                  hecu_field_degree(n) if self.problem == "hecu" else 0)
         if top > MAX_TRUNC:
             raise ConfigError("truncation order %d is above %d (n_target %d, "
                               "trunc %s)" % (top, MAX_TRUNC, n,
@@ -518,17 +480,16 @@ def main(argv=None):
     cp.add_argument("--out", default=None)
     cp.add_argument("--tol", type=float, default=1e-11)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "compare":
             return _cmd_compare(args)
         if args.command == "diagnose-operators":
             return _cmd_diagnose(args)
         return _cmd_solve(args)
     except ParatoriError as err:
-        code, payload = _error_payload(err)
-        sys.stderr.write(canonical_json(payload))
-        return code
+        sys.stderr.write(canonical_json(err.payload()))
+        return err.exit_code
 
 
 if __name__ == "__main__":

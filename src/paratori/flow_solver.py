@@ -88,12 +88,16 @@ def _shear_leading(fd):
     return cbar, bbar
 
 
+def shear_default_trunc(n_target):
+    return n_target + 4
+
+
 def _solve_shear_direct(fd, n_target, theta_leading, trunc, sd_floor, assert_tol):
     validate_shear_field(fd)
     cbar, bbar = _shear_leading(fd)
     d, dim, cut = fd.d, fd.dim, fd.cut
     if trunc is None:
-        trunc = n_target + 4
+        trunc = shear_default_trunc(n_target)
     y2 = bbar / 2.0
     eta2 = bbar / (2.0 * cbar)
 

@@ -159,20 +159,17 @@ def sector_iterate_check(inner, sector, mu, n_iter, grid_shape=(20, 20)):
     for j in range(n_iter + 1):
         if j and not np.all(sector.contains(z, slack=1e-15)):
             i = int(np.argmin(sector.contains(z, slack=1e-15)))
-            err = BoundViolated(
-                "iterate %d of %s left the sector" % (j, u0[i]))
-            err.witness = (complex(u0[i]), j)
-            raise err
+            raise BoundViolated(
+                "iterate %d of %s left the sector" % (j, u0[i]),
+                witness=(complex(u0[i]), j))
         bound = r0 / (1.0 + j * mu * r0 ** (k - 1)) ** (1.0 / (k - 1))
         slack = bound - np.abs(z)
         worst = float(slack.min())
         if worst < -1e-13 * scale:
             i = int(np.argmin(slack))
-            err = BoundViolated(
+            raise BoundViolated(
                 "decay bound violated at iterate %d of %s by %.3e"
-                % (j, u0[i], -worst))
-            err.witness = (complex(u0[i]), j)
-            raise err
+                % (j, u0[i], -worst), witness=(complex(u0[i]), j))
         min_slack = min(min_slack, worst)
         max_slack = max(max_slack, float(slack.max()))
         z = inner(z)
@@ -462,10 +459,9 @@ def contraction_probe(mp, pair, sector, mu, ball_alpha=0.5, samples=(10, 5, 8),
             report["factors"].append(factor)
             bad_streak = bad_streak + 1 if factor >= 1.0 else 0
             if bad_streak >= 5:
-                err = Diverged(
-                    "update ratio at or above one for 5 consecutive sweeps")
-                err.report = report
-                raise err
+                raise Diverged(
+                    "update ratio at or above one for 5 consecutive sweeps",
+                    report=report)
         prev_update = upd
         if upd > 0:
             tol_scale = upd

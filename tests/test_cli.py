@@ -286,6 +286,9 @@ MALFORMED = [
     ("cut_box_just_too_large", lambda c: c["map"].update(cut=2 ** 15)),
     ("assert_tol_a_string", lambda c: c.update(assert_tol="1e-9")),
     ("theta_leading_unknown", lambda c: c.update(theta_leading="x")),
+    # finite, but the mode and its mirror overflow once the series is built
+    ("coefficient_overflows_its_series", lambda c: c["map"]["y_terms"]["2,0"]
+     ["modes"].update({"1": [1e308, 0.0]})),
     # more angle axes than a numpy 1.x array holds, on a box of one mode
     ("axes_too_many", lambda c: c["map"].update(
         d=70, cut=0, freqs=[0.6180339887498949] * 70,
@@ -305,6 +308,8 @@ MALFORMED = [
 ]
 
 
+# a numpy warning on the way to exit 2 fails the case
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("edit", [e for _, e in MALFORMED],
                          ids=[name for name, _ in MALFORMED])
 def test_malformed_config_exits_2(tmp_path, capsys, edit):

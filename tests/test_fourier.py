@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paratori.errors import (DimensionMismatch, NonZeroAverage,
-                             SmallDivisorUnderflow)
+from paratori.errors import (CNotInvertible, DimensionMismatch,
+                             NonZeroAverage, SmallDivisorUnderflow)
 from paratori.fourier import (FourierSeries, angle_grid, diophantine_margin,
                               on_box, reciprocal, solve_sd_flow, solve_sd_map)
 
@@ -184,6 +184,12 @@ def test_reciprocal_multiplies_to_one():
     f = FourierSeries.from_modes({(1,): 0.05}, 1, 12) + 1.0
     g = reciprocal(f)
     assert (f * g - FourierSeries.constant(1.0, 1, 12)).sup_grid(64) < 1e-12
+
+
+def test_reciprocal_of_a_vanishing_series_is_refused():
+    # cos 2 pi theta vanishes at theta = 1/4, a node of the sampling grid
+    with pytest.raises(CNotInvertible):
+        reciprocal(FourierSeries.from_modes({(1,): 0.5}, 1, 4))
 
 
 def test_payload_round_trip():

@@ -4,7 +4,8 @@ difference/derivative along the inner dynamics, and the fixed-point probe."""
 import numpy as np
 import pytest
 
-from paratori.errors import BoundViolated, HypothesisViolated
+from paratori.errors import (BoundViolated, FlowLeftSector, HypothesisViolated,
+                             TailNotConverged)
 from paratori.fourier import FourierSeries
 from paratori.jets import UPoly
 from paratori.map_solver import solve_to_order
@@ -104,6 +105,22 @@ def test_right_inverses_need_a_convergent_tail():
     with pytest.raises(HypothesisViolated):
         flow_orbit_integral(eta, UPoly({2: 1.0}, 12), (), 0.04, None,
                             eta_order=3, mu=0.5)
+
+
+def test_flow_integral_stops_when_the_trajectory_leaves_the_sector():
+    # the start u = 0.03 already lies outside the sector of radius 0.01
+    with pytest.raises(FlowLeftSector):
+        flow_orbit_integral(lambda u, th: u ** 3, UPoly({2: -1.0}, 12), (),
+                            0.03, None, eta_order=3, mu=0.5,
+                            sector=Sector(np.pi / 2, 0.01, 2))
+
+
+def test_orbit_sum_gives_up_on_a_tail_that_decays_too_slowly():
+    # at a decay rate of 1e-9 the tail estimate is billions of times the
+    # term it follows, so no tail target is met within the term budget
+    with pytest.raises(TailNotConverged):
+        orbit_sum_inverse(lambda u, th: u ** 3, R, (), 0.04, None,
+                          eta_order=3, mu=1e-9)
 
 
 def test_flow_integral_oracle():
