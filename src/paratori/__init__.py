@@ -14,13 +14,12 @@ from paratori.fourier import (FourierSeries, diophantine_margin, reciprocal,
                               solve_sd_flow, solve_sd_map)
 from paratori.jets import TFJet, UPoly
 from paratori.mapdata import (NormalizationRecord, TaylorFourierMap, XYPoly,
-                              reduce_general_field, reduce_general_map)
+                              invert_reduced_map, reduce_general_field,
+                              reduce_general_map, validate_shear_field)
 from paratori.pairs import (ManifoldPair, ResidualReport, compare_pairs,
                             residual_report)
-from paratori.map_solver import (default_trunc, init_order2,
-                                 invert_reduced_map, solve_to_order)
-from paratori.flow_solver import (solve_flow_to_order, solve_helicoure,
-                                  validate_shear_field)
+from paratori.map_solver import default_trunc, init_order2, solve_to_order
+from paratori.flow_solver import solve_flow_to_order, solve_helicoure
 from paratori.operators import (Sector, contraction_probe, drift_derivative,
                                 flow_inverse, flow_inverse_norm_limit,
                                 flow_orbit_integral, map_inverse_norm_limit,
@@ -43,10 +42,11 @@ __all__ = [
     "solve_sd_map",
     "TFJet", "UPoly",
     "NormalizationRecord", "TaylorFourierMap", "XYPoly",
-    "reduce_general_field", "reduce_general_map",
+    "invert_reduced_map", "reduce_general_field", "reduce_general_map",
+    "validate_shear_field",
     "ManifoldPair", "ResidualReport", "compare_pairs", "residual_report",
-    "default_trunc", "init_order2", "invert_reduced_map", "solve_to_order",
-    "solve_flow_to_order", "solve_helicoure", "validate_shear_field",
+    "default_trunc", "init_order2", "solve_to_order",
+    "solve_flow_to_order", "solve_helicoure",
     "Sector", "contraction_probe", "drift_derivative", "flow_inverse",
     "flow_inverse_norm_limit", "flow_orbit_integral", "map_inverse_norm_limit",
     "orbit_sum_inverse", "sector_iterate_check", "transfer_difference",

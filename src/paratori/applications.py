@@ -15,8 +15,8 @@ from .errors import (BoundViolated, ConfigError, EnergyBelowThreshold,
                      HypothesisViolated)
 from .fourier import FourierSeries, on_box
 from .mapdata import (NormalizationRecord, TaylorFourierMap, XYPoly,
-                      _inverse_change, _xy_identity)
-from .flow_solver import solve_helicoure, validate_shear_field
+                      _inverse_change, _xy_identity, validate_shear_field)
+from .flow_solver import solve_helicoure
 from .pairs import residual_report
 
 
@@ -115,6 +115,10 @@ class HeCuParams:
         self.h = float(h)
         if self.D <= 0 or self.alpha_morse <= 0 or self.m <= 0:
             raise ConfigError("D, alpha_morse and m must all be positive")
+        if self.h <= self.D:
+            raise EnergyBelowThreshold(
+                "energy h = %g does not exceed the well depth D = %g; no "
+                "scattering orbits reach infinity" % (self.h, self.D))
         if isinstance(g_surface, FourierSeries):
             cut = g_surface.cut  # a given series keeps its own mode box
         self.cut = int(cut)
@@ -142,10 +146,6 @@ def build_hecu_field(p, expansion="displayed", deg=6):
     reports the radius where the square-root argument can vanish, and
     nothing enforces it.
     """
-    if p.h <= p.D:
-        raise EnergyBelowThreshold(
-            "energy h = %g does not exceed the well depth D = %g; no "
-            "scattering orbits reach infinity" % (p.h, p.D))
     if expansion not in ("displayed", "expanded"):
         raise ConfigError("expansion must be 'displayed' or 'expanded'")
     D, alpha, m = p.D, p.alpha_morse, p.m

@@ -21,14 +21,14 @@ from . import operators
 from .applications import (HeCuParams, OscillatorParams,
                            build_oscillator_field, hecu_field_degree,
                            hecu_manifolds)
-from .errors import ConfigError, ParatoriError
+from .errors import ConfigError, DimensionMismatch, ParatoriError
 from .flow_solver import (shear_default_trunc, solve_flow_to_order,
                           solve_helicoure)
 from .fourier import FourierSeries
 from .ioutil import (canonical_json, pair_from_payload, pair_payload,
                      report_payload, residual_csv)
 from .map_solver import default_trunc, solve_to_order
-from .mapdata import TaylorFourierMap
+from .mapdata import TaylorFourierMap, validate_shear_field
 from .pairs import compare_pairs, residual_report
 
 # the most coefficients one Fourier series of a config may hold: a mode
@@ -149,8 +149,7 @@ def _series_spec(spec, dim, cut, what):
     if modes:
         # symmetrizing adds each coefficient to its mirror, which overflows
         # above about 9e307: such a series is refused here, not solved to NaN
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = s + FourierSeries.from_modes(modes, dim, cut)
+        s = s + FourierSeries.from_modes(modes, dim, cut)
         if not np.isfinite(s.coeffs).all():
             raise ConfigError("%s: a coefficient is beyond the float range "
                               "once its series is built" % what)
@@ -201,7 +200,10 @@ class RunConfig:
     settings it holds the parsed problem block: ``data`` (the map or field
     to solve; built from ``params`` for the oscillator), ``params`` and
     ``expansion`` for hecu, and for diagnose-operators the ``sector``, the
-    iterate check settings and the optional ``probe`` keywords.
+    iterate check settings and the optional ``probe`` keywords.  The data
+    passes its structure check here: ``validate_reduced`` for custom maps
+    and fields (``build_oscillator_field`` runs it), ``validate_shear_field``
+    for helicoure; hecu's parameters refuse a closed channel.
     """
 
     def __init__(self, raw, command, order=None, branch=None):
@@ -253,10 +255,13 @@ class RunConfig:
         else:
             kind = "map" if self.problem == "custom-map" else "field"
             self.data = _map_from_config(raw.get(kind), kind)
+            if self.problem == "helicoure":
+                validate_shear_field(self.data)
+            else:
+                self.data.validate_reduced()
         self._check_truncation()
 
         if command == "diagnose-operators":
-            self.data.validate_reduced()  # the sector needs a valid order k
             sec = _object(raw.get("sector"), "sector")
             self.sector = operators.Sector(
                 *(_entry(sec, key, "sector") for key in ("beta", "rho")),
@@ -285,10 +290,9 @@ class RunConfig:
         n, trunc = self.n_target, self.solve_kw["trunc"]
         if trunc is None and self.problem in ("hecu", "helicoure"):
             trunc = shear_default_trunc(n)
-        elif trunc is None and self.data.k is not None:
+        elif trunc is None:
             trunc = default_trunc(n, self.data.k, self.data.p)
-        top = max(trunc or 0,
-                  hecu_field_degree(n) if self.problem == "hecu" else 0)
+        top = max(trunc, hecu_field_degree(n) if self.problem == "hecu" else 0)
         if top > MAX_TRUNC:
             raise ConfigError("truncation order %d is above %d (n_target %d, "
                               "trunc %s)" % (top, MAX_TRUNC, n,
@@ -348,8 +352,9 @@ def _solve(cfg):
                                    **cfg.solve_kw)
     if cfg.problem == "oscillator":
         abar = cfg.params.alpha * cfg.params.g.average()
+        quadratic = data.y_terms.coefficient((2, 0)).average()
         extras["oracle_deltas"] = {
-            "quadratic_mean": abs(data.coefficient_y((2, 0)).average() - abar),
+            "quadratic_mean": abs(quadratic - abar),
             "normal_form_lead": abs(
                 abs(pair.inner_coeff(2)) - math.sqrt(abar / 6.0)),
         }
@@ -435,7 +440,7 @@ def _cmd_compare(args):
         try:
             return pair_from_payload(payload)
         except (ValueError, KeyError, TypeError, IndexError, OverflowError,
-                AttributeError) as err:
+                AttributeError, DimensionMismatch) as err:
             raise ConfigError("%s is not a manifold payload: %r" % (path, err))
 
     tol = _positive(args.tol, "--tol")
@@ -482,11 +487,14 @@ def main(argv=None):
 
     try:
         args = parser.parse_args(argv)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "diagnose-operators":
-            return _cmd_diagnose(args)
-        return _cmd_solve(args)
+        # finite data that overflows in a solve is refused by its contract
+        # check (exit 2), so numpy's warnings on the way would be noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "compare":
+                return _cmd_compare(args)
+            if args.command == "diagnose-operators":
+                return _cmd_diagnose(args)
+            return _cmd_solve(args)
     except ParatoriError as err:
         sys.stderr.write(canonical_json(err.payload()))
         return err.exit_code

@@ -133,9 +133,5 @@ class FlowLeftSector(BoundViolated):
 
 
 class Diverged(BoundViolated):
-    """An iteration grew instead of contracting; ``report`` holds the
-    sweeps so far."""
-
-    def __init__(self, message, report=None):
-        self.report = report
-        super().__init__(message)
+    """An iteration grew instead of contracting; ``detail["report"]``
+    holds the sweeps so far."""

@@ -15,9 +15,10 @@ Two structure classes are handled:
   graph over u ~ x, the inner velocity is the exact cubic
   Y(u) = Y_2 u^2 + Y_3 u^3, and the branch is dictated by the sign of the
   mean of b rather than chosen by a square root.  This module holds its
-  structure check, its seed and the branch flip; the order steps are
-  map_solver.extend_order, whose shear-class averaged step sits next to the
-  power-class one.
+  seed and the branch flip; its structure check is
+  mapdata.validate_shear_field, beside the power-class rules, and the
+  order steps are map_solver.extend_order, whose shear-class averaged step
+  sits next to the power-class one.
 
 For the shear class the leading angular coefficient admits two conventions:
 ``theta_leading="cohomological"`` solves the order-u^2 angular equation
@@ -37,6 +38,7 @@ from .fourier import diophantine_margin
 from .jets import TFJet, UPoly
 from .map_solver import close_order, extend_order, solve_to_order
 from .map_solver import init_order2  # noqa: F401  only for the perfbench trace
+from .mapdata import validate_shear_field
 from .pairs import ManifoldPair
 from .pairs import residual_jets  # noqa: F401  only for the perfbench trace
 
@@ -53,34 +55,9 @@ def solve_flow_to_order(fd, n_target, branch="stable", trunc=None, sd_floor=1e-1
 # ----- shear class ----------------------------------------------------------
 
 
-def validate_shear_field(fd):
-    """Structure check for the shear class (see module docstring)."""
-    if fd.kind != "field":
-        raise StructureViolation("shear class is a vector-field structure")
-    for lm in fd.x_terms:
-        if lm != (0, 1):
-            raise StructureViolation("x-part must be exactly shear * y")
-    if (0, 1) not in fd.x_terms:
-        raise StructureViolation("x-part misses the shear term")
-    if (1, 1) not in fd.y_terms:
-        raise StructureViolation("y-part misses the leading x*y term")
-    for (l, m) in fd.y_terms:
-        if m == 0:
-            raise StructureViolation("y-part term x^%d has no y factor" % l)
-        if m == 1 and l != 1:
-            raise StructureViolation("single-y term (%d, 1) outside the class" % l)
-    if fd.d < 1:
-        raise StructureViolation("shear class needs at least one dynamic angle")
-    for a in range(fd.d):
-        for (l, m) in fd.theta_terms[a]:
-            if (l, m) != (0, 1) and l + m < 2:
-                raise StructureViolation(
-                    "angle term (%d, %d) on axis %d outside the class" % (l, m, a))
-
-
 def _shear_leading(fd):
     cbar = fd.shear().average()
-    bbar = fd.coefficient_y((1, 1)).average()
+    bbar = fd.y_terms.coefficient((1, 1)).average()
     if bbar == 0.0:
         raise ZeroLeadingCoefficient("mean of the leading x*y coefficient is zero")
     if cbar <= 0.0:
@@ -103,8 +80,8 @@ def _solve_shear_direct(fd, n_target, theta_leading, trunc, sd_floor, assert_tol
 
     w1_cohom, w1_used = [], []
     for a in range(d):
-        dbar = fd.coefficient_theta(a, (0, 1)).average()
-        q20 = fd.coefficient_theta(a, (2, 0)).average()
+        dbar = fd.theta_terms[a].coefficient((0, 1)).average()
+        q20 = fd.theta_terms[a].coefficient((2, 0)).average()
         w_true = (dbar * eta2 + q20) / y2
         w1_cohom.append(w_true)
         w1_used.append(2.0 * dbar / cbar if theta_leading == "closed_form" else w_true)

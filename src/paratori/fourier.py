@@ -272,15 +272,14 @@ class FourierSeries:
 
     @classmethod
     def from_payload(cls, payload):
-        dim = int(payload["dim"])
-        cut = int(payload["cut"])
-        s = cls.zero(dim, cut)
-        for k, re, im in payload["modes"]:
-            k = tuple(int(x) for x in k)
-            s.coeffs[tuple(x + cut for x in k)] = complex(re, im)
-            if any(x != 0 for x in k):
-                s.coeffs[tuple(-x + cut for x in k)] = complex(re, -im)
-        return cls(s.coeffs)
+        """Inverse of ``to_payload``: the half spectrum through
+        ``from_modes``, which checks each mode against the box and adds the
+        mirror, so a payload listing a mode and its mirror is refused."""
+        modes = {tuple(k): complex(re, im) for k, re, im in payload["modes"]}
+        for k in modes:
+            if any(k) and tuple(-x for x in k) in modes:
+                raise DimensionMismatch("mode %s listed with its mirror" % (k,))
+        return cls.from_modes(modes, int(payload["dim"]), int(payload["cut"]))
 
     def __repr__(self):
         return "FourierSeries(dim=%d, cut=%d, |c|_1=%.3e)" % (

@@ -7,7 +7,8 @@ coefficient table, sums, the truncated product, scaling, the angle
 derivative and the angle shift.  Its two classes differ only in the
 exponent type.  ``TFJet`` (exponent ``n``, defined here) holds the
 components of manifold parameterizations and their residuals;
-``mapdata.XYPoly`` (exponent ``(l, m)``) normalizes the input dynamics.
+``mapdata.XYPoly`` (exponent ``(l, m)``) holds the term tables of the input
+dynamics and normalizes them.
 ``angle_taylor`` (the expansion of s(theta + W) in the displacement W) and
 ``substitute`` (a term table evaluated at two polynomials and angle
 displacements) are written once for both; ``eval_xy_terms`` and

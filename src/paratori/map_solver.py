@@ -1,5 +1,8 @@
 """Order-by-order construction of invariant manifolds of parabolic tori for
 maps in reduced form, and the one order step shared with vector fields.
+The structure rules and the inversion of a reduced map live with the input
+dynamics in mapdata; this module reads its data only through the term
+tables.
 
 The input map must have the triangular structure
     x' = x + c(theta) y
@@ -36,13 +39,11 @@ from .errors import (
     ContractViolated,
     NonPositiveLeadingCoefficient,
     SingularSystem,
-    StructureViolation,
     TruncationTooLow,
     ZeroLeadingCoefficient,
 )
 from .fourier import diophantine_margin, solve_sd_flow, solve_sd_map
 from .jets import TFJet, UPoly
-from .mapdata import TaylorFourierMap, XYPoly
 from .pairs import ManifoldPair, residual_jets
 
 
@@ -62,7 +63,7 @@ def _sd_solver(data, sd_floor):
 
 def _leading_averages(mp):
     cbar = mp.shear().average()
-    abar = mp.coefficient_y((mp.k, 0)).average()
+    abar = mp.y_terms.coefficient((mp.k, 0)).average()
     if cbar == 0.0 or abar == 0.0:
         raise ZeroLeadingCoefficient(
             "mean shear %.3e, mean leading coefficient %.3e" % (cbar, abar)
@@ -103,7 +104,7 @@ def init_order2(mp, branch="stable", trunc=None, sd_floor=1e-12, assert_tol=1e-9
     y = TFJet(dim, cut, trunc, {k + 1: eta})
     tails = []
     for a in range(d):
-        dbar = mp.coefficient_theta(a, (p, 0)).average()
+        dbar = mp.theta_terms[a].coefficient((p, 0)).average()
         tails.append(TFJet(dim, cut, trunc, {lead_w: dbar / (lead_w * r_k)}))
     if mp.kind == "map":
         inner = UPoly({1: 1.0, k: r_k}, trunc)
@@ -126,21 +127,31 @@ def _check_contract(data, pair, tol):
     contract orders is within ``tol`` times the size of the pair; return
     the residual jets it checked.
 
-    In the shear class's closed-form convention the order-2 angle average
-    is a documented defect (``theta_leading_defect``), so only its
-    oscillatory part is checked there.
+    A non-finite coefficient at any order means finite data overflowed
+    inside the solve: that is refused as a ConfigError naming the order and
+    component, before any bound is read.  In the shear class's closed-form
+    convention the order-2 angle average is a documented defect
+    (``theta_leading_defect``), so only its oscillatory part is checked
+    there.
     """
     gx, gy, gt = residual_jets(data, pair)
     ox, oy, ot = pair.contract_orders()
-    bound = tol * pair.size()
-    pinned = pair.diagnostics.get("theta_leading_mode") == "closed_form"
     named = [("x", gx, ox), ("y", gy, oy)]
     named += [("theta_%d" % a, g, ot) for a, g in enumerate(gt)]
+    for name, jet, _ in named:
+        for n in jet.orders():
+            if not np.isfinite(jet.terms[n].coeffs).all():
+                raise ConfigError(
+                    "the data overflows inside the solve: the residual of %s "
+                    "at order %d is beyond the float range" % (name, n),
+                    order=n, component=name)
+    bound = tol * pair.size()
+    pinned = pair.diagnostics.get("theta_leading_mode") == "closed_form"
     for name, jet, lead in named:
         for n in jet.orders():
             if n >= lead:
-                continue
-            coeff = jet.coefficient(n)
+                break
+            coeff = jet.terms[n]
             if pinned and n == 2 and name.startswith("theta"):
                 coeff = coeff.oscillatory()
             defect = coeff.coeff_norm()
@@ -200,9 +211,9 @@ def _power_average_step(mp, pair, gxb, gyb, gtb):
     n, k, p, d = pair.order, pair.k, pair.p, pair.d
     r_k = pair.inner.coeff(k)
     cbar = mp.shear().average()
-    abar = mp.coefficient_y((k, 0)).average()
+    abar = mp.y_terms.coefficient((k, 0)).average()
     lead_w = 2 * p - k + 1 if d else None
-    dbars = [mp.coefficient_theta(a, (p, 0)).average() for a in range(d)]
+    dbars = [mp.theta_terms[a].coefficient((p, 0)).average() for a in range(d)]
     w_leads = [pair.tails[a].coefficient(lead_w).average() for a in range(d)]
     row_x = [-(n + 1) * r_k, cbar]
     row_y = [k * abar, -(n + k) * r_k]
@@ -246,12 +257,12 @@ def _shear_average_step(fd, pair, gxb, gyb, gtb):
     n = pair.order + 1
     d = pair.d
     cbar = fd.shear().average()
-    b = fd.coefficient_y((1, 1))
+    b = fd.y_terms.coefficient((1, 1))
     bbar = b.average()
     y2 = pair.inner.coeff(2)
     beta = (b * pair.y.coefficient(2)).average()
-    dbars = [fd.coefficient_theta(a, (0, 1)).average() for a in range(d)]
-    q20s = [fd.coefficient_theta(a, (2, 0)).average() for a in range(d)]
+    dbars = [fd.theta_terms[a].coefficient((0, 1)).average() for a in range(d)]
+    q20s = [fd.theta_terms[a].coefficient((2, 0)).average() for a in range(d)]
     w1s = [pair.tails[a].coefficient(1).average() for a in range(d)]
     row_x = [-n * y2, cbar]
     row_y = [beta, bbar - (n + 1) * y2]
@@ -338,41 +349,3 @@ def solve_to_order(mp, n_target, branch="stable", trunc=None, sd_floor=1e-12,
     if snapshots:
         return pair, history
     return pair
-
-
-def invert_reduced_map(mp, deg):
-    """Inverse of a reduced map as a general map container.
-
-    Fixed-point elimination order by order: the angle displacement, the
-    vertical variable, then the horizontal one (which is explicit thanks to
-    the exact shear form).  The result rotates the angles by -omega and is a
-    general (not reduced) map.
-    """
-    if mp.kind != "map":
-        raise StructureViolation("invert_reduced_map takes a map, got kind %r"
-                                 % (mp.kind,))
-    dim, cut, d = mp.dim, mp.cut, mp.d
-    om = np.asarray(mp.freqs, dtype=float)
-    c_back = mp.shear().shift(-om)
-
-    def shifted_poly(terms):
-        return XYPoly(dim, cut, deg, dict(terms)).shift(-om)
-
-    ny = shifted_poly(mp.y_terms)
-    nts = [shifted_poly(t) for t in mp.theta_terms]
-
-    xid = XYPoly(dim, cut, deg, {(1, 0): 1.0})
-    yid = XYPoly(dim, cut, deg, {(0, 1): 1.0})
-    x_poly, y_poly = xid.copy(), yid.copy()
-    t_polys = [XYPoly(dim, cut, deg) for _ in range(d)]
-    for _ in range(deg + 1):
-        t_polys = [-nt.subst(x_poly, y_poly, t_polys) for nt in nts]
-        y_poly = yid - ny.subst(x_poly, y_poly, t_polys)
-        c_poly = XYPoly(dim, cut, deg, {(0, 0): c_back}).subst(xid, yid, t_polys)
-        x_poly = xid - c_poly * y_poly
-
-    x_terms = dict((x_poly - xid).terms)
-    y_terms = dict((y_poly - yid).terms)
-    return TaylorFourierMap(
-        "map", d, 0, cut, tuple(-w for w in mp.freqs),
-        x_terms, y_terms, [dict(t.terms) for t in t_polys], k=mp.k, p=mp.p)

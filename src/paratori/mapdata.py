@@ -1,4 +1,5 @@
-"""Containers for the input dynamics and coordinate normalizations.
+"""The input dynamics: their one polynomial type, their structure rules,
+and the coordinate changes that bring general input into shape.
 
 A ``TaylorFourierMap`` holds a map or a vector field that is polynomial in
 the planar variables (x, y) with truncated Fourier coefficients in the
@@ -8,21 +9,30 @@ phase axes (quasiperiodic forcing; rigid by fiat).  Maps advance the dynamic
 angles by a fixed rotation; fields rotate all angle axes with constant
 frequencies.
 
-``XYPoly`` is the working bivariate algebra used to normalize general input
-so that the first component becomes exactly  x + c(theta) * y  (maps) or
-c(theta) * y  (fields); ``NormalizationRecord`` remembers the change of
-variables so computed manifolds can be pulled back.  Its arithmetic is the
-``jets.FTPoly`` core shared with ``TFJet``, and ``XYPoly.subst`` is
-``jets.substitute``, the same code that evaluates term tables at u-jets,
-on a ``jets.power_table`` it builds once per call; only the x- and
-y-derivatives are its own.  ``eval_terms`` is the one
-pointwise evaluator of a term table.
+Every term table (``x_terms``, ``y_terms``, each ``theta_terms[a]``) is an
+``XYPoly`` truncated at its own total degree; a coefficient is read with
+``FTPoly.coefficient``, and ``XYPoly.eval`` is the one pointwise evaluator.
+Its arithmetic is the ``jets.FTPoly`` core shared with ``TFJet``, and
+``XYPoly.subst`` is ``jets.substitute``, the same code that evaluates term
+tables at u-jets, on a ``jets.power_table`` it builds once per call; only
+the x- and y-derivatives are its own.  A table is only read at its own
+degree: whatever computes with it builds an ``XYPoly`` at the degree it
+needs from the table's ``terms``.
+
+The structure rules of both solver classes live here, each written once:
+``TaylorFourierMap.validate_reduced`` (the triangular power class) and
+``validate_shear_field`` (the shear class of vector fields) share the rule
+that the x-part is exactly shear * y.  So do the normalizations:
+``reduce_general_map`` / ``reduce_general_field`` make the x-part exactly
+x + c(theta) * y  (maps) or  c(theta) * y  (fields), with a
+``NormalizationRecord`` that pulls computed manifolds back, and
+``invert_reduced_map`` inverts a reduced map.
 """
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, StructureViolation
-from .fourier import FourierSeries, on_box, reciprocal
+from .fourier import reciprocal
 from .jets import FTPoly, eval_xy_terms, power_table, substitute
 
 
@@ -75,37 +85,22 @@ class XYPoly(FTPoly):
         return substitute(self.terms, powers, self.trunc)
 
     def eval(self, x, y, ang=None):
-        out = eval_terms(self.terms, x, y, ang)
+        """Pointwise sum_{l,m} s_{lm}(ang) x^l y^m.
+
+        Real or complex x, y and angles; returns an array of the broadcast
+        shape of x and y, a number when both are scalars.
+        """
+        x = np.asarray(x)
+        y = np.asarray(y)
+        out = np.zeros(np.broadcast(x, y).shape)
+        for (l, m), s in self.terms.items():
+            out = out + np.asarray(s.eval(ang)) * x**l * y**m
         return out if out.ndim else out.item()
 
     def to_jet(self, jx, jy, tails, trunc):
         """Evaluate at u-jets (x -> jx, y -> jy, theta_a -> theta_a + W_a)."""
         powers = power_table(jx, jy, tails, trunc, [self.terms])
         return eval_xy_terms(self.terms, powers, trunc)
-
-
-def eval_terms(terms, x, y, ang=None):
-    """Pointwise sum_{l,m} s_{lm}(ang) x^l y^m of a term table.
-
-    Real or complex x, y and angles; returns an array of the broadcast
-    shape of x and y.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    out = np.zeros(np.broadcast(x, y).shape)
-    for (l, m), s in terms.items():
-        out = out + np.asarray(s.eval(ang)) * x**l * y**m
-    return out
-
-
-def _validate_terms(terms, dim, cut):
-    out = {}
-    for lm, s in terms.items():
-        l, m = int(lm[0]), int(lm[1])
-        s = on_box(s, dim, cut, "term (%d, %d)" % (l, m))
-        if not s.is_zero():
-            out[(l, m)] = s
-    return out
 
 
 class TaylorFourierMap:
@@ -116,7 +111,9 @@ class TaylorFourierMap:
         theta' = theta + omega + (theta_terms),
     i.e. term tables hold only the deviation from the identity.  For
     kind="field" the tables are the velocities themselves and the angle
-    velocities are  freqs + (theta_terms on the first d axes).
+    velocities are  freqs + (theta_terms on the first d axes).  The
+    constructor takes each table as an {(l, m): series-or-number} dict and
+    keeps it as an ``XYPoly`` truncated at its own total degree.
     """
 
     def __init__(self, kind, d, drive, cut, freqs, x_terms, y_terms, theta_terms,
@@ -135,61 +132,40 @@ class TaylorFourierMap:
         if len(self.freqs) != axes:
             raise DimensionMismatch("%d frequencies for %d rotating angle axes"
                                     % (len(self.freqs), axes))
-        self.x_terms = _validate_terms(x_terms, self.dim, self.cut)
-        self.y_terms = _validate_terms(y_terms, self.dim, self.cut)
+        self.x_terms = self._table(x_terms)
+        self.y_terms = self._table(y_terms)
         if len(theta_terms) != self.d:
             raise DimensionMismatch("%d angle term tables for d = %d"
                                     % (len(theta_terms), self.d))
-        self.theta_terms = [_validate_terms(t, self.dim, self.cut) for t in theta_terms]
+        self.theta_terms = [self._table(t) for t in theta_terms]
         self.k = None if k is None else int(k)
         self.p = None if p is None else int(p)
+
+    def _table(self, terms):
+        """An {(l, m): series-or-number} table as the XYPoly truncated at
+        its own total degree."""
+        deg = max((l + m for l, m in terms), default=0)
+        return XYPoly(self.dim, self.cut, deg, terms)
 
     # ----- structure checks ---------------------------------------------
 
     def shear(self):
-        return self.coefficient_x((0, 1))
-
-    def coefficient_x(self, lm):
-        s = self.x_terms.get(tuple(lm))
-        return s.copy() if s is not None else FourierSeries.zero(self.dim, self.cut)
-
-    def coefficient_y(self, lm):
-        s = self.y_terms.get(tuple(lm))
-        return s.copy() if s is not None else FourierSeries.zero(self.dim, self.cut)
-
-    def coefficient_theta(self, axis, lm):
-        s = self.theta_terms[axis].get(tuple(lm))
-        return s.copy() if s is not None else FourierSeries.zero(self.dim, self.cut)
+        return self.x_terms.coefficient((0, 1))
 
     def validate_reduced(self):
         """Check the triangular structure the order-by-order solver needs.
 
-        x-part exactly c(theta) y; y-part led by x^k with admissible tail
-        (terms with a y factor of total degree >= k, pure-x terms beyond
-        order k); angle parts led by x^p with the analogous tail shape.
-        With d == 0 no angle-part condition applies and p is ignored.
+        x-part exactly c(theta) y; y-part led by x^k with no term of total
+        degree below k; angle parts with no term of total degree below p,
+        where 2p > k - 1.  With d == 0 no angle-part condition applies and
+        p is ignored.
         """
         k = self.k
         if k is None or k < 2:
             raise StructureViolation("need the leading y-order k >= 2")
-        for lm in self.x_terms:
-            if lm != (0, 1):
-                raise StructureViolation(
-                    "x-part must be exactly shear * y, found term %s" % (lm,)
-                )
-        if (0, 1) not in self.x_terms:
-            raise StructureViolation("x-part misses the shear term")
-        for (l, m) in self.y_terms:
-            if m == 0:
-                if l < k:
-                    raise StructureViolation(
-                        "pure-x term x^%d in the y-part below leading order %d" % (l, k)
-                    )
-            elif l + m < k:
-                raise StructureViolation(
-                    "y-part term (%d, %d) of total degree below %d" % (l, m, k)
-                )
-        if (k, 0) not in self.y_terms:
+        _check_exact_shear(self)
+        _check_tail(self.y_terms, k, "the y-part")
+        if (k, 0) not in self.y_terms.terms:
             raise StructureViolation("y-part misses the leading x^%d term" % k)
         if self.d == 0:
             return
@@ -199,25 +175,14 @@ class TaylorFourierMap:
         if not (2 * p > k - 1):
             raise StructureViolation("orders violate 2p > k - 1")
         for a in range(self.d):
-            for (l, m) in self.theta_terms[a]:
-                if m == 0:
-                    if l < p:
-                        raise StructureViolation(
-                            "pure-x term x^%d in angle axis %d below order %d"
-                            % (l, a, p)
-                        )
-                elif l + m < p:
-                    raise StructureViolation(
-                        "angle term (%d, %d) on axis %d of total degree below %d"
-                        % (l, m, a, p)
-                    )
+            _check_tail(self.theta_terms[a], p, "angle axis %d" % a)
 
     def validate_xy_shear(self):
         """Check x-part is led by shear * y with an invertible shear (the
         prerequisite for normalization)."""
-        if (0, 1) not in self.x_terms:
+        if (0, 1) not in self.x_terms.terms:
             raise StructureViolation("x-part misses a shear * y term")
-        for (l, m) in self.x_terms:
+        for (l, m) in self.x_terms.terms:
             if (l, m) != (0, 1) and l + m < 2:
                 raise StructureViolation("x-part has an extra linear term %s" % ((l, m),))
 
@@ -231,12 +196,12 @@ class TaylorFourierMap:
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        dx = eval_terms(self.x_terms, x, y, ang)
-        dy = eval_terms(self.y_terms, x, y, ang)
+        dx = self.x_terms.eval(x, y, ang)
+        dy = self.y_terms.eval(x, y, ang)
         batch = np.broadcast(x, y).shape
         ang_out = np.zeros(batch + (self.dim,))
         for a in range(self.d):
-            ang_out[..., a] = eval_terms(self.theta_terms[a], x, y, ang)
+            ang_out[..., a] = self.theta_terms[a].eval(x, y, ang)
         if self.kind == "map":
             X = x + dx
             Y = y + dy
@@ -258,10 +223,10 @@ class TaylorFourierMap:
         if self.kind != "field" or {sx, sy, time_sign} - {1, -1}:
             raise ConfigError("transformed_field takes a field and signs +-1")
 
-        def tx(terms, out_sign):
+        def tx(table, out_sign):
             return {
                 (l, m): s * (time_sign * out_sign * sx**l * sy**m)
-                for (l, m), s in terms.items()
+                for (l, m), s in table.terms.items()
             }
 
         return TaylorFourierMap(
@@ -280,6 +245,48 @@ class TaylorFourierMap:
     def __repr__(self):
         return "TaylorFourierMap(kind=%s, d=%d, drive=%d, cut=%d, k=%s, p=%s)" % (
             self.kind, self.d, self.drive, self.cut, self.k, self.p)
+
+
+def _check_exact_shear(data):
+    """The x-part rule of both structure classes: exactly shear * y."""
+    if list(data.x_terms.terms) != [(0, 1)]:
+        raise StructureViolation("x-part must be exactly shear * y, found "
+                                 "terms %s" % sorted(data.x_terms.terms))
+
+
+def _check_tail(table, lead, where):
+    """The tail rule of the power class: no term of total degree below the
+    leading order ``lead`` (for a pure-x term, no power of x below it)."""
+    if table.terms and table.min_order < lead:
+        raise StructureViolation("%s has a term of total degree %d, below "
+                                 "its leading order %d"
+                                 % (where, table.min_order, lead))
+
+
+def validate_shear_field(fd):
+    """Structure check for the shear class of vector fields.
+
+    x-part exactly c(theta) y; y-part led by b(theta) x y with every other
+    term divisible by y^2; angle parts d(theta) y plus terms of total
+    degree >= 2, on at least one dynamic angle.
+    """
+    if fd.kind != "field":
+        raise StructureViolation("shear class is a vector-field structure")
+    _check_exact_shear(fd)
+    if (1, 1) not in fd.y_terms.terms:
+        raise StructureViolation("y-part misses the leading x*y term")
+    for (l, m) in fd.y_terms.terms:
+        if m == 0:
+            raise StructureViolation("y-part term x^%d has no y factor" % l)
+        if m == 1 and l != 1:
+            raise StructureViolation("single-y term (%d, 1) outside the class" % l)
+    if fd.d < 1:
+        raise StructureViolation("shear class needs at least one dynamic angle")
+    for a in range(fd.d):
+        for (l, m) in fd.theta_terms[a].terms:
+            if (l, m) != (0, 1) and l + m < 2:
+                raise StructureViolation(
+                    "angle term (%d, %d) on axis %d outside the class" % (l, m, a))
 
 
 class NormalizationRecord:
@@ -336,7 +343,7 @@ def _shear_change(data, kind, deg):
         raise StructureViolation("expected a %s, got kind %r" % (kind, data.kind))
     data.validate_xy_shear()
     c = data.shear()
-    f = XYPoly(data.dim, data.cut, deg, data.x_terms)
+    f = XYPoly(data.dim, data.cut, deg, data.x_terms.terms)
     g = f.mul_series(reciprocal(c))
     h = g - _xy_identity(data.dim, data.cut, deg, "y")
     return c, f, g, NormalizationRecord(c, h, _inverse_change(h, deg))
@@ -358,8 +365,8 @@ def reduce_general_map(mp, deg):
 
     # full images in the original variables
     Fx = xid + f
-    Fy = _xy_identity(dim, cut, deg, "y") + XYPoly(dim, cut, deg, mp.y_terms)
-    Bs = [XYPoly(dim, cut, deg, t) for t in mp.theta_terms]
+    Fy = _xy_identity(dim, cut, deg, "y") + XYPoly(dim, cut, deg, mp.y_terms.terms)
+    Bs = [XYPoly(dim, cut, deg, t.terms) for t in mp.theta_terms]
 
     # re-express the images in (x, y_new)
     Fx_n = Fx.subst(xid, Y)
@@ -384,11 +391,48 @@ def reduce_general_map(mp, deg):
         mp.freqs,
         {(0, 1): c},
         _drop_dust(y_terms, scale),
-        [_drop_dust(dict(B.terms), scale) for B in Bs_n],
+        [_drop_dust(B.terms, scale) for B in Bs_n],
         k=mp.k,
         p=mp.p,
     )
     return reduced, record
+
+
+def invert_reduced_map(mp, deg):
+    """Inverse of a reduced map as a general map container.
+
+    Fixed-point elimination order by order: the angle displacement, the
+    vertical variable, then the horizontal one (which is explicit thanks to
+    the exact shear form).  The result rotates the angles by -omega and is a
+    general (not reduced) map.
+    """
+    if mp.kind != "map":
+        raise StructureViolation("invert_reduced_map takes a map, got kind %r"
+                                 % (mp.kind,))
+    dim, cut, d = mp.dim, mp.cut, mp.d
+    om = np.asarray(mp.freqs, dtype=float)
+    c_back = mp.shear().shift(-om)
+
+    def shifted_poly(table):
+        return XYPoly(dim, cut, deg, table.terms).shift(-om)
+
+    ny = shifted_poly(mp.y_terms)
+    nts = [shifted_poly(t) for t in mp.theta_terms]
+
+    xid = _xy_identity(dim, cut, deg, "x")
+    yid = _xy_identity(dim, cut, deg, "y")
+    x_poly, y_poly = xid.copy(), yid.copy()
+    t_polys = [XYPoly(dim, cut, deg) for _ in range(d)]
+    for _ in range(deg + 1):
+        t_polys = [-nt.subst(x_poly, y_poly, t_polys) for nt in nts]
+        y_poly = yid - ny.subst(x_poly, y_poly, t_polys)
+        c_poly = XYPoly(dim, cut, deg, {(0, 0): c_back}).subst(xid, yid, t_polys)
+        x_poly = xid - c_poly * y_poly
+
+    return TaylorFourierMap(
+        "map", d, 0, cut, tuple(-w for w in mp.freqs),
+        (x_poly - xid).terms, (y_poly - yid).terms, [t.terms for t in t_polys],
+        k=mp.k, p=mp.p)
 
 
 def reduce_general_field(fd, deg):
@@ -397,8 +441,8 @@ def reduce_general_field(fd, deg):
     dim, cut, Y = fd.dim, fd.cut, record.inverse
     xid = _xy_identity(dim, cut, deg, "x")
 
-    Xy = XYPoly(dim, cut, deg, fd.y_terms)
-    Bs = [XYPoly(dim, cut, deg, t) for t in fd.theta_terms]
+    Xy = XYPoly(dim, cut, deg, fd.y_terms.terms)
+    Bs = [XYPoly(dim, cut, deg, t.terms) for t in fd.theta_terms]
 
     gdot = g.diff_x() * Xx + g.diff_y() * Xy
     for j in range(dim):
@@ -420,8 +464,8 @@ def reduce_general_field(fd, deg):
         cut,
         fd.freqs,
         {(0, 1): c},
-        _drop_dust(dict(ynew_dot.terms), scale),
-        [_drop_dust(dict(B.terms), scale) for B in Bs_n],
+        _drop_dust(ynew_dot.terms, scale),
+        [_drop_dust(B.terms, scale) for B in Bs_n],
         k=fd.k,
         p=fd.p,
     )

@@ -22,7 +22,6 @@ from .errors import (
     TailNotConverged,
 )
 from .fourier import angle_grid
-from .mapdata import eval_terms
 from .pairs import residual_jets
 
 _J_MIN, _J_MAX = 16, 60000   # first and last orbit term where a sum may stop
@@ -400,13 +399,13 @@ def contraction_probe(mp, pair, sector, mu, ball_alpha=0.5, samples=(10, 5, 8),
             c_base = c_disp = np.full(kx.shape, c_series.average(), dtype=complex)
         out = {"x": (ky * (c_disp - c_base) + f["y"] * c_disp
                      + gjets["x"].eval_grid(z, pts)),
-               "y": (eval_terms(mp.y_terms, kx + f["x"], ky + f["y"], disp)
-                     - eval_terms(mp.y_terms, kx, ky, base)
+               "y": (mp.y_terms.eval(kx + f["x"], ky + f["y"], disp)
+                     - mp.y_terms.eval(kx, ky, base)
                      + gjets["y"].eval_grid(z, pts))}
         for a in range(d):
             out["t%d" % a] = (
-                eval_terms(mp.theta_terms[a], kx + f["x"], ky + f["y"], disp)
-                - eval_terms(mp.theta_terms[a], kx, ky, base)
+                mp.theta_terms[a].eval(kx + f["x"], ky + f["y"], disp)
+                - mp.theta_terms[a].eval(kx, ky, base)
                 + gjets["t%d" % a].eval_grid(z, pts))
         return out
 

@@ -89,7 +89,7 @@ def residual_jets(data, pair):
     """
     tails = pair.tails
     trunc = pair.x.trunc
-    tables = [data.x_terms, data.y_terms] + list(data.theta_terms)
+    tables = [t.terms for t in [data.x_terms, data.y_terms] + data.theta_terms]
     powers = power_table(pair.x, pair.y, tails, trunc, tables)
     fx, fy, *ft = (eval_xy_terms(terms, powers, trunc) for terms in tables)
     if data.kind == "map":

@@ -89,8 +89,9 @@ def test_wall_field_displayed_constants():
     fd, record = build_hecu_field(p)
     A = 2 * p.m * (p.h - p.D)
     assert abs(fd.shear().average() - 2 * p.D * p.alpha_morse) < 1e-14
-    assert abs(fd.coefficient_y((1, 1)).average() + p.alpha_morse / p.m) < 1e-14
-    assert abs(fd.coefficient_theta(0, (0, 1)).average()
+    assert abs(fd.y_terms.coefficient((1, 1)).average()
+               + p.alpha_morse / p.m) < 1e-14
+    assert abs(fd.theta_terms[0].coefficient((0, 1)).average()
                + p.D / math.sqrt(A)) < 1e-14
     assert abs(fd.freqs[0] - math.sqrt(A) / p.m) < 1e-14
     assert record.validity["y"] == pytest.approx(A / (4 * p.m * p.D))
@@ -104,21 +105,21 @@ def test_wall_field_expanded_coefficients():
     c = 2 * D * p.alpha_morse
     gamma = 1.3
     # the normalizing change makes the horizontal part pure shear, exactly
-    assert set(fd.x_terms) == {(0, 1)}
-    assert abs(fd.coefficient_x((0, 1)).average() - c) < 1e-12
+    assert set(fd.x_terms.terms) == {(0, 1)}
+    assert abs(fd.x_terms.coefficient((0, 1)).average() - c) < 1e-12
     # vertical part: b x (y + gamma y^2 - 2 gamma^2 y^3 + 5 gamma^3 y^4 - ...)
     b = -p.alpha_morse / m
     for j, cat in ((1, 1.0), (2, gamma), (3, -2 * gamma ** 2),
                    (4, 5 * gamma ** 3), (5, -14 * gamma ** 4)):
-        got = fd.coefficient_y((1, j)).average()
+        got = fd.y_terms.coefficient((1, j)).average()
         assert abs(got - b * cat) < 1e-10 * max(1, abs(b * cat)), j
     # angle velocity: linear coefficient doubles against the displayed form,
     # quadratic coefficient (D/sqrt(A)) (gamma - 2 m D / A)
-    assert abs(fd.coefficient_theta(0, (0, 1)).average()
+    assert abs(fd.theta_terms[0].coefficient((0, 1)).average()
                + 2 * D / math.sqrt(A)) < 1e-12
     want_q02 = (D / math.sqrt(A)) * (gamma - 2 * m * D / A)
-    assert abs(fd.coefficient_theta(0, (0, 2)).average() - want_q02) < 1e-12
-    assert abs(fd.coefficient_theta(0, (2, 0)).average()
+    assert abs(fd.theta_terms[0].coefficient((0, 2)).average() - want_q02) < 1e-12
+    assert abs(fd.theta_terms[0].coefficient((2, 0)).average()
                + 1 / (2 * m * math.sqrt(A))) < 1e-12
 
 

@@ -6,7 +6,9 @@ import math
 import pytest
 
 from paratori.cli import main
-from paratori.ioutil import pair_from_payload
+from paratori.ioutil import pair_from_payload, pair_payload
+from paratori.jets import TFJet, UPoly
+from paratori.pairs import ManifoldPair
 
 from conftest import run_cli
 
@@ -305,6 +307,16 @@ MALFORMED = [
                                              "m": 1.0, "h": 12.7}}])),
     ("sweep_entry_holds_a_sweep",
      lambda c: c.update(sweep=[{}, {"sweep": []}])),
+    # a later entry's structure is checked before the first entry is solved
+    ("sweep_later_entry_misses_k",
+     lambda c: c.update(sweep=[{}, {"map": {"k": None}}])),
+    ("sweep_later_entry_x_part_not_pure_shear",
+     lambda c: c.update(sweep=[{}, {"map": {"x_terms": {"1,0": 0.1}}}])),
+    # finite data that overflows only inside the solve
+    ("data_overflows_in_the_solve", lambda c: c["map"]["y_terms"]
+     .update({"3,0": 1e200})),
+    ("data_overflows_early_in_the_solve", lambda c: c["map"]["y_terms"]
+     .update({"3,0": 1e308})),
 ]
 
 
@@ -408,6 +420,36 @@ def test_malformed_block_exits_2_before_the_solve(tmp_path, capsys,
     assert err["error"] == "ConfigError" and err["exit_code"] == 2
 
 
+# runs refused before any output: a helicoure sweep whose second entry
+# leaves the shear class, a hecu sweep whose second entry closes the
+# channel (h <= D), and an oscillator whose data overflows in the solve
+REFUSED_RUNS = [
+    ("helicoure_sweep_pure_x_squared", "helicoure", HELI_CONFIG,
+     lambda c: c.update(sweep=[{}, {"field": {"y_terms": {"2,0": 1.0}}}]),
+     "StructureViolation"),
+    ("hecu_sweep_energy_below_the_well", "hecu", HECU_CONFIG,
+     lambda c: c.update(sweep=[{}, {"hecu": {"h": 6.0}}]),
+     "EnergyBelowThreshold"),
+    ("oscillator_alpha_overflows", "oscillator", OSC_CONFIG,
+     lambda c: c["oscillator"].update(alpha=1e308), "ConfigError"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command,base,edit,error",
+                         [case[1:] for case in REFUSED_RUNS],
+                         ids=[case[0] for case in REFUSED_RUNS])
+def test_refused_run_writes_nothing(tmp_path, capsys, command, base, edit,
+                                    error):
+    cfg_data = json.loads(json.dumps(base))
+    edit(cfg_data)
+    cfg = write_config(tmp_path, cfg_data)
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error and code == err["exit_code"], err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.fixture(scope="module")
 def order_3_and_4_pairs(tmp_path_factory):
     work = tmp_path_factory.mktemp("pairs")
@@ -434,6 +476,9 @@ MALFORMED_COMPARE = [
      lambda c: c["x"]["2"]["modes"][0].__setitem__(0, None)),
     ("mode_outside_box", "1e-11",
      lambda c: c["x"]["2"]["modes"][0].__setitem__(0, [99])),
+    # the payload is a half spectrum: a mirror mode would be added twice
+    ("mode_and_its_mirror", "1e-11",
+     lambda c: c["x"]["3"]["modes"].append([[-1], 0.0, 0.0])),
     # a NaN passes every `> tol` test, so it must not get as far
     ("coefficient_nan", "1e-11",
      lambda c: c["y"][max(c["y"], key=int)]["modes"][-1]
@@ -452,6 +497,22 @@ def test_compare_rejects_bad_input(tmp_path, capsys, order_3_and_4_pairs,
         edit(payload)
         a = str(write_config(tmp_path, payload, "pair.json"))
     code = main(["compare", a, b, "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 2, captured.out
+    assert json.loads(captured.err)["error"] == "ConfigError"
+
+
+def test_compare_refuses_a_mode_with_too_few_indices(tmp_path, capsys):
+    # a one-index mode names no coefficient of a series on two angles
+    jet = TFJet(2, 1, 3, {1: 1.0})
+    pair = ManifoldPair("field", "power", "stable", 1, 3, 2, 2, 1, (0.6, 1.4),
+                        1, 1, jet, jet.copy(), [jet.copy()],
+                        UPoly({2: -1.0}, 3))
+    payload = pair_payload(pair)
+    b = write_config(tmp_path, payload, "b.json")
+    payload["x"]["1"]["modes"] = [[[1], 1.0, 0.0]]
+    a = write_config(tmp_path, payload, "a.json")
+    code = main(["compare", str(a), str(b)])
     captured = capsys.readouterr()
     assert code == 2, captured.out
     assert json.loads(captured.err)["error"] == "ConfigError"

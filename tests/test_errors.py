@@ -54,4 +54,4 @@ def test_errors_build_their_detail():
                                        "witness_iterate": 4}
     assert errors.BoundViolated("bound failed").payload()["detail"] == {}
     err = errors.Diverged("grew", report={"factors": [1.5]})
-    assert err.report == {"factors": [1.5]} and err.payload()["detail"] == {}
+    assert err.payload()["detail"] == {"report": {"factors": [1.5]}}

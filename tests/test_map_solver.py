@@ -9,8 +9,8 @@ import paratori.flow_solver as flow_solver
 import paratori.map_solver as map_solver
 from paratori.flow_solver import solve_flow_to_order, solve_helicoure
 from paratori.map_solver import (default_trunc, extend_order, init_order2,
-                                 invert_reduced_map, solve_to_order)
-from paratori.mapdata import TaylorFourierMap
+                                 solve_to_order)
+from paratori.mapdata import TaylorFourierMap, invert_reduced_map
 from paratori.pairs import compare_pairs, residual_jets, residual_report
 
 from conftest import (GOLDEN, exact_map, one_mode, reference_flow,
@@ -195,8 +195,9 @@ def test_bad_arguments_are_config_errors():
 
 def test_resonant_frequency_raises():
     mp = reference_map(cut=8)
-    mp = TaylorFourierMap("map", 1, 0, 8, (0.5,), mp.x_terms, mp.y_terms,
-                          mp.theta_terms, k=2, p=1)
+    mp = TaylorFourierMap("map", 1, 0, 8, (0.5,), mp.x_terms.terms,
+                          mp.y_terms.terms, [t.terms for t in mp.theta_terms],
+                          k=2, p=1)
     with pytest.raises(SmallDivisorUnderflow):
         solve_to_order(mp, 3)
 

@@ -154,7 +154,8 @@ def test_transformed_field_is_numeric_conjugation():
 def test_transformed_field_involution():
     fd = reference_map(cut=8)
     fd = TaylorFourierMap("field", fd.d, fd.drive, fd.cut, fd.freqs,
-                          fd.x_terms, fd.y_terms, fd.theta_terms, k=2, p=1)
+                          fd.x_terms.terms, fd.y_terms.terms,
+                          [t.terms for t in fd.theta_terms], k=2, p=1)
     twice = fd.transformed_field(1, -1, -1).transformed_field(1, -1, -1)
     x, y, th = 0.1, -0.2, np.array([0.63])
     a = fd.eval(x, y, th)
@@ -213,7 +214,7 @@ def test_general_map_normalization_conjugates():
 def test_general_field_normalization_validates():
     reduced, record = reduce_general_field(general_dynamics("field", 8), 6)
     reduced.validate_reduced()
-    assert reduced.x_terms.keys() == {(0, 1)}
+    assert reduced.x_terms.terms.keys() == {(0, 1)}
 
 
 def test_displacement_guard_and_absent_displacements():
