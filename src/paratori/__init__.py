@@ -18,13 +18,12 @@ from paratori.mapdata import (NormalizationRecord, TaylorFourierMap, XYPoly,
                               reduce_general_map, validate_shear_field)
 from paratori.pairs import (ManifoldPair, ResidualReport, compare_pairs,
                             residual_report)
-from paratori.map_solver import default_trunc, init_order2, solve_to_order
+from paratori.map_solver import default_trunc, solve_to_order
 from paratori.flow_solver import solve_flow_to_order, solve_helicoure
-from paratori.operators import (Sector, contraction_probe, drift_derivative,
-                                flow_inverse, flow_inverse_norm_limit,
-                                flow_orbit_integral, map_inverse_norm_limit,
-                                orbit_sum_inverse, sector_iterate_check,
-                                transfer_difference)
+from paratori.operators import (Sector, contraction_probe, flow_inverse,
+                                flow_inverse_norm_limit, flow_orbit_integral,
+                                map_inverse_norm_limit, orbit_sum_inverse,
+                                sector_iterate_check)
 from paratori.applications import (HeCuParams, OscillatorParams,
                                    build_hecu_field, build_oscillator_field,
                                    build_oscillator_unstable, hecu_manifolds)
@@ -45,11 +44,11 @@ __all__ = [
     "invert_reduced_map", "reduce_general_field", "reduce_general_map",
     "validate_shear_field",
     "ManifoldPair", "ResidualReport", "compare_pairs", "residual_report",
-    "default_trunc", "init_order2", "solve_to_order",
+    "default_trunc", "solve_to_order",
     "solve_flow_to_order", "solve_helicoure",
-    "Sector", "contraction_probe", "drift_derivative", "flow_inverse",
-    "flow_inverse_norm_limit", "flow_orbit_integral", "map_inverse_norm_limit",
-    "orbit_sum_inverse", "sector_iterate_check", "transfer_difference",
+    "Sector", "contraction_probe", "flow_inverse", "flow_inverse_norm_limit",
+    "flow_orbit_integral", "map_inverse_norm_limit", "orbit_sum_inverse",
+    "sector_iterate_check",
     "HeCuParams", "OscillatorParams", "build_hecu_field",
     "build_oscillator_field", "build_oscillator_unstable", "hecu_manifolds",
 ]

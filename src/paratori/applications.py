@@ -15,7 +15,7 @@ from .errors import (BoundViolated, ConfigError, EnergyBelowThreshold,
                      HypothesisViolated)
 from .fourier import FourierSeries, on_box
 from .mapdata import (NormalizationRecord, TaylorFourierMap, XYPoly,
-                      _inverse_change, _xy_identity, validate_shear_field)
+                      _inverse_change, _xy_identity)
 from .flow_solver import solve_helicoure
 from .pairs import residual_report
 
@@ -61,6 +61,8 @@ def build_oscillator_field(p):
     Writes x' = y, y' = alpha g(tau) x^2 - 2 n_pot c_pot x^(2 n_pot - 1)
     with the well force carried as an admissible higher-order remainder.
     All angles are external drive; there is no dynamic angle equation.
+    The field is in the power class whenever the mean forcing is positive;
+    its solve (or ``cli.RunConfig``) runs the class check.
     """
     gbar = p.g.average()
     if p.alpha * gbar <= 0:
@@ -71,10 +73,8 @@ def build_oscillator_field(p):
         (2, 0): p.g * p.alpha,
         (2 * p.n_pot - 1, 0): -2.0 * p.n_pot * p.c_pot,
     }
-    fd = TaylorFourierMap("field", 0, len(p.nu), p.cut, p.nu,
-                          {(0, 1): 1.0}, y_terms, [], k=2, p=None)
-    fd.validate_reduced()
-    return fd
+    return TaylorFourierMap("field", 0, len(p.nu), p.cut, p.nu,
+                            {(0, 1): 1.0}, y_terms, [], k=2, p=None)
 
 
 def build_oscillator_unstable(p):
@@ -144,7 +144,8 @@ def build_hecu_field(p, expansion="displayed", deg=6):
     angular square-root equation (and of the change of variables) to total
     degree ``deg``.  The expansion is asymptotic near the orbit; the record
     reports the radius where the square-root argument can vanish, and
-    nothing enforces it.
+    nothing enforces it.  The field is in the shear class by construction;
+    ``solve_helicoure`` checks it.
     """
     if expansion not in ("displayed", "expanded"):
         raise ConfigError("expansion must be 'displayed' or 'expanded'")
@@ -206,7 +207,6 @@ def build_hecu_field(p, expansion="displayed", deg=6):
 
         fd = TaylorFourierMap("field", 1, 0, cut, (omega,),
                               clean(pdot_n), clean(ydot_n), [clean(theta_n)])
-    validate_shear_field(fd)
     record = NormalizationRecord(gamma, h_fwd, y_inv)
     record.validity = {
         "y": A / (4.0 * m * D),

@@ -201,9 +201,11 @@ class RunConfig:
     to solve; built from ``params`` for the oscillator), ``params`` and
     ``expansion`` for hecu, and for diagnose-operators the ``sector``, the
     iterate check settings and the optional ``probe`` keywords.  The data
-    passes its structure check here: ``validate_reduced`` for custom maps
-    and fields (``build_oscillator_field`` runs it), ``validate_shear_field``
-    for helicoure; hecu's parameters refuse a closed channel.
+    passes its class's admissibility check here, structure and leading
+    means alike: ``validate_reduced`` for custom maps and fields and the
+    oscillator, ``validate_shear_field`` for helicoure.  hecu builds its
+    field in the solve (whose ``solve_helicoure`` checks it); its
+    parameters refuse a closed channel here.
     """
 
     def __init__(self, raw, command, order=None, branch=None):
@@ -255,10 +257,10 @@ class RunConfig:
         else:
             kind = "map" if self.problem == "custom-map" else "field"
             self.data = _map_from_config(raw.get(kind), kind)
-            if self.problem == "helicoure":
-                validate_shear_field(self.data)
-            else:
-                self.data.validate_reduced()
+        if self.problem == "helicoure":
+            validate_shear_field(self.data)
+        elif self.problem != "hecu":
+            self.data.validate_reduced()
         self._check_truncation()
 
         if command == "diagnose-operators":

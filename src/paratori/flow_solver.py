@@ -15,10 +15,12 @@ Two structure classes are handled:
   graph over u ~ x, the inner velocity is the exact cubic
   Y(u) = Y_2 u^2 + Y_3 u^3, and the branch is dictated by the sign of the
   mean of b rather than chosen by a square root.  This module holds its
-  seed and the branch flip; its structure check is
-  mapdata.validate_shear_field, beside the power-class rules, and the
-  order steps are map_solver.extend_order, whose shear-class averaged step
-  sits next to the power-class one.
+  seed and the branch flip; its admissibility rule (structure and leading
+  means) is mapdata.validate_shear_field, beside the power-class rule, and
+  the order steps are map_solver.extend_order, whose shear-class averaged
+  step sits next to the power-class one.  solve_helicoure is the entry
+  point: it checks the branch, the convention and the field once, and the
+  direct solve trusts it.
 
 For the shear class the leading angular coefficient admits two conventions:
 ``theta_leading="cohomological"`` solves the order-u^2 angular equation
@@ -28,12 +30,7 @@ For the shear class the leading angular coefficient admits two conventions:
 the discrepancy per axis is recorded in the diagnostics either way.
 """
 
-from .errors import (
-    ConfigError,
-    NonPositiveLeadingCoefficient,
-    StructureViolation,
-    ZeroLeadingCoefficient,
-)
+from .errors import ConfigError, StructureViolation
 from .fourier import diophantine_margin
 from .jets import TFJet, UPoly
 from .map_solver import close_order, extend_order, solve_to_order
@@ -55,23 +52,13 @@ def solve_flow_to_order(fd, n_target, branch="stable", trunc=None, sd_floor=1e-1
 # ----- shear class ----------------------------------------------------------
 
 
-def _shear_leading(fd):
-    cbar = fd.shear().average()
-    bbar = fd.y_terms.coefficient((1, 1)).average()
-    if bbar == 0.0:
-        raise ZeroLeadingCoefficient("mean of the leading x*y coefficient is zero")
-    if cbar <= 0.0:
-        raise NonPositiveLeadingCoefficient("mean shear %.3e must be positive" % cbar)
-    return cbar, bbar
-
-
 def shear_default_trunc(n_target):
     return n_target + 4
 
 
 def _solve_shear_direct(fd, n_target, theta_leading, trunc, sd_floor, assert_tol):
-    validate_shear_field(fd)
-    cbar, bbar = _shear_leading(fd)
+    cbar = fd.shear().average()
+    bbar = fd.y_terms.coefficient((1, 1)).average()
     d, dim, cut = fd.d, fd.dim, fd.cut
     if trunc is None:
         trunc = shear_default_trunc(n_target)
@@ -126,7 +113,9 @@ def solve_helicoure(fd, n_target, branch="stable", theta_leading="closed_form",
     The sign of the mean leading coefficient fixes which branch the direct
     construction yields (negative: stable).  The opposite branch is obtained
     by conjugating with (x, t) -> (-x, -t), solving, and mapping back, which
-    flips the sign of the horizontal jet and of the inner velocity.
+    flips the sign of the horizontal jet and of the inner velocity.  The
+    entry point of the shear class: the branch, the convention and the
+    field (``validate_shear_field``) are checked here once.
     """
     if theta_leading not in ("closed_form", "cohomological"):
         raise ConfigError("theta_leading must be closed_form or cohomological, "
@@ -134,8 +123,8 @@ def solve_helicoure(fd, n_target, branch="stable", theta_leading="closed_form",
     if branch not in ("stable", "unstable"):
         raise ConfigError("branch must be stable or unstable, got %r" % (branch,))
     validate_shear_field(fd)
-    _, bbar = _shear_leading(fd)
-    natural = "stable" if bbar < 0 else "unstable"
+    natural = ("stable" if fd.y_terms.coefficient((1, 1)).average() < 0
+               else "unstable")
     if branch == natural:
         return _solve_shear_direct(fd, n_target, theta_leading, trunc, sd_floor,
                                    assert_tol)

@@ -1,14 +1,17 @@
 """Order-by-order construction of invariant manifolds of parabolic tori for
 maps in reduced form, and the one order step shared with vector fields.
-The structure rules and the inversion of a reduced map live with the input
-dynamics in mapdata; this module reads its data only through the term
+The admissibility rules and the inversion of a reduced map live with the
+input dynamics in mapdata; this module reads its data only through the term
 tables.
 
 The input map must have the triangular structure
     x' = x + c(theta) y
     y' = y + a(theta) x^k + (admissible tail)
     theta' = theta + omega + d(theta) x^p + (admissible tail)
-with mean(c) > 0 and mean(a) > 0.  The parameterization is sought as
+with mean(c) > 0 and mean(a) > 0, which ``TaylorFourierMap.validate_reduced``
+checks.  ``solve_to_order`` is the entry point: it runs that check and the
+branch check once, and ``init_order2`` and ``extend_order`` trust their
+caller.  The parameterization is sought as
     K(u, theta) = (u^2 + ..., K_y u^{k+1} + ..., theta + W(u, theta)),
 conjugating the map to the polynomial normal form
     u' = u + r_k u^k (+ r_{2k-1} u^{2k-1}),   theta' = theta + omega.
@@ -34,23 +37,10 @@ instead of evaluating the defect again.
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    ContractViolated,
-    NonPositiveLeadingCoefficient,
-    SingularSystem,
-    TruncationTooLow,
-    ZeroLeadingCoefficient,
-)
+from .errors import ConfigError, ContractViolated, SingularSystem, TruncationTooLow
 from .fourier import diophantine_margin, solve_sd_flow, solve_sd_map
 from .jets import TFJet, UPoly
 from .pairs import ManifoldPair, residual_jets
-
-
-def _branch_sign(branch):
-    if branch not in ("stable", "unstable"):
-        raise ConfigError("branch must be stable or unstable, got %r" % (branch,))
-    return -1.0 if branch == "stable" else 1.0
 
 
 def _sd_solver(data, sd_floor):
@@ -59,20 +49,6 @@ def _sd_solver(data, sd_floor):
     if data.kind == "map":
         return lambda h: solve_sd_map(h, freqs, sd_floor)
     return lambda h: solve_sd_flow(h, freqs, sd_floor)
-
-
-def _leading_averages(mp):
-    cbar = mp.shear().average()
-    abar = mp.y_terms.coefficient((mp.k, 0)).average()
-    if cbar == 0.0 or abar == 0.0:
-        raise ZeroLeadingCoefficient(
-            "mean shear %.3e, mean leading coefficient %.3e" % (cbar, abar)
-        )
-    if cbar < 0.0 or abar < 0.0:
-        raise NonPositiveLeadingCoefficient(
-            "need positive means: shear %.3e, leading %.3e" % (cbar, abar)
-        )
-    return cbar, abar
 
 
 def default_trunc(n_target, k, p):
@@ -87,15 +63,16 @@ def init_order2(mp, branch="stable", trunc=None, sd_floor=1e-12, assert_tol=1e-9
     shear and the leading coefficient); the oscillatory parts solve one
     cohomological equation per component.  Works for maps and for fields —
     the closed forms are identical with the normal-form polynomial read as a
-    step map or as a velocity.
+    step map or as a velocity.  The data and the branch are trusted: the
+    caller (``solve_to_order``) has checked them.
     """
-    mp.validate_reduced()
     k, p, d = mp.k, mp.p, mp.d
     dim, cut = mp.dim, mp.cut
     if trunc is None:
         trunc = default_trunc(2, k, p)
-    cbar, abar = _leading_averages(mp)
-    sign = _branch_sign(branch)
+    cbar = mp.shear().average()
+    abar = mp.y_terms.coefficient((k, 0)).average()
+    sign = -1.0 if branch == "stable" else 1.0
     r_k = sign * np.sqrt(cbar * abar / (2.0 * (k + 1)))
     eta = 2.0 * r_k / cbar
     lead_w = 2 * p - k + 1 if d else None
@@ -332,12 +309,16 @@ def solve_to_order(mp, n_target, branch="stable", trunc=None, sd_floor=1e-12,
                    assert_tol=1e-9, snapshots=False):
     """Construct the pair with invariance order ``n_target``.
 
+    The entry point of the power class: it checks ``n_target``, the data
+    (``validate_reduced``) and the branch once; the order steps trust them.
     With ``snapshots`` the list of intermediate pairs (one per order, each an
     independent copy) is returned alongside the final pair.
     """
     if n_target < 2:
         raise ConfigError("n_target must be at least 2, got %r" % (n_target,))
-    mp.validate_reduced()  # default_trunc reads k and p
+    mp.validate_reduced()
+    if branch not in ("stable", "unstable"):
+        raise ConfigError("branch must be stable or unstable, got %r" % (branch,))
     if trunc is None:
         trunc = default_trunc(n_target, mp.k, mp.p)
     pair, residual = init_order2(mp, branch, trunc, sd_floor, assert_tol)

@@ -19,19 +19,25 @@ the x- and y-derivatives are its own.  A table is only read at its own
 degree: whatever computes with it builds an ``XYPoly`` at the degree it
 needs from the table's ``terms``.
 
-The structure rules of both solver classes live here, each written once:
-``TaylorFourierMap.validate_reduced`` (the triangular power class) and
-``validate_shear_field`` (the shear class of vector fields) share the rule
-that the x-part is exactly shear * y.  So do the normalizations:
-``reduce_general_map`` / ``reduce_general_field`` make the x-part exactly
-x + c(theta) * y  (maps) or  c(theta) * y  (fields), with a
+The admissibility rule of each solver class is one function here:
+``TaylorFourierMap.validate_reduced`` (the triangular power class, with
+positive means of the shear and of the leading coefficient) and
+``validate_shear_field`` (the shear class of vector fields, with a nonzero
+mean of the leading coefficient and a positive mean shear).  They share the
+rule that the x-part is exactly shear * y.  Each runs once per entry point:
+in ``cli.RunConfig`` for the data it builds, in ``solve_to_order`` and in
+``solve_helicoure``; the order steps trust it.  The normalizations live
+here too: ``reduce_general_map`` / ``reduce_general_field`` make the x-part
+exactly  x + c(theta) * y  (maps) or  c(theta) * y  (fields), with a
 ``NormalizationRecord`` that pulls computed manifolds back, and
 ``invert_reduced_map`` inverts a reduced map.
 """
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, StructureViolation
+from .errors import (ConfigError, DimensionMismatch,
+                     NonPositiveLeadingCoefficient, StructureViolation,
+                     ZeroLeadingCoefficient)
 from .fourier import reciprocal
 from .jets import FTPoly, eval_xy_terms, power_table, substitute
 
@@ -97,11 +103,6 @@ class XYPoly(FTPoly):
             out = out + np.asarray(s.eval(ang)) * x**l * y**m
         return out if out.ndim else out.item()
 
-    def to_jet(self, jx, jy, tails, trunc):
-        """Evaluate at u-jets (x -> jx, y -> jy, theta_a -> theta_a + W_a)."""
-        powers = power_table(jx, jy, tails, trunc, [self.terms])
-        return eval_xy_terms(self.terms, powers, trunc)
-
 
 class TaylorFourierMap:
     """A map or vector field, polynomial in (x, y), Fourier in the angles.
@@ -153,12 +154,13 @@ class TaylorFourierMap:
         return self.x_terms.coefficient((0, 1))
 
     def validate_reduced(self):
-        """Check the triangular structure the order-by-order solver needs.
+        """Check that the data is in the power class, the one admissibility
+        rule of the order-by-order solver.
 
-        x-part exactly c(theta) y; y-part led by x^k with no term of total
-        degree below k; angle parts with no term of total degree below p,
-        where 2p > k - 1.  With d == 0 no angle-part condition applies and
-        p is ignored.
+        x-part exactly c(theta) y; y-part led by a(theta) x^k with no term
+        of total degree below k; angle parts with no term of total degree
+        below p, where 2p > k - 1 (with d == 0 no angle-part condition
+        applies and p is ignored); then positive means of c and a.
         """
         k = self.k
         if k is None or k < 2:
@@ -167,15 +169,21 @@ class TaylorFourierMap:
         _check_tail(self.y_terms, k, "the y-part")
         if (k, 0) not in self.y_terms.terms:
             raise StructureViolation("y-part misses the leading x^%d term" % k)
-        if self.d == 0:
-            return
         p = self.p
-        if p is None or p < 1:
+        if self.d and (p is None or p < 1):
             raise StructureViolation("need the leading angle-drift order p >= 1")
-        if not (2 * p > k - 1):
+        if self.d and not (2 * p > k - 1):
             raise StructureViolation("orders violate 2p > k - 1")
         for a in range(self.d):
             _check_tail(self.theta_terms[a], p, "angle axis %d" % a)
+        cbar = self.shear().average()
+        abar = self.y_terms.coefficient((k, 0)).average()
+        if cbar == 0.0 or abar == 0.0:
+            raise ZeroLeadingCoefficient(
+                "mean shear %.3e, mean leading coefficient %.3e" % (cbar, abar))
+        if cbar < 0.0 or abar < 0.0:
+            raise NonPositiveLeadingCoefficient(
+                "need positive means: shear %.3e, leading %.3e" % (cbar, abar))
 
     def validate_xy_shear(self):
         """Check x-part is led by shear * y with an invertible shear (the
@@ -264,11 +272,13 @@ def _check_tail(table, lead, where):
 
 
 def validate_shear_field(fd):
-    """Structure check for the shear class of vector fields.
+    """Check that a vector field is in the shear class, the one
+    admissibility rule of the shear-class solve.
 
     x-part exactly c(theta) y; y-part led by b(theta) x y with every other
     term divisible by y^2; angle parts d(theta) y plus terms of total
-    degree >= 2, on at least one dynamic angle.
+    degree >= 2, on at least one dynamic angle; then a nonzero mean of b
+    and a positive mean of c.
     """
     if fd.kind != "field":
         raise StructureViolation("shear class is a vector-field structure")
@@ -287,6 +297,11 @@ def validate_shear_field(fd):
             if (l, m) != (0, 1) and l + m < 2:
                 raise StructureViolation(
                     "angle term (%d, %d) on axis %d outside the class" % (l, m, a))
+    if fd.y_terms.coefficient((1, 1)).average() == 0.0:
+        raise ZeroLeadingCoefficient("mean of the leading x*y coefficient is zero")
+    cbar = fd.shear().average()
+    if cbar <= 0.0:
+        raise NonPositiveLeadingCoefficient("mean shear %.3e must be positive" % cbar)
 
 
 class NormalizationRecord:
@@ -300,8 +315,12 @@ class NormalizationRecord:
         self.inverse = inverse
 
     def pullback(self, jx, jy_new, tails, trunc):
-        """Original-variable y-jet from normalized-variable jets."""
-        return self.inverse.to_jet(jx, jy_new, tails, trunc)
+        """Original-variable y-jet from normalized-variable jets: the
+        inverse change at u-jets (x -> jx, y -> jy_new,
+        theta_a -> theta_a + W_a)."""
+        terms = self.inverse.terms
+        powers = power_table(jx, jy_new, tails, trunc, [terms])
+        return eval_xy_terms(terms, powers, trunc)
 
 
 def _xy_identity(dim, cut, deg, which):

@@ -190,13 +190,6 @@ def flow_inverse_norm_limit(order, k, mu):
     return (k - 1) / (mu * order)
 
 
-def transfer_difference(phi, inner, freqs, u, theta=None):
-    """(phi composed with one normal-form step) minus phi, at one point."""
-    freqs = np.asarray(freqs, dtype=float)
-    th = None if theta is None else np.asarray(theta, dtype=float) + freqs
-    return phi(inner(u), th) - phi(u, theta)
-
-
 def orbit_sum_inverse(eta, inner, freqs, u, theta=None, *, eta_order, mu,
                       tail_tol=1e-12):
     """Right inverse of the transfer difference by orbit summation.
@@ -263,26 +256,6 @@ def flow_inverse(eta, velocity, freqs, u, theta=None, **kw):
     """Right inverse of the drift-derivative operator: minus the trajectory
     integral of eta (same keywords as flow_orbit_integral)."""
     return -flow_orbit_integral(eta, velocity, freqs, u, theta=theta, **kw)
-
-
-def drift_derivative(phi, velocity, freqs, u, theta=None, step=1e-6):
-    """Directional derivative of phi along the drift (u-velocity plus linear
-    angle advance) by one small forward/backward trajectory step each."""
-    freqs = np.asarray(freqs, dtype=float)
-
-    def advance(h):
-        # single RK4 step of the scalar trajectory
-        k1 = velocity(u)
-        k2 = velocity(u + h / 2 * k1)
-        k3 = velocity(u + h / 2 * k2)
-        k4 = velocity(u + h * k3)
-        z = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        th = None if theta is None else np.asarray(theta, dtype=float) + h * freqs
-        return z, th
-
-    zp, tp = advance(step)
-    zm, tm = advance(-step)
-    return (phi(zp, tp) - phi(zm, tm)) / (2 * step)
 
 
 # ----- contraction probe ----------------------------------------------------

@@ -3,7 +3,9 @@
 Most tests construct small problem instances inline; the builders here are
 the ones reused across files (the reference quasi-periodic map and the two
 exactly-solvable fixtures whose parameterizations are known in closed form),
-plus the launcher that the command-line tests share.
+plus the launcher that the command-line tests share and the two pointwise
+oracles of the right-inverse identities (``transfer_difference``,
+``drift_derivative``), which no program code needs.
 """
 
 import os
@@ -39,6 +41,33 @@ def run_cli(args, cwd=None, python_flags=()):
                           + ["-m", "paratori.cli"] + args,
                           capture_output=True, text=True,
                           cwd=None if cwd is None else str(cwd), env=env)
+
+
+def transfer_difference(phi, inner, freqs, u, theta=None):
+    """(phi composed with one normal-form step) minus phi, at one point."""
+    freqs = np.asarray(freqs, dtype=float)
+    th = None if theta is None else np.asarray(theta, dtype=float) + freqs
+    return phi(inner(u), th) - phi(u, theta)
+
+
+def drift_derivative(phi, velocity, freqs, u, theta=None, step=1e-6):
+    """Directional derivative of phi along the drift (u-velocity plus linear
+    angle advance) by one small forward/backward trajectory step each."""
+    freqs = np.asarray(freqs, dtype=float)
+
+    def advance(h):
+        # single RK4 step of the scalar trajectory
+        k1 = velocity(u)
+        k2 = velocity(u + h / 2 * k1)
+        k3 = velocity(u + h / 2 * k2)
+        k4 = velocity(u + h * k3)
+        z = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        th = None if theta is None else np.asarray(theta, dtype=float) + h * freqs
+        return z, th
+
+    zp, tp = advance(step)
+    zm, tm = advance(-step)
+    return (phi(zp, tp) - phi(zm, tm)) / (2 * step)
 
 
 def one_mode(avg, amp, dim, cut, axis=0):

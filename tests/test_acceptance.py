@@ -19,12 +19,12 @@ from paratori.jets import UPoly
 from paratori.map_solver import init_order2, solve_to_order
 from paratori.mapdata import TaylorFourierMap
 from paratori.operators import (Sector, contraction_probe, flow_orbit_integral,
-                                orbit_sum_inverse, sector_iterate_check,
-                                transfer_difference)
+                                orbit_sum_inverse, sector_iterate_check)
 from paratori.pairs import compare_pairs, residual_report
 
 from conftest import (GOLDEN, exact_map, one_mode, reference_flow,
-                      reference_map, run_cli, shear_example)
+                      reference_map, run_cli, shear_example,
+                      transfer_difference)
 
 
 def test_closed_form_seeds_on_random_problems():

@@ -2,15 +2,20 @@
 
 import json
 import math
+import sys
 
 import pytest
 
+from paratori import mapdata
 from paratori.cli import main
+from paratori.flow_solver import solve_flow_to_order, solve_helicoure
 from paratori.ioutil import pair_from_payload, pair_payload
 from paratori.jets import TFJet, UPoly
+from paratori.map_solver import solve_to_order
+from paratori.mapdata import TaylorFourierMap
 from paratori.pairs import ManifoldPair
 
-from conftest import run_cli
+from conftest import exact_flow, exact_map, run_cli, shear_example
 
 MAP_CONFIG = {
     "problem": "custom-map",
@@ -420,9 +425,13 @@ def test_malformed_block_exits_2_before_the_solve(tmp_path, capsys,
     assert err["error"] == "ConfigError" and err["exit_code"] == 2
 
 
+FLOW_CONFIG = {"problem": "custom-flow", "n_target": 3,
+               "field": dict(MAP_CONFIG["map"], cut=8)}
+
 # runs refused before any output: a helicoure sweep whose second entry
 # leaves the shear class, a hecu sweep whose second entry closes the
-# channel (h <= D), and an oscillator whose data overflows in the solve
+# channel (h <= D), an oscillator whose data overflows in the solve, and
+# sweeps whose second entry has a leading mean of the wrong sign or zero
 REFUSED_RUNS = [
     ("helicoure_sweep_pure_x_squared", "helicoure", HELI_CONFIG,
      lambda c: c.update(sweep=[{}, {"field": {"y_terms": {"2,0": 1.0}}}]),
@@ -432,6 +441,19 @@ REFUSED_RUNS = [
      "EnergyBelowThreshold"),
     ("oscillator_alpha_overflows", "oscillator", OSC_CONFIG,
      lambda c: c["oscillator"].update(alpha=1e308), "ConfigError"),
+    ("solve_map_sweep_negative_leading_mean", "solve-map", MAP_CONFIG,
+     lambda c: c.update(sweep=[{}, {"map": {"y_terms": {"2,0": -6.0}}}]),
+     "NonPositiveLeadingCoefficient"),
+    ("solve_map_sweep_zero_shear_mean", "solve-map", MAP_CONFIG,
+     lambda c: c.update(sweep=[{}, {"map": {"x_terms": {"0,1": {
+         "const": 0.0}}}}]),
+     "ZeroLeadingCoefficient"),
+    ("helicoure_sweep_negative_shear_mean", "helicoure", HELI_CONFIG,
+     lambda c: c.update(sweep=[{}, {"field": {"x_terms": {"0,1": -2.0}}}]),
+     "NonPositiveLeadingCoefficient"),
+    ("solve_flow_sweep_negative_leading_mean", "solve-flow", FLOW_CONFIG,
+     lambda c: c.update(sweep=[{}, {"field": {"y_terms": {"2,0": -6.0}}}]),
+     "NonPositiveLeadingCoefficient"),
 ]
 
 
@@ -448,6 +470,61 @@ def test_refused_run_writes_nothing(tmp_path, capsys, command, base, edit,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error and code == err["exit_code"], err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture
+def class_checks(monkeypatch):
+    """The names of the class checks run, in order: both checks are counted
+    wherever the package binds them."""
+    calls = []
+    reduced = TaylorFourierMap.validate_reduced
+    shear = mapdata.validate_shear_field
+
+    def validate_reduced(self):
+        calls.append("validate_reduced")
+        return reduced(self)
+
+    def validate_shear_field(fd):
+        calls.append("validate_shear_field")
+        return shear(fd)
+
+    monkeypatch.setattr(TaylorFourierMap, "validate_reduced", validate_reduced)
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "paratori"
+                and vars(module).get("validate_shear_field") is shear):
+            monkeypatch.setattr(module, "validate_shear_field",
+                                validate_shear_field)
+    return calls
+
+
+def test_each_solve_checks_its_class_once(class_checks):
+    for solve, data, check in (
+            (solve_to_order, exact_map(), "validate_reduced"),
+            (solve_flow_to_order, exact_flow(), "validate_reduced")):
+        solve(data, 3)
+        assert class_checks == [check]
+        del class_checks[:]
+    # the natural branch directly, the other through the flipped field
+    for branch in ("stable", "unstable"):
+        solve_helicoure(shear_example(), 3, branch)
+        assert class_checks == ["validate_shear_field"]
+        del class_checks[:]
+
+
+@pytest.mark.parametrize("command,base,check", [
+    ("solve-map", MAP_CONFIG, "validate_reduced"),
+    ("oscillator", OSC_CONFIG, "validate_reduced"),
+    ("helicoure", HELI_CONFIG, "validate_shear_field"),
+    ("hecu", HECU_CONFIG, "validate_shear_field")],
+    ids=["solve-map", "oscillator", "helicoure", "hecu"])
+def test_a_run_checks_its_class_twice(tmp_path, class_checks, command, base,
+                                      check):
+    # solve-map, oscillator and helicoure: the config, then the solve; hecu
+    # builds its field in the solve, whose two branches check it once each
+    cfg = write_config(tmp_path, base)
+    assert main([command, "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 0
+    assert class_checks == [check, check]
 
 
 @pytest.fixture(scope="module")

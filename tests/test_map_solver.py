@@ -185,7 +185,7 @@ def test_bad_arguments_are_config_errors():
     with pytest.raises(ConfigError):
         solve_to_order(mp, 1)
     with pytest.raises(ConfigError):
-        init_order2(mp, branch="sideways")
+        solve_to_order(mp, 2, branch="sideways")
     fd = shear_example()
     with pytest.raises(ConfigError):
         solve_helicoure(fd, 3, branch="sideways")
@@ -207,7 +207,7 @@ def test_wrong_sign_leading_coefficient():
                           {(0, 1): 1.0}, {(2, 0): -6.0}, [{(1, 0): 1.0}],
                           k=2, p=1)
     with pytest.raises(NonPositiveLeadingCoefficient):
-        init_order2(mp)
+        solve_to_order(mp, 2)
 
 
 def test_inverse_of_reduced_map():

@@ -10,13 +10,13 @@ from paratori.fourier import FourierSeries
 from paratori.jets import UPoly
 from paratori.map_solver import solve_to_order
 from paratori.mapdata import TaylorFourierMap
-from paratori.operators import (Sector, contraction_probe,
-                                drift_derivative, flow_inverse,
+from paratori.operators import (Sector, contraction_probe, flow_inverse,
                                 flow_inverse_norm_limit, flow_orbit_integral,
                                 map_inverse_norm_limit, orbit_sum_inverse,
-                                sector_iterate_check, transfer_difference)
+                                sector_iterate_check)
 
-from conftest import GOLDEN, reference_map
+from conftest import (GOLDEN, drift_derivative, reference_map,
+                      transfer_difference)
 
 R = UPoly({1: 1.0, 2: -1.0}, 12)
 

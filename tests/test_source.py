@@ -6,16 +6,85 @@ import os
 import paratori
 
 PACKAGE = os.path.dirname(os.path.abspath(paratori.__file__))
+# the checkout holding src/, tests/ and perfbench/
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _trees(*dirs):
+    """(path, AST) of every Python file below the given directories."""
+    for top in dirs:
+        for root, _, names in os.walk(top):
+            for name in sorted(n for n in names if n.endswith(".py")):
+                path = os.path.join(root, name)
+                with open(path) as fh:
+                    yield path, ast.parse(fh.read(), filename=path)
 
 
 def test_no_assert_statements():
     # checks are typed errors so they still run under python -O
-    found = []
-    for root, _, names in os.walk(PACKAGE):
-        for name in sorted(n for n in names if n.endswith(".py")):
-            path = os.path.join(root, name)
-            with open(path) as fh:
-                tree = ast.parse(fh.read(), filename=path)
-            found += ["%s:%d" % (os.path.relpath(path, PACKAGE), node.lineno)
-                      for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    found = ["%s:%d" % (os.path.relpath(path, PACKAGE), node.lineno)
+             for path, tree in _trees(PACKAGE)
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def _public_definitions(tree):
+    """Public module-level functions and classes, and the public methods of
+    module-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            yield from ((item.name, item.lineno) for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_"))
+
+
+def _used_names(tree):
+    """Every Name and Attribute of a module, except where it names a def or
+    class that encloses it."""
+    used = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in inside:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return used
+
+
+def _benchmark_targets():
+    """The attribute paths the benchmark tracer wraps ("Class.attr")."""
+    with open(os.path.join(ROOT, "perfbench", "spans.py")) as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["TARGETS"]):
+            return {part for _, _, path in ast.literal_eval(node.value)
+                    for part in path.split(".")}
+    raise AssertionError("perfbench/spans.py defines no TARGETS")
+
+
+def test_every_public_definition_is_used():
+    # a public function, method or class that nothing in the program, the
+    # tests or the benchmark names is dead code
+    dirs = [PACKAGE] + [os.path.join(ROOT, d)
+                        for d in ("src", "tests", "perfbench")
+                        if os.path.isdir(os.path.join(ROOT, d))]
+    used = _benchmark_targets()
+    for _, tree in _trees(*dirs):
+        used |= _used_names(tree)
+    unused = ["%s:%d %s" % (os.path.relpath(path, PACKAGE), line, name)
+              for path, tree in _trees(PACKAGE)
+              for name, line in _public_definitions(tree)
+              if name not in used]
+    assert not unused, unused
