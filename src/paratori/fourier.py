@@ -10,10 +10,16 @@ re-imposes this symmetry to stop round-off drift.
 is the empty shape, so the coefficient array is a zero-dimensional complex
 array holding mode ``()``, and every method below treats it as the box it
 is.  This keeps autonomous problems (no angular variables at all) on the
-same code path as quasiperiodic ones; only ``eval`` (whose angle batch
-carries no axis to read) and ``diophantine_margin`` (whose punctured box is
-empty) single it out.
+same code path as quasiperiodic ones; only ``diophantine_margin`` (whose
+punctured box is empty) singles it out.
+
+Pointwise values come from ``eval_stack``: a stack of coefficient boxes is
+evaluated at a batch of angles against one mode basis per axis, built once
+for the batch from powers of e^{2 pi i theta}; ``FourierSeries.eval`` is its
+one-row case.
 """
+
+import math
 
 import numpy as np
 from scipy import signal
@@ -207,36 +213,16 @@ class FourierSeries:
     # ----- evaluation ---------------------------------------------------
 
     def eval(self, theta=None):
-        """Evaluate at angles.
+        """Evaluate at angles: the one-row case of ``eval_stack``.
 
         ``theta`` has shape (dim,) for a single point or (..., dim) for a
-        batch; returns a real float or a real array of the batch shape.
-        Complexified angles are accepted (analytic continuation off the real
-        torus); the result is then complex.
+        batch (None is the one point of dim 0); returns a real float or a
+        real array of the batch shape.  Complexified angles are accepted
+        (analytic continuation off the real torus); the result is then
+        complex.
         """
-        if self.dim == 0:
-            val = float(self.coeffs.real)
-            if theta is None:
-                return val
-            theta = np.asarray(theta, dtype=float)
-            batch = theta.shape[:-1] if theta.ndim else ()
-            return np.full(batch, val) if batch else val
-        complex_in = np.iscomplexobj(theta)
-        theta = np.asarray(theta) if complex_in else np.asarray(theta, dtype=float)
-        single = theta.shape == (self.dim,)
-        pts = theta.reshape(-1, self.dim)
-        modes = _mode_range(self.cut)
-        r = np.einsum(
-            "bi,i...->b...", np.exp(TWO_PI_I * np.outer(pts[:, 0], modes)), self.coeffs
-        )
-        for a in range(1, self.dim):
-            r = np.einsum(
-                "bi,bi...->b...", np.exp(TWO_PI_I * np.outer(pts[:, a], modes)), r
-            )
-        vals = r if complex_in else np.real(r)
-        if single:
-            return complex(vals[0]) if complex_in else float(vals[0])
-        return vals.reshape(theta.shape[:-1])
+        vals = eval_stack(self.coeffs[None], theta)[0]
+        return vals if vals.ndim else vals.item()
 
     def values_on_grid(self, n):
         """Real values on the uniform n-per-axis grid (FFT synthesis)."""
@@ -287,6 +273,52 @@ class FourierSeries:
             self.cut,
             self.coeff_norm(),
         )
+
+
+def _axis_basis(t, cut):
+    """e^{2 pi i k t} for k = -cut..cut at every point of ``t``, shape
+    (2*cut+1, points).  One exponential of each sign per point; the higher
+    powers are products of lower ones, power n + j = power n * power j, so
+    the table doubles each pass.  For real t the negative modes come out as
+    the exact conjugates of the positive ones."""
+    powers = np.empty((cut + 1, 2, t.size), dtype=complex)
+    powers[0] = 1.0
+    powers[1:2] = np.exp(np.multiply.outer((-TWO_PI_I, TWO_PI_I), t))
+    n = 1
+    while n < cut:
+        m = min(n, cut - n)
+        np.multiply(powers[1:m + 1], powers[n], out=powers[n + 1:n + m + 1])
+        n += m
+    return np.concatenate([powers[:0:-1, 0], powers[:, 1]])
+
+
+def eval_stack(coeffs, theta=None):
+    """Values of a stack of series at a batch of angles.
+
+    ``coeffs`` holds m coefficient boxes, shape (m,) + (2*cut+1,)*dim;
+    ``theta`` has shape (..., dim), None being the one point of dim 0.
+    Returns shape (m,) + batch, real for real angles and complex for
+    complexified ones.  The mode basis of each axis is built once for the
+    whole batch (``_axis_basis``) and the stack is contracted against it
+    one axis at a time, so a dim-0 stack is its constants on every point.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    dim = coeffs.ndim - 1
+    complex_in = np.iscomplexobj(theta)
+    theta = np.asarray(() if theta is None else theta,
+                       dtype=complex if complex_in else float)
+    if theta.shape[-1:] != (dim,):
+        raise DimensionMismatch("angles of shape %s on a %d-torus"
+                                % (theta.shape, dim))
+    batch = theta.shape[:-1]
+    pts = theta.reshape(math.prod(batch), dim)
+    vals = coeffs[:, None]
+    for a in range(dim):
+        basis = _axis_basis(pts[:, a], coeffs.shape[1] // 2)
+        vals = np.einsum("ib,mbi...->mb...", basis, vals)
+    vals = np.broadcast_to(vals, (coeffs.shape[0], pts.shape[0]))
+    return np.array((vals if complex_in else vals.real).reshape(
+        (coeffs.shape[0],) + batch))
 
 
 def on_box(s, dim, cut, what="coefficient"):

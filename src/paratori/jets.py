@@ -18,6 +18,10 @@ substituted polynomials and of the displacements from one
 tables substituted at the same point (the 2 + d tables of one residual),
 so no power is multiplied out twice.
 
+``JetStack`` evaluates several jets on one mode box together: one
+``fourier.eval_stack`` call for all their coefficients, then one u-power
+contraction; ``TFJet.eval_grid`` is its one-jet case.
+
 ``UPoly`` is the scalar-coefficient special case used for normal forms (the
 inner dynamics), kept separate because composing and reverting it is much
 cheaper.
@@ -27,8 +31,8 @@ import math
 
 import numpy as np
 
-from .errors import StructureViolation
-from .fourier import FourierSeries, on_box
+from .errors import DimensionMismatch, StructureViolation
+from .fourier import FourierSeries, eval_stack, on_box
 
 
 class UPoly:
@@ -344,26 +348,52 @@ class TFJet(FTPoly):
     # ----- evaluation -------------------------------------------------------
 
     def eval_grid(self, u_values, theta_points=None):
-        """Values on the product of a u-array and a batch of angle points.
+        """Values on the product of a u-array and a batch of angle points:
+        the one-jet case of ``JetStack.eval_grid``.
 
         Returns shape (len(u),) + batch_shape; complex u or angles give
         complex values.
         """
-        u = np.atleast_1d(np.asarray(u_values))
-        u = u.astype(np.result_type(u, float), copy=False)
-        if theta_points is None:
-            batch, kind = (), np.result_type(u, float)
-        else:
-            theta_points = np.asarray(theta_points)
-            batch = theta_points.shape[:-1]
-            kind = np.result_type(u, theta_points, float)
-        out = np.zeros((u.size,) + batch, dtype=kind)
-        for n, s in self.terms.items():
-            out += np.multiply.outer(u**n, s.eval(theta_points))
-        return out
+        return JetStack([self]).eval_grid(u_values, theta_points)[0]
 
     def __repr__(self):
         return "TFJet(orders=%s, trunc=%d)" % (self.orders(), self.trunc)
+
+
+def stack_coefficients(polys):
+    """The exponents and the coefficient boxes of ``FTPoly``s on one mode
+    box, all stacked on one leading axis in the order of the polys."""
+    boxes = {(p.dim, p.cut) for p in polys}
+    if len(boxes) != 1:
+        raise DimensionMismatch("polynomials on different boxes %s" % boxes)
+    ((dim, cut),) = boxes
+    keys = [key for p in polys for key in p.terms]
+    coeffs = [s.coeffs for p in polys for s in p.terms.values()]
+    return keys, np.reshape(coeffs, (len(keys),) + (2 * cut + 1,) * dim)
+
+
+class JetStack:
+    """Jets on one mode box, evaluated together.
+
+    Their coefficients are stacked once, so each evaluation makes one
+    ``eval_stack`` call (one mode basis for the angle batch) and one
+    contraction with a u-power matrix that keeps each jet's terms apart.
+    """
+
+    def __init__(self, jets):
+        orders, self.coeffs = stack_coefficients(jets)
+        self.orders = np.array(orders, dtype=int)
+        owner = np.repeat(np.arange(len(jets)), [len(j.terms) for j in jets])
+        self.select = (owner == np.arange(len(jets))[:, None]).astype(float)
+
+    def eval_grid(self, u_values, theta_points=None):
+        """Values of every jet on the product of a u-array and a batch of
+        angle points: shape (jets, len(u)) + batch_shape, complex when u or
+        the angles are."""
+        u = np.atleast_1d(np.asarray(u_values))
+        u = u.astype(np.result_type(u, float), copy=False)
+        u_pow = self.select[:, None, :] * u[:, None] ** self.orders
+        return np.tensordot(u_pow, eval_stack(self.coeffs, theta_points), 1)
 
 
 # ----- substitution with its angle-argument Taylor expansion -----------------

@@ -38,8 +38,9 @@ import numpy as np
 from .errors import (ConfigError, DimensionMismatch,
                      NonPositiveLeadingCoefficient, StructureViolation,
                      ZeroLeadingCoefficient)
-from .fourier import reciprocal
-from .jets import FTPoly, eval_xy_terms, power_table, substitute
+from .fourier import eval_stack, reciprocal
+from .jets import (FTPoly, eval_xy_terms, power_table, stack_coefficients,
+                   substitute)
 
 
 class XYPoly(FTPoly):
@@ -91,16 +92,18 @@ class XYPoly(FTPoly):
         return substitute(self.terms, powers, self.trunc)
 
     def eval(self, x, y, ang=None):
-        """Pointwise sum_{l,m} s_{lm}(ang) x^l y^m.
+        """Pointwise sum_{l,m} s_{lm}(ang) x^l y^m, every coefficient from
+        one ``eval_stack`` call.
 
         Real or complex x, y and angles; returns an array of the broadcast
-        shape of x and y, a number when both are scalars.
+        shape of x, y and the angle batch, a number when all are scalars.
         """
-        x = np.asarray(x)
-        y = np.asarray(y)
-        out = np.zeros(np.broadcast(x, y).shape)
-        for (l, m), s in self.terms.items():
-            out = out + np.asarray(s.eval(ang)) * x**l * y**m
+        keys, coeffs = stack_coefficients([self])
+        vals = np.moveaxis(eval_stack(coeffs, ang), 0, -1)
+        l, m = np.reshape(keys, (-1, 2)).T
+        x = np.asarray(x)[..., None]
+        y = np.asarray(y)[..., None]
+        out = np.sum(vals * x**l * y**m, axis=-1)
         return out if out.ndim else out.item()
 
 

@@ -22,6 +22,7 @@ from .errors import (
     TailNotConverged,
 )
 from .fourier import angle_grid
+from .jets import JetStack
 from .pairs import residual_jets
 
 _J_MIN, _J_MAX = 16, 60000   # first and last orbit term where a sum may stop
@@ -313,6 +314,10 @@ def contraction_probe(mp, pair, sector, mu, ball_alpha=0.5, samples=(10, 5, 8),
     corrected parameterization.  Raises Diverged when the ratio stays at or
     above one for five consecutive sweeps.
 
+    The undisplaced jets (x, y, the angle tails and the defect tails) are
+    stacked once into a ``JetStack``, so each orbit step evaluates them all
+    in one call.
+
     The radial band spans [rho / 2, rho]: well below the outer radius the
     weighted quantities sink under double-precision roundoff of the
     evaluated differences, so a narrow band keeps every row meaningful.
@@ -347,39 +352,29 @@ def contraction_probe(mp, pair, sector, mu, ball_alpha=0.5, samples=(10, 5, 8),
     # hold solver roundoff certified small, and would otherwise put a noise
     # floor under the weighted orbit-sum targets
     gx, gy, gt = residual_jets(mp, pair)
-    gjets = dict(zip(comps, [gx.tail(ox), gy.tail(oy)]
-                     + [g.tail(ot) for g in gt]))
+    defects = [gx.tail(ox), gy.tail(oy)] + [g.tail(ot) for g in gt]
+    jets = JetStack([pair.x, pair.y, *pair.tails, *defects])
     c_series = mp.shear()
-
-    def angle_image(z, pts, ft):
-        """Stacked angle component of the parameterization plus candidate."""
-        if not d:
-            return None
-        return np.stack([pts[None, :, a] + pair.tails[a].eval_grid(z, pts) + ft[a]
-                         for a in range(d)], axis=-1)
 
     def remainder(z, pts, f):
         """The three displaced-coefficient remainder components plus the
-        current defect, evaluated pointwise."""
-        kx = pair.x.eval_grid(z, pts)
-        ky = pair.y.eval_grid(z, pts)
-        base = angle_image(z, pts, [0.0] * d)
-        disp = angle_image(z, pts, [f["t%d" % a] for a in range(d)])
-        if d:
-            c_base = c_series.eval(base)
-            c_disp = c_series.eval(disp)
-        else:
-            c_base = c_disp = np.full(kx.shape, c_series.average(), dtype=complex)
-        out = {"x": (ky * (c_disp - c_base) + f["y"] * c_disp
-                     + gjets["x"].eval_grid(z, pts)),
+        current defect, evaluated pointwise; the undisplaced jets take one
+        stacked evaluation."""
+        vals = jets.eval_grid(z, pts)
+        kx, ky = vals[0], vals[1]
+        base = pts + np.moveaxis(vals[2:2 + d], 0, -1)
+        disp = base + np.moveaxis(
+            np.reshape([f[c] for c in comps[2:]], (d,) + kx.shape), 0, -1)
+        defect = dict(zip(comps, vals[2 + d:]))
+        c_base = c_series.eval(base)
+        c_disp = c_series.eval(disp)
+        out = {"x": ky * (c_disp - c_base) + f["y"] * c_disp + defect["x"],
                "y": (mp.y_terms.eval(kx + f["x"], ky + f["y"], disp)
-                     - mp.y_terms.eval(kx, ky, base)
-                     + gjets["y"].eval_grid(z, pts))}
+                     - mp.y_terms.eval(kx, ky, base) + defect["y"])}
         for a in range(d):
             out["t%d" % a] = (
                 mp.theta_terms[a].eval(kx + f["x"], ky + f["y"], disp)
-                - mp.theta_terms[a].eval(kx, ky, base)
-                + gjets["t%d" % a].eval_grid(z, pts))
+                - mp.theta_terms[a].eval(kx, ky, base) + defect["t%d" % a])
         return out
 
     def defect_gap(rem_new, rem_prev):

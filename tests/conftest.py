@@ -3,9 +3,10 @@
 Most tests construct small problem instances inline; the builders here are
 the ones reused across files (the reference quasi-periodic map and the two
 exactly-solvable fixtures whose parameterizations are known in closed form),
-plus the launcher that the command-line tests share and the two pointwise
+plus the launcher that the command-line tests share, the two pointwise
 oracles of the right-inverse identities (``transfer_difference``,
-``drift_derivative``), which no program code needs.
+``drift_derivative``), which no program code needs, and the per-mode
+reference sum (``mode_sum``) that pointwise evaluation is checked against.
 """
 
 import os
@@ -68,6 +69,23 @@ def drift_derivative(phi, velocity, freqs, u, theta=None, step=1e-6):
     zp, tp = advance(step)
     zm, tm = advance(-step)
     return (phi(zp, tp) - phi(zm, tm)) / (2 * step)
+
+
+def mode_sum(series, theta):
+    """sum_k c_k e^{2 pi i k.theta} of a series at angles (..., dim), one
+    np.exp per mode: complex, of the batch shape."""
+    theta = np.asarray(theta)
+    total = np.zeros(theta.shape[:-1], dtype=complex)
+    for idx in np.ndindex(*series.coeffs.shape):
+        k = np.array(idx, dtype=float) - series.cut
+        total += series.coeffs[idx] * np.exp(2j * np.pi * (theta @ k))
+    return total
+
+
+def dense_series(rng, dim, cut):
+    """A real series with a random coefficient on every mode of the box."""
+    box = (2 * cut + 1,) * dim
+    return FourierSeries(rng.standard_normal(box) + 1j * rng.standard_normal(box))
 
 
 def one_mode(avg, amp, dim, cut, axis=0):

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from paratori.errors import (CNotInvertible, DimensionMismatch,
                              NonZeroAverage, SmallDivisorUnderflow)
 from paratori.fourier import (FourierSeries, angle_grid, diophantine_margin,
-                              on_box, reciprocal, solve_sd_flow, solve_sd_map)
+                              eval_stack, on_box, reciprocal, solve_sd_flow,
+                              solve_sd_map)
 
-from conftest import GOLDEN
+from conftest import GOLDEN, dense_series, mode_sum
 
 
 def random_series(rng, dim, cut, n_modes=5, scale=1.0, k_max=None):
@@ -126,6 +127,37 @@ def test_eval_accepts_complex_angles():
     z = np.array([0.1 + 0.05j])
     want = np.cos(2 * np.pi * z[0])
     assert abs(f.eval(z) - want) < 1e-13
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2])
+@pytest.mark.parametrize("cut", [0, 1, 32])
+@pytest.mark.parametrize("complex_angles", [False, True])
+def test_eval_stack_matches_per_mode_sum(dim, cut, complex_angles):
+    # the power-built basis against one exponential per mode, on a stack of
+    # dense rows; imaginary parts up to 2e-3 keep |e^{2 pi i k.theta}| <= 2.3
+    rng = np.random.default_rng(100 * dim + cut)
+    rows = [dense_series(rng, dim, cut) for _ in range(3)]
+    theta = rng.random((2, 3, dim))
+    if complex_angles:
+        theta = theta + 2e-3j * rng.uniform(-1, 1, theta.shape)
+    vals = eval_stack([s.coeffs for s in rows], theta)
+    assert vals.shape == (3, 2, 3) and np.iscomplexobj(vals) == complex_angles
+    for s, got in zip(rows, vals):
+        want = mode_sum(s, theta)
+        if not complex_angles:
+            want = want.real
+        tol = 1e-13 * s.coeff_norm()
+        assert np.max(np.abs(got - want)) <= tol
+        batch = s.eval(theta)
+        assert batch.shape == (2, 3) and np.max(np.abs(batch - want)) <= tol
+        point = s.eval(theta[1, 2])
+        assert type(point) is (complex if complex_angles else float)
+        assert abs(point - want[1, 2]) <= tol
+    if dim == 0:
+        assert type(rows[0].eval()) is float
+        assert rows[0].eval() == rows[0].average()
+    with pytest.raises(DimensionMismatch):
+        rows[0].eval(np.zeros(dim + 1))
 
 
 def test_difference_equation_residual():

@@ -5,9 +5,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from paratori.fourier import FourierSeries
-from paratori.jets import TFJet, UPoly
+from paratori.jets import JetStack, TFJet, UPoly
 
-from conftest import GOLDEN
+from conftest import GOLDEN, dense_series, mode_sum
 
 
 def test_upoly_mul_matches_convolution():
@@ -65,6 +65,31 @@ def test_jet_mul_and_eval_grid():
     got = prod.eval_grid(u, th)[0, 0]
     want = (0.05 * np.cos(2 * np.pi * 0.3) + 2.0 * 0.05 ** 2) * 0.05
     assert abs(got - want) < 1e-14
+
+
+def test_eval_grid_matches_per_coefficient_sums():
+    # complex u and complexified angles on a 2-torus, against the sum over
+    # orders of u^n times each coefficient's per-mode sum; a stack of jets
+    # (one of them zero) gives every jet's own values
+    rng = np.random.default_rng(3)
+    cut, trunc = 5, 6
+    a = TFJet(2, cut, trunc, {n: dense_series(rng, 2, cut) for n in (0, 2, 5)})
+    b = TFJet(2, cut, trunc, {1: dense_series(rng, 2, cut)})
+    u = np.array([0.3 + 0.1j, -0.2j, 0.5])
+    theta = rng.random((4, 2)) + 1e-3j * rng.uniform(-1, 1, (4, 2))
+    for jet in (a, b):
+        want = sum(np.multiply.outer(u ** n, mode_sum(s, theta))
+                   for n, s in jet.terms.items())
+        scale = sum(s.coeff_norm() for s in jet.terms.values())
+        got = jet.eval_grid(u, theta)
+        assert got.shape == (3, 4)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    zero = TFJet(2, cut, trunc)
+    stacked = JetStack([a, zero, b]).eval_grid(u, theta)
+    assert stacked.shape == (3, 3, 4) and not stacked[1].any()
+    for got, jet in ((stacked[0], a), (stacked[2], b)):
+        want = jet.eval_grid(u, theta)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_jet_compose_inner_numeric():

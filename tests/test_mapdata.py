@@ -12,7 +12,8 @@ from paratori.mapdata import (NormalizationRecord, TaylorFourierMap, XYPoly,
                               _inverse_change, _xy_identity,
                               reduce_general_field, reduce_general_map)
 
-from conftest import GOLDEN, one_mode, reference_map, shear_example
+from conftest import (GOLDEN, dense_series, mode_sum, one_mode, reference_map,
+                      shear_example)
 
 
 def test_xypoly_eval_and_arithmetic():
@@ -24,6 +25,25 @@ def test_xypoly_eval_and_arithmetic():
     x, y, th = 0.3, -0.2, np.array([0.1])
     want = 1.5 * ((1 + 0.2 * np.cos(2 * np.pi * 0.1)) * x**2 + 3 * y)
     assert abs(q.eval(x, y, th) - want) < 1e-14
+
+
+def test_xypoly_eval_matches_per_coefficient_sums():
+    # complex x, y and complexified angles against sum s_lm(ang) x^l y^m with
+    # each coefficient summed mode by mode; scalars give a number
+    rng = np.random.default_rng(4)
+    cut = 6
+    p = XYPoly(1, cut, 4, {lm: dense_series(rng, 1, cut)
+                           for lm in ((0, 0), (2, 0), (1, 1), (0, 3))})
+    x = np.array([[0.3 + 0.2j, -0.1], [0.05j, 0.4]])
+    y = np.array([-0.2 + 0.1j, 0.3j])
+    ang = rng.random((2, 2, 1)) + 1e-3j * rng.uniform(-1, 1, (2, 2, 1))
+    want = sum(mode_sum(s, ang) * x**l * y**m for (l, m), s in p.terms.items())
+    scale = sum(s.coeff_norm() for s in p.terms.values())
+    got = p.eval(x, y, ang)
+    assert got.shape == (2, 2)
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    point = p.eval(x[0, 0], y[0], ang[0, 0])
+    assert type(point) is complex and abs(point - want[0, 0]) <= 1e-13 * scale
 
 
 def test_xypoly_mul_numeric():

@@ -170,3 +170,11 @@ def test_probe_contracts_on_reference_map():
     assert all(f < 1 for f in rep["factors"])
     d = rep["defect_norms"]
     assert all(d[i + 1] < d[i] for i in range(min(4, len(d) - 1)))
+    # values of this instance with one np.exp per mode and coefficient: a
+    # change of evaluation order may move them only at rounding level
+    assert rep["factors"] == pytest.approx(
+        [0.318746448892, 0.848320456118, 0.357862942378, 0.887311976596,
+         0.377108318649], rel=1e-6)
+    assert d == pytest.approx(
+        [13.5531085773, 2.06633427497, 1.76908521728, 0.628917904703,
+         0.544511596035, 0.199830629842, 0.184165748863], rel=1e-6)
