@@ -9,14 +9,12 @@ not certified enclosures.
 """
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import RegularGridInterpolator
 
 from .errors import (
     BoundViolated,
     ConfigError,
     Diverged,
-    FlowLeftSector,
     HypothesisViolated,
     StructureViolation,
     TailNotConverged,
@@ -24,6 +22,7 @@ from .errors import (
 from .fourier import angle_grid
 from .jets import JetStack
 from .pairs import residual_jets
+from .quadrature import panel_quadrature, step_polynomials, trajectory
 
 _J_MIN, _J_MAX = 16, 60000   # first and last orbit term where a sum may stop
 
@@ -213,9 +212,23 @@ def flow_orbit_integral(eta, velocity, freqs, u, theta=None, *, eta_order, mu,
                         tol=1e-10, sector=None):
     """Integral of eta along the decaying scalar trajectory, from 0 to
     infinity: the trajectory solves du/ds = velocity(u) with angles advancing
-    linearly, and the quadrature is truncated once the analytic decay-bound
-    tail drops below half of ``tol`` (DOP853 at rtol 1e-13, atol 1e-16, on
-    windows growing fourfold up to time 1e9).
+    linearly, theta(s) = theta + s*omega.
+
+    ``eta(u, theta)`` takes a 1-D complex array of points ``u`` and, per
+    point, the angles as the columns of a (dim, u.size) array (``None``
+    without angles), and returns an array of shape ``u.shape``; it is never
+    called on more than ``quadrature.QUAD_CHUNK`` points at once.
+
+    The error is split in two halves of ``tol``.  The trajectory is stepped
+    by DOP853 (rtol 1e-13, atol 1e-16) to the first step end T where the
+    analytic decay-bound tail after T is at most tol/2 (TailNotConverged if
+    that takes beyond time 1e9).  The integral over [0, T] then takes
+    Gauss-Kronrod (7, 15) panels on the dense output: the ODE steps, cut to
+    at most half the shortest angle period, and bisected until each panel's
+    |K15 - G7| is within its width's share of tol/2 (TailNotConverged for a
+    non-finite eta or a quadrature past ``quadrature.panel_quadrature``'s
+    limits).  ``sector`` checks the trajectory at every step end
+    (FlowLeftSector).
 
     The derivative of the returned quantity (as a function of the starting
     point) along the drift equals minus the integrand.
@@ -224,33 +237,22 @@ def flow_orbit_integral(eta, velocity, freqs, u, theta=None, *, eta_order, mu,
     freqs = np.asarray(freqs, dtype=float)
     th0 = None if theta is None else np.asarray(theta, dtype=float)
 
-    def angles(s):
-        return None if th0 is None else th0 + s * freqs
+    def integrand(s, z):
+        angles = None if th0 is None else th0[:, None] + freqs[:, None] * s
+        return eta(z, angles)
 
-    def rhs(s, state):
-        z = state[0] + 1j * state[1]
-        dz = velocity(z)
-        val = complex(eta(z, angles(s)))
-        return [dz.real, dz.imag, val.real, val.imag]
+    def tail_small(s, z):
+        term = abs(integrand(np.array([s]), np.array([z]))[0])
+        return _tail(term, s, x, q) <= tol / 2
 
-    state = [np.real(u), np.imag(u), 0.0, 0.0]
-    t_lo, t_hi = 0.0, 1.0
-    while t_hi <= 1e9:
-        sol = solve_ivp(rhs, (t_lo, t_hi), state, rtol=1e-13, atol=1e-16,
-                        method="DOP853")
-        if not sol.success:
-            raise TailNotConverged("trajectory from %s: %s" % (u, sol.message))
-        state = [float(v[-1]) for v in sol.y]
-        z = state[0] + 1j * state[1]
-        if sector is not None and not sector.contains(z, slack=1e-12):
-            raise FlowLeftSector("trajectory from %s reached %s" % (u, z))
-        tail = _tail(abs(complex(eta(z, angles(t_hi)))), t_hi, x, q)
-        if tail <= tol / 2:
-            value = state[2] + 1j * state[3]
-            return value if abs(value.imag) > 1e-300 else value.real
-        t_lo, t_hi = t_hi, 4.0 * t_hi
-    raise TailNotConverged(
-        "tail estimate %.3e above %.3e at time %.3e" % (tail, tol / 2, t_lo))
+    path = trajectory(velocity, u, tail_small, sector)
+    along = step_polynomials(path)
+    width = None
+    if th0 is not None and np.any(freqs):
+        width = 1.0 / (2.0 * np.abs(freqs).max())
+    value = complex(panel_quadrature(lambda s: integrand(s, along(s)),
+                                     path.ts, width, tol / 2))
+    return value if abs(value.imag) > 1e-300 else value.real
 
 
 def flow_inverse(eta, velocity, freqs, u, theta=None, **kw):
@@ -265,17 +267,21 @@ def flow_inverse(eta, velocity, freqs, u, theta=None, **kw):
 class _GridFunction:
     """Interpolated candidate correction on the sector x torus grid.
 
-    Stores values normalized by u^weight on a (log radius, argument,
-    angles...) grid; evaluation clamps the sector coordinates to the grid
-    box (nearest-edge continuation) and wraps the torus axes.
+    Stores each component's values normalized by u^weight, stacked on a
+    trailing value axis of one (log radius, argument, angles...) grid, so a
+    query finds its bracketing cells once for all components; evaluation
+    clamps the sector coordinates to the grid box (nearest-edge
+    continuation) and wraps the torus axes.
     """
 
-    def __init__(self, log_r, args, theta_axes, z_flat, values, weight):
-        self.weight = weight
+    def __init__(self, log_r, args, theta_axes, z_flat, values, weights):
+        self.weights = weights
         self.log_r = log_r
         self.args = args
-        scaled = values / z_flat[:, None] ** weight
-        pad = scaled.reshape(len(log_r), len(args), *(len(t) for t in theta_axes))
+        scaled = np.stack([v / z_flat[:, None] ** w
+                           for v, w in zip(values, weights)], axis=-1)
+        pad = scaled.reshape(len(log_r), len(args),
+                             *(len(t) for t in theta_axes), len(weights))
         axes = [log_r, args]
         for i, t in enumerate(theta_axes):
             pad = np.concatenate([pad, pad.take([0], axis=2 + i)], axis=2 + i)
@@ -284,6 +290,7 @@ class _GridFunction:
             tuple(axes), pad, method="linear", bounds_error=False, fill_value=None)
 
     def __call__(self, z, pts):
+        """Per component, its interpolated values at the (z, pts) grid."""
         z = np.asarray(z, dtype=complex)
         lr = np.clip(np.log(np.abs(z)), self.log_r[0], self.log_r[-1])
         ph = np.clip(np.angle(z), self.args[0], self.args[-1])
@@ -291,8 +298,9 @@ class _GridFunction:
         cols = [np.repeat(lr, nt), np.repeat(ph, nt)]
         for a in range(pts.shape[1]):
             cols.append(np.tile(np.mod(pts[:, a].real, 1.0), nu))
-        vals = self._interp(np.stack(cols, axis=-1)).reshape(nu, nt)
-        return vals * z[:, None] ** self.weight
+        vals = self._interp(np.stack(cols, axis=-1)).reshape(nu, nt, -1)
+        return [vals[..., i] * z[:, None] ** w
+                for i, w in enumerate(self.weights)]
 
 
 def _weighted_sup(values, z, weight):
@@ -412,11 +420,12 @@ def contraction_probe(mp, pair, sector, mu, ball_alpha=0.5, samples=(10, 5, 8),
     bad_streak = 0
     for m in range(n_iter):
         tol_weighted = max(1e-14, 1e-4 * tol_scale)
-        grid_fns = {c: _GridFunction(log_r, args, theta_axes, z0, arrays[c],
-                                     weights[c]) for c in comps}
+        candidate = _GridFunction(log_r, args, theta_axes, z0,
+                                  [arrays[c] for c in comps],
+                                  [weights[c] for c in comps])
         new = _orbit_sum(
-            lambda z, pts: remainder(z, pts, {c: grid_fns[c](z, pts)
-                                              for c in comps}),
+            lambda z, pts: remainder(z, pts,
+                                     dict(zip(comps, candidate(z, pts)))),
             inner, pair.freqs, z0, pts0, eta_orders, mu,
             {c: tol_weighted * np.abs(z0) ** weights[c] for c in comps})
         upd = max(_weighted_sup(new[c] - arrays[c], z0, weights[c]) for c in comps)

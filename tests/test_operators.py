@@ -1,6 +1,7 @@
 """Sector geometry, iterate confinement, the right inverse of the transfer
 difference/derivative along the inner dynamics, and the fixed-point probe."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,6 +15,8 @@ from paratori.operators import (Sector, contraction_probe, flow_inverse,
                                 flow_inverse_norm_limit, flow_orbit_integral,
                                 map_inverse_norm_limit, orbit_sum_inverse,
                                 sector_iterate_check)
+from paratori import quadrature
+from paratori.quadrature import QUAD_CHUNK, _G7_W, _GK_W, _GK_X
 
 from conftest import (GOLDEN, drift_derivative, reference_map,
                       transfer_difference)
@@ -130,6 +133,79 @@ def test_flow_integral_oracle():
         got = flow_orbit_integral(lambda u, th: u ** 3, Y, (), u0, None,
                                   eta_order=3, mu=0.5, tol=1e-10)
         assert abs(got - u0 ** 2 / 2) < 1e-8
+
+
+@pytest.mark.parametrize("u0", [0.03, 0.03 * np.exp(0.3j)],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("m", [1, 9, 20])
+def test_flow_integral_matches_a_closed_form_trajectory(m, u0):
+    # velocity -u^2 has the trajectory u0/(1 + s u0), so the integral of
+    # u^3 (1 + 0.2 sin 2 pi m theta) along it is u0^2/2 plus an oscillatory
+    # integral that mpmath evaluates without any ODE solver; at m = 20 a
+    # half-period panel of omega holds 12 periods of eta, more than one
+    # 15-point rule resolves, so only the panel refinement meets tol
+    th0, tol = 0.7, 1e-10
+    eta = lambda u, th: u ** 3 * (1.0 + 0.2 * np.sin(2 * np.pi * m * th[0]))
+    got = flow_orbit_integral(eta, UPoly({2: -1.0}, 12), (GOLDEN,), u0,
+                              np.array([th0]), eta_order=3, mu=0.5, tol=tol)
+    with mpmath.workdps(30):
+        z0 = mpmath.mpmathify(u0)
+        w = 2 * mpmath.pi * m * mpmath.mpf(GOLDEN)
+        osc = mpmath.quadosc(
+            lambda s: (z0 / (1 + s * z0)) ** 3
+            * mpmath.sin(2 * mpmath.pi * m * mpmath.mpf(th0) + w * s),
+            [0, mpmath.inf], omega=w)
+        want = complex(z0 ** 2 / 2 + osc / 5)
+    assert abs(got - want) <= tol
+
+
+def test_gauss_kronrod_rule():
+    # the embedded rule is 7-point Gauss, and Kronrod's 15 points integrate
+    # every polynomial of degree up to 22 exactly
+    xg, wg = np.polynomial.legendre.leggauss(7)
+    assert np.abs(_GK_X[1::2] - xg).max() < 1e-15
+    assert np.abs(_G7_W[1::2] - wg).max() < 1e-15
+    assert not _G7_W[::2].any()
+    for n in range(23):
+        assert abs(_GK_W @ _GK_X ** n - (1 + (-1) ** n) / (n + 1)) < 1e-15
+
+
+def test_flow_integrand_contract_and_chunk_bound():
+    # eta sees 1-D complex points with one angle column each, never more
+    # than QUAD_CHUNK of them at once
+    sizes = []
+
+    def eta(u, th):
+        assert u.ndim == 1 and np.iscomplexobj(u)
+        assert th.shape == (2, u.size)
+        assert u.size <= QUAD_CHUNK
+        sizes.append(u.size)
+        return u ** 3 * (1.0 + 0.2 * np.sin(2 * np.pi * th[0])
+                         + 0.1 * np.cos(2 * np.pi * th[1]))
+
+    vel = UPoly({2: -1.0, 3: 0.5}, 12)
+    kw = dict(eta_order=3, mu=0.5, tol=1e-8, sector=Sector(np.pi / 2, 0.05, 2))
+    flow_orbit_integral(eta, vel, (GOLDEN, np.sqrt(2.0)), 0.03 + 0.005j,
+                        np.array([0.7, 0.2]), **kw)
+    assert max(sizes) > QUAD_CHUNK // 2   # the chunking was exercised
+    with pytest.raises(FlowLeftSector):
+        flow_orbit_integral(eta, vel, (GOLDEN, np.sqrt(2.0)), 0.06,
+                            np.array([0.7, 0.2]), **kw)
+
+
+def test_flow_quadrature_limits(monkeypatch):
+    # a non-finite integrand, and more panels to bisect than the memory
+    # bound allows (lowered here so that a small case reaches it), end in
+    # TailNotConverged instead of bisecting without end
+    vel, th0 = UPoly({2: -1.0}, 12), np.array([0.7])
+    kw = dict(eta_order=3, mu=0.5, tol=1e-8)
+    eta = lambda u, th: np.where(np.mod(th[0], 1.0) < 0.1, np.nan, u ** 3)
+    with pytest.raises(TailNotConverged, match="not finite"):
+        flow_orbit_integral(eta, vel, (GOLDEN,), 0.03, th0, **kw)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 64)
+    eta = lambda u, th: u ** 3 * (1.0 + 0.2 * np.sin(2 * np.pi * 20 * th[0]))
+    with pytest.raises(TailNotConverged, match="to bisect"):
+        flow_orbit_integral(eta, vel, (GOLDEN,), 0.03, th0, **kw)
 
 
 def test_flow_inverse_solves_derivative_equation():
