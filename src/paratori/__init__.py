@@ -14,8 +14,8 @@ from paratori.fourier import (FourierSeries, diophantine_margin, reciprocal,
                               solve_sd_flow, solve_sd_map)
 from paratori.jets import TFJet, UPoly
 from paratori.mapdata import (NormalizationRecord, TaylorFourierMap, XYPoly,
-                              invert_reduced_map, reduce_general_field,
-                              reduce_general_map, validate_shear_field)
+                              reduce_general_field, reduce_general_map,
+                              validate_shear_field)
 from paratori.pairs import (ManifoldPair, ResidualReport, compare_pairs,
                             residual_report)
 from paratori.map_solver import default_trunc, solve_to_order
@@ -26,7 +26,7 @@ from paratori.operators import (Sector, contraction_probe, flow_inverse,
                                 sector_iterate_check)
 from paratori.applications import (HeCuParams, OscillatorParams,
                                    build_hecu_field, build_oscillator_field,
-                                   build_oscillator_unstable, hecu_manifolds)
+                                   hecu_manifolds)
 
 __version__ = "0.1.0"
 
@@ -41,8 +41,7 @@ __all__ = [
     "solve_sd_map",
     "TFJet", "UPoly",
     "NormalizationRecord", "TaylorFourierMap", "XYPoly",
-    "invert_reduced_map", "reduce_general_field", "reduce_general_map",
-    "validate_shear_field",
+    "reduce_general_field", "reduce_general_map", "validate_shear_field",
     "ManifoldPair", "ResidualReport", "compare_pairs", "residual_report",
     "default_trunc", "solve_to_order",
     "solve_flow_to_order", "solve_helicoure",
@@ -50,5 +49,5 @@ __all__ = [
     "flow_orbit_integral", "map_inverse_norm_limit", "orbit_sum_inverse",
     "sector_iterate_check",
     "HeCuParams", "OscillatorParams", "build_hecu_field",
-    "build_oscillator_field", "build_oscillator_unstable", "hecu_manifolds",
+    "build_oscillator_field", "hecu_manifolds",
 ]

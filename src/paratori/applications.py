@@ -77,19 +77,6 @@ def build_oscillator_field(p):
                             {(0, 1): 1.0}, y_terms, [], k=2, p=None)
 
 
-def build_oscillator_unstable(p):
-    """Field whose stable solve parameterizes the well's unstable manifold.
-
-    Reverses time and flips the velocity sign; the combination keeps the
-    field shape while running every forcing hull backwards.  A point
-    (x, y, tau) on the stable manifold of the returned field corresponds to
-    (x, -y, tau) on the unstable manifold of ``build_oscillator_field(p)``.
-    Applying the construction twice returns the original field.
-    """
-    return build_oscillator_field(p).transformed_field(
-        sx=1, sy=-1, time_sign=-1)
-
-
 # ---------------------------------------------------------------------------
 # helium scattering off a corrugated copper wall
 # ---------------------------------------------------------------------------

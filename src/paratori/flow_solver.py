@@ -19,8 +19,8 @@ Two structure classes are handled:
   means) is mapdata.validate_shear_field, beside the power-class rule, and
   the order steps are map_solver.extend_order, whose shear-class averaged
   step sits next to the power-class one.  solve_helicoure is the entry
-  point: it checks the branch, the convention and the field once, and the
-  direct solve trusts it.
+  point: it checks the order, the branch, the convention and the field
+  once, and the direct solve trusts it.
 
 For the shear class the leading angular coefficient admits two conventions:
 ``theta_leading="cohomological"`` solves the order-u^2 angular equation
@@ -41,12 +41,12 @@ from .pairs import residual_jets  # noqa: F401  only for the perfbench trace
 
 
 def solve_flow_to_order(fd, n_target, branch="stable", trunc=None, sd_floor=1e-12,
-                        assert_tol=1e-9, snapshots=False):
+                        assert_tol=1e-9):
     """Power-class pair of a vector field, through the map induction."""
     if fd.kind != "field":
         raise StructureViolation("solve_flow_to_order takes a vector field, "
                                  "got kind %r" % (fd.kind,))
-    return solve_to_order(fd, n_target, branch, trunc, sd_floor, assert_tol, snapshots)
+    return solve_to_order(fd, n_target, branch, trunc, sd_floor, assert_tol)
 
 
 # ----- shear class ----------------------------------------------------------
@@ -114,9 +114,11 @@ def solve_helicoure(fd, n_target, branch="stable", theta_leading="closed_form",
     construction yields (negative: stable).  The opposite branch is obtained
     by conjugating with (x, t) -> (-x, -t), solving, and mapping back, which
     flips the sign of the horizontal jet and of the inner velocity.  The
-    entry point of the shear class: the branch, the convention and the
-    field (``validate_shear_field``) are checked here once.
+    entry point of the shear class: ``n_target``, the branch, the convention
+    and the field (``validate_shear_field``) are checked here once.
     """
+    if n_target < 2:
+        raise ConfigError("n_target must be at least 2, got %r" % (n_target,))
     if theta_leading not in ("closed_form", "cohomological"):
         raise ConfigError("theta_leading must be closed_form or cohomological, "
                           "got %r" % (theta_leading,))

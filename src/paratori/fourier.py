@@ -124,13 +124,6 @@ class FourierSeries:
         picks = [_mode_range(cut) % n for n in values.shape]
         return cls(hat[np.ix_(*picks)])
 
-    @classmethod
-    def from_function(cls, f, dim, cut, oversample=8):
-        """Sample a callable on an oversampled grid and truncate."""
-        n = oversample * (2 * cut + 1)
-        mesh = angle_grid(dim, np.arange(n) / n)
-        return cls.from_grid(np.asarray(f(mesh), dtype=float), cut)
-
     def copy(self):
         return FourierSeries(self.coeffs.copy(), symmetrize=False)
 
@@ -150,9 +143,6 @@ class FourierSeries:
 
     def is_zero(self, tol=0.0):
         return float(np.max(np.abs(self.coeffs))) <= tol
-
-    def symmetry_defect(self):
-        return float(np.max(np.abs(self.coeffs - np.conj(np.flip(self.coeffs)))))
 
     # ----- arithmetic ---------------------------------------------------
 
@@ -240,9 +230,10 @@ class FourierSeries:
 
     # ----- interchange --------------------------------------------------
 
-    def to_payload(self, drop_below=0.0):
+    def to_payload(self):
         """Sparse half-spectrum payload: mode 0 plus lexicographically
-        positive modes; the mirror half is implied by realness."""
+        positive modes with a nonzero coefficient; the mirror half is
+        implied by realness."""
         entries = []
         for idx in np.ndindex(*self.coeffs.shape):
             k = tuple(i - self.cut for i in idx)
@@ -250,7 +241,7 @@ class FourierSeries:
             if first < 0:
                 continue
             v = complex(self.coeffs[idx])
-            if abs(v) <= drop_below:
+            if v == 0:
                 continue
             entries.append([list(k), v.real, v.imag])
         entries.sort(key=lambda e: e[0])

@@ -23,8 +23,10 @@ so no power is multiplied out twice.
 contraction; ``TFJet.eval_grid`` is its one-jet case.
 
 ``UPoly`` is the scalar-coefficient special case used for normal forms (the
-inner dynamics), kept separate because composing and reverting it is much
-cheaper.
+inner dynamics).  It is kept separate from ``FTPoly`` for its scalar
+pointwise evaluation (the orbit iterates and the trajectory steps of the
+operators call it at every step) and its scalar products (the powers of the
+inner polynomial in ``TFJet.compose_inner``).
 """
 
 import math
@@ -74,12 +76,6 @@ class UPoly:
             t[n] = t.get(n, 0.0) + a
         return UPoly(t, min(self.trunc, other.trunc))
 
-    def __sub__(self, other):
-        t = dict(self.terms)
-        for n, a in other.terms.items():
-            t[n] = t.get(n, 0.0) - a
-        return UPoly(t, min(self.trunc, other.trunc))
-
     def scale(self, c):
         return UPoly({n: c * a for n, a in self.terms.items()}, self.trunc)
 
@@ -91,49 +87,6 @@ class UPoly:
                 if n + m <= trunc:
                     t[n + m] = t.get(n + m, 0.0) + a * b
         return UPoly(t, trunc)
-
-    def power(self, j):
-        out = UPoly({0: 1.0}, self.trunc)
-        for _ in range(j):
-            out = out.mul(self)
-        return out
-
-    def compose(self, inner):
-        """self(inner(u)); inner must have zero constant term."""
-        if inner.coeff(0) != 0.0:
-            raise StructureViolation("inner polynomial needs zero constant term")
-        trunc = min(self.trunc, inner.trunc)
-        out = UPoly({}, trunc)
-        p = UPoly({0: 1.0}, trunc)
-        for n in range(0, max(self.terms, default=0) + 1):
-            a = self.coeff(n)
-            if a:
-                out = out + p.scale(a)
-            p = p.mul(inner)
-            if not p.terms:
-                break
-        return out
-
-    def derivative(self):
-        return UPoly({n - 1: n * a for n, a in self.terms.items() if n >= 1}, self.trunc)
-
-    def reversion(self):
-        """Compositional inverse of u + (higher order), by fixed point.
-
-        Iterates  q <- id - (self - id) o q , which raises the agreement
-        order by at least one per sweep.
-        """
-        if abs(self.coeff(1) - 1.0) > 0:
-            raise StructureViolation("reversion needs unit linear coefficient")
-        ident = UPoly({1: 1.0}, self.trunc)
-        high = self - ident
-        q = ident
-        for _ in range(self.trunc + 1):
-            q_new = ident - high.compose(q)
-            if q_new.terms == q.terms:
-                break
-            q = q_new
-        return q
 
 
 class FTPoly:
@@ -292,15 +245,6 @@ class TFJet(FTPoly):
 
     def orders(self):
         return sorted(self.terms)
-
-    @property
-    def max_order(self):
-        return max(self.terms) if self.terms else -1
-
-    def truncated(self, trunc):
-        out = TFJet(self.dim, self.cut, trunc)
-        out.terms = {n: s.copy() for n, s in self.terms.items() if n <= trunc}
-        return out
 
     def tail(self, from_order):
         out = TFJet(self.dim, self.cut, self.trunc)

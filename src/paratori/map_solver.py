@@ -306,13 +306,11 @@ def extend_order(data, pair, opening, sd_floor=1e-12, assert_tol=1e-9):
 
 
 def solve_to_order(mp, n_target, branch="stable", trunc=None, sd_floor=1e-12,
-                   assert_tol=1e-9, snapshots=False):
+                   assert_tol=1e-9):
     """Construct the pair with invariance order ``n_target``.
 
     The entry point of the power class: it checks ``n_target``, the data
     (``validate_reduced``) and the branch once; the order steps trust them.
-    With ``snapshots`` the list of intermediate pairs (one per order, each an
-    independent copy) is returned alongside the final pair.
     """
     if n_target < 2:
         raise ConfigError("n_target must be at least 2, got %r" % (n_target,))
@@ -322,11 +320,6 @@ def solve_to_order(mp, n_target, branch="stable", trunc=None, sd_floor=1e-12,
     if trunc is None:
         trunc = default_trunc(n_target, mp.k, mp.p)
     pair, residual = init_order2(mp, branch, trunc, sd_floor, assert_tol)
-    history = [pair.copy()] if snapshots else None
     while pair.order < n_target:
         residual = extend_order(mp, pair, residual, sd_floor, assert_tol)
-        if snapshots:
-            history.append(pair.copy())
-    if snapshots:
-        return pair, history
     return pair

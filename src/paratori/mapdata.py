@@ -29,8 +29,7 @@ in ``cli.RunConfig`` for the data it builds, in ``solve_to_order`` and in
 ``solve_helicoure``; the order steps trust it.  The normalizations live
 here too: ``reduce_general_map`` / ``reduce_general_field`` make the x-part
 exactly  x + c(theta) * y  (maps) or  c(theta) * y  (fields), with a
-``NormalizationRecord`` that pulls computed manifolds back, and
-``invert_reduced_map`` inverts a reduced map.
+``NormalizationRecord`` that pulls computed manifolds back.
 """
 
 import numpy as np
@@ -418,43 +417,6 @@ def reduce_general_map(mp, deg):
         p=mp.p,
     )
     return reduced, record
-
-
-def invert_reduced_map(mp, deg):
-    """Inverse of a reduced map as a general map container.
-
-    Fixed-point elimination order by order: the angle displacement, the
-    vertical variable, then the horizontal one (which is explicit thanks to
-    the exact shear form).  The result rotates the angles by -omega and is a
-    general (not reduced) map.
-    """
-    if mp.kind != "map":
-        raise StructureViolation("invert_reduced_map takes a map, got kind %r"
-                                 % (mp.kind,))
-    dim, cut, d = mp.dim, mp.cut, mp.d
-    om = np.asarray(mp.freqs, dtype=float)
-    c_back = mp.shear().shift(-om)
-
-    def shifted_poly(table):
-        return XYPoly(dim, cut, deg, table.terms).shift(-om)
-
-    ny = shifted_poly(mp.y_terms)
-    nts = [shifted_poly(t) for t in mp.theta_terms]
-
-    xid = _xy_identity(dim, cut, deg, "x")
-    yid = _xy_identity(dim, cut, deg, "y")
-    x_poly, y_poly = xid.copy(), yid.copy()
-    t_polys = [XYPoly(dim, cut, deg) for _ in range(d)]
-    for _ in range(deg + 1):
-        t_polys = [-nt.subst(x_poly, y_poly, t_polys) for nt in nts]
-        y_poly = yid - ny.subst(x_poly, y_poly, t_polys)
-        c_poly = XYPoly(dim, cut, deg, {(0, 0): c_back}).subst(xid, yid, t_polys)
-        x_poly = xid - c_poly * y_poly
-
-    return TaylorFourierMap(
-        "map", d, 0, cut, tuple(-w for w in mp.freqs),
-        (x_poly - xid).terms, (y_poly - yid).terms, [t.terms for t in t_polys],
-        k=mp.k, p=mp.p)
 
 
 def reduce_general_field(fd, deg):

@@ -5,8 +5,10 @@ the ones reused across files (the reference quasi-periodic map and the two
 exactly-solvable fixtures whose parameterizations are known in closed form),
 plus the launcher that the command-line tests share, the two pointwise
 oracles of the right-inverse identities (``transfer_difference``,
-``drift_derivative``), which no program code needs, and the per-mode
-reference sum (``mode_sum``) that pointwise evaluation is checked against.
+``drift_derivative``), which no program code needs, the per-mode
+reference sum (``mode_sum``) that pointwise evaluation is checked against,
+and ``solve_history``, a power-class solve that keeps the pair of every
+order for the residual-slope tests.
 """
 
 import os
@@ -18,6 +20,7 @@ import pytest
 
 import paratori
 from paratori.fourier import FourierSeries
+from paratori.map_solver import default_trunc, extend_order, init_order2
 from paratori.mapdata import TaylorFourierMap
 
 GOLDEN = (np.sqrt(5) - 1) / 2
@@ -159,12 +162,26 @@ def shear_example(cut=4):
         [{(0, 1): 3.0}])
 
 
+def solve_history(data, n_target):
+    """The pair of a power-class map or field solved to order ``n_target``
+    as ``solve_to_order`` solves it, with a copy of the pair at every order:
+    returns (final_pair, history) where history[i] has invariance order
+    2 + i."""
+    pair, residual = init_order2(data, "stable",
+                                 default_trunc(n_target, data.k, data.p))
+    history = [pair.copy()]
+    while pair.order < n_target:
+        residual = extend_order(data, pair, residual)
+        history.append(pair.copy())
+    return pair, history
+
+
 @pytest.fixture(scope="session")
 def solved_reference():
-    """Reference map solved once to order 8 with snapshots; reused by the
-    slope, comparison and probe tests to keep the suite fast.  Returns
-    (map, final_pair, history) where history[i] has invariance order 2 + i."""
-    from paratori.map_solver import solve_to_order
+    """Reference map solved once to order 8 with the pair at every order;
+    reused by the slope, comparison and probe tests to keep the suite fast.
+    Returns (map, final_pair, history) where history[i] has invariance order
+    2 + i."""
     mp = reference_map()
-    pair, history = solve_to_order(mp, 8, snapshots=True)
+    pair, history = solve_history(mp, 8)
     return mp, pair, history

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from paratori.flow_solver import solve_flow_to_order, solve_helicoure
+from paratori.flow_solver import solve_helicoure
 from paratori.fourier import FourierSeries, solve_sd_flow, solve_sd_map
 from paratori.jets import UPoly
 from paratori.map_solver import init_order2, solve_to_order
@@ -23,7 +23,7 @@ from paratori.operators import (Sector, contraction_probe, flow_orbit_integral,
 from paratori.pairs import compare_pairs, residual_report
 
 from conftest import (GOLDEN, exact_map, one_mode, reference_flow,
-                      reference_map, run_cli, shear_example,
+                      reference_map, run_cli, shear_example, solve_history,
                       transfer_difference)
 
 
@@ -63,7 +63,7 @@ def test_reference_map_residual_orders():
     # match (n+2, n+3, n+1) within 0.15, all inside a minute
     t0 = time.perf_counter()
     mp = reference_map(cut=32)
-    pair, history = solve_to_order(mp, 8, snapshots=True)
+    pair, history = solve_history(mp, 8)
     for pr in history:
         n = pr.order
         rep = residual_report(mp, pr, u_lo=1e-3, u_hi=1e-2)
@@ -80,7 +80,7 @@ def test_reference_flow_residual_orders():
     # on a two-torus hull with eight modes per axis
     t0 = time.perf_counter()
     fd = reference_flow(cut=8)
-    pair, history = solve_flow_to_order(fd, 6, snapshots=True)
+    pair, history = solve_history(fd, 6)
     for pr in history:
         n = pr.order
         rep = residual_report(fd, pr, u_lo=1e-4, u_hi=1e-3, n_grid=12)

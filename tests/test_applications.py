@@ -9,7 +9,7 @@ import pytest
 
 from paratori.applications import (HeCuParams, OscillatorParams,
                                    build_hecu_field, build_oscillator_field,
-                                   build_oscillator_unstable, hecu_manifolds)
+                                   hecu_manifolds)
 from paratori.errors import EnergyBelowThreshold, HypothesisViolated
 from paratori.flow_solver import solve_flow_to_order, solve_helicoure
 from paratori.fourier import FourierSeries
@@ -57,8 +57,8 @@ def test_oscillator_time_reversal_is_involutive():
     g = FourierSeries.from_modes({(1,): 0.15}, 1, 8) + 1.0
     p = OscillatorParams(c_pot=1.0, n_pot=2, alpha=1.0, g=g, nu=(np.sqrt(2),))
     fd = build_oscillator_field(p)
-    back = build_oscillator_unstable(p).transformed_field(sx=1, sy=-1,
-                                                          time_sign=-1)
+    reversed_fd = fd.transformed_field(sx=1, sy=-1, time_sign=-1)
+    back = reversed_fd.transformed_field(sx=1, sy=-1, time_sign=-1)
     x, y = 0.1, -0.07
     th = np.array([0.3])
     a, b = fd.eval(x, y, th), back.eval(x, y, th)
@@ -71,7 +71,8 @@ def test_oscillator_unstable_matches_transformed_construction():
     p = OscillatorParams(c_pot=1.0, n_pot=2, alpha=1.0, g=g, nu=(np.sqrt(2),))
     fd = build_oscillator_field(p)
     direct = solve_flow_to_order(fd, 5, branch="unstable")
-    mirrored = solve_flow_to_order(build_oscillator_unstable(p), 5)
+    mirrored = solve_flow_to_order(
+        fd.transformed_field(sx=1, sy=-1, time_sign=-1), 5)
     # the time-reversal conjugation negates the vertical jet and the inner
     # velocity while fixing the horizontal jet
     for n in direct.x.orders():

@@ -570,7 +570,8 @@ def test_compare_rejects_bad_input(tmp_path, capsys, order_3_and_4_pairs,
                                    tol, edit):
     a, b = order_3_and_4_pairs
     if edit is not None:
-        payload = json.loads(open(a).read())
+        with open(a) as fh:
+            payload = json.load(fh)
         edit(payload)
         a = str(write_config(tmp_path, payload, "pair.json"))
     code = main(["compare", a, b, "--tol", tol])

@@ -4,8 +4,9 @@ the shared induction, and the vertical-shear class with its direct recursion."""
 import numpy as np
 import pytest
 
-from paratori.errors import (NonPositiveLeadingCoefficient, StructureViolation,
-                             ZeroLeadingCoefficient)
+from paratori.applications import HeCuParams, hecu_manifolds
+from paratori.errors import (ConfigError, NonPositiveLeadingCoefficient,
+                             StructureViolation, ZeroLeadingCoefficient)
 from paratori.flow_solver import (solve_flow_to_order, solve_helicoure,
                                   validate_shear_field)
 from paratori.fourier import FourierSeries
@@ -161,6 +162,16 @@ def test_shear_structure_rejections():
                                  [{(0, 1): 3.0}])
     with pytest.raises(NonPositiveLeadingCoefficient):
         solve_helicoure(neg_shear, 3)
+
+
+@pytest.mark.parametrize("n_target", [1, 0, -3])
+def test_shear_entry_points_refuse_orders_below_two(n_target):
+    # the shear class needs the same order floor as solve_to_order: the
+    # seed alone is an order-1 pair that no caller asked for
+    with pytest.raises(ConfigError, match="n_target"):
+        solve_helicoure(shear_example(), n_target)
+    with pytest.raises(ConfigError, match="n_target"):
+        hecu_manifolds(HeCuParams(1.0, 1.0, 1.0, 2.0), n_target)
 
 
 def test_shear_positive_mean_swaps_natural_branch():

@@ -62,14 +62,6 @@ def test_product_against_grid():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def test_from_function_quadrature():
-    f = FourierSeries.from_function(
-        lambda th: np.exp(np.cos(2 * np.pi * th[..., 0])), 1, 20)
-    for t in (0.0, 0.31, 0.77):
-        want = np.exp(np.cos(2 * np.pi * t))
-        assert abs(f.eval(np.array([t])) - want) < 1e-12
-
-
 def test_diff_is_exact_on_modes():
     f = FourierSeries.from_modes({(2, -1): 0.3 + 0.1j}, 2, 4)
     df = f.diff(0)
@@ -241,7 +233,8 @@ def test_payload_round_trip():
 def test_real_series_has_no_symmetry_defect():
     rng = np.random.default_rng(13)
     f = random_series(rng, 1, 6)
-    assert f.symmetry_defect() < 1e-15
+    c = f.coeffs
+    assert np.max(np.abs(c - np.conj(np.flip(c)))) < 1e-15
     vals = f.values_on_grid(32)
     assert np.max(np.abs(vals.imag)) < 1e-13
 

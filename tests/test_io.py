@@ -4,7 +4,6 @@ import json
 
 import numpy as np
 
-from paratori.fourier import FourierSeries
 from paratori.ioutil import (canonical_json, pair_from_payload, pair_payload,
                              report_payload, residual_csv)
 from paratori.map_solver import solve_to_order
@@ -44,15 +43,6 @@ def test_pair_payload_round_trip():
     assert back.freqs == pair.freqs
     # payload text is reproducible byte for byte
     assert canonical_json(payload) == canonical_json(pair_payload(back))
-
-
-def test_series_payload_drop_threshold():
-    f = FourierSeries.from_modes({(1,): 0.5, (3,): 1e-15}, 1, 4)
-    full = f.to_payload()
-    trimmed = f.to_payload(drop_below=1e-12)
-    assert len(trimmed["modes"]) < len(full["modes"])
-    g = FourierSeries.from_payload(trimmed)
-    assert (f - g).coeff_norm() < 1e-14
 
 
 def test_report_payload_and_csv():

@@ -10,11 +10,12 @@ import paratori.map_solver as map_solver
 from paratori.flow_solver import solve_flow_to_order, solve_helicoure
 from paratori.map_solver import (default_trunc, extend_order, init_order2,
                                  solve_to_order)
-from paratori.mapdata import TaylorFourierMap, invert_reduced_map
+from paratori.ioutil import canonical_json, pair_payload
+from paratori.mapdata import TaylorFourierMap
 from paratori.pairs import compare_pairs, residual_jets, residual_report
 
 from conftest import (GOLDEN, exact_map, one_mode, reference_flow,
-                      reference_map, shear_example)
+                      reference_map, shear_example, solve_history)
 
 
 def residual_below_contract(data, pair):
@@ -210,25 +211,22 @@ def test_wrong_sign_leading_coefficient():
         solve_to_order(mp, 2)
 
 
-def test_inverse_of_reduced_map():
-    mp = reference_map(cut=16)
-    inv = invert_reduced_map(mp, 6)
-    errs = []
-    for s in (1.0, 0.5, 0.25):
-        x, y = 0.01 * s, 0.004 * s
-        th = np.array([0.3])
-        X, Y, TH = mp.eval(x, y, th)
-        xb, yb, thb = inv.eval(X, Y, TH)
-        errs.append(max(abs(xb - x), abs(yb - y), abs(thb[0] - th[0])))
-    # round-trip error decays at the truncation order of the inverse
-    rate = np.log2(errs[0] / errs[-1]) / 2
-    assert rate > 6.5
-    assert errs[-1] < 1e-11
-
-
 def test_default_trunc_bounds_tail():
     mp = reference_map(cut=8)
     pair = solve_to_order(mp, 4)
     assert pair.trunc == default_trunc(4, 2, 1)
-    assert pair.x.max_order <= pair.trunc
-    assert pair.y.max_order <= pair.trunc
+    assert pair.x.orders()[-1] <= pair.trunc
+    assert pair.y.orders()[-1] <= pair.trunc
+
+
+@pytest.mark.parametrize("build, n_target", [(exact_map, 5),
+                                             (reference_flow, 4)])
+def test_solve_history_matches_solve_to_order(build, n_target):
+    # the residual-slope tests read per-order pairs from the conftest
+    # helper; its final pair must be the entry point's, byte for byte
+    data = build()
+    pair, history = solve_history(data, n_target)
+    assert [p.order for p in history] == list(range(2, n_target + 1))
+    direct = canonical_json(pair_payload(solve_to_order(data, n_target)))
+    assert canonical_json(pair_payload(pair)) == direct
+    assert canonical_json(pair_payload(history[-1])) == direct

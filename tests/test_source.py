@@ -74,17 +74,33 @@ def _benchmark_targets():
     raise AssertionError("perfbench/spans.py defines no TARGETS")
 
 
+# Public definitions that the program does not call but that stay on the
+# package surface, each for the reason given.
+KEPT_UNCALLED = {
+    # the acceptance tests measure residuals in the grid sup norm with it
+    "sup_grid",
+    # the paper's right inverse for maps, checked by the acceptance tests
+    "orbit_sum_inverse",
+    # the normalizations of general input that ROADMAP N6 adopts
+    "reduce_general_map",
+    "reduce_general_field",
+}
+
+
 def test_every_public_definition_is_used():
-    # a public function, method or class that nothing in the program, the
-    # tests or the benchmark names is dead code
-    dirs = [PACKAGE] + [os.path.join(ROOT, d)
-                        for d in ("src", "tests", "perfbench")
+    # a public function, method or class that nothing in the program or the
+    # benchmark names is dead code: a name used only by tests does not count
+    dirs = [PACKAGE] + [os.path.join(ROOT, d) for d in ("src", "perfbench")
                         if os.path.isdir(os.path.join(ROOT, d))]
     used = _benchmark_targets()
     for _, tree in _trees(*dirs):
         used |= _used_names(tree)
-    unused = ["%s:%d %s" % (os.path.relpath(path, PACKAGE), line, name)
-              for path, tree in _trees(PACKAGE)
-              for name, line in _public_definitions(tree)
-              if name not in used]
+    defined = [(os.path.relpath(path, PACKAGE), line, name)
+               for path, tree in _trees(PACKAGE)
+               for name, line in _public_definitions(tree)]
+    unused = ["%s:%d %s" % d for d in defined
+              if d[2] not in used and d[2] not in KEPT_UNCALLED]
     assert not unused, unused
+    # each kept name is still defined and still uncalled by the program
+    stale = KEPT_UNCALLED - ({d[2] for d in defined} - used)
+    assert not stale, sorted(stale)
