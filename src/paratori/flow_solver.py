@@ -17,10 +17,11 @@ Two structure classes are handled:
   mean of b rather than chosen by a square root.  This module holds its
   seed and the branch flip; its admissibility rule (structure and leading
   means) is mapdata.validate_shear_field, beside the power-class rule, and
-  the order steps are map_solver.extend_order, whose shear-class averaged
-  step sits next to the power-class one.  solve_helicoure is the entry
-  point: it checks the order, the branch, the convention and the field
-  once, and the direct solve trusts it.
+  the order steps are map_solver.extend_order, which solves the class's
+  averaged system (map_solver._shear_system, a coefficient table beside
+  the power class's) with the same averaged step.  solve_helicoure is the
+  entry point: it checks the order, the branch, the convention and the
+  field once, and the direct solve trusts it.
 
 For the shear class the leading angular coefficient admits two conventions:
 ``theta_leading="cohomological"`` solves the order-u^2 angular equation

@@ -1,8 +1,7 @@
 """Order-by-order construction of invariant manifolds of parabolic tori for
 maps in reduced form, and the one order step shared with vector fields.
-The admissibility rules and the inversion of a reduced map live with the
-input dynamics in mapdata; this module reads its data only through the term
-tables.
+The admissibility rules live with the input dynamics in mapdata; this
+module reads its data only through the term tables.
 
 The input map must have the triangular structure
     x' = x + c(theta) y
@@ -22,9 +21,14 @@ class of flow_solver).  It reads the averaged defect at the pair's contract
 orders, solves a small linear system for the new average
 (theta-independent) coefficients, then ``close_order`` solves one
 cohomological equation per component at the same orders, raises the order
-and checks the invariance contract.  Only the averaged system is
-class-specific.  In the power class it is singular exactly once, at step
-n = k, where the normal-form correction r_{2k-1} restores solvability and
+and checks the invariance contract.  Only the coefficients of the averaged
+system are class-specific: ``_power_system`` and ``_shear_system`` state
+them as one table (the 2x2 rows for the new x and y averages, one row per
+angle tail, the normal-form correction's column, its closed form at the
+resonant order and the orders where everything lands), and one
+``_average_step`` solves either table.  Each system is singular exactly
+once, at its resonant order (n = k in the power class, n = 2 in the shear
+class), where the correction (r_{2k-1}, or Y_3) restores solvability and
 the new average x-coefficient is fixed to zero by convention.
 
 Each step evaluates the invariance defect twice: once after the averaged
@@ -34,6 +38,8 @@ so ``close_order`` (and through it ``init_order2`` and ``extend_order``)
 returns it, and the next ``extend_order`` reads its averages from it
 instead of evaluating the defect again.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -154,120 +160,102 @@ def close_order(data, pair, sd_floor, assert_tol):
     return _check_contract(data, pair, assert_tol)
 
 
-def _solve_average(pair, n, mat, rhs):
-    """The regular averaged step: a 2x2 solve that refuses a singular
-    matrix."""
-    det = float(np.linalg.det(mat))
-    det_scale = float(np.prod(np.linalg.norm(mat, axis=1)))
-    if abs(det) <= 1e-12 * det_scale:
-        raise SingularSystem("%s step %d unexpectedly singular" % (pair.family, n))
-    return np.linalg.solve(mat, rhs)
+# The averaged linear system of one order step, as a structure class states
+# it.  ``step`` is the order that names the step; ``rows`` the 2x2
+# coefficients of the new x and y averages (xi, eta) in the x and y rows;
+# ``tails`` one (coef_xi, coef_eta, coef_corr, div) per angle tail, whose
+# new average is (g + coef_eta eta + coef_xi xi - coef_corr corr) / div;
+# ``corr_col`` the normal-form correction's coefficients in the x and y
+# rows; ``closed_form`` the correction as a function of the x and y
+# averages at the resonant order (None elsewhere); ``lands`` the orders
+# where xi, eta, the tails and the correction land.
+_System = namedtuple("_System", "step rows tails corr_col closed_form lands")
 
 
-def _record_degenerate(pair, n, mat, rhs, normal_form_coeff):
-    """Record that the bordered system of the degenerate step is singular
-    but consistent."""
-    lsq = np.linalg.lstsq(mat, rhs, rcond=None)[0]
-    pair.diagnostics["degenerate_step"] = {
-        "order": n,
-        "det": float(np.linalg.det(mat)),
-        "det_scale": float(np.prod(np.linalg.norm(mat, axis=1))),
-        "lstsq_defect": float(np.linalg.norm(mat @ lsq - rhs))
-        / max(1.0, float(np.linalg.norm(rhs))),
-        "normal_form_coeff": float(normal_form_coeff),
-    }
-
-
-def _power_average_step(mp, pair, gxb, gyb, gtb):
-    """Averaged step of the power class at order n.
-
-    Returns the (order, value) where the new averages of x, y and the tails
-    and the normal-form correction land: (n+1, n+k, n+2p-k, n+k-1), with
-    no tail order when d = 0.
-    """
+def _power_system(mp, pair):
+    """Averaged system of the power class at order n, singular at n = k,
+    where the correction r_{2k-1} restores solvability.  It lands at
+    (n+1, n+k, n+2p-k, n+k-1), with no tail order when d = 0."""
     n, k, p, d = pair.order, pair.k, pair.p, pair.d
     r_k = pair.inner.coeff(k)
     cbar = mp.shear().average()
     abar = mp.y_terms.coefficient((k, 0)).average()
     lead_w = 2 * p - k + 1 if d else None
-    dbars = [mp.theta_terms[a].coefficient((p, 0)).average() for a in range(d)]
-    w_leads = [pair.tails[a].coefficient(lead_w).average() for a in range(d)]
-    row_x = [-(n + 1) * r_k, cbar]
-    row_y = [k * abar, -(n + k) * r_k]
-
-    if n != k:
-        xi, eta = _solve_average(pair, n, np.array([row_x, row_y]),
-                                 np.array([-gxb, -gyb]))
-        rho = 0.0
-    else:
-        rho = (2 * k * r_k * gxb + cbar * gyb) / (2.0 * (3 * k + 1) * r_k)
-        xi = 0.0
-        eta = (-gxb + 2.0 * rho) / cbar
-        eta_lead = pair.y.coefficient(k + 1).average()
-        mat = np.zeros((2 + d, 2 + d))
-        rhs = np.zeros(2 + d)
-        mat[0, :2] = row_x
-        rhs[0] = -gxb + 2.0 * rho
-        mat[1, :2] = row_y
-        rhs[1] = -gyb + (k + 1) * eta_lead * rho
-        for a in range(d):
-            mat[2 + a, 0] = p * dbars[a]
-            mat[2 + a, 2 + a] = -(n + 2 * p - k) * r_k
-            rhs[2 + a] = -gtb[a] + lead_w * w_leads[a] * rho
-        _record_degenerate(pair, n, mat, rhs, rho)
-
-    ws = [(gtb[a] + p * dbars[a] * xi - lead_w * w_leads[a] * rho)
-          / ((n + 2 * p - k) * r_k) for a in range(d)]
-    n_w = n + 2 * p - k if d else None
-    return (n + 1, xi), (n + k, eta), (n_w, ws), (n + k - 1, rho)
+    tails = [(p * mp.theta_terms[a].coefficient((p, 0)).average(), 0.0,
+              lead_w * pair.tails[a].coefficient(lead_w).average(),
+              (n + 2 * p - k) * r_k) for a in range(d)]
+    rho = None
+    if n == k:
+        def rho(gxb, gyb):
+            return (2 * k * r_k * gxb + cbar * gyb) / (2.0 * (3 * k + 1) * r_k)
+    return _System(n, [[-(n + 1) * r_k, cbar], [k * abar, -(n + k) * r_k]],
+                   tails, (2.0, (k + 1) * pair.y.coefficient(k + 1).average()),
+                   rho, (n + 1, n + k, n + 2 * p - k if d else None, n + k - 1))
 
 
-def _shear_average_step(fd, pair, gxb, gyb, gtb):
-    """Averaged step of the shear class, new average x-coefficient at
-    n = order + 1.
-
-    Returns the (order, value) where the new averages of x, y and the tails
-    and the normal-form correction land: (n, n+1, n, 3).  The system is
-    singular at n = 2, where the cubic velocity coefficient Y_3 restores
-    solvability.
-    """
+def _shear_system(fd, pair):
+    """Averaged system of the shear class, new average x-coefficient at
+    n = order + 1, singular at n = 2, where the cubic velocity coefficient
+    Y_3 restores solvability.  It lands at (n, n+1, n, 3)."""
     n = pair.order + 1
-    d = pair.d
     cbar = fd.shear().average()
     b = fd.y_terms.coefficient((1, 1))
     bbar = b.average()
     y2 = pair.inner.coeff(2)
-    beta = (b * pair.y.coefficient(2)).average()
-    dbars = [fd.theta_terms[a].coefficient((0, 1)).average() for a in range(d)]
-    q20s = [fd.theta_terms[a].coefficient((2, 0)).average() for a in range(d)]
-    w1s = [pair.tails[a].coefficient(1).average() for a in range(d)]
-    row_x = [-n * y2, cbar]
-    row_y = [beta, bbar - (n + 1) * y2]
+    y_lead = pair.y.coefficient(2)
+    tails = [(2 * fd.theta_terms[a].coefficient((2, 0)).average(),
+              fd.theta_terms[a].coefficient((0, 1)).average(),
+              pair.tails[a].coefficient(1).average(), n * y2)
+             for a in range(pair.d)]
+    y3 = None
+    if n == 2:
+        def y3(gxb, gyb):
+            return gxb / 3.0 + 2.0 * cbar * gyb / (3.0 * bbar)
+    rows = [[-n * y2, cbar], [(b * y_lead).average(), bbar - (n + 1) * y2]]
+    return _System(n, rows, tails, (1.0, 2.0 * y_lead.average()), y3,
+                   (n, n + 1, n, 3))
 
-    y3 = 0.0
-    if n != 2:
-        xi, eta = _solve_average(pair, n, np.array([row_x, row_y]),
-                                 np.array([-gxb, -gyb]))
+
+def _average_step(system, pair, gxb, gyb, gtb):
+    """Solve a class's averaged system for (xi, eta, tail averages, corr).
+
+    Away from the resonant order the 2x2 block must be regular, else
+    SingularSystem.  At the resonant order xi = 0 by convention, the closed
+    form gives the correction, and ``degenerate_step`` records that the
+    bordered system (x, y and one row per tail) is singular but consistent.
+    """
+    n, rows, tails = system.step, system.rows, system.tails
+    if system.closed_form is None:
+        mat = np.array(rows)
+        det = float(np.linalg.det(mat))
+        if abs(det) <= 1e-12 * float(np.prod(np.linalg.norm(mat, axis=1))):
+            raise SingularSystem("%s step %d unexpectedly singular" % (pair.family, n))
+        xi, eta = np.linalg.solve(mat, np.array([-gxb, -gyb]))
+        corr = 0.0
     else:
-        y3 = gxb / 3.0 + 2.0 * cbar * gyb / (3.0 * bbar)
-        xi = 0.0
-        eta = (-gxb + y3) / cbar
-        mat = np.zeros((2 + d, 2 + d))
-        rhs = np.zeros(2 + d)
-        mat[0, :2] = row_x
-        rhs[0] = -gxb + y3
-        mat[1, :2] = row_y
-        rhs[1] = -gyb + 2.0 * pair.y.coefficient(2).average() * y3
-        for a in range(d):
-            mat[2 + a, 0] = 2 * q20s[a]
-            mat[2 + a, 1] = dbars[a]
-            mat[2 + a, 2 + a] = -2 * y2
-            rhs[2 + a] = -gtb[a] + w1s[a] * y3
-        _record_degenerate(pair, n, mat, rhs, y3)
-
-    ws = [(gtb[a] + dbars[a] * eta + 2.0 * q20s[a] * xi - w1s[a] * y3) / (n * y2)
-          for a in range(d)]
-    return (n, xi), (n + 1, eta), (n, ws), (3, y3)
+        corr = system.closed_form(gxb, gyb)
+        cx, cy = system.corr_col
+        rhs = [-gxb + cx * corr, -gyb + cy * corr]
+        xi, eta = 0.0, rhs[0] / rows[0][1]
+        mat = np.zeros((2 + len(tails), 2 + len(tails)))
+        mat[:2, :2] = rows
+        for a, (coef_xi, coef_eta, coef_corr, div) in enumerate(tails):
+            mat[2 + a, :2] = coef_xi, coef_eta
+            mat[2 + a, 2 + a] = -div
+            rhs.append(-gtb[a] + coef_corr * corr)
+        rhs = np.array(rhs)
+        lsq = np.linalg.lstsq(mat, rhs, rcond=None)[0]
+        pair.diagnostics["degenerate_step"] = {
+            "order": n,
+            "det": float(np.linalg.det(mat)),
+            "det_scale": float(np.prod(np.linalg.norm(mat, axis=1))),
+            "lstsq_defect": float(np.linalg.norm(mat @ lsq - rhs))
+            / max(1.0, float(np.linalg.norm(rhs))),
+            "normal_form_coeff": float(corr),
+        }
+    ws = [(g + coef_eta * eta + coef_xi * xi - coef_corr * corr) / div
+          for g, (coef_xi, coef_eta, coef_corr, div) in zip(gtb, tails)]
+    return xi, eta, ws, corr
 
 
 def extend_order(data, pair, opening, sd_floor=1e-12, assert_tol=1e-9):
@@ -275,7 +263,7 @@ def extend_order(data, pair, opening, sd_floor=1e-12, assert_tol=1e-9):
 
     The one order step for maps and fields and for both structure classes:
     the averaged defect at the contract orders fixes the new averages
-    through the class's linear step, then ``close_order`` completes the
+    through the class's averaged system, then ``close_order`` completes the
     oscillatory parts and checks the contract.  ``opening`` is the residual
     ``residual_jets(data, pair)`` of the pair as it stands, as the previous
     step (or the seed) returned it; the closing residual is returned for
@@ -288,19 +276,19 @@ def extend_order(data, pair, opening, sd_floor=1e-12, assert_tol=1e-9):
             "step %d needs order %d, truncation is %d" % (pair.order, top, pair.trunc))
     ox, oy, ot = orders
     gx, gy, gt = opening
-    average_step = (_shear_average_step if pair.family == "shear"
-                    else _power_average_step)
-    (nx, xi), (ny, eta), (nw, ws), (nr, rho) = average_step(
-        data, pair, gx.coefficient(ox).average(), gy.coefficient(oy).average(),
+    system = (_shear_system if pair.family == "shear" else _power_system)(data, pair)
+    xi, eta, ws, corr = _average_step(
+        system, pair, gx.coefficient(ox).average(), gy.coefficient(oy).average(),
         [g.coefficient(ot).average() for g in gt])
+    nx, ny, nw, nr = system.lands
 
     if xi != 0.0:
         pair.x.add_to_coefficient(nx, xi)
     pair.y.add_to_coefficient(ny, eta)
     for a in range(pair.d):
         pair.tails[a].add_to_coefficient(nw, ws[a])
-    if rho != 0.0:
-        pair.inner = pair.inner + UPoly({nr: rho}, pair.inner.trunc)
+    if corr != 0.0:
+        pair.inner = pair.inner + UPoly({nr: corr}, pair.inner.trunc)
 
     return close_order(data, pair, sd_floor, assert_tol)
 

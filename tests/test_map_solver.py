@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from paratori.errors import (ConfigError, NonPositiveLeadingCoefficient,
-                             SmallDivisorUnderflow, TruncationTooLow)
+                             SingularSystem, SmallDivisorUnderflow,
+                             TruncationTooLow)
 import paratori.flow_solver as flow_solver
 import paratori.map_solver as map_solver
 from paratori.flow_solver import solve_flow_to_order, solve_helicoure
 from paratori.map_solver import (default_trunc, extend_order, init_order2,
                                  solve_to_order)
 from paratori.ioutil import canonical_json, pair_payload
+from paratori.jets import UPoly
 from paratori.mapdata import TaylorFourierMap
 from paratori.pairs import compare_pairs, residual_jets, residual_report
 
@@ -50,15 +52,59 @@ def test_exact_fixture_is_polynomial():
     assert residual_below_contract(mp, pair) < 1e-11
 
 
-def test_degenerate_step_solves_cleanly():
-    # at order n = k the 2x2 block is singular; the solvable bordered system
-    # must carry a vanishing determinant and an exact least-squares solution
-    mp = exact_map()
-    pair = solve_to_order(mp, 6)
+def power_k3_map():
+    """k = 3, p = 2 map with one angle: its bordered system has a tail row
+    with a nonzero coefficient on the new x average."""
+    return TaylorFourierMap(
+        "map", 1, 0, 6, (GOLDEN,),
+        {(0, 1): one_mode(1.0, 0.05, 1, 6)},
+        {(3, 0): one_mode(4.0, 0.3, 1, 6), (2, 1): 0.5},
+        [{(2, 0): one_mode(1.0, 0.1, 1, 6), (1, 1): 0.2}], k=3, p=2)
+
+
+def helicoure_field():
+    """Shear-class field with an oscillating b and a quadratic angle term;
+    mean(b) < 0, so its natural branch is the stable one."""
+    return TaylorFourierMap(
+        "field", 1, 0, 8, (np.sqrt(2) - 1,),
+        {(0, 1): 2.0},
+        {(1, 1): one_mode(-1.0, 0.2, 1, 8), (0, 2): 0.1},
+        [{(0, 1): 3.0, (2, 0): 0.25}])
+
+
+@pytest.mark.parametrize("solve, resonant, landing", [
+    (lambda: solve_to_order(exact_map(), 6), 2, 3),
+    (lambda: solve_to_order(power_k3_map(), 5), 3, 5),
+    (lambda: solve_helicoure(helicoure_field(), 4), 2, 3),
+], ids=["exact_map", "power_k3_p2", "shear"])
+def test_degenerate_step_solves_cleanly(solve, resonant, landing):
+    # at the resonant order the 2x2 block is singular; the solvable bordered
+    # system must carry a vanishing determinant and an exact least-squares
+    # solution, and its correction is the inner coefficient it lands on
+    # (2k - 1 in the power class, 3 in the shear class)
+    pair = solve()
     diag = pair.diagnostics["degenerate_step"]
-    assert diag["order"] == pair.k
-    assert abs(diag["det"]) <= 1e-12 * max(1.0, diag["det_scale"])
+    assert diag["order"] == resonant
+    assert abs(diag["det"]) <= 1e-14 * diag["det_scale"]
     assert diag["lstsq_defect"] <= 1e-12
+    assert diag["normal_form_coeff"] == pair.inner.coeff(landing)
+
+
+def test_singular_step_away_from_resonance():
+    # the 2x2 block of the power class at order n has determinant
+    # (n+1)(n+k) r_k^2 - k mean(a) mean(c); with r_k moved onto its zero at
+    # n = 3 != k the step is refused
+    mp = exact_map()
+    pair, residual = init_order2(mp, trunc=default_trunc(4, mp.k, mp.p))
+    residual = extend_order(mp, pair, residual)
+    n = pair.order
+    abar = mp.y_terms.coefficient((mp.k, 0)).average()
+    r_k = -np.sqrt(mp.k * abar * mp.shear().average() / ((n + 1) * (n + mp.k)))
+    pair.inner = UPoly({1: 1.0, mp.k: r_k}, pair.inner.trunc)
+    with pytest.raises(SingularSystem) as err:
+        extend_order(mp, pair, residual)
+    assert err.value.exit_code == 2
+    assert "power step 3" in str(err.value)
 
 
 def test_closed_form_seeds():
