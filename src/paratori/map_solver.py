@@ -33,10 +33,16 @@ the new average x-coefficient is fixed to zero by convention.
 
 Each step evaluates the invariance defect twice: once after the averaged
 step, for the cohomological right-hand sides, and once for the contract
-check.  The checked residual is exact for the pair as it leaves the step,
-so ``close_order`` (and through it ``init_order2`` and ``extend_order``)
-returns it, and the next ``extend_order`` reads its averages from it
-instead of evaluating the defect again.
+check.  Both are cut at the largest contract order of the pair at that
+moment, the highest order the step (or the next step's opening) reads:
+up to the cut they are exact for the pair, bit for bit the coefficients
+of the full residual, and above it they hold nothing.  The checked
+residual is exact for the pair as it leaves the step, so ``close_order``
+(and through it ``init_order2`` and ``extend_order``) returns it, and the
+next ``extend_order`` reads its averages from it instead of evaluating the
+defect again.  Only the measurements after the solve
+(``pairs.residual_report`` and the contraction probe) expand the full
+residual.
 """
 
 from collections import namedtuple
@@ -46,7 +52,7 @@ import numpy as np
 from .errors import ConfigError, ContractViolated, SingularSystem, TruncationTooLow
 from .fourier import diophantine_margin, solve_sd_flow, solve_sd_map
 from .jets import TFJet, UPoly
-from .pairs import ManifoldPair, residual_jets
+from .pairs import ManifoldPair, check_finite, residual_jets
 
 
 def _sd_solver(data, sd_floor):
@@ -105,29 +111,30 @@ def init_order2(mp, branch="stable", trunc=None, sd_floor=1e-12, assert_tol=1e-9
     return pair, close_order(mp, pair, sd_floor, assert_tol)
 
 
+def _top(pair):
+    """The largest contract order of the pair: the highest order its order
+    step reads, and the cut of the residuals it evaluates."""
+    return max(o for o in pair.contract_orders() if o is not None)
+
+
 def _check_contract(data, pair, tol):
     """Raise ContractViolated unless every defect coefficient below the
     contract orders is within ``tol`` times the size of the pair; return
-    the residual jets it checked.
+    the residual jets it checked, cut at the largest contract order.
 
-    A non-finite coefficient at any order means finite data overflowed
-    inside the solve: that is refused as a ConfigError naming the order and
-    component, before any bound is read.  In the shear class's closed-form
-    convention the order-2 angle average is a documented defect
-    (``theta_leading_defect``), so only its oscillatory part is checked
-    there.
+    A non-finite coefficient up to the cut means finite data overflowed
+    inside the solve: ``check_finite`` refuses it as a ConfigError naming
+    the order and component, before any bound is read.  In the shear
+    class's closed-form convention the order-2 angle average is a
+    documented defect (``theta_leading_defect``), so only its oscillatory
+    part is checked there.
     """
-    gx, gy, gt = residual_jets(data, pair)
+    residual = residual_jets(data, pair, top=_top(pair))
+    check_finite(residual)
+    gx, gy, gt = residual
     ox, oy, ot = pair.contract_orders()
     named = [("x", gx, ox), ("y", gy, oy)]
     named += [("theta_%d" % a, g, ot) for a, g in enumerate(gt)]
-    for name, jet, _ in named:
-        for n in jet.orders():
-            if not np.isfinite(jet.terms[n].coeffs).all():
-                raise ConfigError(
-                    "the data overflows inside the solve: the residual of %s "
-                    "at order %d is beyond the float range" % (name, n),
-                    order=n, component=name)
     bound = tol * pair.size()
     pinned = pair.diagnostics.get("theta_leading_mode") == "closed_form"
     for name, jet, lead in named:
@@ -140,7 +147,7 @@ def _check_contract(data, pair, tol):
             defect = coeff.coeff_norm()
             if not defect <= bound:
                 raise ContractViolated(n, name, defect, bound)
-    return gx, gy, gt
+    return residual
 
 
 def close_order(data, pair, sd_floor, assert_tol):
@@ -150,7 +157,7 @@ def close_order(data, pair, sd_floor, assert_tol):
     if pair.dim:
         sd = _sd_solver(data, sd_floor)
         ox, oy, ot = pair.contract_orders()
-        gx, gy, gt = residual_jets(data, pair)
+        gx, gy, gt = residual_jets(data, pair, top=_top(pair))
         pair.x.add_to_coefficient(ox, sd(gx.coefficient(ox).oscillatory()))
         pair.y.add_to_coefficient(oy, sd(gy.coefficient(oy).oscillatory()))
         for a in range(pair.d):
@@ -270,7 +277,7 @@ def extend_order(data, pair, opening, sd_floor=1e-12, assert_tol=1e-9):
     the next step.
     """
     orders = pair.contract_orders()
-    top = max(o for o in orders if o is not None)
+    top = _top(pair)
     if top > pair.trunc:
         raise TruncationTooLow(
             "step %d needs order %d, truncation is %d" % (pair.order, top, pair.trunc))

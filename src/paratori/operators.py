@@ -21,7 +21,7 @@ from .errors import (
 )
 from .fourier import angle_grid
 from .jets import JetStack
-from .pairs import residual_jets
+from .pairs import check_finite, residual_jets
 from .quadrature import panel_quadrature, step_polynomials, trajectory
 
 _J_MIN, _J_MAX = 16, 60000   # first and last orbit term where a sum may stop
@@ -320,7 +320,8 @@ def contraction_probe(mp, pair, sector, mu, ball_alpha=0.5, samples=(10, 5, 8),
     least 1e-14), then reports the weighted norm of the update, the ratio
     of successive update norms, and the weighted invariance defect of the
     corrected parameterization.  Raises Diverged when the ratio stays at or
-    above one for five consecutive sweeps.
+    above one for five consecutive sweeps, and ConfigError (``check_finite``)
+    when the defect overflowed above the orders the solve reads.
 
     The undisplaced jets (x, y, the angle tails and the defect tails) are
     stacked once into a ``JetStack``, so each orbit step evaluates them all
@@ -359,7 +360,8 @@ def contraction_probe(mp, pair, sector, mu, ball_alpha=0.5, samples=(10, 5, 8),
     # keep only the genuine defect tail; orders below the invariance contract
     # hold solver roundoff certified small, and would otherwise put a noise
     # floor under the weighted orbit-sum targets
-    gx, gy, gt = residual_jets(mp, pair)
+    gx, gy, gt = residual = residual_jets(mp, pair)
+    check_finite(residual)
     defects = [gx.tail(ox), gy.tail(oy)] + [g.tail(ot) for g in gt]
     jets = JetStack([pair.x, pair.y, *pair.tails, *defects])
     c_series = mp.shear()

@@ -14,6 +14,7 @@ the annihilated lower-order coefficients are numerically zero.
 
 import numpy as np
 
+from .errors import ConfigError
 from .fourier import angle_grid
 from .jets import UPoly, eval_xy_terms, power_table
 
@@ -78,7 +79,7 @@ class ManifoldPair:
         return self.tails[axis].coefficient(n).average()
 
 
-def residual_jets(data, pair):
+def residual_jets(data, pair, top=None):
     """Invariance defect of the pair for the given map/field, as jets.
 
     Maps:    F(K(u, theta)) - K(r(u), theta + omega)
@@ -86,24 +87,30 @@ def residual_jets(data, pair):
     The angle components are expressed through the tails, so the trivial
     rotation part cancels identically.  One ``power_table`` of the
     substitution (x-jet, y-jet, theta + tails) serves all 2 + d term tables.
+
+    ``top`` cuts the defect at that order (default: the pair's truncation).
+    Every coefficient up to the cut is the full residual's, bit for bit: a
+    truncated product skips only the terms above its truncation, so it adds
+    the others in the same order.  No order above the cut is computed.
     """
     tails = pair.tails
-    trunc = pair.x.trunc
+    trunc = pair.x.trunc if top is None else min(top, pair.x.trunc)
+    inner = UPoly(pair.inner.terms, min(trunc, pair.inner.trunc))
     tables = [t.terms for t in [data.x_terms, data.y_terms] + data.theta_terms]
     powers = power_table(pair.x, pair.y, tails, trunc, tables)
     fx, fy, *ft = (eval_xy_terms(terms, powers, trunc) for terms in tables)
     if data.kind == "map":
         om = np.asarray(data.freqs, dtype=float)
-        gx = pair.x + fx - pair.x.compose_inner(pair.inner, om)
-        gy = pair.y + fy - pair.y.compose_inner(pair.inner, om)
-        gt = [tails[a] + ft[a] - tails[a].compose_inner(pair.inner, om)
+        gx = pair.x + fx - pair.x.compose_inner(inner, om)
+        gy = pair.y + fy - pair.y.compose_inner(inner, om)
+        gt = [tails[a] + ft[a] - tails[a].compose_inner(inner, om)
               for a in range(pair.d)]
         return gx, gy, gt
 
     freqs = np.asarray(data.freqs, dtype=float)
 
     def transport(jet):
-        out = jet.derivative_u().mul_upoly(pair.inner)
+        out = jet.derivative_u().mul_upoly(inner)
         for j in range(pair.dim):
             if freqs[j] != 0.0:
                 out = out + jet.diff_theta(j).scale(freqs[j])
@@ -113,6 +120,24 @@ def residual_jets(data, pair):
     gy = fy - transport(pair.y)
     gt = [ft[a] - transport(tails[a]) for a in range(pair.d)]
     return gx, gy, gt
+
+
+def check_finite(residual):
+    """Refuse a residual (gx, gy, gt) with a non-finite coefficient.
+
+    Finite data that overflows inside the solve shows up here first; the
+    ConfigError names the order and component of the first such coefficient.
+    """
+    gx, gy, gt = residual
+    named = [("x", gx), ("y", gy)]
+    named += [("theta_%d" % a, g) for a, g in enumerate(gt)]
+    for name, jet in named:
+        for n in jet.orders():
+            if not np.isfinite(jet.terms[n].coeffs).all():
+                raise ConfigError(
+                    "the data overflows inside the solve: the residual of %s "
+                    "at order %d is beyond the float range" % (name, n),
+                    order=n, component=name)
 
 
 def compare_pairs(a, b, tol=1e-11):
@@ -163,8 +188,10 @@ def residual_report(data, pair, u_lo=1e-3, u_hi=1e-2, n_u=9, n_grid=24):
     ``annihilated_max``, to be compared against ``scale``), and the tail is
     evaluated on a u-geometric grid times an angle grid to fit a log-log
     slope (reported as ``slope``; None when the tail is identically zero).
+    A non-finite coefficient at any order is refused first (``check_finite``).
     """
-    gx, gy, gt = residual_jets(data, pair)
+    gx, gy, gt = residual = residual_jets(data, pair)
+    check_finite(residual)
     expected = pair.contract_orders()
     u = np.geomspace(u_lo, u_hi, n_u)
     mesh = angle_grid(pair.dim, np.arange(n_grid) / n_grid)

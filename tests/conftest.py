@@ -7,8 +7,9 @@ plus the launcher that the command-line tests share, the two pointwise
 oracles of the right-inverse identities (``transfer_difference``,
 ``drift_derivative``), which no program code needs, the per-mode
 reference sum (``mode_sum``) that pointwise evaluation is checked against,
-and ``solve_history``, a power-class solve that keeps the pair of every
-order for the residual-slope tests.
+``solve_history``, a power-class solve that keeps the pair of every
+order for the residual-slope tests, and the session fixtures that share
+one solve between tests.
 """
 
 import os
@@ -20,7 +21,8 @@ import pytest
 
 import paratori
 from paratori.fourier import FourierSeries
-from paratori.map_solver import default_trunc, extend_order, init_order2
+from paratori.map_solver import (default_trunc, extend_order, init_order2,
+                                 solve_to_order)
 from paratori.mapdata import TaylorFourierMap
 
 GOLDEN = (np.sqrt(5) - 1) / 2
@@ -185,3 +187,10 @@ def solved_reference():
     mp = reference_map()
     pair, history = solve_history(mp, 8)
     return mp, pair, history
+
+
+@pytest.fixture(scope="session")
+def solved_exact_map():
+    """``exact_map`` solved once to order 6 through ``solve_to_order``; its
+    degenerate-step record is read by the acceptance and map-solver tests."""
+    return solve_to_order(exact_map(), 6)

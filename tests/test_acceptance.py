@@ -16,13 +16,13 @@ import numpy as np
 from paratori.flow_solver import solve_helicoure
 from paratori.fourier import FourierSeries, solve_sd_flow, solve_sd_map
 from paratori.jets import UPoly
-from paratori.map_solver import init_order2, solve_to_order
+from paratori.map_solver import init_order2
 from paratori.mapdata import TaylorFourierMap
 from paratori.operators import (Sector, contraction_probe, flow_orbit_integral,
                                 orbit_sum_inverse, sector_iterate_check)
 from paratori.pairs import compare_pairs, residual_report
 
-from conftest import (GOLDEN, exact_map, one_mode, reference_flow,
+from conftest import (GOLDEN, one_mode, reference_flow,
                       reference_map, run_cli, shear_example, solve_history,
                       transfer_difference)
 
@@ -92,12 +92,11 @@ def test_reference_flow_residual_orders():
     assert time.perf_counter() - t0 < 120.0
 
 
-def test_degenerate_step_is_solvable():
+def test_degenerate_step_is_solvable(solved_exact_map):
     # at order n = k the linear block is singular by construction; the
     # recorded determinant must vanish against the row-norm scale and the
     # least-squares solve must be consistent
-    mp = exact_map()
-    pair = solve_to_order(mp, 6)
+    pair = solved_exact_map
     diag = pair.diagnostics["degenerate_step"]
     assert diag["order"] == pair.k
     assert abs(diag["det"]) <= 1e-12 * max(1.0, diag["det_scale"])

@@ -430,9 +430,13 @@ FLOW_CONFIG = {"problem": "custom-flow", "n_target": 3,
 
 # runs refused before any output: a helicoure sweep whose second entry
 # leaves the shear class, a hecu sweep whose second entry closes the
-# channel (h <= D), an oscillator whose data overflows in the solve, and
+# channel (h <= D), an oscillator whose data overflows in the solve, a
+# probe whose defect overflows only above the orders the solve reads, and
 # sweeps whose second entry has a leading mean of the wrong sign or zero
 REFUSED_RUNS = [
+    ("diagnose_probe_data_overflows_above_the_cut", "diagnose-operators",
+     DIAG_CONFIG, lambda c: c["map"]["y_terms"].update({"3,0": 1e200}),
+     "ConfigError"),
     ("helicoure_sweep_pure_x_squared", "helicoure", HELI_CONFIG,
      lambda c: c.update(sweep=[{}, {"field": {"y_terms": {"2,0": 1.0}}}]),
      "StructureViolation"),

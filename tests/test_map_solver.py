@@ -34,9 +34,9 @@ def residual_below_contract(data, pair):
     return worst
 
 
-def test_exact_fixture_is_polynomial():
+def test_exact_fixture_is_polynomial(solved_exact_map):
     mp = exact_map()
-    pair = solve_to_order(mp, 6)
+    pair = solved_exact_map
     # closed-form pair: K = (u^2, -2u^3 + u^4, theta - u), inner u - u^2
     assert abs(pair.y_coeff_avg(3) + 2) < 1e-12
     assert abs(pair.y_coeff_avg(4) - 1) < 1e-12
@@ -73,16 +73,16 @@ def helicoure_field():
 
 
 @pytest.mark.parametrize("solve, resonant, landing", [
-    (lambda: solve_to_order(exact_map(), 6), 2, 3),
-    (lambda: solve_to_order(power_k3_map(), 5), 3, 5),
-    (lambda: solve_helicoure(helicoure_field(), 4), 2, 3),
+    (lambda request: request.getfixturevalue("solved_exact_map"), 2, 3),
+    (lambda request: solve_to_order(power_k3_map(), 5), 3, 5),
+    (lambda request: solve_helicoure(helicoure_field(), 4), 2, 3),
 ], ids=["exact_map", "power_k3_p2", "shear"])
-def test_degenerate_step_solves_cleanly(solve, resonant, landing):
+def test_degenerate_step_solves_cleanly(request, solve, resonant, landing):
     # at the resonant order the 2x2 block is singular; the solvable bordered
     # system must carry a vanishing determinant and an exact least-squares
     # solution, and its correction is the inner coefficient it lands on
     # (2k - 1 in the power class, 3 in the shear class)
-    pair = solve()
+    pair = solve(request)
     diag = pair.diagnostics["degenerate_step"]
     assert diag["order"] == resonant
     assert abs(diag["det"]) <= 1e-14 * diag["det_scale"]
@@ -177,28 +177,53 @@ def test_truncation_guard():
                 opening = extend_order(mp, pair, opening)
 
 
-def assert_same_residual(got, fresh):
-    """Two residuals (gx, gy, gt) agree in every bit of every coefficient."""
-    (gx, gy, gt), (fx, fy, ft) = got, fresh
+def top_contract_order(pair):
+    """The largest contract order: the cut of an order step's residuals."""
+    return max(o for o in pair.contract_orders() if o is not None)
+
+
+def assert_same_below(got, full, top):
+    """A residual (gx, gy, gt) cut at ``top`` agrees with the full one in
+    every bit of every coefficient up to ``top`` and has no order above."""
+    (gx, gy, gt), (fx, fy, ft) = got, full
     assert len(gt) == len(ft)
     for a, b in zip([gx, gy] + list(gt), [fx, fy] + list(ft)):
-        assert a.orders() == b.orders()
+        assert a.orders() == [n for n in b.orders() if n <= top]
         for n in a.orders():
             assert np.array_equal(a.coefficient(n).coeffs,
                                   b.coefficient(n).coeffs)
 
 
+def test_cut_residual_is_exact_below_the_cut():
+    # a residual cut anywhere from the smallest to the largest contract
+    # order is the full residual up to the cut, bit for bit, and stops there;
+    # for the reference map and flow and both branches of the shear class
+    mp, flow, fd = reference_map(cut=8), reference_flow(cut=4), shear_example()
+    cases = [(mp, solve_to_order(mp, 5)), (flow, solve_flow_to_order(flow, 4))]
+    cases += [(fd, solve_helicoure(fd, 4, branch=branch))
+              for branch in ("stable", "unstable")]
+    for data, pair in cases:
+        full = residual_jets(data, pair)
+        orders = [o for o in pair.contract_orders() if o is not None]
+        assert max(orders) < pair.trunc
+        for top in range(min(orders), max(orders) + 1):
+            assert_same_below(residual_jets(data, pair, top=top), full, top)
+
+
 def test_reused_residual_is_exact(monkeypatch):
     # the residual a step opens with (from the seed or the previous step) and
-    # the one it returns are exactly a fresh evaluation, for the power class
-    # (map and flow) and both branches of the shear class
+    # the one it returns are exactly a fresh evaluation up to the step's cut
+    # (the largest contract order) and hold nothing above it, for the power
+    # class (map and flow) and both branches of the shear class
     steps = []
     step = map_solver.extend_order
 
     def checked_step(data, pair, opening, *args):
-        assert_same_residual(opening, residual_jets(data, pair))
+        assert_same_below(opening, residual_jets(data, pair),
+                          top_contract_order(pair))
         closing = step(data, pair, opening, *args)
-        assert_same_residual(closing, residual_jets(data, pair))
+        assert_same_below(closing, residual_jets(data, pair),
+                          top_contract_order(pair))
         steps.append(pair.family)
         return closing
 
@@ -212,11 +237,13 @@ def test_reused_residual_is_exact(monkeypatch):
 
 
 def test_order_step_evaluates_the_residual_twice(monkeypatch):
+    # at most two residuals per order step, each cut at the pair's largest
+    # contract order at the moment of the call
     calls = []
 
-    def counted(data, pair):
-        calls.append(pair.order)
-        return residual_jets(data, pair)
+    def counted(data, pair, top=None):
+        calls.append((top, top_contract_order(pair)))
+        return residual_jets(data, pair, top=top)
 
     monkeypatch.setattr(map_solver, "residual_jets", counted)
     mp = reference_map(cut=8)
@@ -225,6 +252,7 @@ def test_order_step_evaluates_the_residual_twice(monkeypatch):
     del calls[:]
     solve_to_order(mp, 8)
     assert len(calls) <= seed + 2 * (8 - 2)
+    assert all(top == want for top, want in calls)
 
 
 def test_bad_arguments_are_config_errors():
