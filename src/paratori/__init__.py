@@ -18,7 +18,7 @@ from paratori.mapdata import (NormalizationRecord, TaylorFourierMap, XYPoly,
                               validate_shear_field)
 from paratori.pairs import (ManifoldPair, ResidualReport, compare_pairs,
                             residual_report)
-from paratori.map_solver import default_trunc, solve_to_order
+from paratori.map_solver import solve_to_order
 from paratori.flow_solver import solve_flow_to_order, solve_helicoure
 from paratori.operators import (Sector, contraction_probe, flow_inverse,
                                 flow_inverse_norm_limit, flow_orbit_integral,
@@ -43,7 +43,7 @@ __all__ = [
     "NormalizationRecord", "TaylorFourierMap", "XYPoly",
     "reduce_general_field", "reduce_general_map", "validate_shear_field",
     "ManifoldPair", "ResidualReport", "compare_pairs", "residual_report",
-    "default_trunc", "solve_to_order",
+    "solve_to_order",
     "solve_flow_to_order", "solve_helicoure",
     "Sector", "contraction_probe", "flow_inverse", "flow_inverse_norm_limit",
     "flow_orbit_integral", "map_inverse_norm_limit", "orbit_sum_inverse",

@@ -11,8 +11,7 @@ stable/unstable manifolds of (x y)-shear type.
 
 import math
 
-from .errors import (BoundViolated, ConfigError, EnergyBelowThreshold,
-                     HypothesisViolated)
+from .errors import BoundViolated, ConfigError, EnergyBelowThreshold
 from .fourier import FourierSeries, on_box
 from .mapdata import (NormalizationRecord, TaylorFourierMap, XYPoly,
                       _inverse_change, _xy_identity)
@@ -61,14 +60,10 @@ def build_oscillator_field(p):
     Writes x' = y, y' = alpha g(tau) x^2 - 2 n_pot c_pot x^(2 n_pot - 1)
     with the well force carried as an admissible higher-order remainder.
     All angles are external drive; there is no dynamic angle equation.
-    The field is in the power class whenever the mean forcing is positive;
-    its solve (or ``cli.RunConfig``) runs the class check.
+    The field is in the power class whenever the mean forcing
+    alpha * mean(g) is positive; its solve (or ``cli.RunConfig``) runs the
+    class check, which refuses it otherwise.
     """
-    gbar = p.g.average()
-    if p.alpha * gbar <= 0:
-        raise HypothesisViolated(
-            "mean quadratic forcing alpha * mean(g) = %.3e must be positive"
-            % (p.alpha * gbar))
     y_terms = {
         (2, 0): p.g * p.alpha,
         (2 * p.n_pot - 1, 0): -2.0 * p.n_pot * p.c_pot,
@@ -217,7 +212,7 @@ def hecu_field_degree(n_target):
 
 
 def hecu_manifolds(p, n_target, expansion="displayed",
-                   theta_leading="closed_form", trunc=None, sd_floor=1e-12,
+                   theta_leading="closed_form", sd_floor=1e-12,
                    assert_tol=1e-9):
     """Stable and unstable wall-scattering manifolds plus a check report.
 
@@ -233,7 +228,7 @@ def hecu_manifolds(p, n_target, expansion="displayed",
     magnitudes and have opposite-sign normal-form leading terms), fits the
     invariance residual slopes, and finally pulls both parameterizations
     back to wall coordinates; BoundViolated names every failed check.
-    ``trunc``, ``sd_floor`` and ``assert_tol`` go to both solves.  Returns
+    ``sd_floor`` and ``assert_tol`` go to both solves.  Returns
     (stable pair, unstable pair, report dict, residual reports), the last
     the ResidualReport of each branch by name, measured in the solve
     coordinates before the pullback.
@@ -241,7 +236,7 @@ def hecu_manifolds(p, n_target, expansion="displayed",
     fd, record = build_hecu_field(p, expansion=expansion,
                                   deg=hecu_field_degree(n_target))
     stable, unstable = (
-        solve_helicoure(fd, n_target, branch, theta_leading, trunc, sd_floor,
+        solve_helicoure(fd, n_target, branch, theta_leading, sd_floor,
                         assert_tol)
         for branch in ("stable", "unstable"))
 

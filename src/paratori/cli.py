@@ -22,12 +22,11 @@ from .applications import (HeCuParams, OscillatorParams,
                            build_oscillator_field, hecu_field_degree,
                            hecu_manifolds)
 from .errors import ConfigError, DimensionMismatch, ParatoriError
-from .flow_solver import (shear_default_trunc, solve_flow_to_order,
-                          solve_helicoure)
+from .flow_solver import solve_flow_to_order, solve_helicoure
 from .fourier import FourierSeries
 from .ioutil import (canonical_json, pair_from_payload, pair_payload,
                      report_payload, residual_csv)
-from .map_solver import default_trunc, solve_to_order
+from .map_solver import solve_to_order, truncation
 from .mapdata import TaylorFourierMap, validate_shear_field
 from .pairs import compare_pairs, residual_report
 
@@ -216,6 +215,9 @@ class RunConfig:
         if "sweep" in raw:
             raise ConfigError("only the top level of a solve config takes "
                               "a sweep")
+        if "trunc" in raw:
+            raise ConfigError("a config takes no trunc: the truncation "
+                              "follows from n_target")
         self.n_target = _number(order if order is not None
                                 else raw.get("n_target", 0), "n_target", int, 2)
         self.branch = branch or raw.get("branch", "stable")
@@ -225,10 +227,8 @@ class RunConfig:
         if self.theta_leading not in ("closed_form", "cohomological"):
             raise ConfigError("theta_leading must be closed_form or "
                               "cohomological")
-        trunc = raw.get("trunc")
         # the keywords every order-by-order solve takes besides the branch
         self.solve_kw = {
-            "trunc": None if trunc is None else _number(trunc, "trunc", int),
             "sd_floor": _positive(raw.get("sd_floor", 1e-12), "sd_floor"),
             "assert_tol": _positive(raw.get("assert_tol", 1e-9), "assert_tol")}
 
@@ -287,18 +287,18 @@ class RunConfig:
 
     def _check_truncation(self):
         """ConfigError unless every truncation order the run builds at, the
-        solve's default included (and for hecu the degree of the field
-        build), is at most MAX_TRUNC."""
-        n, trunc = self.n_target, self.solve_kw["trunc"]
-        if trunc is None and self.problem in ("hecu", "helicoure"):
-            trunc = shear_default_trunc(n)
-        elif trunc is None:
-            trunc = default_trunc(n, self.data.k, self.data.p)
-        top = max(trunc, hecu_field_degree(n) if self.problem == "hecu" else 0)
+        solve's (derived from n_target) and for hecu the degree of the field
+        build, is at most MAX_TRUNC."""
+        n = self.n_target
+        if self.problem in ("hecu", "helicoure"):
+            top = truncation("shear", n)
+        else:
+            top = truncation("power", n, self.data.k, self.data.p, self.data.d)
+        if self.problem == "hecu":
+            top = max(top, hecu_field_degree(n))
         if top > MAX_TRUNC:
-            raise ConfigError("truncation order %d is above %d (n_target %d, "
-                              "trunc %s)" % (top, MAX_TRUNC, n,
-                                             self.solve_kw["trunc"]))
+            raise ConfigError("truncation order %d is above %d (n_target %d)"
+                              % (top, MAX_TRUNC, n))
 
 
 def _load_json(path):

@@ -21,7 +21,8 @@ Two structure classes are handled:
   averaged system (map_solver._shear_system, a coefficient table beside
   the power class's) with the same averaged step.  solve_helicoure is the
   entry point: it checks the order, the branch, the convention and the
-  field once, and the direct solve trusts it.
+  field once, and the direct solve trusts it.  Both classes truncate a
+  solve at map_solver.truncation, here n_target + 4.
 
 For the shear class the leading angular coefficient admits two conventions:
 ``theta_leading="cohomological"`` solves the order-u^2 angular equation
@@ -34,35 +35,30 @@ the discrepancy per axis is recorded in the diagnostics either way.
 from .errors import ConfigError, StructureViolation
 from .fourier import diophantine_margin
 from .jets import TFJet, UPoly
-from .map_solver import close_order, extend_order, solve_to_order
+from .map_solver import close_order, extend_order, solve_to_order, truncation
 from .map_solver import init_order2  # noqa: F401  only for the perfbench trace
 from .mapdata import validate_shear_field
 from .pairs import ManifoldPair
 from .pairs import residual_jets  # noqa: F401  only for the perfbench trace
 
 
-def solve_flow_to_order(fd, n_target, branch="stable", trunc=None, sd_floor=1e-12,
+def solve_flow_to_order(fd, n_target, branch="stable", sd_floor=1e-12,
                         assert_tol=1e-9):
     """Power-class pair of a vector field, through the map induction."""
     if fd.kind != "field":
         raise StructureViolation("solve_flow_to_order takes a vector field, "
                                  "got kind %r" % (fd.kind,))
-    return solve_to_order(fd, n_target, branch, trunc, sd_floor, assert_tol)
+    return solve_to_order(fd, n_target, branch, sd_floor, assert_tol)
 
 
 # ----- shear class ----------------------------------------------------------
 
 
-def shear_default_trunc(n_target):
-    return n_target + 4
-
-
-def _solve_shear_direct(fd, n_target, theta_leading, trunc, sd_floor, assert_tol):
+def _solve_shear_direct(fd, n_target, theta_leading, sd_floor, assert_tol):
     cbar = fd.shear().average()
     bbar = fd.y_terms.coefficient((1, 1)).average()
     d, dim, cut = fd.d, fd.dim, fd.cut
-    if trunc is None:
-        trunc = shear_default_trunc(n_target)
+    trunc = truncation("shear", n_target)
     y2 = bbar / 2.0
     eta2 = bbar / (2.0 * cbar)
 
@@ -108,7 +104,7 @@ def _flip_branch(pair, freqs):
 
 
 def solve_helicoure(fd, n_target, branch="stable", theta_leading="closed_form",
-                    trunc=None, sd_floor=1e-12, assert_tol=1e-9):
+                    sd_floor=1e-12, assert_tol=1e-9):
     """Manifold pair for a shear-class field.
 
     The sign of the mean leading coefficient fixes which branch the direct
@@ -129,9 +125,9 @@ def solve_helicoure(fd, n_target, branch="stable", theta_leading="closed_form",
     natural = ("stable" if fd.y_terms.coefficient((1, 1)).average() < 0
                else "unstable")
     if branch == natural:
-        return _solve_shear_direct(fd, n_target, theta_leading, trunc, sd_floor,
+        return _solve_shear_direct(fd, n_target, theta_leading, sd_floor,
                                    assert_tol)
     flipped = fd.transformed_field(sx=-1, sy=1, time_sign=-1)
-    pair = _solve_shear_direct(flipped, n_target, theta_leading, trunc, sd_floor,
+    pair = _solve_shear_direct(flipped, n_target, theta_leading, sd_floor,
                                assert_tol)
     return _flip_branch(pair, fd.freqs)

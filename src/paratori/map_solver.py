@@ -18,13 +18,13 @@ conjugating the map to the polynomial normal form
 ``extend_order`` is the one order step of every solver, for maps and
 fields and for both structure classes (the power class here, the shear
 class of flow_solver).  It reads the averaged defect at the pair's contract
-orders, solves a small linear system for the new average
-(theta-independent) coefficients, then ``close_order`` solves one
-cohomological equation per component at the same orders, raises the order
-and checks the invariance contract.  Only the coefficients of the averaged
-system are class-specific: ``_power_system`` and ``_shear_system`` state
-them as one table (the 2x2 rows for the new x and y averages, one row per
-angle tail, the normal-form correction's column, its closed form at the
+orders (``pairs.contract_orders``), solves a small linear system for the
+new average (theta-independent) coefficients, then ``close_order`` solves
+one cohomological equation per component at the same orders, raises the
+order and checks the invariance contract.  Only the coefficients of the
+averaged system are class-specific: ``_power_system`` and ``_shear_system``
+state them as one table (the 2x2 rows for the new x and y averages, one row
+per angle tail, the normal-form correction's column, its closed form at the
 resonant order and the orders where everything lands), and one
 ``_average_step`` solves either table.  Each system is singular exactly
 once, at its resonant order (n = k in the power class, n = 2 in the shear
@@ -42,17 +42,21 @@ residual is exact for the pair as it leaves the step, so ``close_order``
 next ``extend_order`` reads its averages from it instead of evaluating the
 defect again.  Only the measurements after the solve
 (``pairs.residual_report`` and the contraction probe) expand the full
-residual.
+residual.  A solve is truncated one order above its largest contract order
+at ``n_target`` (``truncation``); stepping a pair past that order raises
+TruncationTooLow.
 """
 
 from collections import namedtuple
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolated, SingularSystem, TruncationTooLow
+from .errors import (ConfigError, ContractViolated, SingularSystem,
+                     SmallDivisorUnderflow, TruncationTooLow)
 from .fourier import diophantine_margin, solve_sd_flow, solve_sd_map
 from .jets import TFJet, UPoly
-from .pairs import ManifoldPair, check_finite, residual_jets
+from .pairs import (ManifoldPair, check_finite, contract_orders,
+                    named_components, residual_jets)
 
 
 def _sd_solver(data, sd_floor):
@@ -63,13 +67,21 @@ def _sd_solver(data, sd_floor):
     return lambda h: solve_sd_flow(h, freqs, sd_floor)
 
 
-def default_trunc(n_target, k, p):
-    return n_target + 2 * max(k, p if p is not None else 1)
+def _top(orders):
+    """The largest contract order: the cut of an order step's residuals."""
+    return max(o for o in orders if o is not None)
 
 
-def init_order2(mp, branch="stable", trunc=None, sd_floor=1e-12, assert_tol=1e-9):
-    """Seed pair satisfying the invariance contract at order 2, and its
-    checked residual (the opening residual of the first ``extend_order``).
+def truncation(family, n_target, k=None, p=None, d=0):
+    """Truncation of a solve to ``n_target``: one above the largest contract
+    order at ``n_target``, the highest order its last step reads."""
+    return _top(contract_orders(family, n_target, k, p, d)) + 1
+
+
+def init_order2(mp, branch="stable", n_target=2, sd_floor=1e-12, assert_tol=1e-9):
+    """Seed pair satisfying the invariance contract at order 2, truncated
+    for a solve to ``n_target``, and its checked residual (the opening
+    residual of the first ``extend_order``).
 
     The averages come from closed forms (the square-root balance between the
     shear and the leading coefficient); the oscillatory parts solve one
@@ -80,8 +92,7 @@ def init_order2(mp, branch="stable", trunc=None, sd_floor=1e-12, assert_tol=1e-9
     """
     k, p, d = mp.k, mp.p, mp.d
     dim, cut = mp.dim, mp.cut
-    if trunc is None:
-        trunc = default_trunc(2, k, p)
+    trunc = truncation("power", n_target, k, p, d)
     cbar = mp.shear().average()
     abar = mp.y_terms.coefficient((k, 0)).average()
     sign = -1.0 if branch == "stable" else 1.0
@@ -111,12 +122,6 @@ def init_order2(mp, branch="stable", trunc=None, sd_floor=1e-12, assert_tol=1e-9
     return pair, close_order(mp, pair, sd_floor, assert_tol)
 
 
-def _top(pair):
-    """The largest contract order of the pair: the highest order its order
-    step reads, and the cut of the residuals it evaluates."""
-    return max(o for o in pair.contract_orders() if o is not None)
-
-
 def _check_contract(data, pair, tol):
     """Raise ContractViolated unless every defect coefficient below the
     contract orders is within ``tol`` times the size of the pair; return
@@ -129,15 +134,12 @@ def _check_contract(data, pair, tol):
     documented defect (``theta_leading_defect``), so only its oscillatory
     part is checked there.
     """
-    residual = residual_jets(data, pair, top=_top(pair))
+    orders = pair.contract_orders()
+    residual = residual_jets(data, pair, top=_top(orders))
     check_finite(residual)
-    gx, gy, gt = residual
-    ox, oy, ot = pair.contract_orders()
-    named = [("x", gx, ox), ("y", gy, oy)]
-    named += [("theta_%d" % a, g, ot) for a, g in enumerate(gt)]
     bound = tol * pair.size()
     pinned = pair.diagnostics.get("theta_leading_mode") == "closed_form"
-    for name, jet, lead in named:
+    for name, jet, lead in named_components(residual, orders):
         for n in jet.orders():
             if n >= lead:
                 break
@@ -153,16 +155,19 @@ def _check_contract(data, pair, tol):
 def close_order(data, pair, sd_floor, assert_tol):
     """End of every order step and seed: solve the oscillatory parts at the
     contract orders of the current order, raise the order, check it.
-    Returns the checked residual, which opens the next order step."""
+    Returns the checked residual, which opens the next order step.  A
+    SmallDivisorUnderflow names the order and component it stopped at."""
     if pair.dim:
         sd = _sd_solver(data, sd_floor)
-        ox, oy, ot = pair.contract_orders()
-        gx, gy, gt = residual_jets(data, pair, top=_top(pair))
-        pair.x.add_to_coefficient(ox, sd(gx.coefficient(ox).oscillatory()))
-        pair.y.add_to_coefficient(oy, sd(gy.coefficient(oy).oscillatory()))
-        for a in range(pair.d):
-            pair.tails[a].add_to_coefficient(
-                ot, sd(gt[a].coefficient(ot).oscillatory()))
+        orders = pair.contract_orders()
+        residual = residual_jets(data, pair, top=_top(orders))
+        for (name, g, n), jet in zip(named_components(residual, orders),
+                                     [pair.x, pair.y] + pair.tails):
+            try:
+                jet.add_to_coefficient(n, sd(g.coefficient(n).oscillatory()))
+            except SmallDivisorUnderflow as err:
+                err.detail.update(order=n, component=name)
+                raise
     pair.order += 1
     return _check_contract(data, pair, assert_tol)
 
@@ -277,16 +282,14 @@ def extend_order(data, pair, opening, sd_floor=1e-12, assert_tol=1e-9):
     the next step.
     """
     orders = pair.contract_orders()
-    top = _top(pair)
+    top = _top(orders)
     if top > pair.trunc:
         raise TruncationTooLow(
             "step %d needs order %d, truncation is %d" % (pair.order, top, pair.trunc))
-    ox, oy, ot = orders
-    gx, gy, gt = opening
     system = (_shear_system if pair.family == "shear" else _power_system)(data, pair)
-    xi, eta, ws, corr = _average_step(
-        system, pair, gx.coefficient(ox).average(), gy.coefficient(oy).average(),
-        [g.coefficient(ot).average() for g in gt])
+    gxb, gyb, *gtb = (g.coefficient(o).average()
+                      for _, g, o in named_components(opening, orders))
+    xi, eta, ws, corr = _average_step(system, pair, gxb, gyb, gtb)
     nx, ny, nw, nr = system.lands
 
     if xi != 0.0:
@@ -300,7 +303,7 @@ def extend_order(data, pair, opening, sd_floor=1e-12, assert_tol=1e-9):
     return close_order(data, pair, sd_floor, assert_tol)
 
 
-def solve_to_order(mp, n_target, branch="stable", trunc=None, sd_floor=1e-12,
+def solve_to_order(mp, n_target, branch="stable", sd_floor=1e-12,
                    assert_tol=1e-9):
     """Construct the pair with invariance order ``n_target``.
 
@@ -312,9 +315,7 @@ def solve_to_order(mp, n_target, branch="stable", trunc=None, sd_floor=1e-12,
     mp.validate_reduced()
     if branch not in ("stable", "unstable"):
         raise ConfigError("branch must be stable or unstable, got %r" % (branch,))
-    if trunc is None:
-        trunc = default_trunc(n_target, mp.k, mp.p)
-    pair, residual = init_order2(mp, branch, trunc, sd_floor, assert_tol)
+    pair, residual = init_order2(mp, branch, n_target, sd_floor, assert_tol)
     while pair.order < n_target:
         residual = extend_order(mp, pair, residual, sd_floor, assert_tol)
     return pair

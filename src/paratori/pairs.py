@@ -19,6 +19,24 @@ from .fourier import angle_grid
 from .jets import UPoly, eval_xy_terms, power_table
 
 
+def contract_orders(family, n, k=None, p=None, d=0):
+    """Leading orders (x, y, angle tails) the invariance defect reaches at
+    invariance order n: the orders the step at n reads.  Power class
+    (n+k, n+2k-1, n+2p-1), no tail order and p ignored when d = 0; shear
+    class (n+2, n+3, n+2)."""
+    if family == "shear":
+        return (n + 2, n + 3, n + 2)
+    return (n + k, n + 2 * k - 1, n + 2 * p - 1 if d else None)
+
+
+def named_components(jets, orders=(None, None, None)):
+    """(name, jet, order) of each component of (x, y, tails) jets and their
+    (x, y, tail) orders; the names are x, y and theta_<axis>."""
+    (x, y, tails), (ox, oy, ot) = jets, orders
+    return ([("x", x, ox), ("y", y, oy)]
+            + [("theta_%d" % a, w, ot) for a, w in enumerate(tails)])
+
+
 class ManifoldPair:
     """Parameterization jets plus inner normal form for one branch."""
 
@@ -53,13 +71,7 @@ class ManifoldPair:
 
     def contract_orders(self):
         """Leading orders the invariance defect must reach at this order."""
-        n = self.order
-        if self.family == "shear":
-            return (n + 2, n + 3, n + 2)
-        k, p = self.k, self.p
-        if self.d == 0:
-            return (n + k, n + 2 * k - 1, None)
-        return (n + k, n + 2 * k - 1, n + 2 * p - 1)
+        return contract_orders(self.family, self.order, self.k, self.p, self.d)
 
     def size(self):
         vals = [1.0]
@@ -128,10 +140,7 @@ def check_finite(residual):
     Finite data that overflows inside the solve shows up here first; the
     ConfigError names the order and component of the first such coefficient.
     """
-    gx, gy, gt = residual
-    named = [("x", gx), ("y", gy)]
-    named += [("theta_%d" % a, g) for a, g in enumerate(gt)]
-    for name, jet in named:
+    for name, jet, _ in named_components(residual):
         for n in jet.orders():
             if not np.isfinite(jet.terms[n].coeffs).all():
                 raise ConfigError(
@@ -190,18 +199,15 @@ def residual_report(data, pair, u_lo=1e-3, u_hi=1e-2, n_u=9, n_grid=24):
     slope (reported as ``slope``; None when the tail is identically zero).
     A non-finite coefficient at any order is refused first (``check_finite``).
     """
-    gx, gy, gt = residual = residual_jets(data, pair)
+    residual = residual_jets(data, pair)
     check_finite(residual)
-    expected = pair.contract_orders()
     u = np.geomspace(u_lo, u_hi, n_u)
     mesh = angle_grid(pair.dim, np.arange(n_grid) / n_grid)
     scale = pair.size()
 
     comps = []
-    named = [("x", gx, expected[0]), ("y", gy, expected[1])]
-    for a in range(pair.d):
-        named.append(("theta_%d" % a, gt[a], expected[2]))
-    for name, jet, exp_order in named:
+    for name, jet, exp_order in named_components(residual,
+                                                 pair.contract_orders()):
         ann = 0.0
         for n in jet.orders():
             if n < exp_order:

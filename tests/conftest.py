@@ -21,8 +21,7 @@ import pytest
 
 import paratori
 from paratori.fourier import FourierSeries
-from paratori.map_solver import (default_trunc, extend_order, init_order2,
-                                 solve_to_order)
+from paratori.map_solver import extend_order, init_order2, solve_to_order
 from paratori.mapdata import TaylorFourierMap
 
 GOLDEN = (np.sqrt(5) - 1) / 2
@@ -169,8 +168,7 @@ def solve_history(data, n_target):
     as ``solve_to_order`` solves it, with a copy of the pair at every order:
     returns (final_pair, history) where history[i] has invariance order
     2 + i."""
-    pair, residual = init_order2(data, "stable",
-                                 default_trunc(n_target, data.k, data.p))
+    pair, residual = init_order2(data, "stable", n_target)
     history = [pair.copy()]
     while pair.order < n_target:
         residual = extend_order(data, pair, residual)

@@ -303,6 +303,10 @@ MALFORMED = [
     # truncation orders whose angle expansion needs 171!, beyond a float
     ("trunc_too_large", lambda c: c.update(trunc=171)),
     ("n_target_truncation_too_large", lambda c: c.update(n_target=167)),
+    # the truncation follows from n_target: a config that names one is
+    # refused, however valid the value looks
+    ("trunc_given", lambda c: c.update(trunc=12)),
+    ("sweep_entry_gives_trunc", lambda c: c.update(sweep=[{}, {"trunc": 12}])),
     # every sweep entry is checked before the first one is solved
     ("sweep_later_entry_malformed",
      lambda c: c.update(sweep=[{}, {"map": {"cut": -1}}])),
@@ -431,8 +435,10 @@ FLOW_CONFIG = {"problem": "custom-flow", "n_target": 3,
 # runs refused before any output: a helicoure sweep whose second entry
 # leaves the shear class, a hecu sweep whose second entry closes the
 # channel (h <= D), an oscillator whose data overflows in the solve, a
-# probe whose defect overflows only above the orders the solve reads, and
-# sweeps whose second entry has a leading mean of the wrong sign or zero
+# probe whose defect overflows only above the orders the solve reads,
+# sweeps whose second entry has a leading mean of the wrong sign or zero,
+# and oscillators whose mean forcing is negative or zero (alpha 0 leaves
+# no x^2 term at all)
 REFUSED_RUNS = [
     ("diagnose_probe_data_overflows_above_the_cut", "diagnose-operators",
      DIAG_CONFIG, lambda c: c["map"]["y_terms"].update({"3,0": 1e200}),
@@ -458,6 +464,16 @@ REFUSED_RUNS = [
     ("solve_flow_sweep_negative_leading_mean", "solve-flow", FLOW_CONFIG,
      lambda c: c.update(sweep=[{}, {"field": {"y_terms": {"2,0": -6.0}}}]),
      "NonPositiveLeadingCoefficient"),
+    ("oscillator_negative_mean_forcing", "oscillator", OSC_CONFIG,
+     lambda c: c["oscillator"].update(
+         g={"const": -0.2, "modes": {"1": [0.25, 0.0]}}),
+     "NonPositiveLeadingCoefficient"),
+    ("oscillator_zero_mean_forcing", "oscillator", OSC_CONFIG,
+     lambda c: c["oscillator"].update(
+         g={"const": 0.0, "modes": {"1": [0.25, 0.0]}}),
+     "ZeroLeadingCoefficient"),
+    ("oscillator_alpha_zero", "oscillator", OSC_CONFIG,
+     lambda c: c["oscillator"].update(alpha=0.0), "StructureViolation"),
 ]
 
 

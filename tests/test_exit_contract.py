@@ -27,7 +27,7 @@ MAP = {"problem": "custom-map", "n_target": 3, "branch": "stable",
 BASES = {
     "solve-map": dict(MAP, sweep=[{"branch": "unstable"}]),
     "solve-flow": {
-        "problem": "custom-flow", "n_target": 3, "trunc": 12,
+        "problem": "custom-flow", "n_target": 3,
         "field": {"cut": 4, "freqs": [GOLDEN, 1.4142135623730951], "d": 1,
                   "drive": 1, "k": 2, "p": 1,
                   "x_terms": {"0,1": 1.0},

@@ -9,8 +9,7 @@ from paratori.errors import (ConfigError, NonPositiveLeadingCoefficient,
 import paratori.flow_solver as flow_solver
 import paratori.map_solver as map_solver
 from paratori.flow_solver import solve_flow_to_order, solve_helicoure
-from paratori.map_solver import (default_trunc, extend_order, init_order2,
-                                 solve_to_order)
+from paratori.map_solver import extend_order, init_order2, solve_to_order
 from paratori.ioutil import canonical_json, pair_payload
 from paratori.jets import UPoly
 from paratori.mapdata import TaylorFourierMap
@@ -95,7 +94,7 @@ def test_singular_step_away_from_resonance():
     # (n+1)(n+k) r_k^2 - k mean(a) mean(c); with r_k moved onto its zero at
     # n = 3 != k the step is refused
     mp = exact_map()
-    pair, residual = init_order2(mp, trunc=default_trunc(4, mp.k, mp.p))
+    pair, residual = init_order2(mp, n_target=4)
     residual = extend_order(mp, pair, residual)
     n = pair.order
     abar = mp.y_terms.coefficient((mp.k, 0)).average()
@@ -166,10 +165,10 @@ def test_unstable_branch_against_original_map():
 
 def test_truncation_guard():
     # one guard for both structure classes: a power-class map pair and a
-    # shear-class field pair
+    # shear-class field pair, each stepped past the order it was truncated for
     fd = shear_example()
-    cases = [(exact_map(), solve_to_order(exact_map(), 3, trunc=7)),
-             (fd, solve_helicoure(fd, 2, trunc=6))]
+    cases = [(exact_map(), solve_to_order(exact_map(), 3)),
+             (fd, solve_helicoure(fd, 2))]
     for mp, pair in cases:
         opening = residual_jets(mp, pair)
         with pytest.raises(TruncationTooLow):
@@ -273,8 +272,11 @@ def test_resonant_frequency_raises():
     mp = TaylorFourierMap("map", 1, 0, 8, (0.5,), mp.x_terms.terms,
                           mp.y_terms.terms, [t.terms for t in mp.theta_terms],
                           k=2, p=1)
-    with pytest.raises(SmallDivisorUnderflow):
+    with pytest.raises(SmallDivisorUnderflow) as err:
         solve_to_order(mp, 3)
+    # the seed's x-solve at order k + 1 = 3 meets the mode 2 divisor first
+    assert err.value.detail["order"] == 3
+    assert err.value.detail["component"] == "x"
 
 
 def test_wrong_sign_leading_coefficient():
@@ -288,9 +290,40 @@ def test_wrong_sign_leading_coefficient():
 def test_default_trunc_bounds_tail():
     mp = reference_map(cut=8)
     pair = solve_to_order(mp, 4)
-    assert pair.trunc == default_trunc(4, 2, 1)
+    assert pair.trunc == 4 + 2 * 2  # n_target + 2 max(k, p), k = 2, p = 1
     assert pair.x.orders()[-1] <= pair.trunc
     assert pair.y.orders()[-1] <= pair.trunc
+
+
+def driven_field(p):
+    """A power-class field with no dynamic angle, one drive axis and the
+    leading drift order ``p`` (ignored without a dynamic angle)."""
+    return TaylorFourierMap("field", 0, 1, 4, (GOLDEN,), {(0, 1): 1.0},
+                            {(2, 0): one_mode(6.0, 0.5, 1, 4)}, [], k=2, p=p)
+
+
+@pytest.mark.parametrize("solve, n_target, trunc", [
+    # power class with a dynamic angle: n + 2 max(k, p)
+    (lambda n: solve_to_order(reference_map(cut=8), n), 5, 9),
+    # no dynamic angle: n + 2k, also when the field names p = 3 > k
+    (lambda n: solve_flow_to_order(driven_field(3), n), 4, 8),
+    # shear class: n + 4
+    (lambda n: solve_helicoure(shear_example(), n), 4, 8),
+], ids=["power", "power_without_angle", "shear"])
+def test_truncation_follows_from_n_target(solve, n_target, trunc):
+    # a solve is truncated one above the largest contract order at n_target
+    pair = solve(n_target)
+    assert pair.order == n_target
+    assert pair.trunc == top_contract_order(pair) + 1 == trunc
+
+
+def test_truncation_ignores_p_without_a_dynamic_angle():
+    # with d = 0 the data's p plays no part: the pair solved with p = 3 is
+    # the pair solved without p, truncation and coefficients alike
+    named, plain = (pair_payload(solve_flow_to_order(driven_field(p), 4))
+                    for p in (3, None))
+    assert (named.pop("p"), plain.pop("p")) == (3, None)
+    assert canonical_json(named) == canonical_json(plain)
 
 
 @pytest.mark.parametrize("build, n_target", [(exact_map, 5),
