@@ -19,8 +19,7 @@ import numpy as np
 
 from . import operators
 from .applications import (HeCuParams, OscillatorParams,
-                           build_oscillator_field, hecu_field_degree,
-                           hecu_manifolds)
+                           build_oscillator_field, hecu_manifolds)
 from .errors import ConfigError, DimensionMismatch, ParatoriError
 from .flow_solver import solve_flow_to_order, solve_helicoure
 from .fourier import FourierSeries
@@ -49,6 +48,12 @@ _PROBLEMS = {
     "hecu": "hecu",
     "diagnose-operators": "custom-map",
 }
+# the block that holds each problem's data or parameters
+_BLOCKS = {"custom-map": "map", "custom-flow": "field", "helicoure": "field",
+           "oscillator": "oscillator", "hecu": "hecu"}
+# the top-level keys of every config besides its problem block
+_COMMON_KEYS = ("problem", "n_target", "branch", "theta_leading", "sd_floor",
+                "assert_tol")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,10 +121,16 @@ def _numbers(value, what, cast=float, least=None):
             for v, lo in zip(value, least or [-math.inf] * len(value))]
 
 
-def _object(block, what):
-    """A config object; a missing one reads as empty."""
+def _object(block, what, keys=None):
+    """A config object; a missing one reads as empty.  With ``keys``, a key
+    outside them is a ConfigError: a misspelled setting is refused, not
+    left to its default."""
     if block is not None and not isinstance(block, dict):
         raise ConfigError("%s must be an object" % what)
+    unknown = sorted(set(block or ()) - set(keys)) if keys else []
+    if unknown:
+        raise ConfigError("%s: unknown key %r" % (what, unknown[0]),
+                          block=what, key=unknown[0])
     return block or {}
 
 
@@ -130,6 +141,7 @@ def _series_spec(spec, dim, cut, what):
         return FourierSeries.constant(_number(spec, what), dim, cut)
     if not isinstance(spec, dict) or not isinstance(spec.get("modes", {}), dict):
         raise ConfigError("%s: expected number or {const, modes}" % what)
+    _object(spec, what, ("const", "modes"))
     s = FourierSeries.constant(_number(spec.get("const", 0.0), what), dim, cut)
     modes = {}
     for key, val in spec.get("modes", {}).items():
@@ -170,7 +182,8 @@ def _terms_spec(block, dim, cut, what):
 
 
 def _map_from_config(block, kind):
-    block = _object(block, kind)
+    block = _object(block, kind, ("cut", "freqs", "d", "drive", "k", "p",
+                                  "x_terms", "y_terms", "theta_terms"))
     freqs = _numbers(block.get("freqs"), "freqs")
     d = _number(block.get("d", len(freqs) if kind == "map" else 1), "d", int, 0)
     drive = _number(block.get("drive", 0), "drive", int, 0)
@@ -215,9 +228,10 @@ class RunConfig:
         if "sweep" in raw:
             raise ConfigError("only the top level of a solve config takes "
                               "a sweep")
-        if "trunc" in raw:
-            raise ConfigError("a config takes no trunc: the truncation "
-                              "follows from n_target")
+        kind = _BLOCKS[self.problem]
+        _object(raw, "config", _COMMON_KEYS + (kind,) + (
+            ("sector", "diagnostics") if command == "diagnose-operators"
+            else ()))
         self.n_target = _number(order if order is not None
                                 else raw.get("n_target", 0), "n_target", int, 2)
         self.branch = branch or raw.get("branch", "stable")
@@ -233,7 +247,9 @@ class RunConfig:
             "assert_tol": _positive(raw.get("assert_tol", 1e-9), "assert_tol")}
 
         if self.problem == "hecu":
-            block = _object(raw.get("hecu"), "hecu")
+            block = _object(raw.get("hecu"), "hecu",
+                            ("D", "alpha_morse", "m", "h", "g_surface", "cut",
+                             "expansion"))
             self.params = HeCuParams(
                 *(_entry(block, key, "hecu")
                   for key in ("D", "alpha_morse", "m", "h")),
@@ -244,7 +260,8 @@ class RunConfig:
                 raise ConfigError("hecu.expansion must be displayed or "
                                   "expanded")
         elif self.problem == "oscillator":
-            block = _object(raw.get("oscillator"), "oscillator")
+            block = _object(raw.get("oscillator"), "oscillator",
+                            ("c_pot", "n_pot", "alpha", "g", "nu", "cut"))
             nu = _numbers(block.get("nu", []), "oscillator.nu")
             cut = _cut(block, "oscillator", len(nu), 16)
             self.params = OscillatorParams(
@@ -255,7 +272,6 @@ class RunConfig:
                 nu=nu, cut=cut)
             self.data = build_oscillator_field(self.params)
         else:
-            kind = "map" if self.problem == "custom-map" else "field"
             self.data = _map_from_config(raw.get(kind), kind)
         if self.problem == "helicoure":
             validate_shear_field(self.data)
@@ -264,18 +280,20 @@ class RunConfig:
         self._check_truncation()
 
         if command == "diagnose-operators":
-            sec = _object(raw.get("sector"), "sector")
+            sec = _object(raw.get("sector"), "sector", ("beta", "rho"))
             self.sector = operators.Sector(
                 *(_entry(sec, key, "sector") for key in ("beta", "rho")),
                 self.data.k)
-            diag = _object(raw.get("diagnostics"), "diagnostics")
+            diag = _object(raw.get("diagnostics"), "diagnostics",
+                           ("mu", "iterates", "grid", "probe"))
             self.mu = _entry(diag, "mu", "diagnostics", default=0.5)
             self.iterates = _entry(diag, "iterates", "diagnostics", int, 1000, 0)
             self.grid = _numbers(diag.get("grid", [20, 20]), "diagnostics.grid",
                                  int, (1, 1))
             self.probe = diag.get("probe")
             if self.probe is not None:
-                probe = _object(self.probe, "diagnostics.probe")
+                probe = _object(self.probe, "diagnostics.probe",
+                                ("ball_alpha", "samples", "n_iter"))
                 self.probe = {
                     "ball_alpha": _entry(probe, "ball_alpha",
                                          "diagnostics.probe", default=0.5),
@@ -286,16 +304,15 @@ class RunConfig:
                                      int, 10, 0)}
 
     def _check_truncation(self):
-        """ConfigError unless every truncation order the run builds at, the
-        solve's (derived from n_target) and for hecu the degree of the field
-        build, is at most MAX_TRUNC."""
+        """ConfigError unless the solve's truncation order, derived from
+        n_target, is at most MAX_TRUNC.  It bounds every order the run
+        builds at: hecu's field build, of degree max(6, n_target + 2), stays
+        below the shear truncation n_target + 4."""
         n = self.n_target
         if self.problem in ("hecu", "helicoure"):
             top = truncation("shear", n)
         else:
             top = truncation("power", n, self.data.k, self.data.p, self.data.d)
-        if self.problem == "hecu":
-            top = max(top, hecu_field_degree(n))
         if top > MAX_TRUNC:
             raise ConfigError("truncation order %d is above %d (n_target %d)"
                               % (top, MAX_TRUNC, n))

@@ -13,6 +13,15 @@ is.  This keeps autonomous problems (no angular variables at all) on the
 same code path as quasiperiodic ones; only ``diophantine_margin`` (whose
 punctured box is empty) singles it out.
 
+A product of two series is their convolution, with the transforms of
+scipy's FFT convolution of complex input: both boxes zero-padded to
+``next_fast_len(4*cut+1)`` per axis, a forward FFT of each, one inverse FFT
+of the product of the spectra, then the centre ``|k| <= cut`` of the
+result, symmetrized.  Each series computes its forward spectrum once,
+on its first product, and keeps it, so a product costs one inverse FFT.  A
+series is immutable once returned: its coefficients are made read-only when
+its spectrum is cached, so a cached spectrum can never go stale.
+
 Pointwise values come from ``eval_stack``: a stack of coefficient boxes is
 evaluated at a batch of angles against one mode basis per axis, built once
 for the batch from powers of e^{2 pi i theta}; ``FourierSeries.eval`` is its
@@ -22,7 +31,7 @@ one-row case.
 import math
 
 import numpy as np
-from scipy import signal
+from scipy import fft as sp_fft
 
 from .errors import (
     CNotInvertible,
@@ -58,9 +67,14 @@ def _mode_dot(cut, dim, vec):
 
 
 class FourierSeries:
-    """Dense real-symmetric Fourier polynomial on T^dim."""
+    """Dense real-symmetric Fourier polynomial on T^dim.
 
-    __slots__ = ("dim", "cut", "coeffs")
+    Immutable once returned: only the constructors below write into
+    ``coeffs``, before the series leaves them, and ``coeffs`` turns
+    read-only when the series' spectrum is cached for a product.
+    """
+
+    __slots__ = ("dim", "cut", "coeffs", "_spec")
 
     def __init__(self, coeffs, symmetrize=True):
         coeffs = np.asarray(coeffs, dtype=complex)
@@ -74,6 +88,7 @@ class FourierSeries:
             # ufuncs turn a 0-d array into a scalar; keep an array
             coeffs = np.asarray(0.5 * (coeffs + np.conj(np.flip(coeffs))))
         self.coeffs = coeffs
+        self._spec = None
 
     # ----- constructors -------------------------------------------------
 
@@ -172,14 +187,28 @@ class FourierSeries:
     def __neg__(self):
         return FourierSeries(-self.coeffs, symmetrize=False)
 
+    def _spectrum(self):
+        """The forward FFT of the coefficients zero-padded to
+        ``next_fast_len(4*cut+1)`` per axis, the transform scipy's FFT
+        convolution takes of complex input.  Computed once; ``coeffs`` is read-only
+        from then on."""
+        if self._spec is None:
+            n = sp_fft.next_fast_len(4 * self.cut + 1, False)
+            self._spec = sp_fft.fftn(self.coeffs, (n,) * self.dim)
+            self.coeffs.flags.writeable = False
+        return self._spec
+
     def __mul__(self, other):
         if not isinstance(other, FourierSeries):
             return FourierSeries(self.coeffs * float(other), symmetrize=False)
         self._check_compatible(other)
-        full = signal.fftconvolve(self.coeffs, other.coeffs)
+        if self.coeffs.size == 1:
+            # a box of one mode has no axis to transform (scipy's FFT
+            # convolution skips axes of length 1 too)
+            return FourierSeries(self.coeffs * other.coeffs)
+        full = sp_fft.ifftn(self._spectrum() * other._spectrum())
         m = self.cut
-        center = tuple(slice(m, 3 * m + 1) for _ in range(self.dim))
-        return FourierSeries(full[center])
+        return FourierSeries(full[(slice(m, 3 * m + 1),) * self.dim])
 
     __rmul__ = __mul__
 

@@ -307,6 +307,13 @@ MALFORMED = [
     # refused, however valid the value looks
     ("trunc_given", lambda c: c.update(trunc=12)),
     ("sweep_entry_gives_trunc", lambda c: c.update(sweep=[{}, {"trunc": 12}])),
+    # a misspelled key is refused by name, not left to its default
+    ("top_level_key_misspelled", lambda c: c.update(sd_flor=1e-3)),
+    ("map_key_misspelled", lambda c: c["map"].update(freq=[0.6])),
+    ("series_key_misspelled", lambda c: c["map"]["y_terms"]["2,0"]
+     .update(mode={"1": [0.1, 0.0]})),
+    ("sweep_entry_key_misspelled",
+     lambda c: c.update(sweep=[{}, {"assert_tolerance": 1e-3}])),
     # every sweep entry is checked before the first one is solved
     ("sweep_later_entry_malformed",
      lambda c: c.update(sweep=[{}, {"map": {"cut": -1}}])),
@@ -347,6 +354,22 @@ def test_malformed_config_exits_2(tmp_path, capsys, edit):
     assert err["error"] in ("ConfigError", "DimensionMismatch",
                             "StructureViolation")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("edit,block,key", [
+    (lambda c: c.update(assert_tolerance=1e-3), "config", "assert_tolerance"),
+    (lambda c: c["map"]["x_terms"]["0,1"].update(konst=1.0), "x_terms[0,1]",
+     "konst"),
+])
+def test_unknown_key_is_named(tmp_path, capsys, edit, block, key):
+    cfg_data = json.loads(json.dumps(MAP_CONFIG))
+    edit(cfg_data)
+    code = main(["solve-map", "--config", str(write_config(tmp_path, cfg_data)),
+                 "--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and err["error"] == "ConfigError"
+    assert err["detail"] == {"block": block, "key": key}
+    assert repr(key) in err["message"]
 
 
 # malformed operator, oscillator and hecu blocks: each edit is caught before
@@ -397,6 +420,18 @@ MALFORMED_BLOCKS = [
      lambda c: c["oscillator"].update(nu=[1.4142135623730951] * 70, cut=0)),
     ("helicoure_n_target_truncation_too_large", "helicoure", HELI_CONFIG,
      lambda c: c.update(n_target=167)),
+    ("hecu_key_misspelled", "hecu", HECU_CONFIG,
+     lambda c: c["hecu"].update(expansions="expanded")),
+    ("oscillator_key_misspelled", "oscillator", OSC_CONFIG,
+     lambda c: c["oscillator"].update(nu_=[1.0])),
+    ("sector_key_misspelled", "diagnose-operators", DIAG_CONFIG,
+     lambda c: c["sector"].update(betta=1.0)),
+    ("diagnostics_key_misspelled", "diagnose-operators", DIAG_CONFIG,
+     lambda c: c["diagnostics"].update(iterate=5)),
+    ("probe_key_misspelled", "diagnose-operators", DIAG_CONFIG,
+     lambda c: c["diagnostics"]["probe"].update(niter=2)),
+    ("field_block_on_a_map_config", "diagnose-operators", DIAG_CONFIG,
+     lambda c: c.update(field=c["map"])),
     ("hecu_trunc_too_large", "hecu", HECU_CONFIG,
      lambda c: c.update(trunc=171)),
     ("hecu_n_target_truncation_too_large", "hecu", HECU_CONFIG,

@@ -4,6 +4,7 @@ derivative equations along a rotation, payload round trips."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import signal
 
 from paratori.errors import (CNotInvertible, DimensionMismatch,
                              NonZeroAverage, SmallDivisorUnderflow)
@@ -60,6 +61,43 @@ def test_product_against_grid():
     lhs = prod.values_on_grid(n)
     rhs = f.values_on_grid(n) * g.values_on_grid(n)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def _fftconvolve_product(a, b):
+    """The series product by its first definition: scipy's fftconvolve of
+    the two boxes, cut to the centre box and symmetrized."""
+    full = signal.fftconvolve(a.coeffs, b.coeffs)
+    m = a.cut
+    return FourierSeries(full[(slice(m, 3 * m + 1),) * a.dim])
+
+
+@pytest.mark.parametrize("dim,cut", [(0, 0), (1, 0), (1, 16), (1, 32),
+                                     (2, 8)])
+def test_product_is_fftconvolve_bit_for_bit(dim, cut):
+    rng = np.random.default_rng(5)
+    a, b = dense_series(rng, dim, cut), dense_series(rng, dim, cut)
+    const = FourierSeries.constant(2.5, dim, cut)
+    # the second (a, b) multiplies operands whose spectra are cached
+    for x, y in [(a, b), (a, b), (b, a), (a, a), (a.copy(), b), (a, const),
+                 (const, b)]:
+        want = _fftconvolve_product(x, y).coeffs
+        assert np.array_equal((x * y).coeffs, want)
+
+
+def test_a_series_is_read_only_once_in_a_product():
+    rng = np.random.default_rng(9)
+    a, b = dense_series(rng, 1, 8), dense_series(rng, 1, 8)
+    first = a * b
+    # a write would leave a's cached spectrum stale: it raises instead
+    with pytest.raises(ValueError):
+        a.coeffs[8] = 1.0
+    assert np.array_equal((a * b).coeffs, first.coeffs)
+    # the constructors that write into coeffs write into a fresh copy
+    assert (a + 1.0).average() == a.average() + 1.0
+    assert a.oscillatory().average() == 0.0
+    c = a.copy()
+    c.coeffs[8] = 1.0
+    assert c.average() == 1.0
 
 
 def test_diff_is_exact_on_modes():

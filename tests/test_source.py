@@ -2,6 +2,8 @@
 
 import ast
 import os
+import subprocess
+import sys
 
 import paratori
 
@@ -104,3 +106,17 @@ def test_every_public_definition_is_used():
     # each kept name is still defined and still uncalled by the program
     stale = KEPT_UNCALLED - ({d[2] for d in defined} - used)
     assert not stale, sorted(stale)
+
+
+def test_importing_the_cli_leaves_scipy_signal_out():
+    # scipy.signal was most of a fresh run's set-up time and about 21 MB of
+    # its peak memory; the package needs nothing from it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.dirname(PACKAGE), os.environ.get("PYTHONPATH"))
+        if p))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, paratori.cli; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
