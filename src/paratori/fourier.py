@@ -13,14 +13,26 @@ is.  This keeps autonomous problems (no angular variables at all) on the
 same code path as quasiperiodic ones; only ``diophantine_margin`` (whose
 punctured box is empty) singles it out.
 
-A product of two series is their convolution, with the transforms of
-scipy's FFT convolution of complex input: both boxes zero-padded to
-``next_fast_len(4*cut+1)`` per axis, a forward FFT of each, one inverse FFT
-of the product of the spectra, then the centre ``|k| <= cut`` of the
-result, symmetrized.  Each series computes its forward spectrum once,
-on its first product, and keeps it, so a product costs one inverse FFT.  A
-series is immutable once returned: its coefficients are made read-only when
-its spectrum is cached, so a cached spectrum can never go stale.
+A product of two series is their convolution: both boxes zero-padded to
+n per axis, n the smallest 11-smooth length >= 4*cut+1, a forward FFT of
+each, one inverse FFT of the product of the spectra, then the centre
+``|k| <= cut`` of the result, symmetrized.  Each series computes its
+forward spectrum once, on its first product, and keeps it, so a product
+costs one inverse FFT.  A series is immutable once returned: its
+coefficients are made read-only when its spectrum is cached, so a cached
+spectrum can never go stale.
+
+The transforms are numpy's one-axis FFTs, taken along axis 0, 1, ..., in
+that order.  The forward transform is unscaled (``_spectrum``).  The
+inverse (``_inverse_centre``) is unscaled too, except that the 1/N of the
+whole box, N = n**dim, multiplies each real and imaginary part once,
+right after the pass along axis 0.  That is where SciPy's n-dimensional
+inverse FFT, which runs the same pocketfft as numpy >= 2.0, applies it,
+so every product rounds as it did when the products were SciPy's FFT
+convolution.  The seed-0 reference pairs were made that way, and until
+the pair comparison has a rounding-aware gate any change in rounding
+moves them far past its tolerance.  Importing this module loads numpy
+only.
 
 Pointwise values come from ``eval_stack``: a stack of coefficient boxes is
 evaluated at a batch of angles against one mode basis per axis, built once
@@ -28,10 +40,10 @@ for the batch from powers of e^{2 pi i theta}; ``FourierSeries.eval`` is its
 one-row case.
 """
 
+import functools
 import math
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import (
     CNotInvertible,
@@ -45,6 +57,40 @@ TWO_PI_I = 2j * np.pi
 
 def _mode_range(cut):
     return np.arange(-cut, cut + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _fast_len(m):
+    """The smallest 11-smooth integer >= m: the FFT length SciPy's
+    ``next_fast_len(m, False)`` picks for complex data."""
+    n = m
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _inverse_centre(spec, cut):
+    """Entries cut .. 3*cut on every axis of the inverse FFT of ``spec``,
+    the modes |k| <= cut of a product: an unscaled pass along axis 0, the
+    1/N scale (N = ``spec.size``) on each real and imaginary part, then
+    unscaled passes along the other axes.  Each pass is cut to the kept
+    entries of its axis, so the later passes transform only those rows.
+    The scale sits where SciPy's inverse applies it, so every kept entry
+    is SciPy's ``ifftn(spec)`` bit for bit (the module docstring says why
+    that matters)."""
+    keep = slice(cut, 3 * cut + 1)
+    out = np.fft.ifft(spec, axis=0, norm="forward")[keep]
+    parts = out.view(np.float64)
+    parts *= 1.0 / spec.size
+    for k in range(1, spec.ndim):
+        out = np.fft.ifft(out, axis=k, norm="forward")
+        out = out[(slice(None),) * k + (keep,)]
+    return out
 
 
 def angle_grid(dim, samples):
@@ -188,13 +234,18 @@ class FourierSeries:
         return FourierSeries(-self.coeffs, symmetrize=False)
 
     def _spectrum(self):
-        """The forward FFT of the coefficients zero-padded to
-        ``next_fast_len(4*cut+1)`` per axis, the transform scipy's FFT
-        convolution takes of complex input.  Computed once; ``coeffs`` is read-only
-        from then on."""
+        """The forward FFT of the coefficients zero-padded to n per axis,
+        n the smallest 11-smooth length >= 4*cut+1: ``np.fft.fft(., n,
+        axis=k)`` for k = 0 .. dim-1 in turn, unscaled.  Taken in this
+        order it rounds as SciPy's n-dimensional FFT of the padded box
+        does (the module docstring says why that matters).  Computed once;
+        ``coeffs`` is read-only from then on."""
         if self._spec is None:
-            n = sp_fft.next_fast_len(4 * self.cut + 1, False)
-            self._spec = sp_fft.fftn(self.coeffs, (n,) * self.dim)
+            n = _fast_len(4 * self.cut + 1)
+            spec = self.coeffs
+            for k in range(self.dim):
+                spec = np.fft.fft(spec, n, axis=k)
+            self._spec = spec
             self.coeffs.flags.writeable = False
         return self._spec
 
@@ -203,12 +254,11 @@ class FourierSeries:
             return FourierSeries(self.coeffs * float(other), symmetrize=False)
         self._check_compatible(other)
         if self.coeffs.size == 1:
-            # a box of one mode has no axis to transform (scipy's FFT
+            # a box of one mode has no axis to transform (SciPy's FFT
             # convolution skips axes of length 1 too)
             return FourierSeries(self.coeffs * other.coeffs)
-        full = sp_fft.ifftn(self._spectrum() * other._spectrum())
-        m = self.cut
-        return FourierSeries(full[(slice(m, 3 * m + 1),) * self.dim])
+        return FourierSeries(_inverse_centre(
+            self._spectrum() * other._spectrum(), self.cut))
 
     __rmul__ = __mul__
 

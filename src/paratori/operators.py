@@ -6,10 +6,14 @@ difference by orbit sums (maps) and by quadrature along trajectories
 Everything here is a sampled, fixed-resolution diagnostic — grids and
 truncation indices are finite and reported, so the outputs are evidence,
 not certified enclosures.
+
+SciPy is imported on first use: the contraction probe imports its grid
+interpolation when it builds one, and the trajectory integrals import its
+ODE solver through ``quadrature.trajectory``.  Importing this module loads
+numpy only, so the solve commands never load SciPy.
 """
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import (
     BoundViolated,
@@ -275,6 +279,8 @@ class _GridFunction:
     """
 
     def __init__(self, log_r, args, theta_axes, z_flat, values, weights):
+        from scipy.interpolate import RegularGridInterpolator
+
         self.weights = weights
         self.log_r = log_r
         self.args = args

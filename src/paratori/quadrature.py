@@ -7,11 +7,13 @@ one vectorized function of time, and ``panel_quadrature`` integrates a
 vectorized integrand over panels cut from the steps by Gauss-Kronrod
 (7, 15), bisecting panels until their error estimates meet a
 width-proportional budget.
+
+SciPy's DOP853 is imported on first use, by ``trajectory``, so importing
+this module loads numpy only.
 """
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval, chebvander
-from scipy.integrate import DOP853, OdeSolution
 
 from .errors import FlowLeftSector, TailNotConverged
 
@@ -50,6 +52,8 @@ def trajectory(velocity, u, stop, sector):
     (TailNotConverged if it still fails at time 1e9); the sector check runs
     at every step end.  Returns the dense output of the steps taken as one
     ``OdeSolution``."""
+    from scipy.integrate import DOP853, OdeSolution
+
     def rhs(s, state):
         dz = velocity(complex(state[0], state[1]))
         return [dz.real, dz.imag]

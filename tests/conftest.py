@@ -3,7 +3,7 @@
 Most tests construct small problem instances inline; the builders here are
 the ones reused across files (the reference quasi-periodic map and the two
 exactly-solvable fixtures whose parameterizations are known in closed form),
-plus the launcher that the command-line tests share, the two pointwise
+plus the launchers that the subprocess tests share, the two pointwise
 oracles of the right-inverse identities (``transfer_difference``,
 ``drift_derivative``), which no program code needs, the per-mode
 reference sum (``mode_sum``) that pointwise evaluation is checked against,
@@ -32,8 +32,8 @@ PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
     paratori.__file__)))
 
 
-def run_cli(args, cwd=None, python_flags=()):
-    """Run `python [python_flags] -m paratori.cli args` in a separate process.
+def run_python(args, cwd=None):
+    """Run `python args` in a separate process.
 
     The child gets PYTHONPATH with PACKAGE_ROOT first, so it runs the same
     package as the tests from any working directory, even when the suite's
@@ -42,10 +42,15 @@ def run_cli(args, cwd=None, python_flags=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable] + list(python_flags)
-                          + ["-m", "paratori.cli"] + args,
+    return subprocess.run([sys.executable] + list(args),
                           capture_output=True, text=True,
                           cwd=None if cwd is None else str(cwd), env=env)
+
+
+def run_cli(args, cwd=None, python_flags=()):
+    """Run `python [python_flags] -m paratori.cli args` through
+    ``run_python``."""
+    return run_python(list(python_flags) + ["-m", "paratori.cli"] + args, cwd)
 
 
 def transfer_difference(phi, inner, freqs, u, theta=None):

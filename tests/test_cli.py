@@ -15,7 +15,8 @@ from paratori.map_solver import solve_to_order
 from paratori.mapdata import TaylorFourierMap
 from paratori.pairs import ManifoldPair
 
-from conftest import exact_flow, exact_map, run_cli, shear_example
+from conftest import (exact_flow, exact_map, run_cli, run_python,
+                      shear_example)
 
 MAP_CONFIG = {
     "problem": "custom-map",
@@ -687,3 +688,34 @@ def test_autonomous_run_on_both_branches(tmp_path, command, config):
         for name in ("pair.json", "residual.csv", "summary.json"):
             assert ((runs[0] / entry / name).read_bytes()
                     == (runs[1] / entry / name).read_bytes())
+
+
+# each run in one process, and after it whether any SciPy module, SciPy's
+# interpolation and SciPy's ODE solvers are loaded
+_SCIPY_AFTER_EACH_RUN = """
+import json, sys
+from paratori.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    mods = {m for m in sys.modules if m.split(".")[0] == "scipy"}
+    print(json.dumps([code, bool(mods), "scipy.interpolate" in mods,
+                      "scipy.integrate" in mods]))
+"""
+
+
+def test_only_the_probe_loads_scipy(tmp_path):
+    # the solves run on numpy alone; the contraction probe imports SciPy's
+    # interpolation when it needs it, and a map diagnosis never integrates
+    # a trajectory
+    runs = [[command, "--config", str(write_config(tmp_path, config,
+                                                   command + ".json")),
+             "--out", str(tmp_path / command)]
+            for command, config in [("solve-map", MAP_CONFIG),
+                                    ("solve-flow", FLOW_CONFIG),
+                                    ("hecu", HECU_CONFIG),
+                                    ("diagnose-operators", DIAG_CONFIG)]]
+    res = run_python(["-c", _SCIPY_AFTER_EACH_RUN, json.dumps(runs)])
+    assert res.returncode == 0, res.stderr
+    assert [json.loads(line) for line in res.stdout.splitlines()] == [
+        [0, False, False, False], [0, False, False, False],
+        [0, False, False, False], [0, True, True, False]]

@@ -4,12 +4,14 @@ derivative equations along a rotation, payload round trips."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import signal
+from scipy import fft as sp_fft, signal
 
+from paratori.cli import MAX_BOX
 from paratori.errors import (CNotInvertible, DimensionMismatch,
                              NonZeroAverage, SmallDivisorUnderflow)
-from paratori.fourier import (FourierSeries, angle_grid, diophantine_margin,
-                              eval_stack, on_box, reciprocal, solve_sd_flow,
+from paratori.fourier import (FourierSeries, _fast_len, _inverse_centre,
+                              angle_grid, diophantine_margin, eval_stack,
+                              on_box, reciprocal, solve_sd_flow,
                               solve_sd_map)
 
 from conftest import GOLDEN, dense_series, mode_sum
@@ -71,8 +73,8 @@ def _fftconvolve_product(a, b):
     return FourierSeries(full[(slice(m, 3 * m + 1),) * a.dim])
 
 
-@pytest.mark.parametrize("dim,cut", [(0, 0), (1, 0), (1, 16), (1, 32),
-                                     (2, 8)])
+@pytest.mark.parametrize("dim,cut", [(0, 0), (1, 0), (1, 1), (1, 16),
+                                     (1, 32), (2, 8), (3, 2)])
 def test_product_is_fftconvolve_bit_for_bit(dim, cut):
     rng = np.random.default_rng(5)
     a, b = dense_series(rng, dim, cut), dense_series(rng, dim, cut)
@@ -82,6 +84,30 @@ def test_product_is_fftconvolve_bit_for_bit(dim, cut):
                  (const, b)]:
         want = _fftconvolve_product(x, y).coeffs
         assert np.array_equal((x * y).coeffs, want)
+
+
+@pytest.mark.parametrize("dim,cuts", [(1, range(1, 49)), (2, range(1, 13)),
+                                      (3, range(1, 5))])
+def test_transforms_are_scipy_fft_bit_for_bit(dim, cuts):
+    # the products round as SciPy's transforms do, as the seed-0 reference
+    # pairs were made
+    rng = np.random.default_rng(13)
+    for cut in cuts:
+        a, b = dense_series(rng, dim, cut), dense_series(rng, dim, cut)
+        n = sp_fft.next_fast_len(4 * cut + 1, False)
+        assert np.array_equal(a._spectrum(), sp_fft.fftn(a.coeffs, (n,) * dim))
+        spec = a._spectrum() * b._spectrum()
+        centre = (slice(cut, 3 * cut + 1),) * dim
+        assert np.array_equal(_inverse_centre(spec, cut),
+                              sp_fft.ifftn(spec)[centre])
+
+
+def test_fft_length_is_scipy_next_fast_len():
+    for m in range(1, 4098):
+        assert _fast_len(m) == sp_fft.next_fast_len(m, False), m
+    # the largest 1-D box the command line admits
+    m = 4 * ((MAX_BOX - 1) // 2) + 1
+    assert _fast_len(m) == sp_fft.next_fast_len(m, False)
 
 
 def test_a_series_is_read_only_once_in_a_product():
