@@ -18,9 +18,9 @@ n per axis, n the smallest 11-smooth length >= 4*cut+1, a forward FFT of
 each, one inverse FFT of the product of the spectra, then the centre
 ``|k| <= cut`` of the result, symmetrized.  Each series computes its
 forward spectrum once, on its first product, and keeps it, so a product
-costs one inverse FFT.  A series is immutable once returned: its
-coefficients are made read-only when its spectrum is cached, so a cached
-spectrum can never go stale.
+costs one inverse FFT.  A series is immutable from construction: its
+coefficients are read-only from the moment it is built, so a cached
+spectrum can never go stale and a series can be shared instead of copied.
 
 The transforms are numpy's one-axis FFTs, taken along axis 0, 1, ..., in
 that order.  The forward transform is unscaled (``_spectrum``).  The
@@ -115,9 +115,9 @@ def _mode_dot(cut, dim, vec):
 class FourierSeries:
     """Dense real-symmetric Fourier polynomial on T^dim.
 
-    Immutable once returned: only the constructors below write into
-    ``coeffs``, before the series leaves them, and ``coeffs`` turns
-    read-only when the series' spectrum is cached for a product.
+    Immutable from construction: ``__init__`` makes ``coeffs`` read-only
+    (with ``symmetrize=False``, the caller's array itself), so constructors
+    fill a fresh array first, and every holder of a series may share it.
     """
 
     __slots__ = ("dim", "cut", "coeffs", "_spec")
@@ -133,6 +133,7 @@ class FourierSeries:
         if symmetrize:
             # ufuncs turn a 0-d array into a scalar; keep an array
             coeffs = np.asarray(0.5 * (coeffs + np.conj(np.flip(coeffs))))
+        coeffs.flags.writeable = False
         self.coeffs = coeffs
         self._spec = None
 
@@ -144,9 +145,9 @@ class FourierSeries:
 
     @classmethod
     def constant(cls, value, dim, cut):
-        s = cls.zero(dim, cut)
-        s.coeffs[(s.cut,) * dim] = float(value)
-        return s
+        c = np.zeros((2 * cut + 1,) * dim, dtype=complex)
+        c[(cut,) * dim] = float(value)
+        return cls(c, symmetrize=False)
 
     @classmethod
     def from_modes(cls, modes, dim, cut):
@@ -155,7 +156,7 @@ class FourierSeries:
         The mirror coefficient of every listed nonzero mode is filled in
         automatically so the result is real.
         """
-        s = cls.zero(dim, cut)
+        coeffs = np.zeros((2 * cut + 1,) * dim, dtype=complex)
         for k, c in modes.items():
             k = tuple(int(x) for x in (k if isinstance(k, tuple) else (k,)))
             if len(k) != dim:
@@ -163,12 +164,12 @@ class FourierSeries:
             if any(abs(x) > cut for x in k):
                 raise DimensionMismatch("mode %s outside |k| <= %d" % (k, cut))
             idx = tuple(x + cut for x in k)
-            s.coeffs[idx] += complex(c)
+            coeffs[idx] += complex(c)
             if any(x != 0 for x in k):
                 midx = tuple(-x + cut for x in k)
-                s.coeffs[midx] += np.conj(complex(c))
+                coeffs[midx] += np.conj(complex(c))
         # the zero mode must already be real; symmetrize cheaply anyway
-        return cls(s.coeffs)
+        return cls(coeffs)
 
     @classmethod
     def from_grid(cls, values, cut):
@@ -185,9 +186,6 @@ class FourierSeries:
         picks = [_mode_range(cut) % n for n in values.shape]
         return cls(hat[np.ix_(*picks)])
 
-    def copy(self):
-        return FourierSeries(self.coeffs.copy(), symmetrize=False)
-
     # ----- basic queries ------------------------------------------------
 
     def average(self):
@@ -195,9 +193,9 @@ class FourierSeries:
         return float(np.real(c0))
 
     def oscillatory(self):
-        out = self.copy()
-        out.coeffs[(self.cut,) * self.dim] = 0.0
-        return out
+        c = self.coeffs.copy()
+        c[(self.cut,) * self.dim] = 0.0
+        return FourierSeries(c, symmetrize=False)
 
     def coeff_norm(self):
         return float(np.sum(np.abs(self.coeffs)))
@@ -218,9 +216,9 @@ class FourierSeries:
         if isinstance(other, FourierSeries):
             self._check_compatible(other)
             return FourierSeries(self.coeffs + other.coeffs, symmetrize=False)
-        out = self.copy()
-        out.coeffs[(self.cut,) * self.dim] += float(other)
-        return out
+        c = self.coeffs.copy()
+        c[(self.cut,) * self.dim] += float(other)
+        return FourierSeries(c, symmetrize=False)
 
     __radd__ = __add__
 
@@ -238,15 +236,14 @@ class FourierSeries:
         n the smallest 11-smooth length >= 4*cut+1: ``np.fft.fft(., n,
         axis=k)`` for k = 0 .. dim-1 in turn, unscaled.  Taken in this
         order it rounds as SciPy's n-dimensional FFT of the padded box
-        does (the module docstring says why that matters).  Computed once;
-        ``coeffs`` is read-only from then on."""
+        does (the module docstring says why that matters).  Computed once:
+        ``coeffs`` is read-only, so the spectrum never goes stale."""
         if self._spec is None:
             n = _fast_len(4 * self.cut + 1)
             spec = self.coeffs
             for k in range(self.dim):
                 spec = np.fft.fft(spec, n, axis=k)
             self._spec = spec
-            self.coeffs.flags.writeable = False
         return self._spec
 
     def __mul__(self, other):

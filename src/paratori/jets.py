@@ -96,7 +96,8 @@ class FTPoly:
     exponents of total degree above ``trunc`` are dropped.  A subclass fixes
     the exponent type with ``_ZERO`` (the exponent of the constant term) and
     three static methods: ``_key`` normalizes an exponent, ``_add`` adds two
-    and ``_degree`` gives the total degree.
+    and ``_degree`` gives the total degree.  Series are immutable, so
+    polynomials share them and a copy copies only the table.
     """
 
     __slots__ = ("dim", "cut", "trunc", "terms")
@@ -140,7 +141,7 @@ class FTPoly:
 
     def coefficient(self, key):
         s = self.terms.get(self._key(key))
-        return s.copy() if s is not None else FourierSeries.zero(self.dim, self.cut)
+        return s if s is not None else FourierSeries.zero(self.dim, self.cut)
 
     @property
     def min_order(self):
@@ -152,16 +153,15 @@ class FTPoly:
 
     def copy(self):
         out = self._empty()
-        out.terms = {key: s.copy() for key, s in self.terms.items()}
+        out.terms = dict(self.terms)
         return out
 
     # ----- linear ---------------------------------------------------------
 
     def __add__(self, other):
         out = self._empty(min(self.trunc, other.trunc))
-        for key, s in self.terms.items():
-            if self._degree(key) <= out.trunc:
-                out.terms[key] = s.copy()
+        out.terms = {key: s for key, s in self.terms.items()
+                     if self._degree(key) <= out.trunc}
         for key, s in other.terms.items():
             out._accumulate(key, s)
         return out
@@ -248,7 +248,7 @@ class TFJet(FTPoly):
 
     def tail(self, from_order):
         out = TFJet(self.dim, self.cut, self.trunc)
-        out.terms = {n: s.copy() for n, s in self.terms.items() if n >= from_order}
+        out.terms = {n: s for n, s in self.terms.items() if n >= from_order}
         return out
 
     def mul_upoly(self, p):

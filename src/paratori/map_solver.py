@@ -229,41 +229,35 @@ def _shear_system(fd, pair):
 
 
 def _average_step(system, pair, gxb, gyb, gtb):
-    """Solve a class's averaged system for (xi, eta, tail averages, corr).
+    """Solve a class's averaged system for (xi, eta, tail averages, corr):
+    the 2x2 block first, then each tail average from its own row.
 
-    Away from the resonant order the 2x2 block must be regular, else
+    Away from the resonant order the block must be regular, else
     SingularSystem.  At the resonant order xi = 0 by convention, the closed
-    form gives the correction, and ``degenerate_step`` records that the
-    bordered system (x, y and one row per tail) is singular but consistent.
+    form gives the correction and the x row gives eta; ``degenerate_step``
+    records the block's det and the y row's residual relative to
+    max(1, |rhs|), the left-null-vector condition.  The tail rows' residual
+    vanishes by construction, so it is not recorded.
     """
     n, rows, tails = system.step, system.rows, system.tails
+    mat = np.array(rows)
+    det = float(np.linalg.det(mat))
+    det_scale = float(np.prod(np.linalg.norm(mat, axis=1)))
     if system.closed_form is None:
-        mat = np.array(rows)
-        det = float(np.linalg.det(mat))
-        if abs(det) <= 1e-12 * float(np.prod(np.linalg.norm(mat, axis=1))):
+        if abs(det) <= 1e-12 * det_scale:
             raise SingularSystem("%s step %d unexpectedly singular" % (pair.family, n))
         xi, eta = np.linalg.solve(mat, np.array([-gxb, -gyb]))
         corr = 0.0
     else:
         corr = system.closed_form(gxb, gyb)
         cx, cy = system.corr_col
-        rhs = [-gxb + cx * corr, -gyb + cy * corr]
-        xi, eta = 0.0, rhs[0] / rows[0][1]
-        mat = np.zeros((2 + len(tails), 2 + len(tails)))
-        mat[:2, :2] = rows
-        for a, (coef_xi, coef_eta, coef_corr, div) in enumerate(tails):
-            mat[2 + a, :2] = coef_xi, coef_eta
-            mat[2 + a, 2 + a] = -div
-            rhs.append(-gtb[a] + coef_corr * corr)
-        rhs = np.array(rhs)
-        lsq = np.linalg.lstsq(mat, rhs, rcond=None)[0]
+        rx, ry = -gxb + cx * corr, -gyb + cy * corr
+        xi, eta = 0.0, rx / rows[0][1]
         pair.diagnostics["degenerate_step"] = {
-            "order": n,
-            "det": float(np.linalg.det(mat)),
-            "det_scale": float(np.prod(np.linalg.norm(mat, axis=1))),
-            "lstsq_defect": float(np.linalg.norm(mat @ lsq - rhs))
-            / max(1.0, float(np.linalg.norm(rhs))),
+            "order": n, "det": det, "det_scale": det_scale,
             "normal_form_coeff": float(corr),
+            "solvability_defect": abs(rows[1][1] * eta - ry)
+            / max(1.0, float(np.hypot(rx, ry))),
         }
     ws = [(g + coef_eta * eta + coef_xi * xi - coef_corr * corr) / div
           for g, (coef_xi, coef_eta, coef_corr, div) in zip(gtb, tails)]

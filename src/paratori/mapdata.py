@@ -335,7 +335,7 @@ def _inverse_change(h, deg):
     dim, cut = h.dim, h.cut
     ynew = _xy_identity(dim, cut, deg, "y")
     xid = _xy_identity(dim, cut, deg, "x")
-    Y = ynew.copy()
+    Y = ynew
     for _ in range(deg + 1):
         Y_next = ynew - h.subst(xid, Y)
         if all(

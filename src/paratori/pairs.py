@@ -12,11 +12,13 @@ measurements use the exactly-representable tail and a separate check that
 the annihilated lower-order coefficients are numerically zero.
 """
 
+from itertools import zip_longest
+
 import numpy as np
 
 from .errors import ConfigError
 from .fourier import angle_grid
-from .jets import UPoly, eval_xy_terms, power_table
+from .jets import TFJet, UPoly, eval_xy_terms, power_table
 
 
 def contract_orders(family, n, k=None, p=None, d=0):
@@ -61,12 +63,13 @@ class ManifoldPair:
         self.diagnostics = dict(diagnostics or {})
 
     def copy(self):
+        """The jets' tables are copied; their series and the inner
+        polynomial, never written in place, are shared."""
         return ManifoldPair(
             self.kind, self.family, self.branch, self.cut, self.trunc,
             self.order, self.k, self.p, self.freqs, self.d, self.drive,
             self.x.copy(), self.y.copy(), [w.copy() for w in self.tails],
-            UPoly(dict(self.inner.terms), self.inner.trunc),
-            dict(self.diagnostics),
+            self.inner, dict(self.diagnostics),
         )
 
     def contract_orders(self):
@@ -154,9 +157,11 @@ def compare_pairs(a, b, tol=1e-11):
 
     Returns {"x": n_or_None, "y": ..., "theta": [per axis], "inner": ...};
     None means no difference above tol anywhere in the shared order range.
-    A NaN difference counts as a difference.
+    A NaN difference counts as a difference, and an angle tail that only
+    one pair has is compared with the zero jet.
     """
     top = min(a.trunc, b.trunc)
+    zero = TFJet(a.dim, a.cut, top)
 
     def first_diff_jet(ja, jb):
         for n in range(0, top + 1):
@@ -168,7 +173,8 @@ def compare_pairs(a, b, tol=1e-11):
     out = {
         "x": first_diff_jet(a.x, b.x),
         "y": first_diff_jet(a.y, b.y),
-        "theta": [first_diff_jet(wa, wb) for wa, wb in zip(a.tails, b.tails)],
+        "theta": [first_diff_jet(wa, wb) for wa, wb
+                  in zip_longest(a.tails, b.tails, fillvalue=zero)],
     }
     inner_diff = None
     for n in range(0, top + 1):

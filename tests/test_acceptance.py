@@ -95,12 +95,12 @@ def test_reference_flow_residual_orders():
 def test_degenerate_step_is_solvable(solved_exact_map):
     # at order n = k the linear block is singular by construction; the
     # recorded determinant must vanish against the row-norm scale and the
-    # least-squares solve must be consistent
+    # y row must be met with xi = 0 (the block's solvability condition)
     pair = solved_exact_map
     diag = pair.diagnostics["degenerate_step"]
     assert diag["order"] == pair.k
     assert abs(diag["det"]) <= 1e-12 * max(1.0, diag["det_scale"])
-    assert diag["lstsq_defect"] <= 1e-12
+    assert diag["solvability_defect"] <= 1e-12
 
 
 def test_cohomological_solves_at_large_mode_box():

@@ -39,7 +39,7 @@ def test_exact_flow_fixture():
         if n != 2:
             assert pair.x.coefficient(n).coeff_norm() < 1e-11, n
     diag = pair.diagnostics["degenerate_step"]
-    assert diag["order"] == 2 and diag["lstsq_defect"] < 1e-12
+    assert diag["order"] == 2 and diag["solvability_defect"] < 1e-12
 
 
 def test_driven_flow_slopes():

@@ -70,3 +70,15 @@ def test_compare_pairs_counts_nan_as_a_difference():
     diff = compare_pairs(pair, bad)
     assert diff["y"] == top and diff["inner"] == 3
     assert diff["x"] is None
+
+
+def test_compare_pairs_counts_a_missing_tail_as_the_zero_jet():
+    pair = solve_to_order(exact_map(), 3)
+    bare = pair.copy()
+    bare.tails = []
+    lead = pair.tails[0].orders()[0]
+    assert compare_pairs(pair, bare) == {"x": None, "y": None,
+                                         "theta": [lead], "inner": None}
+    assert compare_pairs(bare, pair)["theta"] == [lead]
+    bare.tails = [pair.tails[0].tail(pair.trunc + 1)]
+    assert compare_pairs(bare, pair)["theta"] == [lead]

@@ -116,3 +116,17 @@ def test_jet_derivative_and_theta_derivative():
     assert abs(got + 2 * np.pi) < 1e-12
 
 
+
+
+def test_jets_share_their_series():
+    cut, trunc = 4, 6
+    s1 = FourierSeries.from_modes({(1,): 0.5}, 1, cut)
+    s2 = FourierSeries.constant(2.0, 1, cut)
+    s3 = FourierSeries.constant(-1.0, 1, cut)
+    a = TFJet(1, cut, trunc, {1: s1, 2: s2})
+    b = TFJet(1, cut, trunc, {3: s3})
+    assert a.coefficient(1) is s1
+    assert a.copy().terms[2] is s2 and a.copy().terms is not a.terms
+    total = a + b
+    assert total.terms[1] is s1 and total.terms[2] is s2 and total.terms[3] is s3
+    assert a.tail(2).terms == {2: s2} and a.tail(2).terms[2] is s2

@@ -52,7 +52,7 @@ def test_exact_fixture_is_polynomial(solved_exact_map):
 
 
 def power_k3_map():
-    """k = 3, p = 2 map with one angle: its bordered system has a tail row
+    """k = 3, p = 2 map with one angle: its averaged system has a tail row
     with a nonzero coefficient on the new x average."""
     return TaylorFourierMap(
         "map", 1, 0, 6, (GOLDEN,),
@@ -77,15 +77,15 @@ def helicoure_field():
     (lambda request: solve_helicoure(helicoure_field(), 4), 2, 3),
 ], ids=["exact_map", "power_k3_p2", "shear"])
 def test_degenerate_step_solves_cleanly(request, solve, resonant, landing):
-    # at the resonant order the 2x2 block is singular; the solvable bordered
-    # system must carry a vanishing determinant and an exact least-squares
-    # solution, and its correction is the inner coefficient it lands on
-    # (2k - 1 in the power class, 3 in the shear class)
+    # at the resonant order the 2x2 block is singular; it must carry a
+    # vanishing determinant and meet its y row with xi = 0, and its
+    # correction is the inner coefficient it lands on (2k - 1 in the power
+    # class, 3 in the shear class)
     pair = solve(request)
     diag = pair.diagnostics["degenerate_step"]
     assert diag["order"] == resonant
     assert abs(diag["det"]) <= 1e-14 * diag["det_scale"]
-    assert diag["lstsq_defect"] <= 1e-12
+    assert diag["solvability_defect"] <= 1e-12
     assert diag["normal_form_coeff"] == pair.inner.coeff(landing)
 
 
