@@ -226,8 +226,9 @@ def hecu_manifolds(p, n_target, expansion="displayed",
     displayed/closed_form convention), checks the branch sign pattern (the
     two branches share the vertical and angular leading-coefficient
     magnitudes and have opposite-sign normal-form leading terms), fits the
-    invariance residual slopes, and finally pulls both parameterizations
-    back to wall coordinates; BoundViolated names every failed check.
+    slopes of the residuals the two solves hand over, and finally pulls
+    both parameterizations back to wall coordinates; BoundViolated names
+    every failed check.
     ``sd_floor`` and ``assert_tol`` go to both solves.  Returns
     (stable pair, unstable pair, report dict, residual reports), the last
     the ResidualReport of each branch by name, measured in the solve
@@ -235,10 +236,10 @@ def hecu_manifolds(p, n_target, expansion="displayed",
     """
     fd, record = build_hecu_field(p, expansion=expansion,
                                   deg=hecu_field_degree(n_target))
-    stable, unstable = (
-        solve_helicoure(fd, n_target, branch, theta_leading, sd_floor,
-                        assert_tol)
-        for branch in ("stable", "unstable"))
+    solved = {branch: solve_helicoure(fd, n_target, branch, theta_leading,
+                                      sd_floor, assert_tol)
+              for branch in ("stable", "unstable")}
+    stable, unstable = solved["stable"][0], solved["unstable"][0]
 
     D, alpha, m = p.D, p.alpha_morse, p.m
     A = 2.0 * m * (p.h - D)
@@ -270,8 +271,8 @@ def hecu_manifolds(p, n_target, expansion="displayed",
 
     slopes = {}
     reports = {}
-    for name, pair in (("stable", stable), ("unstable", unstable)):
-        rep = residual_report(fd, pair)
+    for name, (pair, residual) in solved.items():
+        rep = residual_report(pair, residual)
         reports[name] = rep
         slopes[name] = {comp["name"]: comp["slope"] for comp in rep.components}
 

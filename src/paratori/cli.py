@@ -361,14 +361,15 @@ def _solve(cfg):
                 {"hecu_report": report})
     data, extras = cfg.data, {}
     if cfg.problem == "custom-map":
-        pair = solve_to_order(data, cfg.n_target, cfg.branch, **cfg.solve_kw)
+        pair, residual = solve_to_order(data, cfg.n_target, cfg.branch,
+                                        **cfg.solve_kw)
     elif cfg.problem == "helicoure":
-        pair = solve_helicoure(data, cfg.n_target, cfg.branch,
-                               cfg.theta_leading, **cfg.solve_kw)
+        pair, residual = solve_helicoure(data, cfg.n_target, cfg.branch,
+                                         cfg.theta_leading, **cfg.solve_kw)
         extras["theta_leading"] = cfg.theta_leading
     else:
-        pair = solve_flow_to_order(data, cfg.n_target, cfg.branch,
-                                   **cfg.solve_kw)
+        pair, residual = solve_flow_to_order(data, cfg.n_target, cfg.branch,
+                                             **cfg.solve_kw)
     if cfg.problem == "oscillator":
         abar = cfg.params.alpha * cfg.params.g.average()
         quadratic = data.y_terms.coefficient((2, 0)).average()
@@ -377,7 +378,7 @@ def _solve(cfg):
             "normal_form_lead": abs(
                 abs(pair.inner_coeff(2)) - math.sqrt(abar / 6.0)),
         }
-    return {"pair": pair}, {"pair": residual_report(data, pair)}, extras
+    return {"pair": pair}, {"pair": residual_report(pair, residual)}, extras
 
 
 def _run_solve(cfg, out_dir):
@@ -432,7 +433,8 @@ def _cmd_diagnose(args):
     cfg = RunConfig(_object(_load_json(args.config), "config root"),
                     args.command, args.order, args.branch)
     sector = cfg.sector
-    pair = solve_to_order(cfg.data, cfg.n_target, cfg.branch, **cfg.solve_kw)
+    pair, residual = solve_to_order(cfg.data, cfg.n_target, cfg.branch,
+                                    **cfg.solve_kw)
     out = {"order": pair.order, "mu": cfg.mu,
            "sector": {"beta": sector.beta, "rho": sector.rho, "k": sector.k}}
 
@@ -444,7 +446,7 @@ def _cmd_diagnose(args):
 
     if cfg.probe is not None:
         out["contraction"] = operators.contraction_probe(
-            cfg.data, pair, sector, cfg.mu, **cfg.probe)
+            cfg.data, pair, residual, sector, cfg.mu, **cfg.probe)
     _write(args.out, "operators.json", canonical_json(out))
     return 0
 

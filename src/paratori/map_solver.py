@@ -1,7 +1,7 @@
 """Order-by-order construction of invariant manifolds of parabolic tori for
-maps in reduced form, and the one order step shared with vector fields.
-The admissibility rules live with the input dynamics in mapdata; this
-module reads its data only through the term tables.
+maps in reduced form, and the seed, order step and solve loop shared with
+vector fields.  The admissibility rules live with the input dynamics in
+mapdata; this module reads its data only through the term tables.
 
 The input map must have the triangular structure
     x' = x + c(theta) y
@@ -9,42 +9,43 @@ The input map must have the triangular structure
     theta' = theta + omega + d(theta) x^p + (admissible tail)
 with mean(c) > 0 and mean(a) > 0, which ``TaylorFourierMap.validate_reduced``
 checks.  ``solve_to_order`` is the entry point: it runs that check and the
-branch check once, and ``init_order2`` and ``extend_order`` trust their
-caller.  The parameterization is sought as
+branch check once, and everything it calls trusts its caller.  The
+parameterization is sought as
     K(u, theta) = (u^2 + ..., K_y u^{k+1} + ..., theta + W(u, theta)),
 conjugating the map to the polynomial normal form
     u' = u + r_k u^k (+ r_{2k-1} u^{2k-1}),   theta' = theta + omega.
 
-``extend_order`` is the one order step of every solver, for maps and
-fields and for both structure classes (the power class here, the shear
-class of flow_solver).  It reads the averaged defect at the pair's contract
-orders (``pairs.contract_orders``), solves a small linear system for the
-new average (theta-independent) coefficients, then ``close_order`` solves
-one cohomological equation per component at the same orders, raises the
-order and checks the invariance contract.  Only the coefficients of the
-averaged system are class-specific: ``_power_system`` and ``_shear_system``
-state them as one table (the 2x2 rows for the new x and y averages, one row
-per angle tail, the normal-form correction's column, its closed form at the
-resonant order and the orders where everything lands), and one
-``_average_step`` solves either table.  Each system is singular exactly
-once, at its resonant order (n = k in the power class, n = 2 in the shear
-class), where the correction (r_{2k-1}, or Y_3) restores solvability and
-the new average x-coefficient is fixed to zero by convention.
+Both structure classes (the power class here, the shear class of
+flow_solver) share one solve loop, ``raise_to_order``, and only their
+tables differ.  ``power_seed`` and ``shear_seed`` state a class's seed,
+and ``init_order2`` builds the pair from either and closes its first
+order.  ``extend_order`` is the one order step: it reads the averaged
+defect at the pair's contract orders (``pairs.contract_orders``), solves
+a small linear system for the new average (theta-independent)
+coefficients, then ``close_order`` solves one cohomological equation per
+component at the same orders, raises the order and checks the invariance
+contract.  ``_power_system`` and
+``_shear_system`` state that system as one table (the 2x2 rows for the
+new x and y averages, one row per angle tail, the normal-form correction's
+column, its closed form at the resonant order and the orders where
+everything lands), and one ``_average_step`` solves either table.  Each
+system is singular exactly once, at its resonant order (n = k in the power
+class, n = 2 in the shear class), where the correction (r_{2k-1}, or Y_3)
+restores solvability and the new average x-coefficient is fixed to zero
+by convention.
 
 Each step evaluates the invariance defect twice: once after the averaged
 step, for the cohomological right-hand sides, and once for the contract
 check.  Both are cut at the largest contract order of the pair at that
 moment, the highest order the step (or the next step's opening) reads:
 up to the cut they are exact for the pair, bit for bit the coefficients
-of the full residual, and above it they hold nothing.  The checked
-residual is exact for the pair as it leaves the step, so ``close_order``
-(and through it ``init_order2`` and ``extend_order``) returns it, and the
-next ``extend_order`` reads its averages from it instead of evaluating the
-defect again.  Only the measurements after the solve
-(``pairs.residual_report`` and the contraction probe) expand the full
-residual.  A solve is truncated one order above its largest contract order
-at ``n_target`` (``truncation``); stepping a pair past that order raises
-TruncationTooLow.
+of the full residual, and above it they hold nothing.  ``close_order``
+returns the checked residual, and the next ``extend_order`` reads its
+averages from it.  A solve is truncated one order above its largest
+contract order at ``n_target`` (``truncation``), so the check of the step
+that reaches ``n_target`` expands the full residual, which the solve
+returns with the pair for the measurements after it.  Stepping a pair
+past that order raises TruncationTooLow.
 """
 
 from collections import namedtuple
@@ -78,54 +79,73 @@ def truncation(family, n_target, k=None, p=None, d=0):
     return _top(contract_orders(family, n_target, k, p, d)) + 1
 
 
-def init_order2(mp, branch="stable", n_target=2, sd_floor=1e-12, assert_tol=1e-9):
-    """Seed pair satisfying the invariance contract at order 2, truncated
-    for a solve to ``n_target``, and its checked residual (the opening
-    residual of the first ``extend_order``).
+# The seed of a structure class: family, branch, starting order, contract
+# exponents k and p (None in the shear class), the {order: coefficient}
+# terms of x, y, each angle tail and the inner normal form, diagnostics.
+_Seed = namedtuple("_Seed", "family branch order k p x y tails inner diagnostics")
 
-    The averages come from closed forms (the square-root balance between the
-    shear and the leading coefficient); the oscillatory parts solve one
-    cohomological equation per component.  Works for maps and for fields —
-    the closed forms are identical with the normal-form polynomial read as a
-    step map or as a velocity.  The data and the branch are trusted: the
-    caller (``solve_to_order``) has checked them.
-    """
-    k, p, d = mp.k, mp.p, mp.d
-    dim, cut = mp.dim, mp.cut
-    trunc = truncation("power", n_target, k, p, d)
+
+def power_seed(mp, branch):
+    """Seed of the power class at order 1, from the square-root balance
+    between the shear and the leading coefficient; the same for maps and
+    fields, with the normal form read as a step map or as a velocity."""
+    k, p = mp.k, mp.p
     cbar = mp.shear().average()
     abar = mp.y_terms.coefficient((k, 0)).average()
     sign = -1.0 if branch == "stable" else 1.0
     r_k = sign * np.sqrt(cbar * abar / (2.0 * (k + 1)))
-    eta = 2.0 * r_k / cbar
-    lead_w = 2 * p - k + 1 if d else None
+    lead_w = 2 * p - k + 1 if mp.d else None
+    tails = [{lead_w: t.coefficient((p, 0)).average() / (lead_w * r_k)}
+             for t in mp.theta_terms]
+    inner = {1: 1.0, k: r_k} if mp.kind == "map" else {k: r_k}
+    return _Seed("power", branch, 1, k, p, {2: 1.0}, {k + 1: 2.0 * r_k / cbar},
+                 tails, inner, {})
 
-    x = TFJet(dim, cut, trunc, {2: 1.0})
-    y = TFJet(dim, cut, trunc, {k + 1: eta})
-    tails = []
-    for a in range(d):
-        dbar = mp.theta_terms[a].coefficient((p, 0)).average()
-        tails.append(TFJet(dim, cut, trunc, {lead_w: dbar / (lead_w * r_k)}))
-    if mp.kind == "map":
-        inner = UPoly({1: 1.0, k: r_k}, trunc)
-    else:
-        inner = UPoly({k: r_k}, trunc)
 
+def shear_seed(fd, theta_leading):
+    """Seed of the shear class at order 0: a graph over u ~ x with the
+    inner velocity Y_2 u^2, on the branch the sign of mean(b) names
+    (negative: stable).  The leading angle coefficients follow
+    ``theta_leading``; their distance from the cohomological values is
+    recorded."""
+    cbar = fd.shear().average()
+    bbar = fd.y_terms.coefficient((1, 1)).average()
+    y2 = bbar / 2.0
+    eta2 = bbar / (2.0 * cbar)
+    dbar = [t.coefficient((0, 1)).average() for t in fd.theta_terms]
+    cohom = [(db * eta2 + t.coefficient((2, 0)).average()) / y2
+             for db, t in zip(dbar, fd.theta_terms)]
+    used = cohom if theta_leading == "cohomological" else [
+        2.0 * db / cbar for db in dbar]
+    return _Seed("shear", "stable" if bbar < 0 else "unstable", 0, None, None,
+                 {1: 1.0}, {2: eta2}, [{1: w} for w in used], {2: y2},
+                 {"theta_leading_mode": theta_leading,
+                  "theta_leading_defect": [c - w for c, w in zip(cohom, used)]})
+
+
+def init_order2(data, seed, n_target=2, sd_floor=1e-12, assert_tol=1e-9):
+    """The pair of a seed table, truncated for a solve to ``n_target``,
+    with its first order closed, and its checked residual (the opening
+    residual of the first ``extend_order``).  The data and the seed are
+    trusted: the entry points have checked them."""
+    trunc = truncation(seed.family, n_target, seed.k, seed.p, data.d)
+    x, y, *tails = (TFJet(data.dim, data.cut, trunc, terms)
+                    for terms in [seed.x, seed.y] + seed.tails)
+    margin = diophantine_margin(data.freqs, data.cut,
+                                "map" if data.kind == "map" else "flow")
     pair = ManifoldPair(
-        mp.kind, "power", branch, cut, trunc, 1, k, p, mp.freqs, d, mp.drive,
-        x, y, tails, inner,
-        diagnostics={
-            "margin": diophantine_margin(mp.freqs, cut, mp.kind if mp.kind == "map" else "flow"),
-        },
-    )
-    # oscillatory completion at the order-1 contract orders (k+1, 2k, 2p)
-    return pair, close_order(mp, pair, sd_floor, assert_tol)
+        data.kind, seed.family, seed.branch, data.cut, trunc, seed.order,
+        seed.k, seed.p, data.freqs, data.d, data.drive, x, y, tails,
+        UPoly(seed.inner, trunc), dict(margin=margin, **seed.diagnostics))
+    # oscillatory completion at the seed's contract orders
+    return pair, close_order(data, pair, sd_floor, assert_tol)
 
 
 def _check_contract(data, pair, tol):
     """Raise ContractViolated unless every defect coefficient below the
     contract orders is within ``tol`` times the size of the pair; return
-    the residual jets it checked, cut at the largest contract order.
+    the residual jets it checked, cut at the largest contract order, or
+    full where that order is one below the truncation (at ``n_target``).
 
     A non-finite coefficient up to the cut means finite data overflowed
     inside the solve: ``check_finite`` refuses it as a ConfigError naming
@@ -135,7 +155,10 @@ def _check_contract(data, pair, tol):
     part is checked there.
     """
     orders = pair.contract_orders()
-    residual = residual_jets(data, pair, top=_top(orders))
+    top = _top(orders)
+    if top + 1 == pair.trunc:
+        top = pair.trunc
+    residual = residual_jets(data, pair, top=top)
     check_finite(residual)
     bound = tol * pair.size()
     pinned = pair.diagnostics.get("theta_leading_mode") == "closed_form"
@@ -297,9 +320,20 @@ def extend_order(data, pair, opening, sd_floor=1e-12, assert_tol=1e-9):
     return close_order(data, pair, sd_floor, assert_tol)
 
 
+def raise_to_order(data, seed, n_target, sd_floor, assert_tol):
+    """The one solve loop of both classes: build the seed's pair, raise it
+    one order at a time to ``n_target`` and return (pair, residual), the
+    full residual of the pair that the last step checked."""
+    pair, residual = init_order2(data, seed, n_target, sd_floor, assert_tol)
+    while pair.order < n_target:
+        residual = extend_order(data, pair, residual, sd_floor, assert_tol)
+    return pair, residual
+
+
 def solve_to_order(mp, n_target, branch="stable", sd_floor=1e-12,
                    assert_tol=1e-9):
-    """Construct the pair with invariance order ``n_target``.
+    """Construct the pair with invariance order ``n_target`` and return
+    (pair, residual), the residual as ``raise_to_order`` hands it over.
 
     The entry point of the power class: it checks ``n_target``, the data
     (``validate_reduced``) and the branch once; the order steps trust them.
@@ -309,7 +343,5 @@ def solve_to_order(mp, n_target, branch="stable", sd_floor=1e-12,
     mp.validate_reduced()
     if branch not in ("stable", "unstable"):
         raise ConfigError("branch must be stable or unstable, got %r" % (branch,))
-    pair, residual = init_order2(mp, branch, n_target, sd_floor, assert_tol)
-    while pair.order < n_target:
-        residual = extend_order(mp, pair, residual, sd_floor, assert_tol)
-    return pair
+    return raise_to_order(mp, power_seed(mp, branch), n_target, sd_floor,
+                          assert_tol)

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .fourier import angle_grid
 from .jets import JetStack
-from .pairs import check_finite, residual_jets
+from .pairs import check_finite
 from .quadrature import panel_quadrature, step_polynomials, trajectory
 
 _J_MIN, _J_MAX = 16, 60000   # first and last orbit term where a sum may stop
@@ -313,9 +313,11 @@ def _weighted_sup(values, z, weight):
     return float(np.max(np.abs(values) / np.abs(z)[:, None] ** weight))
 
 
-def contraction_probe(mp, pair, sector, mu, ball_alpha=0.5, samples=(10, 5, 8),
-                      n_iter=12):
-    """Iterate the correction fixed point from zero on a sector grid.
+def contraction_probe(mp, pair, residual, sector, mu, ball_alpha=0.5,
+                      samples=(10, 5, 8), n_iter=12):
+    """Iterate the correction fixed point from zero on a sector grid,
+    around the pair and its full invariance defect ``residual`` as the
+    solve hands it over.
 
     The candidate correction (one scalar field per component, weighted by
     u^{o-k} at the component's contract order o: u^n, u^{n+k-1} and
@@ -327,7 +329,7 @@ def contraction_probe(mp, pair, sector, mu, ball_alpha=0.5, samples=(10, 5, 8),
     of successive update norms, and the weighted invariance defect of the
     corrected parameterization.  Raises Diverged when the ratio stays at or
     above one for five consecutive sweeps, and ConfigError (``check_finite``)
-    when the defect overflowed above the orders the solve reads.
+    when the residual holds a non-finite coefficient.
 
     The undisplaced jets (x, y, the angle tails and the defect tails) are
     stacked once into a ``JetStack``, so each orbit step evaluates them all
@@ -366,8 +368,8 @@ def contraction_probe(mp, pair, sector, mu, ball_alpha=0.5, samples=(10, 5, 8),
     # keep only the genuine defect tail; orders below the invariance contract
     # hold solver roundoff certified small, and would otherwise put a noise
     # floor under the weighted orbit-sum targets
-    gx, gy, gt = residual = residual_jets(mp, pair)
     check_finite(residual)
+    gx, gy, gt = residual
     defects = [gx.tail(ox), gy.tail(oy)] + [g.tail(ot) for g in gt]
     jets = JetStack([pair.x, pair.y, *pair.tails, *defects])
     c_series = mp.shear()

@@ -5,11 +5,12 @@ with the inner normal form: for maps a polynomial  u + r_k u^k + ...  acting
 jointly with the rigid angle rotation, for fields a polynomial vector field
 u-component acting jointly with constant angle frequencies.
 
-Residuals are computed as full jets of the invariance defect and measured on
-their polynomial tails.  Direct floating-point evaluation of the defect
-saturates at machine precision long before the interesting orders, so slope
-measurements use the exactly-representable tail and a separate check that
-the annihilated lower-order coefficients are numerically zero.
+Residuals are computed as full jets of the invariance defect, which a
+solve hands over with its pair, and measured on their polynomial tails.
+Direct floating-point evaluation of the defect saturates at machine
+precision long before the interesting orders, so slope measurements use
+the exactly-representable tail and a separate check that the annihilated
+lower-order coefficients are numerically zero.
 """
 
 from itertools import zip_longest
@@ -195,8 +196,9 @@ class ResidualReport:
         self.components = components
 
 
-def residual_report(data, pair, u_lo=1e-3, u_hi=1e-2, n_u=9, n_grid=24):
-    """Measure the invariance defect order-by-order.
+def residual_report(pair, residual, u_lo=1e-3, u_hi=1e-2, n_u=9, n_grid=24):
+    """Measure the pair's full invariance defect ``residual`` (gx, gy, gt),
+    as a solve hands it over, order by order.
 
     For every component the defect jet is split at the expected leading
     order: coefficients below it must be numerically zero (reported as
@@ -205,7 +207,6 @@ def residual_report(data, pair, u_lo=1e-3, u_hi=1e-2, n_u=9, n_grid=24):
     slope (reported as ``slope``; None when the tail is identically zero).
     A non-finite coefficient at any order is refused first (``check_finite``).
     """
-    residual = residual_jets(data, pair)
     check_finite(residual)
     u = np.geomspace(u_lo, u_hi, n_u)
     mesh = angle_grid(pair.dim, np.arange(n_grid) / n_grid)

@@ -21,7 +21,8 @@ import pytest
 
 import paratori
 from paratori.fourier import FourierSeries
-from paratori.map_solver import extend_order, init_order2, solve_to_order
+from paratori.map_solver import (extend_order, init_order2, power_seed,
+                                 solve_to_order)
 from paratori.mapdata import TaylorFourierMap
 
 GOLDEN = (np.sqrt(5) - 1) / 2
@@ -171,29 +172,29 @@ def shear_example(cut=4):
 def solve_history(data, n_target):
     """The pair of a power-class map or field solved to order ``n_target``
     as ``solve_to_order`` solves it, with a copy of the pair at every order:
-    returns (final_pair, history) where history[i] has invariance order
-    2 + i."""
-    pair, residual = init_order2(data, "stable", n_target)
+    returns (final_pair, final_residual, history) where history[i] has
+    invariance order 2 + i."""
+    pair, residual = init_order2(data, power_seed(data, "stable"), n_target)
     history = [pair.copy()]
     while pair.order < n_target:
         residual = extend_order(data, pair, residual)
         history.append(pair.copy())
-    return pair, history
+    return pair, residual, history
 
 
 @pytest.fixture(scope="session")
 def solved_reference():
     """Reference map solved once to order 8 with the pair at every order;
     reused by the slope, comparison and probe tests to keep the suite fast.
-    Returns (map, final_pair, history) where history[i] has invariance order
-    2 + i."""
+    Returns (map, final_pair, final_residual, history) where history[i] has
+    invariance order 2 + i."""
     mp = reference_map()
-    pair, history = solve_history(mp, 8)
-    return mp, pair, history
+    return (mp,) + solve_history(mp, 8)
 
 
 @pytest.fixture(scope="session")
 def solved_exact_map():
     """``exact_map`` solved once to order 6 through ``solve_to_order``; its
     degenerate-step record is read by the acceptance and map-solver tests."""
-    return solve_to_order(exact_map(), 6)
+    pair, _ = solve_to_order(exact_map(), 6)
+    return pair

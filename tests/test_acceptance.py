@@ -16,11 +16,11 @@ import numpy as np
 from paratori.flow_solver import solve_helicoure
 from paratori.fourier import FourierSeries, solve_sd_flow, solve_sd_map
 from paratori.jets import UPoly
-from paratori.map_solver import init_order2
+from paratori.map_solver import init_order2, power_seed
 from paratori.mapdata import TaylorFourierMap
 from paratori.operators import (Sector, contraction_probe, flow_orbit_integral,
                                 orbit_sum_inverse, sector_iterate_check)
-from paratori.pairs import compare_pairs, residual_report
+from paratori.pairs import compare_pairs, residual_jets, residual_report
 
 from conftest import (GOLDEN, one_mode, reference_flow,
                       reference_map, run_cli, shear_example, solve_history,
@@ -45,7 +45,7 @@ def test_closed_form_seeds_on_random_problems():
             {(0, 1): one_mode(cbar, 0.05, 1, 4)},
             {(k, 0): one_mode(abar, 0.1, 1, 4)},
             [{(p, 0): one_mode(dbar, 0.02, 1, 4)}], k=k, p=p)
-        pair, _ = init_order2(mp)
+        pair, _ = init_order2(mp, power_seed(mp, "stable"))
         r_k = -np.sqrt(cbar * abar / (2 * (k + 1)))
         eta = 2 * r_k / cbar
         lead_w = 2 * p - k + 1
@@ -63,10 +63,10 @@ def test_reference_map_residual_orders():
     # match (n+2, n+3, n+1) within 0.15, all inside a minute
     t0 = time.perf_counter()
     mp = reference_map(cut=32)
-    pair, history = solve_history(mp, 8)
+    _, _, history = solve_history(mp, 8)
     for pr in history:
         n = pr.order
-        rep = residual_report(mp, pr, u_lo=1e-3, u_hi=1e-2)
+        rep = residual_report(pr, residual_jets(mp, pr), u_lo=1e-3, u_hi=1e-2)
         expected = {"x": n + 2, "y": n + 3, "theta_0": n + 1}
         for comp in rep.components:
             want = expected[comp["name"]]
@@ -80,10 +80,11 @@ def test_reference_flow_residual_orders():
     # on a two-torus hull with eight modes per axis
     t0 = time.perf_counter()
     fd = reference_flow(cut=8)
-    pair, history = solve_history(fd, 6)
+    _, _, history = solve_history(fd, 6)
     for pr in history:
         n = pr.order
-        rep = residual_report(fd, pr, u_lo=1e-4, u_hi=1e-3, n_grid=12)
+        rep = residual_report(pr, residual_jets(fd, pr), u_lo=1e-4, u_hi=1e-3,
+                              n_grid=12)
         expected = {"x": n + 2, "y": n + 3, "theta_0": n + 1}
         for comp in rep.components:
             want = expected[comp["name"]]
@@ -92,15 +93,19 @@ def test_reference_flow_residual_orders():
     assert time.perf_counter() - t0 < 120.0
 
 
-def test_degenerate_step_is_solvable(solved_exact_map):
+def test_degenerate_step_is_solvable(solved_exact_map, solved_reference):
     # at order n = k the linear block is singular by construction; the
     # recorded determinant must vanish against the row-norm scale and the
-    # y row must be met with xi = 0 (the block's solvability condition)
-    pair = solved_exact_map
-    diag = pair.diagnostics["degenerate_step"]
-    assert diag["order"] == pair.k
-    assert abs(diag["det"]) <= 1e-12 * max(1.0, diag["det_scale"])
-    assert diag["solvability_defect"] <= 1e-12
+    # y row must be met with xi = 0 (the block's solvability condition).
+    # The exact map's correction vanishes, so only the reference map, whose
+    # correction does not, sees an error in its closed form
+    reference = solved_reference[1]
+    for pair in (solved_exact_map, reference):
+        diag = pair.diagnostics["degenerate_step"]
+        assert diag["order"] == pair.k
+        assert abs(diag["det"]) <= 1e-12 * max(1.0, diag["det_scale"])
+        assert diag["solvability_defect"] <= 1e-12
+    assert reference.diagnostics["degenerate_step"]["normal_form_coeff"] != 0.0
 
 
 def test_cohomological_solves_at_large_mode_box():
@@ -168,7 +173,7 @@ def test_wall_scattering_constants():
 def test_order_step_changes_only_above_the_floor(solved_reference):
     # raising the invariance order from n to n+1 may only alter
     # coefficients from (n+1, n+k, n+2p-k) upward
-    mp, pair, history = solved_reference
+    mp, _, _, history = solved_reference
     k, p = mp.k, mp.p
     for a, b in zip(history, history[1:]):
         n = a.order
@@ -185,9 +190,9 @@ def test_fixed_point_iteration_contracts(solved_reference):
     # iterate the correction operator from the zero candidate around the
     # order-8 pair: ten consecutive update ratios below one and a strictly
     # decreasing invariance defect
-    mp, pair, history = solved_reference
+    mp, pair, residual, _ = solved_reference
     sec = Sector(np.pi / 2, 0.02, 2)
-    rep = contraction_probe(mp, pair, sec, mu=0.5, samples=(8, 5, 8),
+    rep = contraction_probe(mp, pair, residual, sec, mu=0.5, samples=(8, 5, 8),
                             n_iter=12)
     factors = rep["factors"]
     assert len(factors) >= 10
@@ -201,11 +206,11 @@ def test_shear_worked_example():
     # -1/4 and -1/2, and angle drift 3 (direct closed form) or 1.5 (from the
     # solvability average)
     fd = shear_example()
-    closed = solve_helicoure(fd, 5, theta_leading="closed_form")
+    closed, _ = solve_helicoure(fd, 5, theta_leading="closed_form")
     assert abs(closed.y_coeff_avg(2) + 0.25) <= 1e-12
     assert abs(closed.inner.coeff(2) + 0.5) <= 1e-12
     assert abs(closed.tail_coeff_avg(0, 1) - 3.0) <= 1e-12
-    cohom = solve_helicoure(fd, 5, theta_leading="cohomological")
+    cohom, _ = solve_helicoure(fd, 5, theta_leading="cohomological")
     assert abs(cohom.tail_coeff_avg(0, 1) - 1.5) <= 1e-12
 
 

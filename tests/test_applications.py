@@ -20,10 +20,10 @@ def test_autonomous_oscillator_is_exactly_solvable():
     p = OscillatorParams(c_pot=1.0, n_pot=2, alpha=6.0, g=1.0)
     fd = build_oscillator_field(p)
     assert fd.d == 0 and fd.drive == 0
-    pair = solve_flow_to_order(fd, 6)
+    pair, residual = solve_flow_to_order(fd, 6)
     # leading balance: inner velocity coefficient -sqrt(mean/6)
     assert abs(pair.inner.coeff(2) + 1.0) < 1e-13
-    rep = residual_report(fd, pair)
+    rep = residual_report(pair, residual)
     for comp in rep.components:
         # no angles: exact annihilation below the contract; the cubic
         # potential term leaves a pure truncation tail, nothing lower
@@ -36,9 +36,9 @@ def test_forced_oscillator_slopes():
     p = OscillatorParams(c_pot=1.0, n_pot=2, alpha=1.0, g=g, nu=(np.sqrt(2),))
     fd = build_oscillator_field(p)
     assert fd.d == 0 and fd.drive == 1
-    pair = solve_flow_to_order(fd, 5)
+    pair, residual = solve_flow_to_order(fd, 5)
     assert abs(pair.inner.coeff(2) + math.sqrt(1.0 / 6.0)) < 1e-13
-    rep = residual_report(fd, pair, u_lo=1e-4, u_hi=1e-3, n_grid=16)
+    rep = residual_report(pair, residual, u_lo=1e-4, u_hi=1e-3, n_grid=16)
     expected = {"x": 7, "y": 8}
     for comp in rep.components:
         want = expected[comp["name"]]
@@ -72,8 +72,8 @@ def test_oscillator_unstable_matches_transformed_construction():
     g = FourierSeries.from_modes({(1,): 0.15}, 1, 12) + 1.0
     p = OscillatorParams(c_pot=1.0, n_pot=2, alpha=1.0, g=g, nu=(np.sqrt(2),))
     fd = build_oscillator_field(p)
-    direct = solve_flow_to_order(fd, 5, branch="unstable")
-    mirrored = solve_flow_to_order(
+    direct, _ = solve_flow_to_order(fd, 5, branch="unstable")
+    mirrored, _ = solve_flow_to_order(
         fd.transformed_field(sx=1, sy=-1, time_sign=-1), 5)
     # the time-reversal conjugation negates the vertical jet and the inner
     # velocity while fixing the horizontal jet
@@ -132,7 +132,7 @@ def test_wall_expanded_leading_drift_vanishes():
     # normalized variables
     p = HeCuParams(D=6.35, alpha_morse=1.05, m=1.0, h=2 * 6.35)
     fd, _ = build_hecu_field(p, expansion="expanded")
-    pair = solve_helicoure(fd, 4, theta_leading="cohomological")
+    pair, _ = solve_helicoure(fd, 4, theta_leading="cohomological")
     assert abs(pair.tail_coeff_avg(0, 1)) < 1e-10
 
 
@@ -159,7 +159,7 @@ def test_wall_manifolds_report():
 def test_wall_pullback_changes_vertical_jet_only():
     p = HeCuParams(D=6.35, alpha_morse=1.05, m=1.0, h=2 * 6.35)
     fd, record = build_hecu_field(p, deg=7)
-    normalized = solve_helicoure(fd, 5)
+    normalized, _ = solve_helicoure(fd, 5)
     stable, _, _, _ = hecu_manifolds(p, 5)
     for n in normalized.x.orders():
         assert (normalized.x.coefficient(n)

@@ -471,12 +471,13 @@ FLOW_CONFIG = {"problem": "custom-flow", "n_target": 3,
 # runs refused before any output: a helicoure sweep whose second entry
 # leaves the shear class, a hecu sweep whose second entry closes the
 # channel (h <= D), an oscillator whose data overflows in the solve, a
-# probe whose defect overflows only above the orders the solve reads,
-# sweeps whose second entry has a leading mean of the wrong sign or zero,
-# and oscillators whose mean forcing is negative or zero (alpha 0 leaves
-# no x^2 term at all)
+# diagnose run whose defect overflows only at the truncation, above the
+# orders the order steps read (the last step's check reads the full
+# residual and refuses it before the probe starts), sweeps whose second
+# entry has a leading mean of the wrong sign or zero, and oscillators whose
+# mean forcing is negative or zero (alpha 0 leaves no x^2 term at all)
 REFUSED_RUNS = [
-    ("diagnose_probe_data_overflows_above_the_cut", "diagnose-operators",
+    ("diagnose_data_overflows_at_the_truncation", "diagnose-operators",
      DIAG_CONFIG, lambda c: c["map"]["y_terms"].update({"3,0": 1e200}),
      "ConfigError"),
     ("helicoure_sweep_pure_x_squared", "helicoure", HELI_CONFIG,

@@ -11,7 +11,7 @@ from paratori.flow_solver import (solve_flow_to_order, solve_helicoure,
                                   validate_shear_field)
 from paratori.fourier import FourierSeries
 from paratori.mapdata import TaylorFourierMap
-from paratori.pairs import residual_jets, residual_report
+from paratori.pairs import residual_report
 
 from conftest import GOLDEN, exact_flow, one_mode, reference_flow, shear_example
 
@@ -29,7 +29,7 @@ def worst_below(jets, leads):
 
 def test_exact_flow_fixture():
     fd = exact_flow()
-    pair = solve_flow_to_order(fd, 6)
+    pair, _ = solve_flow_to_order(fd, 6)
     # K = (u^2, -2u^3, theta - u) with inner velocity -u^2
     assert abs(pair.y_coeff_avg(3) + 2) < 1e-12
     assert abs(pair.inner.coeff(2) + 1) < 1e-14
@@ -44,8 +44,8 @@ def test_exact_flow_fixture():
 
 def test_driven_flow_slopes():
     fd = reference_flow()
-    pair = solve_flow_to_order(fd, 6)
-    rep = residual_report(fd, pair, u_lo=1e-4, u_hi=1e-3, n_grid=12)
+    pair, residual = solve_flow_to_order(fd, 6)
+    rep = residual_report(pair, residual, u_lo=1e-4, u_hi=1e-3, n_grid=12)
     expected = {"x": 8, "y": 9, "theta_0": 7}
     for comp in rep.components:
         want = expected[comp["name"]]
@@ -55,7 +55,7 @@ def test_driven_flow_slopes():
 
 def test_shear_example_closed_pair():
     fd = shear_example()
-    pair = solve_helicoure(fd, 6, theta_leading="cohomological")
+    pair, _ = solve_helicoure(fd, 6, theta_leading="cohomological")
     # exactly K = (u, -u^2/4, theta + 1.5 u), inner velocity -u^2/2
     assert abs(pair.y_coeff_avg(2) + 0.25) < 1e-14
     assert abs(pair.inner.coeff(2) + 0.5) < 1e-14
@@ -74,7 +74,7 @@ def test_shear_theta_leading_conventions():
     # the alternative convention leaves a standing average defect in the
     # angle direction which is reported, not hidden
     fd = shear_example()
-    closed = solve_helicoure(fd, 6, theta_leading="closed_form")
+    closed, _ = solve_helicoure(fd, 6, theta_leading="closed_form")
     assert abs(closed.tail_coeff_avg(0, 1) - 3.0) < 1e-14
     defect = closed.diagnostics["theta_leading_defect"]
     assert abs(defect[0] + 1.5) < 1e-14
@@ -107,8 +107,8 @@ def test_rich_shear_slopes_both_conventions():
     fd = rich_shear()
     expected = {"x": 8, "y": 9, "theta_0": 8}
     for mode in ("cohomological", "closed_form"):
-        pair = solve_helicoure(fd, 6, theta_leading=mode)
-        rep = residual_report(fd, pair, u_lo=1e-4, u_hi=1e-3)
+        pair, residual = solve_helicoure(fd, 6, theta_leading=mode)
+        rep = residual_report(pair, residual, u_lo=1e-4, u_hi=1e-3)
         for comp in rep.components:
             want = expected[comp["name"]]
             assert comp["slope"] is None or abs(comp["slope"] - want) < 0.2
@@ -121,8 +121,7 @@ def test_rich_shear_slopes_both_conventions():
 
 def test_rich_shear_standing_defect_identity():
     fd = rich_shear()
-    pair = solve_helicoure(fd, 6, theta_leading="closed_form")
-    gx, gy, gt = residual_jets(fd, pair)
+    pair, (gx, gy, gt) = solve_helicoure(fd, 6, theta_leading="closed_form")
     resid2 = gt[0].coefficient(2).average()
     want = pair.inner.coeff(2) * pair.diagnostics["theta_leading_defect"][0]
     assert abs(resid2 - want) < 1e-12
@@ -132,17 +131,17 @@ def test_rich_shear_standing_defect_identity():
 
 def test_shear_unstable_branch_against_original():
     fd = rich_shear()
-    pair = solve_helicoure(fd, 6, branch="unstable", theta_leading="cohomological")
+    pair, (gx, gy, gt) = solve_helicoure(fd, 6, branch="unstable",
+                                         theta_leading="cohomological")
     assert pair.inner.coeff(2) > 0
-    gx, gy, gt = residual_jets(fd, pair)
     assert worst_below((gx, gy, gt[0]), (8, 9, 8)) < 1e-9 * pair.size()
 
 
 def test_simple_shear_unstable_branch():
     fd = shear_example()
-    pair = solve_helicoure(fd, 6, branch="unstable", theta_leading="cohomological")
+    pair, (gx, gy, gt) = solve_helicoure(fd, 6, branch="unstable",
+                                         theta_leading="cohomological")
     assert abs(pair.inner.coeff(2) - 0.5) < 1e-14
-    gx, gy, gt = residual_jets(fd, pair)
     assert worst_below((gx, gy, gt[0]), (8, 9, 8)) < 1e-11
 
 
@@ -179,13 +178,12 @@ def test_shear_positive_mean_swaps_natural_branch():
     # expanding branch and the contracting one comes from conjugation
     fd = TaylorFourierMap("field", 1, 0, 4, (GOLDEN,),
                           {(0, 1): 2.0}, {(1, 1): 1.0}, [{(0, 1): 3.0}])
-    unstable = solve_helicoure(fd, 4, branch="unstable",
+    unstable, _ = solve_helicoure(fd, 4, branch="unstable",
                                theta_leading="cohomological")
-    stable = solve_helicoure(fd, 4, branch="stable",
+    stable, (gx, gy, gt) = solve_helicoure(fd, 4, branch="stable",
                              theta_leading="cohomological")
     assert abs(unstable.inner.coeff(2) - 0.5) < 1e-14
     assert abs(stable.inner.coeff(2) + 0.5) < 1e-14
     assert "via_conjugation" not in unstable.diagnostics
     assert stable.diagnostics.get("via_conjugation")
-    gx, gy, gt = residual_jets(fd, stable)
     assert worst_below((gx, gy, gt[0]), (6, 7, 6)) < 1e-11

@@ -33,7 +33,7 @@ def test_canonical_json_handles_numpy_scalars():
 
 def test_pair_payload_round_trip():
     mp = exact_map()
-    pair = solve_to_order(mp, 5)
+    pair, _ = solve_to_order(mp, 5)
     payload = pair_payload(pair)
     back = pair_from_payload(payload)
     diff = compare_pairs(pair, back, tol=1e-15)
@@ -47,8 +47,8 @@ def test_pair_payload_round_trip():
 
 def test_report_payload_and_csv():
     mp = reference_map(cut=16)
-    pair = solve_to_order(mp, 3)
-    rep = residual_report(mp, pair, n_u=5, n_grid=12)
+    pair, residual = solve_to_order(mp, 3)
+    rep = residual_report(pair, residual, n_u=5, n_grid=12)
     payload = report_payload(rep)
     names = [c["name"] for c in payload["components"]]
     assert names == ["x", "y", "theta_0"]
@@ -62,7 +62,7 @@ def test_report_payload_and_csv():
 
 
 def test_compare_pairs_counts_nan_as_a_difference():
-    pair = solve_to_order(exact_map(), 3)
+    pair, _ = solve_to_order(exact_map(), 3)
     bad = pair.copy()
     top = bad.y.orders()[-1]
     bad.y.set_coefficient(top, bad.y.coefficient(top) * float("nan"))
@@ -73,7 +73,7 @@ def test_compare_pairs_counts_nan_as_a_difference():
 
 
 def test_compare_pairs_counts_a_missing_tail_as_the_zero_jet():
-    pair = solve_to_order(exact_map(), 3)
+    pair, _ = solve_to_order(exact_map(), 3)
     bare = pair.copy()
     bare.tails = []
     lead = pair.tails[0].orders()[0]

@@ -9,11 +9,13 @@ from paratori.errors import (ConfigError, NonPositiveLeadingCoefficient,
 import paratori.flow_solver as flow_solver
 import paratori.map_solver as map_solver
 from paratori.flow_solver import solve_flow_to_order, solve_helicoure
-from paratori.map_solver import extend_order, init_order2, solve_to_order
+from paratori.map_solver import (extend_order, init_order2, power_seed,
+                                 solve_to_order)
 from paratori.ioutil import canonical_json, pair_payload
 from paratori.jets import UPoly
 from paratori.mapdata import TaylorFourierMap
-from paratori.pairs import compare_pairs, residual_jets, residual_report
+from paratori.pairs import (compare_pairs, named_components, residual_jets,
+                            residual_report)
 
 from conftest import (GOLDEN, exact_map, one_mode, reference_flow,
                       reference_map, shear_example, solve_history)
@@ -73,8 +75,8 @@ def helicoure_field():
 
 @pytest.mark.parametrize("solve, resonant, landing", [
     (lambda request: request.getfixturevalue("solved_exact_map"), 2, 3),
-    (lambda request: solve_to_order(power_k3_map(), 5), 3, 5),
-    (lambda request: solve_helicoure(helicoure_field(), 4), 2, 3),
+    (lambda request: solve_to_order(power_k3_map(), 5)[0], 3, 5),
+    (lambda request: solve_helicoure(helicoure_field(), 4)[0], 2, 3),
 ], ids=["exact_map", "power_k3_p2", "shear"])
 def test_degenerate_step_solves_cleanly(request, solve, resonant, landing):
     # at the resonant order the 2x2 block is singular; it must carry a
@@ -94,7 +96,7 @@ def test_singular_step_away_from_resonance():
     # (n+1)(n+k) r_k^2 - k mean(a) mean(c); with r_k moved onto its zero at
     # n = 3 != k the step is refused
     mp = exact_map()
-    pair, residual = init_order2(mp, n_target=4)
+    pair, residual = init_order2(mp, power_seed(mp, "stable"), 4)
     residual = extend_order(mp, pair, residual)
     n = pair.order
     abar = mp.y_terms.coefficient((mp.k, 0)).average()
@@ -118,7 +120,7 @@ def test_closed_form_seeds():
             {(0, 1): one_mode(cbar, 0.05, 1, 4)},
             {(k, 0): one_mode(abar, 0.1, 1, 4)},
             [{(p, 0): one_mode(dbar, 0.02, 1, 4)}], k=k, p=p)
-        pair, _ = init_order2(mp)
+        pair, _ = init_order2(mp, power_seed(mp, "stable"))
         r_k = -np.sqrt(cbar * abar / (2 * (k + 1)))
         assert abs(pair.inner.coeff(k) - r_k) < 1e-12 * abs(r_k)
         eta = 2 * r_k / cbar
@@ -129,12 +131,12 @@ def test_closed_form_seeds():
 
 
 def test_reference_map_orders_and_slopes(solved_reference):
-    mp, pair, history = solved_reference
+    mp, pair, _, history = solved_reference
     assert pair.order == 8
     assert history[0].order == 2 and history[-1].order == 8
     four = history[2]
     assert four.order == 4
-    rep = residual_report(mp, four)
+    rep = residual_report(four, residual_jets(mp, four))
     by_name = {c["name"]: c for c in rep.components}
     assert abs(by_name["x"]["slope"] - 6) < 0.15
     assert abs(by_name["y"]["slope"] - 7) < 0.15
@@ -144,7 +146,7 @@ def test_reference_map_orders_and_slopes(solved_reference):
 
 
 def test_successive_orders_differ_at_the_right_place(solved_reference):
-    mp, pair, history = solved_reference
+    _, _, _, history = solved_reference
     a, b = history[1], history[2]  # orders 3 and 4
     diff = compare_pairs(a, b)
     # raising the order by one may only touch coefficients above
@@ -158,7 +160,7 @@ def test_successive_orders_differ_at_the_right_place(solved_reference):
 
 def test_unstable_branch_against_original_map():
     mp = reference_map(cut=16)
-    pair = solve_to_order(mp, 5, branch="unstable")
+    pair, _ = solve_to_order(mp, 5, branch="unstable")
     assert abs(pair.inner.coeff(2) - 1.0) < 1e-12
     assert residual_below_contract(mp, pair) < 1e-9 * pair.size()
 
@@ -169,8 +171,7 @@ def test_truncation_guard():
     fd = shear_example()
     cases = [(exact_map(), solve_to_order(exact_map(), 3)),
              (fd, solve_helicoure(fd, 2))]
-    for mp, pair in cases:
-        opening = residual_jets(mp, pair)
+    for mp, (pair, opening) in cases:
         with pytest.raises(TruncationTooLow):
             while pair.order < 12:
                 opening = extend_order(mp, pair, opening)
@@ -179,6 +180,14 @@ def test_truncation_guard():
 def top_contract_order(pair):
     """The largest contract order: the cut of an order step's residuals."""
     return max(o for o in pair.contract_orders() if o is not None)
+
+
+def checked_cut(pair):
+    """The cut of the residual a step evaluates for the pair as it stands:
+    its largest contract order, or its truncation once that order is one
+    below it (the step that reaches n_target expands the full residual)."""
+    top = top_contract_order(pair)
+    return pair.trunc if top + 1 == pair.trunc else top
 
 
 def assert_same_below(got, full, top):
@@ -201,7 +210,7 @@ def test_cut_residual_is_exact_below_the_cut():
     cases = [(mp, solve_to_order(mp, 5)), (flow, solve_flow_to_order(flow, 4))]
     cases += [(fd, solve_helicoure(fd, 4, branch=branch))
               for branch in ("stable", "unstable")]
-    for data, pair in cases:
+    for data, (pair, _) in cases:
         full = residual_jets(data, pair)
         orders = [o for o in pair.contract_orders() if o is not None]
         assert max(orders) < pair.trunc
@@ -212,8 +221,9 @@ def test_cut_residual_is_exact_below_the_cut():
 def test_reused_residual_is_exact(monkeypatch):
     # the residual a step opens with (from the seed or the previous step) and
     # the one it returns are exactly a fresh evaluation up to the step's cut
-    # (the largest contract order) and hold nothing above it, for the power
-    # class (map and flow) and both branches of the shear class
+    # (the largest contract order, the truncation at the last step) and hold
+    # nothing above it, for the power class (map and flow) and both branches
+    # of the shear class
     steps = []
     step = map_solver.extend_order
 
@@ -221,8 +231,7 @@ def test_reused_residual_is_exact(monkeypatch):
         assert_same_below(opening, residual_jets(data, pair),
                           top_contract_order(pair))
         closing = step(data, pair, opening, *args)
-        assert_same_below(closing, residual_jets(data, pair),
-                          top_contract_order(pair))
+        assert_same_below(closing, residual_jets(data, pair), checked_cut(pair))
         steps.append(pair.family)
         return closing
 
@@ -237,16 +246,17 @@ def test_reused_residual_is_exact(monkeypatch):
 
 def test_order_step_evaluates_the_residual_twice(monkeypatch):
     # at most two residuals per order step, each cut at the pair's largest
-    # contract order at the moment of the call
+    # contract order at the moment of the call, except the last check's,
+    # which is the full residual
     calls = []
 
     def counted(data, pair, top=None):
-        calls.append((top, top_contract_order(pair)))
+        calls.append((top, checked_cut(pair)))
         return residual_jets(data, pair, top=top)
 
     monkeypatch.setattr(map_solver, "residual_jets", counted)
     mp = reference_map(cut=8)
-    init_order2(mp)
+    init_order2(mp, power_seed(mp, "stable"))
     seed = len(calls)
     del calls[:]
     solve_to_order(mp, 8)
@@ -289,7 +299,7 @@ def test_wrong_sign_leading_coefficient():
 
 def test_default_trunc_bounds_tail():
     mp = reference_map(cut=8)
-    pair = solve_to_order(mp, 4)
+    pair, _ = solve_to_order(mp, 4)
     assert pair.trunc == 4 + 2 * 2  # n_target + 2 max(k, p), k = 2, p = 1
     assert pair.x.orders()[-1] <= pair.trunc
     assert pair.y.orders()[-1] <= pair.trunc
@@ -304,11 +314,11 @@ def driven_field(p):
 
 @pytest.mark.parametrize("solve, n_target, trunc", [
     # power class with a dynamic angle: n + 2 max(k, p)
-    (lambda n: solve_to_order(reference_map(cut=8), n), 5, 9),
+    (lambda n: solve_to_order(reference_map(cut=8), n)[0], 5, 9),
     # no dynamic angle: n + 2k, also when the field names p = 3 > k
-    (lambda n: solve_flow_to_order(driven_field(3), n), 4, 8),
+    (lambda n: solve_flow_to_order(driven_field(3), n)[0], 4, 8),
     # shear class: n + 4
-    (lambda n: solve_helicoure(shear_example(), n), 4, 8),
+    (lambda n: solve_helicoure(shear_example(), n)[0], 4, 8),
 ], ids=["power", "power_without_angle", "shear"])
 def test_truncation_follows_from_n_target(solve, n_target, trunc):
     # a solve is truncated one above the largest contract order at n_target
@@ -320,7 +330,7 @@ def test_truncation_follows_from_n_target(solve, n_target, trunc):
 def test_truncation_ignores_p_without_a_dynamic_angle():
     # with d = 0 the data's p plays no part: the pair solved with p = 3 is
     # the pair solved without p, truncation and coefficients alike
-    named, plain = (pair_payload(solve_flow_to_order(driven_field(p), 4))
+    named, plain = (pair_payload(solve_flow_to_order(driven_field(p), 4)[0])
                     for p in (3, None))
     assert (named.pop("p"), plain.pop("p")) == (3, None)
     assert canonical_json(named) == canonical_json(plain)
@@ -330,10 +340,31 @@ def test_truncation_ignores_p_without_a_dynamic_angle():
                                              (reference_flow, 4)])
 def test_solve_history_matches_solve_to_order(build, n_target):
     # the residual-slope tests read per-order pairs from the conftest
-    # helper; its final pair must be the entry point's, byte for byte
+    # helper; its final pair and residual must be the entry point's, byte
+    # for byte and bit for bit
     data = build()
-    pair, history = solve_history(data, n_target)
+    pair, residual, history = solve_history(data, n_target)
     assert [p.order for p in history] == list(range(2, n_target + 1))
-    direct = canonical_json(pair_payload(solve_to_order(data, n_target)))
+    direct_pair, direct_residual = solve_to_order(data, n_target)
+    direct = canonical_json(pair_payload(direct_pair))
     assert canonical_json(pair_payload(pair)) == direct
     assert canonical_json(pair_payload(history[-1])) == direct
+    assert_same_below(residual, direct_residual, pair.trunc)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: (reference_map(cut=8), solve_to_order(reference_map(cut=8), 5)),
+    lambda: (reference_flow(cut=4), solve_flow_to_order(reference_flow(cut=4), 4)),
+    lambda: (helicoure_field(), solve_helicoure(helicoure_field(), 4)),
+    lambda: (helicoure_field(), solve_helicoure(helicoure_field(), 4,
+                                                branch="unstable")),
+], ids=["power_map", "power_field", "shear_natural", "shear_conjugated"])
+def test_solve_hands_over_the_full_residual(solve):
+    # every entry point returns the residual its last step checked, and it
+    # is the pair's full residual at every order up to the truncation, bit
+    # for bit, so nothing after a solve needs to evaluate it again
+    data, (pair, residual) = solve()
+    full = residual_jets(data, pair)
+    assert max(jet.orders()[-1] for _, jet, _ in named_components(full)) \
+        == pair.trunc
+    assert_same_below(residual, full, pair.trunc)

@@ -221,7 +221,7 @@ def test_general_map_normalization_conjugates():
     mp = general_dynamics("map", cut)
     reduced, record = reduce_general_map(mp, deg)
     reduced.validate_reduced()
-    assert solve_to_order(reduced, 4).order == 4
+    assert solve_to_order(reduced, 4)[0].order == 4
     # reduced(x, y + h, theta) is the change y -> y + h applied to mp(x, y, theta)
     h = record.forward
     errs = []

@@ -5,8 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from paratori.errors import (BoundViolated, FlowLeftSector, HypothesisViolated,
-                             TailNotConverged)
+from paratori.errors import (BoundViolated, ConfigError, FlowLeftSector,
+                             HypothesisViolated, TailNotConverged)
 from paratori.fourier import FourierSeries
 from paratori.jets import UPoly
 from paratori.map_solver import solve_to_order
@@ -15,6 +15,7 @@ from paratori.operators import (Sector, contraction_probe, flow_inverse,
                                 flow_inverse_norm_limit, flow_orbit_integral,
                                 map_inverse_norm_limit, orbit_sum_inverse,
                                 sector_iterate_check)
+from paratori.pairs import residual_report
 from paratori import quadrature
 from paratori.quadrature import QUAD_CHUNK, _G7_W, _GK_W, _GK_X
 
@@ -230,16 +231,35 @@ def test_flow_inverse_norm_bound_on_samples():
     assert worst <= lim
 
 
+def test_measurements_refuse_a_non_finite_residual():
+    # the report and the probe measure the residual a solve hands over; one
+    # non-finite coefficient in it is refused before anything is measured,
+    # and the ConfigError names its order and component
+    mp = reference_map(cut=8)
+    pair, (gx, gy, gt) = solve_to_order(mp, 3)
+    bad = gy.copy()
+    bad.set_coefficient(5, FourierSeries.constant(np.inf, pair.dim, pair.cut))
+    residual = (gx, bad, gt)
+    sec = Sector(np.pi / 2, 0.02, 2)
+    # a probe small enough to end quickly should it start on the residual
+    probe = dict(mu=0.5, samples=(2, 2, 1), n_iter=1)
+    for measure in (lambda: residual_report(pair, residual),
+                    lambda: contraction_probe(mp, pair, residual, sec, **probe)):
+        with pytest.raises(ConfigError) as err:
+            measure()
+        assert err.value.detail == {"order": 5, "component": "y"}
+
+
 def test_probe_contracts_on_reference_map():
     # small instance of the fixed-point iteration: truncate at order 5 and
     # run a few sweeps; every update ratio must stay below one and the
     # invariance defect of the candidates must keep shrinking
     mp = reference_map(cut=16)
-    pair = solve_to_order(mp, 5)
+    pair, residual = solve_to_order(mp, 5)
     sec = Sector(np.pi / 2, 0.02, 2)
     # at this low truncation the first correction is O(1) in the weighted
     # norm, so give the locality check a wide ball; contraction is the point
-    rep = contraction_probe(mp, pair, sec, mu=0.5, samples=(5, 4, 4),
+    rep = contraction_probe(mp, pair, residual, sec, mu=0.5, samples=(5, 4, 4),
                             n_iter=6, ball_alpha=2.0)
     assert not rep["left_ball"]
     assert len(rep["factors"]) >= 4
