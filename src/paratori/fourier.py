@@ -35,9 +35,12 @@ moves them far past its tolerance.  Importing this module loads numpy
 only.
 
 Pointwise values come from ``eval_stack``: a stack of coefficient boxes is
-evaluated at a batch of angles against one mode basis per axis, built once
-for the batch from powers of e^{2 pi i theta}; ``FourierSeries.eval`` is its
-one-row case.
+cut to its occupied band, the smallest centred box holding every nonzero
+coefficient, and evaluated at a batch of angles against one mode basis per
+axis, built once for the batch from powers of e^{2 pi i theta} up to that
+band; ``FourierSeries.eval`` is its one-row case.  A term table whose
+series carry a few low modes on a large box is evaluated on those modes
+alone.
 """
 
 import functools
@@ -365,9 +368,12 @@ def eval_stack(coeffs, theta=None):
     ``coeffs`` holds m coefficient boxes, shape (m,) + (2*cut+1,)*dim;
     ``theta`` has shape (..., dim), None being the one point of dim 0.
     Returns shape (m,) + batch, real for real angles and complex for
-    complexified ones.  The mode basis of each axis is built once for the
-    whole batch (``_axis_basis``) and the stack is contracted against it
-    one axis at a time, so a dim-0 stack is its constants on every point.
+    complexified ones.  The stack is first cut to its occupied band, the
+    smallest centred box |k|_inf <= K that holds every nonzero coefficient
+    (only exact zeros are dropped).  The mode basis of each axis is built
+    once for the whole batch up to K (``_axis_basis``) and the stack is
+    contracted against it one axis at a time, so a dim-0 stack is its
+    constants on every point.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     dim = coeffs.ndim - 1
@@ -379,9 +385,12 @@ def eval_stack(coeffs, theta=None):
                                 % (theta.shape, dim))
     batch = theta.shape[:-1]
     pts = theta.reshape(math.prod(batch), dim)
-    vals = coeffs[:, None]
+    cut = coeffs.shape[-1] // 2 if dim else 0
+    band = int(np.abs(np.argwhere(coeffs)[:, 1:] - cut).max(initial=0))
+    vals = coeffs[(slice(None),) + (slice(cut - band, cut + band + 1),) * dim]
+    vals = vals[:, None]
     for a in range(dim):
-        basis = _axis_basis(pts[:, a], coeffs.shape[1] // 2)
+        basis = _axis_basis(pts[:, a], band)
         vals = np.einsum("ib,mbi...->mb...", basis, vals)
     vals = np.broadcast_to(vals, (coeffs.shape[0], pts.shape[0]))
     return np.array((vals if complex_in else vals.real).reshape(

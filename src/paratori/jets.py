@@ -333,11 +333,21 @@ class JetStack:
     def eval_grid(self, u_values, theta_points=None):
         """Values of every jet on the product of a u-array and a batch of
         angle points: shape (jets, len(u)) + batch_shape, complex when u or
-        the angles are."""
+        the angles are.
+
+        A u of shape (steps, rows) pairs each step's rows with that step's
+        own angle batch, angles of shape (steps,) + batch_shape + (dim,),
+        and gives shape (jets, steps, rows) + batch_shape.
+        """
         u = np.atleast_1d(np.asarray(u_values))
         u = u.astype(np.result_type(u, float), copy=False)
-        u_pow = self.select[:, None, :] * u[:, None] ** self.orders
-        return np.tensordot(u_pow, eval_stack(self.coeffs, theta_points), 1)
+        lead = u.ndim - 1
+        vals = eval_stack(self.coeffs, theta_points)
+        batch = vals.shape[1 + lead:]
+        vals = np.moveaxis(vals.reshape(vals.shape[:1 + lead] + (-1,)), 0, -2)
+        select = self.select.reshape((len(self.select),) + (1,) * u.ndim + (-1,))
+        u_pow = select * u[..., None] ** self.orders
+        return (u_pow @ vals).reshape(u_pow.shape[:-1] + batch)
 
 
 # ----- substitution with its angle-argument Taylor expansion -----------------

@@ -7,11 +7,15 @@ Everything here is a sampled, fixed-resolution diagnostic — grids and
 truncation indices are finite and reported, so the outputs are evidence,
 not certified enclosures.
 
-SciPy is imported on first use: the contraction probe imports its grid
-interpolation when it builds one, and the trajectory integrals import its
-ODE solver through ``quadrature.trajectory``.  Importing this module loads
-numpy only, so the solve commands never load SciPy.
+The contraction probe runs on numpy alone: its candidate corrections are
+interpolated multilinearly by ``_GridFunction``.  Only the trajectory
+integrals use SciPy, whose ODE solver ``quadrature.trajectory`` imports on
+first use.  Importing this module loads numpy only, so the solve commands
+and the map diagnostics never load SciPy.
 """
+
+import itertools
+import math
 
 import numpy as np
 
@@ -26,7 +30,8 @@ from .errors import (
 from .fourier import angle_grid
 from .jets import JetStack
 from .pairs import check_finite
-from .quadrature import panel_quadrature, step_polynomials, trajectory
+from .quadrature import (QUAD_CHUNK, panel_quadrature, step_polynomials,
+                         trajectory)
 
 _J_MIN, _J_MAX = 16, 60000   # first and last orbit term where a sum may stop
 
@@ -108,7 +113,16 @@ def _tail(term, s, x, q):
 def _orbit_sum(term, inner, freqs, z0, pts0, eta_orders, mu, targets):
     """-sum_j term(R^j(z0), pts0 + j*omega), per component a (rows, angle
     points) array.  A row stops once j >= _J_MIN and every component's
-    tail after the j-th term is at most half of its per-row target."""
+    tail after the j-th term is at most half of its per-row target.
+
+    The orbit and the angles do not depend on the terms, so ``term`` takes
+    a block of steps of the rows still running: ``zs`` of shape (steps,
+    rows) and ``pts`` of shape (steps, angle points, dim), and returns per
+    component an array of shape (steps, rows, angle points).  A block holds
+    at most ``QUAD_CHUNK`` points (at least one step); within it the terms
+    are summed and the rows stopped one step at a time, as a loop over
+    single steps would.
+    """
     rules = {c: _decay(inner, o, mu, z0) for c, o in eta_orders.items()}
     totals = None
     active = np.ones(z0.size, dtype=bool)
@@ -119,20 +133,33 @@ def _orbit_sum(term, inner, freqs, z0, pts0, eta_orders, mu, targets):
             raise TailNotConverged(
                 "%d rows above tail target after %d orbit terms"
                 % (int(active.sum()), _J_MAX))
-        terms = term(z[active], np.mod(pts0 + shift, 1.0))
+        rows = np.flatnonzero(active)
+        steps = min(max(1, QUAD_CHUNK // (rows.size * len(pts0))),
+                    _J_MAX + 1 - j)
+        zs = np.empty((steps, rows.size), dtype=z.dtype)
+        pts = np.empty((steps,) + pts0.shape)
+        for s in range(steps):
+            zs[s] = z[rows]
+            pts[s] = np.mod(pts0 + shift, 1.0)
+            z = inner(z)
+            shift = shift + freqs
+        block = term(zs, pts)
         if totals is None:  # the first terms fix the dtype: real in, real out
-            totals = {c: np.zeros_like(t) for c, t in terms.items()}
-        done = np.ones(int(active.sum()), dtype=bool)
-        for c, t in terms.items():
-            totals[c][active] += t
-            q, x = rules[c]
-            tail = _tail(np.abs(t).max(axis=1), j, x[active], q)
-            done &= tail <= targets[c][active] / 2
-        if j >= _J_MIN:
-            active[np.flatnonzero(active)[done]] = False
-        z = inner(z)
-        shift = shift + freqs
-        j += 1
+            totals = {c: np.zeros_like(t[0]) for c, t in block.items()}
+        for s in range(steps):
+            live = active[rows]
+            done = np.ones(int(live.sum()), dtype=bool)
+            for c, t in block.items():
+                t = t[s, live]
+                totals[c][active] += t
+                q, x = rules[c]
+                tail = _tail(np.abs(t).max(axis=1), j, x[active], q)
+                done &= tail <= targets[c][active] / 2
+            if j >= _J_MIN:
+                active[np.flatnonzero(active)[done]] = False
+            j += 1
+            if not active.any():
+                break
     return {c: -t for c, t in totals.items()}
 
 
@@ -204,11 +231,14 @@ def orbit_sum_inverse(eta, inner, freqs, u, theta=None, *, eta_order, mu,
     the contraction probe's orbit sum on one point.
     """
     pts0 = np.reshape([] if theta is None else theta, (1, -1)).astype(float)
-    total = _orbit_sum(
-        lambda z, pts: {"eta": np.array([[eta(z[0], None if theta is None
-                                               else pts[0])]])},
-        inner, freqs, np.array([u]), pts0,
-        {"eta": eta_order}, mu, {"eta": np.array([tail_tol])})
+
+    def term(zs, pts):
+        return {"eta": np.reshape(
+            [eta(z, None if theta is None else p[0])
+             for z, p in zip(zs[:, 0], pts)], (-1, 1, 1))}
+
+    total = _orbit_sum(term, inner, freqs, np.array([u]), pts0,
+                       {"eta": eta_order}, mu, {"eta": np.array([tail_tol])})
     return total["eta"][0, 0]
 
 
@@ -268,45 +298,62 @@ def flow_inverse(eta, velocity, freqs, u, theta=None, **kw):
 # ----- contraction probe ----------------------------------------------------
 
 
+def _cell(nodes, x):
+    """Bracketing node indices (i, j) and weight w of points ``x`` on an
+    ascending axis, ``x`` clamped to the axis ends: x = (1-w) x_i + w x_j
+    (i == j and w == 0 on a one-node axis)."""
+    x = np.clip(x, nodes[0], nodes[-1])
+    i = np.clip(np.searchsorted(nodes, x, side="right") - 1,
+                0, max(nodes.size - 2, 0))
+    j = np.minimum(i + 1, nodes.size - 1)
+    span = nodes[j] - nodes[i]
+    w = np.divide(x - nodes[i], span, out=np.zeros_like(x), where=span > 0)
+    return i, j, w
+
+
 class _GridFunction:
     """Interpolated candidate correction on the sector x torus grid.
 
     Stores each component's values normalized by u^weight, stacked on a
-    trailing value axis of one (log radius, argument, angles...) grid, so a
-    query finds its bracketing cells once for all components; evaluation
-    clamps the sector coordinates to the grid box (nearest-edge
-    continuation) and wraps the torus axes.
+    trailing value axis of one (log radius, argument, angles...) table, so
+    a query finds its bracketing cells once for all components, and
+    interpolates multilinearly between the cell corners.  The sector
+    coordinates are clamped to the grid box (nearest-edge continuation);
+    each torus axis carries its node 0 again at angle 1, so the angles
+    wrap across 1 -> 0.
     """
 
     def __init__(self, log_r, args, theta_axes, z_flat, values, weights):
-        from scipy.interpolate import RegularGridInterpolator
-
         self.weights = weights
-        self.log_r = log_r
-        self.args = args
         scaled = np.stack([v / z_flat[:, None] ** w
                            for v, w in zip(values, weights)], axis=-1)
         pad = scaled.reshape(len(log_r), len(args),
                              *(len(t) for t in theta_axes), len(weights))
-        axes = [log_r, args]
+        self.axes = [log_r, args]
         for i, t in enumerate(theta_axes):
             pad = np.concatenate([pad, pad.take([0], axis=2 + i)], axis=2 + i)
-            axes.append(np.concatenate([t, [1.0]]))
-        self._interp = RegularGridInterpolator(
-            tuple(axes), pad, method="linear", bounds_error=False, fill_value=None)
+            self.axes.append(np.concatenate([t, [1.0]]))
+        self.table = pad.reshape(-1, len(weights))
 
     def __call__(self, z, pts):
-        """Per component, its interpolated values at the (z, pts) grid."""
-        z = np.asarray(z, dtype=complex)
-        lr = np.clip(np.log(np.abs(z)), self.log_r[0], self.log_r[-1])
-        ph = np.clip(np.angle(z), self.args[0], self.args[-1])
-        nu, nt = z.size, pts.shape[0]
-        cols = [np.repeat(lr, nt), np.repeat(ph, nt)]
-        for a in range(pts.shape[1]):
-            cols.append(np.tile(np.mod(pts[:, a].real, 1.0), nu))
-        vals = self._interp(np.stack(cols, axis=-1)).reshape(nu, nt, -1)
-        return [vals[..., i] * z[:, None] ** w
-                for i, w in enumerate(self.weights)]
+        """Per component, its interpolated values on the rows ``z`` times
+        the angle points ``pts``: z of shape (steps, rows) and pts of shape
+        (steps, points, dim) give (steps, rows, points) arrays."""
+        z = np.asarray(z, dtype=complex)[..., None]
+        coords = [np.log(np.abs(z)), np.angle(z)]
+        coords += [np.mod(pts[..., None, :, a], 1.0)
+                   for a in range(pts.shape[-1])]
+        cells = [_cell(a, c) for a, c in zip(self.axes, coords)]
+        shape = tuple(a.size for a in self.axes)
+        vals = 0.0
+        for corner in itertools.product((0, 1), repeat=len(cells)):
+            index = np.ravel_multi_index(
+                [j if upper else i for (i, j, _), upper in zip(cells, corner)],
+                shape)
+            weight = math.prod(w if upper else 1.0 - w
+                               for (_, _, w), upper in zip(cells, corner))
+            vals = vals + weight[..., None] * self.table[index]
+        return [vals[..., i] * z ** w for i, w in enumerate(self.weights)]
 
 
 def _weighted_sup(values, z, weight):
@@ -327,13 +374,16 @@ def contraction_probe(mp, pair, residual, sector, mu, ball_alpha=0.5,
     weighted tail target of 1e-4 times the last nonzero update norm (at
     least 1e-14), then reports the weighted norm of the update, the ratio
     of successive update norms, and the weighted invariance defect of the
-    corrected parameterization.  Raises Diverged when the ratio stays at or
-    above one for five consecutive sweeps, and ConfigError (``check_finite``)
-    when the residual holds a non-finite coefficient.
+    corrected parameterization.  After the last sweep it states the Banach
+    estimate lambda / (1 - lambda) times the last update norm, lambda the
+    last factor, of the distance to the fixed point (None without a factor
+    below one).  Raises Diverged when the ratio stays at or above one for
+    five consecutive sweeps, and ConfigError (``check_finite``) when the
+    residual holds a non-finite coefficient.
 
     The undisplaced jets (x, y, the angle tails and the defect tails) are
-    stacked once into a ``JetStack``, so each orbit step evaluates them all
-    in one call.
+    stacked once into a ``JetStack``, and the orbit sums evaluate them, and
+    the whole remainder, on blocks of orbit steps.
 
     The radial band spans [rho / 2, rho]: well below the outer radius the
     weighted quantities sink under double-precision roundoff of the
@@ -376,11 +426,14 @@ def contraction_probe(mp, pair, residual, sector, mu, ball_alpha=0.5,
 
     def remainder(z, pts, f):
         """The three displaced-coefficient remainder components plus the
-        current defect, evaluated pointwise; the undisplaced jets take one
+        current defect, evaluated pointwise on the rows ``z`` times the
+        angle points ``pts``: z of shape (rows,) with pts of shape (points,
+        dim), or a block of orbit steps, z of shape (steps, rows) with pts
+        of shape (steps, points, dim).  The undisplaced jets take one
         stacked evaluation."""
         vals = jets.eval_grid(z, pts)
         kx, ky = vals[0], vals[1]
-        base = pts + np.moveaxis(vals[2:2 + d], 0, -1)
+        base = pts[..., None, :, :] + np.moveaxis(vals[2:2 + d], 0, -1)
         disp = base + np.moveaxis(
             np.reshape([f[c] for c in comps[2:]], (d,) + kx.shape), 0, -1)
         defect = dict(zip(comps, vals[2 + d:]))
@@ -419,6 +472,11 @@ def contraction_probe(mp, pair, residual, sector, mu, ball_alpha=0.5,
         "ball_alpha": ball_alpha,
         "left_ball": False,
         "note": "fixed-resolution sampled diagnostic, not a certified bound",
+        "banach_estimate": {
+            "distance": None,
+            "note": "lambda / (1 - lambda) times the last update norm, lambda "
+                    "the last factor: an estimate of the weighted distance "
+                    "to the fixed point, not a certified bound"},
     }
 
     arrays = {c: np.zeros((nu, nt), dtype=complex) for c in comps}
@@ -458,4 +516,8 @@ def contraction_probe(mp, pair, residual, sector, mu, ball_alpha=0.5,
         rem_new = remainder(z0, pts0, arrays)
         report["defect_norms"].append(defect_gap(rem_new, rem_prev))
         rem_prev = rem_new
+    if report["factors"] and report["factors"][-1] < 1.0:
+        lam = report["factors"][-1]
+        report["banach_estimate"]["distance"] = (
+            lam / (1.0 - lam) * report["update_norms"][-1])
     return report

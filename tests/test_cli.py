@@ -465,6 +465,22 @@ def test_malformed_block_exits_2_before_the_solve(tmp_path, capsys,
     assert err["error"] == "ConfigError" and err["exit_code"] == 2
 
 
+def test_probe_states_its_banach_estimate(tmp_path):
+    # operators.json carries lambda / (1 - lambda) times the last update
+    # norm, lambda the last factor, marked as an estimate like the note
+    cfg = write_config(tmp_path, DIAG_CONFIG)
+    assert main(["diagnose-operators", "--config", str(cfg), "--out",
+                 str(tmp_path / "d")]) == 0
+    ops = json.loads((tmp_path / "d" / "operators.json").read_text())
+    con = ops["contraction"]
+    lam = con["factors"][-1]
+    assert 0 < lam < 1
+    est = con["banach_estimate"]
+    assert est["distance"] == pytest.approx(
+        lam / (1 - lam) * con["update_norms"][-1], rel=1e-15)
+    assert "estimate" in est["note"] and "not a certified bound" in est["note"]
+
+
 FLOW_CONFIG = {"problem": "custom-flow", "n_target": 3,
                "field": dict(MAP_CONFIG["map"], cut=8)}
 
@@ -704,10 +720,9 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def test_only_the_probe_loads_scipy(tmp_path):
-    # the solves run on numpy alone; the contraction probe imports SciPy's
-    # interpolation when it needs it, and a map diagnosis never integrates
-    # a trajectory
+def test_map_commands_load_no_scipy(tmp_path):
+    # the solves and the map diagnosis, contraction probe included, run on
+    # numpy alone; only a trajectory integral imports SciPy
     runs = [[command, "--config", str(write_config(tmp_path, config,
                                                    command + ".json")),
              "--out", str(tmp_path / command)]
@@ -719,4 +734,4 @@ def test_only_the_probe_loads_scipy(tmp_path):
     assert res.returncode == 0, res.stderr
     assert [json.loads(line) for line in res.stdout.splitlines()] == [
         [0, False, False, False], [0, False, False, False],
-        [0, False, False, False], [0, True, True, False]]
+        [0, False, False, False], [0, False, False, False]]

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import fft as sp_fft, signal
 
+from paratori import fourier
 from paratori.cli import MAX_BOX
 from paratori.errors import (CNotInvertible, DimensionMismatch,
                              NonZeroAverage, SmallDivisorUnderflow)
-from paratori.fourier import (FourierSeries, _fast_len, _inverse_centre,
-                              angle_grid, diophantine_margin, eval_stack,
+from paratori.fourier import (FourierSeries, _axis_basis, _fast_len,
+                              _inverse_centre, angle_grid, diophantine_margin, eval_stack,
                               on_box, reciprocal, solve_sd_flow,
                               solve_sd_map)
 
@@ -221,6 +222,56 @@ def test_eval_stack_matches_per_mode_sum(dim, cut, complex_angles):
         assert rows[0].eval() == rows[0].average()
     with pytest.raises(DimensionMismatch):
         rows[0].eval(np.zeros(dim + 1))
+
+
+def full_box_values(coeffs, theta):
+    """A stack contracted against the basis of its whole box, axis by
+    axis: values of shape (rows,) + batch, complex."""
+    dim = coeffs.ndim - 1
+    pts = theta.reshape(np.prod(theta.shape[:-1], dtype=int), dim)
+    vals = coeffs[:, None]
+    for a in range(dim):
+        basis = _axis_basis(pts[:, a], coeffs.shape[-1] // 2)
+        vals = np.einsum("ib,mbi...->mb...", basis, vals)
+    vals = np.broadcast_to(vals, (len(coeffs), len(pts)))
+    return vals.reshape((len(coeffs),) + theta.shape[:-1])
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+@pytest.mark.parametrize("complex_angles", [False, True])
+def test_eval_stack_contracts_only_the_occupied_band(monkeypatch, dim,
+                                                      complex_angles):
+    # a stack is cut to the smallest centred box holding its nonzero
+    # coefficients before the contraction; the values agree with the
+    # whole-box contraction, and one coefficient at |k| = cut keeps the box
+    cut = 5
+    rng = np.random.default_rng(10 + dim)
+    theta = rng.random((4, 3, dim))
+    if complex_angles:
+        theta = theta + 2e-3j * rng.uniform(-1, 1, theta.shape)
+    box = (3,) + (2 * cut + 1,) * dim
+    narrow = np.zeros(box, dtype=complex)
+    inside = (slice(None),) + (slice(cut - 2, cut + 3),) * dim
+    narrow[inside] = (rng.standard_normal(narrow[inside].shape)
+                      + 1j * rng.standard_normal(narrow[inside].shape))
+    narrow[1] = 0.0
+    cases = [(narrow, 2 if dim else 0), (np.zeros(box, dtype=complex), 0)]
+    if dim:
+        wide = narrow.copy()
+        wide[(2,) + (cut,) * (dim - 1) + (2 * cut,)] = 0.5
+        cases.append((wide, cut))
+    built = []
+    monkeypatch.setattr(fourier, "_axis_basis",
+                        lambda t, k: built.append(k) or _axis_basis(t, k))
+    for coeffs, band in cases:
+        built.clear()
+        got = eval_stack(coeffs, theta)
+        assert built == [band] * dim
+        want = full_box_values(coeffs, theta)
+        assert np.iscomplexobj(got) == complex_angles
+        for row, g, w in zip(coeffs, got, want):
+            tol = 1e-14 * np.abs(row).sum()
+            assert np.max(np.abs(g - (w if complex_angles else w.real))) <= tol
 
 
 def test_difference_equation_residual():

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from paratori import operators
 from paratori.errors import (BoundViolated, ConfigError, FlowLeftSector,
                              HypothesisViolated, TailNotConverged)
 from paratori.fourier import FourierSeries
@@ -125,6 +126,199 @@ def test_orbit_sum_gives_up_on_a_tail_that_decays_too_slowly():
     with pytest.raises(TailNotConverged):
         orbit_sum_inverse(lambda u, th: u ** 3, R, (), 0.04, None,
                           eta_order=3, mu=1e-9)
+
+
+def step_at_a_time(term, inner, freqs, z0, pts0, eta_orders, mu, targets):
+    """The orbit sum one step per term call: the reference for the blocked
+    loop, with the same stopping rule."""
+    rules = {c: operators._decay(inner, o, mu, z0)
+             for c, o in eta_orders.items()}
+    totals = None
+    active = np.ones(z0.size, dtype=bool)
+    z, shift, j = z0, np.zeros(pts0.shape[1]), 0
+    while active.any():
+        if j > operators._J_MAX:
+            raise TailNotConverged("reference loop past the term budget")
+        terms = term(z[active][None], np.mod(pts0 + shift, 1.0)[None])
+        if totals is None:
+            totals = {c: np.zeros_like(t[0]) for c, t in terms.items()}
+        done = True
+        for c, t in terms.items():
+            totals[c][active] += t[0]
+            q, x = rules[c]
+            tail = operators._tail(np.abs(t[0]).max(axis=1), j, x[active], q)
+            done = done & (tail <= targets[c][active] / 2)
+        if j >= operators._J_MIN:
+            active[np.flatnonzero(active)[done]] = False
+        z, shift, j = inner(z), shift + freqs, j + 1
+    return {c: -t for c, t in totals.items()}
+
+
+# a unit of 2^-60: a sum of fewer than 2^53 of them is exact, so the
+# component "count" totals -(terms summed) * COUNT_UNIT on every row
+COUNT_UNIT = 2.0 ** -60
+
+
+def vector_term(zs, pts):
+    """Two components over (steps, rows, angle points) plus the counter."""
+    z = zs[..., None]
+    wave = np.cos(2 * np.pi * pts[..., 0])[:, None, :]
+    return {"a": z ** 3 * (1.0 + 0.3 * wave),
+            "b": z ** 4 * (0.5 - 0.2j * wave),
+            "count": np.full(z.shape[:2] + (pts.shape[1],), COUNT_UNIT)}
+
+
+def test_blocked_orbit_sum_matches_a_step_at_a_time_loop():
+    # the orbit sum evaluates its terms on blocks of steps; its totals and
+    # the step where each row stops are those of one step per term call
+    sec = Sector(np.pi / 2, 0.02, 2)
+    z0 = sec.grid(4, 3, r_min_factor=0.5).ravel()
+    pts0 = np.array([[0.0], [0.3], [0.7]])
+    orders = {"a": 3, "b": 4, "count": 3}
+    targets = {"a": 1e-2 * np.abs(z0) ** 2, "b": 1e-3 * np.abs(z0) ** 3,
+               "count": np.ones(z0.size)}
+    args = (R, (GOLDEN,), z0, pts0, orders, 0.5, targets)
+    calls = []
+
+    def counted(zs, pts):
+        calls.append(zs.shape)
+        return vector_term(zs, pts)
+
+    got = operators._orbit_sum(counted, *args)
+    want = step_at_a_time(vector_term, *args)
+    stops = -got["count"][:, 0] / COUNT_UNIT
+    assert np.array_equal(stops, -want["count"][:, 0] / COUNT_UNIT)
+    assert len(set(stops)) > 3 and stops.min() > operators._J_MIN
+    assert np.all(got["count"] == got["count"][:, :1])
+    for c in ("a", "b"):
+        assert got[c].shape == (z0.size, len(pts0))
+        assert np.max(np.abs(got[c] - want[c])) <= 1e-15 * np.max(np.abs(want[c]))
+    # a block holds at most QUAD_CHUNK points and there are far fewer blocks
+    # than steps
+    assert all(s * r * len(pts0) <= QUAD_CHUNK for s, r in calls)
+    assert len(calls) < stops.max() / 10
+
+
+def test_blocked_orbit_sum_stops_at_the_term_budget(monkeypatch):
+    # at a decay rate of 1e-9 no row meets its target: both loops give up
+    # past _J_MAX terms, and the blocked one evaluates no term beyond it
+    monkeypatch.setattr(operators, "_J_MAX", 300)
+    z0 = Sector(np.pi / 2, 0.02, 2).grid(3, 2).ravel()
+    pts0 = np.array([[0.1], [0.6]])
+    args = (R, (GOLDEN,), z0, pts0, {"a": 3, "b": 4, "count": 3}, 1e-9,
+            {c: np.full(z0.size, 1e-12) for c in ("a", "b", "count")})
+    steps = []
+
+    def counted(zs, pts):
+        steps.append(len(zs))
+        return vector_term(zs, pts)
+
+    with pytest.raises(TailNotConverged):
+        operators._orbit_sum(counted, *args)
+    assert sum(steps) == 301
+    with pytest.raises(TailNotConverged):
+        step_at_a_time(vector_term, *args)
+
+
+def probe_grid(dim, samples=(5, 4, 6)):
+    """The probe's sector x torus axes and flat sample points."""
+    n_r, n_phi, n_th = samples
+    u2 = Sector(np.pi / 2, 0.02, 2).grid(n_r, n_phi, r_min_factor=0.5)
+    theta_axis = np.linspace(0.0, 1.0, n_th, endpoint=False)
+    return (np.log(np.abs(u2[:, 0])), np.angle(u2[0, :]), [theta_axis] * dim,
+            u2.ravel())
+
+
+def multilinear(lr, ph, th):
+    """Data multilinear in the grid coordinates (log radius, argument, one
+    angle)."""
+    return (1.0 + 2.0 * lr) * (3.0 - ph) * (0.5 + th) + 0.25 * lr * th
+
+
+def test_grid_function_is_exact_on_multilinear_data():
+    # weight 0 stores the data as it is, weight 2 divides by u^2 and
+    # multiplies back; within the unwrapped angle cells both are exact
+    log_r, args, axes, z = probe_grid(1)
+    nodes = multilinear(np.log(np.abs(z))[:, None], np.angle(z)[:, None],
+                        axes[0][None, :])
+    f = operators._GridFunction(log_r, args, axes, z,
+                                [nodes, nodes * z[:, None] ** 2], [0, 2])
+    rng = np.random.default_rng(3)
+    zs = np.exp(rng.uniform(log_r[0], log_r[-1], (3, 7))
+                + 1j * rng.uniform(args[0], args[-1], (3, 7)))
+    pts = rng.uniform(0.0, axes[0][-1], (3, 5, 1))
+    plain, weighted = f(zs, pts)
+    want = multilinear(np.log(np.abs(zs))[..., None],
+                       np.angle(zs)[..., None], pts[:, None, :, 0])
+    assert plain.shape == (3, 7, 5)
+    assert np.max(np.abs(plain - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(weighted - want * zs[..., None] ** 2)) <= (
+        1e-13 * np.max(np.abs(want * zs[..., None] ** 2)))
+
+
+def test_grid_function_clamps_the_sector_and_wraps_the_angles():
+    log_r, args, axes, z = probe_grid(1)
+    rng = np.random.default_rng(4)
+    data = rng.standard_normal((z.size, axes[0].size))
+    f = operators._GridFunction(log_r, args, axes, z, [data], [0])
+    # outside the radius and argument range: the nearest edge of the box
+    out = np.array([[np.exp(log_r[-1] + 0.3 + 1j * (args[-1] + 0.2)),
+                     np.exp(log_r[0] - 0.5 + 1j * (args[0] - 0.1))]])
+    edge = np.array([[np.exp(log_r[-1] + 1j * args[-1]),
+                      np.exp(log_r[0] + 1j * args[0])]])
+    pts = np.array([[[0.05], [0.45]]])
+    assert np.array_equal(f(out, pts)[0], f(edge, pts)[0])
+    # across theta = 1 -> 0: a shift by whole turns changes nothing, and
+    # halfway through the last cell sits the mean of the last node and node 0
+    zs = z[None, :]
+    last = axes[0][-1]
+    assert np.allclose(f(zs, pts + 3.0)[0], f(zs, pts)[0], rtol=0, atol=1e-14)
+    mid = f(zs, np.array([[[(last + 1.0) / 2]]]))[0][0, :, 0]
+    assert np.allclose(mid, (data[:, -1] + data[:, 0]) / 2, rtol=0, atol=1e-14)
+    # a one-node argument axis is constant along the argument
+    flat = operators._GridFunction(log_r, args[:1], axes, z[::len(args)],
+                                   [data[::len(args)]], [0])
+    assert np.array_equal(flat(out, pts)[0],
+                          flat(np.abs(out).astype(complex), pts)[0])
+    assert np.allclose(flat(z[None, ::len(args)], axes[0][None, :, None])[0][0],
+                       data[::len(args)], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_function_agrees_with_scipy(dim):
+    # the numpy interpolation against SciPy's RegularGridInterpolator on
+    # the same padded table, at points inside and outside the sector box
+    from scipy.interpolate import RegularGridInterpolator
+
+    log_r, args, axes, z = probe_grid(dim, samples=(5, 4, 4))
+    rng = np.random.default_rng(5 + dim)
+    n_th = 4 ** dim
+    values = [rng.standard_normal((z.size, n_th))
+              + 1j * rng.standard_normal((z.size, n_th)) for _ in range(3)]
+    weights = [1, 3, 0]
+    f = operators._GridFunction(log_r, args, axes, z, values, weights)
+    zs = np.exp(rng.uniform(log_r[0] - 0.2, log_r[-1] + 0.2, (2, 6))
+                + 1j * rng.uniform(args[0] - 0.2, args[-1] + 0.2, (2, 6)))
+    pts = rng.uniform(-1.0, 2.0, (2, 5, dim))
+    got = f(zs, pts)
+
+    table = np.stack([v / z[:, None] ** w for v, w in zip(values, weights)],
+                     axis=-1).reshape(len(log_r), len(args),
+                                      *(len(t) for t in axes), len(weights))
+    grid = [log_r, args]
+    for i, t in enumerate(axes):
+        table = np.concatenate([table, table.take([0], axis=2 + i)], axis=2 + i)
+        grid.append(np.concatenate([t, [1.0]]))
+    interp = RegularGridInterpolator(tuple(grid), table, bounds_error=False,
+                                     fill_value=None)
+    lr = np.clip(np.log(np.abs(zs)), log_r[0], log_r[-1])
+    ph = np.clip(np.angle(zs), args[0], args[-1])
+    cols = np.broadcast_arrays(lr[..., None], ph[..., None],
+                               *np.moveaxis(np.mod(pts, 1.0)[:, None], -1, 0))
+    want = interp(np.stack(cols, axis=-1))
+    for i, w in enumerate(weights):
+        ref = want[..., i] * zs[..., None] ** w
+        assert np.max(np.abs(got[i] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_flow_integral_oracle():
@@ -274,3 +468,7 @@ def test_probe_contracts_on_reference_map():
     assert d == pytest.approx(
         [13.5531085773, 2.06633427497, 1.76908521728, 0.628917904703,
          0.544511596035, 0.199830629842, 0.184165748863], rel=1e-6)
+    # the Banach estimate reads the last of the five factors
+    lam = rep["factors"][-1]
+    assert rep["banach_estimate"]["distance"] == pytest.approx(
+        lam / (1 - lam) * rep["update_norms"][-1], rel=1e-15)
