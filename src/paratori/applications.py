@@ -7,14 +7,21 @@ from the quadratic forcing term.  The second is the scattering of a helium
 atom off a periodically corrugated copper wall, where after compactifying
 the wall distance the periodic orbit at infinity is parabolic and carries
 stable/unstable manifolds of (x y)-shear type.
+
+The wall model reaches that shape only through a change of variables, the
+quadratic  y_new = y + (1 + g(theta)) y^2, and it owns the change: its
+inverse, built once in ``build_hecu_field``, and the ``NormalizationRecord``
+whose ``pullback`` carries the solved manifolds back to wall coordinates.
+No other input goes through a change of variables; the solvers take maps
+and fields already in their triangular shapes.
 """
 
 import math
 
 from .errors import BoundViolated, ConfigError, EnergyBelowThreshold
 from .fourier import FourierSeries, on_box
-from .mapdata import (NormalizationRecord, TaylorFourierMap, XYPoly,
-                      _inverse_change, _xy_identity)
+from .jets import eval_xy_terms, power_table
+from .mapdata import TaylorFourierMap, XYPoly
 from .flow_solver import solve_helicoure
 from .pairs import residual_report
 
@@ -107,6 +114,48 @@ class HeCuParams:
         self.g_surface = on_box(g_surface, 1, self.cut, "corrugation")
 
 
+class NormalizationRecord:
+    """The inverse  y = y_new + H(x, y_new, theta)  of the wall model's
+    change of variables, kept so manifolds of the shear-form field can be
+    pulled back to wall coordinates, and the ``validity`` dict that reports
+    where the expansion behind it can break down."""
+
+    def __init__(self, inverse, validity):
+        self.inverse = inverse
+        self.validity = validity
+
+    def pullback(self, jx, jy_new, tails, trunc):
+        """Original-variable y-jet from normalized-variable jets: the
+        inverse change at u-jets (x -> jx, y -> jy_new,
+        theta_a -> theta_a + W_a)."""
+        terms = self.inverse.terms
+        powers = power_table(jx, jy_new, tails, trunc, [terms])
+        return eval_xy_terms(terms, powers, trunc)
+
+
+def _xy_identity(dim, cut, deg, which):
+    lm = (1, 0) if which == "x" else (0, 1)
+    return XYPoly(dim, cut, deg, {lm: 1.0})
+
+
+def _inverse_change(h, deg):
+    """Solve  y = ynew - h(x, y, theta)  for y as a polynomial in (x, ynew)."""
+    dim, cut = h.dim, h.cut
+    ynew = _xy_identity(dim, cut, deg, "y")
+    xid = _xy_identity(dim, cut, deg, "x")
+    Y = ynew
+    for _ in range(deg + 1):
+        Y_next = ynew - h.subst(xid, Y)
+        if all(
+            (Y_next.coefficient(lm) - Y.coefficient(lm)).is_zero(1e-15)
+            for lm in set(Y_next.terms) | set(Y.terms)
+        ):
+            Y = Y_next
+            break
+        Y = Y_next
+    return Y
+
+
 def build_hecu_field(p, expansion="displayed", deg=6):
     """Shear-form field of the compactified scattering system.
 
@@ -189,12 +238,11 @@ def build_hecu_field(p, expansion="displayed", deg=6):
 
         fd = TaylorFourierMap("field", 1, 0, cut, (omega,),
                               clean(pdot_n), clean(ydot_n), [clean(theta_n)])
-    record = NormalizationRecord(gamma, h_fwd, y_inv)
-    record.validity = {
+    record = NormalizationRecord(y_inv, {
         "y": A / (4.0 * m * D),
         "p": math.sqrt(A),
         "note": "square-root argument can vanish there; reported only",
-    }
+    })
     return fd, record
 
 

@@ -54,10 +54,6 @@ class HypothesisViolated(ParatoriError):
     exit_code = 3
 
 
-class CNotInvertible(HypothesisViolated):
-    """The shear coefficient c(theta) vanishes somewhere (or has zero mean)."""
-
-
 class NonPositiveLeadingCoefficient(HypothesisViolated):
     """Mean of the leading nonlinear coefficient must be positive."""
 

@@ -49,7 +49,6 @@ import math
 import numpy as np
 
 from .errors import (
-    CNotInvertible,
     DimensionMismatch,
     NonZeroAverage,
     SmallDivisorUnderflow,
@@ -173,21 +172,6 @@ class FourierSeries:
                 coeffs[midx] += np.conj(complex(c))
         # the zero mode must already be real; symmetrize cheaply anyway
         return cls(coeffs)
-
-    @classmethod
-    def from_grid(cls, values, cut):
-        """Exact modes of trigonometric data sampled on a uniform grid.
-
-        ``values`` is real of shape (N,)*dim with N >= 2*cut+1; modes beyond
-        the sampling Nyquist alias in the usual way, so oversample when the
-        data is not already band-limited.
-        """
-        values = np.asarray(values, dtype=float)
-        if any(n < 2 * cut + 1 for n in values.shape):
-            raise DimensionMismatch("grid %s misses |k| <= %d" % (values.shape, cut))
-        hat = np.fft.fftn(values) / values.size
-        picks = [_mode_range(cut) % n for n in values.shape]
-        return cls(hat[np.ix_(*picks)])
 
     # ----- basic queries ------------------------------------------------
 
@@ -486,19 +470,3 @@ def diophantine_margin(freqs, k_max, kind="map"):
     mag[(k_max,) * dim] = np.inf
     idx = np.unravel_index(np.argmin(mag), mag.shape)
     return float(mag[idx]), tuple(int(i) - k_max for i in idx)
-
-
-def reciprocal(f):
-    """Truncated Fourier series of 1/f.
-
-    Samples f on a grid eight times finer than its mode box, inverts
-    pointwise and truncates back; raises CNotInvertible when |f| dips below
-    1e-12 on the grid.
-    """
-    floor = 1e-12
-    vals = f.values_on_grid(8 * (2 * f.cut + 1))
-    if float(np.min(np.abs(vals))) < floor:
-        raise CNotInvertible(
-            "function reaches %.3e on the grid" % float(np.min(np.abs(vals)))
-        )
-    return FourierSeries.from_grid(1.0 / vals, f.cut)

@@ -1,5 +1,4 @@
-"""The input dynamics: their one polynomial type, their structure rules,
-and the coordinate changes that bring general input into shape.
+"""The input dynamics: their one polynomial type and their structure rules.
 
 A ``TaylorFourierMap`` holds a map or a vector field that is polynomial in
 the planar variables (x, y) with truncated Fourier coefficients in the
@@ -14,10 +13,9 @@ Every term table (``x_terms``, ``y_terms``, each ``theta_terms[a]``) is an
 ``FTPoly.coefficient``, and ``XYPoly.eval`` is the one pointwise evaluator.
 Its arithmetic is the ``jets.FTPoly`` core shared with ``TFJet``, and
 ``XYPoly.subst`` is ``jets.substitute``, the same code that evaluates term
-tables at u-jets, on a ``jets.power_table`` it builds once per call; only
-the x- and y-derivatives are its own.  A table is only read at its own
-degree: whatever computes with it builds an ``XYPoly`` at the degree it
-needs from the table's ``terms``.
+tables at u-jets, on a ``jets.power_table`` it builds once per call.  A
+table is only read at its own degree: whatever computes with it builds an
+``XYPoly`` at the degree it needs from the table's ``terms``.
 
 The admissibility rule of each solver class is one function here:
 ``TaylorFourierMap.validate_reduced`` (the triangular power class, with
@@ -26,10 +24,9 @@ positive means of the shear and of the leading coefficient) and
 mean of the leading coefficient and a positive mean shear).  They share the
 rule that the x-part is exactly shear * y.  Each runs once per entry point:
 in ``cli.RunConfig`` for the data it builds, in ``solve_to_order`` and in
-``solve_helicoure``; the order steps trust it.  The normalizations live
-here too: ``reduce_general_map`` / ``reduce_general_field`` make the x-part
-exactly  x + c(theta) * y  (maps) or  c(theta) * y  (fields), with a
-``NormalizationRecord`` that pulls computed manifolds back.
+``solve_helicoure``; the order steps trust it.  Input arrives in these
+shapes: the one change of variables the program runs, the wall model's
+y_new = y + (1 + g(theta)) y^2, belongs to ``applications``.
 """
 
 import numpy as np
@@ -37,9 +34,8 @@ import numpy as np
 from .errors import (ConfigError, DimensionMismatch,
                      NonPositiveLeadingCoefficient, StructureViolation,
                      ZeroLeadingCoefficient)
-from .fourier import eval_stack, reciprocal
-from .jets import (FTPoly, eval_xy_terms, power_table, stack_coefficients,
-                   substitute)
+from .fourier import eval_stack
+from .jets import FTPoly, power_table, stack_coefficients, substitute
 
 
 class XYPoly(FTPoly):
@@ -63,20 +59,6 @@ class XYPoly(FTPoly):
     @staticmethod
     def _degree(lm):
         return lm[0] + lm[1]
-
-    def diff_x(self):
-        out = self._empty()
-        for (l, m), s in self.terms.items():
-            if l >= 1:
-                out.set_coefficient((l - 1, m), s * l)
-        return out
-
-    def diff_y(self):
-        out = self._empty()
-        for (l, m), s in self.terms.items():
-            if m >= 1:
-                out.set_coefficient((l, m - 1), s * m)
-        return out
 
     def subst(self, px, py, tails=()):
         """Substitute x -> px, y -> py, theta_a -> theta_a + W_a.
@@ -187,15 +169,6 @@ class TaylorFourierMap:
             raise NonPositiveLeadingCoefficient(
                 "need positive means: shear %.3e, leading %.3e" % (cbar, abar))
 
-    def validate_xy_shear(self):
-        """Check x-part is led by shear * y with an invertible shear (the
-        prerequisite for normalization)."""
-        if (0, 1) not in self.x_terms.terms:
-            raise StructureViolation("x-part misses a shear * y term")
-        for (l, m) in self.x_terms.terms:
-            if (l, m) != (0, 1) and l + m < 2:
-                raise StructureViolation("x-part has an extra linear term %s" % ((l, m),))
-
     # ----- pointwise evaluation ------------------------------------------
 
     def eval(self, x, y, ang=None):
@@ -305,152 +278,3 @@ def validate_shear_field(fd):
     if cbar <= 0.0:
         raise NonPositiveLeadingCoefficient("mean shear %.3e must be positive" % cbar)
 
-
-class NormalizationRecord:
-    """Change of variables  y_new = y + h(x, y, theta)  and its inverse
-    y = y_new + H(x, y_new, theta), kept so manifolds of the normalized
-    system can be pulled back to the original coordinates."""
-
-    def __init__(self, shear, forward, inverse):
-        self.shear = shear
-        self.forward = forward
-        self.inverse = inverse
-
-    def pullback(self, jx, jy_new, tails, trunc):
-        """Original-variable y-jet from normalized-variable jets: the
-        inverse change at u-jets (x -> jx, y -> jy_new,
-        theta_a -> theta_a + W_a)."""
-        terms = self.inverse.terms
-        powers = power_table(jx, jy_new, tails, trunc, [terms])
-        return eval_xy_terms(terms, powers, trunc)
-
-
-def _xy_identity(dim, cut, deg, which):
-    lm = (1, 0) if which == "x" else (0, 1)
-    return XYPoly(dim, cut, deg, {lm: 1.0})
-
-
-def _inverse_change(h, deg):
-    """Solve  y = ynew - h(x, y, theta)  for y as a polynomial in (x, ynew)."""
-    dim, cut = h.dim, h.cut
-    ynew = _xy_identity(dim, cut, deg, "y")
-    xid = _xy_identity(dim, cut, deg, "x")
-    Y = ynew
-    for _ in range(deg + 1):
-        Y_next = ynew - h.subst(xid, Y)
-        if all(
-            (Y_next.coefficient(lm) - Y.coefficient(lm)).is_zero(1e-15)
-            for lm in set(Y_next.terms) | set(Y.terms)
-        ):
-            Y = Y_next
-            break
-        Y = Y_next
-    return Y
-
-
-def _drop_dust(terms, scale):
-    """Drop Fourier-truncation dust: terms of norm at most 1e-10 * scale."""
-    return {lm: s for lm, s in terms.items() if s.coeff_norm() > 1e-10 * scale}
-
-
-def _shear_change(data, kind, deg):
-    """The change of variables that makes the x-part exactly shear * y.
-
-    With x-part f = c(theta) (y + h), the new vertical variable is
-    y + h = f / c.  Returns (c, f, g = f / c, record), the record holding h
-    and the inverse change y = ynew + H(x, ynew, theta).
-    """
-    if data.kind != kind:
-        raise StructureViolation("expected a %s, got kind %r" % (kind, data.kind))
-    data.validate_xy_shear()
-    c = data.shear()
-    f = XYPoly(data.dim, data.cut, deg, data.x_terms.terms)
-    g = f.mul_series(reciprocal(c))
-    h = g - _xy_identity(data.dim, data.cut, deg, "y")
-    return c, f, g, NormalizationRecord(c, h, _inverse_change(h, deg))
-
-
-def reduce_general_map(mp, deg):
-    """Normalize a map so its x-part becomes exactly  x + c(theta) * y.
-
-    The input needs an invertible shear coefficient on the  y  term of the
-    x-part; everything else in the x-part is absorbed into a new vertical
-    variable.  Returns (reduced map, NormalizationRecord).  Coefficients
-    below 1e-10 times the data size are discarded: the normalization is
-    exact only up to the Fourier cut, so forbidden slots collect dust at the
-    truncation level.
-    """
-    c, f, g, record = _shear_change(mp, "map", deg)
-    dim, cut, Y = mp.dim, mp.cut, record.inverse
-    xid = _xy_identity(dim, cut, deg, "x")
-
-    # full images in the original variables
-    Fx = xid + f
-    Fy = _xy_identity(dim, cut, deg, "y") + XYPoly(dim, cut, deg, mp.y_terms.terms)
-    Bs = [XYPoly(dim, cut, deg, t.terms) for t in mp.theta_terms]
-
-    # re-express the images in (x, y_new)
-    Fx_n = Fx.subst(xid, Y)
-    Fy_n = Fy.subst(xid, Y)
-    Bs_n = [B.subst(xid, Y) for B in Bs]
-
-    # the new vertical coordinate after one step: g evaluated on the image,
-    # with the angle argument theta + omega + B
-    omega_full = list(mp.freqs) + [0.0] * mp.drive
-    ynew_image = g.shift(omega_full).subst(Fx_n, Fy_n, Bs_n)
-
-    scale = max(1.0, c.coeff_norm())
-    y_terms = {lm: s for lm, s in ynew_image.terms.items() if lm != (0, 1)}
-    y_id_defect = ynew_image.coefficient((0, 1)) - 1.0
-    y_terms[(0, 1)] = y_id_defect
-
-    reduced = TaylorFourierMap(
-        "map",
-        mp.d,
-        0,
-        cut,
-        mp.freqs,
-        {(0, 1): c},
-        _drop_dust(y_terms, scale),
-        [_drop_dust(B.terms, scale) for B in Bs_n],
-        k=mp.k,
-        p=mp.p,
-    )
-    return reduced, record
-
-
-def reduce_general_field(fd, deg):
-    """Normalize a field so its x-part becomes exactly  c(theta) * y."""
-    c, Xx, g, record = _shear_change(fd, "field", deg)
-    dim, cut, Y = fd.dim, fd.cut, record.inverse
-    xid = _xy_identity(dim, cut, deg, "x")
-
-    Xy = XYPoly(dim, cut, deg, fd.y_terms.terms)
-    Bs = [XYPoly(dim, cut, deg, t.terms) for t in fd.theta_terms]
-
-    gdot = g.diff_x() * Xx + g.diff_y() * Xy
-    for j in range(dim):
-        gj = g.diff_theta(j)
-        if gj.is_zero():
-            continue
-        gdot = gdot + gj.scale(fd.freqs[j])
-        if j < fd.d and not Bs[j].is_zero():
-            gdot = gdot + gj * Bs[j]
-
-    ynew_dot = gdot.subst(xid, Y)
-    Bs_n = [B.subst(xid, Y) for B in Bs]
-
-    scale = max(1.0, c.coeff_norm())
-    reduced = TaylorFourierMap(
-        "field",
-        fd.d,
-        fd.drive,
-        cut,
-        fd.freqs,
-        {(0, 1): c},
-        _drop_dust(ynew_dot.terms, scale),
-        [_drop_dust(B.terms, scale) for B in Bs_n],
-        k=fd.k,
-        p=fd.p,
-    )
-    return reduced, record

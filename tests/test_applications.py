@@ -9,10 +9,11 @@ import pytest
 
 from paratori.applications import (HeCuParams, OscillatorParams,
                                    build_hecu_field, build_oscillator_field,
-                                   hecu_manifolds)
+                                   hecu_field_degree, hecu_manifolds)
 from paratori.errors import EnergyBelowThreshold, HypothesisViolated
 from paratori.flow_solver import solve_flow_to_order, solve_helicoure
 from paratori.fourier import FourierSeries
+from paratori.mapdata import TaylorFourierMap, XYPoly
 from paratori.pairs import residual_jets, residual_report
 
 
@@ -171,3 +172,54 @@ def test_wall_pullback_changes_vertical_jet_only():
     diff4 = abs(normalized.y_coeff_avg(4) - stable.y_coeff_avg(4))
     want = normalized.y_coeff_avg(2) ** 2  # gamma = 1 at zero corrugation
     assert abs(diff4 - abs(want)) < 1e-12
+
+
+def wall_field(p, deg):
+    """The wall field in its original coordinates, before the change
+    y_new = y + (1 + g) y^2: x-part c y + c (1 + g) y^2, y-part b x y and
+    angle part omega (sqrt(1 - s) - 1), the root expanded to degree ``deg``,
+    with s = (4 m D / A) y + (1 + g) (2 m D / A) y^2 + x^2 / A."""
+    D, m = p.D, p.m
+    A = 2 * m * (p.h - D)
+    omega = math.sqrt(A) / m
+    c, b = 2 * D * p.alpha_morse, -p.alpha_morse / m
+    gamma = p.g_surface + 1.0
+    minus_s = XYPoly(1, p.cut, deg, {(0, 1): -4 * m * D / A,
+                                     (0, 2): -gamma * (2 * m * D / A),
+                                     (2, 0): -1 / A})
+    # sqrt(1 - s) - 1 = sum_{j >= 1} binom(1/2, j) (-s)^j
+    angle = XYPoly(1, p.cut, deg)
+    power, binom = XYPoly(1, p.cut, deg, {(0, 0): 1.0}), 1.0
+    for j in range(1, deg + 1):
+        binom *= (1.5 - j) / j
+        power = power * minus_s
+        angle = angle + power.scale(omega * binom)
+    return TaylorFourierMap("field", 1, 0, p.cut, (omega,),
+                            {(0, 1): c, (0, 2): gamma * c}, {(1, 1): b},
+                            [angle.terms])
+
+
+@pytest.mark.parametrize("g_surface", [
+    0.0, FourierSeries.from_modes({(0,): 0.2, (1,): 0.05}, 1, 8)],
+    ids=["flat", "corrugated"])
+def test_wall_manifolds_are_invariant_in_wall_coordinates(g_surface):
+    # the pulled-back pairs against the system as written down, not against
+    # the shear-form field they were solved for; a corrugation that depends
+    # on the angle also runs the change's swirl term.  The cohomological
+    # convention solves the order-2 angle average that the closed form
+    # leaves as a documented defect, which a varying corrugation carries
+    # into y.
+    n = 5
+    p = HeCuParams(D=6.35, alpha_morse=1.05, m=1.0, h=2 * 6.35,
+                   g_surface=g_surface)
+    wall = wall_field(p, hecu_field_degree(n))
+    stable, unstable, _, _ = hecu_manifolds(p, n, expansion="expanded",
+                                            theta_leading="cohomological")
+    for pair in (stable, unstable):
+        rep = residual_report(pair, residual_jets(wall, pair))
+        for comp in rep.components:
+            # within 0.15 of an integer order at or above the contract
+            slope, near = comp["slope"], round(comp["slope"])
+            assert near >= comp["expected_order"], comp
+            assert abs(slope - near) <= 0.15, comp
+            assert comp["annihilated_max"] <= 1e-12 * comp["scale"], comp

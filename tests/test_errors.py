@@ -9,9 +9,8 @@ BY_CODE = {
     2: ["ParatoriError", "ConfigError", "DimensionMismatch",
         "StructureViolation", "NonZeroAverage", "SingularSystem",
         "TruncationTooLow"],
-    3: ["HypothesisViolated", "CNotInvertible",
-        "NonPositiveLeadingCoefficient", "ZeroLeadingCoefficient",
-        "EnergyBelowThreshold"],
+    3: ["HypothesisViolated", "NonPositiveLeadingCoefficient",
+        "ZeroLeadingCoefficient", "EnergyBelowThreshold"],
     4: ["SmallDivisorUnderflow"],
     5: ["BoundViolated", "ContractViolated", "TailNotConverged",
         "FlowLeftSector", "Diverged"],

@@ -4,13 +4,12 @@ reduced map/field holders built from them."""
 import numpy as np
 import pytest
 
+from paratori.applications import (NormalizationRecord, _inverse_change,
+                                   _xy_identity)
 from paratori.errors import StructureViolation
 from paratori.fourier import FourierSeries
 from paratori.jets import TFJet
-from paratori.map_solver import solve_to_order
-from paratori.mapdata import (NormalizationRecord, TaylorFourierMap, XYPoly,
-                              _inverse_change, _xy_identity,
-                              reduce_general_field, reduce_general_map)
+from paratori.mapdata import TaylorFourierMap, XYPoly
 
 from conftest import (GOLDEN, dense_series, mode_sum, one_mode, reference_map,
                       shear_example)
@@ -57,9 +56,6 @@ def test_xypoly_mul_numeric():
 
 
 def test_xypoly_derivatives():
-    p = XYPoly(1, 2, 6, {(3, 2): 2.0})
-    assert abs(p.diff_x().eval(0.5, 0.5, np.array([0.0])) - 6 * 0.25 * 0.25) < 1e-14
-    assert abs(p.diff_y().eval(0.5, 0.5, np.array([0.0])) - 4 * 0.125 * 0.5) < 1e-14
     q = XYPoly(1, 4, 4, {(1, 0): one_mode(0.0, 1.0, 1, 4)})
     # d/dtheta cos(2 pi theta) at theta = 0.25 is -2 pi
     got = q.diff_theta(0).eval(1.0, 0.0, np.array([0.25]))
@@ -82,7 +78,7 @@ def test_xypoly_subst_numeric():
 def to_jet(p, jx, jy, tails, trunc):
     """p at u-jets (x -> jx, y -> jy, theta_a -> theta_a + W_a): the pullback
     of a record whose inverse change is p."""
-    return NormalizationRecord(None, None, p).pullback(jx, jy, tails, trunc)
+    return NormalizationRecord(p, None).pullback(jx, jy, tails, trunc)
 
 
 def test_xypoly_to_jet_numeric():
@@ -156,16 +152,6 @@ def test_drive_only_field_needs_no_angle_structure():
     fd.validate_reduced()
 
 
-def test_shear_prerequisite_check():
-    fd = shear_example()
-    fd.validate_xy_shear()
-    bad = TaylorFourierMap("field", 1, 0, 4, (GOLDEN,),
-                           {(0, 1): 2.0, (1, 0): 0.1},
-                           {(1, 1): -1.0}, [{(0, 1): 3.0}])
-    with pytest.raises(StructureViolation):
-        bad.validate_xy_shear()
-
-
 def test_transformed_field_is_numeric_conjugation():
     fd = shear_example()
     tf = fd.transformed_field(sx=1, sy=-1, time_sign=-1)
@@ -194,7 +180,7 @@ def test_transformed_field_involution():
 def test_normalization_record_pullback():
     cut, deg, trunc = 4, 6, 7
     h = XYPoly(1, cut, deg, {(0, 2): 1.0})
-    record = NormalizationRecord(None, h, _inverse_change(h, deg))
+    record = NormalizationRecord(_inverse_change(h, deg), None)
     jx = TFJet(1, cut, trunc, {2: FourierSeries.constant(1.0, 1, cut)})
     jy_new = TFJet(1, cut, trunc, {2: FourierSeries.constant(0.5, 1, cut)})
     tails = [TFJet(1, cut, trunc)]
@@ -205,42 +191,6 @@ def test_normalization_record_pullback():
     direct = back.eval_grid(np.array([u]), np.array([[0.0]]))[0, 0]
     series = y_new - y_new**2 + 2 * y_new**3
     assert abs(direct - series) < 1e-12
-
-
-def general_dynamics(kind, cut):
-    """Reference dynamics whose x-part also has x^2 and x y terms."""
-    x_terms = {(0, 1): one_mode(1.0, 0.1, 1, cut), (2, 0): 0.3,
-               (1, 1): one_mode(0.2, 0.1, 1, cut)}
-    return TaylorFourierMap(kind, 1, 0, cut, (GOLDEN,), x_terms,
-                            {(2, 0): one_mode(6.0, 1.0, 1, cut)},
-                            [{(1, 0): 1.0}], k=2, p=1)
-
-
-def test_general_map_normalization_conjugates():
-    cut, deg = 8, 6
-    mp = general_dynamics("map", cut)
-    reduced, record = reduce_general_map(mp, deg)
-    reduced.validate_reduced()
-    assert solve_to_order(reduced, 4)[0].order == 4
-    # reduced(x, y + h, theta) is the change y -> y + h applied to mp(x, y, theta)
-    h = record.forward
-    errs = []
-    for s in (1.0, 0.5, 0.25):
-        x, y, th = 0.02 * s, 0.01 * s, np.array([0.3])
-        X, Y, TH = mp.eval(x, y, th)
-        want = np.array([X, Y + h.eval(X, Y, TH), TH[0]])
-        gx, gy, gth = reduced.eval(x, y + h.eval(x, y, th), th)
-        errs.append(np.max(np.abs(np.array([gx, gy, gth[0]]) - want)))
-    # the conjugacy defect decays at the truncation degree of the change
-    rate = np.log2(errs[0] / errs[-1]) / 2
-    assert rate > deg + 0.5
-    assert errs[-1] < 1e-12
-
-
-def test_general_field_normalization_validates():
-    reduced, record = reduce_general_field(general_dynamics("field", 8), 6)
-    reduced.validate_reduced()
-    assert reduced.x_terms.terms.keys() == {(0, 1)}
 
 
 def test_displacement_guard_and_absent_displacements():

@@ -83,9 +83,6 @@ KEPT_UNCALLED = {
     "sup_grid",
     # the paper's right inverse for maps, checked by the acceptance tests
     "orbit_sum_inverse",
-    # the normalizations of general input that ROADMAP N6 adopts
-    "reduce_general_map",
-    "reduce_general_field",
 }
 
 
