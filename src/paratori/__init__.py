@@ -21,9 +21,9 @@ from paratori.operators import (Sector, contraction_probe, flow_inverse,
                                 flow_inverse_norm_limit, flow_orbit_integral,
                                 map_inverse_norm_limit, orbit_sum_inverse,
                                 sector_iterate_check)
-from paratori.applications import (HeCuParams, NormalizationRecord,
-                                   OscillatorParams, build_hecu_field,
-                                   build_oscillator_field, hecu_manifolds)
+from paratori.applications import (HeCuParams, OscillatorParams,
+                                   build_hecu_field, build_oscillator_field,
+                                   hecu_manifolds)
 
 __version__ = "0.1.0"
 
@@ -42,6 +42,6 @@ __all__ = [
     "Sector", "contraction_probe", "flow_inverse", "flow_inverse_norm_limit",
     "flow_orbit_integral", "map_inverse_norm_limit", "orbit_sum_inverse",
     "sector_iterate_check",
-    "HeCuParams", "NormalizationRecord", "OscillatorParams",
+    "HeCuParams", "OscillatorParams",
     "build_hecu_field", "build_oscillator_field", "hecu_manifolds",
 ]

@@ -10,17 +10,18 @@ stable/unstable manifolds of (x y)-shear type.
 
 The wall model reaches that shape only through a change of variables, the
 quadratic  y_new = y + (1 + g(theta)) y^2, and it owns the change: its
-inverse, built once in ``build_hecu_field``, and the ``NormalizationRecord``
-whose ``pullback`` carries the solved manifolds back to wall coordinates.
-No other input goes through a change of variables; the solvers take maps
-and fields already in their triangular shapes.
+inverse, built once in ``build_hecu_field``, rewrites the field in the new
+coordinates and carries the solved manifolds back to wall coordinates, each
+by one ``jets.substitute`` call.  No other input goes through a change of
+variables; the solvers take maps and fields already in their triangular
+shapes.
 """
 
 import math
 
 from .errors import BoundViolated, ConfigError, EnergyBelowThreshold
 from .fourier import FourierSeries, on_box
-from .jets import eval_xy_terms, power_table
+from .jets import substitute
 from .mapdata import TaylorFourierMap, XYPoly
 from .flow_solver import solve_helicoure
 from .pairs import residual_report
@@ -114,25 +115,6 @@ class HeCuParams:
         self.g_surface = on_box(g_surface, 1, self.cut, "corrugation")
 
 
-class NormalizationRecord:
-    """The inverse  y = y_new + H(x, y_new, theta)  of the wall model's
-    change of variables, kept so manifolds of the shear-form field can be
-    pulled back to wall coordinates, and the ``validity`` dict that reports
-    where the expansion behind it can break down."""
-
-    def __init__(self, inverse, validity):
-        self.inverse = inverse
-        self.validity = validity
-
-    def pullback(self, jx, jy_new, tails, trunc):
-        """Original-variable y-jet from normalized-variable jets: the
-        inverse change at u-jets (x -> jx, y -> jy_new,
-        theta_a -> theta_a + W_a)."""
-        terms = self.inverse.terms
-        powers = power_table(jx, jy_new, tails, trunc, [terms])
-        return eval_xy_terms(terms, powers, trunc)
-
-
 def _xy_identity(dim, cut, deg, which):
     lm = (1, 0) if which == "x" else (0, 1)
     return XYPoly(dim, cut, deg, {lm: 1.0})
@@ -164,8 +146,8 @@ def build_hecu_field(p, expansion="displayed", deg=6):
     momentum equation by the quadratic change
     y_new = y + (1 + g(theta)) y^2, the motion near the parabolic orbit at
     infinity takes the (x y)-shear triangular form.  Returns the field and
-    the NormalizationRecord holding that change for pulling solved jets
-    back to wall coordinates.
+    the inverse change  y = Y(x, y_new, theta), an ``XYPoly``, for pulling
+    solved jets back to wall coordinates.
 
     expansion="displayed" keeps only the leading coefficients
 
@@ -173,10 +155,10 @@ def build_hecu_field(p, expansion="displayed", deg=6):
 
     while expansion="expanded" carries the full Taylor expansion of the
     angular square-root equation (and of the change of variables) to total
-    degree ``deg``.  The expansion is asymptotic near the orbit; the record
-    reports the radius where the square-root argument can vanish, and
-    nothing enforces it.  The field is in the shear class by construction;
-    ``solve_helicoure`` checks it.
+    degree ``deg``.  The expansion is asymptotic near the orbit: the
+    square-root argument can vanish near y = A / (4 m D) or p = sqrt(A),
+    with A = 2 m (h - D), and nothing enforces it.  The field is in the
+    shear class by construction; ``solve_helicoure`` checks it.
     """
     if expansion not in ("displayed", "expanded"):
         raise ConfigError("expansion must be 'displayed' or 'expanded'")
@@ -223,10 +205,9 @@ def build_hecu_field(p, expansion="displayed", deg=6):
         swirl = XYPoly(1, cut, deg, {(0, 2): g.diff(0)})
         ydot_new = stretch * ydot + swirl * theta_full
 
-        xid = _xy_identity(1, cut, deg, "x")
-        pdot_n = pdot.subst(xid, y_inv)
-        ydot_n = ydot_new.subst(xid, y_inv)
-        theta_n = theta_dev.subst(xid, y_inv)
+        pdot_n, ydot_n, theta_n = substitute(
+            [pdot.terms, ydot_new.terms, theta_dev.terms],
+            _xy_identity(1, cut, deg, "x"), y_inv, (), deg)
         scale = max(s.coeff_norm() for s in
                     list(pdot_n.terms.values()) + list(ydot_n.terms.values())
                     + list(theta_n.terms.values()))
@@ -238,19 +219,16 @@ def build_hecu_field(p, expansion="displayed", deg=6):
 
         fd = TaylorFourierMap("field", 1, 0, cut, (omega,),
                               clean(pdot_n), clean(ydot_n), [clean(theta_n)])
-    record = NormalizationRecord(y_inv, {
-        "y": A / (4.0 * m * D),
-        "p": math.sqrt(A),
-        "note": "square-root argument can vanish there; reported only",
-    })
-    return fd, record
+    return fd, y_inv
 
 
-def _pulled_back(pair, record):
+def _pulled_back(pair, y_inv):
     """Same manifold in wall coordinates: vertical jet through the inverse
-    change, everything else untouched."""
+    change y_inv at (x-jet, y-jet, theta + tails), everything else
+    untouched."""
     out = pair.copy()
-    out.y = record.pullback(pair.x, pair.y, pair.tails, pair.trunc)
+    (out.y,) = substitute([y_inv.terms], pair.x, pair.y, pair.tails,
+                          pair.trunc)
     out.diagnostics["wall_coordinates"] = True
     return out
 
@@ -282,8 +260,8 @@ def hecu_manifolds(p, n_target, expansion="displayed",
     the ResidualReport of each branch by name, measured in the solve
     coordinates before the pullback.
     """
-    fd, record = build_hecu_field(p, expansion=expansion,
-                                  deg=hecu_field_degree(n_target))
+    fd, y_inv = build_hecu_field(p, expansion=expansion,
+                                 deg=hecu_field_degree(n_target))
     solved = {branch: solve_helicoure(fd, n_target, branch, theta_leading,
                                       sd_floor, assert_tol)
               for branch in ("stable", "unstable")}
@@ -349,5 +327,5 @@ def hecu_manifolds(p, n_target, expansion="displayed",
         raise BoundViolated("wall-scattering checks failed: %s"
                             % ", ".join(failed))
 
-    return (_pulled_back(stable, record), _pulled_back(unstable, record),
+    return (_pulled_back(stable, y_inv), _pulled_back(unstable, y_inv),
             report, reports)

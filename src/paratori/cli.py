@@ -250,11 +250,13 @@ class RunConfig:
             block = _object(raw.get("hecu"), "hecu",
                             ("D", "alpha_morse", "m", "h", "g_surface", "cut",
                              "expansion"))
+            cut = _cut(block, "hecu", 1, 16)
             self.params = HeCuParams(
                 *(_entry(block, key, "hecu")
                   for key in ("D", "alpha_morse", "m", "h")),
-                _entry(block, "g_surface", "hecu", default=0.0),
-                cut=_cut(block, "hecu", 1, 16))
+                _series_spec(block.get("g_surface", 0.0), 1, cut,
+                             "hecu.g_surface"),
+                cut=cut)
             self.expansion = block.get("expansion", "displayed")
             if self.expansion not in ("displayed", "expanded"):
                 raise ConfigError("hecu.expansion must be displayed or "

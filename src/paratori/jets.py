@@ -9,14 +9,13 @@ exponent type.  ``TFJet`` (exponent ``n``, defined here) holds the
 components of manifold parameterizations and their residuals;
 ``mapdata.XYPoly`` (exponent ``(l, m)``) holds the term tables of the input
 dynamics and normalizes them.
-``angle_taylor`` (the expansion of s(theta + W) in the displacement W) and
-``substitute`` (a term table evaluated at two polynomials and angle
-displacements) are written once for both; ``eval_xy_terms`` and
-``XYPoly.subst`` are built on them.  They read every power of the
-substituted polynomials and of the displacements from one
-``power_table``, built once per substitution and shared by all the term
-tables substituted at the same point (the 2 + d tables of one residual),
-so no power is multiplied out twice.
+``substitute`` is the one door to composition, for both classes: term
+tables evaluated at two polynomials and angle displacements.  It builds
+every power of the substituted polynomials and of the displacements once,
+in one power table shared by all the tables substituted at that point (the
+2 + d tables of one residual, the three tables of the expanded wall field),
+and evaluates each table on it with ``eval_xy_terms`` and ``angle_taylor``
+(the expansion of s(theta + W) in the displacement W).
 
 ``JetStack`` evaluates several jets on one mode box together: one
 ``fourier.eval_stack`` call for all their coefficients, then one u-power
@@ -181,15 +180,9 @@ class FTPoly:
             out.terms = {key: s * c for key, s in self.terms.items()}
         return out
 
-    def mul_series(self, s):
-        out = self._empty()
-        for key, c in self.terms.items():
-            out._store(key, c * s)
-        return out
-
     def __mul__(self, other):
-        """Truncated product with a polynomial of the same class, a series
-        or a number."""
+        """Truncated product with a polynomial of the same class or a
+        number."""
         if isinstance(other, FTPoly):
             trunc = min(self.trunc, other.trunc)
             out = self._empty(trunc)
@@ -201,8 +194,6 @@ class FTPoly:
                     if dn + dm <= trunc:
                         out._accumulate(add(n, m), a * b)
             return out
-        if isinstance(other, FourierSeries):
-            return self.mul_series(other)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -353,17 +344,32 @@ class JetStack:
 # ----- substitution with its angle-argument Taylor expansion -----------------
 
 
-def power_table(px, py, tails, trunc, tables):
+def substitute(tables, px, py, tails, trunc):
+    """Evaluate {(l, m): series-or-float} term tables at polynomials.
+
+    Computes, for every table,  sum_{l,m} s_{lm}(theta + W) * px^l * py^m
+    truncated at ``trunc``, in the class and box of px: one polynomial per
+    table, in their order.  px and py must vanish at the origin; ``tails``
+    lists one displacement W_a of px's class per angle axis (None for none).
+    The powers of (px, py, W) are built once, in one ``_power_table``, and
+    shared by all the tables, so no power is multiplied out twice.
+    """
+    if px._ZERO in px.terms or py._ZERO in py.terms:
+        raise StructureViolation("substituted polynomials need zero constant term")
+    powers = _power_table(px, py, tails, trunc, tables)
+    return [eval_xy_terms(terms, powers, trunc) for terms in tables]
+
+
+def _power_table(px, py, tails, trunc, tables):
     """Every power that substituting (px, py, theta + W) into the term
     ``tables`` needs, each built once.
 
     Returns (xp, yp, wp): xp[l] = px^l and yp[m] = py^m up to the largest
     exponents in ``tables``, truncated at ``trunc``, and for every angle axis
     wp[a] = [1, W_a, W_a^2, ...] up to W_a^(trunc // min_order(W_a)) or the
-    first zero power (None for an absent or zero displacement).  ``tails``
-    lists one displacement W_a of px's class per angle axis (None for none);
-    every nonzero displacement must vanish at the origin so the angle
-    expansion terminates.
+    first zero power (None for an absent or zero displacement).  Every
+    nonzero displacement must vanish at the origin so the angle expansion
+    terminates.
     """
     one = px._constant(1.0, trunc)
     exponents = [lm for terms in tables for lm in terms]
@@ -395,7 +401,7 @@ def angle_taylor(poly, wp):
 
     ``poly`` is an ``FTPoly`` whose coefficients are evaluated at displaced
     angles; ``wp`` holds per angle axis the powers [1, W_a, W_a^2, ...] of
-    ``power_table`` (None for no displacement).
+    ``_power_table`` (None for no displacement).
     """
     trunc = poly.trunc
     for axis, w_pows in enumerate(wp):
@@ -413,25 +419,12 @@ def angle_taylor(poly, wp):
     return poly
 
 
-def substitute(terms, powers, trunc):
-    """Evaluate an {(l, m): series-or-float} term table at polynomials.
-
-    Computes  sum_{l,m} s_{lm}(theta + W) * px^l * py^m  truncated at
-    ``trunc``, in the class and box of px, from the ``power_table`` of
-    (px, py, W) built for this table (and possibly others).
-    """
+def eval_xy_terms(terms, powers, trunc):
+    """Evaluate one {(l, m): series-or-float} term table at the
+    ``_power_table`` of (px, py, W): the per-table body of ``substitute``."""
     xp, yp, wp = powers
     out = xp[0]._empty(trunc)
     for (l, m), s in sorted(terms.items()):
         coeff = angle_taylor(xp[0]._constant(s, trunc), wp)
         out = out + coeff * xp[l] * yp[m]
     return out
-
-
-def eval_xy_terms(terms, powers, trunc):
-    """Evaluate an {(l, m): series-or-float} term table at u-jets.
-
-    Computes  sum_{l,m} s_{lm}(theta + W) * jx^l * jy^m  truncated in u,
-    from the ``power_table`` of (jx, jy, W).
-    """
-    return substitute(terms, powers, trunc)

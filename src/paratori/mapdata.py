@@ -12,10 +12,10 @@ Every term table (``x_terms``, ``y_terms``, each ``theta_terms[a]``) is an
 ``XYPoly`` truncated at its own total degree; a coefficient is read with
 ``FTPoly.coefficient``, and ``XYPoly.eval`` is the one pointwise evaluator.
 Its arithmetic is the ``jets.FTPoly`` core shared with ``TFJet``, and
-``XYPoly.subst`` is ``jets.substitute``, the same code that evaluates term
-tables at u-jets, on a ``jets.power_table`` it builds once per call.  A
-table is only read at its own degree: whatever computes with it builds an
-``XYPoly`` at the degree it needs from the table's ``terms``.
+``XYPoly.subst`` is the one-table case of ``jets.substitute``, the same door
+that evaluates term tables at u-jets.  A table is only read at its own
+degree: whatever computes with it builds an ``XYPoly`` at the degree it
+needs from the table's ``terms``.
 
 The admissibility rule of each solver class is one function here:
 ``TaylorFourierMap.validate_reduced`` (the triangular power class, with
@@ -35,7 +35,7 @@ from .errors import (ConfigError, DimensionMismatch,
                      NonPositiveLeadingCoefficient, StructureViolation,
                      ZeroLeadingCoefficient)
 from .fourier import eval_stack
-from .jets import FTPoly, power_table, stack_coefficients, substitute
+from .jets import FTPoly, stack_coefficients, substitute
 
 
 class XYPoly(FTPoly):
@@ -65,12 +65,9 @@ class XYPoly(FTPoly):
 
         px, py are XYPoly with zero constant term; ``tails`` lists one
         XYPoly displacement of positive minimal total degree per angle axis
-        (None for none).
+        (None for none).  The one-table case of ``jets.substitute``.
         """
-        if (0, 0) in px.terms or (0, 0) in py.terms:
-            raise StructureViolation("substituted polynomials need zero constant term")
-        powers = power_table(px, py, tails, self.trunc, [self.terms])
-        return substitute(self.terms, powers, self.trunc)
+        return substitute([self.terms], px, py, tails, self.trunc)[0]
 
     def eval(self, x, y, ang=None):
         """Pointwise sum_{l,m} s_{lm}(ang) x^l y^m, every coefficient from
@@ -168,32 +165,6 @@ class TaylorFourierMap:
         if cbar < 0.0 or abar < 0.0:
             raise NonPositiveLeadingCoefficient(
                 "need positive means: shear %.3e, leading %.3e" % (cbar, abar))
-
-    # ----- pointwise evaluation ------------------------------------------
-
-    def eval(self, x, y, ang=None):
-        """Image (map) or velocity (field) at points.
-
-        Returns (X, Y, A) with A of shape batch + (dim,) holding the full
-        angle image/velocity (dynamic axes first, then drive axes).
-        """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        dx = self.x_terms.eval(x, y, ang)
-        dy = self.y_terms.eval(x, y, ang)
-        batch = np.broadcast(x, y).shape
-        ang_out = np.zeros(batch + (self.dim,))
-        for a in range(self.d):
-            ang_out[..., a] = self.theta_terms[a].eval(x, y, ang)
-        if self.kind == "map":
-            X = x + dx
-            Y = y + dy
-            for a in range(self.d):
-                ang_out[..., a] += np.asarray(ang)[..., a] + self.freqs[a]
-            return X, Y, ang_out
-        for j in range(self.dim):
-            ang_out[..., j] += self.freqs[j]
-        return dx, dy, ang_out
 
     # ----- symmetry transform (fields) ------------------------------------
 

@@ -7,6 +7,8 @@ u-component acting jointly with constant angle frequencies.
 
 Residuals are computed as full jets of the invariance defect, which a
 solve hands over with its pair, and measured on their polynomial tails.
+The input dynamics enter a residual through one ``jets.substitute`` call,
+which composes all their term tables with the pair's jets.
 Direct floating-point evaluation of the defect saturates at machine
 precision long before the interesting orders, so slope measurements use
 the exactly-representable tail and a separate check that the annihilated
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fourier import angle_grid
-from .jets import TFJet, UPoly, eval_xy_terms, power_table
+from .jets import TFJet, UPoly, substitute
 
 
 def contract_orders(family, n, k=None, p=None, d=0):
@@ -101,8 +103,9 @@ def residual_jets(data, pair, top=None):
     Maps:    F(K(u, theta)) - K(r(u), theta + omega)
     Fields:  X(K(u, theta)) - DK(u, theta) . (Y(u), freqs)
     The angle components are expressed through the tails, so the trivial
-    rotation part cancels identically.  One ``power_table`` of the
-    substitution (x-jet, y-jet, theta + tails) serves all 2 + d term tables.
+    rotation part cancels identically.  One ``substitute`` call evaluates
+    all 2 + d term tables at (x-jet, y-jet, theta + tails), on one power
+    table.
 
     ``top`` cuts the defect at that order (default: the pair's truncation).
     Every coefficient up to the cut is the full residual's, bit for bit: a
@@ -113,8 +116,7 @@ def residual_jets(data, pair, top=None):
     trunc = pair.x.trunc if top is None else min(top, pair.x.trunc)
     inner = UPoly(pair.inner.terms, min(trunc, pair.inner.trunc))
     tables = [t.terms for t in [data.x_terms, data.y_terms] + data.theta_terms]
-    powers = power_table(pair.x, pair.y, tails, trunc, tables)
-    fx, fy, *ft = (eval_xy_terms(terms, powers, trunc) for terms in tables)
+    fx, fy, *ft = substitute(tables, pair.x, pair.y, tails, trunc)
     if data.kind == "map":
         om = np.asarray(data.freqs, dtype=float)
         gx = pair.x + fx - pair.x.compose_inner(inner, om)

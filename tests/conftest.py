@@ -92,6 +92,13 @@ def mode_sum(series, theta):
     return total
 
 
+def table_values(data, x, y, theta):
+    """Every term table of a map or field at one point, each through
+    ``XYPoly.eval``: [x_terms, y_terms, theta_terms[0], ...]."""
+    return [t.eval(x, y, theta)
+            for t in [data.x_terms, data.y_terms] + data.theta_terms]
+
+
 def dense_series(rng, dim, cut):
     """A real series with a random coefficient on every mode of the box."""
     box = (2 * cut + 1,) * dim

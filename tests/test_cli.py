@@ -7,9 +7,11 @@ import sys
 import pytest
 
 from paratori import mapdata
+from paratori.applications import HeCuParams, hecu_manifolds
 from paratori.cli import main
 from paratori.flow_solver import solve_flow_to_order, solve_helicoure
-from paratori.ioutil import pair_from_payload, pair_payload
+from paratori.fourier import FourierSeries
+from paratori.ioutil import canonical_json, pair_from_payload, pair_payload
 from paratori.jets import TFJet, UPoly
 from paratori.map_solver import solve_to_order
 from paratori.mapdata import TaylorFourierMap
@@ -248,6 +250,26 @@ def test_hecu_run(tmp_path):
     assert report["sign_pattern"]["stable_contracts"]
 
 
+def test_hecu_corrugation_from_config(tmp_path):
+    # a {const, modes} corrugation reaches the expanded build from the CLI
+    # and gives the Python API's stable pair byte for byte
+    g_surface = {"const": 0.2, "modes": {"1": [0.05, 0.0]}}
+    cfg = write_config(tmp_path, {
+        "problem": "hecu", "n_target": 3, "theta_leading": "cohomological",
+        "hecu": {"D": 6.35, "alpha_morse": 1.05, "m": 1.0, "h": 12.7,
+                 "g_surface": g_surface, "cut": 8, "expansion": "expanded"},
+    })
+    out = tmp_path / "wall"
+    res = run_cli(["hecu", "--config", str(cfg), "--out", str(out)], tmp_path)
+    assert res.returncode == 0, res.stderr
+    g = FourierSeries.from_modes({(1,): 0.05}, 1, 8) + 0.2
+    stable, _, _, _ = hecu_manifolds(
+        HeCuParams(D=6.35, alpha_morse=1.05, m=1.0, h=12.7, g_surface=g),
+        3, "expanded", "cohomological")
+    assert (out / "stable.json").read_text() == canonical_json(
+        pair_payload(stable))
+
+
 def test_contract_violation_is_typed_under_optimize(tmp_path):
     # the invariance contract is checked by a typed error, so it still runs
     # (and names where it failed) when python -O strips assert statements
@@ -410,6 +432,8 @@ MALFORMED_BLOCKS = [
      lambda c: c["hecu"].update(cut=1e300)),
     ("oscillator_cut_box_too_large", "oscillator", OSC_CONFIG,
      lambda c: c["oscillator"].update(cut=1e300)),
+    ("hecu_g_surface_two_axes", "hecu", HECU_CONFIG,
+     lambda c: c["hecu"].update(g_surface={"modes": {"1,1": [0.1, 0.0]}})),
     ("hecu_expansion_unknown", "hecu", HECU_CONFIG,
      lambda c: c["hecu"].update(expansion="x")),
     ("diagnose_with_a_sweep", "diagnose-operators", DIAG_CONFIG,

@@ -2,9 +2,12 @@
 trigonometric-polynomial coefficients."""
 
 import numpy as np
+import pytest
 
+from paratori.errors import StructureViolation
 from paratori.fourier import FourierSeries
-from paratori.jets import JetStack, TFJet, UPoly
+from paratori.jets import JetStack, TFJet, UPoly, substitute
+from paratori.mapdata import XYPoly
 
 from conftest import GOLDEN, dense_series, mode_sum
 
@@ -130,3 +133,46 @@ def test_jets_share_their_series():
     total = a + b
     assert total.terms[1] is s1 and total.terms[2] is s2 and total.terms[3] is s3
     assert a.tail(2).terms == {2: s2} and a.tail(2).terms[2] is s2
+
+
+def same_poly(a, b):
+    """Two polynomials with the same exponents and equal coefficient arrays."""
+    return set(a.terms) == set(b.terms) and all(
+        np.array_equal(a.terms[key].coeffs, b.terms[key].coeffs)
+        for key in a.terms)
+
+
+def test_substitute_shares_its_power_table_bit_for_bit():
+    # tables substituted together give, coefficient for coefficient, what
+    # each gives on its own, at polynomials and at jets with a nonzero
+    # angle displacement alike
+    rng = np.random.default_rng(11)
+    cut = 3
+    tables = [
+        {(0, 1): dense_series(rng, 1, cut), (0, 2): 0.5},
+        {(1, 1): dense_series(rng, 1, cut), (2, 0): -1.0,
+         (0, 3): dense_series(rng, 1, cut)},
+        {(0, 0): 0.2, (1, 0): dense_series(rng, 1, cut)},
+    ]
+    at_polys = (XYPoly(1, cut, 5, {(1, 0): 1.0,
+                                   (0, 2): dense_series(rng, 1, cut)}),
+                XYPoly(1, cut, 5, {(0, 1): 1.0, (1, 1): 0.3}),
+                [XYPoly(1, cut, 5, {(1, 0): dense_series(rng, 1, cut)})])
+    at_jets = (TFJet(1, cut, 7, {1: dense_series(rng, 1, cut), 2: 0.4}),
+               TFJet(1, cut, 7, {2: dense_series(rng, 1, cut)}),
+               [TFJet(1, cut, 7, {1: dense_series(rng, 1, cut)})])
+    for px, py, tails in (at_polys, at_jets):
+        together = substitute(tables, px, py, tails, px.trunc)
+        assert len(together) == len(tables)
+        for terms, got in zip(tables, together):
+            (alone,) = substitute([terms], px, py, tails, px.trunc)
+            assert not got.is_zero() and same_poly(got, alone)
+
+
+def test_substitute_refuses_a_constant_term():
+    cut = 2
+    moving = TFJet(1, cut, 4, {1: 1.0})
+    offset = TFJet(1, cut, 4, {0: 0.1, 1: 1.0})
+    for px, py in ((offset, moving), (moving, offset)):
+        with pytest.raises(StructureViolation):
+            substitute([{(1, 0): 1.0}], px, py, [], 4)

@@ -4,15 +4,16 @@ reduced map/field holders built from them."""
 import numpy as np
 import pytest
 
-from paratori.applications import (NormalizationRecord, _inverse_change,
+from paratori.applications import (_inverse_change, _pulled_back,
                                    _xy_identity)
 from paratori.errors import StructureViolation
 from paratori.fourier import FourierSeries
-from paratori.jets import TFJet
+from paratori.jets import TFJet, UPoly, substitute
 from paratori.mapdata import TaylorFourierMap, XYPoly
+from paratori.pairs import ManifoldPair
 
 from conftest import (GOLDEN, dense_series, mode_sum, one_mode, reference_map,
-                      shear_example)
+                      shear_example, table_values)
 
 
 def test_xypoly_eval_and_arithmetic():
@@ -76,9 +77,8 @@ def test_xypoly_subst_numeric():
 
 
 def to_jet(p, jx, jy, tails, trunc):
-    """p at u-jets (x -> jx, y -> jy, theta_a -> theta_a + W_a): the pullback
-    of a record whose inverse change is p."""
-    return NormalizationRecord(p, None).pullback(jx, jy, tails, trunc)
+    """p at u-jets (x -> jx, y -> jy, theta_a -> theta_a + W_a)."""
+    return substitute([p.terms], jx, jy, tails, trunc)[0]
 
 
 def test_xypoly_to_jet_numeric():
@@ -156,11 +156,12 @@ def test_transformed_field_is_numeric_conjugation():
     fd = shear_example()
     tf = fd.transformed_field(sx=1, sy=-1, time_sign=-1)
     x, y, th = 0.2, 0.3, np.array([0.15])
-    fx, fy, fth = fd.eval(x, -y, th)
-    gx, gy, gth = tf.eval(x, y, th)
+    fx, fy, *fth = table_values(fd, x, -y, th)
+    gx, gy, *gth = table_values(tf, x, y, th)
     assert abs(gx - (-1) * fx) < 1e-14
     assert abs(gy - (-1) * (-1) * fy) < 1e-14
-    assert np.max(np.abs(gth + fth)) < 1e-14
+    assert np.max(np.abs(np.add(gth, fth))) < 1e-14
+    assert tf.freqs == tuple(-w for w in fd.freqs)
 
 
 def test_transformed_field_involution():
@@ -168,23 +169,31 @@ def test_transformed_field_involution():
     fd = TaylorFourierMap("field", fd.d, fd.drive, fd.cut, fd.freqs,
                           fd.x_terms.terms, fd.y_terms.terms,
                           [t.terms for t in fd.theta_terms], k=2, p=1)
-    twice = fd.transformed_field(1, -1, -1).transformed_field(1, -1, -1)
+    once = fd.transformed_field(1, -1, -1)
+    twice = once.transformed_field(1, -1, -1)
     x, y, th = 0.1, -0.2, np.array([0.63])
-    a = fd.eval(x, y, th)
-    b = twice.eval(x, y, th)
+    a = table_values(fd, x, y, th)
+    b = table_values(twice, x, y, th)
     assert abs(a[0] - b[0]) < 1e-14 and abs(a[1] - b[1]) < 1e-14
-    assert np.max(np.abs(a[2] - b[2])) < 1e-14
+    assert np.max(np.abs(np.subtract(a[2:], b[2:]))) < 1e-14
+    assert once.freqs == tuple(-w for w in fd.freqs)
     assert twice.freqs == fd.freqs
 
 
-def test_normalization_record_pullback():
+def test_inverse_change_pullback():
+    # _pulled_back carries the vertical jet through the inverse change by
+    # one substitute call and leaves the other jets as they are
     cut, deg, trunc = 4, 6, 7
     h = XYPoly(1, cut, deg, {(0, 2): 1.0})
-    record = NormalizationRecord(_inverse_change(h, deg), None)
     jx = TFJet(1, cut, trunc, {2: FourierSeries.constant(1.0, 1, cut)})
     jy_new = TFJet(1, cut, trunc, {2: FourierSeries.constant(0.5, 1, cut)})
     tails = [TFJet(1, cut, trunc)]
-    back = record.pullback(jx, jy_new, tails, trunc)
+    pair = ManifoldPair("field", "shear", "stable", cut, trunc, 2, None,
+                        None, (GOLDEN,), 1, 0, jx, jy_new, tails,
+                        UPoly({2: -1.0}, trunc))
+    out = _pulled_back(pair, _inverse_change(h, deg))
+    assert out.x.terms == jx.terms and out.diagnostics["wall_coordinates"]
+    back = out.y
     # y = y_new - y_new^2 + 2 y_new^3 - ... evaluated on the jet
     u = 0.05
     y_new = 0.5 * u**2

@@ -105,6 +105,25 @@ def test_every_public_definition_is_used():
     assert not stale, sorted(stale)
 
 
+def test_one_substitution_door():
+    # term tables reach their power table and the per-table evaluation only
+    # through jets.substitute, so all the tables of one substitution point
+    # share one power table
+    callers = {}
+    for path, tree in _trees(PACKAGE):
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in ("_power_table", "eval_xy_terms"):
+                    callers.setdefault(name, set()).add(
+                        "%s:%s" % (os.path.basename(path), fn.name))
+    assert callers == {"_power_table": {"jets.py:substitute"},
+                       "eval_xy_terms": {"jets.py:substitute"}}, callers
+
+
 def test_importing_the_cli_loads_no_scipy():
     # SciPy was most of a fresh run's set-up time and over half its peak
     # memory; only the contraction probe and the trajectory integrals use
