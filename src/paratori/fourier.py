@@ -49,6 +49,7 @@ import math
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     NonZeroAverage,
     SmallDivisorUnderflow,
@@ -405,6 +406,19 @@ def _check_zero_average(h):
         )
 
 
+def _divisor(kind, freqs, cut):
+    """(divisor, magnitude) over the mode box of ``freqs``: the map divisor
+    e^{2 pi i k.freqs} - 1 and its modulus, or the flow divisor
+    2 pi i k.freqs and |k.freqs|."""
+    kf = _mode_dot(cut, freqs.size, freqs)
+    if kind == "map":
+        divisor = np.exp(TWO_PI_I * kf) - 1.0
+        return divisor, np.abs(divisor)
+    if kind == "flow":
+        return TWO_PI_I * kf, np.abs(kf)
+    raise ConfigError("divisor kind must be 'map' or 'flow', got %r" % (kind,))
+
+
 def _guarded_divide(h, divisor, mag, floor):
     """h.coeffs / divisor with the zero mode forced to 0 and a floor check
     on the divisor magnitude ``mag``, applied only where the numerator is
@@ -432,8 +446,7 @@ def solve_sd_map(h, omega, floor=1e-12):
     if h.dim != omega.size:
         raise DimensionMismatch("omega length %d vs series dim %d" % (omega.size, h.dim))
     _check_zero_average(h)
-    divisor = np.exp(TWO_PI_I * _mode_dot(h.cut, h.dim, omega)) - 1.0
-    return _guarded_divide(h, divisor, np.abs(divisor), floor)
+    return _guarded_divide(h, *_divisor("map", omega, h.cut), floor)
 
 
 def solve_sd_flow(h, freqs, floor=1e-12):
@@ -446,27 +459,20 @@ def solve_sd_flow(h, freqs, floor=1e-12):
     if h.dim != freqs.size:
         raise DimensionMismatch("freqs length %d vs series dim %d" % (freqs.size, h.dim))
     _check_zero_average(h)
-    kf = _mode_dot(h.cut, h.dim, freqs)
-    return _guarded_divide(h, TWO_PI_I * kf, np.abs(kf), floor)
+    return _guarded_divide(h, *_divisor("flow", freqs, h.cut), floor)
 
 
 def diophantine_margin(freqs, k_max, kind="map"):
     """Smallest divisor magnitude over the punctured mode box |k|_inf <= k_max.
 
     ``kind="map"`` measures |e^{2 pi i k.freqs} - 1|, ``kind="flow"``
-    measures |k.freqs|.  Returns (margin, mode achieving it).
+    measures |k.freqs|, and any other kind raises ConfigError.  Returns
+    (margin, mode achieving it).
     """
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-    dim = freqs.size
-    if dim == 0:
+    _, mag = _divisor(kind, freqs, k_max)
+    if freqs.size == 0:
         return float("inf"), ()
-    kf = _mode_dot(k_max, dim, freqs)
-    if kind == "map":
-        mag = np.abs(np.exp(TWO_PI_I * kf) - 1.0)
-    elif kind == "flow":
-        mag = np.abs(kf)
-    else:
-        raise ValueError("kind must be 'map' or 'flow'")
-    mag[(k_max,) * dim] = np.inf
+    mag[(k_max,) * freqs.size] = np.inf
     idx = np.unravel_index(np.argmin(mag), mag.shape)
     return float(mag[idx]), tuple(int(i) - k_max for i in idx)

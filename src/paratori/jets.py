@@ -22,10 +22,10 @@ and evaluates each table on it with ``eval_xy_terms`` and ``angle_taylor``
 contraction; ``TFJet.eval_grid`` is its one-jet case.
 
 ``UPoly`` is the scalar-coefficient special case used for normal forms (the
-inner dynamics).  It is kept separate from ``FTPoly`` for its scalar
-pointwise evaluation (the orbit iterates and the trajectory steps of the
-operators call it at every step) and its scalar products (the powers of the
-inner polynomial in ``TFJet.compose_inner``).
+inner dynamics).  It is kept separate from ``FTPoly`` for its pointwise
+evaluation (the orbit iterates, and the first Taylor coefficient of each
+trajectory step), its plain coefficients (the higher ones) and its scalar
+products (the powers of the inner polynomial in ``TFJet.compose_inner``).
 """
 
 import math
@@ -56,11 +56,6 @@ class UPoly:
         return sorted(self.terms)
 
     def __call__(self, u):
-        if isinstance(u, (int, float, complex)):
-            out = 0.0
-            for n, a in self.terms.items():
-                out = out + a * u ** n
-            return out
         u = np.asarray(u)
         out = np.zeros(u.shape, dtype=np.result_type(u, float))
         for n, a in self.terms.items():

@@ -7,11 +7,10 @@ Everything here is a sampled, fixed-resolution diagnostic — grids and
 truncation indices are finite and reported, so the outputs are evidence,
 not certified enclosures.
 
-The contraction probe runs on numpy alone: its candidate corrections are
-interpolated multilinearly by ``_GridFunction``.  Only the trajectory
-integrals use SciPy, whose ODE solver ``quadrature.trajectory`` imports on
-first use.  Importing this module loads numpy only, so the solve commands
-and the map diagnostics never load SciPy.
+The module runs on numpy alone: the contraction probe interpolates
+its candidate corrections multilinearly (``_GridFunction``), and the
+trajectory integrals step their ODE by its Taylor series
+(``quadrature.trajectory``).
 """
 
 import itertools
@@ -30,8 +29,7 @@ from .errors import (
 from .fourier import angle_grid
 from .jets import JetStack
 from .pairs import check_finite
-from .quadrature import (QUAD_CHUNK, panel_quadrature, step_polynomials,
-                         trajectory)
+from .quadrature import QUAD_CHUNK, panel_quadrature, trajectory
 
 _J_MIN, _J_MAX = 16, 60000   # first and last orbit term where a sum may stop
 
@@ -253,16 +251,17 @@ def flow_orbit_integral(eta, velocity, freqs, u, theta=None, *, eta_order, mu,
     without angles), and returns an array of shape ``u.shape``; it is never
     called on more than ``quadrature.QUAD_CHUNK`` points at once.
 
-    The error is split in two halves of ``tol``.  The trajectory is stepped
-    by DOP853 (rtol 1e-13, atol 1e-16) to the first step end T where the
+    The error is split in two halves of ``tol``.  ``velocity`` is a
+    ``jets.UPoly``, and the trajectory is stepped by its Taylor series of
+    order 20 (``quadrature.trajectory``) to the first step end T where the
     analytic decay-bound tail after T is at most tol/2 (TailNotConverged if
-    that takes beyond time 1e9).  The integral over [0, T] then takes
-    Gauss-Kronrod (7, 15) panels on the dense output: the ODE steps, cut to
-    at most half the shortest angle period, and bisected until each panel's
-    |K15 - G7| is within its width's share of tol/2 (TailNotConverged for a
-    non-finite eta or a quadrature past ``quadrature.panel_quadrature``'s
-    limits).  ``sector`` checks the trajectory at every step end
-    (FlowLeftSector).
+    that takes beyond time 1e9, or for a non-finite step).  The integral
+    over [0, T] then takes Gauss-Kronrod (7, 15) panels on the step series:
+    the steps, cut to at most half the shortest angle period, and bisected
+    until each panel's |K15 - G7| is within its width's share of tol/2
+    (TailNotConverged for a non-finite eta or a quadrature past
+    ``quadrature.panel_quadrature``'s limits).  ``sector`` checks the
+    trajectory at every step end (FlowLeftSector).
 
     The derivative of the returned quantity (as a function of the starting
     point) along the drift equals minus the integrand.
@@ -279,13 +278,12 @@ def flow_orbit_integral(eta, velocity, freqs, u, theta=None, *, eta_order, mu,
         term = abs(integrand(np.array([s]), np.array([z]))[0])
         return _tail(term, s, x, q) <= tol / 2
 
-    path = trajectory(velocity, u, tail_small, sector)
-    along = step_polynomials(path)
+    edges, along = trajectory(velocity, u, tail_small, sector)
     width = None
     if th0 is not None and np.any(freqs):
         width = 1.0 / (2.0 * np.abs(freqs).max())
     value = complex(panel_quadrature(lambda s: integrand(s, along(s)),
-                                     path.ts, width, tol / 2))
+                                     edges, width, tol / 2))
     return value if abs(value.imag) > 1e-300 else value.real
 
 
@@ -360,11 +358,12 @@ def _weighted_sup(values, z, weight):
     return float(np.max(np.abs(values) / np.abs(z)[:, None] ** weight))
 
 
-def contraction_probe(mp, pair, residual, sector, mu, ball_alpha=0.5,
-                      samples=(10, 5, 8), n_iter=12):
+def contraction_probe(mp, pair, residual, sector, mu, *, samples, n_iter,
+                      ball_alpha=0.5):
     """Iterate the correction fixed point from zero on a sector grid,
     around the pair and its full invariance defect ``residual`` as the
-    solve hands it over.
+    solve hands it over, for ``n_iter`` sweeps on a grid of ``samples`` =
+    (radii, arguments, angles per axis); the CLI states both defaults.
 
     The candidate correction (one scalar field per component, weighted by
     u^{o-k} at the component's contract order o: u^n, u^{n+k-1} and

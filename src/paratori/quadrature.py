@@ -1,19 +1,17 @@
 """Quadrature along a decaying trajectory: the numerical core of
 ``operators.flow_orbit_integral``.
 
-``trajectory`` steps a scalar complex ODE with DOP853 until a stopping test
-holds at a step end, ``step_polynomials`` turns the steps' dense output into
-one vectorized function of time, and ``panel_quadrature`` integrates a
-vectorized integrand over panels cut from the steps by Gauss-Kronrod
-(7, 15), bisecting panels until their error estimates meet a
-width-proportional budget.
-
-SciPy's DOP853 is imported on first use, by ``trajectory``, so importing
-this module loads numpy only.
+``trajectory`` steps the polynomial ODE du/ds = Y(u) by its own Taylor
+series (Jorba and Zou, Experimental Mathematics 14, 2005) until a stopping
+test holds at a step end; the series of the steps are the trajectory's
+dense output, one vectorized function of time.  ``panel_quadrature``
+integrates a vectorized integrand over panels cut from the steps by
+Gauss-Kronrod (7, 15), bisecting panels until their error estimates meet
+a width-proportional budget.  This module needs numpy only.
 """
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval, chebvander
+from numpy.polynomial.polynomial import polyval
 
 from .errors import FlowLeftSector, TailNotConverged
 
@@ -41,61 +39,63 @@ _GK_X, _GK_W, _G7_W = _gauss_kronrod_15()
 QUAD_CHUNK = 2048     # most quadrature nodes per integrand call
 _PANELS_PER_CALL = QUAD_CHUNK // _GK_X.size
 _T_MAX = 1e9          # trajectory time past which a tail counts as unconverged
+_ORDER = 20           # Taylor order of a trajectory step
+_STEP_EPS = 1e-16     # last-term bound of a step, relative to |u| at its start
 _MAX_PASSES = 40      # bisection passes before a quadrature gives up
 _MAX_PANELS = 1 << 21  # most panels one pass may bisect (memory bound)
 _ROUNDING = 50 * np.finfo(float).eps   # panel error estimate at rounding level
 
 
 def trajectory(velocity, u, stop, sector):
-    """DOP853 steps of du/ds = velocity(u) from u, on the two real components
-    at rtol 1e-13, atol 1e-16, until ``stop(s, u(s))`` holds at a step end
-    (TailNotConverged if it still fails at time 1e9); the sector check runs
-    at every step end.  Returns the dense output of the steps taken as one
-    ``OdeSolution``."""
-    from scipy.integrate import DOP853, OdeSolution
+    """Taylor steps of du/ds = velocity(u) = sum_n a_n u^n from u until
+    ``stop(s, u(s))`` holds at a step end.
 
-    def rhs(s, state):
-        dz = velocity(complex(state[0], state[1]))
-        return [dz.real, dz.imag]
-
-    solver = DOP853(rhs, 0.0, [np.real(u), np.imag(u)], _T_MAX,
-                    rtol=1e-13, atol=1e-16)
-    ts, pieces = [0.0], []
+    A step from z takes the series sum_j c_j t^j of order 20: c_0 = z, c_1 =
+    velocity(z), (j+1) c_{j+1} = sum_n a_n p_{n,j}, with the powers p_n =
+    u^n of the series from Miller's recurrence z j p_{n,j} = sum_{i=1..j}
+    ((n+1) i - j) c_i p_{n,j-i}.  Its length is the largest h with |c_j| h^j
+    <= 1e-16 |z| for the last two coefficients (Jorba and Zou; a zero one
+    bounds nothing, and no step passes time 1e9).  The sector check runs at
+    every step end (FlowLeftSector); a non-finite series, or a stop test
+    still failing at time 1e9, raises TailNotConverged.  Returns the step
+    ends and u(s) as one vectorized function: Horner's rule on each node's
+    step series.
+    """
+    orders = np.array(velocity.orders())
+    a = np.array([velocity.coeff(n) for n in orders], dtype=complex)
+    weights = [(orders[:, None] + 1) * np.arange(1, j + 1) - j
+               for j in range(_ORDER)]
+    p = np.empty((orders.size, _ORDER), dtype=complex)
+    z, s = complex(u), 0.0
+    ts, steps = [s], []
     while True:
-        message = solver.step()
-        if solver.status == "failed":
-            raise TailNotConverged("trajectory from %s: %s" % (u, message))
-        ts.append(solver.t)
-        pieces.append(solver.dense_output())
-        z = complex(solver.y[0], solver.y[1])
+        c = np.empty(_ORDER + 1, dtype=complex)
+        c[0], c[1], p[:, 0] = z, velocity(z), z ** orders
+        for j in range(1, _ORDER):
+            p[:, j] = (weights[j] * p[:, j - 1::-1]) @ c[1:j + 1] / (j * z)
+            c[j + 1] = a @ p[:, j] / (j + 1)
+        if not np.isfinite(c).all():
+            raise TailNotConverged("trajectory from %s: non-finite Taylor "
+                                   "step at time %.3e" % (u, s))
+        h = _T_MAX - s
+        for j in (_ORDER - 1, _ORDER):
+            if c[j] != 0:
+                h = min(h, (_STEP_EPS * abs(z) / abs(c[j])) ** (1.0 / j))
+        z, s = complex(polyval(h, c)), s + h
+        ts.append(s)
+        steps.append(c)
         if sector is not None and not sector.contains(z, slack=1e-12):
             raise FlowLeftSector("trajectory from %s reached %s" % (u, z))
-        if stop(solver.t, z):
-            return OdeSolution(ts, pieces)
-        if solver.status == "finished":
-            raise TailNotConverged("tail above its target at time %.3e"
-                                   % solver.t)
-
-
-def step_polynomials(path):
-    """u(s) along a DOP853 trajectory as one vectorized function of s.
-
-    DOP853's dense output is a polynomial of degree 7 in each step, so
-    ``path`` evaluated at 8 Chebyshev points of a step fixes it; the
-    returned function sums the Chebyshev series of each node's step at
-    once, with no grouping of the nodes by step.
-    """
-    ts = path.ts
-    h = np.diff(ts)
-    cheb = np.cos((2 * np.arange(8) + 1) * np.pi / 16)
-    vals = path((ts[:-1, None] + h[:, None] * (cheb + 1) / 2).ravel())
-    coef = np.linalg.solve(chebvander(cheb, 7),
-                           (vals[0] + 1j * vals[1]).reshape(h.size, 8).T)
+        if stop(s, z):
+            break
+        if s >= _T_MAX:
+            raise TailNotConverged("tail above its target at time %.3e" % s)
+    ts, steps = np.array(ts), np.array(steps)
 
     def at(s):
-        i = np.clip(np.searchsorted(ts, s, side="right") - 1, 0, h.size - 1)
-        return chebval(2 * (s - ts[i]) / h[i] - 1, coef[:, i], tensor=False)
-    return at
+        i = np.clip(np.searchsorted(ts, s, side="right") - 1, 0, len(steps) - 1)
+        return polyval(s - ts[i], steps[i].T, tensor=False)
+    return ts, at
 
 
 def _step_panels(edges, width):

@@ -731,22 +731,23 @@ def test_autonomous_run_on_both_branches(tmp_path, command, config):
                     == (runs[1] / entry / name).read_bytes())
 
 
-# each run in one process, and after it whether any SciPy module, SciPy's
-# interpolation and SciPy's ODE solvers are loaded
-_SCIPY_AFTER_EACH_RUN = """
+# every run, then one trajectory integral, in one process where any import
+# of SciPy fails
+_WITHOUT_SCIPY = """
 import json, sys
+sys.modules["scipy"] = None
 from paratori.cli import main
-for argv in json.loads(sys.argv[1]):
-    code = main(argv)
-    mods = {m for m in sys.modules if m.split(".")[0] == "scipy"}
-    print(json.dumps([code, bool(mods), "scipy.interpolate" in mods,
-                      "scipy.integrate" in mods]))
+from paratori.jets import UPoly
+from paratori.operators import flow_inverse
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+print(flow_inverse(lambda u, th: u ** 3, UPoly({2: -1.0}, 12), (), 0.03,
+                   None, eta_order=3, mu=0.5))
 """
 
 
-def test_map_commands_load_no_scipy(tmp_path):
-    # the solves and the map diagnosis, contraction probe included, run on
-    # numpy alone; only a trajectory integral imports SciPy
+def test_no_command_loads_scipy(tmp_path):
+    # the solves, the map diagnosis with its contraction probe, and the
+    # trajectory integrals all run on numpy alone
     runs = [[command, "--config", str(write_config(tmp_path, config,
                                                    command + ".json")),
              "--out", str(tmp_path / command)]
@@ -754,8 +755,9 @@ def test_map_commands_load_no_scipy(tmp_path):
                                     ("solve-flow", FLOW_CONFIG),
                                     ("hecu", HECU_CONFIG),
                                     ("diagnose-operators", DIAG_CONFIG)]]
-    res = run_python(["-c", _SCIPY_AFTER_EACH_RUN, json.dumps(runs)])
+    res = run_python(["-c", _WITHOUT_SCIPY, json.dumps(runs)])
     assert res.returncode == 0, res.stderr
-    assert [json.loads(line) for line in res.stdout.splitlines()] == [
-        [0, False, False, False], [0, False, False, False],
-        [0, False, False, False], [0, False, False, False]]
+    codes, value = res.stdout.splitlines()
+    assert json.loads(codes) == [0, 0, 0, 0]
+    # int_0^inf (u0 / (1 + s u0))^3 ds = u0^2 / 2
+    assert abs(float(value) + 0.03 ** 2 / 2) < 1e-10

@@ -8,7 +8,7 @@ from scipy import fft as sp_fft, signal
 
 from paratori import fourier
 from paratori.cli import MAX_BOX
-from paratori.errors import (DimensionMismatch, NonZeroAverage,
+from paratori.errors import (ConfigError, DimensionMismatch, NonZeroAverage,
                              SmallDivisorUnderflow)
 from paratori.fourier import (FourierSeries, _axis_basis, _fast_len,
                               _inverse_centre, angle_grid, diophantine_margin, eval_stack,
@@ -322,6 +322,13 @@ def test_diophantine_margin_orders():
     assert mode[0] % 2 == 0  # an even multiple of the near-half frequency
     margin, _ = diophantine_margin((GOLDEN, np.sqrt(2)), 16, kind="flow")
     assert margin > 0
+
+
+@pytest.mark.parametrize("freqs", [(GOLDEN,), ()])
+def test_diophantine_margin_refuses_an_unknown_kind(freqs):
+    # a typed error, on every torus dimension, the constant box included
+    with pytest.raises(ConfigError, match="'torus'"):
+        diophantine_margin(freqs, 8, kind="torus")
 
 
 def test_payload_round_trip():

@@ -403,6 +403,35 @@ def test_flow_quadrature_limits(monkeypatch):
         flow_orbit_integral(eta, vel, (GOLDEN,), 0.03, th0, **kw)
 
 
+@pytest.mark.parametrize("u0", [0.03, 0.004, 0.03 * np.exp(0.5j),
+                                0.01 * np.exp(-0.7j)])
+def test_trajectory_matches_the_closed_form(u0):
+    # velocity -u^2 has the trajectory u0/(1 + s u0); the Taylor steps and
+    # their series between the step ends follow it to rounding level
+    ts, along = quadrature.trajectory(UPoly({2: -1.0}, 12), u0,
+                                      lambda s, z: s >= 1e5, None)
+    assert ts[0] == 0.0 and ts[-1] >= 1e5 and np.all(np.diff(ts) > 0)
+    inside = np.random.default_rng(3).uniform(0.0, ts[-1], 20000)
+    for s in (ts, inside, (ts[1:] + ts[:-1]) / 2):
+        want = u0 / (1.0 + s * u0)
+        assert np.max(np.abs(along(s) - want) / np.abs(want)) <= 1e-14
+
+
+def test_trajectory_limits(monkeypatch):
+    # a stop test that still fails at the time limit (lowered here so that
+    # a short trajectory reaches it), and a velocity whose Taylor series is
+    # not finite, end in TailNotConverged instead of stepping without end
+    kw = dict(eta_order=3, mu=0.5, tol=1e-8)
+    eta = lambda u, th: u ** 3
+    monkeypatch.setattr(quadrature, "_T_MAX", 50.0)
+    with pytest.raises(TailNotConverged, match="at time 5.000e[+]01"):
+        flow_orbit_integral(eta, UPoly({2: -1.0}, 12), (), 0.03, None, **kw)
+    monkeypatch.undo()
+    with pytest.raises(TailNotConverged, match="non-finite Taylor step"):
+        flow_orbit_integral(eta, UPoly({2: -1.0, 3: np.nan}, 12), (), 0.03,
+                            None, **kw)
+
+
 def test_flow_inverse_solves_derivative_equation():
     eta = lambda u, th: u ** 3 * (1.0 + 0.2 * np.sin(2 * np.pi * th[0]))
     vel = UPoly({2: -1.0, 3: 0.5}, 12)

@@ -126,9 +126,8 @@ def test_one_substitution_door():
 
 def test_importing_the_cli_loads_no_scipy():
     # SciPy was most of a fresh run's set-up time and over half its peak
-    # memory; only the contraction probe and the trajectory integrals use
-    # it, and they import it themselves
-    res = run_python(["-c", "import sys, paratori.cli; print([m for m in "
-                            "sys.modules if m.split('.')[0] == 'scipy'])"])
+    # memory; no module of the package imports it
+    res = run_python(["-c", "import sys, paratori, paratori.cli; print([m for "
+                            "m in sys.modules if m.split('.')[0] == 'scipy'])"])
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
