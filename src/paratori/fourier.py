@@ -16,23 +16,28 @@ punctured box is empty) singles it out.
 A product of two series is their convolution: both boxes zero-padded to
 n per axis, n the smallest 11-smooth length >= 4*cut+1, a forward FFT of
 each, one inverse FFT of the product of the spectra, then the centre
-``|k| <= cut`` of the result, symmetrized.  Each series computes its
-forward spectrum once, on its first product, and keeps it, so a product
-costs one inverse FFT.  A series is immutable from construction: its
-coefficients are read-only from the moment it is built, so a cached
-spectrum can never go stale and a series can be shared instead of copied.
+``|k| <= cut`` of the result, symmetrized.  A jet product is one stacked
+transform: ``products`` takes all its pairs at once, the forward spectra
+still missing in stacked FFTs (each series keeps its spectrum from its
+first product on), then the products of the spectra and their inverses
+in one stack, at most ``STACK_ENTRIES`` complex entries per transform.
+numpy runs the same FFT plan row by row, so each row rounds as a single
+product did; ``FourierSeries.__mul__`` is the one-row case.  A series is
+immutable from construction: its coefficients are read-only from the
+moment it is built, so a cached spectrum can never go stale and a series
+can be shared instead of copied.
 
-The transforms are numpy's one-axis FFTs, taken along axis 0, 1, ..., in
-that order.  The forward transform is unscaled (``_spectrum``).  The
+The transforms are numpy's one-axis FFTs, taken along the box axes in
+order.  The forward transform is unscaled (``_cache_spectra``).  The
 inverse (``_inverse_centre``) is unscaled too, except that the 1/N of the
 whole box, N = n**dim, multiplies each real and imaginary part once,
-right after the pass along axis 0.  That is where SciPy's n-dimensional
-inverse FFT, which runs the same pocketfft as numpy >= 2.0, applies it,
-so every product rounds as it did when the products were SciPy's FFT
-convolution.  The seed-0 reference pairs were made that way, and until
-the pair comparison has a rounding-aware gate any change in rounding
-moves them far past its tolerance.  Importing this module loads numpy
-only.
+right after the pass along the first box axis.  That is where SciPy's
+n-dimensional inverse FFT, which runs the same pocketfft as numpy >= 2.0,
+applies it, so every product rounds as it did when the products were
+SciPy's FFT convolution.  The seed-0 reference pairs were made that way,
+and until the pair comparison has a rounding-aware gate any change in
+rounding moves them far past its tolerance.  Importing this module loads
+numpy only.
 
 Pointwise values come from ``eval_stack``: a stack of coefficient boxes is
 cut to its occupied band, the smallest centred box holding every nonzero
@@ -78,22 +83,90 @@ def _fast_len(m):
 
 
 def _inverse_centre(spec, cut):
-    """Entries cut .. 3*cut on every axis of the inverse FFT of ``spec``,
-    the modes |k| <= cut of a product: an unscaled pass along axis 0, the
-    1/N scale (N = ``spec.size``) on each real and imaginary part, then
-    unscaled passes along the other axes.  Each pass is cut to the kept
-    entries of its axis, so the later passes transform only those rows.
-    The scale sits where SciPy's inverse applies it, so every kept entry
-    is SciPy's ``ifftn(spec)`` bit for bit (the module docstring says why
-    that matters)."""
+    """Entries cut .. 3*cut on every box axis of the inverse FFTs of a
+    stack of spectra, shape (m,) + (n,)*dim: the modes |k| <= cut of m
+    products.  An unscaled pass along the first box axis, the 1/N scale
+    (N = n**dim, one row's size) on each real and imaginary part, then
+    unscaled passes along the other box axes.  The first pass overwrites
+    ``spec``; each pass is cut to the kept entries of its axis, so the
+    later passes transform only those rows.  The scale sits where SciPy's
+    inverse applies it, so every kept entry of a row is SciPy's ``ifftn``
+    of that row bit for bit (the module docstring says why that
+    matters)."""
     keep = slice(cut, 3 * cut + 1)
-    out = np.fft.ifft(spec, axis=0, norm="forward")[keep]
+    out = np.fft.ifft(spec, axis=1, norm="forward", out=spec)[:, keep]
     parts = out.view(np.float64)
-    parts *= 1.0 / spec.size
-    for k in range(1, spec.ndim):
+    parts *= 1.0 / math.prod(spec.shape[1:])
+    for k in range(2, spec.ndim):
         out = np.fft.ifft(out, axis=k, norm="forward")
         out = out[(slice(None),) * k + (keep,)]
     return out
+
+
+# complex entries of one stacked transform at most: a jet product with more
+# pairs runs in several stacks
+STACK_ENTRIES = 1 << 14
+
+
+def _stack_rows(dim, cut):
+    """Rows of one stacked transform on the box (dim, cut)."""
+    return max(1, STACK_ENTRIES // _fast_len(4 * cut + 1) ** dim)
+
+
+def products(lefts, rights):
+    """The coefficient stack of ``[a * b for a, b in zip(lefts, rights)]``,
+    shape (m,) + box, each row symmetrized and bit for bit what its pair
+    gives alone.  Every operand must sit on one mode box
+    (DimensionMismatch otherwise); a box of one mode multiplies
+    elementwise."""
+    lefts, rights = list(lefts), list(rights)
+    boxes = {(s.dim, s.cut) for s in lefts + rights}
+    if len(boxes) != 1 or len(lefts) != len(rights):
+        raise DimensionMismatch("products of %d by %d series on boxes "
+                                "(dim, cut) %s" % (len(lefts), len(rights),
+                                                   sorted(boxes)))
+    ((dim, cut),) = boxes
+    box = (2 * cut + 1,) * dim
+    if math.prod(box) == 1:
+        # a box of one mode has no axis to transform (SciPy's FFT
+        # convolution skips axes of length 1 too)
+        out = (np.array([a.coeffs for a in lefts])
+               * np.array([b.coeffs for b in rights]))
+    else:
+        _cache_spectra(lefts + rights, dim, cut)
+        out = np.empty((len(lefts),) + box, dtype=complex)
+        rows = _stack_rows(dim, cut)
+        for i in range(0, len(lefts), rows):
+            spec = np.array([a._spec for a in lefts[i:i + rows]])
+            spec *= np.array([b._spec for b in rights[i:i + rows]])
+            out[i:i + rows] = _inverse_centre(spec, cut)
+    # 0.5 * (out + conj(flip(out))), as FourierSeries symmetrizes, with
+    # one temporary
+    sym = np.conj(np.flip(out, axis=tuple(range(1, dim + 1))))
+    sym += out
+    sym *= 0.5
+    return sym
+
+
+def _cache_spectra(series, dim, cut):
+    """Give every series of the box (dim, cut) its forward spectrum, the
+    FFT of its coefficients zero-padded to n per axis, n the smallest
+    11-smooth length >= 4*cut+1.  The series without one are stacked, at
+    most ``STACK_ENTRIES`` complex entries at a time, and transformed by
+    ``np.fft.fft(., n, axis=k)`` for k = 1 .. dim in turn, unscaled.
+    Taken in this order each row rounds as SciPy's n-dimensional FFT of
+    its padded box does (the module docstring says why that matters).
+    Each series keeps a copy of its row, not a view that would keep the
+    whole stack alive."""
+    todo = list({id(s): s for s in series if s._spec is None}.values())
+    n, rows = _fast_len(4 * cut + 1), _stack_rows(dim, cut)
+    for i in range(0, len(todo), rows):
+        chunk = todo[i:i + rows]
+        spec = np.array([s.coeffs for s in chunk])
+        for k in range(1, dim + 1):
+            spec = np.fft.fft(spec, n, axis=k)
+        for s, row in zip(chunk, spec):
+            s._spec = row.copy()
 
 
 def angle_grid(dim, samples):
@@ -189,6 +262,10 @@ class FourierSeries:
         return float(np.sum(np.abs(self.coeffs)))
 
     def is_zero(self, tol=0.0):
+        """Every coefficient within ``tol`` of zero in modulus (a NaN is
+        never zero)."""
+        if tol == 0.0:
+            return not self.coeffs.any()
         return float(np.max(np.abs(self.coeffs))) <= tol
 
     # ----- arithmetic ---------------------------------------------------
@@ -220,30 +297,16 @@ class FourierSeries:
         return FourierSeries(-self.coeffs, symmetrize=False)
 
     def _spectrum(self):
-        """The forward FFT of the coefficients zero-padded to n per axis,
-        n the smallest 11-smooth length >= 4*cut+1: ``np.fft.fft(., n,
-        axis=k)`` for k = 0 .. dim-1 in turn, unscaled.  Taken in this
-        order it rounds as SciPy's n-dimensional FFT of the padded box
-        does (the module docstring says why that matters).  Computed once:
-        ``coeffs`` is read-only, so the spectrum never goes stale."""
-        if self._spec is None:
-            n = _fast_len(4 * self.cut + 1)
-            spec = self.coeffs
-            for k in range(self.dim):
-                spec = np.fft.fft(spec, n, axis=k)
-            self._spec = spec
+        """The forward FFT of the coefficients zero-padded to n per axis:
+        the one-row case of ``_cache_spectra``.  Computed once: ``coeffs``
+        is read-only, so the spectrum never goes stale."""
+        _cache_spectra([self], self.dim, self.cut)
         return self._spec
 
     def __mul__(self, other):
         if not isinstance(other, FourierSeries):
             return FourierSeries(self.coeffs * float(other), symmetrize=False)
-        self._check_compatible(other)
-        if self.coeffs.size == 1:
-            # a box of one mode has no axis to transform (SciPy's FFT
-            # convolution skips axes of length 1 too)
-            return FourierSeries(self.coeffs * other.coeffs)
-        return FourierSeries(_inverse_centre(
-            self._spectrum() * other._spectrum(), self.cut))
+        return FourierSeries(products([self], [other])[0], symmetrize=False)
 
     __rmul__ = __mul__
 

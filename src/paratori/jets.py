@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, StructureViolation
-from .fourier import FourierSeries, eval_stack, on_box
+from .fourier import FourierSeries, eval_stack, on_box, products
 
 
 class UPoly:
@@ -91,7 +91,10 @@ class FTPoly:
     the exponent type with ``_ZERO`` (the exponent of the constant term) and
     three static methods: ``_key`` normalizes an exponent, ``_add`` adds two
     and ``_degree`` gives the total degree.  Series are immutable, so
-    polynomials share them and a copy copies only the table.
+    polynomials share them and a copy copies only the table.  The product
+    of two polynomials is one stacked ``fourier.products`` call for all
+    its coefficient pairs, and each of its coefficients rounds as the sum
+    of single products ``a * b`` did, bit for bit.
     """
 
     __slots__ = ("dim", "cut", "trunc", "terms")
@@ -177,19 +180,40 @@ class FTPoly:
 
     def __mul__(self, other):
         """Truncated product with a polynomial of the same class or a
-        number."""
-        if isinstance(other, FTPoly):
-            trunc = min(self.trunc, other.trunc)
-            out = self._empty(trunc)
-            degree, add = self._degree, self._add
-            right = [(degree(m), m, b) for m, b in other.terms.items()]
-            for n, a in self.terms.items():
-                dn = degree(n)
-                for dm, m, b in right:
-                    if dn + dm <= trunc:
-                        out._accumulate(add(n, m), a * b)
-            return out
-        return self.scale(other)
+        number.
+
+        The coefficient products of two polynomials run as one
+        ``fourier.products`` call, ordered by self's terms and, within
+        each, by other's.  Each exponent sums its rows in that order
+        and drops a partial sum that is exactly zero, as adding the single
+        products one by one would, so the product is bit for bit the sum of
+        its ``a * b`` terms.  A product of one pair is ``a * b`` itself.
+        """
+        if not isinstance(other, FTPoly):
+            return self.scale(other)
+        trunc = min(self.trunc, other.trunc)
+        out = self._empty(trunc)
+        degree, add = self._degree, self._add
+        right = [(degree(m), m, b) for m, b in other.terms.items()]
+        triples = [(add(n, m), a, b) for n, a in self.terms.items()
+                   for dm, m, b in right if degree(n) + dm <= trunc]
+        if len(triples) == 1:
+            ((key, a, b),) = triples
+            out._store(key, a * b)
+        elif triples:
+            keys, lefts, rights = zip(*triples)
+            sums = {}
+            for key, row in zip(keys, products(lefts, rights)):
+                cur = sums.get(key)
+                if cur is None:
+                    cur = sums[key] = np.array(row)
+                else:
+                    cur += row
+                if not cur.any():
+                    del sums[key]
+            out.terms = {key: FourierSeries(c, symmetrize=False)
+                         for key, c in sums.items()}
+        return out
 
     __rmul__ = __mul__
 

@@ -90,7 +90,11 @@ def _normal_form_order(inner):
 def _decay(inner, eta_order, mu, u):
     """(q, x) of the sector decay bound: an integrand of u-order
     ``eta_order`` decays like (1 + s x)^{-q}, q = eta_order / (k - 1),
-    x = mu |u|^{k-1}.  The bound needs a decaying normal form and q > 1."""
+    x = mu |u|^{k-1}.  The bound needs a decaying normal form, q > 1 and
+    starts u off the fixed point 0, where x vanishes."""
+    if np.any(np.asarray(u) == 0):
+        raise HypothesisViolated("orbit sums and trajectory integrals need "
+                                 "starts u != 0")
     k, lead = _normal_form_order(inner)
     if lead >= 0.0:
         raise HypothesisViolated("orbit sums and trajectory integrals need a "
@@ -117,9 +121,11 @@ def _orbit_sum(term, inner, freqs, z0, pts0, eta_orders, mu, targets):
     a block of steps of the rows still running: ``zs`` of shape (steps,
     rows) and ``pts`` of shape (steps, angle points, dim), and returns per
     component an array of shape (steps, rows, angle points).  A block holds
-    at most ``QUAD_CHUNK`` points (at least one step); within it the terms
-    are summed and the rows stopped one step at a time, as a loop over
-    single steps would.
+    at most ``QUAD_CHUNK`` points (at least one step), and at most
+    max(_J_MIN, j) steps from step j, so the blocks double from _J_MIN and
+    a row that stops mid-block wastes fewer steps than it summed.  Within
+    a block the terms are summed and the rows stopped one step at a time,
+    as a loop over single steps would.
     """
     rules = {c: _decay(inner, o, mu, z0) for c, o in eta_orders.items()}
     totals = None
@@ -133,7 +139,7 @@ def _orbit_sum(term, inner, freqs, z0, pts0, eta_orders, mu, targets):
                 % (int(active.sum()), _J_MAX))
         rows = np.flatnonzero(active)
         steps = min(max(1, QUAD_CHUNK // (rows.size * len(pts0))),
-                    _J_MAX + 1 - j)
+                    max(_J_MIN, j), _J_MAX + 1 - j)
         zs = np.empty((steps, rows.size), dtype=z.dtype)
         pts = np.empty((steps,) + pts0.shape)
         for s in range(steps):

@@ -12,7 +12,7 @@ from paratori.errors import (ConfigError, DimensionMismatch, NonZeroAverage,
                              SmallDivisorUnderflow)
 from paratori.fourier import (FourierSeries, _axis_basis, _fast_len,
                               _inverse_centre, angle_grid, diophantine_margin, eval_stack,
-                              on_box, solve_sd_flow, solve_sd_map)
+                              on_box, products, solve_sd_flow, solve_sd_map)
 
 from conftest import GOLDEN, dense_series, mode_sum
 
@@ -75,6 +75,11 @@ def _fftconvolve_product(a, b):
     return FourierSeries(full[(slice(m, 3 * m + 1),) * a.dim])
 
 
+def fresh(s):
+    """The series again, with no cached spectrum."""
+    return FourierSeries(s.coeffs, symmetrize=False)
+
+
 @pytest.mark.parametrize("dim,cut", [(0, 0), (1, 0), (1, 1), (1, 16),
                                      (1, 32), (2, 8), (3, 2)])
 def test_product_is_fftconvolve_bit_for_bit(dim, cut):
@@ -83,10 +88,48 @@ def test_product_is_fftconvolve_bit_for_bit(dim, cut):
     const = FourierSeries.constant(2.5, dim, cut)
     # the second (a, b) multiplies operands whose spectra are cached
     uncached = FourierSeries(a.coeffs, symmetrize=False)
-    for x, y in [(a, b), (a, b), (b, a), (a, a), (uncached, b), (a, const),
-                 (const, b)]:
+    pairs = [(a, b), (a, b), (b, a), (a, a), (uncached, b), (a, const),
+             (const, b)]
+    for x, y in pairs:
         want = _fftconvolve_product(x, y).coeffs
         assert np.array_equal((x * y).coeffs, want)
+    # the stacked kernel, on operands whose spectra are not cached yet
+    stack = products([fresh(x) for x, _ in pairs], [fresh(y) for _, y in pairs])
+    for (x, y), row in zip(pairs, stack):
+        assert np.array_equal(row, _fftconvolve_product(x, y).coeffs)
+
+
+@pytest.mark.parametrize("dim,cut", [(0, 0), (1, 0), (1, 32), (2, 3), (3, 2)])
+def test_stacked_products_are_single_products_bit_for_bit(dim, cut):
+    # more pairs than one stacked transform holds, with repeated and
+    # constant operands, first without and then with cached spectra
+    rng = np.random.default_rng(17)
+    pool = [dense_series(rng, dim, cut) for _ in range(6)]
+    pool += [FourierSeries.constant(-1.5, dim, cut), pool[0] + 2.0]
+    one_mode = cut == 0 or dim == 0
+    m = 40 if one_mode else fourier._stack_rows(dim, cut) + 3
+    pick = rng.integers(len(pool), size=(2, m))
+    lefts, rights = [[pool[i] for i in row] for row in pick]
+    want = [(fresh(a) * fresh(b)).coeffs for a, b in zip(lefts, rights)]
+    for _ in range(2):
+        stack = products(lefts, rights)
+        assert stack.shape == (m,) + (2 * cut + 1,) * dim
+        for row, single in zip(stack, want):
+            assert np.array_equal(np.atleast_1d(row).view(float),
+                                  np.atleast_1d(single).view(float))
+    if not one_mode:
+        # each series keeps its own spectrum, not a view into a stack
+        assert all(s._spec.base is None for s in pool)
+
+
+def test_stacked_products_need_one_box():
+    a, b = FourierSeries.constant(1.0, 1, 3), FourierSeries.constant(1.0, 1, 4)
+    c = FourierSeries.constant(1.0, 2, 3)
+    for lefts, rights in (([a], [b]), ([a, a], [a, c]), ([a, a], [a])):
+        with pytest.raises(DimensionMismatch):
+            products(lefts, rights)
+    with pytest.raises(DimensionMismatch):
+        a * b
 
 
 @pytest.mark.parametrize("dim,cuts", [(1, range(1, 49)), (2, range(1, 13)),
@@ -101,8 +144,9 @@ def test_transforms_are_scipy_fft_bit_for_bit(dim, cuts):
         assert np.array_equal(a._spectrum(), sp_fft.fftn(a.coeffs, (n,) * dim))
         spec = a._spectrum() * b._spectrum()
         centre = (slice(cut, 3 * cut + 1),) * dim
-        assert np.array_equal(_inverse_centre(spec, cut),
-                              sp_fft.ifftn(spec)[centre])
+        want = sp_fft.ifftn(spec)[centre]
+        # the stacked inverse overwrites its input, so it goes second
+        assert np.array_equal(_inverse_centre(spec[None], cut)[0], want)
 
 
 def test_fft_length_is_scipy_next_fast_len():

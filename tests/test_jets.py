@@ -4,6 +4,7 @@ trigonometric-polynomial coefficients."""
 import numpy as np
 import pytest
 
+from paratori import fourier, jets
 from paratori.errors import StructureViolation
 from paratori.fourier import FourierSeries
 from paratori.jets import JetStack, TFJet, UPoly, substitute
@@ -140,6 +141,60 @@ def same_poly(a, b):
     return set(a.terms) == set(b.terms) and all(
         np.array_equal(a.terms[key].coeffs, b.terms[key].coeffs)
         for key in a.terms)
+
+
+def product_pair_by_pair(p, q):
+    """The truncated product one coefficient pair at a time, each a * b
+    added to its exponent by ``_accumulate``: the oracle of the stacked
+    product."""
+    trunc = min(p.trunc, q.trunc)
+    out = p._empty(trunc)
+    for n, a in p.terms.items():
+        for m, b in q.terms.items():
+            if p._degree(n) + q._degree(m) <= trunc:
+                out._accumulate(p._add(n, m), a * b)
+    return out
+
+
+def product_cases(rng):
+    """Pairs of polynomials: jets on dims 0-2 with constant coefficients,
+    a product with exact cancellations (a partial sum of exponent 3 is 0
+    before a last term lands on it), a one-pair product, and XYPolys."""
+    s, c = dense_series(rng, 1, 4), FourierSeries.constant(0.5, 1, 4)
+    cases = [
+        (TFJet(dim, cut, 7, {n: dense_series(rng, dim, cut) for n in (0, 1, 3)}),
+         TFJet(dim, cut, 6, {1: dense_series(rng, dim, cut), 2: 1.5, 4: -2.0}))
+        for dim, cut in ((0, 0), (1, 6), (2, 2))]
+    cases.append((TFJet(1, 4, 8, {1: s, 2: s, 0: c}),
+                   TFJet(1, 4, 8, {2: -s, 1: s, 3: dense_series(rng, 1, 4)})))
+    cases.append((TFJet(1, 4, 8, {2: s}), TFJet(1, 4, 8, {3: c})))
+    xy = [XYPoly(2, 3, 4, {lm: dense_series(rng, 2, 3) for lm in keys})
+          for keys in ([(0, 1), (1, 0), (1, 1), (0, 3)], [(1, 0), (2, 0), (0, 2)])]
+    cases.append(tuple(xy))
+    return cases
+
+
+def test_products_are_the_pair_by_pair_sums_bit_for_bit(monkeypatch):
+    # same exponents in the same order, coefficients equal to the last bit
+    # (signed zeros included), and no stored series is a view into a stack
+    rng = np.random.default_rng(23)
+    stacks = []
+
+    def recorded(lefts, rights):
+        stacks.append(fourier.products(lefts, rights))
+        return stacks[-1]
+
+    monkeypatch.setattr(jets, "products", recorded)
+    cases = product_cases(rng)
+    for p, q in cases:
+        got, want = p * q, product_pair_by_pair(p, q)
+        assert type(got) is type(p) and got.trunc == want.trunc
+        assert list(got.terms) == list(want.terms)
+        for key, s in got.terms.items():
+            assert s.coeffs.tobytes() == want.terms[key].coeffs.tobytes()
+            assert not s.coeffs.flags.writeable
+            assert not any(np.shares_memory(s.coeffs, st) for st in stacks)
+    assert len(stacks) == len(cases) - 1
 
 
 def test_substitute_shares_its_power_table_bit_for_bit():

@@ -154,6 +154,43 @@ def step_at_a_time(term, inner, freqs, z0, pts0, eta_orders, mu, targets):
     return {c: -t for c, t in totals.items()}
 
 
+def test_right_inverses_refuse_a_start_at_the_fixed_point():
+    # at u = 0 the decay bound has no rate: a typed hypothesis failure, not
+    # a division by zero
+    eta = lambda u, th: u ** 3
+    with pytest.raises(HypothesisViolated):
+        orbit_sum_inverse(eta, R, (), 0.0, None, eta_order=3, mu=0.5)
+    with pytest.raises(HypothesisViolated):
+        flow_orbit_integral(eta, UPoly({2: -1.0}, 12), (), 0.0, None,
+                            eta_order=3, mu=0.5)
+
+
+@pytest.mark.parametrize("u", [0.04, 0.03 + 0.01j, 0.004])
+def test_orbit_sum_evaluates_under_twice_the_terms_it_sums(u):
+    # the blocks double from _J_MIN, so the sum stopping mid-block has
+    # evaluated fewer than twice the terms it summed; its value is the
+    # step-at-a-time loop's bit for bit
+    theta = np.array([0.2])
+    calls = []
+
+    def eta(z, th):
+        calls.append(z)
+        return z ** 5 * (1.0 + 0.3 * np.cos(2 * np.pi * th[0]))
+
+    def term(zs, pts):
+        return {"eta": np.reshape([eta(z, p[0]) for z, p in zip(zs[:, 0], pts)],
+                                  (-1, 1, 1))}
+
+    want = step_at_a_time(term, R, (GOLDEN,), np.array([u]), theta[None],
+                          {"eta": 5}, 0.5, {"eta": np.array([1e-11])})
+    summed = len(calls)
+    calls.clear()
+    got = orbit_sum_inverse(eta, R, (GOLDEN,), u, theta, eta_order=5, mu=0.5,
+                            tail_tol=1e-11)
+    assert got == want["eta"][0, 0]
+    assert summed > operators._J_MIN and len(calls) < 2 * summed
+
+
 # a unit of 2^-60: a sum of fewer than 2^53 of them is exact, so the
 # component "count" totals -(terms summed) * COUNT_UNIT on every row
 COUNT_UNIT = 2.0 ** -60
