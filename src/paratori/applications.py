@@ -20,10 +20,11 @@ shapes.
 import math
 
 from .errors import BoundViolated, ConfigError, EnergyBelowThreshold
-from .fourier import FourierSeries, on_box
+from .fourier import SD_FLOOR, FourierSeries, on_box
 from .jets import substitute
 from .mapdata import TaylorFourierMap, XYPoly
 from .flow_solver import solve_helicoure
+from .map_solver import ASSERT_TOL
 from .pairs import residual_report
 
 
@@ -238,8 +239,8 @@ def hecu_field_degree(n_target):
 
 
 def hecu_manifolds(p, n_target, expansion="displayed",
-                   theta_leading="closed_form", sd_floor=1e-12,
-                   assert_tol=1e-9):
+                   theta_leading="closed_form", sd_floor=SD_FLOOR,
+                   assert_tol=ASSERT_TOL):
     """Stable and unstable wall-scattering manifolds plus a check report.
 
     Solves both branches of the shear-form field to order ``n_target``,

@@ -22,10 +22,10 @@ from .applications import (HeCuParams, OscillatorParams,
                            build_oscillator_field, hecu_manifolds)
 from .errors import ConfigError, DimensionMismatch, ParatoriError
 from .flow_solver import solve_flow_to_order, solve_helicoure
-from .fourier import FourierSeries
+from .fourier import SD_FLOOR, FourierSeries
 from .ioutil import (canonical_json, pair_from_payload, pair_payload,
                      report_payload, residual_csv)
-from .map_solver import solve_to_order, truncation
+from .map_solver import ASSERT_TOL, solve_to_order, truncation
 from .mapdata import TaylorFourierMap, validate_shear_field
 from .pairs import compare_pairs, residual_report
 
@@ -243,8 +243,9 @@ class RunConfig:
                               "cohomological")
         # the keywords every order-by-order solve takes besides the branch
         self.solve_kw = {
-            "sd_floor": _positive(raw.get("sd_floor", 1e-12), "sd_floor"),
-            "assert_tol": _positive(raw.get("assert_tol", 1e-9), "assert_tol")}
+            "sd_floor": _positive(raw.get("sd_floor", SD_FLOOR), "sd_floor"),
+            "assert_tol": _positive(raw.get("assert_tol", ASSERT_TOL),
+                                    "assert_tol")}
 
         if self.problem == "hecu":
             block = _object(raw.get("hecu"), "hecu",

@@ -35,14 +35,16 @@ the discrepancy per axis is recorded in the diagnostics either way.
 """
 
 from .errors import ConfigError, StructureViolation
-from .map_solver import raise_to_order, shear_seed, solve_to_order
+from .fourier import SD_FLOOR
+from .map_solver import (ASSERT_TOL, raise_to_order, shear_seed,
+                         solve_to_order)
 from .map_solver import extend_order, init_order2  # noqa: F401  only for the perfbench trace
 from .mapdata import validate_shear_field
 from .pairs import residual_jets  # noqa: F401  only for the perfbench trace
 
 
-def solve_flow_to_order(fd, n_target, branch="stable", sd_floor=1e-12,
-                        assert_tol=1e-9):
+def solve_flow_to_order(fd, n_target, branch="stable", sd_floor=SD_FLOOR,
+                        assert_tol=ASSERT_TOL):
     """Power-class (pair, residual) of a vector field, by solve_to_order."""
     if fd.kind != "field":
         raise StructureViolation("solve_flow_to_order takes a vector field, "
@@ -66,7 +68,7 @@ def _flip_branch(pair, residual, freqs):
 
 
 def solve_helicoure(fd, n_target, branch="stable", theta_leading="closed_form",
-                    sd_floor=1e-12, assert_tol=1e-9):
+                    sd_floor=SD_FLOOR, assert_tol=ASSERT_TOL):
     """(pair, residual) of one branch of a shear-class field.
 
     The sign of the mean leading coefficient fixes which branch the direct

@@ -62,6 +62,9 @@ from .errors import (
 
 TWO_PI_I = 2j * np.pi
 
+# the default floor of the divisors a cohomological solve divides by
+SD_FLOOR = 1e-12
+
 
 def _mode_range(cut):
     return np.arange(-cut, cut + 1)
@@ -296,13 +299,6 @@ class FourierSeries:
     def __neg__(self):
         return FourierSeries(-self.coeffs, symmetrize=False)
 
-    def _spectrum(self):
-        """The forward FFT of the coefficients zero-padded to n per axis:
-        the one-row case of ``_cache_spectra``.  Computed once: ``coeffs``
-        is read-only, so the spectrum never goes stale."""
-        _cache_spectra([self], self.dim, self.cut)
-        return self._spec
-
     def __mul__(self, other):
         if not isinstance(other, FourierSeries):
             return FourierSeries(self.coeffs * float(other), symmetrize=False)
@@ -360,18 +356,16 @@ class FourierSeries:
     def to_payload(self):
         """Sparse half-spectrum payload: mode 0 plus lexicographically
         positive modes with a nonzero coefficient; the mirror half is
-        implied by realness."""
-        entries = []
-        for idx in np.ndindex(*self.coeffs.shape):
-            k = tuple(i - self.cut for i in idx)
-            first = next((x for x in k if x != 0), 0)
-            if first < 0:
-                continue
-            v = complex(self.coeffs[idx])
-            if v == 0:
-                continue
-            entries.append([list(k), v.real, v.imag])
-        entries.sort(key=lambda e: e[0])
+        implied by realness.  C order is lexicographic in k and puts -k at
+        flat index ``size - 1 - i``, so the half is the flat indices from
+        ``size // 2`` on, already in order."""
+        flat = self.coeffs.ravel()
+        nonzero = np.flatnonzero(flat)
+        half = nonzero >= flat.size // 2
+        values = flat[nonzero[half]]
+        modes = np.argwhere(self.coeffs)[half] - self.cut
+        entries = [[k, re, im] for k, re, im in zip(
+            modes.tolist(), values.real.tolist(), values.imag.tolist())]
         return {"dim": self.dim, "cut": self.cut, "modes": entries}
 
     @classmethod
@@ -498,7 +492,7 @@ def _guarded_divide(h, divisor, mag, floor):
     return FourierSeries(np.asarray(out, dtype=complex))
 
 
-def solve_sd_map(h, omega, floor=1e-12):
+def solve_sd_map(h, omega, floor=SD_FLOOR):
     """Solve phi(theta + omega) - phi(theta) = h(theta) with zero average.
 
     Coefficients: phi_k = h_k / (e^{2 pi i k.omega} - 1) for k != 0 and
@@ -512,7 +506,7 @@ def solve_sd_map(h, omega, floor=1e-12):
     return _guarded_divide(h, *_divisor("map", omega, h.cut), floor)
 
 
-def solve_sd_flow(h, freqs, floor=1e-12):
+def solve_sd_flow(h, freqs, floor=SD_FLOOR):
     """Solve the directional derivative equation freqs . grad phi = h.
 
     Coefficients: phi_k = h_k / (2 pi i k.freqs) for k != 0, phi_0 = 0.

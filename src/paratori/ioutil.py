@@ -1,9 +1,12 @@
 """Deterministic artifact serialization.
 
 Everything written to disk goes through ``canonical_json`` or
-``residual_csv``: keys sorted, floats always printed with 17 significant
-digits, no timestamps, so rerunning the same configuration reproduces the
-artifact byte for byte.
+``residual_csv``: the standard library's JSON encoder with keys sorted, no
+timestamps, so rerunning the same configuration reproduces the artifact
+byte for byte.  A float is spelled as its ``repr``, the shortest string
+that reads back to the same double (``-0.0`` keeps its sign, ``3.0`` stays
+a float); NaN and the infinities are the tokens ``NaN``, ``Infinity`` and
+``-Infinity``.
 """
 
 import json
@@ -16,51 +19,24 @@ from .jets import TFJet, UPoly
 from .pairs import ManifoldPair
 
 
-def _fmt_float(v):
-    if v != v:
-        return "NaN"
-    if v in (float("inf"), float("-inf")):
-        return "Infinity" if v > 0 else "-Infinity"
-    return "%.17g" % v
-
-
-def _canon(obj, out):
-    if obj is None or obj is True or obj is False:
-        out.append("null" if obj is None else ("true" if obj else "false"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        _canon({"re": float(obj.real), "im": float(obj.imag)}, out)
-    elif isinstance(obj, np.ndarray):
-        _canon(obj.tolist(), out)
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(",")
-            _canon(v, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj, key=str)):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _canon(obj[key], out)
-        out.append("}")
-    else:
-        raise ConfigError("cannot serialize %r" % type(obj).__name__)
+def _plain(obj):
+    """The JSON form of what the standard encoder does not know: a complex
+    number is ``{"im", "re"}``, a numpy integer or float the Python one, an
+    array a list; anything else is a ConfigError."""
+    if isinstance(obj, (complex, np.complexfloating)):
+        return {"re": float(obj.real), "im": float(obj.imag)}
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise ConfigError("cannot serialize %r" % type(obj).__name__)
 
 
 def canonical_json(obj):
-    out = []
-    _canon(obj, out)
-    return "".join(out) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=_plain) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +103,11 @@ def pair_from_payload(payload):
 
 
 def report_payload(report):
-    comps = []
-    for comp in report.components:
-        comps.append({
-            "name": comp["name"],
-            "expected_order": comp["expected_order"],
-            "slope": comp["slope"],
-            "annihilated_max": comp["annihilated_max"],
-            "scale": comp["scale"],
-            "exact": comp["exact"],
-        })
-    return {"u_values": list(report.u_values), "components": comps}
+    keep = ("name", "expected_order", "slope", "annihilated_max", "scale",
+            "exact")
+    return {"u_values": list(report.u_values),
+            "components": [{key: comp[key] for key in keep}
+                           for comp in report.components]}
 
 
 def residual_csv(report):
@@ -145,8 +115,6 @@ def residual_csv(report):
     names = [comp["name"] for comp in report.components]
     lines = [",".join(["u"] + ["%s_sup" % n for n in names])]
     for i, u in enumerate(report.u_values):
-        row = [_fmt_float(float(u))]
-        for comp in report.components:
-            row.append(_fmt_float(float(comp["sups"][i])))
-        lines.append(",".join(row))
+        row = [u] + [comp["sups"][i] for comp in report.components]
+        lines.append(",".join(json.dumps(float(v)) for v in row))
     return "\n".join(lines) + "\n"

@@ -54,10 +54,14 @@ import numpy as np
 
 from .errors import (ConfigError, ContractViolated, SingularSystem,
                      SmallDivisorUnderflow, TruncationTooLow)
-from .fourier import diophantine_margin, solve_sd_flow, solve_sd_map
+from .fourier import SD_FLOOR, diophantine_margin, solve_sd_flow, solve_sd_map
 from .jets import TFJet, UPoly
 from .pairs import (ManifoldPair, check_finite, contract_orders,
                     named_components, residual_jets)
+
+# the default bound of an order step's defect below the contract orders,
+# relative to the size of the pair (``_check_contract``)
+ASSERT_TOL = 1e-9
 
 
 def _sd_solver(data, sd_floor):
@@ -123,7 +127,8 @@ def shear_seed(fd, theta_leading):
                   "theta_leading_defect": [c - w for c, w in zip(cohom, used)]})
 
 
-def init_order2(data, seed, n_target=2, sd_floor=1e-12, assert_tol=1e-9):
+def init_order2(data, seed, n_target=2, sd_floor=SD_FLOOR,
+                assert_tol=ASSERT_TOL):
     """The pair of a seed table, truncated for a solve to ``n_target``,
     with its first order closed, and its checked residual (the opening
     residual of the first ``extend_order``).  The data and the seed are
@@ -287,7 +292,8 @@ def _average_step(system, pair, gxb, gyb, gtb):
     return xi, eta, ws, corr
 
 
-def extend_order(data, pair, opening, sd_floor=1e-12, assert_tol=1e-9):
+def extend_order(data, pair, opening, sd_floor=SD_FLOOR,
+                 assert_tol=ASSERT_TOL):
     """One induction step: raise the invariance order of the pair by one.
 
     The one order step for maps and fields and for both structure classes:
@@ -330,8 +336,8 @@ def raise_to_order(data, seed, n_target, sd_floor, assert_tol):
     return pair, residual
 
 
-def solve_to_order(mp, n_target, branch="stable", sd_floor=1e-12,
-                   assert_tol=1e-9):
+def solve_to_order(mp, n_target, branch="stable", sd_floor=SD_FLOOR,
+                   assert_tol=ASSERT_TOL):
     """Construct the pair with invariance order ``n_target`` and return
     (pair, residual), the residual as ``raise_to_order`` hands it over.
 

@@ -233,13 +233,17 @@ def orbit_sum_inverse(eta, inner, freqs, u, theta=None, *, eta_order, mu,
     analytic tail estimate (from the sector decay bound, using the stated
     u-order of eta and the decay rate mu) drops below half of ``tail_tol``:
     the contraction probe's orbit sum on one point.
+
+    ``eta(u, theta)`` is called as in ``flow_orbit_integral``: on a 1-D
+    array of orbit points ``u`` and their angles as the columns of a
+    (dim, u.size) array (``None`` without angles), returning an array of
+    shape ``u.shape``, on at most ``quadrature.QUAD_CHUNK`` points at once.
     """
     pts0 = np.reshape([] if theta is None else theta, (1, -1)).astype(float)
 
     def term(zs, pts):
-        return {"eta": np.reshape(
-            [eta(z, None if theta is None else p[0])
-             for z, p in zip(zs[:, 0], pts)], (-1, 1, 1))}
+        angles = None if theta is None else pts[:, 0].T
+        return {"eta": np.reshape(eta(zs[:, 0], angles), (-1, 1, 1))}
 
     total = _orbit_sum(term, inner, freqs, np.array([u]), pts0,
                        {"eta": eta_order}, mu, {"eta": np.array([tail_tol])})

@@ -10,9 +10,10 @@ from paratori import fourier
 from paratori.cli import MAX_BOX
 from paratori.errors import (ConfigError, DimensionMismatch, NonZeroAverage,
                              SmallDivisorUnderflow)
-from paratori.fourier import (FourierSeries, _axis_basis, _fast_len,
-                              _inverse_centre, angle_grid, diophantine_margin, eval_stack,
-                              on_box, products, solve_sd_flow, solve_sd_map)
+from paratori.fourier import (FourierSeries, _axis_basis, _cache_spectra,
+                              _fast_len, _inverse_centre, angle_grid,
+                              diophantine_margin, eval_stack, on_box, products,
+                              solve_sd_flow, solve_sd_map)
 
 from conftest import GOLDEN, dense_series, mode_sum
 
@@ -141,8 +142,9 @@ def test_transforms_are_scipy_fft_bit_for_bit(dim, cuts):
     for cut in cuts:
         a, b = dense_series(rng, dim, cut), dense_series(rng, dim, cut)
         n = sp_fft.next_fast_len(4 * cut + 1, False)
-        assert np.array_equal(a._spectrum(), sp_fft.fftn(a.coeffs, (n,) * dim))
-        spec = a._spectrum() * b._spectrum()
+        _cache_spectra([a, b], dim, cut)
+        assert np.array_equal(a._spec, sp_fft.fftn(a.coeffs, (n,) * dim))
+        spec = a._spec * b._spec
         centre = (slice(cut, 3 * cut + 1),) * dim
         want = sp_fft.ifftn(spec)[centre]
         # the stacked inverse overwrites its input, so it goes second

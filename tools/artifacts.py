@@ -1,6 +1,7 @@
-"""Write the CLI artifacts of the benchmark workloads, for byte comparison.
+"""Write the CLI artifacts of the benchmark workloads, and compare two trees.
 
 Usage: python tools/artifacts.py DIR
+       python tools/artifacts.py --compare A B
 
 Runs ``paratori.cli.main`` of this checkout on the config of each benchmark
 workload (``perfbench/inputs.make_inputs``) at seeds 0, 1 and 2, and writes
@@ -11,6 +12,12 @@ the benchmark's tolerance), so the comparison covers the trajectory
 integrator too.  The artifacts are deterministic: two runs in fresh
 interpreters give trees that ``diff -r`` finds equal, and so do two
 checkouts whose arithmetic agrees.
+
+``--compare A B`` prints how many files of two such trees differ in bytes
+and how many differ in values: JSON files parsed and compared with ``==``,
+CSV files cell by cell, each cell parsed as a JSON number where it is one
+(``NaN`` equals ``NaN`` there).  A file present in one tree only differs in
+both.  It names every file that differs in values.
 """
 
 import json
@@ -50,7 +57,50 @@ def write_artifacts(out_dir):
                     fh.write(canonical_json(values))
 
 
+def _cell(text):
+    try:
+        return json.loads(text, parse_constant=str)
+    except ValueError:
+        return text
+
+
+def _values(path):
+    with open(path) as fh:
+        if path.endswith(".csv"):
+            return [[_cell(c) for c in line.split(",")] for line in fh]
+        return json.load(fh, parse_constant=str)
+
+
+def _files(root):
+    return {os.path.relpath(os.path.join(d, f), root)
+            for d, _, names in os.walk(root) for f in names}
+
+
+def compare_trees(a, b):
+    """Print the numbers of files that differ in bytes and in values."""
+    in_bytes, in_values = 0, []
+    for name in sorted(_files(a) | _files(b)):
+        pa, pb = os.path.join(a, name), os.path.join(b, name)
+        if not (os.path.isfile(pa) and os.path.isfile(pb)):
+            in_bytes += 1
+            in_values.append(name + " (in one tree only)")
+            continue
+        with open(pa, "rb") as fa, open(pb, "rb") as fb:
+            if fa.read() == fb.read():
+                continue
+        in_bytes += 1
+        if _values(pa) != _values(pb):
+            in_values.append(name)
+    for name in in_values:
+        print("differs in values:", name)
+    print("files that differ in bytes: %d" % in_bytes)
+    print("files that differ in values: %d" % len(in_values))
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        compare_trees(sys.argv[2], sys.argv[3])
+    elif len(sys.argv) == 2:
+        write_artifacts(sys.argv[1])
+    else:
         raise SystemExit(__doc__.split("\n\n")[1])
-    write_artifacts(sys.argv[1])
