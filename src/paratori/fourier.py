@@ -191,6 +191,17 @@ def _mode_dot(cut, dim, vec):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _diff_factor(cut, dim, axis):
+    """2 pi i k_axis over the mode box (read-only): the multiplier of the
+    derivative along one angle axis."""
+    vec = np.zeros(dim)
+    vec[axis] = 1.0
+    factor = TWO_PI_I * _mode_dot(cut, dim, vec)
+    factor.flags.writeable = False
+    return factor
+
+
 class FourierSeries:
     """Dense real-symmetric Fourier polynomial on T^dim.
 
@@ -268,7 +279,7 @@ class FourierSeries:
         """Every coefficient within ``tol`` of zero in modulus (a NaN is
         never zero)."""
         if tol == 0.0:
-            return not self.coeffs.any()
+            return not np.count_nonzero(self.coeffs)
         return float(np.max(np.abs(self.coeffs))) <= tol
 
     # ----- arithmetic ---------------------------------------------------
@@ -318,10 +329,7 @@ class FourierSeries:
         """Partial derivative along one angular axis."""
         if not 0 <= axis < self.dim:
             raise DimensionMismatch("axis %d on a %d-torus" % (axis, self.dim))
-        vec = np.zeros(self.dim)
-        vec[axis] = 1.0
-        factor = TWO_PI_I * _mode_dot(self.cut, self.dim, vec)
-        return FourierSeries(self.coeffs * factor)
+        return FourierSeries(self.coeffs * _diff_factor(self.cut, self.dim, axis))
 
     # ----- evaluation ---------------------------------------------------
 
@@ -370,14 +378,45 @@ class FourierSeries:
 
     @classmethod
     def from_payload(cls, payload):
-        """Inverse of ``to_payload``: the half spectrum through
-        ``from_modes``, which checks each mode against the box and adds the
-        mirror, so a payload listing a mode and its mirror is refused."""
-        modes = {tuple(k): complex(re, im) for k, re, im in payload["modes"]}
-        for k in modes:
-            if any(k) and tuple(-x for x in k) in modes:
-                raise DimensionMismatch("mode %s listed with its mirror" % (k,))
-        return cls.from_modes(modes, int(payload["dim"]), int(payload["cut"]))
+        """Inverse of ``to_payload``, placed on the box with numpy as
+        ``from_modes`` places one mode at a time: each coefficient and the
+        conjugate at its mirror, then symmetrized.  Every mode must be
+        ``dim`` integers on the box, listed once and without its mirror
+        (DimensionMismatch otherwise)."""
+        dim, cut = int(payload["dim"]), int(payload["cut"])
+        entries = [(k, re, im) for k, re, im in payload["modes"]]
+        try:
+            modes = np.array([k for k, _, _ in entries] or np.empty((0, dim)),
+                             dtype=float)
+        except ValueError as err:
+            raise DimensionMismatch("modes are not lists of %d indices: %s"
+                                    % (dim, err))
+        if modes.shape != (len(entries), dim):
+            raise DimensionMismatch("modes of shape %s on a %d-torus"
+                                    % (modes.shape, dim))
+
+        def refuse(bad, why):
+            if bad.any():
+                raise DimensionMismatch("mode %s %s"
+                                        % (entries[np.argmax(bad)][0], why))
+
+        refuse((modes != np.round(modes)).any(axis=1), "is not integer")
+        refuse((np.abs(modes) > cut).any(axis=1), "is outside |k| <= %d" % cut)
+        size = (2 * cut + 1) ** dim
+        flat = (modes.astype(int) + cut) @ (2 * cut + 1) ** np.arange(dim - 1, -1, -1)
+        # C order puts the mirror of flat index i at size - 1 - i
+        mirror = size - 1 - flat
+        listed = np.bincount(flat, minlength=size)
+        moving = flat != size // 2
+        refuse(listed[flat] > 1, "is listed twice")
+        refuse(moving & (listed[mirror] > 0), "is listed with its mirror")
+        values = np.empty(len(entries), dtype=complex)
+        values.real = [re for _, re, _ in entries]
+        values.imag = [im for _, _, im in entries]
+        coeffs = np.zeros(size, dtype=complex)
+        coeffs[flat] += values
+        coeffs[mirror[moving]] += np.conj(values[moving])
+        return cls(coeffs.reshape((2 * cut + 1,) * dim))
 
     def __repr__(self):
         return "FourierSeries(dim=%d, cut=%d, |c|_1=%.3e)" % (

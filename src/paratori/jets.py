@@ -9,13 +9,19 @@ exponent type.  ``TFJet`` (exponent ``n``, defined here) holds the
 components of manifold parameterizations and their residuals;
 ``mapdata.XYPoly`` (exponent ``(l, m)``) holds the term tables of the input
 dynamics and normalizes them.
+``multiply`` is the one jet product: a batch of products of one class
+and box, whose coefficient pairs all go through stacked
+``fourier.products`` calls; ``FTPoly.__mul__`` is its one-product case.
 ``substitute`` is the one door to composition, for both classes: term
 tables evaluated at two polynomials and angle displacements.  It builds
 every power of the substituted polynomials and of the displacements once,
 in one power table shared by all the tables substituted at that point (the
 2 + d tables of one residual, the three tables of the expanded wall field),
-and evaluates each table on it with ``eval_xy_terms`` and ``angle_taylor``
-(the expansion of s(theta + W) in the displacement W).
+and evaluates each table on it with ``eval_xy_terms``, one stacked product
+per stage of the table: ``angle_taylor`` (the expansion of s(theta + W) in
+the displacement W) makes one ``multiply`` call per displaced axis for all
+the table's coefficients, then one call multiplies them all by their px^l
+and one by their py^m.
 
 ``JetStack`` evaluates several jets on one mode box together: one
 ``fourier.eval_stack`` call for all their coefficients, then one u-power
@@ -33,7 +39,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, StructureViolation
-from .fourier import FourierSeries, eval_stack, on_box, products
+from .fourier import FourierSeries, _stack_rows, eval_stack, on_box, products
 
 
 class UPoly:
@@ -92,9 +98,9 @@ class FTPoly:
     three static methods: ``_key`` normalizes an exponent, ``_add`` adds two
     and ``_degree`` gives the total degree.  Series are immutable, so
     polynomials share them and a copy copies only the table.  The product
-    of two polynomials is one stacked ``fourier.products`` call for all
-    its coefficient pairs, and each of its coefficients rounds as the sum
-    of single products ``a * b`` did, bit for bit.
+    of two polynomials is the one-product case of ``multiply``, which
+    stacks the coefficient pairs of a batch of products; each coefficient
+    rounds as the sum of single products ``a * b`` did, bit for bit.
     """
 
     __slots__ = ("dim", "cut", "trunc", "terms")
@@ -179,41 +185,11 @@ class FTPoly:
         return out
 
     def __mul__(self, other):
-        """Truncated product with a polynomial of the same class or a
-        number.
-
-        The coefficient products of two polynomials run as one
-        ``fourier.products`` call, ordered by self's terms and, within
-        each, by other's.  Each exponent sums its rows in that order
-        and drops a partial sum that is exactly zero, as adding the single
-        products one by one would, so the product is bit for bit the sum of
-        its ``a * b`` terms.  A product of one pair is ``a * b`` itself.
-        """
+        """Truncated product with a polynomial of the same class and box
+        (the one-pair case of ``multiply``) or with a number."""
         if not isinstance(other, FTPoly):
             return self.scale(other)
-        trunc = min(self.trunc, other.trunc)
-        out = self._empty(trunc)
-        degree, add = self._degree, self._add
-        right = [(degree(m), m, b) for m, b in other.terms.items()]
-        triples = [(add(n, m), a, b) for n, a in self.terms.items()
-                   for dm, m, b in right if degree(n) + dm <= trunc]
-        if len(triples) == 1:
-            ((key, a, b),) = triples
-            out._store(key, a * b)
-        elif triples:
-            keys, lefts, rights = zip(*triples)
-            sums = {}
-            for key, row in zip(keys, products(lefts, rights)):
-                cur = sums.get(key)
-                if cur is None:
-                    cur = sums[key] = np.array(row)
-                else:
-                    cur += row
-                if not cur.any():
-                    del sums[key]
-            out.terms = {key: FourierSeries(c, symmetrize=False)
-                         for key, c in sums.items()}
-        return out
+        return multiply([(self, other)])[0]
 
     __rmul__ = __mul__
 
@@ -230,6 +206,67 @@ class FTPoly:
         for key, s in self.terms.items():
             out._store(key, s.shift(delta))
         return out
+
+
+def multiply(pairs):
+    """``[a * b for a, b in pairs]``, truncated products of ``FTPoly``s of
+    one class and box.
+
+    The coefficient pairs of every product, ordered by a's terms and,
+    within each, by b's, go through ``fourier.products`` in stacks of at
+    most ``_stack_rows`` rows.  The rows of each stack are added into their
+    products as it comes back, so a batch never holds every row at once.
+    Each exponent sums its rows in order and drops a partial sum that is
+    exactly zero, as adding the single products one by one would, so every
+    product is bit for bit the sum of its ``a * b`` terms.  A product of
+    one coefficient pair is that ``a * b`` itself.  Polynomials on
+    different boxes raise DimensionMismatch.
+    """
+    pairs = list(pairs)
+    boxes = {(p.dim, p.cut) for pair in pairs for p in pair}
+    if len(boxes) > 1:
+        raise DimensionMismatch("products on boxes (dim, cut) %s"
+                                % sorted(boxes))
+    outs, pending, rows = [], [], []
+    for a, b in pairs:
+        trunc = min(a.trunc, b.trunc)
+        out = a._empty(trunc)
+        outs.append(out)
+        degree, add = a._degree, a._add
+        right = [(degree(m), m, y) for m, y in b.terms.items()]
+        triples = [(add(n, m), x, y) for n, x in a.terms.items()
+                   for dm, m, y in right if degree(n) + dm <= trunc]
+        if len(triples) == 1:
+            ((key, x, y),) = triples
+            out._store(key, x * y)
+        elif triples:
+            sums = {}
+            pending.append((out, sums))
+            rows += [(sums, key, x, y) for key, x, y in triples]
+    if rows:
+        step = _stack_rows(outs[0].dim, outs[0].cut)
+        for i in range(0, len(rows), step):
+            chunk = rows[i:i + step]
+            stack = products([r[2] for r in chunk], [r[3] for r in chunk])
+            for (sums, key, _, _), row in zip(chunk, stack):
+                _add_row(sums, key, row)
+    for out, sums in pending:
+        out.terms = {key: FourierSeries(c, symmetrize=False)
+                     for key, c in sums.items()}
+    return outs
+
+
+def _add_row(sums, key, row):
+    """Add a coefficient array into the running sum of its exponent, a
+    copy on the first row, and drop a sum that is exactly zero, as
+    ``FTPoly._accumulate`` does with series."""
+    cur = sums.get(key)
+    if cur is None:
+        cur = sums[key] = np.array(row)
+    else:
+        cur += row
+    if not np.count_nonzero(cur):
+        del sums[key]
 
 
 class TFJet(FTPoly):
@@ -415,35 +452,63 @@ def _power_table(px, py, tails, trunc, tables):
     return xp, yp, wp
 
 
-def angle_taylor(poly, wp):
-    """Expand poly(theta + W) in powers of the displacement W.
+def angle_taylor(polys, wp):
+    """Expand every poly of one term table at displaced angles,
+    p(theta + W), in powers of the displacement W.
 
-    ``poly`` is an ``FTPoly`` whose coefficients are evaluated at displaced
-    angles; ``wp`` holds per angle axis the powers [1, W_a, W_a^2, ...] of
-    ``_power_table`` (None for no displacement).
+    ``polys`` are ``FTPoly``s of one class and box whose coefficients are
+    evaluated at displaced angles; ``wp`` holds per angle axis the powers
+    [1, W_a, W_a^2, ...] of ``_power_table`` (None for no displacement).
+    Per displaced axis one ``multiply`` call takes the pairs
+    (d^j p / d theta_a^j, W_a^j) of every poly, j from 0 up to the first
+    zero derivative or the last power, and ``_taylor_sum`` adds each
+    poly's products.
     """
-    trunc = poly.trunc
     for axis, w_pows in enumerate(wp):
         if w_pows is None:
             continue
-        acc = poly._empty(trunc)
-        d_poly = poly
-        for j, w_pow in enumerate(w_pows):
-            if j > 0:
-                d_poly = d_poly.diff_theta(axis)
-            acc = acc + (d_poly * w_pow).scale(1.0 / math.factorial(j))
-            if d_poly.is_zero():
-                break
-        poly = acc
-    return poly
+        pairs, counts = [], []
+        for p in polys:
+            derivs = [p]
+            while len(derivs) < len(w_pows) and not derivs[-1].is_zero():
+                derivs.append(derivs[-1].diff_theta(axis))
+            pairs += zip(derivs, w_pows)
+            counts.append(len(derivs))
+        prods = iter(multiply(pairs))
+        polys = [_taylor_sum([next(prods) for _ in range(k)]) for k in counts]
+    return polys
+
+
+def _taylor_sum(prods):
+    """sum_j prods[j] / j!, truncated at the lowest truncation of the
+    prods, summed on arrays as adding the scaled polynomials one by one
+    did: j ascending, and a partial sum that is exactly zero dropped."""
+    out = prods[0]._empty(min(q.trunc for q in prods))
+    sums = {}
+    for j, q in enumerate(prods):
+        c = 1.0 / math.factorial(j)
+        for key, s in q.terms.items():
+            _add_row(sums, key, s.coeffs * c)
+    out.terms = {key: FourierSeries(c, symmetrize=False)
+                 for key, c in sums.items() if out._degree(key) <= out.trunc}
+    return out
 
 
 def eval_xy_terms(terms, powers, trunc):
     """Evaluate one {(l, m): series-or-float} term table at the
-    ``_power_table`` of (px, py, W): the per-table body of ``substitute``."""
+    ``_power_table`` of (px, py, W): the per-table body of ``substitute``.
+
+    The table is one batch at every stage: one ``angle_taylor`` call for
+    all its coefficients, then one ``multiply`` call for every
+    coefficient times its px^l and one for those times py^m; the terms
+    are then summed in sorted order."""
     xp, yp, wp = powers
-    out = xp[0]._empty(trunc)
-    for (l, m), s in sorted(terms.items()):
-        coeff = angle_taylor(xp[0]._constant(s, trunc), wp)
-        out = out + coeff * xp[l] * yp[m]
+    one = xp[0]
+    lms, series = zip(*sorted(terms.items())) if terms else ((), ())
+    coeffs = angle_taylor([one._constant(s, trunc) for s in series], wp)
+    coeffs = multiply([(c, xp[l]) for c, (l, _) in zip(coeffs, lms)])
+    coeffs = multiply([(c, yp[m]) for c, (_, m) in zip(coeffs, lms)])
+    out = one._empty(trunc)
+    for c in coeffs:
+        out = out + c
     return out

@@ -653,6 +653,10 @@ MALFORMED_COMPARE = [
     # the payload is a half spectrum: a mirror mode would be added twice
     ("mode_and_its_mirror", "1e-11",
      lambda c: c["x"]["3"]["modes"].append([[-1], 0.0, 0.0])),
+    ("mode_listed_twice", "1e-11",
+     lambda c: c["x"]["3"]["modes"].append(list(c["x"]["3"]["modes"][0]))),
+    ("mode_not_integer", "1e-11",
+     lambda c: c["x"]["2"]["modes"][0].__setitem__(0, [1.5])),
     # a NaN passes every `> tol` test, so it must not get as far
     ("coefficient_nan", "1e-11",
      lambda c: c["y"][max(c["y"], key=int)]["modes"][-1]

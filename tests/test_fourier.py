@@ -391,6 +391,38 @@ def test_payload_round_trip():
             assert tuple(-x for x in mode) not in seen
 
 
+@pytest.mark.parametrize("dim,cut", [(0, 0), (0, 3), (1, 0), (1, 6), (2, 3)])
+def test_payload_round_trip_is_bit_exact(dim, cut):
+    # a payload reads back to the series that wrote it, to the last bit, and
+    # places its modes as from_modes does one at a time
+    rng = np.random.default_rng(19 + dim)
+    for f in (dense_series(rng, dim, cut), random_series(rng, dim, cut) + 0.7,
+              FourierSeries.zero(dim, cut), FourierSeries.constant(-1.5, dim, cut)):
+        payload = f.to_payload()
+        back = FourierSeries.from_payload(payload)
+        assert back.coeffs.tobytes() == f.coeffs.tobytes()
+        looped = FourierSeries.from_modes(
+            {tuple(k): complex(re, im) for k, re, im in payload["modes"]},
+            dim, cut)
+        assert back.coeffs.tobytes() == looped.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("dim,modes", [
+    (1, [[[2], 0.5, 0.1], [[1], 0.25, 0.0], [[2], 0.5, 0.1]]),
+    (2, [[[0, 0], 1.0, 0.0], [[0, 0], 1.0, 0.0]]),
+    (1, [[[1.5], 0.5, 0.0]]),
+    (2, [[[1, 0], 0.5, 0.0], [[0, 1e-9], 0.5, 0.0]]),
+    (1, [[[1], 0.5, 0.0], [[-1], 0.5, 0.0]]),
+    (2, [[[1, -2], 0.5, 0.0], [[0, 1], 0.1, 0.0], [[-1, 2], 0.5, 0.0]]),
+], ids=["twice", "zero_mode_twice", "not_integer", "not_integer_2d",
+        "with_mirror", "with_mirror_2d"])
+def test_payload_refuses_a_mode_twice_not_integer_or_with_its_mirror(dim, modes):
+    # the last entry used to win, 1.5 was read as mode 1, and a mirror would
+    # be added twice
+    with pytest.raises(DimensionMismatch):
+        FourierSeries.from_payload({"dim": dim, "cut": 3, "modes": modes})
+
+
 def test_real_series_has_no_symmetry_defect():
     rng = np.random.default_rng(13)
     f = random_series(rng, 1, 6)

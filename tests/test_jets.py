@@ -1,13 +1,16 @@
 """Truncated power series in the radial variable, scalar and with
 trigonometric-polynomial coefficients."""
 
+import math
+
 import numpy as np
 import pytest
 
 from paratori import fourier, jets
-from paratori.errors import StructureViolation
+from paratori.errors import DimensionMismatch, StructureViolation
 from paratori.fourier import FourierSeries
-from paratori.jets import JetStack, TFJet, UPoly, substitute
+from paratori.jets import (JetStack, TFJet, UPoly, angle_taylor, multiply,
+                           substitute)
 from paratori.mapdata import XYPoly
 
 from conftest import GOLDEN, dense_series, mode_sum
@@ -174,10 +177,9 @@ def product_cases(rng):
     return cases
 
 
-def test_products_are_the_pair_by_pair_sums_bit_for_bit(monkeypatch):
-    # same exponents in the same order, coefficients equal to the last bit
-    # (signed zeros included), and no stored series is a view into a stack
-    rng = np.random.default_rng(23)
+def recorded_stacks(monkeypatch):
+    """Every coefficient stack that ``jets`` gets from ``fourier.products``,
+    in call order."""
     stacks = []
 
     def recorded(lefts, rights):
@@ -185,16 +187,131 @@ def test_products_are_the_pair_by_pair_sums_bit_for_bit(monkeypatch):
         return stacks[-1]
 
     monkeypatch.setattr(jets, "products", recorded)
+    return stacks
+
+
+def assert_same_products(got, want, stacks):
+    """Same class, truncation and exponents in the same order, coefficients
+    equal to the last bit (signed zeros included), and no stored series a
+    view into a stack."""
+    assert type(got) is type(want) and got.trunc == want.trunc
+    assert list(got.terms) == list(want.terms)
+    for key, s in got.terms.items():
+        assert s.coeffs.tobytes() == want.terms[key].coeffs.tobytes()
+        assert not s.coeffs.flags.writeable
+        assert not any(np.shares_memory(s.coeffs, st) for st in stacks)
+
+
+def test_products_are_the_pair_by_pair_sums_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(23)
+    stacks = recorded_stacks(monkeypatch)
     cases = product_cases(rng)
     for p, q in cases:
-        got, want = p * q, product_pair_by_pair(p, q)
-        assert type(got) is type(p) and got.trunc == want.trunc
-        assert list(got.terms) == list(want.terms)
-        for key, s in got.terms.items():
-            assert s.coeffs.tobytes() == want.terms[key].coeffs.tobytes()
-            assert not s.coeffs.flags.writeable
-            assert not any(np.shares_memory(s.coeffs, st) for st in stacks)
+        assert_same_products(p * q, product_pair_by_pair(p, q), stacks)
     assert len(stacks) == len(cases) - 1
+
+
+@pytest.mark.parametrize("rows", [None, 2])
+def test_multiply_is_the_pair_by_pair_products(monkeypatch, rows):
+    # one batch per class and box gives each pair's own product, also when
+    # the rows run in stacks of two
+    rng = np.random.default_rng(23)
+    stacks = recorded_stacks(monkeypatch)
+    if rows is not None:
+        monkeypatch.setattr(jets, "_stack_rows", lambda dim, cut: rows)
+    batches = {}
+    for p, q in product_cases(rng):
+        batches.setdefault((type(p), p.dim, p.cut), []).append((p, q))
+    for pairs in batches.values():
+        for got, (p, q) in zip(multiply(pairs), pairs, strict=True):
+            assert_same_products(got, product_pair_by_pair(p, q), stacks)
+    # every coefficient pair is one row, except the one-pair product's:
+    # that is a * b, outside any stack of this module
+    pair_rows = [sum(p._degree(n) + q._degree(m) <= min(p.trunc, q.trunc)
+                     for n in p.terms for m in q.terms)
+                 for pairs in batches.values() for p, q in pairs]
+    assert sum(len(st) for st in stacks) == sum(n for n in pair_rows if n > 1)
+    if rows is not None:
+        assert max(len(st) for st in stacks) == rows
+    other_box = TFJet(1, 5, 4, {1: dense_series(rng, 1, 5), 2: 0.5})
+    for pairs in batches.values():
+        with pytest.raises(DimensionMismatch):
+            multiply(pairs + [(other_box, other_box)])
+
+
+def test_multiply_with_zero_products(monkeypatch):
+    # a product is zero when an operand is, when truncation drops every
+    # pair, or when its exponents cancel exactly; a batch of such products
+    # makes no stack, and zeros in a batch leave the others unchanged
+    rng = np.random.default_rng(29)
+    stacks = recorded_stacks(monkeypatch)
+    s, c = dense_series(rng, 1, 3), dense_series(rng, 1, 3)
+    zero, high = TFJet(1, 3, 6), TFJet(1, 3, 6, {4: s, 5: c})
+    cancel = (TFJet(1, 3, 3, {1: s, 2: s}), TFJet(1, 3, 3, {2: c, 1: -c}))
+    zeros = [(zero, high), (high, zero), (zero, zero), (high, high)]
+    got = multiply(zeros)
+    assert [p.is_zero() for p in got] == [True] * 4 and not stacks
+    assert [p.trunc for p in got] == [6] * 4
+    mixed = [zeros[0], cancel, (high, TFJet(1, 3, 6, {1: c, 2: s})), zeros[3]]
+    got = multiply(mixed)
+    assert got[0].is_zero() and got[3].is_zero() and len(stacks) == 1
+    assert 3 not in got[1].terms and list(got[1].terms) == [2]
+    for p, (a, b) in zip(got, mixed):
+        assert_same_products(p, product_pair_by_pair(a, b), stacks)
+
+
+def angle_taylor_term_by_term(poly, wp):
+    """The expansion of one polynomial, one power of W at a time, as sums
+    of scaled products: the oracle of the batched ``angle_taylor``."""
+    trunc = poly.trunc
+    for axis, w_pows in enumerate(wp):
+        if w_pows is None:
+            continue
+        acc = poly._empty(trunc)
+        d_poly = poly
+        for j, w_pow in enumerate(w_pows):
+            if j > 0:
+                d_poly = d_poly.diff_theta(axis)
+            acc = acc + (d_poly * w_pow).scale(1.0 / math.factorial(j))
+            if d_poly.is_zero():
+                break
+        poly = acc
+    return poly
+
+
+def test_angle_taylor_is_the_term_by_term_expansion(monkeypatch):
+    # a dim-2 table displaced along both axes, one displacement truncated
+    # lower than the table: dense, angle-constant and zero coefficients,
+    # each expanded as alone, bit for bit, with one stack per axis
+    rng = np.random.default_rng(31)
+    dim, cut, trunc = 2, 2, 6
+    terms = {(0, 1): dense_series(rng, dim, cut), (1, 0): 0.7,
+             (1, 1): FourierSeries.from_modes({(0, 1): 0.5}, dim, cut),
+             (0, 2): 0.0, (2, 1): dense_series(rng, dim, cut)}
+    px = TFJet(dim, cut, trunc, {1: dense_series(rng, dim, cut), 2: 0.4})
+    py = TFJet(dim, cut, trunc, {2: dense_series(rng, dim, cut)})
+    tails = [TFJet(dim, cut, trunc, {1: dense_series(rng, dim, cut),
+                                     2: dense_series(rng, dim, cut)}),
+             TFJet(dim, cut, trunc - 2, {2: dense_series(rng, dim, cut),
+                                         3: 0.3})]
+    _, _, wp = jets._power_table(px, py, tails, trunc, [terms])
+    polys = [px._constant(s, trunc) for _, s in sorted(terms.items())]
+    stacks = recorded_stacks(monkeypatch)
+    got = angle_taylor(polys, wp)
+    assert len(stacks) == 2
+    for p, want in zip(got, [angle_taylor_term_by_term(p, wp) for p in polys],
+                       strict=True):
+        assert_same_products(p, want, stacks)
+    # the zero coefficient, sorted second, keeps the table's truncation
+    assert got[1].is_zero() and got[1].trunc == trunc
+    assert all(not p.is_zero() and p.trunc == trunc - 2
+               for p in got[:1] + got[2:])
+    # evaluating the table is one batch per stage: one per displaced axis,
+    # then the products by px^l and by py^m
+    powers = jets._power_table(px, py, tails, trunc, [terms])
+    del stacks[:]
+    jets.eval_xy_terms(terms, powers, trunc)
+    assert len(stacks) == 2 + 2
 
 
 def test_substitute_shares_its_power_table_bit_for_bit():

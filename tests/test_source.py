@@ -108,7 +108,8 @@ def test_every_public_definition_is_used():
 def test_one_substitution_door():
     # term tables reach their power table and the per-table evaluation only
     # through jets.substitute, so all the tables of one substitution point
-    # share one power table
+    # share one power table; the angle expansion is reached only through
+    # the per-table evaluation, so every expansion of a table is one batch
     callers = {}
     for path, tree in _trees(PACKAGE):
         for fn in ast.walk(tree):
@@ -117,11 +118,12 @@ def test_one_substitution_door():
             for node in ast.walk(fn):
                 func = getattr(node, "func", None)
                 name = getattr(func, "id", getattr(func, "attr", None))
-                if name in ("_power_table", "eval_xy_terms"):
+                if name in ("_power_table", "eval_xy_terms", "angle_taylor"):
                     callers.setdefault(name, set()).add(
                         "%s:%s" % (os.path.basename(path), fn.name))
     assert callers == {"_power_table": {"jets.py:substitute"},
-                       "eval_xy_terms": {"jets.py:substitute"}}, callers
+                       "eval_xy_terms": {"jets.py:substitute"},
+                       "angle_taylor": {"jets.py:eval_xy_terms"}}, callers
 
 
 def test_importing_the_cli_loads_no_scipy():
