@@ -38,6 +38,13 @@ MAX_AXES = 32
 # the highest truncation order: the angle expansion divides by j! for
 # j <= trunc, and 171! is beyond the largest float
 MAX_TRUNC = 170
+# the most bytes one array over a diagnostics grid may take, 1 GiB: the
+# sector check's largest arrays hold one complex value (16 bytes) per point
+# of its radii x arguments, and the probe's the mode bases of an angle
+# image over its radii x arguments x angles^dim, at most 2 cut + 1 complex
+# values per axis and point (the shear and the term tables reach no higher
+# band than the cut)
+MAX_GRID_BYTES = 2 ** 30
 
 # the problem a config must name for each subcommand that reads one
 _PROBLEMS = {
@@ -110,6 +117,18 @@ def _cut(block, what, dim, default=None):
         raise ConfigError("%s.cut: a box of (2*%d+1)^%d modes exceeds %d "
                           "coefficients" % (what, cut, dim, MAX_BOX))
     return cut
+
+
+def _check_samples(counts, point_bytes, what):
+    """ConfigError when a grid of ``counts`` points per axis, at
+    ``point_bytes`` bytes per point, takes more than MAX_GRID_BYTES; the
+    size is a product of Python integers, so an oversized grid is never
+    built."""
+    total = math.prod(counts)
+    if total * point_bytes > MAX_GRID_BYTES:
+        raise ConfigError("%s: a grid of %d points at %d bytes each exceeds "
+                          "%d bytes" % (what, total, point_bytes,
+                                        MAX_GRID_BYTES))
 
 
 def _numbers(value, what, cast=float, least=None):
@@ -293,6 +312,7 @@ class RunConfig:
             self.iterates = _entry(diag, "iterates", "diagnostics", int, 1000, 0)
             self.grid = _numbers(diag.get("grid", [20, 20]), "diagnostics.grid",
                                  int, (1, 1))
+            _check_samples(self.grid, 16, "diagnostics.grid")
             self.probe = diag.get("probe")
             if self.probe is not None:
                 probe = _object(self.probe, "diagnostics.probe",
@@ -305,6 +325,11 @@ class RunConfig:
                                         (2, 2, 1)),
                     "n_iter": _entry(probe, "n_iter", "diagnostics.probe",
                                      int, 10, 0)}
+                n_r, n_phi, n_th = self.probe["samples"]
+                _check_samples(
+                    [n_r, n_phi] + [n_th] * self.data.dim,
+                    16 * max(self.data.dim, 1) * (2 * self.data.cut + 1),
+                    "diagnostics.probe.samples")
 
     def _check_truncation(self):
         """ConfigError unless the solve's truncation order, derived from

@@ -42,10 +42,13 @@ numpy only.
 Pointwise values come from ``eval_stack``: a stack of coefficient boxes is
 cut to its occupied band, the smallest centred box holding every nonzero
 coefficient, and evaluated at a batch of angles against one mode basis per
-axis, built once for the batch from powers of e^{2 pi i theta} up to that
-band; ``FourierSeries.eval`` is its one-row case.  A term table whose
-series carry a few low modes on a large box is evaluated on those modes
-alone.
+axis, built from powers of e^{2 pi i theta} up to that band: one
+exponential per point for real angles (the negative modes are its
+conjugate powers), none at band 0.  ``FourierSeries.eval`` is its one-row
+case.  A term table whose series carry a few low modes on a large box is
+evaluated on those modes alone.  An ``AngleBatch`` keeps the bases of its
+angles, so every stack evaluated on one batch shares them; a lower band
+takes the central rows of a basis, bit for bit its own basis.
 """
 
 import functools
@@ -337,10 +340,10 @@ class FourierSeries:
         """Evaluate at angles: the one-row case of ``eval_stack``.
 
         ``theta`` has shape (dim,) for a single point or (..., dim) for a
-        batch (None is the one point of dim 0); returns a real float or a
-        real array of the batch shape.  Complexified angles are accepted
-        (analytic continuation off the real torus); the result is then
-        complex.
+        batch (None is the one point of dim 0), or is an ``AngleBatch``;
+        returns a real float or a real array of the batch shape.
+        Complexified angles are accepted (analytic continuation off the
+        real torus); the result is then complex.
         """
         vals = eval_stack(self.coeffs[None], theta)[0]
         return vals if vals.ndim else vals.item()
@@ -428,54 +431,99 @@ class FourierSeries:
 
 def _axis_basis(t, cut):
     """e^{2 pi i k t} for k = -cut..cut at every point of ``t``, shape
-    (2*cut+1, points).  One exponential of each sign per point; the higher
-    powers are products of lower ones, power n + j = power n * power j, so
-    the table doubles each pass.  For real t the negative modes come out as
-    the exact conjugates of the positive ones."""
-    powers = np.empty((cut + 1, 2, t.size), dtype=complex)
-    powers[0] = 1.0
-    powers[1:2] = np.exp(np.multiply.outer((-TWO_PI_I, TWO_PI_I), t))
-    n = 1
-    while n < cut:
-        m = min(n, cut - n)
-        np.multiply(powers[1:m + 1], powers[n], out=powers[n + 1:n + m + 1])
-        n += m
-    return np.concatenate([powers[:0:-1, 0], powers[:, 1]])
+    (2*cut+1, points).  One exponential per point (none at cut 0); the
+    higher powers are products of lower ones, pass by pass power n + j =
+    power j * power n for j = 1..n, so the table doubles each pass and
+    every power takes the same products whatever the cut: the basis of a
+    lower cut is bit for bit the central rows of this one.  For real t the
+    negative modes are the conjugates of the positive ones, bit for bit
+    what the products of e^{-2 pi i t} give; complex t takes a second
+    exponential per point and doubles its powers the same way."""
+    out = np.empty((2 * cut + 1, t.size), dtype=complex)
+    out[cut] = 1.0
+    # the modes 0..cut and 0..-cut, each a table of powers from row 0
+    tables = [(out[cut:], TWO_PI_I)]
+    if np.iscomplexobj(t):
+        tables.append((out[cut::-1], -TWO_PI_I))
+    for powers, sign in tables:
+        if cut:
+            powers[1] = np.exp(sign * t)
+        n = 1
+        while n < cut:
+            m = min(n, cut - n)
+            np.multiply(powers[1:m + 1], powers[n], out=powers[n + 1:n + m + 1])
+            n += m
+    if len(tables) == 1:
+        np.conj(out[:cut:-1], out=out[:cut])
+    return out
+
+
+class AngleBatch:
+    """A batch of angles on T^dim, shape (..., dim) (None is the one point
+    of dim 0), whose mode bases every stack evaluated on it shares.
+
+    The basis of an axis is built on first use (``_axis_basis``) at the
+    band asked for and kept; a stack of a lower band takes its central
+    rows, which are that band's basis bit for bit, and a wider band
+    rebuilds it at that band.  Complexified angles are accepted; the values
+    on them are complex.
+    """
+
+    __slots__ = ("dim", "complex", "batch", "points", "_bases")
+
+    def __init__(self, theta, dim):
+        self.dim = dim
+        self.complex = np.iscomplexobj(theta)
+        theta = np.asarray(() if theta is None else theta,
+                           dtype=complex if self.complex else float)
+        if theta.shape[-1:] != (dim,):
+            raise DimensionMismatch("angles of shape %s on a %d-torus"
+                                    % (theta.shape, dim))
+        self.batch = theta.shape[:-1]
+        self.points = theta.reshape(math.prod(self.batch), dim)
+        self._bases = [None] * dim
+
+    def basis(self, axis, band):
+        """e^{2 pi i k theta_axis} for k = -band..band on every point of
+        the batch, shape (2*band+1, points)."""
+        built = self._bases[axis]
+        if built is None or len(built) < 2 * band + 1:
+            built = self._bases[axis] = _axis_basis(self.points[:, axis],
+                                                    band)
+            built.flags.writeable = False  # every stack reads views of it
+        top = len(built) // 2
+        return built[top - band:top + band + 1]
 
 
 def eval_stack(coeffs, theta=None):
     """Values of a stack of series at a batch of angles.
 
     ``coeffs`` holds m coefficient boxes, shape (m,) + (2*cut+1,)*dim;
-    ``theta`` has shape (..., dim), None being the one point of dim 0.
-    Returns shape (m,) + batch, real for real angles and complex for
-    complexified ones.  The stack is first cut to its occupied band, the
-    smallest centred box |k|_inf <= K that holds every nonzero coefficient
-    (only exact zeros are dropped).  The mode basis of each axis is built
-    once for the whole batch up to K (``_axis_basis``) and the stack is
-    contracted against it one axis at a time, so a dim-0 stack is its
-    constants on every point.
+    ``theta`` has shape (..., dim), None being the one point of dim 0, or
+    is an ``AngleBatch`` of dim axes.  Returns shape (m,) + batch, real for
+    real angles and complex for complexified ones.  The stack is first cut
+    to its occupied band, the smallest centred box |k|_inf <= K that holds
+    every nonzero coefficient (only exact zeros are dropped).  Each axis
+    takes the batch's mode basis up to K, built once per batch however
+    many stacks are evaluated on it, and the stack is contracted against
+    it one axis at a time, so a dim-0 stack is its constants on every
+    point.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     dim = coeffs.ndim - 1
-    complex_in = np.iscomplexobj(theta)
-    theta = np.asarray(() if theta is None else theta,
-                       dtype=complex if complex_in else float)
-    if theta.shape[-1:] != (dim,):
-        raise DimensionMismatch("angles of shape %s on a %d-torus"
-                                % (theta.shape, dim))
-    batch = theta.shape[:-1]
-    pts = theta.reshape(math.prod(batch), dim)
+    angles = theta if isinstance(theta, AngleBatch) else AngleBatch(theta, dim)
+    if angles.dim != dim:
+        raise DimensionMismatch("a batch of angles on a %d-torus for series "
+                                "on a %d-torus" % (angles.dim, dim))
     cut = coeffs.shape[-1] // 2 if dim else 0
     band = int(np.abs(np.argwhere(coeffs)[:, 1:] - cut).max(initial=0))
     vals = coeffs[(slice(None),) + (slice(cut - band, cut + band + 1),) * dim]
     vals = vals[:, None]
     for a in range(dim):
-        basis = _axis_basis(pts[:, a], band)
-        vals = np.einsum("ib,mbi...->mb...", basis, vals)
-    vals = np.broadcast_to(vals, (coeffs.shape[0], pts.shape[0]))
-    return np.array((vals if complex_in else vals.real).reshape(
-        (coeffs.shape[0],) + batch))
+        vals = np.einsum("ib,mbi...->mb...", angles.basis(a, band), vals)
+    vals = np.broadcast_to(vals, (coeffs.shape[0], len(angles.points)))
+    return np.array((vals if angles.complex else vals.real).reshape(
+        (coeffs.shape[0],) + angles.batch))
 
 
 def on_box(s, dim, cut, what="coefficient"):

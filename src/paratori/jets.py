@@ -373,7 +373,9 @@ class JetStack:
 
     def __init__(self, jets):
         orders, self.coeffs = stack_coefficients(jets)
-        self.orders = np.array(orders, dtype=int)
+        # the distinct orders, and the one of each stacked term
+        self.powers, self.order_of = np.unique(np.array(orders, dtype=int),
+                                               return_inverse=True)
         owner = np.repeat(np.arange(len(jets)), [len(j.terms) for j in jets])
         self.select = (owner == np.arange(len(jets))[:, None]).astype(float)
 
@@ -385,6 +387,9 @@ class JetStack:
         A u of shape (steps, rows) pairs each step's rows with that step's
         own angle batch, angles of shape (steps,) + batch_shape + (dim,),
         and gives shape (jets, steps, rows) + batch_shape.
+
+        Each power u^n is computed once and gathered for every term of
+        order n.
         """
         u = np.atleast_1d(np.asarray(u_values))
         u = u.astype(np.result_type(u, float), copy=False)
@@ -393,7 +398,7 @@ class JetStack:
         batch = vals.shape[1 + lead:]
         vals = np.moveaxis(vals.reshape(vals.shape[:1 + lead] + (-1,)), 0, -2)
         select = self.select.reshape((len(self.select),) + (1,) * u.ndim + (-1,))
-        u_pow = select * u[..., None] ** self.orders
+        u_pow = select * (u[..., None] ** self.powers)[..., self.order_of]
         return (u_pow @ vals).reshape(u_pow.shape[:-1] + batch)
 
 

@@ -73,8 +73,9 @@ class XYPoly(FTPoly):
         """Pointwise sum_{l,m} s_{lm}(ang) x^l y^m, every coefficient from
         one ``eval_stack`` call.
 
-        Real or complex x, y and angles; returns an array of the broadcast
-        shape of x, y and the angle batch, a number when all are scalars.
+        Real or complex x, y and angles (an array or a
+        ``fourier.AngleBatch``); returns an array of the broadcast shape of
+        x, y and the angle batch, a number when all are scalars.
         """
         keys, coeffs = stack_coefficients([self])
         vals = np.moveaxis(eval_stack(coeffs, ang), 0, -1)

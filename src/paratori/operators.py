@@ -10,7 +10,10 @@ not certified enclosures.
 The module runs on numpy alone: the contraction probe interpolates
 its candidate corrections multilinearly (``_GridFunction``), and the
 trajectory integrals step their ODE by its Taylor series
-(``quadrature.trajectory``).
+(``quadrature.trajectory``).  The per-step work of the orbit sums runs
+on blocks of steps: the iterates are stepped one at a time, then the terms
+and the stop rules take the whole block as arrays, each value bit for bit
+what a loop over single steps gives.
 """
 
 import itertools
@@ -26,7 +29,7 @@ from .errors import (
     StructureViolation,
     TailNotConverged,
 )
-from .fourier import angle_grid
+from .fourier import AngleBatch, angle_grid
 from .jets import JetStack
 from .pairs import check_finite
 from .quadrature import QUAD_CHUNK, panel_quadrature, trajectory
@@ -123,9 +126,12 @@ def _orbit_sum(term, inner, freqs, z0, pts0, eta_orders, mu, targets):
     component an array of shape (steps, rows, angle points).  A block holds
     at most ``QUAD_CHUNK`` points (at least one step), and at most
     max(_J_MIN, j) steps from step j, so the blocks double from _J_MIN and
-    a row that stops mid-block wastes fewer steps than it summed.  Within
-    a block the terms are summed and the rows stopped one step at a time,
-    as a loop over single steps would.
+    a row that stops mid-block wastes fewer steps than it summed.  The tail
+    rule runs on the block's (steps, rows) array at once, and each row
+    stops at its first step that meets it.  The row's total is read from a
+    cumulative sum along the step axis that starts at its running total:
+    the additions run in step order, so every total rounds as a loop over
+    single steps rounds it.
     """
     rules = {c: _decay(inner, o, mu, z0) for c, o in eta_orders.items()}
     totals = None
@@ -150,20 +156,19 @@ def _orbit_sum(term, inner, freqs, z0, pts0, eta_orders, mu, targets):
         block = term(zs, pts)
         if totals is None:  # the first terms fix the dtype: real in, real out
             totals = {c: np.zeros_like(t[0]) for c, t in block.items()}
-        for s in range(steps):
-            live = active[rows]
-            done = np.ones(int(live.sum()), dtype=bool)
-            for c, t in block.items():
-                t = t[s, live]
-                totals[c][active] += t
-                q, x = rules[c]
-                tail = _tail(np.abs(t).max(axis=1), j, x[active], q)
-                done &= tail <= targets[c][active] / 2
-            if j >= _J_MIN:
-                active[np.flatnonzero(active)[done]] = False
-            j += 1
-            if not active.any():
-                break
+        js = np.arange(j, j + steps)[:, None]
+        done = js >= _J_MIN
+        for c, t in block.items():
+            q, x = rules[c]
+            tail = _tail(np.abs(t).max(axis=2), js, x[rows], q)
+            done = done & (tail <= targets[c][rows] / 2)
+        stops = done.any(axis=0)
+        last = np.where(stops, done.argmax(axis=0), steps - 1)
+        for c, t in block.items():
+            run = np.cumsum(np.concatenate([totals[c][rows][None], t]), axis=0)
+            totals[c][rows] = run[last + 1, np.arange(rows.size)]
+        active[rows[stops]] = False
+        j += steps
     return {c: -t for c, t in totals.items()}
 
 
@@ -342,24 +347,30 @@ class _GridFunction:
             pad = np.concatenate([pad, pad.take([0], axis=2 + i)], axis=2 + i)
             self.axes.append(np.concatenate([t, [1.0]]))
         self.table = pad.reshape(-1, len(weights))
+        # the flat-index stride of each axis of the table
+        sizes = [a.size for a in self.axes]
+        self.strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
 
     def __call__(self, z, pts):
         """Per component, its interpolated values on the rows ``z`` times
         the angle points ``pts``: z of shape (steps, rows) and pts of shape
-        (steps, points, dim) give (steps, rows, points) arrays."""
+        (steps, points, dim) give (steps, rows, points) arrays.
+
+        Each axis's flat-index offsets and weights of its lower and upper
+        node are computed once; a corner's index is the sum of its offsets,
+        and its weight the product of its weights in axis order."""
         z = np.asarray(z, dtype=complex)[..., None]
         coords = [np.log(np.abs(z)), np.angle(z)]
         coords += [np.mod(pts[..., None, :, a], 1.0)
                    for a in range(pts.shape[-1])]
-        cells = [_cell(a, c) for a, c in zip(self.axes, coords)]
-        shape = tuple(a.size for a in self.axes)
+        sides = []
+        for nodes, x, stride in zip(self.axes, coords, self.strides):
+            i, j, w = _cell(nodes, x)
+            sides.append(((i * stride, 1.0 - w), (j * stride, w)))
         vals = 0.0
-        for corner in itertools.product((0, 1), repeat=len(cells)):
-            index = np.ravel_multi_index(
-                [j if upper else i for (i, j, _), upper in zip(cells, corner)],
-                shape)
-            weight = math.prod(w if upper else 1.0 - w
-                               for (_, _, w), upper in zip(cells, corner))
+        for corner in itertools.product(*sides):
+            index = sum(offset for offset, _ in corner)
+            weight = math.prod(factor for _, factor in corner)
             vals = vals + weight[..., None] * self.table[index]
         return [vals[..., i] * z ** w for i, w in enumerate(self.weights)]
 
@@ -392,7 +403,9 @@ def contraction_probe(mp, pair, residual, sector, mu, *, samples, n_iter,
 
     The undisplaced jets (x, y, the angle tails and the defect tails) are
     stacked once into a ``JetStack``, and the orbit sums evaluate them, and
-    the whole remainder, on blocks of orbit steps.
+    the whole remainder, on blocks of orbit steps.  The shear and the term
+    tables are evaluated at the two angle images of a block through one
+    ``fourier.AngleBatch`` each, so they share its mode bases.
 
     The radial band spans [rho / 2, rho]: well below the outer radius the
     weighted quantities sink under double-precision roundoff of the
@@ -439,12 +452,14 @@ def contraction_probe(mp, pair, residual, sector, mu, *, samples, n_iter,
         angle points ``pts``: z of shape (rows,) with pts of shape (points,
         dim), or a block of orbit steps, z of shape (steps, rows) with pts
         of shape (steps, points, dim).  The undisplaced jets take one
-        stacked evaluation."""
+        stacked evaluation, and the shear and the term tables share one
+        mode basis per axis for each of the two angle images."""
         vals = jets.eval_grid(z, pts)
         kx, ky = vals[0], vals[1]
         base = pts[..., None, :, :] + np.moveaxis(vals[2:2 + d], 0, -1)
-        disp = base + np.moveaxis(
-            np.reshape([f[c] for c in comps[2:]], (d,) + kx.shape), 0, -1)
+        disp = AngleBatch(base + np.moveaxis(
+            np.reshape([f[c] for c in comps[2:]], (d,) + kx.shape), 0, -1), d)
+        base = AngleBatch(base, d)
         defect = dict(zip(comps, vals[2 + d:]))
         c_base = c_series.eval(base)
         c_disp = c_series.eval(disp)

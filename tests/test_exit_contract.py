@@ -13,7 +13,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paratori.cli import main
+from paratori.cli import MAX_GRID_BYTES, RunConfig, main
 
 GOLDEN = 0.6180339887498949
 
@@ -141,3 +141,58 @@ def test_exit_contract_holds_on_mutated_input(command, saved_pair):
             assert payload["exit_code"] == code
 
     fuzz()
+
+
+# cut 4 on the 1-torus: 16 * 9 bytes per probe sample
+PROBE_POINTS = MAX_GRID_BYTES // (16 * 9)
+
+
+@pytest.mark.parametrize("key,edit", [
+    ("diagnostics.grid", lambda d: d.update(grid=[10 ** 7, 10 ** 7])),
+    # 8192 x 8193 points of 16 bytes: 8192 points past cli.MAX_GRID_BYTES
+    ("diagnostics.grid", lambda d: d.update(grid=[8192, 8193])),
+    ("diagnostics.probe.samples",
+     lambda d: d.update(probe={"samples": [8, 5, 10 ** 7], "n_iter": 1})),
+    # one angle past the most the bound allows on a 2 x 2 sector grid
+    ("diagnostics.probe.samples",
+     lambda d: d.update(probe={"samples": [2, 2, PROBE_POINTS // 4 + 1]})),
+])
+def test_an_oversized_diagnostics_grid_is_refused_by_name(tmp_path, monkeypatch,
+                                                         key, edit):
+    # a grid past cli.MAX_GRID_BYTES exits 2 naming its key, before the
+    # solve and before any grid is built
+    import paratori.cli as cli
+    from paratori.operators import Sector
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the run went past the config check")
+
+    monkeypatch.setattr(cli, "solve_to_order", no_allocation)
+    monkeypatch.setattr(Sector, "grid", no_allocation)
+    config = copy.deepcopy(BASES["diagnose-operators"])
+    edit(config["diagnostics"])
+    code, stderr = run("diagnose-operators", config, str(tmp_path), None)
+    assert code == 2, stderr
+    payload = json.loads(stderr)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith(key + ": a grid of ")
+
+
+@pytest.mark.parametrize("dim,cut", [(1, 32767), (3, 19), (4, 7)])
+def test_default_grids_pass_the_config_check(dim, cut):
+    # the default probe samples (8 x 5 x 8^dim) and a 300 x 300 sector grid
+    # pass on a dim-torus map at the largest cut cli.MAX_BOX admits
+    block = {"cut": cut, "freqs": [math.sqrt(q) for q in (2, 3, 5, 7)][:dim],
+             "k": 2, "p": 1, "x_terms": {"0,1": 1.0},
+             "y_terms": {"2,0": 6.0},
+             "theta_terms": [{"1,0": 1.0}] * dim}
+    config = dict(BASES["diagnose-operators"], map=block,
+                  diagnostics={"grid": [300, 300], "probe": {}})
+    assert RunConfig(config, "diagnose-operators").probe["samples"] == [8, 5, 8]
+
+
+def test_the_largest_grids_pass_the_config_check():
+    config = dict(BASES["diagnose-operators"],
+                  diagnostics={"grid": [8192, 8192],
+                               "probe": {"samples": [2, 2, PROBE_POINTS // 4]}})
+    RunConfig(config, "diagnose-operators")

@@ -10,10 +10,11 @@ from paratori import fourier
 from paratori.cli import MAX_BOX
 from paratori.errors import (ConfigError, DimensionMismatch, NonZeroAverage,
                              SmallDivisorUnderflow)
-from paratori.fourier import (FourierSeries, _axis_basis, _cache_spectra,
-                              _fast_len, _inverse_centre, angle_grid,
-                              diophantine_margin, eval_stack, on_box, products,
-                              solve_sd_flow, solve_sd_map)
+from paratori.fourier import (TWO_PI_I, AngleBatch, FourierSeries,
+                              _axis_basis, _cache_spectra, _fast_len,
+                              _inverse_centre, angle_grid, diophantine_margin,
+                              eval_stack, on_box, products, solve_sd_flow,
+                              solve_sd_map)
 
 from conftest import GOLDEN, dense_series, mode_sum
 
@@ -316,6 +317,103 @@ def test_eval_stack_contracts_only_the_occupied_band(monkeypatch, dim,
         for row, g, w in zip(coeffs, got, want):
             tol = 1e-14 * np.abs(row).sum()
             assert np.max(np.abs(g - (w if complex_angles else w.real))) <= tol
+
+
+def two_sign_basis(t, cut):
+    """The mode basis from one exponential of each sign per point, the
+    powers of each sign doubled pass by pass: the negative modes are
+    products of e^{-2 pi i t} itself."""
+    powers = np.empty((cut + 1, 2, t.size), dtype=complex)
+    powers[0] = 1.0
+    powers[1:2] = np.exp(np.multiply.outer((-TWO_PI_I, TWO_PI_I), t))
+    n = 1
+    while n < cut:
+        m = min(n, cut - n)
+        np.multiply(powers[1:m + 1], powers[n], out=powers[n + 1:n + m + 1])
+        n += m
+    return np.concatenate([powers[:0:-1, 0], powers[:, 1]])
+
+
+@pytest.mark.parametrize("complex_angles", [False, True])
+def test_a_lower_band_is_the_centre_of_a_wider_basis(complex_angles):
+    # the doubling passes do not depend on the cut, so the basis of every
+    # lower cut is bit for bit the central rows of a wider one; for real
+    # angles the negative modes are the conjugates of the positive ones,
+    # bit for bit the products of e^{-2 pi i t}
+    rng = np.random.default_rng(5)
+    t = rng.uniform(-3.0, 3.0, 5000)
+    if complex_angles:
+        t = t + 2e-3j * rng.uniform(-1, 1, t.size)
+    top = 40
+    wide = _axis_basis(t, top)
+    assert wide.tobytes() == two_sign_basis(t, top).tobytes()
+    for band in range(top):
+        centre = wide[top - band:top + band + 1]
+        assert _axis_basis(t, band).tobytes() == centre.tobytes()
+    if not complex_angles:
+        assert wide[:top].tobytes() == np.conj(wide[:top:-1]).tobytes()
+
+
+def test_the_basis_takes_one_exponential_per_point(monkeypatch):
+    # real angles take e^{2 pi i t} alone, complex ones both signs, and
+    # band 0 no exponential at all
+    sizes = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x: sizes.append(np.size(x)) or exp(x))
+    t = np.linspace(0.0, 1.0, 7)
+    for angles in (t, t + 1e-3j):
+        sizes.clear()
+        basis = _axis_basis(angles, 0)
+        assert sizes == [] and basis.tobytes() == np.ones((1, 7), complex).tobytes()
+        _axis_basis(angles, 5)
+        assert sum(sizes) == (7 if angles is t else 14)
+
+
+def banded_stack(rng, dim, cut, bands):
+    """A stack of one row per band, each row's coefficients filling the
+    centred box |k|_inf <= band of the box of ``cut``."""
+    out = np.zeros((len(bands),) + (2 * cut + 1,) * dim, dtype=complex)
+    for i, band in enumerate(bands):
+        box = (i,) + (slice(cut - band, cut + band + 1),) * dim
+        out[box] = (rng.standard_normal(out[box].shape)
+                    + 1j * rng.standard_normal(out[box].shape))
+    return out
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+@pytest.mark.parametrize("complex_angles", [False, True])
+def test_stacks_share_the_bases_of_an_angle_batch(monkeypatch, dim,
+                                                  complex_angles):
+    # stacks of mixed bands evaluated through one AngleBatch give a fresh
+    # eval_stack's values bit for bit, from one basis per axis
+    cut = 4
+    rng = np.random.default_rng(30 + dim)
+    theta = rng.uniform(-1.0, 2.0, (3, 2, dim))
+    if complex_angles:
+        theta = theta + 2e-3j * rng.uniform(-1, 1, theta.shape)
+    stacks = [banded_stack(rng, dim, cut, bands)
+              for bands in ((4, 1), (0,), (2, 3, 0), (1, 1))]
+    fresh = [eval_stack(c, theta) for c in stacks]
+    series = FourierSeries(stacks[2][1])
+    alone = series.eval(theta)
+    built = []
+    monkeypatch.setattr(fourier, "_axis_basis",
+                        lambda t, k: built.append(k) or _axis_basis(t, k))
+    batch = AngleBatch(theta, dim)
+    for c, want in zip(stacks, fresh):
+        got = eval_stack(c, batch)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert series.eval(batch).tobytes() == alone.tobytes()
+    assert built == [4] * dim
+    # a band wider than the one built rebuilds the axis's basis at it
+    built.clear()
+    batch = AngleBatch(theta, dim)
+    for c, want in zip(stacks[::-1], fresh[::-1]):
+        assert eval_stack(c, batch).tobytes() == want.tobytes()
+    assert built == [1] * dim + [3] * dim + [4] * dim
+    with pytest.raises(DimensionMismatch):
+        eval_stack(banded_stack(rng, dim + 1, cut, (1,)), batch)
 
 
 def test_difference_equation_residual():

@@ -228,7 +228,7 @@ def test_blocked_orbit_sum_matches_a_step_at_a_time_loop():
     assert np.all(got["count"] == got["count"][:, :1])
     for c in ("a", "b"):
         assert got[c].shape == (z0.size, len(pts0))
-        assert np.max(np.abs(got[c] - want[c])) <= 1e-15 * np.max(np.abs(want[c]))
+        assert np.array_equal(got[c], want[c])
     # a block holds at most QUAD_CHUNK points and there are far fewer blocks
     # than steps
     assert all(s * r * len(pts0) <= QUAD_CHUNK for s, r in calls)
