@@ -45,6 +45,12 @@ MAX_TRUNC = 170
 # values per axis and point (the shear and the term tables reach no higher
 # band than the cut)
 MAX_GRID_BYTES = 2 ** 30
+# the most point-steps one diagnostics run may take: the sector check steps
+# every point of its grid once per iterate, and the contraction probe every
+# sample once per sweep.  2^36 lets the largest sector grid MAX_GRID_BYTES
+# admits (8192 x 8192 points) run the default 1000 iterates, and bounds a
+# run that a huge count would keep going for days
+MAX_GRID_STEPS = 2 ** 36
 
 # the problem a config must name for each subcommand that reads one
 _PROBLEMS = {
@@ -129,6 +135,14 @@ def _check_samples(counts, point_bytes, what):
         raise ConfigError("%s: a grid of %d points at %d bytes each exceeds "
                           "%d bytes" % (what, total, point_bytes,
                                         MAX_GRID_BYTES))
+
+
+def _check_steps(count, points, what):
+    """ConfigError when ``count`` steps of ``points`` points each exceed
+    MAX_GRID_STEPS point-steps, before any of them is taken."""
+    if count * points > MAX_GRID_STEPS:
+        raise ConfigError("%s: %d steps of %d points each exceed %d "
+                          "point-steps" % (what, count, points, MAX_GRID_STEPS))
 
 
 def _numbers(value, what, cast=float, least=None):
@@ -313,6 +327,8 @@ class RunConfig:
             self.grid = _numbers(diag.get("grid", [20, 20]), "diagnostics.grid",
                                  int, (1, 1))
             _check_samples(self.grid, 16, "diagnostics.grid")
+            _check_steps(self.iterates, math.prod(self.grid),
+                         "diagnostics.iterates")
             self.probe = diag.get("probe")
             if self.probe is not None:
                 probe = _object(self.probe, "diagnostics.probe",
@@ -330,6 +346,9 @@ class RunConfig:
                     [n_r, n_phi] + [n_th] * self.data.dim,
                     16 * max(self.data.dim, 1) * (2 * self.data.cut + 1),
                     "diagnostics.probe.samples")
+                _check_steps(self.probe["n_iter"],
+                             n_r * n_phi * n_th ** self.data.dim,
+                             "diagnostics.probe.n_iter")
 
     def _check_truncation(self):
         """ConfigError unless the solve's truncation order, derived from

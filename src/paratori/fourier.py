@@ -22,10 +22,20 @@ still missing in stacked FFTs (each series keeps its spectrum from its
 first product on), then the products of the spectra and their inverses
 in one stack, at most ``STACK_ENTRIES`` complex entries per transform.
 numpy runs the same FFT plan row by row, so each row rounds as a single
-product did; ``FourierSeries.__mul__`` is the one-row case.  A series is
-immutable from construction: its coefficients are read-only from the
-moment it is built, so a cached spectrum can never go stale and a series
-can be shared instead of copied.
+product did; ``FourierSeries.__mul__`` is the one-row case.  A batch of
+jet products (``jets.multiply``) gives every operand its spectrum in
+stacked transforms before its first product, so its one-pair products
+``a * b`` find their spectra cached too.  A series is immutable from
+construction: its coefficients are read-only from the moment it is built,
+so a cached spectrum can never go stale and a series can be shared instead
+of copied.  For the same reason a series keeps the chain of its angle
+derivatives once asked for it (``FourierSeries.derivatives``, the term
+tables' coefficients in ``jets.angle_taylor``).
+
+Construction checks its array every time: it must be cubic with an odd
+side (DimensionMismatch otherwise), it is converted to complex unless it
+already is a complex ndarray, symmetrized unless ``symmetrize=False`` says
+the caller's array already is, and made read-only.
 
 The transforms are numpy's one-axis FFTs, taken along the box axes in
 order.  The forward transform is unscaled (``_cache_spectra``).  The
@@ -64,6 +74,10 @@ from .errors import (
 )
 
 TWO_PI_I = 2j * np.pi
+_COMPLEX = np.dtype(complex)
+# the slice that reverses one axis: a box indexed by it on every axis is
+# np.flip of the box, without np.flip's axis bookkeeping
+_REVERSED = slice(None, None, -1)
 
 # the default floor of the divisors a cohomological solve divides by
 SD_FLOOR = 1e-12
@@ -110,8 +124,10 @@ def _inverse_centre(spec, cut):
 
 
 # complex entries of one stacked transform at most: a jet product with more
-# pairs runs in several stacks
-STACK_ENTRIES = 1 << 14
+# pairs runs in several stacks.  2^13 (128 KiB a stack) keeps the transient
+# stacks of a batch below the resident peak at no cost in time; 2^12 split
+# the 1,089-entry rows of 2-D boxes too finely and was slower
+STACK_ENTRIES = 1 << 13
 
 
 def _stack_rows(dim, cut):
@@ -132,15 +148,20 @@ def products(lefts, rights):
                                 "(dim, cut) %s" % (len(lefts), len(rights),
                                                    sorted(boxes)))
     ((dim, cut),) = boxes
-    box = (2 * cut + 1,) * dim
-    if math.prod(box) == 1:
+    return _products(lefts, rights, dim, cut)
+
+
+def _products(lefts, rights, dim, cut):
+    """``products`` of two equally long lists of series known to sit on
+    the box (dim, cut)."""
+    if not dim or not cut:
         # a box of one mode has no axis to transform (SciPy's FFT
         # convolution skips axes of length 1 too)
         out = (np.array([a.coeffs for a in lefts])
                * np.array([b.coeffs for b in rights]))
     else:
         _cache_spectra(lefts + rights, dim, cut)
-        out = np.empty((len(lefts),) + box, dtype=complex)
+        out = np.empty((len(lefts),) + (2 * cut + 1,) * dim, dtype=complex)
         rows = _stack_rows(dim, cut)
         for i in range(0, len(lefts), rows):
             spec = np.array([a._spec for a in lefts[i:i + rows]])
@@ -148,7 +169,7 @@ def products(lefts, rights):
             out[i:i + rows] = _inverse_centre(spec, cut)
     # 0.5 * (out + conj(flip(out))), as FourierSeries symmetrizes, with
     # one temporary
-    sym = np.conj(np.flip(out, axis=tuple(range(1, dim + 1))))
+    sym = np.conj(out[(slice(None),) + (_REVERSED,) * dim])
     sym += out
     sym *= 0.5
     return sym
@@ -213,22 +234,30 @@ class FourierSeries:
     fill a fresh array first, and every holder of a series may share it.
     """
 
-    __slots__ = ("dim", "cut", "coeffs", "_spec")
+    __slots__ = ("dim", "cut", "coeffs", "_spec", "_derivs")
 
     def __init__(self, coeffs, symmetrize=True):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        self.dim = coeffs.ndim
-        n = max(coeffs.shape, default=1)
-        if n % 2 != 1 or coeffs.shape != (n,) * self.dim:
+        # a complex ndarray is taken as it is (np.asarray would return it
+        # unchanged); anything else, a numpy scalar included, is converted
+        if type(coeffs) is not np.ndarray or coeffs.dtype is not _COMPLEX:
+            coeffs = np.asarray(coeffs, dtype=complex)
+        shape = coeffs.shape
+        n = shape[0] if shape else 1
+        if n % 2 != 1 or shape.count(n) != len(shape):
             raise DimensionMismatch("coefficient box %s is not cubic with "
-                                    "an odd side" % (coeffs.shape,))
-        self.cut = n // 2
+                                    "an odd side" % (shape,))
         if symmetrize:
-            # ufuncs turn a 0-d array into a scalar; keep an array
-            coeffs = np.asarray(0.5 * (coeffs + np.conj(np.flip(coeffs))))
-        coeffs.flags.writeable = False
+            # 0.5 * (coeffs + conj(flip(coeffs))) with one temporary; ufuncs
+            # turn a 0-d array into a scalar, so keep an array
+            sym = np.conj(coeffs[(_REVERSED,) * len(shape)])
+            sym += coeffs
+            sym *= 0.5
+            coeffs = np.asarray(sym)
+        coeffs.setflags(write=False)
+        self.dim = len(shape)
+        self.cut = n // 2
         self.coeffs = coeffs
-        self._spec = None
+        self._spec = self._derivs = None
 
     # ----- constructors -------------------------------------------------
 
@@ -333,6 +362,23 @@ class FourierSeries:
         if not 0 <= axis < self.dim:
             raise DimensionMismatch("axis %d on a %d-torus" % (axis, self.dim))
         return FourierSeries(self.coeffs * _diff_factor(self.cut, self.dim, axis))
+
+    def derivatives(self, axis, count):
+        """[self, d self, d^2 self, ...] along one angle axis: ``count``
+        series, or fewer when one is zero (it is then the last).  The chain
+        is kept with the series and extended on demand, so each derivative,
+        and the spectrum its first product caches on it, is taken once in
+        the life of the series.  The kept chain starts at the first
+        derivative: holding the series itself would make a reference cycle
+        that only the garbage collector frees."""
+        if self._derivs is None:
+            self._derivs = {}
+        chain = self._derivs.setdefault(axis, [])
+        last = chain[-1] if chain else self
+        while len(chain) + 1 < count and not last.is_zero():
+            last = last.diff(axis)
+            chain.append(last)
+        return [self] + chain[:max(0, count - 1)]
 
     # ----- evaluation ---------------------------------------------------
 

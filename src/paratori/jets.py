@@ -10,8 +10,9 @@ components of manifold parameterizations and their residuals;
 ``mapdata.XYPoly`` (exponent ``(l, m)``) holds the term tables of the input
 dynamics and normalizes them.
 ``multiply`` is the one jet product: a batch of products of one class
-and box, whose coefficient pairs all go through stacked
-``fourier.products`` calls; ``FTPoly.__mul__`` is its one-product case.
+and box, whose operands all get their spectra in stacked transforms first
+and whose coefficient pairs all go through stacked ``fourier.products``
+calls; ``FTPoly.__mul__`` is its one-product case.
 ``substitute`` is the one door to composition, for both classes: term
 tables evaluated at two polynomials and angle displacements.  It builds
 every power of the substituted polynomials and of the displacements once,
@@ -21,7 +22,9 @@ and evaluates each table on it with ``eval_xy_terms``, one stacked product
 per stage of the table: ``angle_taylor`` (the expansion of s(theta + W) in
 the displacement W) makes one ``multiply`` call per displaced axis for all
 the table's coefficients, then one call multiplies them all by their px^l
-and one by their py^m.
+and one by their py^m.  A table's coefficients keep their angle
+derivatives (``FourierSeries.derivatives``), so the tables of a solve are
+differentiated once, not at every substitution.
 
 ``JetStack`` evaluates several jets on one mode box together: one
 ``fourier.eval_stack`` call for all their coefficients, then one u-power
@@ -39,7 +42,8 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, StructureViolation
-from .fourier import FourierSeries, _stack_rows, eval_stack, on_box, products
+from .fourier import (FourierSeries, _cache_spectra, _products, _stack_rows,
+                      eval_stack, on_box)
 
 
 class UPoly:
@@ -212,9 +216,13 @@ def multiply(pairs):
     """``[a * b for a, b in pairs]``, truncated products of ``FTPoly``s of
     one class and box.
 
-    The coefficient pairs of every product, ordered by a's terms and,
-    within each, by b's, go through ``fourier.products`` in stacks of at
-    most ``_stack_rows`` rows.  The rows of each stack are added into their
+    Every coefficient series of the batch first gets its forward spectrum,
+    in stacked ``fourier._cache_spectra`` transforms, so no product of the
+    batch transforms an operand on its own.  The coefficient pairs of every
+    product, ordered by a's terms and, within each, by b's, then go through
+    ``fourier._products`` (``products`` without its box check: the boxes
+    are checked once, on the polynomials) in stacks of at most
+    ``_stack_rows`` rows.  The rows of each stack are added into their
     products as it comes back, so a batch never holds every row at once.
     Each exponent sums its rows in order and drops a partial sum that is
     exactly zero, as adding the single products one by one would, so every
@@ -227,7 +235,10 @@ def multiply(pairs):
     if len(boxes) > 1:
         raise DimensionMismatch("products on boxes (dim, cut) %s"
                                 % sorted(boxes))
-    outs, pending, rows = [], [], []
+    outs, singles, pending = [], [], []
+    # the coefficient pairs of the stacked products, and the running sums
+    # and exponent each adds to
+    lefts, rights, slots = [], [], []
     for a, b in pairs:
         trunc = min(a.trunc, b.trunc)
         out = a._empty(trunc)
@@ -237,32 +248,45 @@ def multiply(pairs):
         triples = [(add(n, m), x, y) for n, x in a.terms.items()
                    for dm, m, y in right if degree(n) + dm <= trunc]
         if len(triples) == 1:
-            ((key, x, y),) = triples
-            out._store(key, x * y)
+            singles.append((out, triples[0]))
         elif triples:
             sums = {}
             pending.append((out, sums))
-            rows += [(sums, key, x, y) for key, x, y in triples]
-    if rows:
-        step = _stack_rows(outs[0].dim, outs[0].cut)
-        for i in range(0, len(rows), step):
-            chunk = rows[i:i + step]
-            stack = products([r[2] for r in chunk], [r[3] for r in chunk])
-            for (sums, key, _, _), row in zip(chunk, stack):
-                _add_row(sums, key, row)
+            for key, x, y in triples:
+                slots.append((sums, key))
+                lefts.append(x)
+                rights.append(y)
+    operands = lefts + rights + [s for _, t in singles for s in t[1:]]
+    if not operands:
+        return outs
+    # the box of the series: a dim-0 polynomial keeps its own cut, but its
+    # series sit on the one-mode box
+    dim, cut = operands[0].dim, operands[0].cut
+    if dim and cut:
+        _cache_spectra(operands, dim, cut)
+    for out, (key, x, y) in singles:
+        out._store(key, x * y)
+    step = _stack_rows(dim, cut)
+    for i in range(0, len(slots), step):
+        stack = _products(lefts[i:i + step], rights[i:i + step], dim, cut)
+        for (sums, key), row in zip(slots[i:i + step], stack):
+            _add_row(sums, key, row)
     for out, sums in pending:
         out.terms = {key: FourierSeries(c, symmetrize=False)
                      for key, c in sums.items()}
     return outs
 
 
-def _add_row(sums, key, row):
-    """Add a coefficient array into the running sum of its exponent, a
-    copy on the first row, and drop a sum that is exactly zero, as
-    ``FTPoly._accumulate`` does with series."""
+def _add_row(sums, key, row, fresh=False):
+    """Add a coefficient array into the running sum of its exponent, and
+    drop a sum that is exactly zero, as ``FTPoly._accumulate`` does with
+    series.  The first row of a sum is copied (a row of a stack is a view,
+    and a row of the one-mode box a numpy scalar), unless ``fresh`` says
+    nothing else holds it; a scalar becomes a 0-d array either way, so the
+    sum accumulates in place."""
     cur = sums.get(key)
     if cur is None:
-        cur = sums[key] = np.array(row)
+        cur = sums[key] = np.asarray(row) if fresh else np.array(row)
     else:
         cur += row
     if not np.count_nonzero(cur):
@@ -467,16 +491,18 @@ def angle_taylor(polys, wp):
     Per displaced axis one ``multiply`` call takes the pairs
     (d^j p / d theta_a^j, W_a^j) of every poly, j from 0 up to the first
     zero derivative or the last power, and ``_taylor_sum`` adds each
-    poly's products.
+    poly's products.  A poly that is one series at the zero exponent (a
+    table coefficient, before its first displaced axis) takes its
+    derivatives from ``FourierSeries.derivatives``, which keeps them with
+    the series: the tables of a solve do not change, so each derivative is
+    taken once per solve, however many substitutions expand it.
     """
     for axis, w_pows in enumerate(wp):
         if w_pows is None:
             continue
         pairs, counts = [], []
         for p in polys:
-            derivs = [p]
-            while len(derivs) < len(w_pows) and not derivs[-1].is_zero():
-                derivs.append(derivs[-1].diff_theta(axis))
+            derivs = _angle_derivatives(p, axis, len(w_pows))
             pairs += zip(derivs, w_pows)
             counts.append(len(derivs))
         prods = iter(multiply(pairs))
@@ -484,18 +510,33 @@ def angle_taylor(polys, wp):
     return polys
 
 
+def _angle_derivatives(p, axis, count):
+    """[p, dp/d theta_axis, ...]: ``count`` polys, or fewer ending at the
+    first zero one."""
+    if len(p.terms) == 1 and p._ZERO in p.terms:
+        return [p._constant(s, p.trunc)
+                for s in p.terms[p._ZERO].derivatives(axis, count)]
+    derivs = [p]
+    while len(derivs) < count and not derivs[-1].is_zero():
+        derivs.append(derivs[-1].diff_theta(axis))
+    return derivs
+
+
 def _taylor_sum(prods):
     """sum_j prods[j] / j!, truncated at the lowest truncation of the
     prods, summed on arrays as adding the scaled polynomials one by one
-    did: j ascending, and a partial sum that is exactly zero dropped."""
+    did: j ascending, and a partial sum that is exactly zero dropped.  An
+    exponent above the truncation is never summed: its sum would be
+    dropped, and it shares no partial sum with the others."""
     out = prods[0]._empty(min(q.trunc for q in prods))
-    sums = {}
+    degree, sums = out._degree, {}
     for j, q in enumerate(prods):
         c = 1.0 / math.factorial(j)
         for key, s in q.terms.items():
-            _add_row(sums, key, s.coeffs * c)
+            if degree(key) <= out.trunc:
+                _add_row(sums, key, s.coeffs * c, fresh=True)
     out.terms = {key: FourierSeries(c, symmetrize=False)
-                 for key, c in sums.items() if out._degree(key) <= out.trunc}
+                 for key, c in sums.items()}
     return out
 
 

@@ -13,7 +13,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paratori.cli import MAX_GRID_BYTES, RunConfig, main
+from paratori.cli import MAX_GRID_BYTES, MAX_GRID_STEPS, RunConfig, main
 
 GOLDEN = 0.6180339887498949
 
@@ -189,6 +189,38 @@ def test_default_grids_pass_the_config_check(dim, cut):
     config = dict(BASES["diagnose-operators"], map=block,
                   diagnostics={"grid": [300, 300], "probe": {}})
     assert RunConfig(config, "diagnose-operators").probe["samples"] == [8, 5, 8]
+
+
+@pytest.mark.parametrize("key,diagnostics,points", [
+    ("diagnostics.iterates", lambda n: {"iterates": n, "grid": [4, 4]}, 16),
+    # the default probe samples, 8 x 5 x 8 on the 1-torus
+    ("diagnostics.probe.n_iter",
+     lambda n: {"iterates": 1, "grid": [4, 4], "probe": {"n_iter": n}}, 320),
+])
+def test_a_never_ending_diagnostics_run_is_refused_by_name(
+        tmp_path, monkeypatch, key, diagnostics, points):
+    # iterates x sector grid points, or sweeps x probe samples, past
+    # cli.MAX_GRID_STEPS exits 2 naming the key, before the solve and before
+    # any grid is built: a count of 10^12, and one step past a bound patched
+    # small (one step fewer passes the check)
+    import paratori.cli as cli
+    from paratori.operators import Sector
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run went past the config check")
+
+    monkeypatch.setattr(cli, "solve_to_order", no_run)
+    monkeypatch.setattr(Sector, "grid", no_run)
+    base = BASES["diagnose-operators"]
+    for count, bound in ((10 ** 12, MAX_GRID_STEPS), (3, 2 * points)):
+        monkeypatch.setattr(cli, "MAX_GRID_STEPS", bound)
+        config = dict(base, diagnostics=diagnostics(count))
+        code, stderr = run("diagnose-operators", config, str(tmp_path), None)
+        assert code == 2, stderr
+        payload = json.loads(stderr)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith(key + ": ")
+    RunConfig(dict(base, diagnostics=diagnostics(2)), "diagnose-operators")
 
 
 def test_the_largest_grids_pass_the_config_check():

@@ -181,6 +181,43 @@ def test_every_series_is_read_only_from_construction(dim, cut):
     assert np.array_equal((a * b).coeffs, first.coeffs)
 
 
+@pytest.mark.parametrize("shape", [(4,), (0,), (3, 5), (2, 2), (3, 3, 4),
+                                   (5, 5, 1)])
+def test_construction_refuses_a_box_not_cubic_with_an_odd_side(shape):
+    for coeffs in (np.zeros(shape, dtype=complex), np.zeros(shape),
+                   np.zeros(shape).tolist()):
+        with pytest.raises(DimensionMismatch):
+            FourierSeries(coeffs)
+        with pytest.raises(DimensionMismatch):
+            FourierSeries(coeffs, symmetrize=False)
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+def test_construction_symmetrizes_by_default(dim):
+    # the default build is 0.5 * (c + conj(flip(c))) bit for bit, on a copy
+    # that leaves the caller's array as it was; symmetrize=False keeps the
+    # caller's complex array itself, made read-only
+    rng = np.random.default_rng(53)
+    box = (5,) * dim
+    c = np.array(rng.standard_normal(box) + 1j * rng.standard_normal(box))
+    c[(0,) * dim] = -0.0 - 0.0j
+    want = np.asarray(0.5 * (c + np.conj(np.flip(c))))
+    for given in (c, c.tolist(), c.astype(np.complex64).astype(complex)):
+        s = FourierSeries(given)
+        assert s.coeffs is not given and s.coeffs.dtype == complex
+        assert s.coeffs.shape == box and (s.dim, s.cut) == (dim, 2 if dim else 0)
+        if given is c:
+            assert s.coeffs.tobytes() == want.tobytes()
+    assert c.flags.writeable
+    kept = FourierSeries(c, symmetrize=False)
+    assert kept.coeffs is c and not c.flags.writeable
+    # numbers and numpy scalars are the one-mode box
+    for z in (2.0 + 1.0j, np.complex128(2.0 + 1.0j), np.float64(2.0)):
+        s = FourierSeries(z)
+        assert s.coeffs.shape == () and s.coeffs[()] == 2.0
+        assert not s.coeffs.flags.writeable
+
+
 def test_diff_is_exact_on_modes():
     f = FourierSeries.from_modes({(2, -1): 0.3 + 0.1j}, 2, 4)
     df = f.diff(0)

@@ -160,14 +160,15 @@ def product_pair_by_pair(p, q):
 
 
 def product_cases(rng):
-    """Pairs of polynomials: jets on dims 0-2 with constant coefficients,
+    """Pairs of polynomials: jets on dims 0-2 with constant coefficients
+    (a dim-0 jet on cut 3 too: its series sit on the one-mode box, cut 0),
     a product with exact cancellations (a partial sum of exponent 3 is 0
     before a last term lands on it), a one-pair product, and XYPolys."""
     s, c = dense_series(rng, 1, 4), FourierSeries.constant(0.5, 1, 4)
     cases = [
         (TFJet(dim, cut, 7, {n: dense_series(rng, dim, cut) for n in (0, 1, 3)}),
          TFJet(dim, cut, 6, {1: dense_series(rng, dim, cut), 2: 1.5, 4: -2.0}))
-        for dim, cut in ((0, 0), (1, 6), (2, 2))]
+        for dim, cut in ((0, 0), (0, 3), (1, 6), (2, 2))]
     cases.append((TFJet(1, 4, 8, {1: s, 2: s, 0: c}),
                    TFJet(1, 4, 8, {2: -s, 1: s, 3: dense_series(rng, 1, 4)})))
     cases.append((TFJet(1, 4, 8, {2: s}), TFJet(1, 4, 8, {3: c})))
@@ -178,15 +179,15 @@ def product_cases(rng):
 
 
 def recorded_stacks(monkeypatch):
-    """Every coefficient stack that ``jets`` gets from ``fourier.products``,
-    in call order."""
+    """Every coefficient stack that ``jets`` gets from ``fourier._products``
+    (``products`` without its box check), in call order."""
     stacks = []
 
-    def recorded(lefts, rights):
-        stacks.append(fourier.products(lefts, rights))
+    def recorded(lefts, rights, dim, cut):
+        stacks.append(fourier._products(lefts, rights, dim, cut))
         return stacks[-1]
 
-    monkeypatch.setattr(jets, "products", recorded)
+    monkeypatch.setattr(jets, "_products", recorded)
     return stacks
 
 
@@ -258,6 +259,138 @@ def test_multiply_with_zero_products(monkeypatch):
     assert 3 not in got[1].terms and list(got[1].terms) == [2]
     for p, (a, b) in zip(got, mixed):
         assert_same_products(p, product_pair_by_pair(a, b), stacks)
+
+
+def assert_own_series(s, stacks=()):
+    """A series as the algebra must return it: read-only, on the box of its
+    own coefficient shape, and no view of a stack of products."""
+    assert not s.coeffs.flags.writeable
+    assert s.coeffs.ndim == s.dim
+    assert s.coeffs.shape == (2 * s.cut + 1,) * s.dim
+    assert not any(np.shares_memory(s.coeffs, st) for st in stacks)
+
+
+@pytest.mark.parametrize("dim,cut", [(0, 0), (0, 3), (1, 0), (1, 6), (2, 2)])
+def test_the_algebra_returns_read_only_series_on_their_own_box(monkeypatch,
+                                                               dim, cut):
+    # sums, differences, negations, scalings, single and stacked products,
+    # Taylor sums and derivatives: a dim-0 polynomial keeps its own cut,
+    # its series carry the one-mode box of their shape
+    rng = np.random.default_rng(41)
+    stacks = recorded_stacks(monkeypatch)
+    a = TFJet(dim, cut, 6, {n: dense_series(rng, dim, cut) for n in (0, 1, 3)})
+    b = TFJet(dim, cut, 5, {1: dense_series(rng, dim, cut), 2: 1.5})
+    x, y = a.terms[0], b.terms[1]
+    got = [x + y, x - y, x + 1.0, 1.0 - x, -x, x * 2.0, x * y]
+    polys = [a + b, a - b, -a, a.scale(0.5), a * b, a * 3.0,
+             jets._taylor_sum([a, b, a * b])]
+    polys += multiply([(a, b), (b, a), (a, a), (b, b.scale(2.0))])
+    if dim:
+        got += [x.diff(0), *x.derivatives(0, 4)]
+        polys.append(a.diff_theta(dim - 1))
+    assert stacks and polys[4].terms
+    for p in polys:
+        assert (p.dim, p.cut) == (dim, cut)
+        got += p.terms.values()
+    for s in got:
+        assert_own_series(s, stacks)
+        assert s.dim == dim and s.cut == (cut if dim else 0)
+
+
+def jets_copy(p):
+    """``p`` on fresh series with no cached spectrum."""
+    return type(p)(p.dim, p.cut, p.trunc,
+                   {key: FourierSeries(s.coeffs.copy(), symmetrize=False)
+                    for key, s in p.terms.items()})
+
+
+@pytest.mark.parametrize("rows", [None, 2])
+def test_a_multiply_batch_transforms_its_operands_before_any_product(
+        monkeypatch, rows):
+    # every forward transform of a batch with several one-pair products is
+    # a stacked one (of at most ``rows`` rows), made before the first
+    # product, one row per distinct operand: the one-pair products (a * b,
+    # outside the stacks) transform no operand of their own
+    rng = np.random.default_rng(43)
+    dim, cut = 1, 5
+    jet = [TFJet(dim, cut, 6, {n: dense_series(rng, dim, cut)}) for n in (1, 2)]
+    wide = TFJet(dim, cut, 6, {0: dense_series(rng, dim, cut),
+                               1: dense_series(rng, dim, cut)})
+    pairs = [(jet[0], jet[1]), (jet[1], jet[1]), (wide, jet[0]),
+             (jet[1], TFJet(dim, cut, 6, {3: dense_series(rng, dim, cut)}))]
+    want = [product_pair_by_pair(jets_copy(p), jets_copy(q)) for p, q in pairs]
+    operands = {id(s) for pair in pairs for p in pair for s in p.terms.values()}
+    events = []
+    real_fft, real_products = np.fft.fft, fourier._products
+
+    def fft(a, *args, **kwargs):
+        events.append(("fft", len(a)))
+        return real_fft(a, *args, **kwargs)
+
+    def product(lefts, rights, dim, cut):
+        events.append(("product", len(lefts)))
+        return real_products(lefts, rights, dim, cut)
+
+    monkeypatch.setattr(np.fft, "fft", fft)
+    monkeypatch.setattr(fourier, "_products", product)
+    monkeypatch.setattr(jets, "_products", product)
+    if rows is not None:
+        monkeypatch.setattr(fourier, "_stack_rows", lambda dim, cut: rows)
+        monkeypatch.setattr(jets, "_stack_rows", lambda dim, cut: rows)
+    got = multiply(pairs)
+    monkeypatch.undo()
+    for p, w in zip(got, want, strict=True):
+        assert_same_products(p, w, ())
+    ffts = [n for kind, n in events if kind == "fft"]
+    # three one-pair products and one stack of the wide product's two rows
+    assert [n for kind, n in events if kind == "product"] == [1, 1, 1, 2]
+    assert [kind for kind, _ in events[:len(ffts)]] == ["fft"] * len(ffts)
+    assert sum(ffts) == len(operands) == 5
+    assert len(ffts) == (1 if rows is None else 3)
+
+
+def test_substitutions_take_each_table_derivative_once(monkeypatch):
+    # two substitutions on the same tables differentiate each table
+    # coefficient once, along its displaced axis, and give bit for bit what
+    # tables of fresh series give
+    rng = np.random.default_rng(47)
+    cut, trunc = 4, 6
+
+    def tables():
+        r = np.random.default_rng(5)
+        return [{(0, 1): dense_series(r, 1, cut),
+                 (2, 0): FourierSeries.constant(0.5, 1, cut),
+                 (1, 1): dense_series(r, 1, cut)},
+                {(1, 0): dense_series(r, 1, cut),
+                 (0, 2): FourierSeries.constant(-1.0, 1, cut)}]
+
+    px = TFJet(1, cut, trunc, {1: dense_series(rng, 1, cut), 2: 0.3})
+    py = TFJet(1, cut, trunc, {2: dense_series(rng, 1, cut)})
+    tails = [TFJet(1, cut, trunc, {1: dense_series(rng, 1, cut),
+                                   3: dense_series(rng, 1, cut)})]
+    shared = tables()
+    calls = []
+    real_diff = FourierSeries.diff
+
+    def diff(self, axis):
+        calls.append(self)
+        return real_diff(self, axis)
+
+    monkeypatch.setattr(FourierSeries, "diff", diff)
+    first = substitute(shared, px, py, tails, trunc)
+    # every table coefficient and each of its nonzero derivatives is
+    # differentiated once, and the second substitution differentiates none
+    coefficients = [s for t in shared for s in t.values()]
+    assert {id(s) for s in coefficients} <= {id(s) for s in calls}
+    assert len({id(s) for s in calls}) == len(calls) > len(coefficients)
+    del calls[:]
+    second = substitute(shared, px, py, tails, trunc)
+    assert not calls
+    monkeypatch.undo()
+    fresh = substitute(tables(), px, py, tails, trunc)
+    for got in (first, second):
+        for p, want in zip(got, fresh, strict=True):
+            assert_same_products(p, want, ())
 
 
 def angle_taylor_term_by_term(poly, wp):
