@@ -45,12 +45,17 @@ MAX_TRUNC = 170
 # values per axis and point (the shear and the term tables reach no higher
 # band than the cut)
 MAX_GRID_BYTES = 2 ** 30
-# the most point-steps one diagnostics run may take: the sector check steps
-# every point of its grid once per iterate, and the contraction probe every
-# sample once per sweep.  2^36 lets the largest sector grid MAX_GRID_BYTES
-# admits (8192 x 8192 points) run the default 1000 iterates, and bounds a
-# run that a huge count would keep going for days
+# the most point-steps one sector check may take: it steps every point of
+# its grid once per iterate.  2^36 lets the largest sector grid
+# MAX_GRID_BYTES admits (8192 x 8192 points) run the default 1000 iterates,
+# and bounds a run that a huge count would keep going for days
 MAX_GRID_STEPS = 2 ** 36
+# the most bytes of mode bases one contraction probe may build, summed over
+# its sweeps: a sample-sweep costs about 0.3 ms against a sector point-step's
+# 55 ns.  It lets the largest sample set MAX_GRID_BYTES admits run the
+# default 10 sweeps; on the reference map (cut 32, 1040 bytes a sample) that
+# is about 32,000 sweeps of the default 320 samples, roughly an hour
+MAX_PROBE_BYTES = 10 * MAX_GRID_BYTES
 
 # the problem a config must name for each subcommand that reads one
 _PROBLEMS = {
@@ -137,12 +142,12 @@ def _check_samples(counts, point_bytes, what):
                                         MAX_GRID_BYTES))
 
 
-def _check_steps(count, points, what):
-    """ConfigError when ``count`` steps of ``points`` points each exceed
-    MAX_GRID_STEPS point-steps, before any of them is taken."""
-    if count * points > MAX_GRID_STEPS:
-        raise ConfigError("%s: %d steps of %d points each exceed %d "
-                          "point-steps" % (what, count, points, MAX_GRID_STEPS))
+def _check_steps(count, size, what, bound, unit):
+    """ConfigError when ``count`` steps of ``size`` units each exceed
+    ``bound`` units, before any of them is taken."""
+    if count * size > bound:
+        raise ConfigError("%s: %d steps of %d %s each exceed %d %s"
+                          % (what, count, size, unit, bound, unit))
 
 
 def _numbers(value, what, cast=float, least=None):
@@ -328,7 +333,7 @@ class RunConfig:
                                  int, (1, 1))
             _check_samples(self.grid, 16, "diagnostics.grid")
             _check_steps(self.iterates, math.prod(self.grid),
-                         "diagnostics.iterates")
+                         "diagnostics.iterates", MAX_GRID_STEPS, "points")
             self.probe = diag.get("probe")
             if self.probe is not None:
                 probe = _object(self.probe, "diagnostics.probe",
@@ -342,13 +347,12 @@ class RunConfig:
                     "n_iter": _entry(probe, "n_iter", "diagnostics.probe",
                                      int, 10, 0)}
                 n_r, n_phi, n_th = self.probe["samples"]
-                _check_samples(
-                    [n_r, n_phi] + [n_th] * self.data.dim,
-                    16 * max(self.data.dim, 1) * (2 * self.data.cut + 1),
-                    "diagnostics.probe.samples")
-                _check_steps(self.probe["n_iter"],
-                             n_r * n_phi * n_th ** self.data.dim,
-                             "diagnostics.probe.n_iter")
+                samples = [n_r, n_phi] + [n_th] * self.data.dim
+                size = 16 * max(self.data.dim, 1) * (2 * self.data.cut + 1)
+                _check_samples(samples, size, "diagnostics.probe.samples")
+                _check_steps(self.probe["n_iter"], math.prod(samples) * size,
+                             "diagnostics.probe.n_iter", MAX_PROBE_BYTES,
+                             "bytes")
 
     def _check_truncation(self):
         """ConfigError unless the solve's truncation order, derived from
@@ -502,10 +506,26 @@ def _cmd_diagnose(args):
 # artifact comparison
 # ---------------------------------------------------------------------------
 
+def _check_pair_boxes(payload, path):
+    """ConfigError naming ``path`` unless the pair's box (d + drive axes,
+    cut) is one a config may name and every series sits on it."""
+    dim = sum(_number(payload[key], "%s: %s" % (path, key), int, 0)
+              for key in ("d", "drive"))
+    cut = _cut(payload, path, dim)
+    for jet in [payload["x"], payload["y"]] + list(payload["tails"]):
+        for series in jet.values():
+            if (series["dim"], series["cut"]) != (dim, cut):
+                raise ConfigError("%s: a series of dim %r and cut %r in a "
+                                  "pair of dim %d and cut %d" % (
+                                      path, series["dim"], series["cut"],
+                                      dim, cut))
+
+
 def _cmd_compare(args):
     def load_pair(path):
         payload = _load_json(path)
         try:
+            _check_pair_boxes(payload, path)
             return pair_from_payload(payload)
         except (ValueError, KeyError, TypeError, IndexError, OverflowError,
                 AttributeError, DimensionMismatch) as err:

@@ -16,21 +16,22 @@ punctured box is empty) singles it out.
 A product of two series is their convolution: both boxes zero-padded to
 n per axis, n the smallest 11-smooth length >= 4*cut+1, a forward FFT of
 each, one inverse FFT of the product of the spectra, then the centre
-``|k| <= cut`` of the result, symmetrized.  A jet product is one stacked
-transform: ``products`` takes all its pairs at once, the forward spectra
-still missing in stacked FFTs (each series keeps its spectrum from its
-first product on), then the products of the spectra and their inverses
-in one stack, at most ``STACK_ENTRIES`` complex entries per transform.
-numpy runs the same FFT plan row by row, so each row rounds as a single
-product did; ``FourierSeries.__mul__`` is the one-row case.  A batch of
-jet products (``jets.multiply``) gives every operand its spectrum in
-stacked transforms before its first product, so its one-pair products
-``a * b`` find their spectra cached too.  A series is immutable from
-construction: its coefficients are read-only from the moment it is built,
-so a cached spectrum can never go stale and a series can be shared instead
-of copied.  For the same reason a series keeps the chain of its angle
-derivatives once asked for it (``FourierSeries.derivatives``, the term
-tables' coefficients in ``jets.angle_taylor``).
+``|k| <= cut`` of the result, symmetrized.  ``_products`` is the one
+product entry: it takes many pairs at once, the forward spectra still
+missing in stacked FFTs (each series keeps its spectrum from its first
+product on), then yields the products stack by stack, at most
+``STACK_ENTRIES`` complex entries per transform.  numpy runs the same FFT
+plan row by row, so each row rounds as a single product did.  It trusts
+its boxes: ``FourierSeries.__mul__``, the one-row case, checks its
+operand, and ``jets.multiply``, which streams a batch of jet products
+through one call, checks its polynomials.  That batch gives every operand
+its spectrum in stacked transforms before its first product, so its
+one-pair products ``a * b`` find their spectra cached too.  A series is
+immutable from construction: its coefficients are read-only from the
+moment it is built, so a cached spectrum can never go stale and a series
+can be shared instead of copied.  For the same reason a series keeps the
+chain of its angle derivatives once asked for it
+(``FourierSeries.derivatives``, the derivatives of ``jets.angle_taylor``).
 
 Construction checks its array every time: it must be cubic with an odd
 side (DimensionMismatch otherwise), it is converted to complex unless it
@@ -135,44 +136,36 @@ def _stack_rows(dim, cut):
     return max(1, STACK_ENTRIES // _fast_len(4 * cut + 1) ** dim)
 
 
-def products(lefts, rights):
-    """The coefficient stack of ``[a * b for a, b in zip(lefts, rights)]``,
-    shape (m,) + box, each row symmetrized and bit for bit what its pair
-    gives alone.  Every operand must sit on one mode box
-    (DimensionMismatch otherwise); a box of one mode multiplies
-    elementwise."""
-    lefts, rights = list(lefts), list(rights)
-    boxes = {(s.dim, s.cut) for s in lefts + rights}
-    if len(boxes) != 1 or len(lefts) != len(rights):
-        raise DimensionMismatch("products of %d by %d series on boxes "
-                                "(dim, cut) %s" % (len(lefts), len(rights),
-                                                   sorted(boxes)))
-    ((dim, cut),) = boxes
-    return _products(lefts, rights, dim, cut)
-
-
 def _products(lefts, rights, dim, cut):
-    """``products`` of two equally long lists of series known to sit on
-    the box (dim, cut)."""
-    if not dim or not cut:
-        # a box of one mode has no axis to transform (SciPy's FFT
-        # convolution skips axes of length 1 too)
-        out = (np.array([a.coeffs for a in lefts])
-               * np.array([b.coeffs for b in rights]))
-    else:
+    """The coefficient rows of ``[a * b for a, b in zip(lefts, rights)]``,
+    two equally long lists of series known to sit on the box (dim, cut),
+    yielded stack by stack: arrays of shape (k,) + box, at most
+    ``_stack_rows`` rows each, every row symmetrized and bit for bit what
+    its pair gives alone.  The spectra still missing are taken first, in
+    stacked transforms.  A box of one mode has no axis to transform
+    (SciPy's FFT convolution skips axes of length 1 too) and multiplies
+    elementwise."""
+    transform = dim and cut
+    if transform:
         _cache_spectra(lefts + rights, dim, cut)
-        out = np.empty((len(lefts),) + (2 * cut + 1,) * dim, dtype=complex)
-        rows = _stack_rows(dim, cut)
-        for i in range(0, len(lefts), rows):
-            spec = np.array([a._spec for a in lefts[i:i + rows]])
-            spec *= np.array([b._spec for b in rights[i:i + rows]])
-            out[i:i + rows] = _inverse_centre(spec, cut)
-    # 0.5 * (out + conj(flip(out))), as FourierSeries symmetrizes, with
-    # one temporary
-    sym = np.conj(out[(slice(None),) + (_REVERSED,) * dim])
-    sym += out
-    sym *= 0.5
-    return sym
+    step = _stack_rows(dim, cut)
+    for i in range(0, len(lefts), step):
+        if transform:
+            out = np.array([a._spec for a in lefts[i:i + step]])
+            out *= np.array([b._spec for b in rights[i:i + step]])
+            out = _inverse_centre(out, cut)
+        else:
+            out = (np.array([a.coeffs for a in lefts[i:i + step]])
+                   * np.array([b.coeffs for b in rights[i:i + step]]))
+        # 0.5 * (out + conj(flip(out))), as FourierSeries symmetrizes, with
+        # one temporary
+        sym = np.conj(out[(slice(None),) + (_REVERSED,) * dim])
+        sym += out
+        sym *= 0.5
+        # the spectra stack (``out`` may be a view of it) is not held while
+        # the rows are read: it would raise the resident peak by one stack
+        del out
+        yield sym
 
 
 def _cache_spectra(series, dim, cut):
@@ -345,7 +338,9 @@ class FourierSeries:
     def __mul__(self, other):
         if not isinstance(other, FourierSeries):
             return FourierSeries(self.coeffs * float(other), symmetrize=False)
-        return FourierSeries(products([self], [other])[0], symmetrize=False)
+        self._check_compatible(other)
+        (row,) = next(_products([self], [other], self.dim, self.cut))
+        return FourierSeries(row, symmetrize=False)
 
     __rmul__ = __mul__
 

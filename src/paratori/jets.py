@@ -11,8 +11,12 @@ components of manifold parameterizations and their residuals;
 dynamics and normalizes them.
 ``multiply`` is the one jet product: a batch of products of one class
 and box, whose operands all get their spectra in stacked transforms first
-and whose coefficient pairs all go through stacked ``fourier.products``
-calls; ``FTPoly.__mul__`` is its one-product case.
+and whose coefficient pairs all go through one ``fourier._products``
+call; ``FTPoly.__mul__`` is its one-product case.  ``_sum_rows`` is the
+one summation: every polynomial that adds coefficients per exponent (sums,
+the rows of a product, the Taylor sums and term sums of a substitution,
+the u-products) is built by it, and so is every polynomial taken term by
+term (derivatives, shifts).
 ``substitute`` is the one door to composition, for both classes: term
 tables evaluated at two polynomials and angle displacements.  It builds
 every power of the substituted polynomials and of the displacements once,
@@ -22,8 +26,8 @@ and evaluates each table on it with ``eval_xy_terms``, one stacked product
 per stage of the table: ``angle_taylor`` (the expansion of s(theta + W) in
 the displacement W) makes one ``multiply`` call per displaced axis for all
 the table's coefficients, then one call multiplies them all by their px^l
-and one by their py^m.  A table's coefficients keep their angle
-derivatives (``FourierSeries.derivatives``), so the tables of a solve are
+and one by their py^m.  Every series keeps the angle derivatives asked
+of it (``FourierSeries.derivatives``), so the tables of a solve are
 differentiated once, not at every substitution.
 
 ``JetStack`` evaluates several jets on one mode box together: one
@@ -42,8 +46,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, StructureViolation
-from .fourier import (FourierSeries, _cache_spectra, _products, _stack_rows,
-                      eval_stack, on_box)
+from .fourier import FourierSeries, _cache_spectra, _products, eval_stack, on_box
 
 
 class UPoly:
@@ -127,8 +130,8 @@ class FTPoly:
         out.set_coefficient(self._ZERO, s)
         return out
 
-    def _store(self, key, s):
-        """Set a normalized exponent to a series of this box."""
+    def set_coefficient(self, key, s):
+        key, s = self._key(key), on_box(s, self.dim, self.cut)
         if self._degree(key) > self.trunc:
             return
         if s.is_zero():
@@ -136,15 +139,9 @@ class FTPoly:
         else:
             self.terms[key] = s
 
-    def _accumulate(self, key, s):
-        cur = self.terms.get(key)
-        self._store(key, s if cur is None else cur + s)
-
-    def set_coefficient(self, key, s):
-        self._store(self._key(key), on_box(s, self.dim, self.cut))
-
     def add_to_coefficient(self, key, s):
-        self._accumulate(self._key(key), on_box(s, self.dim, self.cut))
+        _sum_rows(self, [(self._key(key), on_box(s, self.dim, self.cut))],
+                  self.terms.items())
 
     def coefficient(self, key):
         s = self.terms.get(self._key(key))
@@ -167,10 +164,7 @@ class FTPoly:
 
     def __add__(self, other):
         out = self._empty(min(self.trunc, other.trunc))
-        out.terms = {key: s for key, s in self.terms.items()
-                     if self._degree(key) <= out.trunc}
-        for key, s in other.terms.items():
-            out._accumulate(key, s)
+        _sum_rows(out, other.terms.items(), self.terms.items())
         return out
 
     def __neg__(self):
@@ -201,44 +195,34 @@ class FTPoly:
 
     def diff_theta(self, axis):
         out = self._empty()
-        for key, s in self.terms.items():
-            out._store(key, s.diff(axis))
+        _sum_rows(out, ((key, s.diff(axis)) for key, s in self.terms.items()))
         return out
 
     def shift(self, delta):
         out = self._empty()
-        for key, s in self.terms.items():
-            out._store(key, s.shift(delta))
+        _sum_rows(out, ((key, s.shift(delta)) for key, s in self.terms.items()))
         return out
 
 
 def multiply(pairs):
     """``[a * b for a, b in pairs]``, truncated products of ``FTPoly``s of
-    one class and box.
+    one class and box (DimensionMismatch otherwise).
 
     Every coefficient series of the batch first gets its forward spectrum,
-    in stacked ``fourier._cache_spectra`` transforms, so no product of the
-    batch transforms an operand on its own.  The coefficient pairs of every
-    product, ordered by a's terms and, within each, by b's, then go through
-    ``fourier._products`` (``products`` without its box check: the boxes
-    are checked once, on the polynomials) in stacks of at most
-    ``_stack_rows`` rows.  The rows of each stack are added into their
-    products as it comes back, so a batch never holds every row at once.
-    Each exponent sums its rows in order and drops a partial sum that is
-    exactly zero, as adding the single products one by one would, so every
-    product is bit for bit the sum of its ``a * b`` terms.  A product of
-    one coefficient pair is that ``a * b`` itself.  Polynomials on
-    different boxes raise DimensionMismatch.
+    in stacked transforms.  A product of one coefficient pair is that
+    ``a * b``; the pairs of the others, by a's terms and then b's, go
+    through one ``fourier._products`` call, whose rows stream stack by
+    stack into ``_sum_rows``, so every product is bit for bit the sum of
+    its ``a * b`` terms and no batch holds all its rows at once.
     """
     pairs = list(pairs)
     boxes = {(p.dim, p.cut) for pair in pairs for p in pair}
     if len(boxes) > 1:
         raise DimensionMismatch("products on boxes (dim, cut) %s"
                                 % sorted(boxes))
-    outs, singles, pending = [], [], []
-    # the coefficient pairs of the stacked products, and the running sums
-    # and exponent each adds to
-    lefts, rights, slots = [], [], []
+    outs, singles, stacked = [], [], []
+    # the coefficient pairs of the stacked products
+    lefts, rights = [], []
     for a, b in pairs:
         trunc = min(a.trunc, b.trunc)
         out = a._empty(trunc)
@@ -250,12 +234,10 @@ def multiply(pairs):
         if len(triples) == 1:
             singles.append((out, triples[0]))
         elif triples:
-            sums = {}
-            pending.append((out, sums))
-            for key, x, y in triples:
-                slots.append((sums, key))
-                lefts.append(x)
-                rights.append(y)
+            keys, xs, ys = zip(*triples)
+            stacked.append((out, keys))
+            lefts.extend(xs)
+            rights.extend(ys)
     operands = lefts + rights + [s for _, t in singles for s in t[1:]]
     if not operands:
         return outs
@@ -265,32 +247,42 @@ def multiply(pairs):
     if dim and cut:
         _cache_spectra(operands, dim, cut)
     for out, (key, x, y) in singles:
-        out._store(key, x * y)
-    step = _stack_rows(dim, cut)
-    for i in range(0, len(slots), step):
-        stack = _products(lefts[i:i + step], rights[i:i + step], dim, cut)
-        for (sums, key), row in zip(slots[i:i + step], stack):
-            _add_row(sums, key, row)
-    for out, sums in pending:
-        out.terms = {key: FourierSeries(c, symmetrize=False)
-                     for key, c in sums.items()}
+        _sum_rows(out, [(key, x * y)])
+    rows = (row for stack in _products(lefts, rights, dim, cut)
+            for row in stack)
+    for out, keys in stacked:
+        _sum_rows(out, zip(keys, rows))
     return outs
 
 
-def _add_row(sums, key, row, fresh=False):
-    """Add a coefficient array into the running sum of its exponent, and
-    drop a sum that is exactly zero, as ``FTPoly._accumulate`` does with
-    series.  The first row of a sum is copied (a row of a stack is a view,
-    and a row of the one-mode box a numpy scalar), unless ``fresh`` says
-    nothing else holds it; a scalar becomes a 0-d array either way, so the
-    sum accumulates in place."""
-    cur = sums.get(key)
-    if cur is None:
-        cur = sums[key] = np.asarray(row) if fresh else np.array(row)
-    else:
-        cur += row
-    if not np.count_nonzero(cur):
-        del sums[key]
+def _sum_rows(out, rows, start=()):
+    """Set ``out.terms`` to the sums per exponent of the (exponent, series)
+    terms ``start`` and the (exponent, series or array) ``rows``, added in
+    their order and skipped above ``out.trunc``.  A partial sum that is
+    exactly zero is dropped, so the next row starts its exponent again, at
+    the end of the table and with its signed zeros.  A sum of one series is
+    that series.  An array is summed into in place: one that owns its data
+    is the caller's to give, a view (a row of a stack) is copied first."""
+    degree, trunc = out._degree, out.trunc
+    sums = {key: s for key, s in start if degree(key) <= trunc}
+    for key, row in rows:
+        if degree(key) > trunc:
+            continue
+        cur = sums.get(key)
+        if cur is None:
+            if type(row) is not FourierSeries:
+                row = np.asarray(row) if row.base is None else row.copy()
+            cur = sums[key] = row
+        else:
+            if type(cur) is FourierSeries:
+                cur = sums[key] = np.array(cur.coeffs)
+            cur += row.coeffs if type(row) is FourierSeries else row
+        if not np.count_nonzero(cur.coeffs if type(cur) is FourierSeries
+                                else cur):
+            del sums[key]
+    out.terms = {key: s if type(s) is FourierSeries
+                 else FourierSeries(s, symmetrize=False)
+                 for key, s in sums.items()}
 
 
 class TFJet(FTPoly):
@@ -325,19 +317,15 @@ class TFJet(FTPoly):
     def mul_upoly(self, p):
         trunc = min(self.trunc, p.trunc)
         out = TFJet(self.dim, self.cut, trunc)
-        for n, a in self.terms.items():
-            for m, b in p.terms.items():
-                if n + m <= trunc:
-                    out.add_to_coefficient(n + m, a * b)
+        _sum_rows(out, ((n + m, a.coeffs * b) for n, a in self.terms.items()
+                        for m, b in p.terms.items() if n + m <= trunc))
         return out
 
     # ----- calculus and composition ----------------------------------------
 
     def derivative_u(self):
         out = TFJet(self.dim, self.cut, self.trunc)
-        for n, s in self.terms.items():
-            if n >= 1:
-                out.set_coefficient(n - 1, s * n)
+        _sum_rows(out, ((n - 1, s * n) for n, s in self.terms.items() if n))
         return out
 
     def compose_inner(self, r_poly, delta=None):
@@ -355,9 +343,8 @@ class TFJet(FTPoly):
         top = max(src.terms, default=0)
         for j in range(1, top + 1):
             powers[j] = powers[j - 1].mul(r_poly)
-        for n, s in src.terms.items():
-            for m, a in powers[n].terms.items():
-                out.add_to_coefficient(m, s * a)
+        _sum_rows(out, ((m, s.coeffs * a) for n, s in src.terms.items()
+                        for m, a in powers[n].terms.items()))
         return out
 
     # ----- evaluation -------------------------------------------------------
@@ -491,11 +478,11 @@ def angle_taylor(polys, wp):
     Per displaced axis one ``multiply`` call takes the pairs
     (d^j p / d theta_a^j, W_a^j) of every poly, j from 0 up to the first
     zero derivative or the last power, and ``_taylor_sum`` adds each
-    poly's products.  A poly that is one series at the zero exponent (a
-    table coefficient, before its first displaced axis) takes its
-    derivatives from ``FourierSeries.derivatives``, which keeps them with
-    the series: the tables of a solve do not change, so each derivative is
-    taken once per solve, however many substitutions expand it.
+    poly's products.  Every poly takes its derivatives term by term from
+    ``FourierSeries.derivatives``, which keeps them with the series: the
+    tables of a solve do not change, so each derivative of a table
+    coefficient is taken once per solve, however many substitutions
+    expand it.
     """
     for axis, w_pows in enumerate(wp):
         if w_pows is None:
@@ -503,7 +490,7 @@ def angle_taylor(polys, wp):
         pairs, counts = [], []
         for p in polys:
             derivs = _angle_derivatives(p, axis, len(w_pows))
-            pairs += zip(derivs, w_pows)
+            pairs.extend(zip(derivs, w_pows))
             counts.append(len(derivs))
         prods = iter(multiply(pairs))
         polys = [_taylor_sum([next(prods) for _ in range(k)]) for k in counts]
@@ -512,31 +499,28 @@ def angle_taylor(polys, wp):
 
 def _angle_derivatives(p, axis, count):
     """[p, dp/d theta_axis, ...]: ``count`` polys, or fewer ending at the
-    first zero one."""
-    if len(p.terms) == 1 and p._ZERO in p.terms:
-        return [p._constant(s, p.trunc)
-                for s in p.terms[p._ZERO].derivatives(axis, count)]
+    first zero one, each term the derivative its series keeps
+    (``FourierSeries.derivatives``)."""
+    chains = [(key, s.derivatives(axis, count))
+              for key, s in p.terms.items()]
     derivs = [p]
-    while len(derivs) < count and not derivs[-1].is_zero():
-        derivs.append(derivs[-1].diff_theta(axis))
+    for j in range(1, count):
+        if derivs[-1].is_zero():
+            break
+        derivs.append(p._empty())
+        _sum_rows(derivs[-1], ((key, chain[j]) for key, chain in chains
+                               if j < len(chain)))
     return derivs
 
 
 def _taylor_sum(prods):
     """sum_j prods[j] / j!, truncated at the lowest truncation of the
-    prods, summed on arrays as adding the scaled polynomials one by one
-    did: j ascending, and a partial sum that is exactly zero dropped.  An
-    exponent above the truncation is never summed: its sum would be
-    dropped, and it shares no partial sum with the others."""
+    prods: the scaled coefficient arrays, j ascending, summed by
+    ``_sum_rows`` as adding the scaled polynomials one by one did."""
     out = prods[0]._empty(min(q.trunc for q in prods))
-    degree, sums = out._degree, {}
-    for j, q in enumerate(prods):
-        c = 1.0 / math.factorial(j)
-        for key, s in q.terms.items():
-            if degree(key) <= out.trunc:
-                _add_row(sums, key, s.coeffs * c, fresh=True)
-    out.terms = {key: FourierSeries(c, symmetrize=False)
-                 for key, c in sums.items()}
+    scales = [1.0 / math.factorial(j) for j in range(len(prods))]
+    _sum_rows(out, ((key, s.coeffs * c) for q, c in zip(prods, scales)
+                    for key, s in q.terms.items()))
     return out
 
 
@@ -547,14 +531,14 @@ def eval_xy_terms(terms, powers, trunc):
     The table is one batch at every stage: one ``angle_taylor`` call for
     all its coefficients, then one ``multiply`` call for every
     coefficient times its px^l and one for those times py^m; the terms
-    are then summed in sorted order."""
+    are then summed in sorted order by one ``_sum_rows``, as adding them
+    one by one did."""
     xp, yp, wp = powers
     one = xp[0]
     lms, series = zip(*sorted(terms.items())) if terms else ((), ())
     coeffs = angle_taylor([one._constant(s, trunc) for s in series], wp)
     coeffs = multiply([(c, xp[l]) for c, (l, _) in zip(coeffs, lms)])
     coeffs = multiply([(c, yp[m]) for c, (_, m) in zip(coeffs, lms)])
-    out = one._empty(trunc)
-    for c in coeffs:
-        out = out + c
+    out = one._empty(min([trunc] + [c.trunc for c in coeffs]))
+    _sum_rows(out, (term for c in coeffs for term in c.terms.items()))
     return out

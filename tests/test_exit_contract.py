@@ -13,7 +13,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paratori.cli import MAX_GRID_BYTES, MAX_GRID_STEPS, RunConfig, main
+from paratori.cli import MAX_GRID_BYTES, RunConfig, main
 
 GOLDEN = 0.6180339887498949
 
@@ -143,6 +143,45 @@ def test_exit_contract_holds_on_mutated_input(command, saved_pair):
     fuzz()
 
 
+def _huge_boxes(pair):
+    """Every series payload of a pair payload set to the box of 10^12
+    modes either side, with the header's cut."""
+    for jet in [pair["x"], pair["y"]] + pair["tails"]:
+        for series in jet.values():
+            series.update(cut=10 ** 12, modes=[])
+    pair["cut"] = 10 ** 12
+
+
+@pytest.mark.parametrize("edit", [
+    # one x coefficient on a box of 2 * 10^12 + 1 modes
+    lambda p: p["x"][min(p["x"])].update(cut=10 ** 12, modes=[]),
+    # a tail coefficient on a 2-torus in a pair on the 1-torus
+    lambda p: p["tails"][0][min(p["tails"][0])].update(dim=2),
+    # a header box past cli.MAX_BOX, every series on it
+    _huge_boxes,
+    # more angle axes than cli.MAX_AXES
+    lambda p: p.update(drive=40),
+])
+def test_compare_refuses_a_huge_series_box_by_file(tmp_path, monkeypatch,
+                                                   saved_pair, edit):
+    # compare checks the boxes of a pair payload on its numbers and exits 2
+    # naming the file, before any series is built
+    from paratori.fourier import FourierSeries
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("a series was built")
+
+    pair_path, pair = saved_pair
+    payload = copy.deepcopy(pair)
+    edit(payload)
+    monkeypatch.setattr(FourierSeries, "from_payload", no_series)
+    code, stderr = run("compare", payload, str(tmp_path), pair_path)
+    assert code == 2, stderr
+    error = json.loads(stderr)
+    assert error["error"] == "ConfigError"
+    assert error["message"].startswith(str(tmp_path / "input.json"))
+
+
 # cut 4 on the 1-torus: 16 * 9 bytes per probe sample
 PROBE_POINTS = MAX_GRID_BYTES // (16 * 9)
 
@@ -191,18 +230,23 @@ def test_default_grids_pass_the_config_check(dim, cut):
     assert RunConfig(config, "diagnose-operators").probe["samples"] == [8, 5, 8]
 
 
-@pytest.mark.parametrize("key,diagnostics,points", [
-    ("diagnostics.iterates", lambda n: {"iterates": n, "grid": [4, 4]}, 16),
-    # the default probe samples, 8 x 5 x 8 on the 1-torus
+@pytest.mark.parametrize("key,diagnostics,size,bound,counts", [
+    ("diagnostics.iterates", lambda n: {"iterates": n, "grid": [4, 4]}, 16,
+     "MAX_GRID_STEPS", [10 ** 12]),
+    # the default probe samples, 8 x 5 x 8 on the 1-torus at cut 4, each
+    # building 16 * 9 bytes of mode bases a sweep; 2 * 10^8 sweeps pass the
+    # sector check's bound but would run for months
     ("diagnostics.probe.n_iter",
-     lambda n: {"iterates": 1, "grid": [4, 4], "probe": {"n_iter": n}}, 320),
+     lambda n: {"iterates": 1, "grid": [4, 4], "probe": {"n_iter": n}},
+     320 * 16 * 9, "MAX_PROBE_BYTES", [10 ** 12, 200000000]),
 ])
 def test_a_never_ending_diagnostics_run_is_refused_by_name(
-        tmp_path, monkeypatch, key, diagnostics, points):
-    # iterates x sector grid points, or sweeps x probe samples, past
-    # cli.MAX_GRID_STEPS exits 2 naming the key, before the solve and before
-    # any grid is built: a count of 10^12, and one step past a bound patched
-    # small (one step fewer passes the check)
+        tmp_path, monkeypatch, key, diagnostics, size, bound, counts):
+    # iterates x sector grid points past cli.MAX_GRID_STEPS, or sweeps x
+    # probe samples x bytes a sample past cli.MAX_PROBE_BYTES, exits 2
+    # naming the key, before the solve and before any grid is built: the
+    # huge ``counts``, and one step past a bound patched small (one step
+    # fewer passes the check)
     import paratori.cli as cli
     from paratori.operators import Sector
 
@@ -212,8 +256,9 @@ def test_a_never_ending_diagnostics_run_is_refused_by_name(
     monkeypatch.setattr(cli, "solve_to_order", no_run)
     monkeypatch.setattr(Sector, "grid", no_run)
     base = BASES["diagnose-operators"]
-    for count, bound in ((10 ** 12, MAX_GRID_STEPS), (3, 2 * points)):
-        monkeypatch.setattr(cli, "MAX_GRID_STEPS", bound)
+    runs = [(count, getattr(cli, bound)) for count in counts]
+    for count, limit in runs + [(3, 2 * size)]:
+        monkeypatch.setattr(cli, bound, limit)
         config = dict(base, diagnostics=diagnostics(count))
         code, stderr = run("diagnose-operators", config, str(tmp_path), None)
         assert code == 2, stderr

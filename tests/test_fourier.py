@@ -12,9 +12,10 @@ from paratori.errors import (ConfigError, DimensionMismatch, NonZeroAverage,
                              SmallDivisorUnderflow)
 from paratori.fourier import (TWO_PI_I, AngleBatch, FourierSeries,
                               _axis_basis, _cache_spectra, _fast_len,
-                              _inverse_centre, angle_grid, diophantine_margin,
-                              eval_stack, on_box, products, solve_sd_flow,
-                              solve_sd_map)
+                              _inverse_centre, _products, _stack_rows,
+                              angle_grid, diophantine_margin, eval_stack,
+                              on_box, solve_sd_flow, solve_sd_map)
+from paratori.jets import TFJet, multiply
 
 from conftest import GOLDEN, dense_series, mode_sum
 
@@ -82,6 +83,16 @@ def fresh(s):
     return FourierSeries(s.coeffs, symmetrize=False)
 
 
+def products(lefts, rights):
+    """Every row that ``fourier._products`` yields for the pairs, on the
+    box of the first operand, in one array; no stack is longer than
+    ``_stack_rows`` rows."""
+    dim, cut = lefts[0].dim, lefts[0].cut
+    stacks = list(_products(lefts, rights, dim, cut))
+    assert all(0 < len(st) <= _stack_rows(dim, cut) for st in stacks)
+    return np.concatenate(stacks)
+
+
 @pytest.mark.parametrize("dim,cut", [(0, 0), (1, 0), (1, 1), (1, 16),
                                      (1, 32), (2, 8), (3, 2)])
 def test_product_is_fftconvolve_bit_for_bit(dim, cut):
@@ -109,7 +120,7 @@ def test_stacked_products_are_single_products_bit_for_bit(dim, cut):
     pool = [dense_series(rng, dim, cut) for _ in range(6)]
     pool += [FourierSeries.constant(-1.5, dim, cut), pool[0] + 2.0]
     one_mode = cut == 0 or dim == 0
-    m = 40 if one_mode else fourier._stack_rows(dim, cut) + 3
+    m = 40 if one_mode else _stack_rows(dim, cut) + 3
     pick = rng.integers(len(pool), size=(2, m))
     lefts, rights = [[pool[i] for i in row] for row in pick]
     want = [(fresh(a) * fresh(b)).coeffs for a, b in zip(lefts, rights)]
@@ -125,13 +136,17 @@ def test_stacked_products_are_single_products_bit_for_bit(dim, cut):
 
 
 def test_stacked_products_need_one_box():
+    # the product entry trusts its boxes: a series product and a batch of
+    # jet products check them first
     a, b = FourierSeries.constant(1.0, 1, 3), FourierSeries.constant(1.0, 1, 4)
     c = FourierSeries.constant(1.0, 2, 3)
-    for lefts, rights in (([a], [b]), ([a, a], [a, c]), ([a, a], [a])):
+    for x, y in ((a, b), (a, c), (c, b)):
         with pytest.raises(DimensionMismatch):
-            products(lefts, rights)
-    with pytest.raises(DimensionMismatch):
-        a * b
+            x * y
+    jet = {s: TFJet(s.dim, s.cut, 3, {1: s, 2: s}) for s in (a, b, c)}
+    for other in (b, c):
+        with pytest.raises(DimensionMismatch):
+            multiply([(jet[a], jet[a]), (jet[a], jet[other])])
 
 
 @pytest.mark.parametrize("dim,cuts", [(1, range(1, 49)), (2, range(1, 13)),

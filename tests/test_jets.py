@@ -147,15 +147,23 @@ def same_poly(a, b):
 
 
 def product_pair_by_pair(p, q):
-    """The truncated product one coefficient pair at a time, each a * b
-    added to its exponent by ``_accumulate``: the oracle of the stacked
-    product."""
+    """The truncated product one coefficient pair at a time: each a * b
+    added to the series of its exponent, and a sum that is exactly zero
+    dropped, so the next pair starts its exponent again at the end of the
+    table.  The oracle of the stacked product, on series sums alone."""
     trunc = min(p.trunc, q.trunc)
-    out = p._empty(trunc)
+    sums = {}
     for n, a in p.terms.items():
         for m, b in q.terms.items():
             if p._degree(n) + q._degree(m) <= trunc:
-                out._accumulate(p._add(n, m), a * b)
+                key = p._add(n, m)
+                s = a * b if key not in sums else sums[key] + a * b
+                if s.is_zero():
+                    sums.pop(key, None)
+                else:
+                    sums[key] = s
+    out = p._empty(trunc)
+    out.terms = sums
     return out
 
 
@@ -179,13 +187,14 @@ def product_cases(rng):
 
 
 def recorded_stacks(monkeypatch):
-    """Every coefficient stack that ``jets`` gets from ``fourier._products``
-    (``products`` without its box check), in call order."""
+    """Every coefficient stack that ``jets`` gets from ``fourier._products``,
+    in the order they come."""
     stacks = []
 
     def recorded(lefts, rights, dim, cut):
-        stacks.append(fourier._products(lefts, rights, dim, cut))
-        return stacks[-1]
+        for stack in fourier._products(lefts, rights, dim, cut):
+            stacks.append(stack)
+            yield stack
 
     monkeypatch.setattr(jets, "_products", recorded)
     return stacks
@@ -219,7 +228,7 @@ def test_multiply_is_the_pair_by_pair_products(monkeypatch, rows):
     rng = np.random.default_rng(23)
     stacks = recorded_stacks(monkeypatch)
     if rows is not None:
-        monkeypatch.setattr(jets, "_stack_rows", lambda dim, cut: rows)
+        monkeypatch.setattr(fourier, "_stack_rows", lambda dim, cut: rows)
     batches = {}
     for p, q in product_cases(rng):
         batches.setdefault((type(p), p.dim, p.cut), []).append((p, q))
@@ -259,6 +268,62 @@ def test_multiply_with_zero_products(monkeypatch):
     assert 3 not in got[1].terms and list(got[1].terms) == [2]
     for p, (a, b) in zip(got, mixed):
         assert_same_products(p, product_pair_by_pair(a, b), stacks)
+
+
+def test_a_sum_restarted_after_an_exact_zero_keeps_a_negative_zero():
+    # three rows on one exponent: the first two cancel exactly, so the sum
+    # is dropped and the third starts it again, keeping the -0.0 it carries
+    # (added to the zero sum it would read +0.0); for sums of series, of
+    # stacked products, of Taylor terms and of the two u-products
+    rng = np.random.default_rng(53)
+    cut, trunc = 2, 4
+    x, y = dense_series(rng, 1, cut), dense_series(rng, 1, cut)
+    # sin(2 pi theta) cos(4 pi theta) has mode 0 exactly -0.0
+    a = FourierSeries.from_modes({(1,): 1j}, 1, cut)
+    b = FourierSeries.from_modes({(2,): -1.0}, 1, cut)
+    r = a * b
+    assert r.coeffs[cut] == 0 and np.signbit(r.coeffs[cut].real)
+    assert np.count_nonzero(r.coeffs) and not np.signbit(0.0 + r.coeffs[cut].real)
+
+    def jet(*series):
+        return TFJet(1, cut, trunc, dict(enumerate(series)))
+
+    jet_x = TFJet(1, cut, trunc, {1: x})
+    jet_x.add_to_coefficient(1, -x)
+    jet_x.add_to_coefficient(1, r)
+    three_rows = [
+        ((jet(0, x) + jet(0, -x)) + jet(0, r)).terms[1],
+        jet_x.terms[1],
+        (jet(x, -x, a) * jet(b, y, y)).terms[2],
+        multiply([(jet(x, -x, a), jet(b, y, y))])[0].terms[2],
+        jets._taylor_sum([jet(0, x), jet(0, -x), jet(0, r)]).terms[1],
+        jet(0, x, x * -0.5, r).compose_inner(
+            UPoly({1: 1.0, 2: 1.0, 3: 1.0}, trunc)).terms[3],
+        jet(x, -x, r).mul_upoly(UPoly({2: 1.0, 1: 1.0, 0: 1.0}, trunc)).terms[2],
+    ]
+    for s in three_rows:
+        assert np.signbit(s.coeffs[cut].real) and s.coeffs[cut] == 0
+        assert np.count_nonzero(s.coeffs)
+
+
+def test_a_series_no_row_reaches_keeps_its_identity():
+    # a sum shares the series that no row adds to, with the spectrum they
+    # cached in a product, and rebuilds only the sums
+    rng = np.random.default_rng(59)
+    s0, s1, t = (dense_series(rng, 1, 4) for _ in range(3))
+    s0 * s1
+    spectra = s0._spec, s1._spec
+    a = TFJet(1, 4, 6, {0: s0, 1: s1})
+    b = TFJet(1, 4, 6, {1: t, 3: t})
+    for total in (a + b, a - b):
+        assert total.terms[0] is s0 and total.terms[1] is not s1
+        assert list(total.terms) == [0, 1, 3]
+    assert (a + b).terms[3] is t
+    a.add_to_coefficient(3, t)
+    assert a.terms[0] is s0 and a.terms[1] is s1 and a.terms[3] is t
+    a.add_to_coefficient(0, t)
+    assert a.terms[0] is not s0 and a.terms[1] is s1
+    assert (s0._spec, s1._spec) == spectra and list(a.terms) == [0, 1, 3]
 
 
 def assert_own_series(s, stacks=()):
@@ -336,7 +401,6 @@ def test_a_multiply_batch_transforms_its_operands_before_any_product(
     monkeypatch.setattr(jets, "_products", product)
     if rows is not None:
         monkeypatch.setattr(fourier, "_stack_rows", lambda dim, cut: rows)
-        monkeypatch.setattr(jets, "_stack_rows", lambda dim, cut: rows)
     got = multiply(pairs)
     monkeypatch.undo()
     for p, w in zip(got, want, strict=True):

@@ -126,6 +126,24 @@ def test_one_substitution_door():
                        "angle_taylor": {"jets.py:eval_xy_terms"}}, callers
 
 
+def test_one_summation():
+    # the polynomial algebra sums its coefficients only in jets._sum_rows:
+    # no other function of jets.py adds in place, by += or into a numpy out=
+    with open(os.path.join(PACKAGE, "jets.py")) as fh:
+        tree = ast.parse(fh.read())
+    adders = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+                    or isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "add"
+                    and any(k.arg == "out" for k in node.keywords)):
+                adders.add(fn.name)
+    assert adders == {"_sum_rows"}, adders
+
+
 def test_importing_the_cli_loads_no_scipy():
     # SciPy was most of a fresh run's set-up time and over half its peak
     # memory; no module of the package imports it

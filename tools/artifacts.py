@@ -5,7 +5,15 @@ Usage: python tools/artifacts.py DIR
 
 Runs ``paratori.cli.main`` of this checkout on the config of each benchmark
 workload (``perfbench/inputs.make_inputs``) at seeds 0, 1 and 2, and writes
-each run's config and artifacts into DIR/<workload>-<seed>/.  For
+each run's config and artifacts into DIR/<workload>-<seed>/.  It also
+runs, at seed 0 on small configs, the CLI problems that no workload runs
+(``EXTRA_RUNS``), each into DIR/<name>-0/, so the comparison covers every
+path of the algebra: the one-mode box of an autonomous oscillator, an
+oscillator with one drive angle, helicoure on both branches (the unstable
+one is solved conjugated), hecu with the displayed field, the unstable
+branches of solve-map and solve-flow, and a map on the 2-torus with both
+angles displaced (the one run whose angle expansion differentiates
+polynomials of several terms).  For
 flow-2torus it also writes ``values.json``: the two trajectory values of
 the benchmark (``perfbench/tasks.trajectory_values`` on the run's pair, at
 the benchmark's tolerance), so the comparison covers the trajectory
@@ -34,20 +42,70 @@ from tasks import trajectory_values  # noqa: E402
 
 SEEDS = (0, 1, 2)
 
+_OSCILLATOR = {"c_pot": 1.0, "n_pot": 2, "alpha": 6.0, "g": 1.0, "nu": [],
+               "cut": 4}
+_HELICOURE = {"problem": "helicoure", "n_target": 4,
+              "theta_leading": "cohomological",
+              "field": {"cut": 8, "freqs": [0.41421356237309515], "d": 1,
+                        "x_terms": {"0,1": 2.0},
+                        "y_terms": {"1,1": {"const": -1.0,
+                                            "modes": {"1": [0.2, 0.0]}},
+                                    "0,2": 0.1},
+                        "theta_terms": [{"0,1": 3.0, "2,0": 0.25}]}}
+# name: (command, config) of each CLI problem that no workload runs
+EXTRA_RUNS = {
+    "oscillator-dim0": ("oscillator", {"problem": "oscillator", "n_target": 6,
+                                       "oscillator": _OSCILLATOR}),
+    "oscillator-drive": ("oscillator", {
+        "problem": "oscillator", "n_target": 4,
+        "oscillator": dict(_OSCILLATOR, alpha=1.0, nu=[1.4142135623730951],
+                           g={"const": 1.0, "modes": {"1": [0.15, 0.0]}},
+                           cut=12)}),
+    "helicoure-stable": ("helicoure", dict(_HELICOURE, branch="stable")),
+    "helicoure-unstable": ("helicoure", dict(_HELICOURE, branch="unstable")),
+    "hecu-displayed": ("hecu", {"problem": "hecu", "n_target": 3,
+                                "hecu": {"D": 6.35, "alpha_morse": 1.05,
+                                         "m": 1.0, "h": 12.7,
+                                         "expansion": "displayed"}}),
+    "map-ref-unstable": ("solve-map", dict(make_inputs("map-ref", 0)["config"],
+                                           branch="unstable")),
+    "flow-2torus-unstable": ("solve-flow",
+                             dict(make_inputs("flow-2torus", 0)["config"],
+                                  branch="unstable")),
+    "map-2torus": ("solve-map", {
+        "problem": "custom-map", "n_target": 5,
+        "map": {"cut": 4, "freqs": [0.6180339887498949, 0.41421356237309515],
+                "d": 2, "k": 2, "p": 1,
+                "x_terms": {"0,1": {"const": 1.0,
+                                    "modes": {"1,0": [0.05, 0.0]}}},
+                "y_terms": {"2,0": {"const": 6.0,
+                                    "modes": {"1,0": [0.5, 0.0],
+                                              "0,1": [0.2, 0.0]}}},
+                "theta_terms": [{"1,0": 1.0},
+                                {"1,0": {"const": 0.5,
+                                         "modes": {"1,1": [0.1, 0.0]}}}]}}),
+}
+
+
+def _run(command, config, target):
+    """Write ``config`` into ``target`` and run the command on it there."""
+    os.makedirs(target, exist_ok=True)
+    path = os.path.join(target, "config.json")
+    with open(path, "w") as fh:
+        json.dump(config, fh, sort_keys=True)
+    code = main([command, "--config", path, "--out", target])
+    if code != 0:
+        raise SystemExit("%s exited %d" % (target, code))
+
 
 def write_artifacts(out_dir):
+    for name, (command, config) in EXTRA_RUNS.items():
+        _run(command, config, os.path.join(out_dir, "%s-0" % name))
     for workload in WORKLOADS:
         for seed in SEEDS:
             run = make_inputs(workload, seed)
             target = os.path.join(out_dir, "%s-%d" % (workload, seed))
-            os.makedirs(target, exist_ok=True)
-            config = os.path.join(target, "config.json")
-            with open(config, "w") as fh:
-                json.dump(run["config"], fh, sort_keys=True)
-            code = main([run["command"], "--config", config, "--out", target])
-            if code != 0:
-                raise SystemExit("%s at seed %d exited %d"
-                                 % (workload, seed, code))
+            _run(run["command"], run["config"], target)
             if workload == "flow-2torus":
                 with open(os.path.join(target, "pair.json")) as fh:
                     pair = pair_from_payload(json.load(fh))
