@@ -50,11 +50,10 @@ MAX_GRID_BYTES = 2 ** 30
 # MAX_GRID_BYTES admits (8192 x 8192 points) run the default 1000 iterates,
 # and bounds a run that a huge count would keep going for days
 MAX_GRID_STEPS = 2 ** 36
-# the most bytes of mode bases one contraction probe may build, summed over
-# its sweeps: a sample-sweep costs about 0.3 ms against a sector point-step's
-# 55 ns.  It lets the largest sample set MAX_GRID_BYTES admits run the
-# default 10 sweeps; on the reference map (cut 32, 1040 bytes a sample) that
-# is about 32,000 sweeps of the default 320 samples, roughly an hour
+# the most bytes of mode bases one contraction probe may build over all its
+# sweeps: the default 10 sweeps of the largest sample set MAX_GRID_BYTES
+# admits, or on the reference map (cut 32, 1040 bytes a sample) about 32,000
+# sweeps of the default 320 samples, an hour at 0.3 ms a sample-sweep
 MAX_PROBE_BYTES = 10 * MAX_GRID_BYTES
 
 # the problem a config must name for each subcommand that reads one
@@ -143,8 +142,7 @@ def _check_samples(counts, point_bytes, what):
 
 
 def _check_steps(count, size, what, bound, unit):
-    """ConfigError when ``count`` steps of ``size`` units each exceed
-    ``bound`` units, before any of them is taken."""
+    """ConfigError when ``count`` steps of ``size`` units pass ``bound``."""
     if count * size > bound:
         raise ConfigError("%s: %d steps of %d %s each exceed %d %s"
                           % (what, count, size, unit, bound, unit))
@@ -508,17 +506,17 @@ def _cmd_diagnose(args):
 
 def _check_pair_boxes(payload, path):
     """ConfigError naming ``path`` unless the pair's box (d + drive axes,
-    cut) is one a config may name and every series sits on it."""
+    cut) is one a config may name and every series has its shape: its dim,
+    and its cut off the one-mode box of dim 0 (whose series have cut 0)."""
     dim = sum(_number(payload[key], "%s: %s" % (path, key), int, 0)
               for key in ("d", "drive"))
     cut = _cut(payload, path, dim)
     for jet in [payload["x"], payload["y"]] + list(payload["tails"]):
         for series in jet.values():
-            if (series["dim"], series["cut"]) != (dim, cut):
-                raise ConfigError("%s: a series of dim %r and cut %r in a "
-                                  "pair of dim %d and cut %d" % (
-                                      path, series["dim"], series["cut"],
-                                      dim, cut))
+            box = series["dim"], series["cut"]
+            if box[0] != dim or (dim and box[1] != cut):
+                raise ConfigError("%s: a series of (dim, cut) %r in a pair "
+                                  "of (dim, cut) %r" % (path, box, (dim, cut)))
 
 
 def _cmd_compare(args):

@@ -19,19 +19,18 @@ each, one inverse FFT of the product of the spectra, then the centre
 ``|k| <= cut`` of the result, symmetrized.  ``_products`` is the one
 product entry: it takes many pairs at once, the forward spectra still
 missing in stacked FFTs (each series keeps its spectrum from its first
-product on), then yields the products stack by stack, at most
+product on), and yields the products stack by stack, at most
 ``STACK_ENTRIES`` complex entries per transform.  numpy runs the same FFT
 plan row by row, so each row rounds as a single product did.  It trusts
-its boxes: ``FourierSeries.__mul__``, the one-row case, checks its
-operand, and ``jets.multiply``, which streams a batch of jet products
-through one call, checks its polynomials.  That batch gives every operand
-its spectrum in stacked transforms before its first product, so its
+its boxes: ``FourierSeries.__mul__`` (the one-row case) and
+``jets.multiply`` (a batch of jet products in one call) check them.  That
+batch gives every operand its spectrum before its first product, so its
 one-pair products ``a * b`` find their spectra cached too.  A series is
 immutable from construction: its coefficients are read-only from the
 moment it is built, so a cached spectrum can never go stale and a series
 can be shared instead of copied.  For the same reason a series keeps the
 chain of its angle derivatives once asked for it
-(``FourierSeries.derivatives``, the derivatives of ``jets.angle_taylor``).
+(``FourierSeries.derivatives``, in ``jets.angle_taylor``).
 
 Construction checks its array every time: it must be cubic with an odd
 side (DimensionMismatch otherwise), it is converted to complex unless it
@@ -137,14 +136,12 @@ def _stack_rows(dim, cut):
 
 
 def _products(lefts, rights, dim, cut):
-    """The coefficient rows of ``[a * b for a, b in zip(lefts, rights)]``,
-    two equally long lists of series known to sit on the box (dim, cut),
-    yielded stack by stack: arrays of shape (k,) + box, at most
-    ``_stack_rows`` rows each, every row symmetrized and bit for bit what
-    its pair gives alone.  The spectra still missing are taken first, in
-    stacked transforms.  A box of one mode has no axis to transform
-    (SciPy's FFT convolution skips axes of length 1 too) and multiplies
-    elementwise."""
+    """The coefficient rows of ``[a * b for a, b in zip(lefts, rights)]``
+    for two equally long lists of series trusted to sit on the box (dim,
+    cut), yielded in stacks of at most ``_stack_rows`` rows, every row
+    symmetrized and bit for bit what its pair gives alone.  Missing spectra
+    are taken first, stacked.  A box of one mode multiplies elementwise
+    (SciPy's FFT convolution skips axes of length 1 too)."""
     transform = dim and cut
     if transform:
         _cache_spectra(lefts + rights, dim, cut)

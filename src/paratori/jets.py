@@ -15,8 +15,7 @@ and whose coefficient pairs all go through one ``fourier._products``
 call; ``FTPoly.__mul__`` is its one-product case.  ``_sum_rows`` is the
 one summation: every polynomial that adds coefficients per exponent (sums,
 the rows of a product, the Taylor sums and term sums of a substitution,
-the u-products) is built by it, and so is every polynomial taken term by
-term (derivatives, shifts).
+the u-products) is built by it, and so are ``diff_theta`` and ``shift``.
 ``substitute`` is the one door to composition, for both classes: term
 tables evaluated at two polynomials and angle displacements.  It builds
 every power of the substituted polynomials and of the displacements once,
@@ -41,6 +40,7 @@ trajectory step), its plain coefficients (the higher ones) and its scalar
 products (the powers of the inner polynomial in ``TFJet.compose_inner``).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -140,8 +140,14 @@ class FTPoly:
             self.terms[key] = s
 
     def add_to_coefficient(self, key, s):
-        _sum_rows(self, [(self._key(key), on_box(s, self.dim, self.cut))],
-                  self.terms.items())
+        key, s = self._key(key), on_box(s, self.dim, self.cut)
+        if self._degree(key) <= self.trunc:
+            _sum_rows(self, [(key, s)], self.terms.items())
+
+    def _terms_upto(self, trunc):
+        """The (exponent, series) terms of total degree at most ``trunc``."""
+        return [(key, s) for key, s in self.terms.items()
+                if self._degree(key) <= trunc]
 
     def coefficient(self, key):
         s = self.terms.get(self._key(key))
@@ -163,8 +169,12 @@ class FTPoly:
     # ----- linear ---------------------------------------------------------
 
     def __add__(self, other):
+        if (other.dim, other.cut) != (self.dim, self.cut):
+            raise DimensionMismatch("sum of boxes (dim, cut) %s and %s" % (
+                (self.dim, self.cut), (other.dim, other.cut)))
         out = self._empty(min(self.trunc, other.trunc))
-        _sum_rows(out, other.terms.items(), self.terms.items())
+        _sum_rows(out, other._terms_upto(out.trunc),
+                  self._terms_upto(out.trunc))
         return out
 
     def __neg__(self):
@@ -248,8 +258,7 @@ def multiply(pairs):
         _cache_spectra(operands, dim, cut)
     for out, (key, x, y) in singles:
         _sum_rows(out, [(key, x * y)])
-    rows = (row for stack in _products(lefts, rights, dim, cut)
-            for row in stack)
+    rows = itertools.chain.from_iterable(_products(lefts, rights, dim, cut))
     for out, keys in stacked:
         _sum_rows(out, zip(keys, rows))
     return outs
@@ -257,28 +266,26 @@ def multiply(pairs):
 
 def _sum_rows(out, rows, start=()):
     """Set ``out.terms`` to the sums per exponent of the (exponent, series)
-    terms ``start`` and the (exponent, series or array) ``rows``, added in
-    their order and skipped above ``out.trunc``.  A partial sum that is
-    exactly zero is dropped, so the next row starts its exponent again, at
-    the end of the table and with its signed zeros.  A sum of one series is
-    that series.  An array is summed into in place: one that owns its data
-    is the caller's to give, a view (a row of a stack) is copied first."""
-    degree, trunc = out._degree, out.trunc
-    sums = {key: s for key, s in start if degree(key) <= trunc}
+    terms ``start`` and the (exponent, series or array) ``rows``, none above
+    ``out.trunc``, added in their order.  A partial sum that is exactly zero
+    is dropped, so the next row starts its exponent again, at the end of the
+    table and with its signed zeros.  A sum of one series is that series.
+    An array is summed into in place: one that owns its data is the
+    caller's to give, a view (a row of a stack) is copied first."""
+    sums = dict(start)
     for key, row in rows:
-        if degree(key) > trunc:
-            continue
         cur = sums.get(key)
         if cur is None:
-            if type(row) is not FourierSeries:
-                row = np.asarray(row) if row.base is None else row.copy()
-            cur = sums[key] = row
+            if type(row) is FourierSeries:
+                sums[key], cur = row, row.coeffs
+            else:
+                cur = sums[key] = (np.asarray(row) if row.base is None
+                                   else row.copy())
         else:
             if type(cur) is FourierSeries:
                 cur = sums[key] = np.array(cur.coeffs)
             cur += row.coeffs if type(row) is FourierSeries else row
-        if not np.count_nonzero(cur.coeffs if type(cur) is FourierSeries
-                                else cur):
+        if not np.count_nonzero(cur):
             del sums[key]
     out.terms = {key: s if type(s) is FourierSeries
                  else FourierSeries(s, symmetrize=False)
@@ -479,10 +486,9 @@ def angle_taylor(polys, wp):
     (d^j p / d theta_a^j, W_a^j) of every poly, j from 0 up to the first
     zero derivative or the last power, and ``_taylor_sum`` adds each
     poly's products.  Every poly takes its derivatives term by term from
-    ``FourierSeries.derivatives``, which keeps them with the series: the
-    tables of a solve do not change, so each derivative of a table
-    coefficient is taken once per solve, however many substitutions
-    expand it.
+    ``FourierSeries.derivatives``, which keeps them with the series, so a
+    table coefficient (the tables of a solve do not change) is
+    differentiated once per solve, however many substitutions expand it.
     """
     for axis, w_pows in enumerate(wp):
         if w_pows is None:
@@ -501,15 +507,14 @@ def _angle_derivatives(p, axis, count):
     """[p, dp/d theta_axis, ...]: ``count`` polys, or fewer ending at the
     first zero one, each term the derivative its series keeps
     (``FourierSeries.derivatives``)."""
-    chains = [(key, s.derivatives(axis, count))
-              for key, s in p.terms.items()]
+    chains = [(k, s.derivatives(axis, count)) for k, s in p.terms.items()]
     derivs = [p]
     for j in range(1, count):
         if derivs[-1].is_zero():
             break
         derivs.append(p._empty())
-        _sum_rows(derivs[-1], ((key, chain[j]) for key, chain in chains
-                               if j < len(chain)))
+        derivs[-1].terms = {k: chain[j] for k, chain in chains
+                            if j < len(chain) and not chain[j].is_zero()}
     return derivs
 
 
@@ -520,7 +525,7 @@ def _taylor_sum(prods):
     out = prods[0]._empty(min(q.trunc for q in prods))
     scales = [1.0 / math.factorial(j) for j in range(len(prods))]
     _sum_rows(out, ((key, s.coeffs * c) for q, c in zip(prods, scales)
-                    for key, s in q.terms.items()))
+                    for key, s in q._terms_upto(out.trunc)))
     return out
 
 
@@ -540,5 +545,5 @@ def eval_xy_terms(terms, powers, trunc):
     coeffs = multiply([(c, xp[l]) for c, (l, _) in zip(coeffs, lms)])
     coeffs = multiply([(c, yp[m]) for c, (_, m) in zip(coeffs, lms)])
     out = one._empty(min([trunc] + [c.trunc for c in coeffs]))
-    _sum_rows(out, (term for c in coeffs for term in c.terms.items()))
+    _sum_rows(out, (term for c in coeffs for term in c._terms_upto(out.trunc)))
     return out

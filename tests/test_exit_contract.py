@@ -182,6 +182,26 @@ def test_compare_refuses_a_huge_series_box_by_file(tmp_path, monkeypatch,
     assert error["message"].startswith(str(tmp_path / "input.json"))
 
 
+@pytest.mark.parametrize("cut", [{"cut": 4}, {}])
+def test_compare_accepts_a_one_mode_pair(tmp_path, cut):
+    # an autonomous oscillator's pair sits on the one-mode box: its series
+    # have cut 0 whatever the header's cut (4, or the default 16), and
+    # compare of the pair with itself reads them
+    config = {"problem": "oscillator", "n_target": 3,
+              "oscillator": dict({"c_pot": 1.0, "n_pot": 2, "alpha": 6.0,
+                                  "g": 1.0, "nu": []}, **cut)}
+    code, stderr = run("oscillator", config, str(tmp_path), None)
+    assert code == 0, stderr
+    pair_path = str(tmp_path / "out" / "pair.json")
+    with open(pair_path) as fh:
+        pair = json.load(fh)
+    assert pair["cut"] == cut.get("cut", 16)
+    assert {s["cut"] for s in pair["x"].values()} == {0}
+    (tmp_path / "compare").mkdir()
+    code, stderr = run("compare", pair, str(tmp_path / "compare"), pair_path)
+    assert code == 0, stderr
+
+
 # cut 4 on the 1-torus: 16 * 9 bytes per probe sample
 PROBE_POINTS = MAX_GRID_BYTES // (16 * 9)
 

@@ -249,6 +249,23 @@ def test_multiply_is_the_pair_by_pair_products(monkeypatch, rows):
             multiply(pairs + [(other_box, other_box)])
 
 
+@pytest.mark.parametrize("other_box", [(1, 0), (0, 4), (1, 5), (2, 4)])
+def test_sums_need_one_box(other_box):
+    # + and - refuse a polynomial on another box, a one-mode one too
+    # (whose constant numpy would otherwise add to every mode), on shared
+    # and disjoint exponents alike
+    rng = np.random.default_rng(31)
+    dim, cut = other_box
+    a = TFJet(1, 4, 3, {1: dense_series(rng, 1, 4)})
+    for key in (1, 2):
+        b = TFJet(dim, cut, 3, {key: dense_series(rng, dim, cut)})
+        for op in (lambda p, q: p + q, lambda p, q: p - q):
+            with pytest.raises(DimensionMismatch):
+                op(a, b)
+            with pytest.raises(DimensionMismatch):
+                op(b, a)
+
+
 def test_multiply_with_zero_products(monkeypatch):
     # a product is zero when an operand is, when truncation drops every
     # pair, or when its exponents cancel exactly; a batch of such products
@@ -324,6 +341,26 @@ def test_a_series_no_row_reaches_keeps_its_identity():
     a.add_to_coefficient(0, t)
     assert a.terms[0] is not s0 and a.terms[1] is s1
     assert (s0._spec, s1._spec) == spectra and list(a.terms) == [0, 1, 3]
+
+
+def test_sums_leave_out_the_terms_above_their_truncation():
+    # a sum is truncated at the lower truncation of its terms: a term above
+    # it is left out, not summed, whichever operand or Taylor term holds it
+    rng = np.random.default_rng(61)
+    s, t, u = (dense_series(rng, 1, 3) for _ in range(3))
+    high, low = TFJet(1, 3, 5, {1: s, 4: t, 5: u}), TFJet(1, 3, 3, {1: t, 3: u})
+    for total in (high + low, low + high, high - low):
+        assert total.trunc == 3 and list(total.terms) in ([1, 3], [3, 1])
+    assert (high + low).terms[3] is u and (low + high).terms[3] is u
+    p = XYPoly(1, 3, 4, {(2, 2): s, (1, 0): t})
+    q = XYPoly(1, 3, 3, {(0, 1): u, (1, 0): s})
+    assert list((p + q).terms) == [(1, 0), (0, 1)]
+    taylor = jets._taylor_sum([high, low])
+    assert taylor.trunc == 3 and list(taylor.terms) == [1, 3]
+    high.add_to_coefficient(6, s)
+    assert list(high.terms) == [1, 4, 5]
+    with pytest.raises(DimensionMismatch):
+        high.add_to_coefficient(6, dense_series(rng, 1, 2))
 
 
 def assert_own_series(s, stacks=()):
