@@ -524,7 +524,10 @@ def _cmd_compare(args):
         payload = _load_json(path)
         try:
             _check_pair_boxes(payload, path)
-            return pair_from_payload(payload)
+            try:
+                return pair_from_payload(payload)
+            except ConfigError as err:   # a non-finite number, by place
+                raise ConfigError("%s: %s" % (path, err), **err.detail)
         except (ValueError, KeyError, TypeError, IndexError, OverflowError,
                 AttributeError, DimensionMismatch) as err:
             raise ConfigError("%s is not a manifold payload: %r" % (path, err))

@@ -79,15 +79,42 @@ def pair_payload(pair):
     }
 
 
+def _non_finite(payload):
+    """The ConfigError naming the first NaN or infinite number of a pair
+    payload: its component (freqs, inner, x, y or tails[i]), and its index,
+    order or order and mode."""
+    bad = lambda *vs: not np.isfinite(np.asarray(vs, dtype=float)).all()
+    for i, v in enumerate(payload["freqs"]):
+        if bad(v):
+            return ConfigError("manifold payload holds a non-finite number "
+                               "in freqs[%d]" % i, component="freqs", index=i)
+    for n, v in payload["inner"].items():
+        if bad(v):
+            return ConfigError("manifold payload holds a non-finite number "
+                               "in inner at order %s" % n, component="inner",
+                               order=int(n))
+    jets = [("x", payload["x"]), ("y", payload["y"])] + [
+        ("tails[%d]" % i, w) for i, w in enumerate(payload["tails"])]
+    for name, jet in jets:
+        for n, sp in jet.items():
+            for k, re, im in sp["modes"]:
+                if bad(re, im):
+                    return ConfigError(
+                        "manifold payload holds a non-finite number in %s at "
+                        "order %s, mode %s" % (name, n, k), component=name,
+                        order=int(n), mode=k)
+
+
 def pair_from_payload(payload):
     """The pair of a payload; a NaN or infinite coefficient, frequency or
-    normal-form value is a ConfigError, raised before any series is built."""
+    normal-form value is a ConfigError that names where the first one is,
+    raised before any series is built."""
     numbers = list(payload["freqs"]) + list(payload["inner"].values())
     for jet in [payload["x"], payload["y"]] + list(payload["tails"]):
         numbers += [v for sp in jet.values() for _, re, im in sp["modes"]
                     for v in (re, im)]
     if not np.all(np.isfinite(np.asarray(numbers, dtype=float))):
-        raise ConfigError("manifold payload holds a non-finite number")
+        raise _non_finite(payload)
     cut, trunc = int(payload["cut"]), int(payload["trunc"])
     dim = int(payload["d"]) + int(payload["drive"])
     inner = UPoly({int(n): v for n, v in payload["inner"].items()}, trunc)

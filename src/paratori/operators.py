@@ -25,6 +25,7 @@ from .errors import (
     BoundViolated,
     ConfigError,
     Diverged,
+    FlowLeftSector,
     HypothesisViolated,
     StructureViolation,
     TailNotConverged,
@@ -255,6 +256,99 @@ def orbit_sum_inverse(eta, inner, freqs, u, theta=None, *, eta_order, mu,
     return total["eta"][0, 0]
 
 
+_GRID_MAX = 1 << 14   # most points of an angle grid of eta
+# the second grid's shift in cells along each axis (2 points on each of 14
+# axes make the largest grid): fractional parts of square roots of primes,
+# so that no integer combination of them is a whole number of cells
+_GRID_SHIFT = np.sqrt([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]) % 1
+
+
+class _AngleModes:
+    """The angle modes of eta(u, theta + .) at points u, from eta on a grid
+    of n points per axis and an FFT.  ``average`` marks the modes with
+    k.omega = 0 (to rounding), ``weight`` is 1 / (pi |k.omega|) on the other
+    modes and 0 on these, ``upper`` marks the upper half of the spectrum,
+    the modes with some |k_a| >= n/4.  The grid starts near 64 points and
+    doubles in ``refine``."""
+
+    def __init__(self, eta, theta, freqs):
+        self.eta, self.theta, self.freqs = eta, theta, freqs
+        self.dim = theta.size
+        self._grid(1 << max(1, 6 // self.dim))
+
+    def refine(self):
+        """Double n (TailNotConverged past _GRID_MAX grid points)."""
+        self._grid(2 * self.n)
+
+    def _grid(self, n):
+        self.n, dim = n, self.dim
+        if n ** dim > _GRID_MAX:
+            raise TailNotConverged("an angle grid of %d points per axis is "
+                                   "above %d points" % (n, _GRID_MAX))
+        k = np.stack(np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n)] * dim,
+                                 indexing="ij"))
+        kw = np.abs(np.tensordot(self.freqs, k, axes=1))
+        scale = np.tensordot(np.abs(self.freqs), np.abs(k), axes=1)
+        self.average = kw <= 8 * np.finfo(float).eps * scale
+        self.weight = 1.0 / (np.pi * np.where(self.average, np.inf, kw))
+        self.upper = (np.abs(k) >= n / 4).any(axis=0)
+        self._cells = np.stack(np.meshgrid(*[np.arange(n) / n] * dim,
+                                           indexing="ij")).reshape(dim, -1)
+
+    def values(self, zs, shifted=False):
+        """eta at the points ``zs`` on the grid, shifted by _GRID_SHIFT
+        cells if ``shifted``: an array of shape zs.shape + (n,) * dim, from
+        calls on at most QUAD_CHUNK points (TailNotConverged if any value
+        is not finite)."""
+        size = self.n ** self.dim
+        angles = self.theta[:, None] + self._cells
+        if shifted:
+            angles = angles + _GRID_SHIFT[:self.dim, None] / self.n
+        us = np.repeat(np.asarray(zs, dtype=complex), size)
+        angles = np.tile(angles, zs.size)
+        vals = np.concatenate([
+            self.eta(us[i:i + QUAD_CHUNK], angles[:, i:i + QUAD_CHUNK])
+            for i in range(0, us.size, QUAD_CHUNK)])
+        if not np.isfinite(vals).all():
+            raise TailNotConverged("integrand not finite on the angle grid "
+                                   "at u = %s" % zs[0])
+        return vals.reshape(zs.shape + (self.n,) * self.dim)
+
+    def spectrum(self, z, shifted=False):
+        """The moduli of the modes at the point z."""
+        vals = self.values(np.array([z]), shifted)[0]
+        return np.abs(np.fft.fftn(vals)) / vals.size
+
+    def mean(self, zs):
+        """The sum of the average's modes at the points ``zs``, each mode
+        with its phase at theta: real where every grid value is real.  At
+        most QUAD_CHUNK grid values are held at once."""
+        size = self.n ** self.dim
+        step = max(1, QUAD_CHUNK // size)
+        out = []
+        for i in range(0, zs.size, step):
+            vals = self.values(zs[i:i + step])
+            modes = np.fft.fftn(vals, axes=range(1, vals.ndim)) / size
+            total = modes[:, self.average].sum(axis=1)
+            real = ~vals.imag.reshape(len(vals), -1).any(axis=1)
+            out.append(np.where(real, total.real, total))
+        return np.concatenate(out)
+
+
+def _segment_integral(f, velocity, z, tol):
+    """Integral of f(v) / (-velocity(v)) over the segment from 0 to z, as
+    the integral over t in [0, 1] of v = t z, by panel_quadrature to
+    ``tol``: the integral of f from time 0 to infinity along the
+    trajectory from z, whose ds is du / velocity(u)."""
+    z = complex(z)
+
+    def integrand(t):
+        vals, speeds = f(t * z) * z, -velocity(t * z)
+        with np.errstate(invalid="ignore"):   # panel_quadrature refuses NaN
+            return vals / speeds
+    return panel_quadrature(integrand, np.array([0.0, 1.0]), None, tol)
+
+
 def flow_orbit_integral(eta, velocity, freqs, u, theta=None, *, eta_order, mu,
                         tol=1e-10, sector=None):
     """Integral of eta along the decaying scalar trajectory, from 0 to
@@ -266,39 +360,81 @@ def flow_orbit_integral(eta, velocity, freqs, u, theta=None, *, eta_order, mu,
     without angles), and returns an array of shape ``u.shape``; it is never
     called on more than ``quadrature.QUAD_CHUNK`` points at once.
 
-    The error is split in two halves of ``tol``.  ``velocity`` is a
-    ``jets.UPoly``, and the trajectory is stepped by its Taylor series of
-    order 20 (``quadrature.trajectory``) to the first step end T where the
-    analytic decay-bound tail after T is at most tol/2 (TailNotConverged if
-    that takes beyond time 1e9, or for a non-finite step).  The integral
-    over [0, T] then takes Gauss-Kronrod (7, 15) panels on the step series:
-    the steps, cut to at most half the shortest angle period, and bisected
-    until each panel's |K15 - G7| is within its width's share of tol/2
-    (TailNotConverged for a non-finite eta or a quadrature past
-    ``quadrature.panel_quadrature``'s limits).  ``sector`` checks the
-    trajectory at every step end (FlowLeftSector).
+    Write eta(u, theta) = sum_k eta_k(u) exp(2 pi i k.theta).  A mode with
+    k.omega != 0 oscillates along the trajectory, and integrating by parts
+    bounds its integral after time T by 2 |eta_k(u(T))| / |2 pi k.omega|,
+    as long as |eta_k| decays along the trajectory, which the sector decay
+    bound assumes.  The modes with k.omega = 0, k = 0 among them, make the
+    average, which only decays like s^{-q}; but ds = du / velocity(u), so
+    its integral after T is the integral of the average over v / -velocity(v)
+    on the segment from 0 to u(T), which lies in the sector, a cone with
+    its vertex at 0.  The error is split in tol/2 + tol/4 + tol/4:
+
+    - ``velocity`` is a ``jets.UPoly``, and the trajectory is stepped by
+      its Taylor series of order 20 (``quadrature.trajectory``) to the
+      first step end T where the oscillating modes' bound above sums to at
+      most tol/4 (TailNotConverged beyond time 1e9, or for a non-finite
+      step).  The modes come from eta on a grid of n points per axis at
+      u(T) and an FFT.  Where the bound holds, n doubles until two sums
+      are each at most tol/4 in the bound's weights, where a mode of the
+      average weighs its sector decay tail: the upper half of the spectrum
+      at the largest weight, and the change of the moduli on a grid shifted
+      by an irrational part of a cell.  A mode past the grid aliases onto
+      a lower one and shows in one of them.  TailNotConverged past 2^14
+      grid points, or for a non-finite eta on a grid.
+    - The integral over [0, T] takes Gauss-Kronrod (7, 15) panels on the
+      step series: the steps, cut to at most half the shortest angle
+      period, and bisected until each panel's |K15 - G7| is within its
+      width's share of tol/2.
+    - The average's tail is the segment integral in v = t u(T) over t in
+      [0, 1], by the same panels to tol/4, with the average from an FFT of
+      each node's grid (TailNotConverged past
+      ``quadrature.panel_quadrature``'s limits, or for a non-finite eta).
+
+    Without angles, or when every frequency is 0, every mode is in the
+    average: the whole integral is the segment integral from 0 to u, to
+    tol, and no trajectory is stepped.  ``sector`` checks the start and
+    every step end (FlowLeftSector).  A real start with a real integrand
+    gives a float.
 
     The derivative of the returned quantity (as a function of the starting
     point) along the drift equals minus the integrand.
     """
     q, x = _decay(velocity, eta_order, mu, u)
+    if sector is not None and not sector.contains(u, slack=1e-12):
+        raise FlowLeftSector("trajectory start %s outside the sector" % u)
     freqs = np.asarray(freqs, dtype=float)
-    th0 = None if theta is None else np.asarray(theta, dtype=float)
+    if theta is None or not freqs.any():
+        th = None if theta is None else np.asarray(theta, dtype=float)
+        value = _segment_integral(
+            lambda v: eta(v, None if th is None
+                          else np.repeat(th[:, None], v.size, axis=1)),
+            velocity, u, tol)
+    else:
+        th0 = np.asarray(theta, dtype=float)
+        modes = _AngleModes(eta, th0, freqs)
 
-    def integrand(s, z):
-        angles = None if th0 is None else th0[:, None] + freqs[:, None] * s
-        return eta(z, angles)
+        def tail_small(s, z):
+            c = modes.spectrum(z)
+            if np.sum(modes.weight * c) > tol / 4:
+                return False
+            while True:
+                w = np.where(modes.average, _tail(1.0, s, x, q), modes.weight)
+                alias = np.abs(c - modes.spectrum(z, shifted=True))
+                if (w.max() * np.sum(c[modes.upper]) <= tol / 4
+                        and np.sum(w * alias) <= tol / 4):
+                    break
+                modes.refine()
+                c = modes.spectrum(z)
+            return np.sum(modes.weight * c) <= tol / 4
 
-    def tail_small(s, z):
-        term = abs(integrand(np.array([s]), np.array([z]))[0])
-        return _tail(term, s, x, q) <= tol / 2
-
-    edges, along = trajectory(velocity, u, tail_small, sector)
-    width = None
-    if th0 is not None and np.any(freqs):
-        width = 1.0 / (2.0 * np.abs(freqs).max())
-    value = complex(panel_quadrature(lambda s: integrand(s, along(s)),
-                                     edges, width, tol / 2))
+        edges, along = trajectory(velocity, u, tail_small, sector)
+        value = panel_quadrature(
+            lambda s: eta(along(s), th0[:, None] + freqs[:, None] * s),
+            edges, 1.0 / (2.0 * np.abs(freqs).max()), tol / 2)
+        value += _segment_integral(modes.mean, velocity,
+                                   along(edges[-1:])[0], tol / 4)
+    value = complex(value)
     return value if abs(value.imag) > 1e-300 else value.real
 
 

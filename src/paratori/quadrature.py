@@ -5,9 +5,11 @@
 series (Jorba and Zou, Experimental Mathematics 14, 2005) until a stopping
 test holds at a step end; the series of the steps are the trajectory's
 dense output, one vectorized function of time.  ``panel_quadrature``
-integrates a vectorized integrand over panels cut from the steps by
-Gauss-Kronrod (7, 15), bisecting panels until their error estimates meet
-a width-proportional budget.  This module needs numpy only.
+integrates a vectorized integrand by Gauss-Kronrod (7, 15) over panels
+cut from sorted edges, bisecting panels until their error estimates meet a
+width-proportional budget: the trajectory's steps for the integral up to
+the stop, and the one segment [0, 1] for the angle average's tail, taken
+in the u variable.  This module needs numpy only.
 """
 
 import numpy as np

@@ -182,6 +182,40 @@ def test_compare_refuses_a_huge_series_box_by_file(tmp_path, monkeypatch,
     assert error["message"].startswith(str(tmp_path / "input.json"))
 
 
+def _set_nan(pair, component):
+    """Set the last number of ``component`` of a pair payload to NaN and
+    return the detail that names it."""
+    if component == "freqs":
+        pair["freqs"][-1] = math.nan
+        return {"component": "freqs", "index": len(pair["freqs"]) - 1}
+    if component == "inner":
+        order = max(pair["inner"], key=int)
+        pair["inner"][order] = math.nan
+        return {"component": "inner", "order": int(order)}
+    jet = pair["tails"][0] if component == "tails[0]" else pair[component]
+    order = max(jet, key=int)
+    entry = jet[order]["modes"][-1]
+    entry[2] = math.nan
+    return {"component": component, "order": int(order), "mode": entry[0]}
+
+
+@pytest.mark.parametrize("component", ["x", "y", "tails[0]", "inner", "freqs"])
+def test_compare_names_a_non_finite_number_by_file_and_place(
+        tmp_path, saved_pair, component):
+    # a NaN in a pair payload is refused with exit 2, naming the file, the
+    # component, and its index, order or order and mode
+    pair_path, pair = saved_pair
+    payload = copy.deepcopy(pair)
+    detail = _set_nan(payload, component)
+    code, stderr = run("compare", payload, str(tmp_path), pair_path)
+    assert code == 2, stderr
+    error = json.loads(stderr)
+    assert error["error"] == "ConfigError"
+    assert error["detail"] == detail
+    assert error["message"].startswith(str(tmp_path / "input.json"))
+    assert "non-finite number in %s" % component in error["message"]
+
+
 @pytest.mark.parametrize("cut", [{"cut": 4}, {}])
 def test_compare_accepts_a_one_mode_pair(tmp_path, cut):
     # an autonomous oscillator's pair sits on the one-mode box: its series

@@ -439,6 +439,105 @@ def test_flow_quadrature_limits(monkeypatch):
         flow_orbit_integral(eta, vel, (GOLDEN,), 0.03, th0, **kw)
 
 
+def one_mode_closed_form(m, trig, u0, th0):
+    """The integral of u^3 (1 + 0.2 trig(2 pi m theta)) along the trajectory
+    u0 / (1 + s u0) of velocity -u^2, with theta = th0 + s * GOLDEN: u0^2 / 2
+    plus an oscillatory integral that mpmath evaluates."""
+    with mpmath.workdps(30):
+        z0 = mpmath.mpmathify(u0)
+        w = 2 * mpmath.pi * m * mpmath.mpf(GOLDEN)
+        osc = mpmath.quadosc(
+            lambda s: (z0 / (1 + s * z0)) ** 3
+            * getattr(mpmath, trig)(2 * mpmath.pi * m * mpmath.mpf(th0) + w * s),
+            [0, mpmath.inf], omega=w)
+        return complex(z0 ** 2 / 2 + osc / 5)
+
+
+@pytest.mark.parametrize("trig", ["sin", "cos"])
+@pytest.mark.parametrize("m", [16, 32])
+def test_flow_integral_closed_form_where_a_coarse_grid_aliases(m, trig):
+    # on a grid of 16 or 32 angles, cos 2 pi m theta is constant and
+    # sin 2 pi m theta vanishes: the angle modes must come from a grid
+    # that resolves them, or the mode would pass for part of the average
+    th0, tol = 0.7, 1e-10
+    f = getattr(np, trig)
+    eta = lambda u, th: u ** 3 * (1.0 + 0.2 * f(2 * np.pi * m * th[0]))
+    got = flow_orbit_integral(eta, UPoly({2: -1.0}, 12), (GOLDEN,), 0.03,
+                              np.array([th0]), eta_order=3, mu=0.5, tol=tol)
+    assert abs(got - one_mode_closed_form(m, trig, 0.03, th0)) <= tol
+
+
+def test_flow_integral_keeps_a_resonant_mode_in_the_average():
+    # at frequencies (w, 2w) the angle 2 theta0 - theta1 stays where it
+    # starts, so the integral of u^3 (1 + 0.2 cos 2 pi (2 theta0 - theta1))
+    # along u0 / (1 + s u0) is u0^2 / 2 (1 + 0.2 cos 2 pi (2 theta0 - theta1))
+    tol = 1e-10
+    eta = lambda u, th: u ** 3 * (
+        1.0 + 0.2 * np.cos(2 * np.pi * (2 * th[0] - th[1])))
+    for u0 in (0.03, 0.03 * np.exp(0.3j)):
+        th0 = np.array([0.7, 0.2])
+        got = flow_orbit_integral(eta, UPoly({2: -1.0}, 12),
+                                  (GOLDEN, 2 * GOLDEN), u0, th0, eta_order=3,
+                                  mu=0.5, tol=tol)
+        want = u0 ** 2 / 2 * (1.0 + 0.2 * np.cos(2 * np.pi * (1.4 - 0.2)))
+        assert abs(got - want) <= tol
+
+
+def test_flow_integral_with_a_static_angle():
+    # at frequencies (w, 0) theta1 stays where it starts: the integral is
+    # the one-mode closed form times 1 + 0.3 cos 2 pi theta1
+    tol = 1e-10
+    eta = lambda u, th: u ** 3 * (1.0 + 0.2 * np.sin(2 * np.pi * th[0])) * (
+        1.0 + 0.3 * np.cos(2 * np.pi * th[1]))
+    for u0 in (0.03, 0.03 * np.exp(0.3j)):
+        got = flow_orbit_integral(eta, UPoly({2: -1.0}, 12), (GOLDEN, 0.0),
+                                  u0, np.array([0.7, 0.2]), eta_order=3,
+                                  mu=0.5, tol=tol)
+        want = one_mode_closed_form(1, "sin", u0, 0.7) * (
+            1.0 + 0.3 * np.cos(2 * np.pi * 0.2))
+        assert abs(got - want) <= tol
+
+
+@pytest.mark.parametrize("freqs,theta", [
+    ((), None),                                 # no angles
+    ((0.0,), np.array([0.7])),                  # an angle that stays
+    ((GOLDEN,), np.array([0.7])),               # one moving angle
+    ((GOLDEN, 2 * GOLDEN), np.array([0.7, 0.2])),   # a resonant mode
+    ((GOLDEN, np.sqrt(2.0)), np.array([0.7, 0.2])),
+])
+def test_flow_integral_of_a_real_start_is_a_float(freqs, theta):
+    # a real start and an integrand real on real points give a Python
+    # float, whatever the path: no imaginary dust from the FFT phases
+    def eta(u, th):
+        if th is None:
+            return u ** 3
+        return u ** 3 * (1.0 + 0.2 * np.cos(2 * np.pi * (2 * th[0] - th[-1]))
+                         + 0.1 * np.sin(2 * np.pi * th[0]))
+
+    kw = dict(eta_order=3, mu=0.5, tol=1e-10)
+    vel = UPoly({2: -1.0, 3: 0.5}, 12)
+    assert type(flow_orbit_integral(eta, vel, freqs, 0.03, theta, **kw)) \
+        is float
+    assert type(flow_inverse(eta, vel, freqs, 0.03, theta, **kw)) is float
+
+
+def test_flow_integral_angle_grid_limit(monkeypatch):
+    # an angle grid that would need more points than the limit (lowered
+    # here so that a 20th mode reaches it), and a velocity that is not
+    # finite on the segment of an integral without angles, end in
+    # TailNotConverged
+    kw = dict(eta_order=3, mu=0.5, tol=1e-10)
+    eta = lambda u, th: u ** 3 * (1.0 + 0.2 * np.sin(2 * np.pi * 20 * th[0]))
+    monkeypatch.setattr(operators, "_GRID_MAX", 64)
+    with pytest.raises(TailNotConverged, match="angle grid"):
+        flow_orbit_integral(eta, UPoly({2: -1.0}, 12), (GOLDEN,), 0.03,
+                            np.array([0.7]), **kw)
+    with pytest.raises(TailNotConverged, match="not finite"):
+        flow_orbit_integral(lambda u, th: u ** 3,
+                            UPoly({2: -1.0, 3: np.nan}, 12), (), 0.03, None,
+                            **kw)
+
+
 @pytest.mark.parametrize("u0", [0.03, 0.004, 0.03 * np.exp(0.5j),
                                 0.01 * np.exp(-0.7j)])
 def test_trajectory_matches_the_closed_form(u0):
@@ -456,16 +555,19 @@ def test_trajectory_matches_the_closed_form(u0):
 def test_trajectory_limits(monkeypatch):
     # a stop test that still fails at the time limit (lowered here so that
     # a short trajectory reaches it), and a velocity whose Taylor series is
-    # not finite, end in TailNotConverged instead of stepping without end
+    # not finite, end in TailNotConverged instead of stepping without end;
+    # the integrand has an angle, since without one no trajectory is stepped
     kw = dict(eta_order=3, mu=0.5, tol=1e-8)
-    eta = lambda u, th: u ** 3
+    eta = lambda u, th: u ** 3 * (1.0 + 0.2 * np.sin(2 * np.pi * th[0]))
+    th0 = np.array([0.7])
     monkeypatch.setattr(quadrature, "_T_MAX", 50.0)
     with pytest.raises(TailNotConverged, match="at time 5.000e[+]01"):
-        flow_orbit_integral(eta, UPoly({2: -1.0}, 12), (), 0.03, None, **kw)
+        flow_orbit_integral(eta, UPoly({2: -1.0}, 12), (GOLDEN,), 0.03, th0,
+                            **kw)
     monkeypatch.undo()
     with pytest.raises(TailNotConverged, match="non-finite Taylor step"):
-        flow_orbit_integral(eta, UPoly({2: -1.0, 3: np.nan}, 12), (), 0.03,
-                            None, **kw)
+        flow_orbit_integral(eta, UPoly({2: -1.0, 3: np.nan}, 12), (GOLDEN,),
+                            0.03, th0, **kw)
 
 
 def test_flow_inverse_solves_derivative_equation():
