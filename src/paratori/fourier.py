@@ -543,9 +543,10 @@ def eval_stack(coeffs, theta=None):
     to its occupied band, the smallest centred box |k|_inf <= K that holds
     every nonzero coefficient (only exact zeros are dropped).  Each axis
     takes the batch's mode basis up to K, built once per batch however
-    many stacks are evaluated on it, and the stack is contracted against
-    it one axis at a time, so a dim-0 stack is its constants on every
-    point.
+    many stacks are evaluated on it.  Every point shares the first axis's
+    basis, so that axis is one matrix product, (m, ..., 2K+1) @ (2K+1,
+    points); each later axis is contracted point by point against its
+    own basis.  A dim-0 stack is its constants on every point.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     dim = coeffs.ndim - 1
@@ -556,8 +557,12 @@ def eval_stack(coeffs, theta=None):
     cut = coeffs.shape[-1] // 2 if dim else 0
     band = int(np.abs(np.argwhere(coeffs)[:, 1:] - cut).max(initial=0))
     vals = coeffs[(slice(None),) + (slice(cut - band, cut + band + 1),) * dim]
-    vals = vals[:, None]
-    for a in range(dim):
+    if dim:
+        vals = np.moveaxis(np.moveaxis(vals, 1, -1) @ angles.basis(0, band),
+                           -1, 1)
+    else:
+        vals = vals[:, None]
+    for a in range(1, dim):
         vals = np.einsum("ib,mbi...->mb...", angles.basis(a, band), vals)
     vals = np.broadcast_to(vals, (coeffs.shape[0], len(angles.points)))
     return np.array((vals if angles.complex else vals.real).reshape(

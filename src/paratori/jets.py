@@ -31,7 +31,8 @@ differentiated once, not at every substitution.
 
 ``JetStack`` evaluates several jets on one mode box together: one
 ``fourier.eval_stack`` call for all their coefficients, then one u-power
-contraction; ``TFJet.eval_grid`` is its one-jet case.
+contraction per jet, on that jet's own terms; ``TFJet.eval_grid`` is its
+one-jet case.
 
 ``UPoly`` is the scalar-coefficient special case used for normal forms (the
 inner dynamics).  It is kept separate from ``FTPoly`` for its pointwise
@@ -385,8 +386,10 @@ class JetStack:
     """Jets on one mode box, evaluated together.
 
     Their coefficients are stacked once, so each evaluation makes one
-    ``eval_stack`` call (one mode basis for the angle batch) and one
-    contraction with a u-power matrix that keeps each jet's terms apart.
+    ``eval_stack`` call (one mode basis for the angle batch).  Each jet's
+    terms are a contiguous slice of the stack, and each jet is contracted
+    with the u-powers of its own slice alone: one batched matrix product
+    per jet.
     """
 
     def __init__(self, jets):
@@ -394,8 +397,8 @@ class JetStack:
         # the distinct orders, and the one of each stacked term
         self.powers, self.order_of = np.unique(np.array(orders, dtype=int),
                                                return_inverse=True)
-        owner = np.repeat(np.arange(len(jets)), [len(j.terms) for j in jets])
-        self.select = (owner == np.arange(len(jets))[:, None]).astype(float)
+        ends = np.cumsum([len(j.terms) for j in jets])
+        self.slices = [slice(e - len(j.terms), e) for e, j in zip(ends, jets)]
 
     def eval_grid(self, u_values, theta_points=None):
         """Values of every jet on the product of a u-array and a batch of
@@ -414,10 +417,14 @@ class JetStack:
         lead = u.ndim - 1
         vals = eval_stack(self.coeffs, theta_points)
         batch = vals.shape[1 + lead:]
-        vals = np.moveaxis(vals.reshape(vals.shape[:1 + lead] + (-1,)), 0, -2)
-        select = self.select.reshape((len(self.select),) + (1,) * u.ndim + (-1,))
-        u_pow = select * (u[..., None] ** self.powers)[..., self.order_of]
-        return (u_pow @ vals).reshape(u_pow.shape[:-1] + batch)
+        vals = np.moveaxis(vals.reshape(vals.shape[:1 + lead]
+                                        + (math.prod(batch),)), 0, -2)
+        u_pow = (u[..., None] ** self.powers)[..., self.order_of]
+        out = np.empty((len(self.slices),) + u.shape + vals.shape[-1:],
+                       dtype=np.result_type(u_pow, vals))
+        for jet, terms in zip(out, self.slices):   # a zero jet sums no term
+            np.matmul(u_pow[..., terms], vals[..., terms, :], out=jet)
+        return out.reshape(out.shape[:1 + u.ndim] + batch)
 
 
 # ----- substitution with its angle-argument Taylor expansion -----------------

@@ -73,6 +73,41 @@ def test_eval_grid_matches_per_coefficient_sums():
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("complex_inputs", [False, True],
+                         ids=["real", "complex"])
+def test_jet_stack_contracts_each_jet_on_its_own_terms(complex_inputs):
+    # a block of orbit steps: u of shape (steps, rows), each step with its
+    # own angles of shape (steps, points, dim); jets of 3, 0, 1 and 2 terms
+    # (the zero jet in the middle) give every jet its own values, and real
+    # u and angles a real result
+    rng = np.random.default_rng(11)
+    dim, cut, trunc = 2, 3, 6
+    stack = [TFJet(dim, cut, trunc, {n: dense_series(rng, dim, cut)
+                                     for n in (1, 2, 6)}),
+             TFJet(dim, cut, trunc),
+             TFJet(dim, cut, trunc, {3: dense_series(rng, dim, cut)}),
+             TFJet(dim, cut, trunc, {0: dense_series(rng, dim, cut),
+                                     4: dense_series(rng, dim, cut)})]
+    u = rng.uniform(0.1, 0.6, (4, 3))
+    theta = rng.random((4, 5, dim))
+    if complex_inputs:
+        u = u * np.exp(1j * rng.uniform(-0.5, 0.5, u.shape))
+        theta = theta + 1e-3j * rng.uniform(-1, 1, theta.shape)
+    got = JetStack(stack).eval_grid(u, theta)
+    assert got.shape == (4, 4, 3, 5)
+    assert np.iscomplexobj(got) == complex_inputs
+    assert not got[1].any()
+    for row, jet in zip(got, stack):
+        own = jet.eval_grid(u, theta)
+        assert own.dtype == row.dtype
+        assert np.max(np.abs(row - own)) <= 1e-14 * np.max(np.abs(own),
+                                                             initial=0.0)
+        want = sum(u[..., None] ** n * mode_sum(s, theta)[:, None]
+                   for n, s in jet.terms.items())
+        scale = sum(s.coeff_norm() for s in jet.terms.values())
+        assert np.max(np.abs(row - want)) <= 1e-13 * scale
+
+
 def test_jet_compose_inner_numeric():
     cut, trunc = 4, 8
     osc = FourierSeries.from_modes({(1,): 0.25}, 1, cut)

@@ -50,6 +50,92 @@ def test_iterates_leave_an_oversized_sector():
         sector_iterate_check(R, Sector(np.pi / 2, 0.99, 2), 0.5, 50)
     u0, j = ei.value.witness
     assert abs(u0) <= 0.99 and j >= 0
+    assert (str(ei.value), ei.value.witness) == sector_step_at_a_time(
+        R, Sector(np.pi / 2, 0.99, 2), 0.5, 50, (20, 20))
+
+
+def sector_step_at_a_time(inner, sector, mu, n_iter, grid_shape):
+    """The sector check one iterate at a time: (min_slack, max_slack), or
+    (message, witness) of the first failing iterate."""
+    k = sector.k
+    u0 = sector.grid(*grid_shape).ravel()
+    r0 = np.abs(u0)
+    z = u0.copy()
+    lo, hi = np.inf, -np.inf
+    for j in range(n_iter + 1):
+        inside = sector.contains(z, slack=1e-15)
+        if j and not inside.all():
+            i = int(np.argmin(inside))
+            return ("iterate %d of %s left the sector" % (j, u0[i]),
+                    (complex(u0[i]), j))
+        bound = r0 / (1.0 + j * mu * r0 ** (k - 1)) ** (1.0 / (k - 1))
+        slack = bound - np.abs(z)
+        worst = float(slack.min())
+        if worst < -1e-13 * r0.max():
+            i = int(np.argmin(slack))
+            return ("decay bound violated at iterate %d of %s by %.3e"
+                    % (j, u0[i], -worst), (complex(u0[i]), j))
+        lo, hi = min(lo, worst), max(hi, float(slack.max()))
+        z = inner(z)
+    return lo, hi
+
+
+@pytest.mark.parametrize("inner,sector,mu", [
+    (R, Sector(np.pi / 2, 0.05, 2), 0.5),
+    (UPoly({1: 1.0, 2: -1.0, 3: -0.73}, 12), Sector(np.pi / 2, 0.02, 2), 0.5),
+    (UPoly({1: 1.0, 3: -1.0}, 12), Sector(0.7, 0.5, 3), 0.3),
+])
+def test_blocked_sector_check_keeps_every_slack(inner, sector, mu):
+    # 400 points take blocks of QUAD_CHUNK // 400 = 5 iterates, and the
+    # 1001 iterates 0..1000 leave a last block of one
+    assert 1001 % (QUAD_CHUNK // 400) == 1
+    rep = sector_iterate_check(inner, sector, mu, 1000, grid_shape=(20, 20))
+    want = sector_step_at_a_time(inner, sector, mu, 1000, (20, 20))
+    assert (rep["min_slack"], rep["max_slack"]) == want
+    assert rep["points"] == 400 and rep["iterations"] == 1000
+
+
+class Kicked(UPoly):
+    """R, except that its ``j``-th call multiplies the value at each start
+    index ``i`` by ``kicks[i]``: iterate j of those starts is moved."""
+
+    def __init__(self, j, kicks):
+        super().__init__(R.terms, R.trunc)
+        self.j, self.kicks, self.calls = j, kicks, 0
+
+    def __call__(self, u):
+        out = super().__call__(u)
+        self.calls += 1
+        if self.calls == self.j:
+            for i, kick in self.kicks.items():
+                out[i] *= kick
+        return out
+
+
+TURN, GROW = np.exp(1j * np.pi / 2), 1.5   # out of the sector, off the bound
+
+
+@pytest.mark.parametrize("j,kicks", [
+    (1, {17: TURN}),            # in the first block
+    (7, {3: TURN}),             # inside the second block
+    (7, {3: GROW}),
+    (10, {3: GROW, 250: TURN}),  # both at the first iterate of a block
+    (12, {3: GROW, 40: GROW}),  # the larger violation is the witness
+    (1000, {5: GROW}),          # the last block, of one iterate
+    (999, {5: TURN}),
+])
+def test_blocked_sector_check_fails_where_a_step_at_a_time_check_does(j,
+                                                                       kicks):
+    # a start kicked out of the sector or off the decay bound at iterate j
+    # raises with the message and witness of a check of one iterate at a
+    # time, in whichever block the iterate falls (blocks of 5 iterates)
+    sector = Sector(np.pi / 2, 0.05, 2)
+    want = sector_step_at_a_time(Kicked(j, kicks), sector, 0.5, 1000, (20, 20))
+    assert want[1][1] == j
+    with pytest.raises(BoundViolated) as ei:
+        sector_iterate_check(Kicked(j, kicks), sector, 0.5, 1000,
+                             grid_shape=(20, 20))
+    assert (str(ei.value), ei.value.witness) == want
 
 
 def test_decay_rate_must_be_admissible():
@@ -372,22 +458,14 @@ def test_flow_integral_oracle():
 def test_flow_integral_matches_a_closed_form_trajectory(m, u0):
     # velocity -u^2 has the trajectory u0/(1 + s u0), so the integral of
     # u^3 (1 + 0.2 sin 2 pi m theta) along it is u0^2/2 plus an oscillatory
-    # integral that mpmath evaluates without any ODE solver; at m = 20 a
+    # integral in closed form, without any ODE solver; at m = 20 a
     # half-period panel of omega holds 12 periods of eta, more than one
     # 15-point rule resolves, so only the panel refinement meets tol
     th0, tol = 0.7, 1e-10
     eta = lambda u, th: u ** 3 * (1.0 + 0.2 * np.sin(2 * np.pi * m * th[0]))
     got = flow_orbit_integral(eta, UPoly({2: -1.0}, 12), (GOLDEN,), u0,
                               np.array([th0]), eta_order=3, mu=0.5, tol=tol)
-    with mpmath.workdps(30):
-        z0 = mpmath.mpmathify(u0)
-        w = 2 * mpmath.pi * m * mpmath.mpf(GOLDEN)
-        osc = mpmath.quadosc(
-            lambda s: (z0 / (1 + s * z0)) ** 3
-            * mpmath.sin(2 * mpmath.pi * m * mpmath.mpf(th0) + w * s),
-            [0, mpmath.inf], omega=w)
-        want = complex(z0 ** 2 / 2 + osc / 5)
-    assert abs(got - want) <= tol
+    assert abs(got - one_mode_closed_form(m, "sin", u0, th0)) <= tol
 
 
 def test_gauss_kronrod_rule():
@@ -441,16 +519,23 @@ def test_flow_quadrature_limits(monkeypatch):
 
 def one_mode_closed_form(m, trig, u0, th0):
     """The integral of u^3 (1 + 0.2 trig(2 pi m theta)) along the trajectory
-    u0 / (1 + s u0) of velocity -u^2, with theta = th0 + s * GOLDEN: u0^2 / 2
-    plus an oscillatory integral that mpmath evaluates."""
-    with mpmath.workdps(30):
-        z0 = mpmath.mpmathify(u0)
+    u0 / (1 + s u0) of velocity -u^2, with theta = th0 + s * GOLDEN, in
+    closed form at 20 digits.  With a = 1 / u0 the integrand is
+    (1 + 0.2 trig(phi + w s)) / (s + a)^3, phi = 2 pi m th0 and
+    w = 2 pi m GOLDEN; the integral of e^{i v s} / (s + a)^3 over s >= 0 is
+    J(v) = e^{-i v a} E_3(-i v a) / a^2 (the exponential integral E_n,
+    continued from real a > 0).  Writing trig through e^{+-i(phi + w s)},
+    the integral is a^-2 / 2 plus 0.2 times e^{i phi} J(w) and
+    e^{-i phi} J(-w) combined as trig combines them."""
+    with mpmath.workdps(20):
+        a = 1 / mpmath.mpmathify(u0)
         w = 2 * mpmath.pi * m * mpmath.mpf(GOLDEN)
-        osc = mpmath.quadosc(
-            lambda s: (z0 / (1 + s * z0)) ** 3
-            * getattr(mpmath, trig)(2 * mpmath.pi * m * mpmath.mpf(th0) + w * s),
-            [0, mpmath.inf], omega=w)
-        return complex(z0 ** 2 / 2 + osc / 5)
+        phase = mpmath.expj(2 * mpmath.pi * m * mpmath.mpf(th0))
+        up, down = (mpmath.expj(-v * a) * mpmath.expint(3, -1j * v * a) / a ** 2
+                    for v in (w, -w))
+        osc = ((phase * up - down / phase) / 2j if trig == "sin"
+               else (phase * up + down / phase) / 2)
+        return complex(1 / (2 * a ** 2) + osc / 5)
 
 
 @pytest.mark.parametrize("trig", ["sin", "cos"])

@@ -25,10 +25,15 @@ checkouts whose arithmetic agrees.
 and how many differ in values: JSON files parsed and compared with ``==``,
 CSV files cell by cell, each cell parsed as a JSON number where it is one
 (``NaN`` equals ``NaN`` there).  A file present in one tree only differs in
-both.  It names every file that differs in values.
+both.  It names every file that differs in values, with the largest
+relative difference |a - b| / max(|a|, |b|) among its numbers and where it
+occurs: a JSON path such as ``$.residuals.pair.components[1].slope``, or a
+CSV cell as its line and column, counted from 1.  A difference in anything
+but the value of a number (a string, a key, a length) counts as infinite.
 """
 
 import json
+import math
 import os
 import sys
 
@@ -134,8 +139,47 @@ def _files(root):
             for d, _, names in os.walk(root) for f in names}
 
 
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _moves(a, b, path=()):
+    """(relative difference, path) of each place where two parsed values
+    differ, the path a tuple of keys and indices; a difference that is not
+    between two numbers is infinite."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for key in sorted(a):
+            yield from _moves(a[key], b[key], path + (key,))
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _moves(x, y, path + (i,))
+    elif _number(a) and _number(b):
+        if a != b:
+            yield abs(a - b) / max(abs(a), abs(b)), path
+    elif a != b:
+        yield math.inf, path
+
+
+def _where(name, path):
+    if name.endswith(".csv") and path:
+        return ", ".join("%s %d" % (what, i + 1)
+                         for what, i in zip(("line", "column"), path))
+    return "$" + "".join("[%d]" % key if isinstance(key, int) else "." + key
+                         for key in path)
+
+
+def largest_move(name, a, b):
+    """The largest relative difference between two parsed artifacts and
+    where it occurs, or None when their values are equal."""
+    move = max(_moves(a, b), key=lambda m: m[0], default=None)
+    if move is None:
+        return None
+    return move[0], _where(name, move[1])
+
+
 def compare_trees(a, b):
-    """Print the numbers of files that differ in bytes and in values."""
+    """Print the numbers of files that differ in bytes and in values, and
+    the largest relative move in each file that differs in values."""
     in_bytes, in_values = 0, []
     for name in sorted(_files(a) | _files(b)):
         pa, pb = os.path.join(a, name), os.path.join(b, name)
@@ -147,8 +191,10 @@ def compare_trees(a, b):
             if fa.read() == fb.read():
                 continue
         in_bytes += 1
-        if _values(pa) != _values(pb):
-            in_values.append(name)
+        move = largest_move(name, _values(pa), _values(pb))
+        if move:
+            in_values.append("%s (largest relative difference %.3g at %s)"
+                             % ((name,) + move))
     for name in in_values:
         print("differs in values:", name)
     print("files that differ in bytes: %d" % in_bytes)
