@@ -55,10 +55,13 @@ coefficient, and evaluated at a batch of angles against one mode basis per
 axis, built from powers of e^{2 pi i theta} up to that band: one
 exponential per point for real angles (the negative modes are its
 conjugate powers), none at band 0.  ``FourierSeries.eval`` is its one-row
-case.  A term table whose series carry a few low modes on a large box is
-evaluated on those modes alone.  An ``AngleBatch`` keeps the bases of its
-angles, so every stack evaluated on one batch shares them; a lower band
-takes the central rows of a basis, bit for bit its own basis.
+case; a stack evaluated many times is cut to its band once, when it is
+built (``jets.JetStack``, ``mapdata.TableStack``).  A row's values are the
+same in every stack it is evaluated in.  A term table whose series carry
+a few low modes on a large box is evaluated on those modes alone.  An
+``AngleBatch`` keeps the bases of its angles, so every stack evaluated on
+one batch shares them; a lower band takes the central rows of a basis, bit
+for bit its own basis.
 """
 
 import functools
@@ -540,23 +543,44 @@ def eval_stack(coeffs, theta=None):
     ``theta`` has shape (..., dim), None being the one point of dim 0, or
     is an ``AngleBatch`` of dim axes.  Returns shape (m,) + batch, real for
     real angles and complex for complexified ones.  The stack is first cut
-    to its occupied band, the smallest centred box |k|_inf <= K that holds
-    every nonzero coefficient (only exact zeros are dropped).  Each axis
-    takes the batch's mode basis up to K, built once per batch however
-    many stacks are evaluated on it.  Every point shares the first axis's
-    basis, so that axis is one matrix product, (m, ..., 2K+1) @ (2K+1,
-    points); each later axis is contracted point by point against its
-    own basis.  A dim-0 stack is its constants on every point.
+    to its occupied band (``_to_band``), then evaluated on it
+    (``_eval_band``); a stack that is evaluated many times
+    (``jets.JetStack``, ``mapdata.TableStack``) is cut once, when it is
+    built, and calls ``_eval_band`` alone.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
+    return _eval_band(_to_band(np.asarray(coeffs, dtype=complex)), theta)
+
+
+def _to_band(coeffs):
+    """A complex stack of m coefficient boxes cut to its occupied band, the
+    smallest centred box |k|_inf <= K that holds every nonzero coefficient
+    (only exact zeros are dropped): a view of shape (m,) + (2K+1,)*dim."""
     dim = coeffs.ndim - 1
+    cut = coeffs.shape[-1] // 2 if dim else 0
+    band = int(np.abs(np.argwhere(coeffs)[:, 1:] - cut).max(initial=0))
+    return coeffs[(slice(None),) + (slice(cut - band, cut + band + 1),) * dim]
+
+
+def _eval_band(vals, theta):
+    """``eval_stack`` of a stack already cut to its band: its box is the
+    band K.  Each axis takes the batch's mode basis up to K, built once per
+    batch however many stacks are evaluated on it.  Every point shares the
+    first axis's basis, so that axis is one matrix product, (m, ..., 2K+1)
+    @ (2K+1, points); each later axis is contracted point by point against
+    its own basis.  A dim-0 stack is its constants on every point.
+
+    A row's values do not depend on the other rows of its stack: numpy
+    hands a product of one row to BLAS's matrix-vector kernel, which rounds
+    differently from the matrix kernel, so a stack of one row on one axis
+    is evaluated with a zero row under it."""
+    m, dim = len(vals), vals.ndim - 1
     angles = theta if isinstance(theta, AngleBatch) else AngleBatch(theta, dim)
     if angles.dim != dim:
         raise DimensionMismatch("a batch of angles on a %d-torus for series "
                                 "on a %d-torus" % (angles.dim, dim))
-    cut = coeffs.shape[-1] // 2 if dim else 0
-    band = int(np.abs(np.argwhere(coeffs)[:, 1:] - cut).max(initial=0))
-    vals = coeffs[(slice(None),) + (slice(cut - band, cut + band + 1),) * dim]
+    band = vals.shape[-1] // 2 if dim else 0
+    if dim == 1 and m == 1:
+        vals = np.concatenate([vals, np.zeros_like(vals)])
     if dim:
         vals = np.moveaxis(np.moveaxis(vals, 1, -1) @ angles.basis(0, band),
                            -1, 1)
@@ -564,9 +588,9 @@ def eval_stack(coeffs, theta=None):
         vals = vals[:, None]
     for a in range(1, dim):
         vals = np.einsum("ib,mbi...->mb...", angles.basis(a, band), vals)
-    vals = np.broadcast_to(vals, (coeffs.shape[0], len(angles.points)))
+    vals = np.broadcast_to(vals[:m], (m, len(angles.points)))
     return np.array((vals if angles.complex else vals.real).reshape(
-        (coeffs.shape[0],) + angles.batch))
+        (m,) + angles.batch))
 
 
 def on_box(s, dim, cut, what="coefficient"):

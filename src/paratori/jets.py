@@ -29,10 +29,11 @@ and one by their py^m.  Every series keeps the angle derivatives asked
 of it (``FourierSeries.derivatives``), so the tables of a solve are
 differentiated once, not at every substitution.
 
-``JetStack`` evaluates several jets on one mode box together: one
-``fourier.eval_stack`` call for all their coefficients, then one u-power
-contraction per jet, on that jet's own terms; ``TFJet.eval_grid`` is its
-one-jet case.
+``JetStack`` evaluates several jets on one mode box together: their
+coefficients are stacked and cut to their occupied band once, each
+evaluation is one ``fourier._eval_band`` call for all of them, then one
+u-power contraction per jet, on that jet's own terms; ``TFJet.eval_grid``
+is its one-jet case.
 
 ``UPoly`` is the scalar-coefficient special case used for normal forms (the
 inner dynamics).  It is kept separate from ``FTPoly`` for its pointwise
@@ -47,7 +48,11 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, StructureViolation
-from .fourier import FourierSeries, _cache_spectra, _products, eval_stack, on_box
+from .fourier import (FourierSeries, _cache_spectra, _eval_band, _products,
+                      _to_band, on_box)
+
+# the dtypes that UPoly evaluates on as they are
+_FLOATS = (np.dtype(float), np.dtype(complex))
 
 
 class UPoly:
@@ -70,13 +75,33 @@ class UPoly:
         return sorted(self.terms)
 
     def __call__(self, u):
+        """sum_n a_n u^n at the points ``u``: an array of u's shape, a float
+        or a complex for a scalar.  A u that is not a float or complex
+        array is converted to one first.
+
+        The terms are added in their order to a sum that starts at zero, as
+        ``0 + a_n u^n + ...``, but in place: each term is one power and one
+        product (u itself for n = 1) and makes no other temporary."""
         u = np.asarray(u)
-        out = np.zeros(u.shape, dtype=np.result_type(u, float))
+        scalar = not u.ndim
+        if scalar or u.dtype not in _FLOATS:
+            u = np.atleast_1d(u).astype(np.result_type(u, float), copy=False)
+        out = None
         for n, a in self.terms.items():
-            out = out + a * u**n
-        if out.ndim:
+            if n == 1:
+                term = np.multiply(a, u)
+            else:
+                term = u**n
+                np.multiply(a, term, out=term)
+            if out is None:
+                out = np.add(term, 0.0, out=term)  # the zero the sum starts at
+            else:
+                np.add(out, term, out=out)
+        if out is None:
+            out = np.zeros_like(u)
+        if not scalar:
             return out
-        return complex(out) if np.iscomplexobj(out) else float(out)
+        return complex(out[0]) if np.iscomplexobj(out) else float(out[0])
 
     def __add__(self, other):
         t = dict(self.terms)
@@ -371,34 +396,38 @@ class TFJet(FTPoly):
 
 
 def stack_coefficients(polys):
-    """The exponents and the coefficient boxes of ``FTPoly``s on one mode
-    box, all stacked on one leading axis in the order of the polys."""
+    """The exponents, the coefficient boxes and the slices of ``FTPoly``s
+    on one mode box: the boxes stacked on one leading axis in the order of
+    the polys and cut to their occupied band (``fourier._to_band``), each
+    poly's terms the contiguous slice of the stack it is given."""
     boxes = {(p.dim, p.cut) for p in polys}
     if len(boxes) != 1:
         raise DimensionMismatch("polynomials on different boxes %s" % boxes)
     ((dim, cut),) = boxes
     keys = [key for p in polys for key in p.terms]
     coeffs = [s.coeffs for p in polys for s in p.terms.values()]
-    return keys, np.reshape(coeffs, (len(keys),) + (2 * cut + 1,) * dim)
+    coeffs = np.reshape(coeffs, (len(keys),) + (2 * cut + 1,) * dim)
+    ends = np.cumsum([len(p.terms) for p in polys])
+    slices = [slice(e - len(p.terms), e) for e, p in zip(ends, polys)]
+    return keys, _to_band(coeffs), slices
 
 
 class JetStack:
     """Jets on one mode box, evaluated together.
 
-    Their coefficients are stacked once, so each evaluation makes one
-    ``eval_stack`` call (one mode basis for the angle batch).  Each jet's
-    terms are a contiguous slice of the stack, and each jet is contracted
-    with the u-powers of its own slice alone: one batched matrix product
-    per jet.
+    Their coefficients are stacked, and the stack cut to its occupied band,
+    once, when the stack is built; each evaluation is then one
+    ``fourier._eval_band`` call (one mode basis for the angle batch).  Each
+    jet's terms are a contiguous slice of the stack, and each jet is
+    contracted with the u-powers of its own slice alone: one batched matrix
+    product per jet.
     """
 
     def __init__(self, jets):
-        orders, self.coeffs = stack_coefficients(jets)
+        orders, self.coeffs, self.slices = stack_coefficients(jets)
         # the distinct orders, and the one of each stacked term
         self.powers, self.order_of = np.unique(np.array(orders, dtype=int),
                                                return_inverse=True)
-        ends = np.cumsum([len(j.terms) for j in jets])
-        self.slices = [slice(e - len(j.terms), e) for e, j in zip(ends, jets)]
 
     def eval_grid(self, u_values, theta_points=None):
         """Values of every jet on the product of a u-array and a batch of
@@ -415,7 +444,7 @@ class JetStack:
         u = np.atleast_1d(np.asarray(u_values))
         u = u.astype(np.result_type(u, float), copy=False)
         lead = u.ndim - 1
-        vals = eval_stack(self.coeffs, theta_points)
+        vals = _eval_band(self.coeffs, theta_points)
         batch = vals.shape[1 + lead:]
         vals = np.moveaxis(vals.reshape(vals.shape[:1 + lead]
                                         + (math.prod(batch),)), 0, -2)

@@ -13,7 +13,11 @@ trajectory integrals step their ODE by its Taylor series
 (``quadrature.trajectory``).  The per-step work of the orbit sums runs
 on blocks of steps: the iterates are stepped one at a time, then the terms
 and the stop rules take the whole block as arrays, each value bit for bit
-what a loop over single steps gives.
+what a loop over single steps gives.  On a block the probe pays per point,
+not per corner or per table: the interpolation is separable (the radius
+and argument corners on the block's rows, then the angle corners on its
+angle points), and the term tables are one stack, evaluated once per angle
+image (``mapdata.TableStack``).
 """
 
 import itertools
@@ -32,6 +36,7 @@ from .errors import (
 )
 from .fourier import AngleBatch, angle_grid
 from .jets import JetStack
+from .mapdata import TableStack
 from .pairs import check_finite
 from .quadrature import QUAD_CHUNK, panel_quadrature, trajectory
 
@@ -465,23 +470,44 @@ def flow_inverse(eta, velocity, freqs, u, theta=None, **kw):
 def _cell(nodes, x):
     """Bracketing node indices (i, j) and weight w of points ``x`` on an
     ascending axis, ``x`` clamped to the axis ends: x = (1-w) x_i + w x_j
-    (i == j and w == 0 on a one-node axis)."""
-    x = np.clip(x, nodes[0], nodes[-1])
-    i = np.clip(np.searchsorted(nodes, x, side="right") - 1,
-                0, max(nodes.size - 2, 0))
-    j = np.minimum(i + 1, nodes.size - 1)
-    span = nodes[j] - nodes[i]
-    w = np.divide(x - nodes[i], span, out=np.zeros_like(x), where=span > 0)
-    return i, j, w
+    (i == j and w == 0 on a one-node axis).  A point beyond an end lies in
+    the end cell, where w is clipped to 0 or 1, the weight of the clamped
+    point."""
+    i = np.searchsorted(nodes, x, side="right")
+    i -= 1
+    np.maximum(i, 0, out=i)
+    np.minimum(i, max(nodes.size - 2, 0), out=i)
+    if nodes.size == 1:
+        return i, i, np.zeros(np.shape(x))
+    low = nodes[i]
+    w = x - low
+    w /= nodes[i + 1] - low
+    np.maximum(w, 0.0, out=w)
+    np.minimum(w, 1.0, out=w)
+    return i, i + 1, w
+
+
+def _corners(sides):
+    """(index, weight) of every corner of the cells that the (lower, upper)
+    sides of some axes span, each side an (offset, weight) pair: a corner's
+    index is the sum of its offsets, its weight the product of its weights
+    in axis order (0 and 1 without an axis)."""
+    for corner in itertools.product(*sides):
+        yield (sum(offset for offset, _ in corner),
+               np.asarray(math.prod(factor for _, factor in corner)))
 
 
 class _GridFunction:
     """Interpolated candidate correction on the sector x torus grid.
 
-    Stores each component's values normalized by u^weight, stacked on a
-    trailing value axis of one (log radius, argument, angles...) table, so
-    a query finds its bracketing cells once for all components, and
-    interpolates multilinearly between the cell corners.  The sector
+    Stores each component's values normalized by u^weight in one table of
+    shape (radius x argument nodes, angle nodes, components), so a query
+    finds its bracketing cells once for all components, and interpolates
+    multilinearly between the cell corners.  The interpolation is
+    separable: the radial and argument factors depend on the row only and
+    the angle factors on the angle point only, so the 4 radius x argument
+    corners are combined on the (steps, rows) array first, and the 2^dim
+    angle corners of that on the (steps, points) array.  The sector
     coordinates are clamped to the grid box (nearest-edge continuation);
     each torus axis carries its node 0 again at angle 1, so the angles
     wrap across 1 -> 0.
@@ -491,16 +517,18 @@ class _GridFunction:
         self.weights = weights
         scaled = np.stack([v / z_flat[:, None] ** w
                            for v, w in zip(values, weights)], axis=-1)
-        pad = scaled.reshape(len(log_r), len(args),
+        pad = scaled.reshape(len(log_r) * len(args),
                              *(len(t) for t in theta_axes), len(weights))
         self.axes = [log_r, args]
         for i, t in enumerate(theta_axes):
-            pad = np.concatenate([pad, pad.take([0], axis=2 + i)], axis=2 + i)
+            pad = np.concatenate([pad, pad.take([0], axis=1 + i)], axis=1 + i)
             self.axes.append(np.concatenate([t, [1.0]]))
-        self.table = pad.reshape(-1, len(weights))
-        # the flat-index stride of each axis of the table
+        self.table = pad.reshape(pad.shape[0], -1, len(weights))
+        # the flat-index stride of each axis, in the radius x argument index
+        # and in the angle index
         sizes = [a.size for a in self.axes]
-        self.strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
+        self.strides = [sizes[1], 1] + [math.prod(sizes[i + 1:])
+                                        for i in range(2, len(sizes))]
 
     def __call__(self, z, pts):
         """Per component, its interpolated values on the rows ``z`` times
@@ -508,21 +536,22 @@ class _GridFunction:
         (steps, points, dim) give (steps, rows, points) arrays.
 
         Each axis's flat-index offsets and weights of its lower and upper
-        node are computed once; a corner's index is the sum of its offsets,
-        and its weight the product of its weights in axis order."""
-        z = np.asarray(z, dtype=complex)[..., None]
+        node are computed once, on the (steps, rows) array for the radius
+        and the argument and on the (steps, points) array for each angle."""
+        z = np.asarray(z, dtype=complex)
         coords = [np.log(np.abs(z)), np.angle(z)]
-        coords += [np.mod(pts[..., None, :, a], 1.0)
-                   for a in range(pts.shape[-1])]
+        coords += [np.mod(pts[..., a], 1.0) for a in range(pts.shape[-1])]
         sides = []
         for nodes, x, stride in zip(self.axes, coords, self.strides):
             i, j, w = _cell(nodes, x)
             sides.append(((i * stride, 1.0 - w), (j * stride, w)))
-        vals = 0.0
-        for corner in itertools.product(*sides):
-            index = sum(offset for offset, _ in corner)
-            weight = math.prod(factor for _, factor in corner)
-            vals = vals + weight[..., None] * self.table[index]
+        # (steps, angle nodes, rows, components)
+        near = sum(weight[..., None, None] * self.table[index]
+                   for index, weight in _corners(sides[:2])).swapaxes(1, 2)
+        steps = np.arange(len(near))[:, None]
+        vals = sum(weight[..., None, None] * near[steps, index]
+                   for index, weight in _corners(sides[2:])).swapaxes(1, 2)
+        z = z[..., None]
         return [vals[..., i] * z ** w for i, w in enumerate(self.weights)]
 
 
@@ -553,10 +582,12 @@ def contraction_probe(mp, pair, residual, sector, mu, *, samples, n_iter,
     residual holds a non-finite coefficient.
 
     The undisplaced jets (x, y, the angle tails and the defect tails) are
-    stacked once into a ``JetStack``, and the orbit sums evaluate them, and
-    the whole remainder, on blocks of orbit steps.  The shear and the term
-    tables are evaluated at the two angle images of a block through one
-    ``fourier.AngleBatch`` each, so they share its mode bases.
+    stacked once into a ``JetStack``, and the 1 + d term tables (y and each
+    angle) once into a ``mapdata.TableStack``; the orbit sums evaluate them,
+    and the whole remainder, on blocks of orbit steps.  The shear and the
+    table stack are evaluated at the two angle images of a block through
+    one ``fourier.AngleBatch`` each, so they share its mode bases, and the
+    stack takes one evaluation per image.
 
     The radial band spans [rho / 2, rho]: well below the outer radius the
     weighted quantities sink under double-precision roundoff of the
@@ -595,6 +626,7 @@ def contraction_probe(mp, pair, residual, sector, mu, *, samples, n_iter,
     gx, gy, gt = residual
     defects = [gx.tail(ox), gy.tail(oy)] + [g.tail(ot) for g in gt]
     jets = JetStack([pair.x, pair.y, *pair.tails, *defects])
+    tables = TableStack([mp.y_terms, *mp.theta_terms])
     c_series = mp.shear()
 
     def remainder(z, pts, f):
@@ -603,8 +635,9 @@ def contraction_probe(mp, pair, residual, sector, mu, *, samples, n_iter,
         angle points ``pts``: z of shape (rows,) with pts of shape (points,
         dim), or a block of orbit steps, z of shape (steps, rows) with pts
         of shape (steps, points, dim).  The undisplaced jets take one
-        stacked evaluation, and the shear and the term tables share one
-        mode basis per axis for each of the two angle images."""
+        stacked evaluation, the term tables one stacked evaluation per
+        angle image, and the shear and the tables share one mode basis per
+        axis for each of the two angle images."""
         vals = jets.eval_grid(z, pts)
         kx, ky = vals[0], vals[1]
         base = pts[..., None, :, :] + np.moveaxis(vals[2:2 + d], 0, -1)
@@ -614,13 +647,11 @@ def contraction_probe(mp, pair, residual, sector, mu, *, samples, n_iter,
         defect = dict(zip(comps, vals[2 + d:]))
         c_base = c_series.eval(base)
         c_disp = c_series.eval(disp)
-        out = {"x": ky * (c_disp - c_base) + f["y"] * c_disp + defect["x"],
-               "y": (mp.y_terms.eval(kx + f["x"], ky + f["y"], disp)
-                     - mp.y_terms.eval(kx, ky, base) + defect["y"])}
-        for a in range(d):
-            out["t%d" % a] = (
-                mp.theta_terms[a].eval(kx + f["x"], ky + f["y"], disp)
-                - mp.theta_terms[a].eval(kx, ky, base) + defect["t%d" % a])
+        new = tables.eval(kx + f["x"], ky + f["y"], disp)
+        old = tables.eval(kx, ky, base)
+        out = {"x": ky * (c_disp - c_base) + f["y"] * c_disp + defect["x"]}
+        for c, at_disp, at_base in zip(comps[1:], new, old):
+            out[c] = at_disp - at_base + defect[c]
         return out
 
     def defect_gap(rem_new, rem_prev):

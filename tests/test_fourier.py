@@ -599,3 +599,23 @@ def test_difference_solver_is_linear(scale):
     a = solve_sd_map(h * scale, (GOLDEN,))
     b = solve_sd_map(h, (GOLDEN,)) * scale
     assert (a - b).coeff_norm() < 1e-13
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+@pytest.mark.parametrize("complex_angles", [False, True])
+def test_a_row_evaluates_alike_in_every_stack(dim, complex_angles):
+    # a row's values do not depend on the rows stacked with it: every row,
+    # alone or in any stretch of the stack, gives the whole stack's values
+    # bit for bit, one-row stacks and band 0 included
+    cut = 3
+    rng = np.random.default_rng(40 + dim)
+    theta = rng.random((5, 7, dim))
+    if complex_angles:
+        theta = theta + 2e-3j * rng.uniform(-1, 1, theta.shape)
+    for bands in ((3, 1, 0, 2, 3), (0, 0, 0)):
+        stack = banded_stack(rng, dim, cut, bands)
+        whole = eval_stack(stack, theta)
+        for i in range(len(stack)):
+            for j in range(i + 1, len(stack) + 1):
+                part = eval_stack(stack[i:j], theta)
+                assert part.tobytes() == whole[i:j].tobytes(), (i, j)

@@ -35,6 +35,46 @@ def test_upoly_eval_scalar_and_array():
     assert np.allclose(vals, z - z * z)
 
 
+def upoly_value_by_the_old_loop(p, u):
+    """sum_n a_n u^n as a fresh zero array plus one new array per term."""
+    u = np.asarray(u)
+    out = np.zeros(u.shape, dtype=np.result_type(u, float))
+    for n, a in p.terms.items():
+        out = out + a * u**n
+    if out.ndim:
+        return out
+    return complex(out) if np.iscomplexobj(out) else float(out)
+
+
+def test_upoly_call_keeps_every_bit_of_the_term_by_term_sum():
+    # the in-place evaluation adds the same terms in the same order to a
+    # sum that starts at zero: bit for bit the old loop's values, signed
+    # zeros, infinities and NaNs included, and a float or a complex for a
+    # scalar
+    rng = np.random.default_rng(12)
+    specials = np.array([0.0, -0.0, 1e-310, -2.5, np.inf, -np.inf, np.nan])
+    polys = [UPoly({1: 1.0, 2: -1.0}, 12),
+             UPoly({0: 0.5, 1: 1.0, 2: -6.2, 3: 1.3e-3, 7: 2.5}, 12),
+             UPoly({3: -1.0}, 5), UPoly({0: -2.0}, 4), UPoly({}, 3)]
+    # every complex value of the specials as its real and imaginary part
+    grid = np.empty((7, 7), dtype=complex)
+    grid.real, grid.imag = specials[:, None], specials
+    points = [rng.standard_normal(50) * 0.3,
+              rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)),
+              specials, grid.ravel(), np.arange(-3, 4), 0.3, -0.0,
+              0.2 - 0.1j, complex(-0.0, 0.0), np.float64(-0.7),
+              np.complex128(1j), np.array(0.5), 2]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for p in polys:
+            for u in points:
+                want = upoly_value_by_the_old_loop(p, u)
+                got = p(u)
+                assert type(got) is type(want)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_jet_mul_and_eval_grid():
     cut, trunc = 4, 6
     c1 = FourierSeries.from_modes({(1,): 0.5}, 1, cut)
@@ -106,6 +146,18 @@ def test_jet_stack_contracts_each_jet_on_its_own_terms(complex_inputs):
                    for n, s in jet.terms.items())
         scale = sum(s.coeff_norm() for s in jet.terms.values())
         assert np.max(np.abs(row - want)) <= 1e-13 * scale
+
+
+def test_jet_stack_finds_its_band_once(monkeypatch):
+    # the stack is cut to its occupied band when it is built; evaluating it
+    # searches no band
+    rng = np.random.default_rng(13)
+    jets = [TFJet(1, 4, 6, {n: dense_series(rng, 1, 4) for n in (1, 3)}),
+            TFJet(1, 4, 6, {2: dense_series(rng, 1, 4)})]
+    stack = JetStack(jets)
+    monkeypatch.setattr(np, "argwhere", None)
+    assert stack.eval_grid(np.array([0.1, 0.2]), rng.random((3, 1))).shape == (
+        2, 2, 3)
 
 
 def test_jet_compose_inner_numeric():

@@ -7,9 +7,9 @@ import pytest
 from paratori.applications import (_inverse_change, _pulled_back,
                                    _xy_identity)
 from paratori.errors import StructureViolation
-from paratori.fourier import FourierSeries
+from paratori.fourier import AngleBatch, FourierSeries, on_box
 from paratori.jets import TFJet, UPoly, substitute
-from paratori.mapdata import TaylorFourierMap, XYPoly
+from paratori.mapdata import TableStack, TaylorFourierMap, XYPoly
 from paratori.pairs import ManifoldPair
 
 from conftest import (GOLDEN, dense_series, mode_sum, one_mode, reference_map,
@@ -44,6 +44,62 @@ def test_xypoly_eval_matches_per_coefficient_sums():
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
     point = p.eval(x[0, 0], y[0], ang[0, 0])
     assert type(point) is complex and abs(point - want[0, 0]) <= 1e-13 * scale
+
+
+def stack_tables(rng, dim, cut):
+    """Term tables on one box: several terms with l and m both > 0, a
+    float coefficient, an empty table and one-term tables."""
+    return [XYPoly(dim, cut, 5, {(0, 0): dense_series(rng, dim, cut),
+                                 (2, 1): dense_series(rng, dim, cut),
+                                 (1, 3): 0.75}),
+            XYPoly(dim, cut, 3),
+            XYPoly(dim, cut, 4, {(3, 1): dense_series(rng, dim, cut)}),
+            XYPoly(dim, cut, 2, {(0, 2): -1.25}),
+            XYPoly(dim, cut, 2, {(1, 1): dense_series(rng, dim, cut),
+                                 (2, 0): dense_series(rng, dim, cut)})]
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2])
+@pytest.mark.parametrize("complex_inputs", [False, True],
+                         ids=["real", "complex"])
+def test_table_stack_rows_are_each_tables_own_eval(dim, complex_inputs):
+    # one stacked evaluation per angle batch gives every table bit for bit
+    # its own XYPoly.eval on the same batch, the empty table zeros
+    rng = np.random.default_rng(20 + dim)
+    tables = stack_tables(rng, dim, 3)
+    x = rng.uniform(-0.4, 0.4, (3, 4, 5))
+    y = rng.uniform(-0.4, 0.4, (3, 4, 5))
+    theta = rng.random((3, 4, 5, dim))
+    if complex_inputs:
+        x = x + 1j * rng.uniform(-0.4, 0.4, x.shape)
+        y = y * np.exp(1j * rng.uniform(-1, 1, y.shape))
+        theta = theta + 2e-3j * rng.uniform(-1, 1, theta.shape)
+    batch = AngleBatch(theta, dim)
+    got = TableStack(tables).eval(x, y, batch)
+    assert len(got) == len(tables) and not got[1].any()
+    for row, table in zip(got, tables):
+        own = table.eval(x, y, AngleBatch(theta, dim))
+        assert row.shape == own.shape == (3, 4, 5)
+        assert np.iscomplexobj(row) == complex_inputs
+        assert row.dtype == own.dtype and row.tobytes() == own.tobytes()
+        want = sum((mode_sum(on_box(s, dim, 3), theta) * x**l * y**m
+                    for (l, m), s in table.terms.items()), np.zeros(x.shape))
+        scale = sum(s.coeff_norm() for s in table.terms.values())
+        assert np.max(np.abs(row - want), initial=0.0) <= 1e-13 * scale
+        # a scalar point gives a number
+        point = table.eval(x[0, 0, 0], y[0, 0, 0], theta[0, 0, 0])
+        assert type(point) is (complex if complex_inputs else float)
+        assert abs(point - want[0, 0, 0]) <= 1e-13 * max(scale, 1.0)
+
+
+def test_table_stack_finds_its_band_once(monkeypatch):
+    # the stack is cut to its occupied band when it is built; evaluating it
+    # searches no band
+    rng = np.random.default_rng(7)
+    stack = TableStack(stack_tables(rng, 1, 4))
+    monkeypatch.setattr(np, "argwhere", None)
+    vals = stack.eval(0.1, 0.2, rng.random((6, 1)))
+    assert [v.shape for v in vals] == [(6,)] * 5
 
 
 def test_xypoly_mul_numeric():

@@ -1,11 +1,19 @@
 """Sector geometry, iterate confinement, the right inverse of the transfer
 difference/derivative along the inner dynamics, and the fixed-point probe."""
 
+import importlib.util
+import itertools
+import json
+import math
+import os
+import sys
+
 import mpmath
 import numpy as np
 import pytest
 
 from paratori import operators
+from paratori.cli import main
 from paratori.errors import (BoundViolated, ConfigError, FlowLeftSector,
                              HypothesisViolated, TailNotConverged)
 from paratori.fourier import FourierSeries
@@ -406,6 +414,72 @@ def test_grid_function_clamps_the_sector_and_wraps_the_angles():
                        data[::len(args)], rtol=0, atol=1e-14)
 
 
+def clamped_cell(nodes, x):
+    """Bracketing node indices (i, j) and weight w of points ``x`` clamped
+    to the ends of an ascending axis (i == j and w == 0 on a one-node
+    axis)."""
+    x = np.clip(x, nodes[0], nodes[-1])
+    i = np.clip(np.searchsorted(nodes, x, side="right") - 1,
+                0, max(nodes.size - 2, 0))
+    j = np.minimum(i + 1, nodes.size - 1)
+    span = nodes[j] - nodes[i]
+    w = np.divide(x - nodes[i], span, out=np.zeros_like(x), where=span > 0)
+    return i, j, w
+
+
+def corner_by_corner(f, z, pts):
+    """The interpolation of a _GridFunction ``f`` summed over all
+    2^(2+dim) cell corners on the full (steps, rows, points) broadcast, on
+    the flat (radius, argument, angles...) table, each point clamped to the
+    box before its cell is found: the formula the separable interpolation
+    replaced."""
+    table = f.table.reshape(-1, len(f.weights))
+    sizes = [a.size for a in f.axes]
+    strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
+    z = np.asarray(z, dtype=complex)[..., None]
+    coords = [np.log(np.abs(z)), np.angle(z)]
+    coords += [np.mod(pts[..., None, :, a], 1.0) for a in range(pts.shape[-1])]
+    sides = []
+    for nodes, x, stride in zip(f.axes, coords, strides):
+        i, j, w = clamped_cell(nodes, x)
+        sides.append(((i * stride, 1.0 - w), (j * stride, w)))
+    vals = 0.0
+    for corner in itertools.product(*sides):
+        index = sum(offset for offset, _ in corner)
+        weight = math.prod(factor for _, factor in corner)
+        vals = vals + weight[..., None] * table[index]
+    return [vals[..., i] * z ** w for i, w in enumerate(f.weights)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_separable_interpolation_agrees_with_the_corner_sum(dim):
+    # complex data with weights [1, 3, 0], at points inside the box, clamped
+    # outside its radii and arguments, and at angles across 1 -> 0 and
+    # shifted by whole turns: the separable sum agrees with the sum over
+    # every corner to 1e-15 of the largest value
+    log_r, args, axes, z = probe_grid(dim, samples=(5, 4, 4))
+    rng = np.random.default_rng(15 + dim)
+    n_th = 4 ** dim
+    values = [rng.standard_normal((z.size, n_th))
+              + 1j * rng.standard_normal((z.size, n_th)) for _ in range(3)]
+    weights = [1, 3, 0]
+    f = operators._GridFunction(log_r, args, axes, z, values, weights)
+    inside = np.exp(rng.uniform(log_r[0], log_r[-1], (3, 7))
+                    + 1j * rng.uniform(args[0], args[-1], (3, 7)))
+    outside = np.exp(rng.uniform(log_r[0] - 0.3, log_r[-1] + 0.3, (3, 7))
+                     + 1j * rng.uniform(args[0] - 0.3, args[-1] + 0.3, (3, 7)))
+    last = axes[0][-1]
+    across = rng.uniform(last, 1.0, (3, 5, dim))   # the cell that wraps to 0
+    for zs in (inside, outside):
+        for pts in (rng.random((3, 5, dim)), across,
+                    across + rng.integers(-3, 4, (3, 5, dim))):
+            got = f(zs, pts)
+            want = corner_by_corner(f, zs, pts)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape == (3, 7, 5)
+                assert np.max(np.abs(g - w)) <= 1e-15 * np.max(np.abs(w))
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_grid_function_agrees_with_scipy(dim):
     # the numpy interpolation against SciPy's RegularGridInterpolator on
@@ -724,3 +798,33 @@ def test_probe_contracts_on_reference_map():
     lam = rep["factors"][-1]
     assert rep["banach_estimate"]["distance"] == pytest.approx(
         lam / (1 - lam) * rep["update_norms"][-1], rel=1e-15)
+
+
+ARTIFACTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "tools", "artifacts.py")
+
+
+def test_probe_contracts_on_two_angle_axes(tmp_path, monkeypatch):
+    # the contraction probe on the 2-torus map of tools/artifacts.py, the one
+    # probe whose interpolation and term tables run on two angle axes;
+    # loading that script puts src/ and perfbench/ on sys.path, so the
+    # path is restored afterwards
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("artifacts", ARTIFACTS)
+    artifacts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(artifacts)
+    command, config = artifacts.EXTRA_RUNS["map-2torus-probe"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "operators.json").read_text())["contraction"]
+    assert rep["grid"] == {"radii": 4, "arguments": 3, "angles": 4, "dim": 2}
+    assert all(f < 1 for f in rep["factors"])
+    # values at the corner-by-corner interpolation and one evaluation per
+    # term table: the separable interpolation and the stacked tables may
+    # move them only at rounding level
+    assert rep["factors"] == pytest.approx([0.0104851323415, 0.469243434741],
+                                           rel=1e-6)
+    assert rep["defect_norms"] == pytest.approx(
+        [626.420091608, 10.6081016276, 3.27992493987, 0.994542721704],
+        rel=1e-6)

@@ -11,9 +11,10 @@ runs, at seed 0 on small configs, the CLI problems that no workload runs
 path of the algebra: the one-mode box of an autonomous oscillator, an
 oscillator with one drive angle, helicoure on both branches (the unstable
 one is solved conjugated), hecu with the displayed field, the unstable
-branches of solve-map and solve-flow, and a map on the 2-torus with both
+branches of solve-map and solve-flow, a map on the 2-torus with both
 angles displaced (the one run whose angle expansion differentiates
-polynomials of several terms).  For
+polynomials of several terms), and the contraction probe on that map (the
+one probe on two angle axes).  For
 flow-2torus it also writes ``values.json``: the two trajectory values of
 the benchmark (``perfbench/tasks.trajectory_values`` on the run's pair, at
 the benchmark's tolerance), so the comparison covers the trajectory
@@ -57,6 +58,18 @@ _HELICOURE = {"problem": "helicoure", "n_target": 4,
                                             "modes": {"1": [0.2, 0.0]}},
                                     "0,2": 0.1},
                         "theta_terms": [{"0,1": 3.0, "2,0": 0.25}]}}
+_MAP_2TORUS = {
+    "problem": "custom-map", "n_target": 5,
+    "map": {"cut": 4, "freqs": [0.6180339887498949, 0.41421356237309515],
+            "d": 2, "k": 2, "p": 1,
+            "x_terms": {"0,1": {"const": 1.0,
+                                "modes": {"1,0": [0.05, 0.0]}}},
+            "y_terms": {"2,0": {"const": 6.0,
+                                "modes": {"1,0": [0.5, 0.0],
+                                          "0,1": [0.2, 0.0]}}},
+            "theta_terms": [{"1,0": 1.0},
+                            {"1,0": {"const": 0.5,
+                                     "modes": {"1,1": [0.1, 0.0]}}}]}}
 # name: (command, config) of each CLI problem that no workload runs
 EXTRA_RUNS = {
     "oscillator-dim0": ("oscillator", {"problem": "oscillator", "n_target": 6,
@@ -77,18 +90,11 @@ EXTRA_RUNS = {
     "flow-2torus-unstable": ("solve-flow",
                              dict(make_inputs("flow-2torus", 0)["config"],
                                   branch="unstable")),
-    "map-2torus": ("solve-map", {
-        "problem": "custom-map", "n_target": 5,
-        "map": {"cut": 4, "freqs": [0.6180339887498949, 0.41421356237309515],
-                "d": 2, "k": 2, "p": 1,
-                "x_terms": {"0,1": {"const": 1.0,
-                                    "modes": {"1,0": [0.05, 0.0]}}},
-                "y_terms": {"2,0": {"const": 6.0,
-                                    "modes": {"1,0": [0.5, 0.0],
-                                              "0,1": [0.2, 0.0]}}},
-                "theta_terms": [{"1,0": 1.0},
-                                {"1,0": {"const": 0.5,
-                                         "modes": {"1,1": [0.1, 0.0]}}}]}}),
+    "map-2torus": ("solve-map", _MAP_2TORUS),
+    "map-2torus-probe": ("diagnose-operators", dict(
+        _MAP_2TORUS, sector={"beta": math.pi / 2, "rho": 0.02},
+        diagnostics={"mu": 0.5, "probe": {"samples": [4, 3, 4],
+                                          "n_iter": 3}})),
 }
 
 
