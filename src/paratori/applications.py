@@ -122,20 +122,15 @@ def _xy_identity(dim, cut, deg, which):
 
 
 def _inverse_change(h, deg):
-    """Solve  y = ynew - h(x, y, theta)  for y as a polynomial in (x, ynew)."""
+    """Solve  y = ynew - h(x, y, theta)  for y as a polynomial in (x, ynew)
+    of total degree ``deg``: ``deg`` substitutions from y = ynew, enough
+    since each one fixes one more order (h has no term below degree 2)."""
     dim, cut = h.dim, h.cut
     ynew = _xy_identity(dim, cut, deg, "y")
     xid = _xy_identity(dim, cut, deg, "x")
     Y = ynew
-    for _ in range(deg + 1):
-        Y_next = ynew - h.subst(xid, Y)
-        if all(
-            (Y_next.coefficient(lm) - Y.coefficient(lm)).is_zero(1e-15)
-            for lm in set(Y_next.terms) | set(Y.terms)
-        ):
-            Y = Y_next
-            break
-        Y = Y_next
+    for _ in range(deg):
+        Y = ynew - h.subst(xid, Y)
     return Y
 
 

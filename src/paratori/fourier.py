@@ -53,15 +53,17 @@ Pointwise values come from ``eval_stack``: a stack of coefficient boxes is
 cut to its occupied band, the smallest centred box holding every nonzero
 coefficient, and evaluated at a batch of angles against one mode basis per
 axis, built from powers of e^{2 pi i theta} up to that band: one
-exponential per point for real angles (the negative modes are its
-conjugate powers), none at band 0.  ``FourierSeries.eval`` is its one-row
-case; a stack evaluated many times is cut to its band once, when it is
-built (``jets.JetStack``, ``mapdata.TableStack``).  A row's values are the
-same in every stack it is evaluated in.  A term table whose series carry
-a few low modes on a large box is evaluated on those modes alone.  An
-``AngleBatch`` keeps the bases of its angles, so every stack evaluated on
-one batch shares them; a lower band takes the central rows of a basis, bit
-for bit its own basis.
+exponential per point, real or complexified (the negative modes are the
+conjugates of its powers, or their reciprocals), none at band 0.
+``FourierSeries.eval`` is its one-row case; the stacks of polynomials in
+``jets`` (``JetStack``, ``TableStack``), evaluated many times, are cut to
+their band once, when they are built, and call ``_eval_band`` alone; no
+other module reaches these two.  A row's values are the same in every
+stack it is evaluated in.  A term table whose series carry a few low modes
+on a large box is evaluated on those modes alone.  An ``AngleBatch`` keeps
+the bases of its angles, so every stack evaluated on one batch shares
+them; a lower band takes the central rows of a basis, bit for bit its own
+basis.
 """
 
 import functools
@@ -84,10 +86,6 @@ _REVERSED = slice(None, None, -1)
 
 # the default floor of the divisors a cohomological solve divides by
 SD_FLOOR = 1e-12
-
-
-def _mode_range(cut):
-    return np.arange(-cut, cut + 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,7 +202,7 @@ def _mode_dot(cut, dim, vec):
     for a in range(dim):
         shape = [1] * dim
         shape[a] = 2 * cut + 1
-        out = out + (_mode_range(cut) * vec[a]).reshape(shape)
+        out = out + (np.arange(-cut, cut + 1) * vec[a]).reshape(shape)
     return out
 
 
@@ -300,12 +298,8 @@ class FourierSeries:
     def coeff_norm(self):
         return float(np.sum(np.abs(self.coeffs)))
 
-    def is_zero(self, tol=0.0):
-        """Every coefficient within ``tol`` of zero in modulus (a NaN is
-        never zero)."""
-        if tol == 0.0:
-            return not np.count_nonzero(self.coeffs)
-        return float(np.max(np.abs(self.coeffs))) <= tol
+    def is_zero(self):
+        return not np.count_nonzero(self.coeffs)
 
     # ----- arithmetic ---------------------------------------------------
 
@@ -389,20 +383,6 @@ class FourierSeries:
         vals = eval_stack(self.coeffs[None], theta)[0]
         return vals if vals.ndim else vals.item()
 
-    def values_on_grid(self, n):
-        """Real values on the uniform n-per-axis grid (FFT synthesis)."""
-        if n < 2 * self.cut + 1:
-            raise DimensionMismatch("%d points miss |k| <= %d" % (n, self.cut))
-        big = np.zeros((n,) * self.dim, dtype=complex)
-        picks = [_mode_range(self.cut) % n for _ in range(self.dim)]
-        big[np.ix_(*picks)] = self.coeffs
-        return np.asarray(np.real(np.fft.ifftn(big) * big.size))
-
-    def sup_grid(self, n=None):
-        if n is None:
-            n = max(64, 4 * self.cut + 1)
-        return float(np.max(np.abs(self.values_on_grid(n))))
-
     # ----- interchange --------------------------------------------------
 
     def to_payload(self):
@@ -475,27 +455,22 @@ def _axis_basis(t, cut):
     (2*cut+1, points).  One exponential per point (none at cut 0); the
     higher powers are products of lower ones, pass by pass power n + j =
     power j * power n for j = 1..n, so the table doubles each pass and
-    every power takes the same products whatever the cut: the basis of a
-    lower cut is bit for bit the central rows of this one.  For real t the
-    negative modes are the conjugates of the positive ones, bit for bit
-    what the products of e^{-2 pi i t} give; complex t takes a second
-    exponential per point and doubles its powers the same way."""
+    every power takes the same products whatever the cut.  The negative
+    modes are the conjugates of the positive ones for real t and their
+    reciprocals for complex t, each row from its own positive row, so the
+    basis of a lower cut is bit for bit the central rows of this one."""
     out = np.empty((2 * cut + 1, t.size), dtype=complex)
     out[cut] = 1.0
-    # the modes 0..cut and 0..-cut, each a table of powers from row 0
-    tables = [(out[cut:], TWO_PI_I)]
-    if np.iscomplexobj(t):
-        tables.append((out[cut::-1], -TWO_PI_I))
-    for powers, sign in tables:
-        if cut:
-            powers[1] = np.exp(sign * t)
-        n = 1
-        while n < cut:
-            m = min(n, cut - n)
-            np.multiply(powers[1:m + 1], powers[n], out=powers[n + 1:n + m + 1])
-            n += m
-    if len(tables) == 1:
-        np.conj(out[:cut:-1], out=out[:cut])
+    powers = out[cut:]
+    if cut:
+        powers[1] = np.exp(TWO_PI_I * t)
+    n = 1
+    while n < cut:
+        m = min(n, cut - n)
+        np.multiply(powers[1:m + 1], powers[n], out=powers[n + 1:n + m + 1])
+        n += m
+    negate = np.reciprocal if np.iscomplexobj(t) else np.conj
+    negate(out[:cut:-1], out=out[:cut])
     return out
 
 
@@ -545,7 +520,7 @@ def eval_stack(coeffs, theta=None):
     real angles and complex for complexified ones.  The stack is first cut
     to its occupied band (``_to_band``), then evaluated on it
     (``_eval_band``); a stack that is evaluated many times
-    (``jets.JetStack``, ``mapdata.TableStack``) is cut once, when it is
+    (``jets.JetStack``, ``jets.TableStack``) is cut once, when it is
     built, and calls ``_eval_band`` alone.
     """
     return _eval_band(_to_band(np.asarray(coeffs, dtype=complex)), theta)

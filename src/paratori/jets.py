@@ -29,11 +29,14 @@ and one by their py^m.  Every series keeps the angle derivatives asked
 of it (``FourierSeries.derivatives``), so the tables of a solve are
 differentiated once, not at every substitution.
 
-``JetStack`` evaluates several jets on one mode box together: their
-coefficients are stacked and cut to their occupied band once, each
-evaluation is one ``fourier._eval_band`` call for all of them, then one
-u-power contraction per jet, on that jet's own terms; ``TFJet.eval_grid``
-is its one-jet case.
+Pointwise evaluation of polynomials lives here too, in two stacks that
+share their construction: ``JetStack`` (jets) and ``TableStack`` (term
+tables).  A stack's coefficients are stacked and cut to their occupied
+band once, when it is built; each evaluation is one
+``fourier._eval_band`` call for all of them, then the powers of u, or of
+x and y, from one power routine (``_powers``: a table filled by repeated
+products, gathered per term), contracted with each polynomial's own
+terms.  A polynomial's values do not depend on the others in its stack.
 
 ``UPoly`` is the scalar-coefficient special case used for normal forms (the
 inner dynamics).  It is kept separate from ``FTPoly`` for its pointwise
@@ -380,54 +383,58 @@ class TFJet(FTPoly):
                         for m, a in powers[n].terms.items()))
         return out
 
-    # ----- evaluation -------------------------------------------------------
-
-    def eval_grid(self, u_values, theta_points=None):
-        """Values on the product of a u-array and a batch of angle points:
-        the one-jet case of ``JetStack.eval_grid``.
-
-        Returns shape (len(u),) + batch_shape; complex u or angles give
-        complex values.
-        """
-        return JetStack([self]).eval_grid(u_values, theta_points)[0]
-
     def __repr__(self):
         return "TFJet(orders=%s, trunc=%d)" % (self.orders(), self.trunc)
 
 
-def stack_coefficients(polys):
-    """The exponents, the coefficient boxes and the slices of ``FTPoly``s
-    on one mode box: the boxes stacked on one leading axis in the order of
-    the polys and cut to their occupied band (``fourier._to_band``), each
-    poly's terms the contiguous slice of the stack it is given."""
-    boxes = {(p.dim, p.cut) for p in polys}
-    if len(boxes) != 1:
-        raise DimensionMismatch("polynomials on different boxes %s" % boxes)
-    ((dim, cut),) = boxes
-    keys = [key for p in polys for key in p.terms]
-    coeffs = [s.coeffs for p in polys for s in p.terms.values()]
-    coeffs = np.reshape(coeffs, (len(keys),) + (2 * cut + 1,) * dim)
-    ends = np.cumsum([len(p.terms) for p in polys])
-    slices = [slice(e - len(p.terms), e) for e, p in zip(ends, polys)]
-    return keys, _to_band(coeffs), slices
+# ----- pointwise evaluation --------------------------------------------------
 
 
-class JetStack:
-    """Jets on one mode box, evaluated together.
+class _Stack:
+    """``FTPoly``s on one mode box, evaluated together.
 
-    Their coefficients are stacked, and the stack cut to its occupied band,
-    once, when the stack is built; each evaluation is then one
-    ``fourier._eval_band`` call (one mode basis for the angle batch).  Each
-    jet's terms are a contiguous slice of the stack, and each jet is
-    contracted with the u-powers of its own slice alone: one batched matrix
-    product per jet.
+    Their coefficient boxes are stacked on one leading axis in the order of
+    the polys and cut to their occupied band (``fourier._to_band``) once,
+    when the stack is built, so each evaluation is one
+    ``fourier._eval_band`` call for all of them.  Each poly's terms are the
+    contiguous slice of the stack it is given, and ``exponents`` holds one
+    row per exponent component (n for jets; l and m for term tables), one
+    column per stacked term.
     """
 
-    def __init__(self, jets):
-        orders, self.coeffs, self.slices = stack_coefficients(jets)
-        # the distinct orders, and the one of each stacked term
-        self.powers, self.order_of = np.unique(np.array(orders, dtype=int),
-                                               return_inverse=True)
+    def __init__(self, polys):
+        boxes = {(p.dim, p.cut) for p in polys}
+        if len(boxes) != 1:
+            raise DimensionMismatch("polynomials on different boxes %s" % boxes)
+        ((dim, cut),) = boxes
+        keys = [key for p in polys for key in p.terms]
+        coeffs = [s.coeffs for p in polys for s in p.terms.values()]
+        self.coeffs = _to_band(np.reshape(coeffs, (len(keys),)
+                                          + (2 * cut + 1,) * dim))
+        width = np.size(polys[0]._ZERO)   # 1 for jets, 2 for term tables
+        self.exponents = np.array(keys, dtype=int).reshape(len(keys), width).T
+        ends = np.cumsum([len(p.terms) for p in polys])
+        self.slices = [slice(e - len(p.terms), e) for e, p in zip(ends, polys)]
+
+
+def _powers(x, exponents):
+    """x^e for each of the nonnegative integer ``exponents``, on a new last
+    axis: a table of x^0 .. x^max, each power filled in place by one
+    product x^e = x^(e-1) x, then gathered per term.  An integer x is taken
+    as a float."""
+    x = np.asarray(x)
+    table = np.empty((exponents.max(initial=1) + 1,) + x.shape,
+                     dtype=np.result_type(x, float))
+    table[0], table[1] = 1.0, x
+    for e in range(2, len(table)):
+        np.multiply(table[e - 1], x, out=table[e, ...])
+    return np.moveaxis(table, 0, -1)[..., exponents]
+
+
+class JetStack(_Stack):
+    """Jets on one mode box, evaluated together: each jet is contracted
+    with the u-powers of its own slice alone, one batched matrix product
+    per jet."""
 
     def eval_grid(self, u_values, theta_points=None):
         """Values of every jet on the product of a u-array and a batch of
@@ -437,23 +444,33 @@ class JetStack:
         A u of shape (steps, rows) pairs each step's rows with that step's
         own angle batch, angles of shape (steps,) + batch_shape + (dim,),
         and gives shape (jets, steps, rows) + batch_shape.
-
-        Each power u^n is computed once and gathered for every term of
-        order n.
         """
         u = np.atleast_1d(np.asarray(u_values))
-        u = u.astype(np.result_type(u, float), copy=False)
         lead = u.ndim - 1
         vals = _eval_band(self.coeffs, theta_points)
         batch = vals.shape[1 + lead:]
         vals = np.moveaxis(vals.reshape(vals.shape[:1 + lead]
                                         + (math.prod(batch),)), 0, -2)
-        u_pow = (u[..., None] ** self.powers)[..., self.order_of]
+        u_pow = _powers(u, self.exponents[0])
         out = np.empty((len(self.slices),) + u.shape + vals.shape[-1:],
                        dtype=np.result_type(u_pow, vals))
         for jet, terms in zip(out, self.slices):   # a zero jet sums no term
             np.matmul(u_pow[..., terms], vals[..., terms, :], out=jet)
         return out.reshape(out.shape[:1 + u.ndim] + batch)
+
+
+class TableStack(_Stack):
+    """Term tables (``mapdata.XYPoly``) on one mode box, evaluated
+    together: each table is the sum of its own terms times their x^l y^m."""
+
+    def eval(self, x, y, ang=None):
+        """Every table's values at (x, y, ang), real or complex x, y and
+        angles (an array or a ``fourier.AngleBatch``): a list of arrays of
+        the broadcast shape of x, y and the angle batch, one per table."""
+        vals = np.moveaxis(_eval_band(self.coeffs, ang), 0, -1)
+        l, m = self.exponents
+        terms = vals * _powers(x, l) * _powers(y, m)
+        return [np.sum(terms[..., s], axis=-1) for s in self.slices]
 
 
 # ----- substitution with its angle-argument Taylor expansion -----------------

@@ -10,11 +10,11 @@ frequencies.
 
 Every term table (``x_terms``, ``y_terms``, each ``theta_terms[a]``) is an
 ``XYPoly`` truncated at its own total degree; a coefficient is read with
-``FTPoly.coefficient``, and ``TableStack.eval`` is the one pointwise
-evaluator, of several tables at once; ``XYPoly.eval`` is its one-table case.
-Its arithmetic is the ``jets.FTPoly`` core shared with ``TFJet``, and
-``XYPoly.subst`` is the one-table case of ``jets.substitute``, the same door
-that evaluates term tables at u-jets.  A table is only read at its own
+``FTPoly.coefficient``, and tables are evaluated pointwise, several at
+once, by ``jets.TableStack``.  Its arithmetic is the ``jets.FTPoly`` core
+shared with ``TFJet``, and ``XYPoly.subst`` is the one-table case of
+``jets.substitute``, the same door that evaluates term tables at u-jets.
+This module holds no evaluation of its own.  A table is only read at its own
 degree: whatever computes with it builds an ``XYPoly`` at the degree it
 needs from the table's ``terms``.
 
@@ -30,13 +30,10 @@ shapes: the one change of variables the program runs, the wall model's
 y_new = y + (1 + g(theta)) y^2, belongs to ``applications``.
 """
 
-import numpy as np
-
 from .errors import (ConfigError, DimensionMismatch,
                      NonPositiveLeadingCoefficient, StructureViolation,
                      ZeroLeadingCoefficient)
-from .fourier import _eval_band
-from .jets import FTPoly, stack_coefficients, substitute
+from .jets import FTPoly, substitute
 
 
 class XYPoly(FTPoly):
@@ -69,53 +66,6 @@ class XYPoly(FTPoly):
         (None for none).  The one-table case of ``jets.substitute``.
         """
         return substitute([self.terms], px, py, tails, self.trunc)[0]
-
-    def eval(self, x, y, ang=None):
-        """Pointwise sum_{l,m} s_{lm}(ang) x^l y^m: the one-table case of
-        ``TableStack.eval``.
-
-        Real or complex x, y and angles (an array or a
-        ``fourier.AngleBatch``); returns an array of the broadcast shape of
-        x, y and the angle batch, a number when all are scalars.
-        """
-        out = TableStack([self]).eval(x, y, ang)[0]
-        return out if out.ndim else out.item()
-
-
-class TableStack:
-    """Term tables on one mode box, evaluated together.
-
-    Their coefficients are stacked, and the stack cut to its occupied band,
-    once, when the stack is built (``jets.stack_coefficients``).  Each
-    evaluation is one ``fourier._eval_band`` call for every coefficient of
-    every table, then each table's sum of its own terms times their x^l y^m,
-    from the powers of x and y up to the largest exponents, each multiplied
-    out once.  A row's values do not depend on its stack, so each table's
-    values are bit for bit its own ``XYPoly.eval``.
-    """
-
-    def __init__(self, tables):
-        keys, self.coeffs, self.slices = stack_coefficients(tables)
-        self.l, self.m = np.array(keys, dtype=int).reshape(-1, 2).T
-
-    def eval(self, x, y, ang=None):
-        """Every table's values at (x, y, ang), as ``XYPoly.eval``: a list
-        of arrays, one per table."""
-        vals = np.moveaxis(_eval_band(self.coeffs, ang), 0, -1)
-        terms = vals * _powers(x, self.l) * _powers(y, self.m)
-        return [np.sum(terms[..., s], axis=-1) for s in self.slices]
-
-
-def _powers(x, exponents):
-    """x^e for each of the nonnegative integer ``exponents``, on a new last
-    axis: x^0 = 1 and x^e = x^(e-1) x, each power multiplied out once."""
-    x = np.asarray(x)
-    if not exponents.size:   # an empty table
-        return np.empty(x.shape + (0,), dtype=x.dtype)
-    pows = [np.ones_like(x), x]
-    while len(pows) <= exponents.max():
-        pows.append(pows[-1] * x)
-    return np.stack([pows[e] for e in exponents], axis=-1)
 
 
 class TaylorFourierMap:

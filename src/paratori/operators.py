@@ -17,7 +17,7 @@ what a loop over single steps gives.  On a block the probe pays per point,
 not per corner or per table: the interpolation is separable (the radius
 and argument corners on the block's rows, then the angle corners on its
 angle points), and the term tables are one stack, evaluated once per angle
-image (``mapdata.TableStack``).
+image (``jets.TableStack``).
 """
 
 import itertools
@@ -35,8 +35,7 @@ from .errors import (
     TailNotConverged,
 )
 from .fourier import AngleBatch, angle_grid
-from .jets import JetStack
-from .mapdata import TableStack
+from .jets import JetStack, TableStack
 from .pairs import check_finite
 from .quadrature import QUAD_CHUNK, panel_quadrature, trajectory
 
@@ -312,8 +311,7 @@ class _AngleModes:
         self.average = kw <= 8 * np.finfo(float).eps * scale
         self.weight = 1.0 / (np.pi * np.where(self.average, np.inf, kw))
         self.upper = (np.abs(k) >= n / 4).any(axis=0)
-        self._cells = np.stack(np.meshgrid(*[np.arange(n) / n] * dim,
-                                           indexing="ij")).reshape(dim, -1)
+        self._cells = angle_grid(dim, np.arange(n) / n).reshape(-1, dim).T
 
     def values(self, zs, shifted=False):
         """eta at the points ``zs`` on the grid, shifted by _GRID_SHIFT
@@ -583,7 +581,7 @@ def contraction_probe(mp, pair, residual, sector, mu, *, samples, n_iter,
 
     The undisplaced jets (x, y, the angle tails and the defect tails) are
     stacked once into a ``JetStack``, and the 1 + d term tables (y and each
-    angle) once into a ``mapdata.TableStack``; the orbit sums evaluate them,
+    angle) once into a ``jets.TableStack``; the orbit sums evaluate them,
     and the whole remainder, on blocks of orbit steps.  The shear and the
     table stack are evaluated at the two angle images of a block through
     one ``fourier.AngleBatch`` each, so they share its mode bases, and the

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fourier import angle_grid
-from .jets import TFJet, UPoly, substitute
+from .jets import JetStack, TFJet, UPoly, substitute
 
 
 def contract_orders(family, n, k=None, p=None, d=0):
@@ -207,6 +207,7 @@ def residual_report(pair, residual, u_lo=1e-3, u_hi=1e-2, n_u=9, n_grid=24):
     ``annihilated_max``, to be compared against ``scale``), and the tail is
     evaluated on a u-geometric grid times an angle grid to fit a log-log
     slope (reported as ``slope``; None when the tail is identically zero).
+    The 2 + d tails are evaluated together, in one ``jets.JetStack``.
     A non-finite coefficient at any order is refused first (``check_finite``).
     """
     check_finite(residual)
@@ -214,30 +215,21 @@ def residual_report(pair, residual, u_lo=1e-3, u_hi=1e-2, n_u=9, n_grid=24):
     mesh = angle_grid(pair.dim, np.arange(n_grid) / n_grid)
     scale = pair.size()
 
+    named = named_components(residual, pair.contract_orders())
+    tails = [jet.tail(exp_order) for _, jet, exp_order in named]
+    vals = JetStack(tails).eval_grid(u, mesh)
+    sups = np.max(np.abs(vals.reshape(len(tails), u.size, -1)), axis=2)
     comps = []
-    for name, jet, exp_order in named_components(residual,
-                                                 pair.contract_orders()):
-        ann = 0.0
-        for n in jet.orders():
-            if n < exp_order:
-                ann = max(ann, jet.coefficient(n).coeff_norm())
-        tail = jet.tail(exp_order)
-        if tail.is_zero():
-            comps.append({
-                "name": name, "expected_order": exp_order, "slope": None,
-                "annihilated_max": ann, "scale": scale, "exact": True,
-                "sups": np.zeros_like(u),
-            })
-            continue
-        vals = tail.eval_grid(u, mesh)
-        sups = np.max(np.abs(vals.reshape(u.size, -1)), axis=1)
-        good = sups > 0
+    for (name, jet, exp_order), tail, sup in zip(named, tails, sups):
+        ann = max([0.0] + [s.coeff_norm() for n, s in jet.terms.items()
+                           if n < exp_order])
+        good = sup > 0
         slope = None
         if np.count_nonzero(good) >= 2:
-            slope = float(np.polyfit(np.log(u[good]), np.log(sups[good]), 1)[0])
+            slope = float(np.polyfit(np.log(u[good]), np.log(sup[good]), 1)[0])
         comps.append({
             "name": name, "expected_order": exp_order, "slope": slope,
-            "annihilated_max": ann, "scale": scale, "exact": False,
-            "sups": sups,
+            "annihilated_max": ann, "scale": scale, "exact": tail.is_zero(),
+            "sups": sup,
         })
     return ResidualReport(u, comps)

@@ -7,6 +7,8 @@ plus the launchers that the subprocess tests share, the two pointwise
 oracles of the right-inverse identities (``transfer_difference``,
 ``drift_derivative``), which no program code needs, the per-mode
 reference sum (``mode_sum``) that pointwise evaluation is checked against,
+the grid values and grid sup norm of a series by FFT synthesis
+(``values_on_grid``, ``sup_grid``),
 ``solve_history``, a power-class solve that keeps the pair of every
 order for the residual-slope tests, and the session fixtures that share
 one solve between tests.
@@ -20,7 +22,9 @@ import numpy as np
 import pytest
 
 import paratori
+from paratori.errors import DimensionMismatch
 from paratori.fourier import FourierSeries
+from paratori.jets import TableStack
 from paratori.map_solver import (extend_order, init_order2, power_seed,
                                  solve_to_order)
 from paratori.mapdata import TaylorFourierMap
@@ -93,10 +97,29 @@ def mode_sum(series, theta):
 
 
 def table_values(data, x, y, theta):
-    """Every term table of a map or field at one point, each through
-    ``XYPoly.eval``: [x_terms, y_terms, theta_terms[0], ...]."""
-    return [t.eval(x, y, theta)
-            for t in [data.x_terms, data.y_terms] + data.theta_terms]
+    """Every term table of a map or field at one point, through one
+    ``TableStack``: [x_terms, y_terms, theta_terms[0], ...]."""
+    return TableStack([data.x_terms, data.y_terms]
+                      + data.theta_terms).eval(x, y, theta)
+
+
+def values_on_grid(series, n):
+    """Real values of a series on the uniform n-per-axis grid, by FFT
+    synthesis: shape (n,) * dim."""
+    if n < 2 * series.cut + 1:
+        raise DimensionMismatch("%d points miss |k| <= %d" % (n, series.cut))
+    big = np.zeros((n,) * series.dim, dtype=complex)
+    picks = [np.arange(-series.cut, series.cut + 1) % n] * series.dim
+    big[np.ix_(*picks)] = series.coeffs
+    return np.asarray(np.real(np.fft.ifftn(big) * big.size))
+
+
+def sup_grid(series, n=None):
+    """The grid sup norm of a series: the largest modulus of its
+    ``values_on_grid``, by default on max(64, 4 cut + 1) points per axis."""
+    if n is None:
+        n = max(64, 4 * series.cut + 1)
+    return float(np.max(np.abs(values_on_grid(series, n))))
 
 
 def dense_series(rng, dim, cut):

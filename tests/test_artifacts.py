@@ -1,5 +1,6 @@
 """``tools/artifacts.py --compare`` on small artifact trees: files equal in
-bytes, equal in values only, and moved in values by a known amount."""
+bytes, equal in values only, and moved in values by a known amount, and
+the last line, the largest move over all files."""
 
 import os
 
@@ -28,7 +29,8 @@ def compare(tmp_path, a, b):
 def test_identical_trees(tmp_path):
     files = {"run-0/summary.json": SUMMARY, "run-0/residual.csv": CSV}
     assert compare(tmp_path, files, files) == [
-        "files that differ in bytes: 0", "files that differ in values: 0"]
+        "files that differ in bytes: 0", "files that differ in values: 0",
+        "largest relative difference: none"]
 
 
 def test_a_difference_in_bytes_only(tmp_path):
@@ -39,7 +41,8 @@ def test_a_difference_in_bytes_only(tmp_path):
          "run-0/residual.csv": "u,x_sup,y_sup\n1e-3,1.50e-26,2\n"
                                "0.002,4e-25,3.0\n"}
     assert compare(tmp_path, a, b) == [
-        "files that differ in bytes: 2", "files that differ in values: 0"]
+        "files that differ in bytes: 2", "files that differ in values: 0",
+        "largest relative difference: none"]
 
 
 def test_a_difference_in_values_of_known_size(tmp_path):
@@ -60,4 +63,21 @@ def test_a_difference_in_values_of_known_size(tmp_path):
         "0.2 at line 3, column 2)",
         "differs in values: run-0/summary.json (largest relative difference "
         "8.88e-16 at $.residuals.slopes[1])",
-        "files that differ in bytes: 3", "files that differ in values: 3"]
+        "files that differ in bytes: 3", "files that differ in values: 3",
+        "largest relative difference: inf in run-0/note.json at $.note"]
+
+
+def test_the_last_line_is_the_largest_move_of_all_files(tmp_path):
+    # the largest finite move over all files, with its file and place; a
+    # file in one tree only is an infinite move without a place
+    a = {"run-0/summary.json": SUMMARY, "run-0/residual.csv": CSV}
+    b = {"run-0/summary.json": SUMMARY.replace("9.5", "9.6"),
+         "run-0/residual.csv": CSV.replace("4.0", "5.0")}
+    assert compare(tmp_path, a, b)[-1] == (
+        "largest relative difference: 0.2 in run-0/residual.csv at line 3, "
+        "column 2")
+    b["run-1/summary.json"] = SUMMARY
+    assert compare(tmp_path / "again", a, b)[-4:] == [
+        "differs in values: run-1/summary.json (in one tree only)",
+        "files that differ in bytes: 3", "files that differ in values: 3",
+        "largest relative difference: inf in run-1/summary.json"]

@@ -83,7 +83,7 @@ def test_jet_mul_and_eval_grid():
     prod = a * b
     u = np.array([0.05])
     th = np.array([[0.3]])
-    got = prod.eval_grid(u, th)[0, 0]
+    got = JetStack([prod]).eval_grid(u, th)[0, 0, 0]
     want = (0.05 * np.cos(2 * np.pi * 0.3) + 2.0 * 0.05 ** 2) * 0.05
     assert abs(got - want) < 1e-14
 
@@ -102,14 +102,14 @@ def test_eval_grid_matches_per_coefficient_sums():
         want = sum(np.multiply.outer(u ** n, mode_sum(s, theta))
                    for n, s in jet.terms.items())
         scale = sum(s.coeff_norm() for s in jet.terms.values())
-        got = jet.eval_grid(u, theta)
+        got = JetStack([jet]).eval_grid(u, theta)[0]
         assert got.shape == (3, 4)
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
     zero = TFJet(2, cut, trunc)
     stacked = JetStack([a, zero, b]).eval_grid(u, theta)
     assert stacked.shape == (3, 3, 4) and not stacked[1].any()
     for got, jet in ((stacked[0], a), (stacked[2], b)):
-        want = jet.eval_grid(u, theta)
+        want = JetStack([jet]).eval_grid(u, theta)[0]
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -138,7 +138,7 @@ def test_jet_stack_contracts_each_jet_on_its_own_terms(complex_inputs):
     assert np.iscomplexobj(got) == complex_inputs
     assert not got[1].any()
     for row, jet in zip(got, stack):
-        own = jet.eval_grid(u, theta)
+        own = JetStack([jet]).eval_grid(u, theta)[0]
         assert own.dtype == row.dtype
         assert np.max(np.abs(row - own)) <= 1e-14 * np.max(np.abs(own),
                                                              initial=0.0)
@@ -170,7 +170,7 @@ def test_jet_compose_inner_numeric():
     u, t = 3e-3, 0.62
     ru = r(u)
     want = (1.0 + 0.5 * np.cos(2 * np.pi * t)) * ru ** 2 - 0.5 * ru ** 3
-    got = comp.eval_grid(np.array([u]), np.array([[t]]))[0, 0]
+    got = JetStack([comp]).eval_grid(np.array([u]), np.array([[t]]))[0, 0, 0]
     assert abs(got - want) < 1e-14 + 100 * u ** (trunc + 1)
 
 
@@ -183,7 +183,8 @@ def test_jet_compose_inner_with_angle_shift():
     shifted = jet.compose_inner(r, delta=np.array([GOLDEN]))
     u, t = 1e-2, 0.2
     want = np.cos(2 * np.pi * (t + GOLDEN)) * u ** 2
-    got = shifted.eval_grid(np.array([u]), np.array([[t]]))[0, 0]
+    got = JetStack([shifted]).eval_grid(np.array([u]),
+                                        np.array([[t]]))[0, 0, 0]
     assert abs(got - want) < 1e-13
 
 

@@ -12,7 +12,8 @@ from paratori.flow_solver import solve_flow_to_order, solve_helicoure
 from paratori.map_solver import (extend_order, init_order2, power_seed,
                                  solve_to_order)
 from paratori.ioutil import canonical_json, pair_payload
-from paratori.jets import UPoly
+from paratori.fourier import FourierSeries, angle_grid
+from paratori.jets import JetStack, TFJet, UPoly
 from paratori.mapdata import TaylorFourierMap
 from paratori.pairs import (compare_pairs, named_components, residual_jets,
                             residual_report)
@@ -143,6 +144,41 @@ def test_reference_map_orders_and_slopes(solved_reference):
     assert abs(by_name["theta_0"]["slope"] - 5) < 0.15
     for c in rep.components:
         assert c["annihilated_max"] < 1e-9 * four.size()
+
+
+def banded(jet, band):
+    """A 1-D jet with every coefficient cut to the modes |k| <= band."""
+    keep = np.abs(np.arange(-jet.cut, jet.cut + 1)) <= band
+    return TFJet(jet.dim, jet.cut, jet.trunc,
+                 {n: FourierSeries(s.coeffs * keep) for n, s in jet.terms.items()})
+
+
+@pytest.mark.parametrize("case", ["map-ref", "mixed-bands", "flow-2torus"])
+def test_one_stack_report_is_each_tails_own_stack(solved_reference, case):
+    # residual_report evaluates the 2 + d tails in one JetStack; each
+    # component's sups are bit for bit those of a stack of its tail alone:
+    # on the cut-32 reference map, whose tails fill the box, on its residual
+    # cut to tails of bands 1, 5 and 32, and on a 2-D box
+    if case == "flow-2torus":
+        pair, residual = solve_flow_to_order(reference_flow(), 6)
+    else:
+        _, pair, residual, _ = solved_reference
+    if case == "mixed-bands":
+        (gx, gy, (gt,)) = residual
+        residual = (banded(gx, 1), banded(gy, 5), [banded(gt, 32)])
+    rep = residual_report(pair, residual)
+    mesh = angle_grid(pair.dim, np.arange(24) / 24)
+    named = named_components(residual, pair.contract_orders())
+    bands = []
+    for comp, (name, jet, order) in zip(rep.components, named):
+        alone = JetStack([jet.tail(order)])
+        vals = alone.eval_grid(rep.u_values, mesh)[0]
+        sups = np.max(np.abs(vals.reshape(rep.u_values.size, -1)), axis=1)
+        assert comp["name"] == name and comp["slope"] is not None
+        assert comp["sups"].tobytes() == sups.tobytes()
+        bands.append(alone.coeffs.shape[-1] // 2)
+    assert bands == {"map-ref": [32] * 3, "mixed-bands": [1, 5, 32],
+                     "flow-2torus": [8] * 3}[case]
 
 
 def test_successive_orders_differ_at_the_right_place(solved_reference):

@@ -8,8 +8,8 @@ from paratori.applications import (_inverse_change, _pulled_back,
                                    _xy_identity)
 from paratori.errors import StructureViolation
 from paratori.fourier import AngleBatch, FourierSeries, on_box
-from paratori.jets import TFJet, UPoly, substitute
-from paratori.mapdata import TableStack, TaylorFourierMap, XYPoly
+from paratori.jets import JetStack, TableStack, TFJet, UPoly, substitute
+from paratori.mapdata import TaylorFourierMap, XYPoly
 from paratori.pairs import ManifoldPair
 
 from conftest import (GOLDEN, dense_series, mode_sum, one_mode, reference_map,
@@ -24,12 +24,12 @@ def test_xypoly_eval_and_arithmetic():
     q = p + p.scale(0.5)
     x, y, th = 0.3, -0.2, np.array([0.1])
     want = 1.5 * ((1 + 0.2 * np.cos(2 * np.pi * 0.1)) * x**2 + 3 * y)
-    assert abs(q.eval(x, y, th) - want) < 1e-14
+    assert abs(TableStack([q]).eval(x, y, th)[0] - want) < 1e-14
 
 
 def test_xypoly_eval_matches_per_coefficient_sums():
     # complex x, y and complexified angles against sum s_lm(ang) x^l y^m with
-    # each coefficient summed mode by mode; scalars give a number
+    # each coefficient summed mode by mode; scalars give a 0-d array
     rng = np.random.default_rng(4)
     cut = 6
     p = XYPoly(1, cut, 4, {lm: dense_series(rng, 1, cut)
@@ -39,11 +39,12 @@ def test_xypoly_eval_matches_per_coefficient_sums():
     ang = rng.random((2, 2, 1)) + 1e-3j * rng.uniform(-1, 1, (2, 2, 1))
     want = sum(mode_sum(s, ang) * x**l * y**m for (l, m), s in p.terms.items())
     scale = sum(s.coeff_norm() for s in p.terms.values())
-    got = p.eval(x, y, ang)
+    got = TableStack([p]).eval(x, y, ang)[0]
     assert got.shape == (2, 2)
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
-    point = p.eval(x[0, 0], y[0], ang[0, 0])
-    assert type(point) is complex and abs(point - want[0, 0]) <= 1e-13 * scale
+    (point,) = TableStack([p]).eval(x[0, 0], y[0], ang[0, 0])
+    assert point.shape == () and np.iscomplexobj(point)
+    assert abs(point - want[0, 0]) <= 1e-13 * scale
 
 
 def stack_tables(rng, dim, cut):
@@ -64,7 +65,8 @@ def stack_tables(rng, dim, cut):
                          ids=["real", "complex"])
 def test_table_stack_rows_are_each_tables_own_eval(dim, complex_inputs):
     # one stacked evaluation per angle batch gives every table bit for bit
-    # its own XYPoly.eval on the same batch, the empty table zeros
+    # the values of a stack of it alone on the same batch, the empty table
+    # zeros
     rng = np.random.default_rng(20 + dim)
     tables = stack_tables(rng, dim, 3)
     x = rng.uniform(-0.4, 0.4, (3, 4, 5))
@@ -78,7 +80,7 @@ def test_table_stack_rows_are_each_tables_own_eval(dim, complex_inputs):
     got = TableStack(tables).eval(x, y, batch)
     assert len(got) == len(tables) and not got[1].any()
     for row, table in zip(got, tables):
-        own = table.eval(x, y, AngleBatch(theta, dim))
+        own = TableStack([table]).eval(x, y, AngleBatch(theta, dim))[0]
         assert row.shape == own.shape == (3, 4, 5)
         assert np.iscomplexobj(row) == complex_inputs
         assert row.dtype == own.dtype and row.tobytes() == own.tobytes()
@@ -86,9 +88,10 @@ def test_table_stack_rows_are_each_tables_own_eval(dim, complex_inputs):
                     for (l, m), s in table.terms.items()), np.zeros(x.shape))
         scale = sum(s.coeff_norm() for s in table.terms.values())
         assert np.max(np.abs(row - want), initial=0.0) <= 1e-13 * scale
-        # a scalar point gives a number
-        point = table.eval(x[0, 0, 0], y[0, 0, 0], theta[0, 0, 0])
-        assert type(point) is (complex if complex_inputs else float)
+        # a scalar point gives a 0-d array
+        (point,) = TableStack([table]).eval(x[0, 0, 0], y[0, 0, 0],
+                                            theta[0, 0, 0])
+        assert point.shape == () and np.iscomplexobj(point) == complex_inputs
         assert abs(point - want[0, 0, 0]) <= 1e-13 * max(scale, 1.0)
 
 
@@ -108,14 +111,14 @@ def test_xypoly_mul_numeric():
     b = XYPoly(1, cut, 6, {(1, 1): 1.0, (0, 0): -0.5})
     prod = a * b
     x, y = 0.2, 0.4
-    assert abs(prod.eval(x, y, np.array([0.0]))
-               - a.eval(x, y, np.array([0.0])) * b.eval(x, y, np.array([0.0]))) < 1e-14
+    vals = TableStack([prod, a, b]).eval(x, y, np.array([0.0]))
+    assert abs(vals[0] - vals[1] * vals[2]) < 1e-14
 
 
 def test_xypoly_derivatives():
     q = XYPoly(1, 4, 4, {(1, 0): one_mode(0.0, 1.0, 1, 4)})
     # d/dtheta cos(2 pi theta) at theta = 0.25 is -2 pi
-    got = q.diff_theta(0).eval(1.0, 0.0, np.array([0.25]))
+    (got,) = TableStack([q.diff_theta(0)]).eval(1.0, 0.0, np.array([0.25]))
     assert abs(got + 2 * np.pi) < 1e-12
 
 
@@ -126,10 +129,10 @@ def test_xypoly_subst_numeric():
     py = XYPoly(1, cut, deg, {(0, 1): 1.0, (2, 0): -0.1})
     comp = p.subst(px, py)
     x, y = 0.05, 0.04
-    inner_x = px.eval(x, y, np.array([0.0]))
-    inner_y = py.eval(x, y, np.array([0.0]))
-    direct = p.eval(inner_x, inner_y, np.array([0.0]))
-    assert abs(comp.eval(x, y, np.array([0.0])) - direct) < 1e-10 * max(1, abs(direct))
+    inner_x, inner_y, got = TableStack([px, py, comp]).eval(
+        x, y, np.array([0.0]))
+    (direct,) = TableStack([p]).eval(inner_x, inner_y, np.array([0.0]))
+    assert abs(got - direct) < 1e-10 * max(1, abs(direct))
 
 
 def to_jet(p, jx, jy, tails, trunc):
@@ -147,7 +150,7 @@ def test_xypoly_to_jet_numeric():
     u, t = 1e-2, 0.37
     xv, yv, tv = u**2, -2 * u**3, t - u
     want = (1 + 0.4 * np.cos(2 * np.pi * tv)) * xv**2 + 2 * yv
-    got = jet.eval_grid(np.array([u]), np.array([[t]]))[0, 0]
+    got = JetStack([jet]).eval_grid(np.array([u]), np.array([[t]]))[0, 0, 0]
     assert abs(got - want) < 1e-13 + 100 * u ** (trunc + 1)
 
 
@@ -253,7 +256,8 @@ def test_inverse_change_pullback():
     # y = y_new - y_new^2 + 2 y_new^3 - ... evaluated on the jet
     u = 0.05
     y_new = 0.5 * u**2
-    direct = back.eval_grid(np.array([u]), np.array([[0.0]]))[0, 0]
+    direct = JetStack([back]).eval_grid(np.array([u]),
+                                        np.array([[0.0]]))[0, 0, 0]
     series = y_new - y_new**2 + 2 * y_new**3
     assert abs(direct - series) < 1e-12
 

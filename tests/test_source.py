@@ -79,8 +79,6 @@ def _benchmark_targets():
 # Public definitions that the program does not call but that stay on the
 # package surface, each for the reason given.
 KEPT_UNCALLED = {
-    # the acceptance tests measure residuals in the grid sup norm with it
-    "sup_grid",
     # the paper's right inverse for maps, checked by the acceptance tests
     "orbit_sum_inverse",
 }

@@ -30,7 +30,10 @@ both.  It names every file that differs in values, with the largest
 relative difference |a - b| / max(|a|, |b|) among its numbers and where it
 occurs: a JSON path such as ``$.residuals.pair.components[1].slope``, or a
 CSV cell as its line and column, counted from 1.  A difference in anything
-but the value of a number (a string, a key, a length) counts as infinite.
+but the value of a number (a string, a key, a length) counts as infinite,
+and so does a file in one tree only.  Its last line is the largest of these
+moves over all files, with its file and place, or ``none``: the rounding
+bound of a refactor in one line.
 """
 
 import json
@@ -184,14 +187,15 @@ def largest_move(name, a, b):
 
 
 def compare_trees(a, b):
-    """Print the numbers of files that differ in bytes and in values, and
-    the largest relative move in each file that differs in values."""
-    in_bytes, in_values = 0, []
+    """Print the numbers of files that differ in bytes and in values, the
+    largest relative move in each file that differs in values, and last
+    the largest of them all with its file and place, or none."""
+    in_bytes, moves = 0, []   # (relative move, file, place) per file
     for name in sorted(_files(a) | _files(b)):
         pa, pb = os.path.join(a, name), os.path.join(b, name)
         if not (os.path.isfile(pa) and os.path.isfile(pb)):
             in_bytes += 1
-            in_values.append(name + " (in one tree only)")
+            moves.append((math.inf, name, None))
             continue
         with open(pa, "rb") as fa, open(pb, "rb") as fb:
             if fa.read() == fb.read():
@@ -199,12 +203,19 @@ def compare_trees(a, b):
         in_bytes += 1
         move = largest_move(name, _values(pa), _values(pb))
         if move:
-            in_values.append("%s (largest relative difference %.3g at %s)"
-                             % ((name,) + move))
-    for name in in_values:
-        print("differs in values:", name)
+            moves.append((move[0], name, move[1]))
+    for rel, name, where in moves:
+        print("differs in values: %s (%s)" % (name, "in one tree only"
+              if where is None else "largest relative difference %.3g at %s"
+              % (rel, where)))
     print("files that differ in bytes: %d" % in_bytes)
-    print("files that differ in values: %d" % len(in_values))
+    print("files that differ in values: %d" % len(moves))
+    if not moves:
+        print("largest relative difference: none")
+        return
+    rel, name, where = max(moves, key=lambda move: move[0])
+    print("largest relative difference: %.3g in %s%s"
+          % (rel, name, "" if where is None else " at " + where))
 
 
 if __name__ == "__main__":
