@@ -223,8 +223,6 @@ def _map_from_config(block, kind):
     freqs = _numbers(block.get("freqs"), "freqs")
     d = _number(block.get("d", len(freqs) if kind == "map" else 1), "d", int, 0)
     drive = _number(block.get("drive", 0), "drive", int, 0)
-    if kind == "map" and drive:
-        raise ConfigError("maps take no drive axes; bake forcing into d")
     dim = d + drive
     cut = _cut(block, kind, dim)
     k, p = (None if block.get(key) is None else _number(block[key], key, int)
@@ -526,7 +524,7 @@ def _cmd_compare(args):
             _check_pair_boxes(payload, path)
             try:
                 return pair_from_payload(payload)
-            except ConfigError as err:   # a non-finite number, by place
+            except ConfigError as err:   # an order or a number, by place
                 raise ConfigError("%s: %s" % (path, err), **err.detail)
         except (ValueError, KeyError, TypeError, IndexError, OverflowError,
                 AttributeError, DimensionMismatch) as err:

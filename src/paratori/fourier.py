@@ -442,13 +442,6 @@ class FourierSeries:
         coeffs[mirror[moving]] += np.conj(values[moving])
         return cls(coeffs.reshape((2 * cut + 1,) * dim))
 
-    def __repr__(self):
-        return "FourierSeries(dim=%d, cut=%d, |c|_1=%.3e)" % (
-            self.dim,
-            self.cut,
-            self.coeff_norm(),
-        )
-
 
 def _axis_basis(t, cut):
     """e^{2 pi i k t} for k = -cut..cut at every point of ``t``, shape

@@ -79,6 +79,12 @@ def pair_payload(pair):
     }
 
 
+def _jets(payload):
+    """(component, jet payload) of x, y and each angle tail of a pair."""
+    return [("x", payload["x"]), ("y", payload["y"])] + [
+        ("tails[%d]" % i, w) for i, w in enumerate(payload["tails"])]
+
+
 def _non_finite(payload):
     """The ConfigError naming the first NaN or infinite number of a pair
     payload: its component (freqs, inner, x, y or tails[i]), and its index,
@@ -93,9 +99,7 @@ def _non_finite(payload):
             return ConfigError("manifold payload holds a non-finite number "
                                "in inner at order %s" % n, component="inner",
                                order=int(n))
-    jets = [("x", payload["x"]), ("y", payload["y"])] + [
-        ("tails[%d]" % i, w) for i, w in enumerate(payload["tails"])]
-    for name, jet in jets:
+    for name, jet in _jets(payload):
         for n, sp in jet.items():
             for k, re, im in sp["modes"]:
                 if bad(re, im):
@@ -106,16 +110,23 @@ def _non_finite(payload):
 
 
 def pair_from_payload(payload):
-    """The pair of a payload; a NaN or infinite coefficient, frequency or
-    normal-form value is a ConfigError that names where the first one is,
-    raised before any series is built."""
+    """The pair of a payload.  An order key that is not an integer from 0
+    to ``trunc``, or a NaN or infinite number, is a ConfigError that names
+    where the first one is, raised before any series is built."""
+    cut, trunc = int(payload["cut"]), int(payload["trunc"])
+    for name, jet in [("inner", payload["inner"])] + _jets(payload):
+        for n in jet:
+            if not (n.isdecimal() and int(n) <= trunc):
+                raise ConfigError(
+                    "manifold payload has order %r in %s, outside 0..%d"
+                    % (n, name, trunc), component=name, order=n)
     numbers = list(payload["freqs"]) + list(payload["inner"].values())
-    for jet in [payload["x"], payload["y"]] + list(payload["tails"]):
-        numbers += [v for sp in jet.values() for _, re, im in sp["modes"]
-                    for v in (re, im)]
+    for _, jet in _jets(payload):
+        for sp in jet.values():
+            numbers += [re for _, re, _ in sp["modes"]]
+            numbers += [im for _, _, im in sp["modes"]]
     if not np.all(np.isfinite(np.asarray(numbers, dtype=float))):
         raise _non_finite(payload)
-    cut, trunc = int(payload["cut"]), int(payload["trunc"])
     dim = int(payload["d"]) + int(payload["drive"])
     inner = UPoly({int(n): v for n, v in payload["inner"].items()}, trunc)
     return ManifoldPair(

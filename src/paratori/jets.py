@@ -129,7 +129,8 @@ class FTPoly:
     """Polynomial with FourierSeries coefficients, truncated by total degree.
 
     ``terms`` maps an exponent to a nonzero series on the box (dim, cut);
-    exponents of total degree above ``trunc`` are dropped.  A subclass fixes
+    ``set_coefficient`` refuses an exponent of total degree above
+    ``trunc``, and every other operation drops those terms.  A subclass fixes
     the exponent type with ``_ZERO`` (the exponent of the constant term) and
     three static methods: ``_key`` normalizes an exponent, ``_add`` adds two
     and ``_degree`` gives the total degree.  Series are immutable, so
@@ -162,7 +163,8 @@ class FTPoly:
     def set_coefficient(self, key, s):
         key, s = self._key(key), on_box(s, self.dim, self.cut)
         if self._degree(key) > self.trunc:
-            return
+            raise StructureViolation("exponent %s above the truncation %d"
+                                     % (key, self.trunc))
         if s.is_zero():
             self.terms.pop(key, None)
         else:
@@ -383,9 +385,6 @@ class TFJet(FTPoly):
                         for m, a in powers[n].terms.items()))
         return out
 
-    def __repr__(self):
-        return "TFJet(orders=%s, trunc=%d)" % (self.orders(), self.trunc)
-
 
 # ----- pointwise evaluation --------------------------------------------------
 
@@ -403,10 +402,7 @@ class _Stack:
     """
 
     def __init__(self, polys):
-        boxes = {(p.dim, p.cut) for p in polys}
-        if len(boxes) != 1:
-            raise DimensionMismatch("polynomials on different boxes %s" % boxes)
-        ((dim, cut),) = boxes
+        dim, cut = polys[0].dim, polys[0].cut
         keys = [key for p in polys for key in p.terms]
         coeffs = [s.coeffs for p in polys for s in p.terms.values()]
         self.coeffs = _to_band(np.reshape(coeffs, (len(keys),)

@@ -179,10 +179,6 @@ class TaylorFourierMap:
             p=self.p,
         )
 
-    def __repr__(self):
-        return "TaylorFourierMap(kind=%s, d=%d, drive=%d, cut=%d, k=%s, p=%s)" % (
-            self.kind, self.d, self.drive, self.cut, self.k, self.p)
-
 
 def _check_exact_shear(data):
     """The x-part rule of both structure classes: exactly shear * y."""

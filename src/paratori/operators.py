@@ -79,13 +79,6 @@ class Sector:
         return (self.k - 1) * abs(leading) * np.cos(kappa)
 
 
-def _check_decay_rate(sector, leading, mu):
-    limit = sector.max_decay_rate(leading)
-    if not (0.0 < mu < limit):
-        raise HypothesisViolated(
-            "decay rate %.6f outside (0, %.6f)" % (mu, limit))
-
-
 def _normal_form_order(inner):
     """Leading nonlinear order and coefficient of a normal-form polynomial."""
     orders = [n for n in inner.orders() if n >= 2 and inner.coeff(n) != 0.0]
@@ -93,6 +86,24 @@ def _normal_form_order(inner):
         raise StructureViolation("inner polynomial has no nonlinear term")
     k = orders[0]
     return k, inner.coeff(k)
+
+
+def _check_normal_form(inner, sector, mu):
+    """The standing hypotheses of the sector bounds on a map normal form
+    R(u) = u + r u^k + ...: tangent to the identity, of the sector's order
+    k, with r < 0 and a decay rate ``mu`` that the sector admits."""
+    if abs(inner.coeff(1) - 1.0) > 1e-14:
+        raise StructureViolation("normal form must be tangent to the identity")
+    k, lead = _normal_form_order(inner)
+    if k != sector.k:
+        raise ConfigError("sector order %d vs normal-form order %d" % (sector.k, k))
+    if lead >= 0.0:
+        raise HypothesisViolated(
+            "decaying branch needs a negative leading coefficient, got %.3e" % lead)
+    limit = sector.max_decay_rate(lead)
+    if not (0.0 < mu < limit):
+        raise HypothesisViolated(
+            "decay rate %.6f outside (0, %.6f)" % (mu, limit))
 
 
 def _decay(inner, eta_order, mu, u):
@@ -188,16 +199,8 @@ def sector_iterate_check(inner, sector, mu, n_iter, grid_shape=(20, 20)):
     ``QUAD_CHUNK`` points (at least one iterate); the first failing
     iterate raises, as a check of one iterate at a time would.
     """
-    if abs(inner.coeff(1) - 1.0) > 1e-14:
-        raise StructureViolation("normal form must be tangent to the identity")
-    k, lead = _normal_form_order(inner)
-    if k != sector.k:
-        raise ConfigError("sector order %d vs normal-form order %d" % (sector.k, k))
-    if lead >= 0.0:
-        raise HypothesisViolated(
-            "decaying branch needs a negative leading coefficient, got %.3e" % lead)
-    _check_decay_rate(sector, lead, mu)
-
+    _check_normal_form(inner, sector, mu)
+    k = sector.k
     u0 = sector.grid(*grid_shape).ravel()
     r0 = np.abs(u0)
     scale = r0.max()
@@ -594,10 +597,8 @@ def contraction_probe(mp, pair, residual, sector, mu, *, samples, n_iter,
     if mp.kind != "map" or pair.kind != "map":
         raise StructureViolation("the contraction probe runs on maps only")
     n, k, d, dim = pair.order, pair.k, pair.d, pair.dim
-    if sector.k != k:
-        raise ConfigError("sector order %d vs problem order %d" % (sector.k, k))
     inner = pair.inner
-    _check_decay_rate(sector, inner.coeff(k), mu)
+    _check_normal_form(inner, sector, mu)
     if not np.all(sector.contains(inner(sector.grid(8, 5).ravel()), slack=1e-12)):
         raise BoundViolated("normal form does not map the sector into itself")
 

@@ -10,7 +10,9 @@ import pytest
 from paratori.applications import (HeCuParams, OscillatorParams,
                                    build_hecu_field, build_oscillator_field,
                                    hecu_field_degree, hecu_manifolds)
-from paratori.errors import EnergyBelowThreshold, HypothesisViolated
+from paratori import applications
+from paratori.errors import (BoundViolated, ConfigError, EnergyBelowThreshold,
+                             HypothesisViolated)
 from paratori.flow_solver import solve_flow_to_order, solve_helicoure
 from paratori.fourier import FourierSeries
 from paratori.mapdata import TaylorFourierMap, XYPoly
@@ -90,6 +92,42 @@ def test_oscillator_unstable_matches_transformed_construction():
                 + mirrored.y.coefficient(n)).coeff_norm() < 1e-13
     for n in direct.inner.orders():
         assert abs(direct.inner.coeff(n) + mirrored.inner.coeff(n)) < 1e-13
+
+
+def test_oscillator_needs_a_degenerate_well():
+    with pytest.raises(ConfigError, match="n_pot >= 2") as err:
+        OscillatorParams(c_pot=1.0, n_pot=1, alpha=1.0, g=1.0)
+    assert err.value.exit_code == 2
+
+
+def test_wall_field_refuses_an_unknown_expansion():
+    # the CLI refuses it in its config check; this is the Python API's
+    with pytest.raises(ConfigError, match="expansion") as err:
+        build_hecu_field(HeCuParams(D=6.35, alpha_morse=1.05, m=1.0, h=12.7),
+                         expansion="x")
+    assert err.value.exit_code == 2
+
+
+def test_wall_manifolds_name_the_checks_a_foreign_field_fails(monkeypatch):
+    # a field whose leading x*y coefficient is 1 % off the wall model's
+    # solves cleanly, but its normal form misses the closed form |Y2| =
+    # alpha / (2 m): the report's check names the deviation
+    build = applications.build_hecu_field
+
+    def off_model(p, **kw):
+        fd, y_inv = build(p, **kw)
+        y_terms = dict(fd.y_terms.terms)
+        y_terms[(1, 1)] = y_terms[(1, 1)] * 1.01
+        return TaylorFourierMap(
+            "field", fd.d, fd.drive, fd.cut, fd.freqs, fd.x_terms.terms,
+            y_terms, [t.terms for t in fd.theta_terms], k=fd.k,
+            p=fd.p), y_inv
+
+    monkeypatch.setattr(applications, "build_hecu_field", off_model)
+    p = HeCuParams(D=6.35, alpha_morse=1.05, m=1.0, h=12.7)
+    with pytest.raises(BoundViolated, match="relative_deviations") as err:
+        hecu_manifolds(p, 3)
+    assert err.value.exit_code == 5
 
 
 def test_wall_field_displayed_constants():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import sys
 
 import pytest
@@ -297,6 +298,19 @@ def test_missing_config_is_a_usage_error(tmp_path):
     assert res.returncode == 2, res.stderr
 
 
+@pytest.mark.parametrize("args,match", [
+    (["solve-map", "--config", "{tmp}/nope.json"], "cannot read"),
+    (["solve-map", "--config", "{tmp}/broken.json"], "not valid JSON"),
+    (["solve-map", "--out", "{tmp}"], "--config"),
+], ids=["config_missing", "config_not_json", "usage"])
+def test_unusable_command_line_exits_2(tmp_path, capsys, args, match):
+    (tmp_path / "broken.json").write_text('{"problem": ')
+    code = main([a.format(tmp=tmp_path) for a in args])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and err["error"] == "ConfigError"
+    assert match in err["message"]
+
+
 # malformed configs: each one edits a copy of MAP_CONFIG in place
 MALFORMED = [
     ("sd_floor_nan", lambda c: c.update(sd_floor=math.nan)),
@@ -316,6 +330,10 @@ MALFORMED = [
     ("cut_box_just_too_large", lambda c: c["map"].update(cut=2 ** 15)),
     ("assert_tol_a_string", lambda c: c.update(assert_tol="1e-9")),
     ("theta_leading_unknown", lambda c: c.update(theta_leading="x")),
+    ("exponent_key_malformed", lambda c: c["map"]["y_terms"]
+     .update({"2;1": 1.0})),
+    ("exponent_negative", lambda c: c["map"]["y_terms"].update({"3,-1": 1.0})),
+    ("sweep_not_a_list", lambda c: c.update(sweep={"n_target": 3})),
     # finite, but the mode and its mirror overflow once the series is built
     ("coefficient_overflows_its_series", lambda c: c["map"]["y_terms"]["2,0"]
      ["modes"].update({"1": [1e308, 0.0]})),
@@ -461,6 +479,14 @@ MALFORMED_BLOCKS = [
      lambda c: c.update(trunc=171)),
     ("hecu_n_target_truncation_too_large", "hecu", HECU_CONFIG,
      lambda c: c.update(n_target=167)),
+    # the map's own constructor refuses a drive axis (constant coefficients,
+    # so that no one-axis mode is refused on the two-axis box first)
+    ("map_with_a_drive_axis", "solve-map", MAP_CONFIG,
+     lambda c: c["map"].update(drive=1, x_terms={"0,1": 1.0},
+                               y_terms={"2,0": 6.0})),
+    # an opening of pi/(k - 1) or more
+    ("sector_opening_too_wide", "diagnose-operators", DIAG_CONFIG,
+     lambda c: c["sector"].update(beta=math.pi)),
 ]
 
 
@@ -487,6 +513,17 @@ def test_malformed_block_exits_2_before_the_solve(tmp_path, capsys,
     err = json.loads(stderr)
     assert set(err) == {"error", "exit_code", "message", "detail"}
     assert err["error"] == "ConfigError" and err["exit_code"] == 2
+
+
+def test_diagnose_refuses_the_growing_branch(tmp_path, capsys):
+    # the unstable branch's normal form grows: the sector check refuses it
+    code = main(["diagnose-operators", "--config",
+                 str(write_config(tmp_path, DIAG_CONFIG)), "--out",
+                 str(tmp_path / "d"), "--branch", "unstable"])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 3 and err["error"] == "HypothesisViolated"
+    assert "negative leading coefficient" in err["message"]
+    assert not (tmp_path / "d").exists()
 
 
 def test_probe_states_its_banach_estimate(tmp_path):
@@ -679,6 +716,44 @@ def test_compare_rejects_bad_input(tmp_path, capsys, order_3_and_4_pairs,
     captured = capsys.readouterr()
     assert code == 2, captured.out
     assert json.loads(captured.err)["error"] == "ConfigError"
+
+
+REFERENCE_PAIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench",
+    "reference", "map-ref.pair.json")
+
+
+def test_the_reference_pair_is_identical_to_itself(capsys):
+    assert main(["compare", REFERENCE_PAIR, REFERENCE_PAIR]) == 0
+    assert json.loads(capsys.readouterr().out)["identical"] is True
+
+
+# order keys outside 0..trunc (12 in the reference pair), each added to a
+# copy of the reference pair: (component, order, value)
+BAD_ORDERS = [
+    ("x", "17", lambda p: p["x"]["2"]),
+    ("inner", "-1", lambda p: 0.5),
+    ("inner", "15", lambda p: 0.5),
+    ("x", "-1", lambda p: p["x"]["2"]),
+]
+
+
+@pytest.mark.parametrize("component,order,value", BAD_ORDERS,
+                         ids=["x_above_trunc", "inner_negative",
+                              "inner_above_trunc", "x_negative"])
+def test_compare_refuses_an_order_outside_the_truncation(
+        tmp_path, capsys, component, order, value):
+    with open(REFERENCE_PAIR) as fh:
+        payload = json.load(fh)
+    payload[component][order] = value(payload)
+    edited = str(write_config(tmp_path, payload, "edited.json"))
+    code = main(["compare", edited, REFERENCE_PAIR])
+    captured = capsys.readouterr()
+    assert code == 2, captured.out
+    err = json.loads(captured.err)
+    assert err["error"] == "ConfigError"
+    assert err["detail"] == {"component": component, "order": order}
+    assert err["message"].startswith(edited + ": ")
 
 
 def test_compare_refuses_a_mode_with_too_few_indices(tmp_path, capsys):

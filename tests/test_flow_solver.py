@@ -13,7 +13,8 @@ from paratori.fourier import FourierSeries
 from paratori.mapdata import TaylorFourierMap
 from paratori.pairs import residual_report
 
-from conftest import GOLDEN, exact_flow, one_mode, reference_flow, shear_example
+from conftest import (GOLDEN, exact_flow, one_mode, reference_flow,
+                      reference_map, shear_example)
 
 
 def worst_below(jets, leads):
@@ -161,6 +162,13 @@ def test_shear_structure_rejections():
                                  [{(0, 1): 3.0}])
     with pytest.raises(NonPositiveLeadingCoefficient):
         solve_helicoure(neg_shear, 3)
+
+
+def test_power_class_flow_solve_refuses_a_map():
+    with pytest.raises(StructureViolation, match="takes a vector field") \
+            as err:
+        solve_flow_to_order(reference_map(cut=4), 3)
+    assert err.value.exit_code == 2
 
 
 @pytest.mark.parametrize("n_target", [1, 0, -3])

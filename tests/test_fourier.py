@@ -499,6 +499,21 @@ def test_difference_equation_rejects_average():
         solve_sd_map(h, (GOLDEN,))
 
 
+@pytest.mark.parametrize("solve", [solve_sd_map, solve_sd_flow])
+def test_solves_refuse_a_frequency_vector_of_another_length(solve):
+    h = FourierSeries.from_modes({(1,): 0.5}, 1, 4)
+    with pytest.raises(DimensionMismatch, match="length 2 vs series dim 1") \
+            as err:
+        solve(h, (GOLDEN, 0.3))
+    assert err.value.exit_code == 2
+
+
+def test_from_modes_refuses_a_mode_of_another_length():
+    with pytest.raises(DimensionMismatch, match="wrong length") as err:
+        FourierSeries.from_modes({(1, 1): 0.5}, 1, 4)
+    assert err.value.exit_code == 2
+
+
 def test_resonant_rotation_underflows():
     h = FourierSeries.from_modes({(2,): 0.5}, 1, 4)
     with pytest.raises(SmallDivisorUnderflow) as ei:

@@ -670,3 +670,33 @@ def test_substitute_refuses_a_constant_term():
     for px, py in ((offset, moving), (moving, offset)):
         with pytest.raises(StructureViolation):
             substitute([{(1, 0): 1.0}], px, py, [], 4)
+
+
+def test_a_coefficient_outside_the_orders_is_refused():
+    # set_coefficient refuses a negative order and one above the
+    # truncation; add_to_coefficient drops a term above the truncation
+    with pytest.raises(StructureViolation, match="negative jet order -1"):
+        TFJet(1, 2, 4, {-1: 1.0})
+    jet = TFJet(1, 2, 4, {1: 1.0})
+    with pytest.raises(StructureViolation, match="exponent 5 above the "
+                                                 "truncation 4") as err:
+        jet.set_coefficient(5, 1.0)
+    assert err.value.exit_code == 2
+    with pytest.raises(StructureViolation, match=r"exponent \(2, 3\)"):
+        XYPoly(1, 2, 4, {(2, 3): 1.0})
+    jet.add_to_coefficient(5, 1.0)
+    assert jet.orders() == [1]
+
+
+def test_compose_inner_refuses_a_constant_term():
+    jet = TFJet(1, 2, 4, {1: 1.0})
+    with pytest.raises(StructureViolation, match="zero constant term") as err:
+        jet.compose_inner(UPoly({0: 0.1, 1: 1.0}, 4))
+    assert err.value.exit_code == 2
+
+
+def test_a_stack_on_two_boxes_fails():
+    # a stack reads its box from its first polynomial; coefficients on
+    # another box do not stack
+    with pytest.raises(ValueError):
+        JetStack([TFJet(1, 2, 4, {1: 1.0}), TFJet(1, 3, 4, {1: 1.0})])

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from paratori.errors import (ConfigError, NonPositiveLeadingCoefficient,
-                             SingularSystem, SmallDivisorUnderflow,
-                             TruncationTooLow)
+from paratori.errors import (ConfigError, ContractViolated,
+                             NonPositiveLeadingCoefficient, SingularSystem,
+                             SmallDivisorUnderflow, TruncationTooLow)
 import paratori.flow_solver as flow_solver
 import paratori.map_solver as map_solver
 from paratori.flow_solver import solve_flow_to_order, solve_helicoure
@@ -311,6 +311,20 @@ def test_bad_arguments_are_config_errors():
         solve_helicoure(fd, 3, branch="sideways")
     with pytest.raises(ConfigError):
         solve_helicoure(fd, 3, theta_leading="sideways")
+
+
+def test_contract_check_names_a_defect_below_the_contract_orders():
+    # moving the solved x jet at order 2 leaves a defect below the contract
+    # orders in exact arithmetic too, far above the solve's tolerance
+    mp = reference_map(cut=8)
+    pair, _ = solve_to_order(mp, 4)
+    moved = pair.copy()
+    moved.x.add_to_coefficient(2, 1e-3)
+    with pytest.raises(ContractViolated) as err:
+        map_solver._check_contract(mp, moved, map_solver.ASSERT_TOL)
+    assert err.value.exit_code == 5
+    assert err.value.order < pair.contract_orders()[0]
+    assert err.value.defect > err.value.tol
 
 
 def test_resonant_frequency_raises():

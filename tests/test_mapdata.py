@@ -6,10 +6,10 @@ import pytest
 
 from paratori.applications import (_inverse_change, _pulled_back,
                                    _xy_identity)
-from paratori.errors import StructureViolation
+from paratori.errors import ConfigError, DimensionMismatch, StructureViolation
 from paratori.fourier import AngleBatch, FourierSeries, on_box
 from paratori.jets import JetStack, TableStack, TFJet, UPoly, substitute
-from paratori.mapdata import TaylorFourierMap, XYPoly
+from paratori.mapdata import TaylorFourierMap, XYPoly, validate_shear_field
 from paratori.pairs import ManifoldPair
 
 from conftest import (GOLDEN, dense_series, mode_sum, one_mode, reference_map,
@@ -200,6 +200,57 @@ def test_reduced_map_rejects_low_order_dirt():
                           good["theta_terms"], k=4, p=1)
     with pytest.raises(StructureViolation):
         mp.validate_reduced()
+
+
+def test_xypoly_refuses_a_negative_exponent():
+    with pytest.raises(StructureViolation, match="negative exponent") as err:
+        XYPoly(1, 2, 4, {(1, -1): 1.0})
+    assert err.value.exit_code == 2
+
+
+# the tables of a field in the shear class; each case below changes one
+# thing about it
+SHEAR_TABLES = dict(x_terms={(0, 1): 2.0}, y_terms={(1, 1): -1.0},
+                    theta_terms=[{(0, 1): 3.0}])
+
+
+@pytest.mark.parametrize("kind,d,error,match", [
+    ("flow", 1, ConfigError, "kind must be"),
+    ("map", 2, DimensionMismatch, "1 angle term tables for d = 2"),
+], ids=["unknown_kind", "angle_tables_too_few"])
+def test_map_construction_refusals(kind, d, error, match):
+    with pytest.raises(error, match=match) as err:
+        TaylorFourierMap(kind, d, 0, 4, (GOLDEN,) * d, **SHEAR_TABLES)
+    assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("fd,match", [
+    (reference_map(cut=4), "vector-field structure"),
+    (TaylorFourierMap("field", 1, 0, 4, (GOLDEN,), SHEAR_TABLES["x_terms"],
+                      {(1, 1): -1.0, (2, 1): 0.5},
+                      SHEAR_TABLES["theta_terms"]),
+     r"single-y term \(2, 1\)"),
+    (TaylorFourierMap("field", 0, 1, 4, (GOLDEN,), SHEAR_TABLES["x_terms"],
+                      SHEAR_TABLES["y_terms"], []),
+     "at least one dynamic angle"),
+    (TaylorFourierMap("field", 1, 0, 4, (GOLDEN,), SHEAR_TABLES["x_terms"],
+                      SHEAR_TABLES["y_terms"], [{(0, 1): 3.0, (1, 0): 0.5}]),
+     r"angle term \(1, 0\) on axis 0"),
+], ids=["a_map", "single_y_term", "no_dynamic_angle", "low_angle_term"])
+def test_shear_class_structure_refusals(fd, match):
+    with pytest.raises(StructureViolation, match=match) as err:
+        validate_shear_field(fd)
+    assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("fd,signs", [
+    (reference_map(cut=4), (1, -1, -1)),
+    (shear_example(), (1, 2, 1)),
+], ids=["a_map", "a_sign_not_one"])
+def test_transformed_field_refusals(fd, signs):
+    with pytest.raises(ConfigError, match="takes a field and signs") as err:
+        fd.transformed_field(*signs)
+    assert err.value.exit_code == 2
 
 
 def test_drive_only_field_needs_no_angle_structure():

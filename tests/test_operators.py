@@ -14,8 +14,9 @@ import pytest
 
 from paratori import operators
 from paratori.cli import main
-from paratori.errors import (BoundViolated, ConfigError, FlowLeftSector,
-                             HypothesisViolated, TailNotConverged)
+from paratori.errors import (BoundViolated, ConfigError, Diverged,
+                             FlowLeftSector, HypothesisViolated,
+                             StructureViolation, TailNotConverged)
 from paratori.fourier import FourierSeries
 from paratori.jets import UPoly
 from paratori.map_solver import solve_to_order
@@ -28,8 +29,8 @@ from paratori.pairs import residual_report
 from paratori import quadrature
 from paratori.quadrature import QUAD_CHUNK, _G7_W, _GK_W, _GK_X
 
-from conftest import (GOLDEN, drift_derivative, reference_map,
-                      transfer_difference)
+from conftest import (GOLDEN, drift_derivative, reference_flow,
+                      reference_map, transfer_difference)
 
 R = UPoly({1: 1.0, 2: -1.0}, 12)
 
@@ -151,6 +152,27 @@ def test_decay_rate_must_be_admissible():
         sector_iterate_check(R, Sector(np.pi / 2, 0.05, 2), 0.9, 10)
 
 
+def test_sector_needs_an_order_of_at_least_two():
+    # a config cannot reach this: validate_reduced refuses k < 2 first
+    with pytest.raises(ConfigError, match="order k must be >= 2") as err:
+        Sector(1.0, 0.05, 1)
+    assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("inner,k,error,match,code", [
+    (UPoly({1: 0.5, 2: -1.0}, 12), 2, StructureViolation, "tangent", 2),
+    (UPoly({1: 1.0}, 12), 2, StructureViolation, "no nonlinear term", 2),
+    (R, 3, ConfigError, "sector order 3 vs normal-form order 2", 2),
+    (UPoly({1: 1.0, 2: 1.0}, 12), 2, HypothesisViolated,
+     "negative leading coefficient", 3),
+], ids=["not_tangent", "linear", "order_not_the_sectors", "growing"])
+def test_sector_check_refuses_a_normal_form_outside_the_hypotheses(
+        inner, k, error, match, code):
+    with pytest.raises(error, match=match) as err:
+        sector_iterate_check(inner, Sector(1.0, 0.05, k), 0.5, 10)
+    assert err.value.exit_code == code
+
+
 def test_orbit_sum_forward_identity():
     eta = lambda u, th: u ** 5 * (1.0 + 0.3 * np.cos(2 * np.pi * th[0]))
     phi = lambda u, th: orbit_sum_inverse(eta, R, (GOLDEN,), u, th,
@@ -163,12 +185,13 @@ def test_orbit_sum_forward_identity():
 def test_orbit_sum_against_brute_force():
     eta = lambda u, th: u ** 5 * (1.0 + 0.3 * np.cos(2 * np.pi * th[0]))
     u0, th0 = 0.04, np.array([0.2])
-    brute = 0.0
-    z, th = u0, th0.copy()
-    for _ in range(400000):
-        brute += eta(z, th)
-        z = R(z)
-        th = th + GOLDEN
+    # 400,000 steps of R(u) = u - u^2 and of the rotation in Python floats,
+    # eta on the whole orbit at once, its terms summed in step order
+    zs, ths, step = [u0], [float(th0[0])], float(GOLDEN)
+    for _ in range(400000 - 1):
+        zs.append(zs[-1] - zs[-1] * zs[-1])
+        ths.append(ths[-1] + step)
+    brute = np.cumsum(eta(np.array(zs), np.array([ths])))[-1]
     val = orbit_sum_inverse(eta, R, (GOLDEN,), u0, th0, eta_order=5, mu=0.5,
                             tail_tol=1e-12)
     assert abs(val + brute) < 1e-10
@@ -729,6 +752,24 @@ def test_trajectory_limits(monkeypatch):
                             0.03, th0, **kw)
 
 
+def test_trajectory_stops_where_it_leaves_the_sector():
+    # u' = u^2 grows from 0.005 past the sector's radius 0.01 at time 100
+    with pytest.raises(FlowLeftSector, match="from 0.005 reached") as err:
+        quadrature.trajectory(UPoly({2: 1.0}, 12), 0.005, lambda s, z: False,
+                              Sector(np.pi / 2, 0.01, 2))
+    assert err.value.exit_code == 5
+
+
+def test_quadrature_gives_up_after_its_bisection_passes():
+    # across a jump, K15 and G7 differ by a share of the jump times the
+    # panel's width: every width stays above its share of the tolerance,
+    # so the panel holding the jump is bisected at every pass
+    step = lambda s: np.where(s < 1.0 / np.pi, 0.0, 1.0)
+    with pytest.raises(TailNotConverged, match="after 40 bisections") as err:
+        quadrature.panel_quadrature(step, np.array([0.0, 1.0]), None, 1e-12)
+    assert err.value.exit_code == 5
+
+
 def test_flow_inverse_solves_derivative_equation():
     eta = lambda u, th: u ** 3 * (1.0 + 0.2 * np.sin(2 * np.pi * th[0]))
     vel = UPoly({2: -1.0, 3: 0.5}, 12)
@@ -768,6 +809,50 @@ def test_measurements_refuse_a_non_finite_residual():
         with pytest.raises(ConfigError) as err:
             measure()
         assert err.value.detail == {"order": 5, "component": "y"}
+
+
+@pytest.fixture(scope="module")
+def order_4_map():
+    """(map, pair, residual) of the reference map at cut 8, order 4."""
+    mp = reference_map(cut=8)
+    return (mp,) + solve_to_order(mp, 4)
+
+
+# a probe small enough to end quickly, with the decay rate the wide
+# sectors below admit
+SMALL_PROBE = dict(mu=0.3, samples=(3, 3, 2), n_iter=7)
+
+
+@pytest.mark.parametrize("field,sector,error,match", [
+    (True, Sector(np.pi / 2, 0.02, 2), StructureViolation, "maps only"),
+    (False, Sector(1.0, 0.02, 3), ConfigError,
+     "sector order 3 vs normal-form order 2"),
+    # at this sector's widest arguments the normal form maps its outer
+    # points beyond its radius
+    (False, Sector(2.5, 0.3, 2), BoundViolated, "into itself"),
+], ids=["a_field", "order_not_the_sectors", "sector_not_invariant"])
+def test_probe_refuses_data_outside_its_hypotheses(order_4_map, field,
+                                                   sector, error, match):
+    mp, pair, residual = order_4_map
+    if field:
+        mp = reference_flow(cut=4)
+    with pytest.raises(error, match=match) as err:
+        contraction_probe(mp, pair, residual, sector, **SMALL_PROBE)
+    assert err.value.exit_code == (5 if error is BoundViolated else 2)
+
+
+def test_probe_diverges_on_a_sector_too_wide_for_its_order(order_4_map):
+    # on a sector of radius 0.3 the order-4 pair's weighted update grows
+    # from sweep to sweep: five ratios in a row at or above one end the
+    # probe, with the sweeps so far in the error's report
+    mp, pair, residual = order_4_map
+    with pytest.raises(Diverged, match="5 consecutive sweeps") as err:
+        contraction_probe(mp, pair, residual, Sector(np.pi / 2, 0.3, 2),
+                          **SMALL_PROBE)
+    assert err.value.exit_code == 5
+    factors = err.value.detail["report"]["factors"]
+    assert len(factors) <= SMALL_PROBE["n_iter"] - 1
+    assert all(f >= 1.0 for f in factors[-5:])
 
 
 def test_probe_contracts_on_reference_map():
