@@ -111,12 +111,14 @@ def _non_finite(payload):
 
 def pair_from_payload(payload):
     """The pair of a payload.  An order key that is not an integer from 0
-    to ``trunc``, or a NaN or infinite number, is a ConfigError that names
-    where the first one is, raised before any series is built."""
+    to ``trunc`` in plain decimal digits (as ``pair_payload`` writes it),
+    or a NaN or infinite number, is a ConfigError that names where the
+    first one is, raised before any series is built."""
     cut, trunc = int(payload["cut"]), int(payload["trunc"])
+    orders = {str(i) for i in range(trunc + 1)}
     for name, jet in [("inner", payload["inner"])] + _jets(payload):
         for n in jet:
-            if not (n.isdecimal() and int(n) <= trunc):
+            if n not in orders:
                 raise ConfigError(
                     "manifold payload has order %r in %s, outside 0..%d"
                     % (n, name, trunc), component=name, order=n)

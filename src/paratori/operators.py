@@ -596,9 +596,10 @@ def contraction_probe(mp, pair, residual, sector, mu, *, samples, n_iter,
     """
     if mp.kind != "map" or pair.kind != "map":
         raise StructureViolation("the contraction probe runs on maps only")
-    n, k, d, dim = pair.order, pair.k, pair.d, pair.dim
+    n, d, dim = pair.order, pair.d, pair.dim
     inner = pair.inner
     _check_normal_form(inner, sector, mu)
+    k = sector.k
     if not np.all(sector.contains(inner(sector.grid(8, 5).ravel()), slack=1e-12)):
         raise BoundViolated("normal form does not map the sector into itself")
 

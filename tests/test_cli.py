@@ -515,6 +515,20 @@ def test_malformed_block_exits_2_before_the_solve(tmp_path, capsys,
     assert err["error"] == "ConfigError" and err["exit_code"] == 2
 
 
+def test_map_modes_on_a_drive_axis_are_refused_as_short(tmp_path, capsys):
+    # a drive axis makes the box two-axis, so MAP_CONFIG's one-axis modes
+    # are refused before the map's own no-drive refusal is reached
+    cfg_data = json.loads(json.dumps(MAP_CONFIG))
+    cfg_data["map"]["drive"] = 1
+    cfg = write_config(tmp_path, cfg_data)
+    code = main(["solve-map", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and err["error"] == "ConfigError"
+    assert err["message"].endswith(
+        "x_terms[0,1]: mode 1 has 1 axes, expected 2")
+
+
 def test_diagnose_refuses_the_growing_branch(tmp_path, capsys):
     # the unstable branch's normal form grows: the sector check refuses it
     code = main(["diagnose-operators", "--config",
@@ -735,12 +749,14 @@ BAD_ORDERS = [
     ("inner", "-1", lambda p: 0.5),
     ("inner", "15", lambda p: 0.5),
     ("x", "-1", lambda p: p["x"]["2"]),
+    ("x", "02", lambda p: p["x"]["2"]),
 ]
 
 
 @pytest.mark.parametrize("component,order,value", BAD_ORDERS,
                          ids=["x_above_trunc", "inner_negative",
-                              "inner_above_trunc", "x_negative"])
+                              "inner_above_trunc", "x_negative",
+                              "x_leading_zero"])
 def test_compare_refuses_an_order_outside_the_truncation(
         tmp_path, capsys, component, order, value):
     with open(REFERENCE_PAIR) as fh:

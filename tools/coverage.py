@@ -1,12 +1,12 @@
 """Print the executable lines of ``src/paratori`` that the tier-1 suite
 does not run.
 
-Usage: python tools/coverage.py [PYTEST_ARGS...]
+Usage: python tools/coverage.py
 
-Runs pytest on ``tests/`` of this checkout, with any further arguments, in
-this process under ``sys.settrace`` and ``threading.settrace``, then prints
-one line per module of ``src/paratori`` that holds an executable line that
-did not run, and a last line with the totals.  The executable lines of a
+Runs pytest on ``tests/`` of this checkout in this process under
+``sys.settrace`` and ``threading.settrace``, then prints one line per
+module of ``src/paratori`` that holds an executable line that did not run,
+and a last line with the totals.  The executable lines of a
 module are those of its compiled code objects (``co_lines``).  The tests
 that run the CLI in a subprocess are not traced, so a line that only they
 reach is listed as not run.  Standard library only; exits with pytest's
@@ -83,7 +83,7 @@ def spans(lines):
     return ", ".join(str(a) if a == b else "%d-%d" % (a, b) for a, b in runs)
 
 
-def main(argv):
+def main():
     # src/ in place of tools/, so the package is this checkout's and no
     # import finds this file as the coverage package
     sys.path[0] = os.path.join(ROOT, "src")
@@ -92,7 +92,7 @@ def main(argv):
 
     status = []
     missed = unreached(PACKAGE, lambda: status.append(pytest.main(
-        ["-q", "--continue-on-collection-errors"] + argv)))
+        ["-q", "--continue-on-collection-errors"])))
     total = sum(len(executable_lines(os.path.join(PACKAGE, name)))
                 for name in missed)
     for name, lines in missed.items():
@@ -106,4 +106,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
