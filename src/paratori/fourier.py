@@ -550,8 +550,10 @@ def _eval_band(vals, theta):
     if dim == 1 and m == 1:
         vals = np.concatenate([vals, np.zeros_like(vals)])
     if dim:
-        vals = np.moveaxis(np.moveaxis(vals, 1, -1) @ angles.basis(0, band),
-                           -1, 1)
+        # the first box axis last for the product, then the points in its
+        # place, by the transposes np.moveaxis makes, without its overhead
+        vals = (vals.transpose((0, *range(2, dim + 1), 1))
+                @ angles.basis(0, band)).transpose((0, dim, *range(1, dim)))
     else:
         vals = vals[:, None]
     for a in range(1, dim):

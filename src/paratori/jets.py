@@ -59,7 +59,12 @@ _FLOATS = (np.dtype(float), np.dtype(complex))
 
 
 class UPoly:
-    """Scalar polynomial sum_n a_n u^n with truncation order."""
+    """Scalar polynomial sum_n a_n u^n with truncation order.
+
+    A negative order is refused (StructureViolation).  An order above
+    ``trunc`` is dropped, as is a zero coefficient: sums and
+    ``pairs.residual_jets`` truncate a polynomial by building it again at
+    the lower ``trunc``."""
 
     __slots__ = ("terms", "trunc")
 
@@ -67,9 +72,11 @@ class UPoly:
         self.trunc = int(trunc)
         self.terms = {}
         for n, a in terms.items():
-            a = float(a)
+            n, a = int(n), float(a)
+            if n < 0:
+                raise StructureViolation("negative polynomial order %d" % n)
             if a != 0.0 and n <= self.trunc:
-                self.terms[int(n)] = a
+                self.terms[n] = a
 
     def coeff(self, n):
         return self.terms.get(n, 0.0)
@@ -424,7 +431,7 @@ def _powers(x, exponents):
     table[0], table[1] = 1.0, x
     for e in range(2, len(table)):
         np.multiply(table[e - 1], x, out=table[e, ...])
-    return np.moveaxis(table, 0, -1)[..., exponents]
+    return table.transpose((*range(1, table.ndim), 0))[..., exponents]
 
 
 class JetStack(_Stack):
@@ -445,8 +452,9 @@ class JetStack(_Stack):
         lead = u.ndim - 1
         vals = _eval_band(self.coeffs, theta_points)
         batch = vals.shape[1 + lead:]
-        vals = np.moveaxis(vals.reshape(vals.shape[:1 + lead]
-                                        + (math.prod(batch),)), 0, -2)
+        # (steps.., terms, points): the stacked axis second last
+        vals = vals.reshape(vals.shape[:1 + lead] + (math.prod(batch),)
+                            ).transpose((*range(1, 1 + lead), 0, 1 + lead))
         u_pow = _powers(u, self.exponents[0])
         out = np.empty((len(self.slices),) + u.shape + vals.shape[-1:],
                        dtype=np.result_type(u_pow, vals))
@@ -463,7 +471,8 @@ class TableStack(_Stack):
         """Every table's values at (x, y, ang), real or complex x, y and
         angles (an array or a ``fourier.AngleBatch``): a list of arrays of
         the broadcast shape of x, y and the angle batch, one per table."""
-        vals = np.moveaxis(_eval_band(self.coeffs, ang), 0, -1)
+        vals = _eval_band(self.coeffs, ang)
+        vals = vals.transpose((*range(1, vals.ndim), 0))
         l, m = self.exponents
         terms = vals * _powers(x, l) * _powers(y, m)
         return [np.sum(terms[..., s], axis=-1) for s in self.slices]

@@ -11,13 +11,16 @@ The module runs on numpy alone: the contraction probe interpolates
 its candidate corrections multilinearly (``_GridFunction``), and the
 trajectory integrals step their ODE by its Taylor series
 (``quadrature.trajectory``).  The per-step work of the orbit sums runs
-on blocks of steps: the iterates are stepped one at a time, then the terms
-and the stop rules take the whole block as arrays, each value bit for bit
-what a loop over single steps gives.  On a block the probe pays per point,
-not per corner or per table: the interpolation is separable (the radius
-and argument corners on the block's rows, then the angle corners on its
-angle points), and the term tables are one stack, evaluated once per angle
-image (``jets.TableStack``).
+on blocks of at most ``ORBIT_BLOCK`` points: the iterates are stepped one
+at a time, then the terms and the stop rules take the whole block as
+arrays, each value bit for bit what a loop over single steps gives.  The
+iterates and their angles do not depend on what is summed, so they are
+stepped once and kept (``_Orbit``, up to a byte cap), and every sweep of
+the contraction probe reads its blocks from that one orbit.  On a block
+the probe pays per point, not per corner or per table: the interpolation
+is separable (the radius and argument corners on the block's rows, then
+the angle corners on its angle points), and the term tables are one stack,
+evaluated once per angle image (``jets.TableStack``).
 """
 
 import itertools
@@ -40,6 +43,9 @@ from .pairs import check_finite
 from .quadrature import QUAD_CHUNK, panel_quadrature, trajectory
 
 _J_MIN, _J_MAX = 16, 60000   # first and last orbit term where a sum may stop
+ORBIT_BLOCK = 4096   # most points of an orbit-sum or sector-check block
+_ORBIT_CHUNK = 64    # orbit steps an _Orbit takes at a time
+_ORBIT_BYTES = 1 << 21   # most bytes of steps an _Orbit keeps
 
 
 class Sector:
@@ -131,44 +137,113 @@ def _tail(term, s, x, q):
     return term * (1.0 + s * x) / ((q - 1.0) * x)
 
 
-def _orbit_sum(term, inner, freqs, z0, pts0, eta_orders, mu, targets):
-    """-sum_j term(R^j(z0), pts0 + j*omega), per component a (rows, angle
-    points) array.  A row stops once j >= _J_MIN and every component's
-    tail after the j-th term is at most half of its per-row target.
+class _Orbit:
+    """The orbit of the rows ``z0`` under the normal form ``inner``, with
+    the angle points ``pts0`` carried along by ``freqs``: step j holds
+    R^j(z0) on every row and the angles mod(pts0 + j*omega, 1).  Every
+    step is one ``inner`` call on all the rows and one addition of
+    ``freqs`` to the shift, as a loop over single steps takes it, so each
+    value is that loop's bit for bit.
 
-    The orbit and the angles do not depend on the terms, so ``term`` takes
-    a block of steps of the rows still running: ``zs`` of shape (steps,
-    rows) and ``pts`` of shape (steps, angle points, dim), and returns per
-    component an array of shape (steps, rows, angle points).  A block holds
-    at most ``QUAD_CHUNK`` points (at least one step), and at most
-    max(_J_MIN, j) steps from step j, so the blocks double from _J_MIN and
-    a row that stops mid-block wastes fewer steps than it summed.  The tail
-    rule runs on the block's (steps, rows) array at once, and each row
-    stops at its first step that meets it.  The row's total is read from a
-    cumulative sum along the step axis that starts at its running total:
-    the additions run in step order, so every total rounds as a loop over
+    The orbit does not depend on what is summed along it, so every orbit
+    sum on it reads the same steps: they are stepped _ORBIT_CHUNK at a time
+    as far as a sum reaches, and kept.  At most _ORBIT_BYTES of steps are
+    kept (at least one step); a sum that reaches past them steps on from
+    the state after the last kept step, on its own and keeping nothing.
+    """
+
+    def __init__(self, inner, freqs, z0, pts0):
+        self.inner, self.freqs = inner, freqs
+        self.z0 = np.asarray(z0, dtype=np.result_type(z0, float))
+        self.pts0 = pts0
+        self.cap = max(1, _ORBIT_BYTES // (self.z0.nbytes + pts0.nbytes))
+        self.kept = 0
+        self.zs = np.empty((0,) + self.z0.shape, dtype=self.z0.dtype)
+        self.pts = np.empty((0,) + pts0.shape)
+        self.state = self.z0, np.zeros(pts0.shape[1])
+
+    def _step(self, state, zs, pts):
+        """Fill ``zs`` and ``pts`` with the steps from ``state``, and return
+        the state after them."""
+        z, shift = state
+        for s in range(len(zs)):
+            zs[s] = z
+            pts[s] = np.mod(self.pts0 + shift, 1.0)
+            z = self.inner(z)
+            shift = shift + self.freqs
+        return z, shift
+
+    def _keep(self, end):
+        """Keep the steps before ``end``, whole chunks of them, up to the
+        cap; the arrays that hold them double as they fill."""
+        if end <= self.kept or self.kept == self.cap:
+            return
+        top = min(-(-end // _ORBIT_CHUNK) * _ORBIT_CHUNK, self.cap)
+        if top > len(self.zs):
+            size = min(max(top, 2 * len(self.zs)), self.cap)
+            for name in ("zs", "pts"):
+                old = getattr(self, name)
+                new = np.empty((size,) + old.shape[1:], dtype=old.dtype)
+                new[:self.kept] = old[:self.kept]
+                setattr(self, name, new)
+        self.state = self._step(self.state, self.zs[self.kept:top],
+                                self.pts[self.kept:top])
+        self.kept = top
+
+    def block(self, j, steps, rows, past):
+        """Steps j .. j + steps - 1 of the ``rows``: ``zs`` of shape
+        (steps, rows) and ``pts`` of shape (steps, angle points, dim), and
+        the state after the last of them that lies past the kept steps.
+        ``past`` is that state from the block before, None before the
+        first such step; a sum reads its blocks in order from step 0."""
+        end = j + steps
+        self._keep(end)
+        kept = min(end, self.kept)
+        zs, pts = self.zs[j:kept, rows], self.pts[j:kept]
+        if kept < end:
+            more = np.empty((end - max(j, kept),) + self.z0.shape,
+                            dtype=self.z0.dtype)
+            more_pts = np.empty((len(more),) + self.pts0.shape)
+            past = self._step(self.state if past is None else past, more,
+                              more_pts)
+            zs = np.concatenate([zs, more[:, rows]])
+            pts = np.concatenate([pts, more_pts])
+        return zs, pts, past
+
+
+def _orbit_sum(term, orbit, eta_orders, mu, targets):
+    """-sum_j term(R^j(z0), pts0 + j*omega) along an ``_Orbit``, per
+    component a (rows, angle points) array.  A row stops once j >= _J_MIN
+    and every component's tail after the j-th term is at most half of its
+    per-row target.
+
+    ``term`` takes a block of steps of the rows still running: ``zs`` of
+    shape (steps, rows) and ``pts`` of shape (steps, angle points, dim),
+    and returns per component an array of shape (steps, rows, angle
+    points).  A block holds at most ``ORBIT_BLOCK`` points (at least one
+    step), and at most max(_J_MIN, j) steps from step j, so the blocks
+    double from _J_MIN and a row that stops mid-block wastes fewer steps
+    than it summed.  The tail rule runs
+    on the block's (steps, rows) array at once, and each row stops at its
+    first step that meets it.  The row's total is read from a cumulative
+    sum along the step axis that starts at its running total: the
+    additions run in step order, so every total rounds as a loop over
     single steps rounds it.
     """
-    rules = {c: _decay(inner, o, mu, z0) for c, o in eta_orders.items()}
+    z0 = orbit.z0
+    rules = {c: _decay(orbit.inner, o, mu, z0) for c, o in eta_orders.items()}
     totals = None
     active = np.ones(z0.size, dtype=bool)
-    z, shift = z0, np.zeros(pts0.shape[1])
-    j = 0
+    past, j = None, 0
     while active.any():
         if j > _J_MAX:
             raise TailNotConverged(
                 "%d rows above tail target after %d orbit terms"
                 % (int(active.sum()), _J_MAX))
         rows = np.flatnonzero(active)
-        steps = min(max(1, QUAD_CHUNK // (rows.size * len(pts0))),
+        steps = min(max(1, ORBIT_BLOCK // (rows.size * len(orbit.pts0))),
                     max(_J_MIN, j), _J_MAX + 1 - j)
-        zs = np.empty((steps, rows.size), dtype=z.dtype)
-        pts = np.empty((steps,) + pts0.shape)
-        for s in range(steps):
-            zs[s] = z[rows]
-            pts[s] = np.mod(pts0 + shift, 1.0)
-            z = inner(z)
-            shift = shift + freqs
+        zs, pts, past = orbit.block(j, steps, rows, past)
         block = term(zs, pts)
         if totals is None:  # the first terms fix the dtype: real in, real out
             totals = {c: np.zeros_like(t[0]) for c, t in block.items()}
@@ -196,7 +271,7 @@ def sector_iterate_check(inner, sector, mu, n_iter, grid_shape=(20, 20)):
     raises BoundViolated with a witness point if the bound fails (beyond
     1e-13 of the grid radius) or an iterate leaves the sector.  The
     iterates are stepped one at a time but checked in blocks of at most
-    ``QUAD_CHUNK`` points (at least one iterate); the first failing
+    ``ORBIT_BLOCK`` points (at least one iterate); the first failing
     iterate raises, as a check of one iterate at a time would.
     """
     _check_normal_form(inner, sector, mu)
@@ -204,7 +279,7 @@ def sector_iterate_check(inner, sector, mu, n_iter, grid_shape=(20, 20)):
     u0 = sector.grid(*grid_shape).ravel()
     r0 = np.abs(u0)
     scale = r0.max()
-    steps = max(1, QUAD_CHUNK // u0.size)
+    steps = max(1, ORBIT_BLOCK // u0.size)
     z = u0
     min_slack, max_slack = np.inf, -np.inf
     for j0 in range(0, n_iter + 1, steps):
@@ -265,7 +340,7 @@ def orbit_sum_inverse(eta, inner, freqs, u, theta=None, *, eta_order, mu,
     ``eta(u, theta)`` is called as in ``flow_orbit_integral``: on a 1-D
     array of orbit points ``u`` and their angles as the columns of a
     (dim, u.size) array (``None`` without angles), returning an array of
-    shape ``u.shape``, on at most ``quadrature.QUAD_CHUNK`` points at once.
+    shape ``u.shape``, on at most ``ORBIT_BLOCK`` points at once.
     """
     pts0 = np.reshape([] if theta is None else theta, (1, -1)).astype(float)
 
@@ -273,8 +348,9 @@ def orbit_sum_inverse(eta, inner, freqs, u, theta=None, *, eta_order, mu,
         angles = None if theta is None else pts[:, 0].T
         return {"eta": np.reshape(eta(zs[:, 0], angles), (-1, 1, 1))}
 
-    total = _orbit_sum(term, inner, freqs, np.array([u]), pts0,
-                       {"eta": eta_order}, mu, {"eta": np.array([tail_tol])})
+    orbit = _Orbit(inner, freqs, np.array([u]), pts0)
+    total = _orbit_sum(term, orbit, {"eta": eta_order}, mu,
+                       {"eta": np.array([tail_tol])})
     return total["eta"][0, 0]
 
 
@@ -585,7 +661,8 @@ def contraction_probe(mp, pair, residual, sector, mu, *, samples, n_iter,
     The undisplaced jets (x, y, the angle tails and the defect tails) are
     stacked once into a ``JetStack``, and the 1 + d term tables (y and each
     angle) once into a ``jets.TableStack``; the orbit sums evaluate them,
-    and the whole remainder, on blocks of orbit steps.  The shear and the
+    and the whole remainder, on blocks of orbit steps.  Every sweep sums
+    along one ``_Orbit`` of the grid's rows, stepped once for all sweeps.  The shear and the
     table stack are evaluated at the two angle images of a block through
     one ``fourier.AngleBatch`` each, so they share its mode bases, and the
     stack takes one evaluation per image.
@@ -640,9 +717,10 @@ def contraction_probe(mp, pair, residual, sector, mu, *, samples, n_iter,
         axis for each of the two angle images."""
         vals = jets.eval_grid(z, pts)
         kx, ky = vals[0], vals[1]
-        base = pts[..., None, :, :] + np.moveaxis(vals[2:2 + d], 0, -1)
-        disp = AngleBatch(base + np.moveaxis(
-            np.reshape([f[c] for c in comps[2:]], (d,) + kx.shape), 0, -1), d)
+        last = tuple(range(1, kx.ndim + 1)) + (0,)   # the leading axis last
+        base = pts[..., None, :, :] + vals[2:2 + d].transpose(last)
+        disp = AngleBatch(base + np.reshape(
+            [f[c] for c in comps[2:]], (d,) + kx.shape).transpose(last), d)
         base = AngleBatch(base, d)
         defect = dict(zip(comps, vals[2 + d:]))
         c_base = c_series.eval(base)
@@ -685,6 +763,7 @@ def contraction_probe(mp, pair, residual, sector, mu, *, samples, n_iter,
                     "to the fixed point, not a certified bound"},
     }
 
+    orbit = _Orbit(inner, pair.freqs, z0, pts0)
     arrays = {c: np.zeros((nu, nt), dtype=complex) for c in comps}
     rem_prev = remainder(z0, pts0, arrays)
     report["defect_norms"].append(
@@ -700,7 +779,7 @@ def contraction_probe(mp, pair, residual, sector, mu, *, samples, n_iter,
         new = _orbit_sum(
             lambda z, pts: remainder(z, pts,
                                      dict(zip(comps, candidate(z, pts)))),
-            inner, pair.freqs, z0, pts0, eta_orders, mu,
+            orbit, eta_orders, mu,
             {c: tol_weighted * np.abs(z0) ** weights[c] for c in comps})
         upd = max(_weighted_sup(new[c] - arrays[c], z0, weights[c]) for c in comps)
         report["update_norms"].append(upd)

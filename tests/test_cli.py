@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import runpy
 import sys
 
 import pytest
@@ -739,6 +740,19 @@ REFERENCE_PAIR = os.path.join(
 
 def test_the_reference_pair_is_identical_to_itself(capsys):
     assert main(["compare", REFERENCE_PAIR, REFERENCE_PAIR]) == 0
+    assert json.loads(capsys.readouterr().out)["identical"] is True
+
+
+def test_the_module_run_as_a_script_exits_with_mains_status(capsys,
+                                                           monkeypatch):
+    # python -m paratori.cli, in this process: runpy warns that the module
+    # is imported already, then runs it again as __main__
+    monkeypatch.setattr(sys, "argv", ["paratori", "compare", REFERENCE_PAIR,
+                                      REFERENCE_PAIR])
+    with pytest.warns(RuntimeWarning, match="paratori.cli"), \
+            pytest.raises(SystemExit) as exit_:
+        runpy.run_module("paratori.cli", run_name="__main__")
+    assert exit_.value.code == 0
     assert json.loads(capsys.readouterr().out)["identical"] is True
 
 

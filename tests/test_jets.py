@@ -27,6 +27,16 @@ def test_upoly_mul_matches_convolution():
     assert c.coeff(9) == 0.0  # beyond truncation
 
 
+def test_upoly_refuses_a_negative_order_and_drops_one_above_trunc():
+    with pytest.raises(StructureViolation, match="negative polynomial order -1"):
+        UPoly({-1: 0.5, 1: 1.0, 9: 2.0}, 4)
+    # above the truncation a term is dropped, as the sum of two
+    # polynomials truncates to the lower of their orders
+    p = UPoly({1: 1.0, 9: 2.0}, 4)
+    assert p.orders() == [1] and p(0.5) == 0.5
+    assert (p + UPoly({3: 1.0}, 2)).terms == {1: 1.0}
+
+
 def test_upoly_eval_scalar_and_array():
     p = UPoly({1: 1.0, 2: -1.0}, 6)
     assert abs(p(0.1) - 0.09) < 1e-16

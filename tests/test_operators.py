@@ -95,26 +95,37 @@ def sector_step_at_a_time(inner, sector, mu, n_iter, grid_shape):
     (UPoly({1: 1.0, 3: -1.0}, 12), Sector(0.7, 0.5, 3), 0.3),
 ])
 def test_blocked_sector_check_keeps_every_slack(inner, sector, mu):
-    # 400 points take blocks of QUAD_CHUNK // 400 = 5 iterates, and the
+    # 400 points take blocks of ORBIT_BLOCK // 400 = 10 iterates, and the
     # 1001 iterates 0..1000 leave a last block of one
-    assert 1001 % (QUAD_CHUNK // 400) == 1
+    assert 1001 % (operators.ORBIT_BLOCK // 400) == 1
     rep = sector_iterate_check(inner, sector, mu, 1000, grid_shape=(20, 20))
     want = sector_step_at_a_time(inner, sector, mu, 1000, (20, 20))
     assert (rep["min_slack"], rep["max_slack"]) == want
     assert rep["points"] == 400 and rep["iterations"] == 1000
 
 
-class Kicked(UPoly):
+class Counted(UPoly):
+    """A normal form that counts its calls."""
+
+    def __init__(self, inner):
+        super().__init__(inner.terms, inner.trunc)
+        self.calls = 0
+
+    def __call__(self, u):
+        self.calls += 1
+        return super().__call__(u)
+
+
+class Kicked(Counted):
     """R, except that its ``j``-th call multiplies the value at each start
     index ``i`` by ``kicks[i]``: iterate j of those starts is moved."""
 
     def __init__(self, j, kicks):
-        super().__init__(R.terms, R.trunc)
-        self.j, self.kicks, self.calls = j, kicks, 0
+        super().__init__(R)
+        self.j, self.kicks = j, kicks
 
     def __call__(self, u):
         out = super().__call__(u)
-        self.calls += 1
         if self.calls == self.j:
             for i, kick in self.kicks.items():
                 out[i] *= kick
@@ -126,18 +137,20 @@ TURN, GROW = np.exp(1j * np.pi / 2), 1.5   # out of the sector, off the bound
 
 @pytest.mark.parametrize("j,kicks", [
     (1, {17: TURN}),            # in the first block
-    (7, {3: TURN}),             # inside the second block
+    (7, {3: TURN}),             # inside the first block
     (7, {3: GROW}),
     (10, {3: GROW, 250: TURN}),  # both at the first iterate of a block
     (12, {3: GROW, 40: GROW}),  # the larger violation is the witness
     (1000, {5: GROW}),          # the last block, of one iterate
     (999, {5: TURN}),
+    (13, {3: TURN}),            # inside the second block
+    (13, {3: GROW}),
 ])
 def test_blocked_sector_check_fails_where_a_step_at_a_time_check_does(j,
                                                                        kicks):
     # a start kicked out of the sector or off the decay bound at iterate j
     # raises with the message and witness of a check of one iterate at a
-    # time, in whichever block the iterate falls (blocks of 5 iterates)
+    # time, in whichever block the iterate falls (blocks of 10 iterates)
     sector = Sector(np.pi / 2, 0.05, 2)
     want = sector_step_at_a_time(Kicked(j, kicks), sector, 0.5, 1000, (20, 20))
     assert want[1][1] == j
@@ -337,7 +350,8 @@ def test_blocked_orbit_sum_matches_a_step_at_a_time_loop():
         calls.append(zs.shape)
         return vector_term(zs, pts)
 
-    got = operators._orbit_sum(counted, *args)
+    got = operators._orbit_sum(counted, operators._Orbit(*args[:4]),
+                               *args[4:])
     want = step_at_a_time(vector_term, *args)
     stops = -got["count"][:, 0] / COUNT_UNIT
     assert np.array_equal(stops, -want["count"][:, 0] / COUNT_UNIT)
@@ -346,9 +360,9 @@ def test_blocked_orbit_sum_matches_a_step_at_a_time_loop():
     for c in ("a", "b"):
         assert got[c].shape == (z0.size, len(pts0))
         assert np.array_equal(got[c], want[c])
-    # a block holds at most QUAD_CHUNK points and there are far fewer blocks
-    # than steps
-    assert all(s * r * len(pts0) <= QUAD_CHUNK for s, r in calls)
+    # a block holds at most ORBIT_BLOCK points and there are far fewer
+    # blocks than steps
+    assert all(s * r * len(pts0) <= operators.ORBIT_BLOCK for s, r in calls)
     assert len(calls) < stops.max() / 10
 
 
@@ -367,10 +381,50 @@ def test_blocked_orbit_sum_stops_at_the_term_budget(monkeypatch):
         return vector_term(zs, pts)
 
     with pytest.raises(TailNotConverged):
-        operators._orbit_sum(counted, *args)
+        operators._orbit_sum(counted, operators._Orbit(*args[:4]),
+                             *args[4:])
     assert sum(steps) == 301
     with pytest.raises(TailNotConverged):
         step_at_a_time(vector_term, *args)
+
+
+def test_orbit_sums_on_one_orbit_match_fresh_orbits():
+    # an orbit keeps the steps its sums reach: a deeper sum steps it on
+    # from what it keeps, and a shallower one reads kept steps only; every
+    # total is a fresh orbit's and the step-at-a-time loop's bit for bit
+    sec = Sector(np.pi / 2, 0.02, 2)
+    z0 = sec.grid(4, 3, r_min_factor=0.5).ravel()
+    pts0 = np.array([[0.0], [0.3], [0.7]])
+    orders = {"a": 3, "b": 4, "count": 3}
+    loose = {"a": 1e-2 * np.abs(z0) ** 2, "b": 1e-3 * np.abs(z0) ** 3,
+             "count": np.ones(z0.size)}
+    tight = {c: 1e-3 * t for c, t in loose.items()}
+    args = (R, (GOLDEN,), z0, pts0)
+    orbit = operators._Orbit(*args)
+    reached = []
+    for targets in (loose, tight, loose):
+        got = operators._orbit_sum(vector_term, orbit, orders, 0.5, targets)
+        fresh = operators._orbit_sum(vector_term, operators._Orbit(*args),
+                                     orders, 0.5, targets)
+        want = step_at_a_time(vector_term, *args, orders, 0.5, targets)
+        for c in orders:
+            assert np.array_equal(got[c], fresh[c])
+            assert np.array_equal(got[c], want[c])
+        reached.append(orbit.kept)
+    assert reached[0] < reached[1] == reached[2]
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """(orbit, first step, end) of every block an orbit hands out."""
+    seen = []
+    block = operators._Orbit.block
+
+    def recorded(orbit, j, steps, rows, past):
+        seen.append((orbit, j, j + steps))
+        return block(orbit, j, steps, rows, past)
+    monkeypatch.setattr(operators._Orbit, "block", recorded)
+    return seen
 
 
 def probe_grid(dim, samples=(5, 4, 6)):
@@ -839,6 +893,46 @@ def test_probe_refuses_data_outside_its_hypotheses(order_4_map, field,
     with pytest.raises(error, match=match) as err:
         contraction_probe(mp, pair, residual, sector, **SMALL_PROBE)
     assert err.value.exit_code == (5 if error is BoundViolated else 2)
+
+
+def test_probe_sweeps_step_the_orbit_once(order_4_map, blocks):
+    # every sweep reads its blocks from one orbit, so the normal form is
+    # called once to check that it maps the sector into itself, then once
+    # per orbit step as far as the deepest sweep reaches, in whole chunks:
+    # not once per step of every sweep
+    mp, pair, residual = order_4_map
+    pair = pair.copy()
+    pair.inner = Counted(pair.inner)
+    contraction_probe(mp, pair, residual, Sector(np.pi / 2, 0.02, 2),
+                      **SMALL_PROBE)
+    assert len({id(orbit) for orbit, _, _ in blocks}) == 1
+    deepest = max(end for _, _, end in blocks)
+    chunk = operators._ORBIT_CHUNK
+    assert pair.inner.calls == 1 + -(-deepest // chunk) * chunk
+    # the steps of every sweep, each sweep's blocks starting at step 0
+    sweeps = [end for i, (_, _, end) in enumerate(blocks)
+              if i + 1 == len(blocks) or blocks[i + 1][1] == 0]
+    assert len(sweeps) == SMALL_PROBE["n_iter"]
+    assert sum(sweeps) > 2 * pair.inner.calls
+
+
+@pytest.mark.parametrize("cap", [1, 70])
+def test_probe_report_is_the_same_past_the_orbit_byte_cap(order_4_map,
+                                                          blocks, monkeypatch,
+                                                          cap):
+    # with room for ``cap`` steps only, every sweep steps on past them from
+    # the last kept state, and the report does not move by a bit
+    mp, pair, residual = order_4_map
+    sector = Sector(np.pi / 2, 0.02, 2)
+    want = contraction_probe(mp, pair, residual, sector, **SMALL_PROBE)
+    # a step holds 3 x 3 complex starts and 2 angle points
+    monkeypatch.setattr(operators, "_ORBIT_BYTES", cap * (9 * 16 + 2 * 8))
+    blocks.clear()
+    got = contraction_probe(mp, pair, residual, sector, **SMALL_PROBE)
+    assert got == want
+    orbit = blocks[0][0]
+    assert orbit.kept == orbit.cap == cap
+    assert max(end for _, _, end in blocks) > cap + operators._ORBIT_CHUNK
 
 
 def test_probe_diverges_on_a_sector_too_wide_for_its_order(order_4_map):

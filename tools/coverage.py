@@ -10,7 +10,7 @@ and a last line with the totals.  The executable lines of a
 module are those of its compiled code objects (``co_lines``).  The tests
 that run the CLI in a subprocess are not traced, so a line that only they
 reach is listed as not run.  Standard library only; exits with pytest's
-status.
+status when it is not 0, else with 1 when a line did not run, else 0.
 """
 
 import os
@@ -83,6 +83,24 @@ def spans(lines):
     return ", ".join(str(a) if a == b else "%d-%d" % (a, b) for a, b in runs)
 
 
+def report(directory, missed, status):
+    """Print the lines of ``unreached``'s result ``missed`` that did not
+    run, per file of ``directory``, and the totals; return the exit
+    status: ``status`` (pytest's) when it is not 0, else 1 when a line did
+    not run, else 0."""
+    total = sum(len(executable_lines(os.path.join(directory, name)))
+                for name in missed)
+    for name, lines in missed.items():
+        if lines:
+            print("%s: %s" % (name, spans(lines)))
+    count = sum(map(len, missed.values()))
+    print("not run in-process: %d of %d executable lines of %s "
+          "(%.2f %% ran); subprocess runs are not traced"
+          % (count, total, os.path.relpath(directory, ROOT),
+             100.0 * (total - count) / total))
+    return int(status) or int(count > 0)
+
+
 def main():
     # src/ in place of tools/, so the package is this checkout's and no
     # import finds this file as the coverage package
@@ -93,16 +111,7 @@ def main():
     status = []
     missed = unreached(PACKAGE, lambda: status.append(pytest.main(
         ["-q", "--continue-on-collection-errors"])))
-    total = sum(len(executable_lines(os.path.join(PACKAGE, name)))
-                for name in missed)
-    for name, lines in missed.items():
-        if lines:
-            print("%s: %s" % (name, spans(lines)))
-    count = sum(map(len, missed.values()))
-    print("not run in-process: %d of %d executable lines of src/paratori "
-          "(%.2f %% ran); subprocess runs are not traced"
-          % (count, total, 100.0 * (total - count) / total))
-    return int(status[0])
+    return report(PACKAGE, missed, status[0])
 
 
 if __name__ == "__main__":
