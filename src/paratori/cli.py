@@ -505,7 +505,17 @@ def _cmd_diagnose(args):
 def _check_pair_boxes(payload, path):
     """ConfigError naming ``path`` unless the pair's box (d + drive axes,
     cut) is one a config may name and every series has its shape: its dim,
-    and its cut off the one-mode box of dim 0 (whose series have cut 0)."""
+    and its cut off the one-mode box of dim 0 (whose series have cut 0).
+    Its truncation is an integer of at most MAX_TRUNC, as a config's, and
+    its order an integer from 0 to the truncation."""
+    trunc = _number(payload["trunc"], "%s: trunc" % path, int, 0)
+    if trunc > MAX_TRUNC:
+        raise ConfigError("%s: trunc: expected at most %d, got %d"
+                          % (path, MAX_TRUNC, trunc))
+    order = _number(payload["order"], "%s: order" % path, int, 0)
+    if order > trunc:
+        raise ConfigError("%s: order: expected at most trunc %d, got %d"
+                          % (path, trunc, order))
     dim = sum(_number(payload[key], "%s: %s" % (path, key), int, 0)
               for key in ("d", "drive"))
     cut = _cut(payload, path, dim)

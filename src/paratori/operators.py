@@ -14,9 +14,9 @@ trajectory integrals step their ODE by its Taylor series
 on blocks of at most ``ORBIT_BLOCK`` points: the iterates are stepped one
 at a time, then the terms and the stop rules take the whole block as
 arrays, each value bit for bit what a loop over single steps gives.  The
-iterates and their angles do not depend on what is summed, so they are
-stepped once and kept (``_Orbit``, up to a byte cap), and every sweep of
-the contraction probe reads its blocks from that one orbit.  On a block
+iterates and their angle shifts do not depend on what is summed, so they
+are stepped once and kept (``_Orbit``, up to a byte cap), and every sweep
+of the contraction probe reads its blocks from that one orbit.  On a block
 the probe pays per point, not per corner or per table: the interpolation
 is separable (the radius and argument corners on the block's rows, then
 the angle corners on its angle points), and the term tables are one stack,
@@ -44,7 +44,6 @@ from .quadrature import QUAD_CHUNK, panel_quadrature, trajectory
 
 _J_MIN, _J_MAX = 16, 60000   # first and last orbit term where a sum may stop
 ORBIT_BLOCK = 4096   # most points of an orbit-sum or sector-check block
-_ORBIT_CHUNK = 64    # orbit steps an _Orbit takes at a time
 _ORBIT_BYTES = 1 << 21   # most bytes of steps an _Orbit keeps
 
 
@@ -140,55 +139,40 @@ def _tail(term, s, x, q):
 class _Orbit:
     """The orbit of the rows ``z0`` under the normal form ``inner``, with
     the angle points ``pts0`` carried along by ``freqs``: step j holds
-    R^j(z0) on every row and the angles mod(pts0 + j*omega, 1).  Every
-    step is one ``inner`` call on all the rows and one addition of
-    ``freqs`` to the shift, as a loop over single steps takes it, so each
-    value is that loop's bit for bit.
+    R^j(z0) on every row and the angle shift j*omega, and its angles are
+    mod(pts0 + shift, 1).  Every step is one ``inner`` call on all the rows
+    and one addition of ``freqs`` to the shift, as a loop over single steps
+    takes it, so each value is that loop's bit for bit.
 
     The orbit does not depend on what is summed along it, so every orbit
-    sum on it reads the same steps: they are stepped _ORBIT_CHUNK at a time
-    as far as a sum reaches, and kept.  At most _ORBIT_BYTES of steps are
-    kept (at least one step); a sum that reaches past them steps on from
-    the state after the last kept step, on its own and keeping nothing.
+    sum on it reads the same steps: each step's rows and shift are kept, in
+    two arrays allocated once for at most _ORBIT_BYTES of steps (at least
+    one step, at most the _J_MAX + 1 that a sum reads), and filled as far
+    as a sum reaches.  A sum that reaches past them steps on from the state
+    after the last kept step, on its own and keeping nothing.
     """
 
     def __init__(self, inner, freqs, z0, pts0):
         self.inner, self.freqs = inner, freqs
         self.z0 = np.asarray(z0, dtype=np.result_type(z0, float))
         self.pts0 = pts0
-        self.cap = max(1, _ORBIT_BYTES // (self.z0.nbytes + pts0.nbytes))
+        dim = pts0.shape[1]
+        cap = min(max(1, _ORBIT_BYTES // (self.z0.nbytes + 8 * dim)),
+                  _J_MAX + 1)
+        self.zs = np.empty((cap,) + self.z0.shape, dtype=self.z0.dtype)
+        self.shifts = np.empty((cap, dim))
         self.kept = 0
-        self.zs = np.empty((0,) + self.z0.shape, dtype=self.z0.dtype)
-        self.pts = np.empty((0,) + pts0.shape)
-        self.state = self.z0, np.zeros(pts0.shape[1])
+        self.state = self.z0, np.zeros(dim)
 
-    def _step(self, state, zs, pts):
-        """Fill ``zs`` and ``pts`` with the steps from ``state``, and return
-        the state after them."""
+    def _step(self, state, zs, shifts):
+        """Fill ``zs`` and ``shifts`` with the steps from ``state``, and
+        return the state after them."""
         z, shift = state
         for s in range(len(zs)):
-            zs[s] = z
-            pts[s] = np.mod(self.pts0 + shift, 1.0)
+            zs[s], shifts[s] = z, shift
             z = self.inner(z)
             shift = shift + self.freqs
         return z, shift
-
-    def _keep(self, end):
-        """Keep the steps before ``end``, whole chunks of them, up to the
-        cap; the arrays that hold them double as they fill."""
-        if end <= self.kept or self.kept == self.cap:
-            return
-        top = min(-(-end // _ORBIT_CHUNK) * _ORBIT_CHUNK, self.cap)
-        if top > len(self.zs):
-            size = min(max(top, 2 * len(self.zs)), self.cap)
-            for name in ("zs", "pts"):
-                old = getattr(self, name)
-                new = np.empty((size,) + old.shape[1:], dtype=old.dtype)
-                new[:self.kept] = old[:self.kept]
-                setattr(self, name, new)
-        self.state = self._step(self.state, self.zs[self.kept:top],
-                                self.pts[self.kept:top])
-        self.kept = top
 
     def block(self, j, steps, rows, past):
         """Steps j .. j + steps - 1 of the ``rows``: ``zs`` of shape
@@ -197,18 +181,21 @@ class _Orbit:
         ``past`` is that state from the block before, None before the
         first such step; a sum reads its blocks in order from step 0."""
         end = j + steps
-        self._keep(end)
-        kept = min(end, self.kept)
-        zs, pts = self.zs[j:kept, rows], self.pts[j:kept]
-        if kept < end:
-            more = np.empty((end - max(j, kept),) + self.z0.shape,
+        top = min(end, len(self.zs))
+        if top > self.kept:
+            self.state = self._step(self.state, self.zs[self.kept:top],
+                                    self.shifts[self.kept:top])
+            self.kept = top
+        zs, shifts = self.zs[j:top, rows], self.shifts[j:top]
+        if top < end:
+            more = np.empty((end - max(j, top),) + self.z0.shape,
                             dtype=self.z0.dtype)
-            more_pts = np.empty((len(more),) + self.pts0.shape)
+            more_shifts = np.empty((len(more), self.shifts.shape[1]))
             past = self._step(self.state if past is None else past, more,
-                              more_pts)
+                              more_shifts)
             zs = np.concatenate([zs, more[:, rows]])
-            pts = np.concatenate([pts, more_pts])
-        return zs, pts, past
+            shifts = np.concatenate([shifts, more_shifts])
+        return zs, np.mod(self.pts0 + shifts[:, None], 1.0), past
 
 
 def _orbit_sum(term, orbit, eta_orders, mu, targets):
@@ -732,20 +719,6 @@ def contraction_probe(mp, pair, residual, sector, mu, *, samples, n_iter,
             out[c] = at_disp - at_base + defect[c]
         return out
 
-    def defect_gap(rem_new, rem_prev):
-        """Weighted sup of the corrected pair's invariance defect.
-
-        Each sweep solves the difference equation exactly (up to the orbit
-        tail), so the shifted-candidate term cancels against the previous
-        remainder and the defect of the new candidate is the remainder
-        difference evaluated on the grid nodes -- no interpolation enters.
-        """
-        worst = 0.0
-        for c in comps:
-            worst = max(worst, _weighted_sup(rem_new[c] - rem_prev[c],
-                                             z0, eta_orders[c]))
-        return worst
-
     report = {
         "order": n,
         "weights": weights,
@@ -798,8 +771,14 @@ def contraction_probe(mp, pair, residual, sector, mu, *, samples, n_iter,
         size = max(_weighted_sup(arrays[c], z0, weights[c]) for c in comps)
         if size > ball_alpha:
             report["left_ball"] = True
+        # the corrected pair's defect: each sweep solves the difference
+        # equation (up to the orbit tail), so the shifted candidate cancels
+        # the last remainder and the defect is the remainder difference on
+        # the grid nodes: no interpolation enters
         rem_new = remainder(z0, pts0, arrays)
-        report["defect_norms"].append(defect_gap(rem_new, rem_prev))
+        report["defect_norms"].append(max(
+            _weighted_sup(rem_new[c] - rem_prev[c], z0, eta_orders[c])
+            for c in comps))
         rem_prev = rem_new
     if report["factors"] and report["factors"][-1] < 1.0:
         lam = report["factors"][-1]

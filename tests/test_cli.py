@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from paratori import mapdata
+from paratori import cli, mapdata
 from paratori.applications import HeCuParams, hecu_manifolds
 from paratori.cli import main
 from paratori.flow_solver import solve_flow_to_order, solve_helicoure
@@ -784,6 +784,42 @@ def test_compare_refuses_an_order_outside_the_truncation(
     assert err["error"] == "ConfigError"
     assert err["detail"] == {"component": component, "order": order}
     assert err["message"].startswith(edited + ": ")
+
+
+# header edits of the reference pair (trunc 12) that compare refuses before
+# it reads an order key: a truncation above cli.MAX_TRUNC or not an
+# integer, and an order outside 0..trunc
+BAD_HEADERS = [
+    ("trunc", 171, "expected at most 170"),
+    ("trunc", "12", "expected a finite number"),
+    ("trunc", 12.5, "expected an integer"),
+    ("order", 13, "expected at most trunc 12"),
+    ("order", -3, "expected at least 0"),
+]
+
+
+@pytest.mark.parametrize("key,value,match", BAD_HEADERS,
+                         ids=["trunc_above_max", "trunc_a_string",
+                              "trunc_a_fraction", "order_above_trunc",
+                              "order_negative"])
+def test_compare_refuses_a_bad_truncation_or_order(tmp_path, capsys,
+                                                   monkeypatch, key, value,
+                                                   match):
+    def no_pair(payload):
+        raise AssertionError("the payload was read")
+
+    with open(REFERENCE_PAIR) as fh:
+        payload = json.load(fh)
+    payload[key] = value
+    edited = str(write_config(tmp_path, payload, "edited.json"))
+    monkeypatch.setattr(cli, "pair_from_payload", no_pair)
+    code = main(["compare", edited, REFERENCE_PAIR])
+    captured = capsys.readouterr()
+    assert code == 2, captured.out
+    err = json.loads(captured.err)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith("%s: %s: " % (edited, key))
+    assert match in err["message"]
 
 
 def test_compare_refuses_a_mode_with_too_few_indices(tmp_path, capsys):

@@ -898,8 +898,8 @@ def test_probe_refuses_data_outside_its_hypotheses(order_4_map, field,
 def test_probe_sweeps_step_the_orbit_once(order_4_map, blocks):
     # every sweep reads its blocks from one orbit, so the normal form is
     # called once to check that it maps the sector into itself, then once
-    # per orbit step as far as the deepest sweep reaches, in whole chunks:
-    # not once per step of every sweep
+    # per orbit step as far as the deepest sweep reaches: not once per step
+    # of every sweep
     mp, pair, residual = order_4_map
     pair = pair.copy()
     pair.inner = Counted(pair.inner)
@@ -907,8 +907,7 @@ def test_probe_sweeps_step_the_orbit_once(order_4_map, blocks):
                       **SMALL_PROBE)
     assert len({id(orbit) for orbit, _, _ in blocks}) == 1
     deepest = max(end for _, _, end in blocks)
-    chunk = operators._ORBIT_CHUNK
-    assert pair.inner.calls == 1 + -(-deepest // chunk) * chunk
+    assert pair.inner.calls == 1 + deepest
     # the steps of every sweep, each sweep's blocks starting at step 0
     sweeps = [end for i, (_, _, end) in enumerate(blocks)
               if i + 1 == len(blocks) or blocks[i + 1][1] == 0]
@@ -925,14 +924,14 @@ def test_probe_report_is_the_same_past_the_orbit_byte_cap(order_4_map,
     mp, pair, residual = order_4_map
     sector = Sector(np.pi / 2, 0.02, 2)
     want = contraction_probe(mp, pair, residual, sector, **SMALL_PROBE)
-    # a step holds 3 x 3 complex starts and 2 angle points
-    monkeypatch.setattr(operators, "_ORBIT_BYTES", cap * (9 * 16 + 2 * 8))
+    # a step holds 3 x 3 complex starts and one angle shift
+    monkeypatch.setattr(operators, "_ORBIT_BYTES", cap * (9 * 16 + 1 * 8))
     blocks.clear()
     got = contraction_probe(mp, pair, residual, sector, **SMALL_PROBE)
     assert got == want
     orbit = blocks[0][0]
-    assert orbit.kept == orbit.cap == cap
-    assert max(end for _, _, end in blocks) > cap + operators._ORBIT_CHUNK
+    assert len(orbit.zs) == len(orbit.shifts) == orbit.kept == cap
+    assert max(end for _, _, end in blocks) > cap
 
 
 def test_probe_diverges_on_a_sector_too_wide_for_its_order(order_4_map):

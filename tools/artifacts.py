@@ -13,8 +13,9 @@ oscillator with one drive angle, helicoure on both branches (the unstable
 one is solved conjugated), hecu with the displayed field, the unstable
 branches of solve-map and solve-flow, a map on the 2-torus with both
 angles displaced (the one run whose angle expansion differentiates
-polynomials of several terms), and the contraction probe on that map (the
-one probe on two angle axes).  For
+polynomials of several terms), the contraction probe on that map (the
+one probe on two angle axes), and the probe workload's probe on a grid
+whose orbit sums reach past the steps that ``operators._Orbit`` keeps.  For
 flow-2torus it also writes ``values.json``: the two trajectory values of
 the benchmark (``perfbench/tasks.trajectory_values`` on the run's pair, at
 the benchmark's tolerance), so the comparison covers the trajectory
@@ -73,6 +74,7 @@ _MAP_2TORUS = {
             "theta_terms": [{"1,0": 1.0},
                             {"1,0": {"const": 0.5,
                                      "modes": {"1,1": [0.1, 0.0]}}}]}}
+_PROBE = make_inputs("probe", 0)["config"]
 # name: (command, config) of each CLI problem that no workload runs
 EXTRA_RUNS = {
     "oscillator-dim0": ("oscillator", {"problem": "oscillator", "n_target": 6,
@@ -98,6 +100,11 @@ EXTRA_RUNS = {
         _MAP_2TORUS, sector={"beta": math.pi / 2, "rho": 0.02},
         diagnostics={"mu": 0.5, "probe": {"samples": [4, 3, 4],
                                           "n_iter": 3}})),
+    # 400 rows keep 327 orbit steps, and the deepest sweep reaches step 514
+    "probe-past-cap": ("diagnose-operators", dict(
+        _PROBE, diagnostics=dict(_PROBE["diagnostics"],
+                                 probe={"samples": [20, 20, 4],
+                                        "n_iter": 3}))),
 }
 
 
