@@ -123,13 +123,14 @@ def _xy_identity(dim, cut, deg, which):
 
 def _inverse_change(h, deg):
     """Solve  y = ynew - h(x, y, theta)  for y as a polynomial in (x, ynew)
-    of total degree ``deg``: ``deg`` substitutions from y = ynew, enough
-    since each one fixes one more order (h has no term below degree 2)."""
+    of total degree ``deg``: ``deg - 1`` substitutions from y = ynew, which
+    is exact through degree 1, enough since each one fixes one more degree
+    (h has no term below degree 2)."""
     dim, cut = h.dim, h.cut
     ynew = _xy_identity(dim, cut, deg, "y")
     xid = _xy_identity(dim, cut, deg, "x")
     Y = ynew
-    for _ in range(deg):
+    for _ in range(deg - 1):
         Y = ynew - h.subst(xid, Y)
     return Y
 

@@ -7,6 +7,8 @@ and the error hierarchy is the exit-code contract (see errors.py): the run
 exits with the error's ``exit_code`` (2 configuration, 3 hypothesis, 4 small
 divisor, 5 bound) and writes its ``payload()``, one JSON object, to stderr.
 A command line that argparse rejects is a ConfigError like any other.
+``compare`` reads a pair file through ``ioutil.pair_from_payload``, which
+checks it; ``ioutil`` owns the bounds configs share with pair files.
 """
 
 import argparse
@@ -23,21 +25,13 @@ from .applications import (HeCuParams, OscillatorParams,
 from .errors import ConfigError, DimensionMismatch, ParatoriError
 from .flow_solver import solve_flow_to_order, solve_helicoure
 from .fourier import SD_FLOOR, FourierSeries
-from .ioutil import (canonical_json, pair_from_payload, pair_payload,
+from .ioutil import (MAX_AXES, MAX_BOX, MAX_TRUNC, _check_box, _number,
+                     canonical_json, pair_from_payload, pair_payload,
                      report_payload, residual_csv)
 from .map_solver import ASSERT_TOL, solve_to_order, truncation
 from .mapdata import TaylorFourierMap, validate_shear_field
 from .pairs import compare_pairs, residual_report
 
-# the most coefficients one Fourier series of a config may hold: a mode
-# box of (2 cut + 1)^dim coefficients above it is a ConfigError (the
-# largest supported runs use a few hundred)
-MAX_BOX = 2 ** 16
-# the most angle axes: numpy 1.x arrays hold at most 32 dimensions
-MAX_AXES = 32
-# the highest truncation order: the angle expansion divides by j! for
-# j <= trunc, and 171! is beyond the largest float
-MAX_TRUNC = 170
 # the most bytes one array over a diagnostics grid may take, 1 GiB: the
 # sector check's largest arrays hold one complex value (16 bytes) per point
 # of its radii x arguments, and the probe's the mode bases of an angle
@@ -82,23 +76,6 @@ class _Parser(argparse.ArgumentParser):
 # config handling
 # ---------------------------------------------------------------------------
 
-def _number(value, what, cast=float, least=-math.inf):
-    """A finite JSON number, integral when ``cast`` is int, converted by
-    ``cast`` and at least ``least``, else a ConfigError."""
-    try:
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number, or beyond a float
-        finite = False
-    if not finite:
-        raise ConfigError("%s: expected a finite number, got %r" % (what, value))
-    out = cast(value)
-    if cast is int and out != value:
-        raise ConfigError("%s: expected an integer, got %r" % (what, value))
-    if out < least:
-        raise ConfigError("%s: expected at least %s, got %r" % (what, least, value))
-    return out
-
-
 def _positive(value, what):
     """A finite positive number (a tolerance or floor), else a ConfigError."""
     out = _number(value, what)
@@ -117,15 +94,9 @@ def _entry(block, key, what, cast=float, default=None, least=-math.inf):
 
 def _cut(block, what, dim, default=None):
     """``block["cut"]``: a non-negative integer whose mode box of
-    (2 cut + 1)^dim coefficients holds at most MAX_BOX, on at most MAX_AXES
-    angle axes."""
-    if dim > MAX_AXES:
-        raise ConfigError("%s: %d angle axes exceed %d" % (what, dim, MAX_AXES))
+    (2 cut + 1)^dim coefficients ``_check_box`` admits."""
     cut = _entry(block, "cut", what, int, default, 0)
-    # compared in logarithms: the box of a huge cut or dim is never built
-    if dim * math.log(2 * cut + 1) > math.log(MAX_BOX):
-        raise ConfigError("%s.cut: a box of (2*%d+1)^%d modes exceeds %d "
-                          "coefficients" % (what, cut, dim, MAX_BOX))
+    _check_box(dim, cut, what)
     return cut
 
 
@@ -179,7 +150,7 @@ def _series_spec(spec, dim, cut, what):
         raise ConfigError("%s: expected number or {const, modes}" % what)
     _object(spec, what, ("const", "modes"))
     s = FourierSeries.constant(_number(spec.get("const", 0.0), what), dim, cut)
-    modes = {}
+    modes, spelled = {}, {}
     for key, val in spec.get("modes", {}).items():
         try:
             mode = tuple(int(t) for t in str(key).split(","))
@@ -192,7 +163,10 @@ def _series_spec(spec, dim, cut, what):
         if max(map(abs, mode), default=0) > cut:
             raise ConfigError("%s: mode %s outside the box |k| <= %d"
                               % (what, key, cut))
-        modes[mode] = complex(re, im)
+        if mode in spelled:   # a dict would keep only the last spelling
+            raise ConfigError("%s: mode %s spelled twice, as %r and %r"
+                              % (what, mode, spelled[mode], key))
+        spelled[mode], modes[mode] = key, complex(re, im)
     if modes:
         # symmetrizing adds each coefficient to its mirror, which overflows
         # above about 9e307: such a series is refused here, not solved to NaN
@@ -204,7 +178,7 @@ def _series_spec(spec, dim, cut, what):
 
 
 def _terms_spec(block, dim, cut, what):
-    out = {}
+    out, spelled = {}, {}
     for key, spec in _object(block, what).items():
         try:
             l, m = (int(t) for t in str(key).split(","))
@@ -213,6 +187,10 @@ def _terms_spec(block, dim, cut, what):
                               % (what, key))
         if l < 0 or m < 0:
             raise ConfigError("%s: negative exponent in %r" % (what, key))
+        if (l, m) in spelled:   # a dict would keep only the last spelling
+            raise ConfigError("%s: exponent %s spelled twice, as %r and %r"
+                              % (what, (l, m), spelled[(l, m)], key))
+        spelled[(l, m)] = key
         out[(l, m)] = _series_spec(spec, dim, cut, "%s[%s]" % (what, key))
     return out
 
@@ -502,40 +480,13 @@ def _cmd_diagnose(args):
 # artifact comparison
 # ---------------------------------------------------------------------------
 
-def _check_pair_boxes(payload, path):
-    """ConfigError naming ``path`` unless the pair's box (d + drive axes,
-    cut) is one a config may name and every series has its shape: its dim,
-    and its cut off the one-mode box of dim 0 (whose series have cut 0).
-    Its truncation is an integer of at most MAX_TRUNC, as a config's, and
-    its order an integer from 0 to the truncation."""
-    trunc = _number(payload["trunc"], "%s: trunc" % path, int, 0)
-    if trunc > MAX_TRUNC:
-        raise ConfigError("%s: trunc: expected at most %d, got %d"
-                          % (path, MAX_TRUNC, trunc))
-    order = _number(payload["order"], "%s: order" % path, int, 0)
-    if order > trunc:
-        raise ConfigError("%s: order: expected at most trunc %d, got %d"
-                          % (path, trunc, order))
-    dim = sum(_number(payload[key], "%s: %s" % (path, key), int, 0)
-              for key in ("d", "drive"))
-    cut = _cut(payload, path, dim)
-    for jet in [payload["x"], payload["y"]] + list(payload["tails"]):
-        for series in jet.values():
-            box = series["dim"], series["cut"]
-            if box[0] != dim or (dim and box[1] != cut):
-                raise ConfigError("%s: a series of (dim, cut) %r in a pair "
-                                  "of (dim, cut) %r" % (path, box, (dim, cut)))
-
-
 def _cmd_compare(args):
     def load_pair(path):
         payload = _load_json(path)
         try:
-            _check_pair_boxes(payload, path)
-            try:
-                return pair_from_payload(payload)
-            except ConfigError as err:   # an order or a number, by place
-                raise ConfigError("%s: %s" % (path, err), **err.detail)
+            return pair_from_payload(payload)
+        except ConfigError as err:   # the header, a box, an order or a number
+            raise ConfigError("%s: %s" % (path, err), **err.detail)
         except (ValueError, KeyError, TypeError, IndexError, OverflowError,
                 AttributeError, DimensionMismatch) as err:
             raise ConfigError("%s is not a manifold payload: %r" % (path, err))

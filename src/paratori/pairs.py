@@ -45,35 +45,31 @@ def named_components(jets, orders=(None, None, None)):
 class ManifoldPair:
     """Parameterization jets plus inner normal form for one branch."""
 
+    # the header, in constructor order: every field besides the jets, the
+    # inner polynomial and the diagnostics (``copy``, ``ioutil.pair_payload``
+    # and ``ioutil.pair_from_payload`` read it)
+    HEADER = ("kind", "family", "branch", "cut", "trunc", "order", "k", "p",
+              "freqs", "d", "drive")
+
     def __init__(self, kind, family, branch, cut, trunc, order, k, p, freqs,
                  d, drive, x, y, tails, inner, diagnostics=None):
-        self.kind = kind            # "map" | "field"
-        self.family = family        # "power" | "shear"
-        self.branch = branch        # "stable" | "unstable"
-        self.cut = int(cut)
-        self.trunc = int(trunc)
-        self.order = int(order)
-        self.k = None if k is None else int(k)
-        self.p = None if p is None else int(p)
+        # "map" | "field", "power" | "shear", "stable" | "unstable"
+        self.kind, self.family, self.branch = kind, family, branch
+        self.cut, self.trunc, self.order, self.d, self.drive = map(
+            int, (cut, trunc, order, d, drive))
+        self.k, self.p = (None if v is None else int(v) for v in (k, p))
         self.freqs = tuple(float(w) for w in freqs)
-        self.d = int(d)
-        self.drive = int(drive)
         self.dim = self.d + self.drive
-        self.x = x
-        self.y = y
-        self.tails = list(tails)
-        self.inner = inner
+        self.x, self.y, self.tails, self.inner = x, y, list(tails), inner
         self.diagnostics = dict(diagnostics or {})
 
     def copy(self):
         """The jets' tables are copied; their series and the inner
         polynomial, never written in place, are shared."""
         return ManifoldPair(
-            self.kind, self.family, self.branch, self.cut, self.trunc,
-            self.order, self.k, self.p, self.freqs, self.d, self.drive,
-            self.x.copy(), self.y.copy(), [w.copy() for w in self.tails],
-            self.inner, dict(self.diagnostics),
-        )
+            *(getattr(self, key) for key in self.HEADER), self.x.copy(),
+            self.y.copy(), [w.copy() for w in self.tails], self.inner,
+            self.diagnostics)
 
     def contract_orders(self):
         """Leading orders the invariance defect must reach at this order."""

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from paratori import cli, mapdata
+from paratori import cli, ioutil, mapdata
 from paratori.applications import HeCuParams, hecu_manifolds
 from paratori.cli import main
 from paratori.flow_solver import solve_flow_to_order, solve_helicoure
@@ -334,6 +334,11 @@ MALFORMED = [
     ("exponent_key_malformed", lambda c: c["map"]["y_terms"]
      .update({"2;1": 1.0})),
     ("exponent_negative", lambda c: c["map"]["y_terms"].update({"3,-1": 1.0})),
+    # two spellings of one exponent or mode: a dict would keep only one
+    ("exponent_spelled_twice", lambda c: c["map"]["y_terms"]
+     .update({"02,0": 1.0})),
+    ("mode_spelled_twice", lambda c: c["map"]["y_terms"]["2,0"]["modes"]
+     .update({"+1": [0.1, 0.0]})),
     ("sweep_not_a_list", lambda c: c.update(sweep={"n_target": 3})),
     # finite, but the mode and its mirror overflow once the series is built
     ("coefficient_overflows_its_series", lambda c: c["map"]["y_terms"]["2,0"]
@@ -412,6 +417,22 @@ def test_unknown_key_is_named(tmp_path, capsys, edit, block, key):
     assert code == 2 and err["error"] == "ConfigError"
     assert err["detail"] == {"block": block, "key": key}
     assert repr(key) in err["message"]
+
+
+@pytest.mark.parametrize("edit,first,second", [
+    (lambda c: c["map"]["y_terms"].update({"02,0": 1.0}), "2,0", "02,0"),
+    (lambda c: c["map"]["y_terms"]["2,0"]["modes"].update({"+1": [0.1, 0.0]}),
+     "1", "+1"),
+], ids=["exponent", "mode"])
+def test_a_key_spelled_twice_names_both_spellings(tmp_path, capsys, edit,
+                                                  first, second):
+    cfg_data = json.loads(json.dumps(MAP_CONFIG))
+    edit(cfg_data)
+    code = main(["solve-map", "--config", str(write_config(tmp_path, cfg_data)),
+                 "--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and err["error"] == "ConfigError"
+    assert "spelled twice, as %r and %r" % (first, second) in err["message"]
 
 
 # malformed operator, oscillator and hecu blocks: each edit is caught before
@@ -787,32 +808,34 @@ def test_compare_refuses_an_order_outside_the_truncation(
 
 
 # header edits of the reference pair (trunc 12) that compare refuses before
-# it reads an order key: a truncation above cli.MAX_TRUNC or not an
-# integer, and an order outside 0..trunc
+# it reads an order key: a truncation above ioutil.MAX_TRUNC or not an
+# integer, an order outside 0..trunc, and a k or p that is not an integer
 BAD_HEADERS = [
     ("trunc", 171, "expected at most 170"),
     ("trunc", "12", "expected a finite number"),
     ("trunc", 12.5, "expected an integer"),
     ("order", 13, "expected at most trunc 12"),
     ("order", -3, "expected at least 0"),
+    ("k", 2.5, "expected an integer"),
+    ("p", "1", "expected a finite number"),
 ]
 
 
 @pytest.mark.parametrize("key,value,match", BAD_HEADERS,
                          ids=["trunc_above_max", "trunc_a_string",
                               "trunc_a_fraction", "order_above_trunc",
-                              "order_negative"])
+                              "order_negative", "k_a_fraction", "p_a_string"])
 def test_compare_refuses_a_bad_truncation_or_order(tmp_path, capsys,
                                                    monkeypatch, key, value,
                                                    match):
-    def no_pair(payload):
-        raise AssertionError("the payload was read")
+    def no_jet(*args):
+        raise AssertionError("a jet was built")
 
     with open(REFERENCE_PAIR) as fh:
         payload = json.load(fh)
     payload[key] = value
     edited = str(write_config(tmp_path, payload, "edited.json"))
-    monkeypatch.setattr(cli, "pair_from_payload", no_pair)
+    monkeypatch.setattr(ioutil, "jet_from_payload", no_jet)
     code = main(["compare", edited, REFERENCE_PAIR])
     captured = capsys.readouterr()
     assert code == 2, captured.out

@@ -157,9 +157,9 @@ def _huge_boxes(pair):
     lambda p: p["x"][min(p["x"])].update(cut=10 ** 12, modes=[]),
     # a tail coefficient on a 2-torus in a pair on the 1-torus
     lambda p: p["tails"][0][min(p["tails"][0])].update(dim=2),
-    # a header box past cli.MAX_BOX, every series on it
+    # a header box past ioutil.MAX_BOX, every series on it
     _huge_boxes,
-    # more angle axes than cli.MAX_AXES
+    # more angle axes than ioutil.MAX_AXES
     lambda p: p.update(drive=40),
 ])
 def test_compare_refuses_a_huge_series_box_by_file(tmp_path, monkeypatch,

@@ -1,5 +1,6 @@
 """Deterministic serialization of series, pairs and residual reports."""
 
+import inspect
 import json
 import math
 
@@ -11,7 +12,7 @@ from paratori.fourier import FourierSeries
 from paratori.ioutil import (canonical_json, pair_from_payload, pair_payload,
                              report_payload, residual_csv)
 from paratori.map_solver import solve_to_order
-from paratori.pairs import compare_pairs, residual_report
+from paratori.pairs import ManifoldPair, compare_pairs, residual_report
 
 from conftest import dense_series, exact_map, reference_map
 
@@ -115,6 +116,40 @@ def test_pair_payload_round_trip():
     assert back.freqs == pair.freqs
     # payload text is reproducible byte for byte
     assert canonical_json(payload) == canonical_json(pair_payload(back))
+
+
+def test_the_pair_header_is_the_constructors_leading_fields():
+    # copy, pair_payload and pair_from_payload read the header from this list
+    header = ManifoldPair.HEADER
+    params = list(inspect.signature(ManifoldPair).parameters)
+    assert params[:len(header)] == list(header)
+    assert params[len(header):] == ["x", "y", "tails", "inner", "diagnostics"]
+    pair, _ = solve_to_order(exact_map(), 3)
+    copy = pair.copy()
+    assert [getattr(copy, key) for key in header] == [
+        getattr(pair, key) for key in header]
+    assert copy.diagnostics == pair.diagnostics
+    assert copy.diagnostics is not pair.diagnostics
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda p: p.update(trunc=171), "trunc: expected at most 170, got 171"),
+    (lambda p: p["x"][min(p["x"])].update(dim=2),
+     "a series of (dim, cut) (2, 16) in a pair of (dim, cut) (1, 16)"),
+], ids=["trunc_above_max", "series_off_the_box"])
+def test_pair_from_payload_checks_before_any_series_is_built(monkeypatch, edit,
+                                                             match):
+    # the Python API reads a pair file as compare does
+    def no_series(*args, **kwargs):
+        raise AssertionError("a series was built")
+
+    pair, _ = solve_to_order(reference_map(cut=16), 3)
+    payload = json.loads(canonical_json(pair_payload(pair)))
+    edit(payload)
+    monkeypatch.setattr(FourierSeries, "from_payload", no_series)
+    with pytest.raises(ConfigError) as err:
+        pair_from_payload(payload)
+    assert str(err.value) == match
 
 
 def test_report_payload_and_csv():
