@@ -344,9 +344,17 @@ class RunConfig:
 
 
 def _load_json(path):
+    def unique(pairs):   # json.load alone keeps a doubled key's last value
+        out = {}
+        for k, v in pairs:
+            if k in out:
+                raise ConfigError("%s: key %r written twice" % (path, k), key=k)
+            out[k] = v
+        return out
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
     except OSError as err:
         raise ConfigError("cannot read %s: %s" % (path, err))
     except ValueError as err:

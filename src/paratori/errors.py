@@ -3,8 +3,8 @@
 Every failure mode that a caller might reasonably want to branch on gets its
 own class.  The hierarchy is the exit-code contract: a class carries the
 process exit code of its branch (2, but 3 under HypothesisViolated, 4 for
-SmallDivisorUnderflow, 5 under BoundViolated), each error builds its own
-``detail``, and the CLI prints ``payload()`` and exits with ``exit_code``.
+SmallDivisorUnderflow, 5 under BoundViolated), an error's facts live in
+``detail`` alone; the CLI prints ``payload()`` and exits with ``exit_code``.
 """
 
 
@@ -68,31 +68,26 @@ class EnergyBelowThreshold(HypothesisViolated):
 
 class SmallDivisorUnderflow(ParatoriError):
     """A divisor |e^{2 pi i k.w} - 1| or |k.w| fell below the safety floor.
-
-    Attributes: ``mode`` (the integer frequency vector), ``magnitude`` and
-    ``floor``.
-    """
+    ``detail``: ``mode`` (the integer frequency vector), ``magnitude`` and
+    ``floor``; a solve adds the ``order`` and ``component`` it stopped at."""
 
     exit_code = 4
 
     def __init__(self, mode, magnitude, floor):
-        self.mode = tuple(int(m) for m in mode)
-        self.magnitude = float(magnitude)
-        self.floor = float(floor)
-        super().__init__(
-            "divisor %.3e below floor %.3e at mode %s"
-            % (self.magnitude, self.floor, self.mode),
-            mode=list(self.mode), magnitude=self.magnitude, floor=self.floor)
+        mode = tuple(int(m) for m in mode)
+        super().__init__("divisor %.3e below floor %.3e at mode %s"
+                         % (magnitude, floor, mode), mode=list(mode),
+                         magnitude=float(magnitude), floor=float(floor))
 
 
 class BoundViolated(ParatoriError):
-    """A certified inequality failed on the verification grid, at the
-    (starting point, iterate) ``witness`` when one is given."""
+    """A certified inequality failed on the verification grid; ``detail``
+    holds a (starting point, iterate) ``witness`` as ``witness_point`` and
+    ``witness_iterate``."""
 
     exit_code = 5
 
     def __init__(self, message, witness=None, **detail):
-        self.witness = witness
         if witness is not None:
             detail.update(witness_point=witness[0], witness_iterate=witness[1])
         super().__init__(message, **detail)
@@ -100,24 +95,16 @@ class BoundViolated(ParatoriError):
 
 class ContractViolated(BoundViolated):
     """The invariance defect of a pair exceeds its tolerance below the
-    contract orders.
-
-    Attributes: ``order`` (u-order of the defect coefficient),
-    ``component`` ("x", "y" or "theta_<axis>"), ``defect`` (the coefficient
-    norm) and ``tol`` (the bound it exceeds: the solve's ``assert_tol``
-    times the size of the pair).
-    """
+    contract orders.  ``detail``: ``order`` (u-order of the defect
+    coefficient), ``component`` ("x", "y" or "theta_<axis>"), ``defect``
+    (the coefficient norm) and ``tol`` (the bound it exceeds: the solve's
+    ``assert_tol`` times the size of the pair)."""
 
     def __init__(self, order, component, defect, tol):
-        self.order = int(order)
-        self.component = str(component)
-        self.defect = float(defect)
-        self.tol = float(tol)
-        super().__init__(
-            "invariance defect %.3e in %s at order %d exceeds %.3e"
-            % (self.defect, self.component, self.order, self.tol),
-            order=self.order, component=self.component, defect=self.defect,
-            tol=self.tol)
+        detail = dict(order=int(order), component=str(component),
+                      defect=float(defect), tol=float(tol))
+        super().__init__("invariance defect %(defect).3e in %(component)s at "
+                         "order %(order)d exceeds %(tol).3e" % detail, **detail)
 
 
 class TailNotConverged(BoundViolated):

@@ -9,8 +9,9 @@ a float); NaN and the infinities are the tokens ``NaN``, ``Infinity`` and
 ``-Infinity``.
 
 ``pair_payload`` writes a pair and ``pair_from_payload`` reads and checks
-it, both from ``ManifoldPair.HEADER``, so every reader of a pair file
-meets the bounds a config meets (``MAX_TRUNC``, ``MAX_AXES``, ``MAX_BOX``).
+it in one walk, both from ``ManifoldPair.HEADER``: every reader of a pair
+file meets the bounds a config meets (``MAX_TRUNC``, ``MAX_AXES``,
+``MAX_BOX``), and a refusal names the first bad key or number it met.
 """
 
 import json
@@ -116,42 +117,26 @@ def _jets(payload):
         ("tails[%d]" % i, w) for i, w in enumerate(payload["tails"])]
 
 
-def _non_finite(payload):
-    """The ConfigError naming the first NaN or infinite number of a pair
-    payload: its component (freqs, inner, x, y or tails[i]), and its index,
-    order or order and mode."""
-    bad = lambda *vs: not np.isfinite(np.asarray(vs, dtype=float)).all()
-    for i, v in enumerate(payload["freqs"]):
-        if bad(v):
-            return ConfigError("manifold payload holds a non-finite number "
-                               "in freqs[%d]" % i, component="freqs", index=i)
-    for n, v in payload["inner"].items():
-        if bad(v):
-            return ConfigError("manifold payload holds a non-finite number "
-                               "in inner at order %s" % n, component="inner",
-                               order=int(n))
-    for name, jet in _jets(payload):
-        for n, sp in jet.items():
-            for k, re, im in sp["modes"]:
-                if bad(re, im):
-                    return ConfigError(
-                        "manifold payload holds a non-finite number in %s at "
-                        "order %s, mode %s" % (name, n, k), component=name,
-                        order=int(n), mode=k)
-
-
 def pair_from_payload(payload):
-    """The pair of a payload, checked in full before any series is built.
-    Its header as a config's: ``trunc`` an integer from 0 to MAX_TRUNC,
-    ``order`` one from 0 to ``trunc``, ``k`` and ``p`` null or integers, and
-    a box of ``d`` + ``drive`` axes and ``cut`` that ``_check_box`` admits.
-    Then every series on that box (its dim, and its cut off the one-mode
-    box of dim 0, whose series have cut 0), every order key of a jet or of
-    ``inner`` an integer from 0 to ``trunc`` in plain decimal digits (as
-    ``pair_payload`` writes it), and no NaN or infinite number.  Each
-    refusal is a ConfigError; an order key or a number names where the
-    first bad one is."""
+    """The pair of a payload, checked in full before any series is built:
+    the header as a config's (``kind``, ``family`` and ``branch`` one of
+    their two names, ``trunc`` an integer from 0 to MAX_TRUNC, ``order``
+    one from 0 to ``trunc``, ``k`` and ``p`` null or integers, a box of
+    ``d`` + ``drive`` axes and ``cut`` that ``_check_box`` admits, and a
+    frequency per rotating axis: ``d``, and ``drive`` in a field), then in
+    one walk each series on that box (cut 0 on the one-mode box of dim 0),
+    each order key of a jet or of ``inner`` an integer from 0 to ``trunc``
+    in plain digits (as ``pair_payload`` writes it), and each number
+    finite.  A refusal is a ConfigError; a bad order key or number is the
+    first in walk order (``freqs``, ``inner``, ``x``, ``y``, ``tails[i]``;
+    a series mode by mode), named in the message and ``detail``."""
     head = {key: payload[key] for key in ManifoldPair.HEADER}
+    for key, names in (("kind", ("map", "field")),
+                       ("family", ("power", "shear")),
+                       ("branch", ("stable", "unstable"))):
+        if head[key] not in names:
+            raise ConfigError("%s: expected %r or %r, got %r"
+                              % (key, *names, head[key]))
     for key in ("cut", "trunc", "order", "d", "drive"):
         head[key] = _number(head[key], key, int, 0)
     for key in ("k", "p"):
@@ -165,14 +150,19 @@ def pair_from_payload(payload):
         raise ConfigError("order: expected at most trunc %d, got %d"
                           % (trunc, head["order"]))
     _check_box(dim, cut, "manifold payload")
+    axes = head["d"] if head["kind"] == "map" else dim   # rotating axes
+    if len(head["freqs"]) != axes:
+        raise ConfigError("freqs: expected %d for a %s, got %d"
+                          % (axes, head["kind"], len(head["freqs"])))
     orders = {str(i) for i in range(trunc + 1)}
-    numbers = list(payload["freqs"])
+    numbers, starts = list(head["freqs"]), []   # where each entry starts
     for name, jet in [("inner", payload["inner"])] + _jets(payload):
         for n, entry in jet.items():
             if n not in orders:
                 raise ConfigError(
                     "manifold payload has order %r in %s, outside 0..%d"
                     % (n, name, trunc), component=name, order=n)
+            starts.append((len(numbers), name, n, entry))
             if name == "inner":
                 numbers.append(entry)
                 continue
@@ -182,8 +172,22 @@ def pair_from_payload(payload):
                                   "(dim, cut) %r" % (box, (dim, cut)))
             numbers += [re for _, re, _ in entry["modes"]]
             numbers += [im for _, _, im in entry["modes"]]
-    if not np.all(np.isfinite(np.asarray(numbers, dtype=float))):
-        raise _non_finite(payload)
+    bad = ~np.isfinite(np.asarray(numbers, dtype=float))
+    if bad.any():   # name the first bad number: in freqs, inner or a mode
+        first = int(bad.argmax())
+        at, detail = "freqs[%d]" % first, dict(component="freqs", index=first)
+        if first >= len(head["freqs"]):
+            start, name, n, entry = [s for s in starts if s[0] <= first][-1]
+            at = "%s at order %s" % (name, n)
+            detail = dict(component=name, order=int(n))
+            if name != "inner":
+                m = len(entry["modes"])
+                i = np.flatnonzero(bad[start:start + m]
+                                   | bad[start + m:start + 2 * m])[0]
+                detail["mode"] = entry["modes"][i][0]
+                at += ", mode %s" % (detail["mode"],)
+        raise ConfigError("manifold payload holds a non-finite number in "
+                          + at, **detail)
     x, y, *tails = (jet_from_payload(jet, dim, cut, trunc)
                     for _, jet in _jets(payload))
     inner = UPoly({int(n): v for n, v in payload["inner"].items()}, trunc)

@@ -809,7 +809,9 @@ def test_compare_refuses_an_order_outside_the_truncation(
 
 # header edits of the reference pair (trunc 12) that compare refuses before
 # it reads an order key: a truncation above ioutil.MAX_TRUNC or not an
-# integer, an order outside 0..trunc, and a k or p that is not an integer
+# integer, an order outside 0..trunc, a k or p that is not an integer, a
+# kind, family or branch of another name, and frequencies for three axes
+# of a map on one
 BAD_HEADERS = [
     ("trunc", 171, "expected at most 170"),
     ("trunc", "12", "expected a finite number"),
@@ -818,13 +820,19 @@ BAD_HEADERS = [
     ("order", -3, "expected at least 0"),
     ("k", 2.5, "expected an integer"),
     ("p", "1", "expected a finite number"),
+    ("kind", "banana", "expected 'map' or 'field', got 'banana'"),
+    ("family", "nope", "expected 'power' or 'shear', got 'nope'"),
+    ("branch", "sideways", "expected 'stable' or 'unstable', got 'sideways'"),
+    ("freqs", [0.6, 0.3, 0.1], "expected 1 for a map, got 3"),
 ]
 
 
 @pytest.mark.parametrize("key,value,match", BAD_HEADERS,
                          ids=["trunc_above_max", "trunc_a_string",
                               "trunc_a_fraction", "order_above_trunc",
-                              "order_negative", "k_a_fraction", "p_a_string"])
+                              "order_negative", "k_a_fraction", "p_a_string",
+                              "kind_unknown", "family_unknown",
+                              "branch_unknown", "freqs_too_many"])
 def test_compare_refuses_a_bad_truncation_or_order(tmp_path, capsys,
                                                    monkeypatch, key, value,
                                                    match):
@@ -843,6 +851,36 @@ def test_compare_refuses_a_bad_truncation_or_order(tmp_path, capsys,
     assert err["error"] == "ConfigError"
     assert err["message"].startswith("%s: %s: " % (edited, key))
     assert match in err["message"]
+
+
+def _reference_pair_text():
+    with open(REFERENCE_PAIR) as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("command,text,key", [
+    # a config whose y_terms names one exponent twice, literally
+    ("solve-map", lambda: json.dumps(MAP_CONFIG).replace(
+        '"y_terms": {', '"y_terms": {"2,0": 7.0, '), "2,0"),
+    # the reference pair with an order key of inner written twice
+    ("compare", lambda: _reference_pair_text().replace(
+        '"inner":{', '"inner":{"2":-2,'), "2"),
+], ids=["config", "pair_file"])
+def test_a_key_written_twice_is_refused(tmp_path, capsys, command, text, key):
+    # json.load alone would keep the later of the two values and run on
+    path = tmp_path / "input.json"
+    path.write_text(text())
+    argv = {"solve-map": ["solve-map", "--config", str(path), "--out",
+                          str(tmp_path / "o")],
+            "compare": ["compare", str(path), REFERENCE_PAIR]}[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2, captured.out
+    err = json.loads(captured.err)
+    assert err["error"] == "ConfigError"
+    assert err["message"] == "%s: key %r written twice" % (path, key)
+    assert err["detail"] == {"key": key}
+    assert not (tmp_path / "o").exists()
 
 
 def test_compare_refuses_a_mode_with_too_few_indices(tmp_path, capsys):

@@ -519,8 +519,8 @@ def test_resonant_rotation_underflows():
     with pytest.raises(SmallDivisorUnderflow) as ei:
         solve_sd_map(h, (0.5,))
     err = ei.value
-    assert tuple(err.mode) in ((2,), (-2,))
-    assert err.magnitude < err.floor
+    assert tuple(err.detail["mode"]) in ((2,), (-2,))
+    assert err.detail["magnitude"] < err.detail["floor"]
 
 
 def test_flow_zero_frequency_mode_underflows():

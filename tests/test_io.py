@@ -152,6 +152,54 @@ def test_pair_from_payload_checks_before_any_series_is_built(monkeypatch, edit,
     assert str(err.value) == match
 
 
+def _nan_at(payload, component, pick, mode, part):
+    """Set the ``part`` (1: re, 2: im) of mode number ``mode`` of a pair
+    payload's series at the order ``pick`` (min or max) chooses to NaN, and
+    return the detail that names it."""
+    jet = (payload["tails"][0] if component == "tails[0]"
+           else payload[component])
+    order = pick(jet, key=int)
+    entry = jet[order]["modes"][mode]
+    entry[part] = math.nan
+    return {"component": component, "order": int(order), "mode": entry[0]}
+
+
+def _x_later_re_earlier_im(payload):
+    _nan_at(payload, "x", max, -1, 1)
+    return _nan_at(payload, "x", max, 1, 2)
+
+
+def _y_and_x(payload):
+    _nan_at(payload, "y", min, 0, 1)
+    return _nan_at(payload, "x", max, -1, 2)
+
+
+def _tails_and_inner(payload):
+    _nan_at(payload, "tails[0]", min, 0, 1)
+    payload["inner"]["3"] = math.inf
+    return {"component": "inner", "order": 3}
+
+
+def _inner_and_freqs(payload):
+    payload["inner"]["2"] = math.nan
+    payload["freqs"][0] = -math.inf
+    return {"component": "freqs", "index": 0}
+
+
+@pytest.mark.parametrize("edit", [_x_later_re_earlier_im, _y_and_x,
+                                  _tails_and_inner, _inner_and_freqs])
+def test_pair_from_payload_names_the_first_non_finite_number(edit):
+    # with several NaNs or infinities in a payload, the one named is the
+    # first in walk order: freqs, inner, x, y, tails, and in a series mode
+    # by mode, an earlier mode's im before a later mode's re
+    pair, _ = solve_to_order(reference_map(cut=16), 3)
+    payload = json.loads(canonical_json(pair_payload(pair)))
+    detail = edit(payload)
+    with pytest.raises(ConfigError, match="non-finite number in") as err:
+        pair_from_payload(payload)
+    assert err.value.detail == detail
+
+
 def test_report_payload_and_csv():
     mp = reference_map(cut=16)
     pair, residual = solve_to_order(mp, 3)

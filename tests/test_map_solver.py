@@ -323,8 +323,8 @@ def test_contract_check_names_a_defect_below_the_contract_orders():
     with pytest.raises(ContractViolated) as err:
         map_solver._check_contract(mp, moved, map_solver.ASSERT_TOL)
     assert err.value.exit_code == 5
-    assert err.value.order < pair.contract_orders()[0]
-    assert err.value.defect > err.value.tol
+    assert err.value.detail["order"] < pair.contract_orders()[0]
+    assert err.value.detail["defect"] > err.value.detail["tol"]
 
 
 def test_resonant_frequency_raises():

@@ -57,9 +57,10 @@ def test_iterates_stay_inside_with_margin():
 def test_iterates_leave_an_oversized_sector():
     with pytest.raises(BoundViolated) as ei:
         sector_iterate_check(R, Sector(np.pi / 2, 0.99, 2), 0.5, 50)
-    u0, j = ei.value.witness
+    detail = ei.value.detail
+    u0, j = detail["witness_point"], detail["witness_iterate"]
     assert abs(u0) <= 0.99 and j >= 0
-    assert (str(ei.value), ei.value.witness) == sector_step_at_a_time(
+    assert (str(ei.value), (u0, j)) == sector_step_at_a_time(
         R, Sector(np.pi / 2, 0.99, 2), 0.5, 50, (20, 20))
 
 
@@ -157,7 +158,9 @@ def test_blocked_sector_check_fails_where_a_step_at_a_time_check_does(j,
     with pytest.raises(BoundViolated) as ei:
         sector_iterate_check(Kicked(j, kicks), sector, 0.5, 1000,
                              grid_shape=(20, 20))
-    assert (str(ei.value), ei.value.witness) == want
+    detail = ei.value.detail
+    assert (str(ei.value),
+            (detail["witness_point"], detail["witness_iterate"])) == want
 
 
 def test_decay_rate_must_be_admissible():
